@@ -4,16 +4,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmog_datacenter::locations::table3_hp12;
-use mmog_datacenter::matching::{match_request, match_request_indexed, CandidateIndex};
+use mmog_datacenter::matching::{
+    match_request, match_request_indexed, CandidateIndex, MatchOutcome,
+};
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::ResourceVector;
+use mmog_datacenter::topology::Topology;
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::SimTime;
 use std::hint::black_box;
 
 fn bench_match(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_request");
+    let topo = Topology::new(table3_hp12().len());
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
             // Fresh platform per iteration batch: grants mutate state.
@@ -26,7 +30,7 @@ fn bench_match(c: &mut Criterion) {
                         GeoPoint::new(52.37, 4.90),
                         tolerance,
                     );
-                    black_box(match_request(&mut centers, &req, SimTime::ZERO))
+                    black_box(match_request(&topo, &mut centers, &req, SimTime::ZERO))
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -37,12 +41,14 @@ fn bench_match(c: &mut Criterion) {
 
 fn bench_match_indexed(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_request_indexed");
+    let topo = Topology::new(table3_hp12().len());
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
             let origin = GeoPoint::new(52.37, 4.90);
             // One long-lived index, as the provisioner holds: the
             // ranking phase amortises away, only the fill loop remains.
             let mut index = CandidateIndex::new(origin, tolerance);
+            let mut out = MatchOutcome::default();
             b.iter_batched(
                 table3_hp12,
                 |mut centers| {
@@ -52,12 +58,15 @@ fn bench_match_indexed(c: &mut Criterion) {
                         origin,
                         tolerance,
                     );
-                    black_box(match_request_indexed(
+                    match_request_indexed(
+                        &topo,
                         &mut index,
                         &mut centers,
                         &req,
                         SimTime::ZERO,
-                    ))
+                        &mut out,
+                    );
+                    black_box(out.grants.len())
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -84,6 +93,7 @@ fn bench_memo_adjust(c: &mut Criterion) {
     use mmog_sim::provision::GroupProvisioner;
     use mmog_world::update::UpdateModel;
 
+    let topo = Topology::new(table3_hp12().len());
     let setup = |memo: bool| {
         let mut centers = table3_hp12();
         let mut p = GroupProvisioner::new(
@@ -99,7 +109,7 @@ fn bench_memo_adjust(c: &mut Criterion) {
         // first tick grants, the rest are no-ops.
         for t in 0..4u64 {
             let target = p.observe_and_target(1500.0);
-            p.adjust(&target, &mut centers, SimTime(t));
+            p.adjust(&topo, &target, &mut centers, SimTime(t));
         }
         let target = p.observe_and_target(1500.0);
         (p, centers, target)
@@ -108,17 +118,17 @@ fn bench_memo_adjust(c: &mut Criterion) {
     let mut group = c.benchmark_group("steady_state_adjust");
     let (mut p, mut centers, target) = setup(true);
     group.bench_function("memo_hit", |b| {
-        b.iter(|| black_box(p.adjust(black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&topo, black_box(&target), &mut centers, SimTime(4))))
     });
     assert!(
-        p.adjust(&target, &mut centers, SimTime(4)).replayed,
+        p.adjust(&topo, &target, &mut centers, SimTime(4)).replayed,
         "memo bench must measure the replay path"
     );
     let (mut p, mut centers, target) = setup(false);
     group.bench_function("full_walk", |b| {
-        b.iter(|| black_box(p.adjust(black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&topo, black_box(&target), &mut centers, SimTime(4))))
     });
-    assert!(!p.adjust(&target, &mut centers, SimTime(4)).replayed);
+    assert!(!p.adjust(&topo, &target, &mut centers, SimTime(4)).replayed);
     group.finish();
 }
 

@@ -207,6 +207,7 @@ fn memoized_match_replay_is_allocation_free() {
     use mmog_world::update::UpdateModel;
 
     let mut centers = table3_hp12();
+    let topo = mmog_datacenter::topology::Topology::new(centers.len());
     let mut p = GroupProvisioner::new(
         OperatorId(1),
         GeoPoint::new(52.37, 4.90),
@@ -218,11 +219,11 @@ fn memoized_match_replay_is_allocation_free() {
     let target = p.observe_and_target(1500.0);
     // Warm-up: grant, then run the full no-op walk once to arm the memo.
     for i in 0..4u64 {
-        let _ = p.adjust(&target, &mut centers, SimTime(i));
+        let _ = p.adjust(&topo, &target, &mut centers, SimTime(i));
     }
     let n = count_allocs(|| {
         for _ in 0..512 {
-            let out = p.adjust(&target, &mut centers, SimTime(4));
+            let out = p.adjust(&topo, &target, &mut centers, SimTime(4));
             assert!(out.replayed, "steady state must hit the memo");
         }
     });
@@ -373,15 +374,18 @@ fn soa_tick_loop_allocations_are_bounded() {
 
 fn indexed_match_allocations_are_bounded() {
     use mmog_datacenter::locations::table3_hp12;
-    use mmog_datacenter::matching::{match_request_indexed, CandidateIndex};
+    use mmog_datacenter::matching::{match_request_indexed, CandidateIndex, MatchOutcome};
     use mmog_datacenter::request::{OperatorId, ResourceRequest};
     use mmog_datacenter::resource::ResourceVector;
+    use mmog_datacenter::topology::Topology;
     use mmog_util::geo::{DistanceClass, GeoPoint};
     use mmog_util::time::SimTime;
 
     let mut centers = table3_hp12();
     let origin = GeoPoint::new(52.37, 4.90);
+    let topo = Topology::new(centers.len());
     let mut index = CandidateIndex::new(origin, DistanceClass::VeryFar);
+    let mut out = MatchOutcome::default();
     let req = ResourceRequest::new(
         OperatorId(1),
         ResourceVector::new(0.2, 0.2, 0.2, 0.2),
@@ -390,16 +394,17 @@ fn indexed_match_allocations_are_bounded() {
     );
     // Warm-up builds the index and grows the lease ledgers.
     for i in 0..16u64 {
-        let _ = match_request_indexed(&mut index, &mut centers, &req, SimTime(i));
+        match_request_indexed(&topo, &mut index, &mut centers, &req, SimTime(i), &mut out);
     }
     let calls = 128u64;
     let n = count_allocs(|| {
         for i in 0..calls {
-            let _ = match_request_indexed(&mut index, &mut centers, &req, SimTime(16 + i));
+            let now = SimTime(16 + i);
+            match_request_indexed(&topo, &mut index, &mut centers, &req, now, &mut out);
         }
     });
-    // Each call owns its MatchOutcome (grants + cloned phase-1
-    // rejections) and appends a lease; the old path additionally
+    // Each call refills one caller-owned MatchOutcome (grants + copied
+    // phase-1 rejections) and appends a lease; the old path additionally
     // re-enumerated, re-sorted and cloned a policy per candidate.
     let per_call = n as f64 / calls as f64;
     assert!(

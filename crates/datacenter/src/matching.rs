@@ -127,6 +127,15 @@ pub struct Rejection {
     pub reason: RejectReason,
 }
 
+impl Rejection {
+    fn new(center_index: usize, reason: RejectReason) -> Self {
+        Self {
+            center_index,
+            reason,
+        }
+    }
+}
+
 /// Outcome of matching one request.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MatchOutcome {
@@ -177,11 +186,9 @@ mod obs {
         static REQUESTS: OnceLock<Arc<Counter>> = OnceLock::new();
         static GRANTS: OnceLock<Arc<Counter>> = OnceLock::new();
         static UNMET: OnceLock<Arc<Counter>> = OnceLock::new();
-        static REJ_DISTANCE: OnceLock<Arc<Counter>> = OnceLock::new();
-        static REJ_EXHAUSTED: OnceLock<Arc<Counter>> = OnceLock::new();
-        static REJ_GRANT_FAILED: OnceLock<Arc<Counter>> = OnceLock::new();
-        static REJ_UNAVAILABLE: OnceLock<Arc<Counter>> = OnceLock::new();
-        static REJ_PARTITIONED: OnceLock<Arc<Counter>> = OnceLock::new();
+        // One cell per reason, in declaration order: each counter
+        // registers on its reason's first rejection, as before.
+        static REJECTED: [OnceLock<Arc<Counter>>; 5] = [const { OnceLock::new() }; 5];
         static PER_REQUEST: OnceLock<Arc<Histogram>> = OnceLock::new();
         stat(&REQUESTS, "match.requests").incr();
         stat(&GRANTS, "match.grants").add(grants as u64);
@@ -189,22 +196,14 @@ mod obs {
             stat(&UNMET, "match.unmet_requests").incr();
         }
         for r in rejections {
-            let cell = match r.reason {
-                super::RejectReason::Distance => stat(&REJ_DISTANCE, "match.rejections.distance"),
-                super::RejectReason::Exhausted => {
-                    stat(&REJ_EXHAUSTED, "match.rejections.exhausted")
-                }
-                super::RejectReason::GrantFailed => {
-                    stat(&REJ_GRANT_FAILED, "match.rejections.grant_failed")
-                }
-                super::RejectReason::Unavailable => {
-                    stat(&REJ_UNAVAILABLE, "match.rejections.unavailable")
-                }
-                super::RejectReason::Partitioned => {
-                    stat(&REJ_PARTITIONED, "match.rejections.partitioned")
-                }
-            };
-            cell.incr();
+            REJECTED[r.reason as usize]
+                .get_or_init(|| {
+                    counter(
+                        &format!("match.rejections.{}", r.reason.label()),
+                        Domain::Semantic,
+                    )
+                })
+                .incr();
         }
         PER_REQUEST
             .get_or_init(|| {
@@ -236,31 +235,14 @@ fn preference_order(
 }
 
 /// Greedily fills `request` across the pre-ranked candidate list,
-/// quantising each grant to the center's bulks. `rejections` arrives
-/// holding the phase-1 (distance/availability) rejections and leaves
-/// with the fill-loop (exhausted/grant-failed) rejections appended —
-/// exactly the consideration order the one-shot matcher reports.
+/// quantising each grant to the center's bulks, into a caller-owned
+/// outcome (grants cleared here). `out.rejections` arrives holding the
+/// phase-1 (availability/partition/distance) rejections and leaves with
+/// the fill-loop (exhausted/grant-failed) rejections appended — exactly
+/// the consideration order the one-shot matcher reports. Reusing one
+/// outcome's buffers keeps the provisioner's per-tick steady state free
+/// of per-request vector allocations.
 fn fill_ranked(
-    centers: &mut [DataCenter],
-    ranked: &[(usize, f64)],
-    request: &ResourceRequest,
-    now: SimTime,
-    rejections: Vec<Rejection>,
-) -> MatchOutcome {
-    let mut out = MatchOutcome {
-        grants: Vec::new(),
-        unmet: ResourceVector::ZERO,
-        rejections,
-    };
-    fill_ranked_into(centers, ranked, request, now, &mut out);
-    out
-}
-
-/// [`fill_ranked`] writing into a caller-owned outcome whose
-/// `rejections` have been pre-seeded (grants cleared here): the
-/// provisioner's per-tick steady state reuses one outcome's buffers
-/// instead of allocating fresh vectors per request.
-fn fill_ranked_into(
     centers: &mut [DataCenter],
     ranked: &[(usize, f64)],
     request: &ResourceRequest,
@@ -293,10 +275,8 @@ fn fill_ranked_into(
             }
         });
         if grant_amounts.is_negligible(1e-9) {
-            out.rejections.push(Rejection {
-                center_index: idx,
-                reason: RejectReason::Exhausted,
-            });
+            out.rejections
+                .push(Rejection::new(idx, RejectReason::Exhausted));
             continue;
         }
         if let Some(lease) = centers[idx].grant(request.operator, grant_amounts, now) {
@@ -308,18 +288,13 @@ fn fill_ranked_into(
                 distance_km,
             });
         } else {
-            out.rejections.push(Rejection {
-                center_index: idx,
-                reason: RejectReason::GrantFailed,
-            });
+            out.rejections
+                .push(Rejection::new(idx, RejectReason::GrantFailed));
         }
     }
     out.unmet = remaining;
-    obs::record(
-        out.grants.len(),
-        !remaining.is_negligible(1e-9),
-        &out.rejections,
-    );
+    let unmet = !remaining.is_negligible(1e-9);
+    obs::record(out.grants.len(), unmet, &out.rejections);
 }
 
 /// The request's backbone ingress: the center nearest its origin by
@@ -342,29 +317,22 @@ fn home_center(centers: &[DataCenter], origin: &GeoPoint) -> usize {
 /// Matches one request against a set of data centers, mutating their
 /// lease ledgers. See the module docs for the criteria ordering.
 ///
-/// This is the one-shot entry point: it re-ranks the whole platform on
+/// Candidates on the far side of a `topology` partition (relative to
+/// the request's [`home_center`]) are rejected as
+/// [`RejectReason::Partitioned`], and distances are inflated by the
+/// per-link factor before the tolerance check and the preference
+/// ranking ([`Grant::distance_km`] then carries the effective
+/// distance). Under the nominal [`Topology::new`] every center is
+/// reachable and every factor is 1.0, so distances stay exactly as
+/// measured.
+///
+/// This is the one-shot reference: it re-ranks the whole platform on
 /// every call. A provisioner issuing many requests with a fixed origin
 /// and tolerance should hold a [`CandidateIndex`] and call
 /// [`match_request_indexed`] instead — same result, without the
 /// per-request rescan.
 pub fn match_request(
-    centers: &mut [DataCenter],
-    request: &ResourceRequest,
-    now: SimTime,
-) -> MatchOutcome {
-    match_request_via(None, centers, request, now)
-}
-
-/// [`match_request`] under a scenario [`Topology`]. With
-/// `topology: None` this is the identical pre-topology code path; with
-/// a topology, candidates on the far side of a partition (relative to
-/// the request's [`home_center`]) are rejected as
-/// [`RejectReason::Partitioned`], and distances are inflated by the
-/// per-link factor before the tolerance check and the preference
-/// ranking ([`Grant::distance_km`] then carries the effective
-/// distance).
-pub fn match_request_via(
-    topology: Option<&Topology>,
+    topology: &Topology,
     centers: &mut [DataCenter],
     request: &ResourceRequest,
     now: SimTime,
@@ -373,44 +341,32 @@ pub fn match_request_via(
         // Rank admissible centers: finer granularity, shorter time bulk,
         // then closest (the Sec. II-C criteria, operator-favouring order).
         let mut rejections = Vec::new();
-        let home = topology.map(|_| home_center(centers, &request.origin));
+        let home = home_center(centers, &request.origin);
         let mut ranked: Vec<(usize, f64)> = centers
             .iter()
             .enumerate()
             .filter_map(|(i, c)| {
-                if c.availability() == Availability::Down {
-                    rejections.push(Rejection {
-                        center_index: i,
-                        reason: RejectReason::Unavailable,
-                    });
-                    return None;
-                }
-                if let (Some(topo), Some(home)) = (topology, home) {
-                    if !topo.reachable(home, i) {
-                        rejections.push(Rejection {
-                            center_index: i,
-                            reason: RejectReason::Partitioned,
-                        });
-                        return None;
-                    }
-                }
-                let mut d = c.distance_km(&request.origin);
-                if let (Some(topo), Some(home)) = (topology, home) {
-                    d = topo.effective_distance(home, i, d);
-                }
-                if request.tolerance.admits(d) {
-                    Some((i, d))
+                let d = topology.effective_distance(home, i, c.distance_km(&request.origin));
+                let reason = if c.availability() == Availability::Down {
+                    RejectReason::Unavailable
+                } else if !topology.reachable(home, i) {
+                    RejectReason::Partitioned
+                } else if !request.tolerance.admits(d) {
+                    RejectReason::Distance
                 } else {
-                    rejections.push(Rejection {
-                        center_index: i,
-                        reason: RejectReason::Distance,
-                    });
-                    None
-                }
+                    return Some((i, d));
+                };
+                rejections.push(Rejection::new(i, reason));
+                None
             })
             .collect();
         ranked.sort_by(|&a, &b| preference_order(centers, a, b));
-        fill_ranked(centers, &ranked, request, now, rejections)
+        let mut out = MatchOutcome {
+            rejections,
+            ..MatchOutcome::default()
+        };
+        fill_ranked(centers, &ranked, request, now, &mut out);
+        out
     })
 }
 
@@ -427,8 +383,9 @@ pub fn match_request_via(
 ///
 /// An index is bound to one `(origin, tolerance)` pair — one per server
 /// group — and to one center set: it rebuilds itself if the center
-/// count changes, but callers must not reorder centers or mutate their
-/// locations/policies behind its back (the simulation never does).
+/// count changes, but callers must not reorder centers, mutate their
+/// locations/policies, or switch to a different [`Topology`] behind its
+/// back (the simulation never does).
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     origin: GeoPoint,
@@ -436,18 +393,15 @@ pub struct CandidateIndex {
     built: bool,
     n_centers: usize,
     epoch: u64,
-    /// Topology version the tables were built against (`None` when the
-    /// index was built without a topology). A scenario topology
-    /// mutation changes effective distances, so a version mismatch
-    /// forces a full rebuild, not just a refresh.
-    topo_version: Option<u64>,
-    /// Per center, in center-index order: whether the center is
-    /// partition-unreachable from the requester's home center. Empty
-    /// (all reachable) when built without a topology.
-    unreachable: Vec<bool>,
-    /// Per center, in center-index order: distance from the origin and
-    /// whether the tolerance class admits it. Static once built.
-    by_center: Vec<(f64, bool)>,
+    /// Topology version the tables were built against. A scenario
+    /// topology mutation changes effective distances, so a version
+    /// mismatch forces a full rebuild, not just a refresh.
+    topo_version: u64,
+    /// Per center, in center-index order: effective distance from the
+    /// origin, and why the center is inadmissible whatever its
+    /// availability (partition-unreachable from the requester's home
+    /// center, or outside the tolerance class). Static once built.
+    by_center: Vec<(f64, Option<RejectReason>)>,
     /// Every center in offer-preference order. Static once built:
     /// availability only filters this list, it never reorders it.
     preference: Vec<(usize, f64)>,
@@ -470,8 +424,7 @@ impl CandidateIndex {
             built: false,
             n_centers: 0,
             epoch: 0,
-            topo_version: None,
-            unreachable: Vec::new(),
+            topo_version: 0,
             by_center: Vec::new(),
             preference: Vec::new(),
             rejections: Vec::new(),
@@ -480,29 +433,23 @@ impl CandidateIndex {
     }
 
     /// Computes the static part: distances, admissibility, preference
-    /// order over all centers. Under a topology, distances are the
-    /// effective (link-factor-inflated) distances from the requester's
-    /// home center, and partition-unreachable centers are flagged.
-    fn build(&mut self, centers: &[DataCenter], topology: Option<&Topology>) {
+    /// order over all centers. Distances are the effective
+    /// (link-factor-inflated) distances from the requester's home
+    /// center, and partition-unreachable centers are flagged.
+    fn build(&mut self, centers: &[DataCenter], topology: &Topology) {
         self.n_centers = centers.len();
-        self.unreachable.clear();
+        let home = home_center(centers, &self.origin);
         self.by_center.clear();
-        match topology {
-            None => self.by_center.extend(centers.iter().map(|c| {
-                let d = c.distance_km(&self.origin);
-                (d, self.tolerance.admits(d))
-            })),
-            Some(topo) => {
-                let home = home_center(centers, &self.origin);
-                self.unreachable
-                    .extend((0..centers.len()).map(|i| !topo.reachable(home, i)));
-                self.by_center
-                    .extend(centers.iter().enumerate().map(|(i, c)| {
-                        let d = topo.effective_distance(home, i, c.distance_km(&self.origin));
-                        (d, self.tolerance.admits(d))
-                    }));
-            }
-        }
+        self.by_center
+            .extend(centers.iter().enumerate().map(|(i, c)| {
+                let d = topology.effective_distance(home, i, c.distance_km(&self.origin));
+                let cut = if !topology.reachable(home, i) {
+                    Some(RejectReason::Partitioned)
+                } else {
+                    (!self.tolerance.admits(d)).then_some(RejectReason::Distance)
+                };
+                (d, cut)
+            }));
         self.preference.clear();
         self.preference
             .extend(self.by_center.iter().enumerate().map(|(i, &(d, _))| (i, d)));
@@ -521,27 +468,17 @@ impl CandidateIndex {
     fn refresh(&mut self, centers: &[DataCenter]) {
         self.rejections.clear();
         self.ranked.clear();
-        let cut = |i: usize| self.unreachable.get(i).copied().unwrap_or(false);
         for (i, c) in centers.iter().enumerate() {
-            if c.availability() == Availability::Down {
-                self.rejections.push(Rejection {
-                    center_index: i,
-                    reason: RejectReason::Unavailable,
-                });
-            } else if cut(i) {
-                self.rejections.push(Rejection {
-                    center_index: i,
-                    reason: RejectReason::Partitioned,
-                });
-            } else if !self.by_center[i].1 {
-                self.rejections.push(Rejection {
-                    center_index: i,
-                    reason: RejectReason::Distance,
-                });
+            let down = c.availability() == Availability::Down;
+            let cut = down
+                .then_some(RejectReason::Unavailable)
+                .or(self.by_center[i].1);
+            if let Some(reason) = cut {
+                self.rejections.push(Rejection::new(i, reason));
             }
         }
         for &(i, d) in &self.preference {
-            if self.by_center[i].1 && !cut(i) && centers[i].availability() != Availability::Down {
+            if self.by_center[i].1.is_none() && centers[i].availability() != Availability::Down {
                 self.ranked.push((i, d));
             }
         }
@@ -591,7 +528,7 @@ pub struct MatchMemo {
     armed: bool,
     target: ResourceVector,
     epoch: u64,
-    topo_version: Option<u64>,
+    topo_version: u64,
     lease_gen: u64,
     any_target: bool,
     valid_until: Option<SimTime>,
@@ -627,7 +564,7 @@ impl MatchMemo {
         &mut self,
         target: ResourceVector,
         epoch: u64,
-        topo_version: Option<u64>,
+        topo_version: u64,
         lease_gen: u64,
         any_target: bool,
         valid_until: Option<SimTime>,
@@ -652,7 +589,7 @@ impl MatchMemo {
         &self,
         target: &ResourceVector,
         epoch: u64,
-        topo_version: Option<u64>,
+        topo_version: u64,
         lease_gen: u64,
         now: SimTime,
     ) -> bool {
@@ -665,47 +602,17 @@ impl MatchMemo {
     }
 }
 
-/// [`match_request`] through a [`CandidateIndex`]: byte-identical
-/// outcomes (grants, rejection order, unmet amounts), but the
-/// enumerate-filter-sort phase runs only when the platform's
-/// availability actually changed instead of on every request.
+/// [`match_request`] through a [`CandidateIndex`], writing into a
+/// caller-owned outcome: byte-identical grants, rejection order and
+/// unmet amounts, but the enumerate-filter-sort phase runs only when
+/// the platform's availability or the topology actually changed, and
+/// the outcome's vectors are reused across calls, so a steady-state
+/// requester pays no allocation for the match itself. A topology
+/// mutation (version bump) invalidates the cached distance tables and
+/// forces a full rebuild; availability-only changes keep using the
+/// cheap refresh path.
 pub fn match_request_indexed(
-    index: &mut CandidateIndex,
-    centers: &mut [DataCenter],
-    request: &ResourceRequest,
-    now: SimTime,
-) -> MatchOutcome {
-    match_request_indexed_via(None, index, centers, request, now)
-}
-
-/// [`match_request_indexed`] under a scenario [`Topology`]: the indexed
-/// counterpart of [`match_request_via`], with byte-identical outcomes.
-/// A topology mutation (version bump) invalidates the cached distance
-/// tables and forces a full rebuild; availability-only changes keep
-/// using the cheap refresh path. With `topology: None` this is the
-/// identical pre-topology code path.
-pub fn match_request_indexed_via(
-    topology: Option<&Topology>,
-    index: &mut CandidateIndex,
-    centers: &mut [DataCenter],
-    request: &ResourceRequest,
-    now: SimTime,
-) -> MatchOutcome {
-    debug_assert!(
-        request.origin == index.origin && request.tolerance == index.tolerance,
-        "a CandidateIndex serves one (origin, tolerance) requester"
-    );
-    let mut out = MatchOutcome::default();
-    match_request_indexed_into_via(topology, index, centers, request, now, &mut out);
-    out
-}
-
-/// [`match_request_indexed_via`] writing into a caller-owned outcome:
-/// byte-identical grants/rejections/unmet, but the outcome's vectors
-/// are reused across calls, so a steady-state requester pays no
-/// allocation for the match itself.
-pub fn match_request_indexed_into_via(
-    topology: Option<&Topology>,
+    topology: &Topology,
     index: &mut CandidateIndex,
     centers: &mut [DataCenter],
     request: &ResourceRequest,
@@ -718,7 +625,7 @@ pub fn match_request_indexed_into_via(
     );
     mmog_obs::time_stat(obs::match_timer(), || {
         let epoch = availability_epoch();
-        let topo_version = topology.map(Topology::version);
+        let topo_version = topology.version();
         if !index.built || index.n_centers != centers.len() || index.topo_version != topo_version {
             index.build(centers, topology);
             index.refresh(centers);
@@ -730,7 +637,7 @@ pub fn match_request_indexed_into_via(
         }
         out.rejections.clear();
         out.rejections.extend_from_slice(&index.rejections);
-        fill_ranked_into(centers, &index.ranked, request, now, out);
+        fill_ranked(centers, &index.ranked, request, now, out);
     });
 }
 
@@ -755,6 +662,10 @@ mod tests {
         })
     }
 
+    fn nominal(centers: &[DataCenter]) -> Topology {
+        Topology::new(centers.len())
+    }
+
     fn cpu_req(amount: f64, tolerance: DistanceClass) -> ResourceRequest {
         ResourceRequest::new(
             OperatorId(1),
@@ -770,6 +681,7 @@ mod tests {
         // amounts" — bulk rounding grants upward.
         let mut centers = vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -785,6 +697,7 @@ mod tests {
         // One center far away: SameLocation tolerance finds nothing.
         let mut centers = vec![center(0, 0.0, 0.0, 10, HostingPolicy::hp(5))];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(1.0, DistanceClass::SameLocation),
             SimTime::ZERO,
@@ -793,6 +706,7 @@ mod tests {
         assert!((out.unmet.cpu - 1.0).abs() < 1e-9);
         // VeryFar admits it.
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -810,6 +724,7 @@ mod tests {
             center(1, 50.0, 40.0, 10, HostingPolicy::hp(3)), // ~2100km, fine (0.22)
         ];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(0.4, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -828,6 +743,7 @@ mod tests {
             center(1, 50.0, 10.5, 10, HostingPolicy::hp(5)), // 0.37 / 180 min
         ];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(0.3, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -842,6 +758,7 @@ mod tests {
             center(1, 50.0, 10.1, 10, HostingPolicy::hp(5)), // ~7 km
         ];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(0.3, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -857,6 +774,7 @@ mod tests {
             center(1, 50.0, 11.0, 10, HostingPolicy::hp(5)),
         ];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(3.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -877,6 +795,7 @@ mod tests {
     fn reports_unmet_when_everything_is_full() {
         let mut centers = vec![center(0, 50.0, 10.0, 1, HostingPolicy::hp(5))];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(100.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -889,6 +808,7 @@ mod tests {
     fn zero_request_matches_nothing() {
         let mut centers = vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))];
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(0.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -906,7 +826,7 @@ mod tests {
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&mut centers, &req, SimTime::ZERO);
+        let out = match_request(&nominal(&centers), &mut centers, &req, SimTime::ZERO);
         assert!(out.fully_met());
         let g = out.granted();
         assert!((g.cpu - 0.5).abs() < 1e-9); // 2 × 0.25
@@ -923,6 +843,7 @@ mod tests {
         ];
         let _ = centers[0].fail();
         let out = match_request(
+            &nominal(&centers),
             &mut centers,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
@@ -942,22 +863,28 @@ mod tests {
     }
 
     /// Runs the same request sequence through the one-shot matcher and
-    /// the indexed matcher on cloned platforms and asserts identical
-    /// outcomes (grants, rejection order, unmet) and identical end
-    /// states.
+    /// the indexed matcher on cloned platforms, while `mutate` rewires
+    /// the topology and availability between steps, and asserts
+    /// identical outcomes (grants, rejection order, unmet) and
+    /// identical end states.
     fn assert_indexed_matches_oneshot(
         mut centers: Vec<DataCenter>,
         requests: &[ResourceRequest],
-        mutate: impl Fn(&mut [DataCenter], usize),
+        mut topo: Topology,
+        mutate: impl Fn(&mut Topology, &mut [DataCenter], usize),
     ) {
         let mut indexed = centers.clone();
         let mut index = CandidateIndex::new(requests[0].origin, requests[0].tolerance);
+        let mut b = MatchOutcome::default();
         for (step, req) in requests.iter().enumerate() {
-            mutate(&mut centers, step);
-            mutate(&mut indexed, step);
+            mutate(&mut topo, &mut centers, step);
+            // Replay availability mutations on the indexed clone with a
+            // throwaway topology so both platforms stay in lock-step.
+            let mut shadow = topo.clone();
+            mutate(&mut shadow, &mut indexed, step);
             let now = SimTime::from_minutes(step as u64);
-            let a = match_request(&mut centers, req, now);
-            let b = match_request_indexed(&mut index, &mut indexed, req, now);
+            let a = match_request(&topo, &mut centers, req, now);
+            match_request_indexed(&topo, &mut index, &mut indexed, req, now, &mut b);
             assert_eq!(a, b, "outcomes diverge at step {step}");
             for (x, y) in centers.iter().zip(&indexed) {
                 assert_eq!(x.allocated(), y.allocated(), "ledgers diverge at {step}");
@@ -978,7 +905,7 @@ mod tests {
             .iter()
             .map(|&amt| cpu_req(amt, DistanceClass::Far))
             .collect();
-        assert_indexed_matches_oneshot(centers, &requests, |_, _| {});
+        assert_indexed_matches_oneshot(centers, &requests, Topology::new(4), |_, _, _| {});
     }
 
     #[test]
@@ -993,7 +920,8 @@ mod tests {
             .collect();
         // Fault plane: fail the best center mid-sequence, degrade
         // another, then repair — the index must follow every change.
-        assert_indexed_matches_oneshot(centers, &requests, |cs, step| match step {
+        let topo = Topology::new(3);
+        assert_indexed_matches_oneshot(centers, &requests, topo, |_, cs, step| match step {
             2 => {
                 let _ = cs[0].fail();
             }
@@ -1011,11 +939,27 @@ mod tests {
         let mut centers = vec![center(0, 50.0, 10.0, 4, HostingPolicy::hp(5))];
         let req = cpu_req(0.3, DistanceClass::VeryFar);
         let mut index = CandidateIndex::new(req.origin, req.tolerance);
-        let out = match_request_indexed(&mut index, &mut centers, &req, SimTime::ZERO);
+        let mut out = MatchOutcome::default();
+        let now = SimTime::ZERO;
+        match_request_indexed(
+            &nominal(&centers),
+            &mut index,
+            &mut centers,
+            &req,
+            now,
+            &mut out,
+        );
         assert!(out.fully_met());
         // A finer-grained center appears: the index must re-rank.
         centers.push(center(1, 50.0, 10.0, 4, HostingPolicy::hp(3)));
-        let out = match_request_indexed(&mut index, &mut centers, &req, SimTime::ZERO);
+        match_request_indexed(
+            &nominal(&centers),
+            &mut index,
+            &mut centers,
+            &req,
+            now,
+            &mut out,
+        );
         assert_eq!(out.grants[0].center_index, 1, "new finest center wins");
     }
 
@@ -1029,7 +973,7 @@ mod tests {
         let mut topo = Topology::new(2);
         topo.partition(0b10); // {0} | {1}
         let req = cpu_req(5.0, DistanceClass::VeryFar);
-        let out = match_request_via(Some(&topo), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&topo, &mut centers, &req, SimTime::ZERO);
         assert!(out.grants.iter().all(|g| g.center_index == 0));
         assert!(!out.fully_met(), "home center alone cannot cover 5 CPU");
         assert!(out
@@ -1044,7 +988,7 @@ mod tests {
         assert_eq!(totals.total(), out.rejections.len() as u64);
         // Heal: the far side becomes reachable and covers the request.
         topo.heal();
-        let out = match_request_via(Some(&topo), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&topo, &mut centers, &req, SimTime::ZERO);
         assert!(out.fully_met());
         assert!(out.grants.iter().any(|g| g.center_index == 1));
     }
@@ -1059,66 +1003,19 @@ mod tests {
         ];
         let nominal = Topology::new(2);
         let req = cpu_req(0.4, DistanceClass::Close);
-        let out = match_request_via(Some(&nominal), &mut centers.clone(), &req, SimTime::ZERO);
+        let out = match_request(&nominal, &mut centers.clone(), &req, SimTime::ZERO);
         assert_eq!(
             out.grants[0].center_index, 1,
             "finest center wins nominally"
         );
         let mut topo = Topology::new(2);
         topo.set_link_factor(0, 1, 4.0); // 714 km → ~2857 km effective
-        let out = match_request_via(Some(&topo), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&topo, &mut centers, &req, SimTime::ZERO);
         assert!(out.grants.iter().all(|g| g.center_index == 0));
         assert!(out
             .rejections
             .iter()
             .any(|r| r.center_index == 1 && r.reason == RejectReason::Distance));
-    }
-
-    #[test]
-    fn nominal_topology_matches_no_topology_exactly() {
-        let centers = vec![
-            center(0, 50.0, 10.0, 3, HostingPolicy::hp(7)),
-            center(1, 50.0, 40.0, 2, HostingPolicy::hp(3)),
-            center(2, 50.0, 10.5, 2, HostingPolicy::hp(5)),
-        ];
-        let topo = Topology::new(3);
-        for amt in [0.4, 1.3, 5.0] {
-            let req = cpu_req(amt, DistanceClass::Far);
-            let mut a = centers.clone();
-            let mut b = centers.clone();
-            let out_a = match_request(&mut a, &req, SimTime::ZERO);
-            let out_b = match_request_via(Some(&topo), &mut b, &req, SimTime::ZERO);
-            assert_eq!(out_a, out_b, "nominal topology must be transparent");
-        }
-    }
-
-    /// Topology counterpart of [`assert_indexed_matches_oneshot`]: the
-    /// same request sequence through [`match_request_via`] and
-    /// [`match_request_indexed_via`] while `mutate` rewires the
-    /// topology (and possibly availability) between steps.
-    fn assert_indexed_matches_oneshot_via(
-        mut centers: Vec<DataCenter>,
-        requests: &[ResourceRequest],
-        mut topo: Topology,
-        mutate: impl Fn(&mut Topology, &mut [DataCenter], usize),
-    ) {
-        let mut indexed = centers.clone();
-        let mut index = CandidateIndex::new(requests[0].origin, requests[0].tolerance);
-        for (step, req) in requests.iter().enumerate() {
-            mutate(&mut topo, &mut centers, step);
-            // Replay availability mutations on the indexed clone with a
-            // throwaway topology so both platforms stay in lock-step.
-            let mut shadow = topo.clone();
-            mutate(&mut shadow, &mut indexed, step);
-            let now = SimTime::from_minutes(step as u64);
-            let a = match_request_via(Some(&topo), &mut centers, req, now);
-            let b = match_request_indexed_via(Some(&topo), &mut index, &mut indexed, req, now);
-            assert_eq!(a, b, "outcomes diverge at step {step}");
-            for (x, y) in centers.iter().zip(&indexed) {
-                assert_eq!(x.allocated(), y.allocated(), "ledgers diverge at {step}");
-                assert_eq!(x.leases(), y.leases());
-            }
-        }
     }
 
     #[test]
@@ -1134,11 +1031,8 @@ mod tests {
         // Partition, degrade a link, fail a center, heal, restore — the
         // index must rebuild on every topology version bump and refresh
         // on the availability change.
-        assert_indexed_matches_oneshot_via(
-            centers,
-            &requests,
-            Topology::new(3),
-            |topo, cs, step| match step {
+        assert_indexed_matches_oneshot(centers, &requests, Topology::new(3), |topo, cs, step| {
+            match step {
                 1 => topo.partition(0b001),
                 2 => topo.set_link_factor(0, 1, 8.0),
                 3 => {
@@ -1150,8 +1044,8 @@ mod tests {
                     topo.set_link_factor(0, 1, 1.0);
                 }
                 _ => {}
-            },
-        );
+            }
+        });
     }
 
     #[test]
@@ -1163,7 +1057,7 @@ mod tests {
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&mut centers, &req, SimTime::ZERO);
+        let out = match_request(&nominal(&centers), &mut centers, &req, SimTime::ZERO);
         assert!(out.grants.is_empty());
         assert!(out.fully_met());
     }
@@ -1173,22 +1067,22 @@ mod tests {
         let mut memo = MatchMemo::new();
         let t = ResourceVector::new(1.0, 2.0, 0.5, 0.5);
         let now = SimTime(10);
-        assert!(!memo.covers(&t, 3, None, 7, now), "disarmed covers nothing");
-        memo.arm(t, 3, None, 7, false, None);
+        assert!(!memo.covers(&t, 3, 0, 7, now), "disarmed covers nothing");
+        memo.arm(t, 3, 0, 7, false, None);
         assert!(memo.is_armed());
         // Exactly the armed target, and any target at or above it.
-        assert!(memo.covers(&t, 3, None, 7, now));
+        assert!(memo.covers(&t, 3, 0, 7, now));
         let above = ResourceVector::new(1.5, 2.0, 0.5, 0.5);
-        assert!(memo.covers(&above, 3, None, 7, now));
+        assert!(memo.covers(&above, 3, 0, 7, now));
         // Below on any component leaves the monotone band.
         let below = ResourceVector::new(1.0, 1.9, 0.5, 0.5);
-        assert!(!memo.covers(&below, 3, None, 7, now));
+        assert!(!memo.covers(&below, 3, 0, 7, now));
         // Any key mismatch invalidates: epoch, topology, ledger.
-        assert!(!memo.covers(&t, 4, None, 7, now), "epoch moved");
-        assert!(!memo.covers(&t, 3, Some(1), 7, now), "topology moved");
-        assert!(!memo.covers(&t, 3, None, 8, now), "ledger moved");
+        assert!(!memo.covers(&t, 4, 0, 7, now), "epoch moved");
+        assert!(!memo.covers(&t, 3, 1, 7, now), "topology moved");
+        assert!(!memo.covers(&t, 3, 0, 8, now), "ledger moved");
         memo.invalidate();
-        assert!(!memo.covers(&t, 3, None, 7, now));
+        assert!(!memo.covers(&t, 3, 0, 7, now));
     }
 
     #[test]
@@ -1197,16 +1091,16 @@ mod tests {
         let t = ResourceVector::new(1.0, 1.0, 1.0, 1.0);
         // No matured leases: the band widens to any target, but only
         // until the first maturation instant.
-        memo.arm(t, 0, Some(2), 1, true, Some(SimTime(20)));
+        memo.arm(t, 0, 2, 1, true, Some(SimTime(20)));
         let below = ResourceVector::new(0.1, 0.0, 0.0, 0.0);
-        assert!(memo.covers(&below, 0, Some(2), 1, SimTime(19)));
+        assert!(memo.covers(&below, 0, 2, 1, SimTime(19)));
         assert!(
-            !memo.covers(&below, 0, Some(2), 1, SimTime(20)),
+            !memo.covers(&below, 0, 2, 1, SimTime(20)),
             "a lease matures at t=20: the proof expires"
         );
         // The horizon also bounds the monotone band.
-        memo.arm(t, 0, Some(2), 1, false, Some(SimTime(20)));
-        assert!(memo.covers(&t, 0, Some(2), 1, SimTime(19)));
-        assert!(!memo.covers(&t, 0, Some(2), 1, SimTime(25)));
+        memo.arm(t, 0, 2, 1, false, Some(SimTime(20)));
+        assert!(memo.covers(&t, 0, 2, 1, SimTime(19)));
+        assert!(!memo.covers(&t, 0, 2, 1, SimTime(25)));
     }
 }

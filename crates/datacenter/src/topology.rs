@@ -10,9 +10,10 @@
 //!
 //! A [`Topology`] is **per-simulation** state (not process-global like
 //! the availability epoch): two concurrent simulations may hold
-//! disjoint topologies. Runs without a scenario never construct one and
-//! take the literal pre-topology code path in
-//! [`crate::matching`].
+//! disjoint topologies. Every simulation carries one; runs without a
+//! scenario keep the nominal [`Topology::new`], under which
+//! [`crate::matching`] sees every center reachable and every distance
+//! exactly as measured (`raw_km × 1.0`).
 //!
 //! # Model
 //!

@@ -5,6 +5,7 @@ use mmog_datacenter::matching::match_request;
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
+use mmog_datacenter::topology::Topology;
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -137,7 +138,7 @@ proptest! {
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&mut centers, &req, SimTime::ZERO);
+        let out = match_request(&Topology::new(centers.len()), &mut centers, &req, SimTime::ZERO);
         let granted = out.granted();
         for r in ResourceType::ALL {
             // granted + unmet >= requested (the offer covers at least the
@@ -283,7 +284,7 @@ proptest! {
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&mut centers, &req, SimTime::ZERO);
+        let out = match_request(&Topology::new(centers.len()), &mut centers, &req, SimTime::ZERO);
         prop_assert!(!out.grants.is_empty());
         prop_assert_eq!(out.grants[0].center_index, 1);
     }
@@ -300,12 +301,14 @@ proptest! {
         // pure function, so replaying a recorded outcome instead of
         // re-walking can never be observed — grant for grant, ledger
         // for ledger. Random demand/fault sequences drive the pair.
-        use mmog_datacenter::matching::{match_request_indexed, CandidateIndex};
+        use mmog_datacenter::matching::{match_request_indexed, CandidateIndex, MatchOutcome};
         let origin = GeoPoint::new(50.0, 10.0);
         let mut live = vec![center(machines, policy.clone())];
         let mut replay = live.clone();
         let mut live_index = CandidateIndex::new(origin, DistanceClass::VeryFar);
         let mut replay_index = live_index.clone();
+        let topo = Topology::new(live.len());
+        let (mut out, mut replayed) = (MatchOutcome::default(), MatchOutcome::default());
         for (i, (amounts, fault)) in demands.iter().enumerate() {
             match fault {
                 1 => {
@@ -325,8 +328,8 @@ proptest! {
                 DistanceClass::VeryFar,
             );
             let now = SimTime(i as u64);
-            let out = match_request_indexed(&mut live_index, &mut live, &req, now);
-            let replayed = match_request_indexed(&mut replay_index, &mut replay, &req, now);
+            match_request_indexed(&topo, &mut live_index, &mut live, &req, now, &mut out);
+            match_request_indexed(&topo, &mut replay_index, &mut replay, &req, now, &mut replayed);
             prop_assert_eq!(&out, &replayed, "walk diverged on identical inputs");
             prop_assert_eq!(
                 format!("{:?}", live[0].leases()),
@@ -344,8 +347,8 @@ proptest! {
         d_epoch in 0u64..3,
         lease_gen in 0u64..4,
         d_gen in 0u64..3,
-        topo in prop::option::of(0u64..3),
-        d_topo in prop::option::of(0u64..3),
+        topo in 0u64..3,
+        d_topo in 0u64..3,
         any_target in any::<bool>(),
         horizon in prop::option::of(1u64..50),
         now in 0u64..60,

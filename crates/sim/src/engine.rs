@@ -9,16 +9,21 @@
 
 use crate::demand::DemandModel;
 use crate::metrics::MetricsCollector;
-use crate::provision::{GroupProvisioner, ReleaseCause, RetryPolicy};
-use mmog_datacenter::center::DataCenter;
+use crate::provision::{AdjustOutcome, GroupProvisioner, ReleaseCause, RetryPolicy};
+use mmog_datacenter::center::{DataCenter, Lease};
 use mmog_datacenter::matching::RejectionTotals;
 use mmog_datacenter::request::OperatorId;
 use mmog_datacenter::resource::ResourceVector;
 use mmog_datacenter::topology::Topology;
-use mmog_faults::{FaultKind, FaultSchedule, ScenarioEventKind, ScenarioTimeline};
-use mmog_obs::{Domain, EventSink, FlightRecorder, FlightTrigger};
+use mmog_faults::{
+    FaultEvent, FaultKind, FaultSchedule, ScenarioEvent, ScenarioEventKind, ScenarioTimeline,
+};
+use mmog_obs::{
+    Counter, Domain, EventSink, Field, FlightRecorder, FlightTrigger, LatencyHisto, SpanStat,
+};
 use mmog_predict::eval::PredictorKind;
 use mmog_util::geo::{DistanceClass, GeoPoint};
+use mmog_util::rng::stream_seed;
 use mmog_util::series::TimeSeries;
 use mmog_util::time::{SimTime, TICKS_PER_DAY};
 use mmog_workload::runescape::RuneScapeConfig;
@@ -26,7 +31,10 @@ use mmog_workload::stream::StreamingTrace;
 use mmog_workload::trace::GameTrace;
 use mmog_world::update::UpdateModel;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// How resources are provisioned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,8 +143,9 @@ pub struct SimulationConfig {
     /// Scenario timeline: topology mutations (partitions, link
     /// degradation), zone migrations, region failovers and flash
     /// crowds. `None` (the default everywhere) reproduces the
-    /// scenario-free simulation byte-for-byte — no topology is
-    /// installed and the matcher takes its original code path. `Some`
+    /// scenario-free simulation byte-for-byte: the matcher sees the
+    /// nominal topology (every center reachable, every link factor
+    /// 1.0), which leaves every distance exactly as measured. `Some`
     /// plays the timeline from the engine's serial sections, composing
     /// freely with a fault schedule.
     pub scenario: Option<ScenarioTimeline>,
@@ -169,7 +178,7 @@ pub struct GameMetrics {
 }
 
 /// What a simulation run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimReport {
     /// Aggregate Ω/Υ/event metrics.
     pub metrics: MetricsCollector,
@@ -248,7 +257,7 @@ pub struct FlightDumpReport {
 /// packed 80-byte records instead of chasing provisioner-sized structs.
 /// Folding happens serially in group-index order, which keeps aggregates
 /// bit-identical for any thread count.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct GroupHot {
     /// This tick's observed player count, filled from the group's
     /// workload source before the fan-out.
@@ -256,24 +265,14 @@ struct GroupHot {
     demand: ResourceVector,
     alloc: ResourceVector,
     short: ResourceVector,
+    /// The allocation the settle stage aims for: the prediction in
+    /// dynamic mode, the fixed peak allocation in static mode.
     target: ResourceVector,
     /// Σ|predicted − actual| players over scored ticks (the paper's
     /// un-normalized sample prediction error, accumulated online).
     abs_err_sum: f64,
     /// Σ actual players over the same ticks (the metric's denominator).
     actual_sum: f64,
-}
-
-impl GroupHot {
-    const ZERO: Self = Self {
-        players: 0.0,
-        demand: ResourceVector::ZERO,
-        alloc: ResourceVector::ZERO,
-        short: ResourceVector::ZERO,
-        target: ResourceVector::ZERO,
-        abs_err_sum: 0.0,
-        actual_sum: 0.0,
-    };
 }
 
 /// A group's cold state: touched once per tick at most (the provisioner
@@ -306,33 +305,215 @@ enum WorkloadSource {
 /// barrier traffic than it saves; the engine stays serial.
 const PARALLEL_GROUP_THRESHOLD: usize = 8;
 
-/// Emits the `provision` event for one adjustment step that changed
-/// anything, plus one `match_reject` event per center the matcher
-/// considered and rejected when part of the request went unmet. The
-/// same step also lands in the flight ring (when a recorder is active)
-/// so a triggered dump carries provisioning detail even when the full
-/// trace is off.
-///
-/// On traced runs the step's causal lease-lifecycle chain rides along,
-/// in the order the provisioner performed it: maturities observed this
-/// tick, releases (with cause), then the request and the grants that
-/// answered it. Grants carry the request id, so the analyzer can
-/// reconstruct every lease's waterfall without guessing.
-fn emit_adjust_events(
-    sink: Option<&mut EventSink>,
-    flight: Option<&mut FlightRecorder>,
+/// Minimum wall-clock gap between live-tap writes. On top of the tick
+/// interval, writes are wall-clock throttled: a dashboard cannot use
+/// more than a few frames per second, and each atomic publish costs two
+/// filesystem syscalls — without the throttle, fast runs spend
+/// percent-level wall on the tap. The throttle is pure timing (which
+/// ticks get published); nothing semantic flows back into the run, and
+/// the final `done` snapshot is always written.
+const MIN_LIVE_WRITE_GAP: Duration = Duration::from_millis(250);
+
+fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Emits one `lease_release` lifecycle event. Every release cause —
+/// settle-step surplus and reshape, outages, migrations, failovers and
+/// the run-end closure — goes through here, so the event's layout is
+/// defined once.
+fn emit_lease_release(
+    sink: &mut EventSink,
     tick: usize,
-    provisioner: &GroupProvisioner,
-    target: &ResourceVector,
-    out: &crate::provision::AdjustOutcome,
+    center: usize,
+    lease: &Lease,
+    operator: u32,
+    cause: ReleaseCause,
 ) {
-    let detail = provisioner.lifecycle_detail();
-    let changed = out.granted > 0 || out.released > 0 || out.unmet;
-    if !changed && detail.is_empty() {
-        return;
-    }
-    if changed {
-        if let Some(flight) = flight {
+    sink.emit(
+        "lease_release",
+        &[
+            ("tick", tick.into()),
+            ("center", center.into()),
+            ("lease", lease.id.0.into()),
+            ("operator", operator.into()),
+            ("cpu", lease.amounts.cpu.into()),
+            ("cause", cause.label().into()),
+        ],
+    );
+}
+
+/// Which groups a settle pass adjusts, in what order, and towards what.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Settle {
+    /// Static mode's one up-front allocation before tick 0: every
+    /// group, in index order, to its static target.
+    Initial,
+    /// Dynamic mode, every tick: every group, in priority order, to its
+    /// predicted target.
+    Dynamic,
+    /// Static mode under faults or scenarios: the operator re-buys its
+    /// fixed peak allocation after losing capacity (it never otherwise
+    /// adjusts), so only groups with lost capacity take part. Without a
+    /// schedule or timeline this pass never runs — static stays
+    /// allocate-once.
+    Recover,
+}
+
+/// What one [`Simulation::run`] threads through its tick stages: the
+/// report under construction, the fault and scenario timelines, the
+/// observability planes, and the current tick's intermediate results.
+/// Event emission happens only from the serial stages (the fan-out
+/// emits nothing), so within-run order is program order — the event-log
+/// determinism contract.
+struct RunState {
+    /// Stages add to the report's counters and series directly;
+    /// `finish` fills in the rest.
+    report: SimReport,
+    sink: Option<EventSink>,
+    /// Flight recorder: per-run ring, fed from the serial sections
+    /// only; `None` (no process-global config) costs one branch per
+    /// push site and changes nothing else.
+    flight: Option<FlightRecorder>,
+    /// The matcher's view of the network. Scenario-free runs keep the
+    /// nominal `Topology::new(n)` — every center reachable, every link
+    /// factor 1.0 — under which effective distances equal raw ones bit
+    /// for bit, so matching is exactly the topology-free matching.
+    topology: Topology,
+    /// Fault plane: the schedule's events apply from serial sections
+    /// only, so fault runs inherit the engine's any-thread-count
+    /// determinism. With no schedule the fault stage and the recovery
+    /// accounting are dead and the run is byte-identical to the
+    /// baseline.
+    faults: Option<FaultSchedule>,
+    fault_cursor: usize,
+    /// Scenario plane: like the fault plane, applied from serial
+    /// sections only, composing freely with a fault schedule.
+    scenario: Option<ScenarioTimeline>,
+    scenario_cursor: usize,
+    /// Per-region flash-crowd demand multipliers (1.0 = nominal).
+    region_flash: Vec<f64>,
+    flashes_active: usize,
+    /// Open outage episodes as (center, start tick); an episode closes
+    /// at the first tick the whole platform serves every player again.
+    open_outages: Vec<(usize, u64)>,
+    /// M of Eq. 2 per game (see [`Simulation::reduce`]).
+    game_machines: Vec<f64>,
+    /// Per-game reduction scratch, recycled tick to tick.
+    per_game: Vec<(ResourceVector, ResourceVector, ResourceVector)>,
+    leases_granted: u64,
+    leases_released: u64,
+    /// Center usage accumulators, indexed directly by operator id: per
+    /// center, (per-operator cpu sum, per-operator touched flag,
+    /// free-cpu sum). The operator set is fixed at construction, so the
+    /// per-tick attribution loop indexes a flat array instead of paying
+    /// a map lookup per lease. Ids are small dense integers, so the
+    /// tables stay tiny, and they ascend with the index, so the final
+    /// per-operator maps render identically to the old `BTreeMap`
+    /// accumulation (same per-lease addition order, same iteration
+    /// order).
+    usage: Vec<(Vec<f64>, Vec<bool>, f64)>,
+    /// Per-tick fan-out pool: scoring and observe→predict→target are
+    /// independent per group, so they fan out across a persistent pool
+    /// (spawning scoped threads every two-minute tick would cost more
+    /// than the work). Request–offer matching afterwards mutates the
+    /// shared data centers and stays serial. Nested parallel regions
+    /// (e.g. a sweep already running experiments in parallel) fall
+    /// back to serial automatically.
+    pool: Option<mmog_par::Pool>,
+    /// Per-stage timers, interned once: the pipeline's timing tree.
+    t_predict: Arc<SpanStat>,
+    t_reduce: Arc<SpanStat>,
+    t_settle: Arc<SpanStat>,
+    /// Per-stage latency distributions (log-bucketed): span totals give
+    /// means, these give the tail. Same paths as the timers so reports
+    /// line up. All of it is timing-domain data.
+    l_predict: Arc<LatencyHisto>,
+    l_reduce: Arc<LatencyHisto>,
+    l_settle: Arc<LatencyHisto>,
+    /// Ticks where every group replayed its no-op memo: the settle
+    /// stage's fast-path distribution, recorded alongside (not instead
+    /// of) match_settle so the slow path's tail stays comparable
+    /// against old baselines.
+    l_skip: Arc<LatencyHisto>,
+    l_tick: Arc<LatencyHisto>,
+    /// Memo hit accounting. Timing domain on purpose: the memo keys on
+    /// the process-global availability epoch, so parallel faulted
+    /// experiments interleave epoch bumps differently across --jobs and
+    /// the split between skipped and full walks is not jobs-stable. The
+    /// grants themselves are (replay is an exact no-op); only this
+    /// diagnostic split varies, so it lives with the other masked
+    /// timing data.
+    memo_skips: Arc<Counter>,
+    memo_full: Arc<Counter>,
+    /// Time-series plane: fixed-memory ring series per metric, sampled
+    /// once per tick from the serial tail. Downsampling is a pure
+    /// function of the sample sequence, so the semantic series are
+    /// byte-identical across `--jobs`. `None` (no output directory)
+    /// costs one branch per tick and changes nothing.
+    ts: Option<mmog_obs::timeseries::TimeSeries>,
+    /// Live telemetry tap: atomically rewritten snapshot, built from
+    /// serial state only so the semantic half is jobs-independent.
+    live: Option<mmog_obs::LiveConfig>,
+    last_live_write: Option<Instant>,
+    live_writes: u64,
+    live_write_ns: u64,
+    run_start_wall: Instant,
+    /// The current tick's intermediate results.
+    tick: TickState,
+}
+
+/// What one tick's stages hand each other; reset at the top of every
+/// tick.
+#[derive(Debug, Clone, Copy, Default)]
+struct TickState {
+    t: usize,
+    /// The fault schedule dropped the predictor this tick.
+    dropout: bool,
+    /// Flight-recorder triggers raised by this tick's applied events.
+    fault_applied: bool,
+    partition_fired: bool,
+    migration_fired: bool,
+    /// The ordered reduction's totals.
+    demand: ResourceVector,
+    alloc: ResourceVector,
+    shortfall: ResourceVector,
+    predict_ns: u64,
+    reduce_ns: u64,
+    /// Zero when no settle stage ran this tick.
+    settle_ns: u64,
+    /// Settle steps that replayed the memo, and that ran the full walk.
+    skips: u64,
+    full: u64,
+    tick_ns: u64,
+}
+
+impl RunState {
+    /// Emits the `provision` event for one adjustment step that changed
+    /// anything, plus one `match_reject` event per center the matcher
+    /// considered and rejected when part of the request went unmet. The
+    /// same step also lands in the flight ring (when a recorder is active)
+    /// so a triggered dump carries provisioning detail even when the full
+    /// trace is off.
+    ///
+    /// On traced runs the step's causal lease-lifecycle chain rides along,
+    /// in the order the provisioner performed it: maturities observed this
+    /// tick, releases (with cause), then the request and the grants that
+    /// answered it. Grants carry the request id, so the analyzer can
+    /// reconstruct every lease's waterfall without guessing.
+    fn emit_adjust(
+        &mut self,
+        provisioner: &GroupProvisioner,
+        target: &ResourceVector,
+        out: &AdjustOutcome,
+    ) {
+        let tick = self.tick.t;
+        let detail = provisioner.lifecycle_detail();
+        let changed = out.granted > 0 || out.released > 0 || out.unmet;
+        if !changed && detail.is_empty() {
+            return;
+        }
+        if let (true, Some(flight)) = (changed, self.flight.as_mut()) {
             flight.push(
                 "provision",
                 tick as u64,
@@ -346,75 +527,63 @@ fn emit_adjust_events(
                 ],
             );
         }
-    }
-    let Some(sink) = sink else { return };
-    let op = provisioner.operator.0;
-    for &(center, lease_id) in &detail.matured {
-        sink.emit(
-            "lease_mature",
-            &[
-                ("tick", tick.into()),
-                ("center", center.into()),
-                ("lease", lease_id.0.into()),
-                ("operator", op.into()),
-            ],
-        );
-    }
-    for (center, lease, cause) in &detail.releases {
-        sink.emit(
-            "lease_release",
-            &[
-                ("tick", tick.into()),
-                ("center", (*center).into()),
-                ("lease", lease.id.0.into()),
-                ("operator", op.into()),
-                ("cpu", lease.amounts.cpu.into()),
-                ("cause", cause.label().into()),
-            ],
-        );
-    }
-    if let Some((request, cpu)) = detail.request {
-        sink.emit(
-            "lease_request",
-            &[
-                ("tick", tick.into()),
-                ("request", request.into()),
-                ("group", (request >> 32).into()),
-                ("operator", op.into()),
-                ("cpu", cpu.into()),
-            ],
-        );
-        for (center, lease) in &detail.grants {
+        let Some(sink) = &mut self.sink else { return };
+        let op = provisioner.operator.0;
+        for &(center, lease_id) in &detail.matured {
             sink.emit(
-                "lease_grant",
+                "lease_mature",
                 &[
                     ("tick", tick.into()),
-                    ("request", request.into()),
-                    ("center", (*center).into()),
-                    ("lease", lease.id.0.into()),
+                    ("center", center.into()),
+                    ("lease", lease_id.0.into()),
                     ("operator", op.into()),
-                    ("cpu", lease.amounts.cpu.into()),
                 ],
             );
         }
-    }
-    if !changed {
-        return;
-    }
-    sink.emit(
-        "provision",
-        &[
-            ("tick", tick.into()),
-            ("operator", provisioner.operator.0.into()),
-            ("granted", out.granted.into()),
-            ("released", out.released.into()),
-            ("unmet", out.unmet.into()),
-            ("target_cpu", target.cpu.into()),
-            ("alloc_cpu", provisioner.allocated().cpu.into()),
-        ],
-    );
-    if out.unmet {
-        if let Some(matched) = provisioner.last_match() {
+        for &(center, ref lease, cause) in &detail.releases {
+            emit_lease_release(sink, tick, center, lease, op, cause);
+        }
+        if let Some((request, cpu)) = detail.request {
+            sink.emit(
+                "lease_request",
+                &[
+                    ("tick", tick.into()),
+                    ("request", request.into()),
+                    ("group", (request >> 32).into()),
+                    ("operator", op.into()),
+                    ("cpu", cpu.into()),
+                ],
+            );
+            for (center, lease) in &detail.grants {
+                sink.emit(
+                    "lease_grant",
+                    &[
+                        ("tick", tick.into()),
+                        ("request", request.into()),
+                        ("center", (*center).into()),
+                        ("lease", lease.id.0.into()),
+                        ("operator", op.into()),
+                        ("cpu", lease.amounts.cpu.into()),
+                    ],
+                );
+            }
+        }
+        if !changed {
+            return;
+        }
+        sink.emit(
+            "provision",
+            &[
+                ("tick", tick.into()),
+                ("operator", provisioner.operator.0.into()),
+                ("granted", out.granted.into()),
+                ("released", out.released.into()),
+                ("unmet", out.unmet.into()),
+                ("target_cpu", target.cpu.into()),
+                ("alloc_cpu", provisioner.allocated().cpu.into()),
+            ],
+        );
+        if let (true, Some(matched)) = (out.unmet, provisioner.last_match()) {
             for r in &matched.rejections {
                 sink.emit(
                     "match_reject",
@@ -427,6 +596,48 @@ fn emit_adjust_events(
                 );
             }
         }
+    }
+
+    /// Emits one event when tracing is on. The fields are built even
+    /// when it is off, so hot paths gate on `sink` themselves.
+    fn emit(&mut self, kind: &str, fields: &[(&str, Field)]) {
+        if let Some(sink) = self.sink.as_mut() {
+            sink.emit(kind, fields);
+        }
+    }
+
+    /// Pushes one flight-recorder record at the current tick.
+    fn flight_push(&mut self, kind: &'static str, values: &[f64]) {
+        if let Some(rec) = self.flight.as_mut() {
+            rec.push(kind, self.tick.t as u64, values);
+        }
+    }
+
+    /// Opens an outage episode at `center` now, unless one is open.
+    fn open_outage(&mut self, center: usize) {
+        if !self.open_outages.iter().any(|(c, _)| *c == center) {
+            self.open_outages.push((center, self.tick.t as u64));
+        }
+    }
+
+    /// Pops the fault schedule's next event if it fires this tick.
+    fn next_fault(&mut self) -> Option<FaultEvent> {
+        let events = self.faults.as_ref()?.events();
+        let ev = *events
+            .get(self.fault_cursor)
+            .filter(|e| e.tick == self.tick.t as u64)?;
+        self.fault_cursor += 1;
+        Some(ev)
+    }
+
+    /// Pops the scenario timeline's next event if it fires this tick.
+    fn next_scenario_event(&mut self) -> Option<ScenarioEvent> {
+        let events = self.scenario.as_ref()?.events();
+        let ev = *events
+            .get(self.scenario_cursor)
+            .filter(|e| e.tick == self.tick.t as u64)?;
+        self.scenario_cursor += 1;
+        Some(ev)
     }
 }
 
@@ -446,10 +657,9 @@ pub struct Simulation {
     ticks: usize,
     warmup: usize,
     operator_origins: BTreeMap<u32, (String, GeoPoint)>,
-    static_targets: Vec<ResourceVector>,
     game_names: Vec<String>,
     /// Group indices in request-processing order (by game priority).
-    processing_order: Vec<usize>,
+    order: Vec<usize>,
     /// Deterministic configuration-derived label the run's trace chunk
     /// is submitted under.
     trace_label: String,
@@ -476,122 +686,105 @@ impl Simulation {
         // collect everything each one needs. The group index assigned
         // here also names the group's random stream, so it must not
         // depend on scheduling.
-        struct GroupSpec {
+        struct GroupSpec<'a> {
             game: usize,
             operator: OperatorId,
             origin: GeoPoint,
-            /// Materialized series (empty for streaming groups; moved
-            /// into the game's [`WorkloadSource`] after training).
-            series: TimeSeries,
-            /// Streaming groups' training prefix (`None` ⇒ slice
-            /// `series[..train_end]`).
-            stream_train: Option<Vec<f64>>,
-            train_end: usize,
+            /// The predictor's training history: a slice of the
+            /// configured trace, or a streaming game's generated prefix.
+            history: Cow<'a, [f64]>,
             seed: u64,
         }
-        let mut specs: Vec<GroupSpec> = Vec::new();
+        let mut specs: Vec<GroupSpec<'_>> = Vec::new();
+        // Each game's per-tick player-count source, contiguous over
+        // group indices: the materialized series (cloned once) or a
+        // fresh stream that replays from tick 0.
+        let mut sources = Vec::with_capacity(cfg.games.len());
+        let mut players_scratch_len = 0usize;
         let mut operator_origins = BTreeMap::new();
-        let mut static_targets = Vec::new();
         let mut min_len = usize::MAX;
         // Region enumeration for the scenario plane: each (game, region)
         // gets the next id, each group records its region's id. Pure
         // configuration order, so flash-crowd targeting is
         // jobs-independent.
         let mut region_ids: Vec<u32> = Vec::new();
-        let mut next_region = 0u32;
+        let mut region_group_counts: Vec<u64> = Vec::new();
         for (game_idx, game) in cfg.games.iter().enumerate() {
-            let demand_model = DemandModel::paper(game.update_model);
+            let start = specs.len();
             match &game.workload {
                 GameWorkload::Trace(trace) => {
+                    let mut series = Vec::with_capacity(trace.total_groups());
                     for region in &trace.regions {
                         let operator = OperatorId(game.operator_base + u32::from(region.region.0));
                         let origin = crate::scenario::region_origin(&region.name);
                         operator_origins.insert(operator.0, (region.name.clone(), origin));
-                        let rid = next_region;
-                        next_region += 1;
+                        let rid = region_group_counts.len() as u32;
+                        region_group_counts.push(region.groups.len() as u64);
                         for group in &region.groups {
                             region_ids.push(rid);
                             assert!(!group.series.is_empty(), "empty trace for {}", region.name);
                             min_len = min_len.min(group.series.len());
-                            static_targets.push(
-                                demand_model.demand(game.static_peak_players) * game.headroom,
-                            );
+                            let train_end = cfg.train_ticks.min(group.series.len());
                             specs.push(GroupSpec {
                                 game: game_idx,
                                 operator,
                                 origin,
-                                series: group.series.clone(),
-                                stream_train: None,
-                                train_end: cfg.train_ticks.min(group.series.len()),
-                                seed: mmog_util::rng::stream_seed(
-                                    cfg.master_seed,
-                                    specs.len() as u64,
-                                ),
+                                history: Cow::Borrowed(&group.series.values()[..train_end]),
+                                seed: stream_seed(cfg.master_seed, specs.len() as u64),
                             });
+                            series.push(group.series.clone());
                         }
                     }
+                    sources.push(WorkloadSource::Materialized { start, series });
                 }
                 GameWorkload::Streaming(rs) => {
                     let ticks = (rs.days * TICKS_PER_DAY) as usize;
                     assert!(ticks > 0, "empty streaming workload for {}", game.name);
                     min_len = min_len.min(ticks);
                     let train_end = cfg.train_ticks.min(ticks);
-                    let first_spec = specs.len();
                     for (ri, region) in rs.regions.iter().enumerate() {
                         let operator = OperatorId(game.operator_base + ri as u32);
                         let origin = crate::scenario::region_origin(&region.name);
                         operator_origins.insert(operator.0, (region.name.clone(), origin));
-                        let rid = next_region;
-                        next_region += 1;
+                        let rid = region_group_counts.len() as u32;
+                        region_group_counts.push(u64::from(region.groups));
                         for _ in 0..region.groups {
                             region_ids.push(rid);
-                            static_targets.push(
-                                demand_model.demand(game.static_peak_players) * game.headroom,
-                            );
                             specs.push(GroupSpec {
                                 game: game_idx,
                                 operator,
                                 origin,
-                                series: TimeSeries::new(),
-                                stream_train: (train_end > 0).then(Vec::new),
-                                train_end,
-                                seed: mmog_util::rng::stream_seed(
-                                    cfg.master_seed,
-                                    specs.len() as u64,
-                                ),
+                                history: Cow::Owned(Vec::with_capacity(train_end)),
+                                seed: stream_seed(cfg.master_seed, specs.len() as u64),
                             });
                         }
                     }
                     // Predictor training needs each group's leading
                     // `train_end` ticks: stream exactly that prefix into
-                    // per-group buffers (the run itself re-streams from
-                    // tick 0 on a fresh, identical source). This is the
-                    // only trace-length-proportional memory a streaming
-                    // game ever holds, and only when training is on.
+                    // per-group buffers (the run itself streams from
+                    // tick 0 on its own fresh, identical source). This is
+                    // the only trace-length-proportional memory a
+                    // streaming game ever holds, and only when training
+                    // is on.
                     if train_end > 0 {
                         let mut stream = StreamingTrace::new(rs);
                         let mut row = vec![0.0f64; stream.group_count()];
-                        for spec in &mut specs[first_spec..] {
-                            if let Some(train) = spec.stream_train.as_mut() {
-                                train.reserve_exact(train_end);
-                            }
-                        }
                         for _ in 0..train_end {
                             assert!(stream.next_tick(&mut row), "prefix within trace length");
-                            for (spec, &v) in specs[first_spec..].iter_mut().zip(&row) {
-                                spec.stream_train
-                                    .as_mut()
-                                    .expect("train_end > 0 allocates prefixes")
-                                    .push(v);
+                            for (spec, &v) in specs[start..].iter_mut().zip(&row) {
+                                spec.history.to_mut().push(v);
                             }
                         }
                     }
+                    let stream = StreamingTrace::new(rs);
+                    players_scratch_len = players_scratch_len.max(stream.group_count());
+                    sources.push(WorkloadSource::Streaming { start, stream });
                 }
             }
         }
         // Pass 2 (parallel): the offline phase. Training one MLP per
         // server group dominates construction cost; each group's
-        // training is self-contained (own series slice, own seed), so
+        // training is self-contained (own history slice, own seed), so
         // the fan-out is embarrassingly parallel and order-preserving.
         let train_span = mmog_obs::span("sim/build/train");
         let record_matches = mmog_obs::trace_enabled();
@@ -602,11 +795,7 @@ impl Simulation {
         let mut groups: Vec<GroupRuntime> = mmog_par::par_map(&specs, |spec| {
             let game = &cfg.games[spec.game];
             let demand_model = DemandModel::paper(game.update_model);
-            let history: &[f64] = match &spec.stream_train {
-                Some(prefix) => prefix,
-                None => &spec.series.values()[..spec.train_end],
-            };
-            let predictor = game.predictor.build_seeded(history, spec.seed);
+            let predictor = game.predictor.build_seeded(&spec.history, spec.seed);
             let mut provisioner = GroupProvisioner::new(
                 spec.operator,
                 spec.origin,
@@ -624,6 +813,8 @@ impl Simulation {
             }
         });
         drop(train_span);
+        drop(specs); // the streaming training prefixes are spent
+
         // Causal-group ids: the group index names each group's request-id
         // stream (`request = group << 32 | seq`), so it is assigned in
         // configuration order by a post-pass (`par_map` is
@@ -631,34 +822,17 @@ impl Simulation {
         for (gi, group) in groups.iter_mut().enumerate() {
             group.provisioner.set_causal_group(gi as u64);
         }
-        // The specs' materialized series become the run's per-tick
-        // sources (moved, not cloned a second time); streaming games
-        // get a fresh source that replays from tick 0.
-        let mut sources = Vec::with_capacity(cfg.games.len());
-        let mut players_scratch_len = 0usize;
-        {
-            let mut spec_iter = specs.into_iter();
-            let mut start = 0usize;
-            for game in &cfg.games {
-                match &game.workload {
-                    GameWorkload::Trace(trace) => {
-                        let n = trace.total_groups();
-                        let series: Vec<TimeSeries> =
-                            spec_iter.by_ref().take(n).map(|s| s.series).collect();
-                        sources.push(WorkloadSource::Materialized { start, series });
-                        start += n;
-                    }
-                    GameWorkload::Streaming(rs) => {
-                        let stream = StreamingTrace::new(rs);
-                        let n = stream.group_count();
-                        spec_iter.by_ref().take(n).for_each(drop);
-                        players_scratch_len = players_scratch_len.max(n);
-                        sources.push(WorkloadSource::Streaming { start, stream });
-                        start += n;
-                    }
-                }
-            }
-        }
+        // Every group starts out targeting its static peak allocation,
+        // which static mode keeps for the whole run.
+        let hot = groups
+            .iter()
+            .map(|g| GroupHot {
+                target: g
+                    .provisioner
+                    .static_target(cfg.games[g.game].static_peak_players),
+                ..GroupHot::default()
+            })
+            .collect();
         mmog_obs::counter("sim.groups", Domain::Semantic).add(groups.len() as u64);
         mmog_obs::gauge("sim.groups_max", Domain::Semantic).set_max(groups.len() as i64);
         assert!(
@@ -667,17 +841,40 @@ impl Simulation {
         );
         let ticks = cfg.ticks.unwrap_or(min_len).min(min_len);
         // Stable sort keeps insertion order among equal priorities.
-        let mut processing_order: Vec<usize> = (0..groups.len()).collect();
-        processing_order.sort_by_key(|&gi| cfg.games[groups[gi].game].priority);
-        // The label identifies the run by configuration alone, so
-        // identical configs produce identical chunks and the trace file
-        // sorts deterministically regardless of completion order.
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by_key(|&gi| cfg.games[groups[gi].game].priority);
+        let trace_label = Self::trace_label(&cfg, ticks);
+        Self {
+            centers: cfg.centers,
+            hot,
+            players_scratch: vec![0.0; players_scratch_len],
+            sources,
+            groups,
+            mode: cfg.mode,
+            ticks,
+            warmup: cfg.warmup_ticks.min(ticks),
+            operator_origins,
+            game_names: cfg.games.iter().map(|g| g.name.clone()).collect(),
+            order,
+            trace_label,
+            faults: cfg.faults,
+            scenario: cfg.scenario,
+            region_ids,
+            region_group_counts,
+        }
+    }
+
+    /// The label a run's trace chunk is submitted under. It identifies
+    /// the run by configuration alone, so identical configs produce
+    /// identical chunks and the trace file sorts deterministically
+    /// regardless of completion order.
+    fn trace_label(cfg: &SimulationConfig, ticks: usize) -> String {
         let game_tags: Vec<String> = cfg
             .games
             .iter()
             .map(|g| format!("{}:{}:p{}", g.name, g.predictor.label(), g.priority))
             .collect();
-        let mut trace_label = format!(
+        let mut label = format!(
             "sim mode={:?} seed={} ticks={} warmup={} centers={} games=[{}]",
             cfg.mode,
             cfg.master_seed,
@@ -689,1092 +886,800 @@ impl Simulation {
         // Faulted runs label their chunks distinctly so they never
         // collide with (or perturb) an unfaulted run's chunk.
         if let Some(faults) = &cfg.faults {
-            trace_label.push_str(" faults=[");
-            trace_label.push_str(faults.label());
-            trace_label.push(']');
+            label += &format!(" faults=[{}]", faults.label());
         }
         // Scenario runs likewise label their chunks distinctly.
         if let Some(scenario) = &cfg.scenario {
-            trace_label.push_str(" scenario=[");
-            trace_label.push_str(scenario.label());
-            trace_label.push(']');
+            label += &format!(" scenario=[{}]", scenario.label());
         }
-        let mut region_group_counts = vec![0u64; next_region as usize];
-        for &rid in &region_ids {
-            region_group_counts[rid as usize] += 1;
-        }
-        Self {
-            centers: cfg.centers,
-            hot: vec![GroupHot::ZERO; groups.len()],
-            players_scratch: vec![0.0; players_scratch_len],
-            sources,
-            groups,
-            mode: cfg.mode,
-            ticks,
-            warmup: cfg.warmup_ticks.min(ticks),
-            operator_origins,
-            static_targets,
-            game_names: cfg.games.iter().map(|g| g.name.clone()).collect(),
-            processing_order,
-            trace_label,
-            faults: cfg.faults,
-            scenario: cfg.scenario,
-            region_ids,
-            region_group_counts,
-        }
+        label
     }
 
-    /// Runs the simulation to completion.
+    /// Runs the simulation to completion: run-level set-up, one
+    /// [`step`](Self::step) per tick, then teardown into the report.
     #[must_use]
     pub fn run(mut self) -> SimReport {
         let _run_span = mmog_obs::span("sim/run");
+        let mut run = self.start();
+        for t in 0..self.ticks {
+            self.step(&mut run, t);
+        }
+        self.finish(run)
+    }
+
+    /// Run-level set-up: opens the observability planes, interns the
+    /// stage instruments, and (static mode) makes the one up-front
+    /// allocation per group.
+    fn start(&mut self) -> RunState {
         mmog_obs::counter("sim.runs", Domain::Semantic).incr();
         mmog_obs::counter("sim.ticks", Domain::Semantic).add(self.ticks as u64);
-        // Event emission happens exclusively from this method's serial
-        // sections, so within-run order is program order (the event-log
-        // determinism contract).
-        let mut sink = EventSink::if_enabled();
-        if let Some(sink) = sink.as_mut() {
-            sink.emit(
-                "run_start",
-                &[
-                    (
-                        "mode",
-                        if self.mode == AllocationMode::Dynamic {
-                            "dynamic"
-                        } else {
-                            "static"
-                        }
-                        .into(),
-                    ),
-                    ("groups", self.groups.len().into()),
-                    ("centers", self.centers.len().into()),
-                    ("ticks", self.ticks.into()),
-                    ("warmup", self.warmup.into()),
-                ],
-            );
-        }
-        let mut metrics = MetricsCollector::new();
-        // M of Eq. 2: one machine-equivalent per server group (a group
-        // at full load is exactly one game server, Sec. V-A).
-        let machines = self.groups.len() as f64;
         let game_count = self.game_names.len();
-        let mut game_metrics: Vec<MetricsCollector> =
-            (0..game_count).map(|_| MetricsCollector::new()).collect();
         let mut game_machines = vec![0.0f64; game_count];
         for group in &self.groups {
             game_machines[group.game] += 1.0;
         }
-        let mut demand_cpu_series = TimeSeries::with_capacity(self.ticks);
-        let mut alloc_cpu_series = TimeSeries::with_capacity(self.ticks);
-        let mut unmet_steps = 0u64;
-        let mut leases_granted = 0u64;
-        let mut leases_released = 0u64;
-        let mut rejections = RejectionTotals::default();
-        // Fault plane: the schedule's events apply from this method's
-        // serial sections only, so fault runs inherit the engine's
-        // any-thread-count determinism. With no schedule every branch
-        // below is dead and the run is byte-identical to the baseline.
-        let schedule = self.faults.take();
-        let faults_active = schedule.is_some();
-        let fault_queue = schedule.as_ref().map_or(&[][..], |s| s.events());
-        let mut fault_cursor = 0usize;
-        let mut fault_event_count = 0u64;
-        // Scenario plane: like the fault plane, the timeline's events
-        // apply from serial sections only. With no timeline the
-        // topology is never built, every branch below is dead, and the
-        // matcher takes its original (topology-free) code path — the
-        // run is byte-identical to the scenario-free baseline.
-        let scenario = self.scenario.take();
-        let scenario_active = scenario.is_some();
-        let scenario_queue = scenario.as_ref().map_or(&[][..], |s| s.events());
-        let migration_cost = scenario
-            .as_ref()
-            .map_or(0, ScenarioTimeline::migration_cost_ticks);
-        let mut scenario_cursor = 0usize;
-        let mut scenario_event_count = 0u64;
-        let mut migrations = 0u64;
-        let mut migration_player_ticks = 0.0f64;
-        let mut topology = scenario_active.then(|| Topology::new(self.centers.len()));
-        // Per-region flash-crowd demand multipliers (1.0 = nominal).
-        let n_regions = self.region_group_counts.len();
-        let mut region_flash = vec![1.0f64; n_regions.max(1)];
-        let mut flashes_active = 0usize;
-        let mut leases_revoked = 0u64;
-        let mut reprovisions = 0u64;
-        let mut unserved_player_ticks = 0.0f64;
-        // Open outage episodes as (center, start tick); an episode
-        // closes at the first tick the whole platform serves every
-        // player again.
-        let mut open_outages: Vec<(usize, u64)> = Vec::new();
-        let mut recovery_ticks: Vec<u64> = Vec::new();
-        // Center usage accumulators, slot-indexed by operator. The
-        // operator set is fixed at construction, so the per-tick
-        // attribution loop indexes a flat array instead of paying a map
-        // lookup per lease; slots stay in ascending-id order so the
-        // final per-operator maps render identically to the old
-        // `BTreeMap` accumulation (same per-lease addition order, same
-        // iteration order).
-        let mut op_ids: Vec<u32> = self
+        let ops = 1 + self
             .groups
             .iter()
-            .map(|g| g.provisioner.operator.0)
-            .collect();
-        op_ids.sort_unstable();
-        op_ids.dedup();
-        // Direct operator-id → slot table: the usage walk does one
-        // indexed load per lease instead of a binary search. Ids are
-        // small dense integers, so the table stays tiny.
-        let max_op = op_ids.last().copied().unwrap_or(0) as usize;
-        let mut op_slot: Vec<u32> = vec![u32::MAX; max_op + 1];
-        for (slot, &op) in op_ids.iter().enumerate() {
-            op_slot[op as usize] = slot as u32;
-        }
-        // (per-slot cpu sum, per-slot touched flag, free-cpu sum).
-        let mut usage: Vec<(Vec<f64>, Vec<bool>, f64)> =
-            vec![(vec![0.0; op_ids.len()], vec![false; op_ids.len()], 0.0); self.centers.len()];
-        // Stride for per-center `center_tick` trace samples: at most
-        // ~96 sampled ticks per run regardless of scale, derived from
-        // the configuration so it is jobs-independent.
-        let center_tick_stride = (self.ticks / 96).max(1);
-
-        // Flight recorder: per-run ring, fed from the serial sections
-        // only; `None` (no process-global config) costs one branch per
-        // push site and changes nothing else.
-        let mut flight = mmog_obs::flight_recorder();
-
-        // Time-series plane: fixed-memory ring series per metric,
-        // sampled once per tick from the serial tail. Downsampling is a
-        // pure function of the sample sequence, so the semantic series
-        // are byte-identical across `--jobs`. `None` (no output
-        // directory) costs one branch per tick and changes nothing.
-        let mut ts = mmog_obs::ts_enabled()
-            .then(|| mmog_obs::timeseries::TimeSeries::new(mmog_obs::TS_DEFAULT_CAPACITY));
-        let mut ts_samples = 0u64;
-        // Live telemetry tap: atomically rewritten snapshot, built from
-        // serial state only so the semantic half is jobs-independent.
-        // On top of the tick interval, writes are wall-clock throttled:
-        // a dashboard cannot use more than a few frames per second, and
-        // each atomic publish costs two filesystem syscalls — without
-        // the throttle, fast runs spend percent-level wall on the tap.
-        // The throttle is pure timing (which ticks get published);
-        // nothing semantic flows back into the run, and the final
-        // `done` snapshot is always written.
-        let live = mmog_obs::live_config();
-        let live_interval = live.as_ref().map_or(1, mmog_obs::LiveConfig::interval);
-        const MIN_LIVE_WRITE_GAP: std::time::Duration = std::time::Duration::from_millis(250);
-        let mut last_live_write: Option<std::time::Instant> = None;
-        let mut live_writes = 0u64;
-        let mut live_write_ns = 0u64;
-        let run_start_wall = std::time::Instant::now();
-
-        // Static mode: one up-front allocation per group.
-        if self.mode == AllocationMode::Static {
-            for (gi, group) in self.groups.iter_mut().enumerate() {
-                let target = self.static_targets[gi];
-                let out = group.provisioner.adjust_via(
-                    topology.as_ref(),
-                    &target,
-                    &mut self.centers,
-                    SimTime::ZERO,
-                );
-                leases_granted += out.granted as u64;
-                leases_released += out.released as u64;
-                rejections.merge(&out.rejections);
-                if out.unmet {
-                    unmet_steps += 1;
-                }
-                emit_adjust_events(
-                    sink.as_mut(),
-                    flight.as_mut(),
-                    0,
-                    &group.provisioner,
-                    &target,
-                    &out,
-                );
-            }
-        }
-
-        // Per-tick fan-out pool: scoring and observe→predict→target are
-        // independent per group, so they fan out across a persistent
-        // pool (spawning scoped threads every two-minute tick would
-        // cost more than the work). Request–offer matching afterwards
-        // mutates the shared data centers and stays serial. Nested
-        // parallel regions (e.g. a sweep already running experiments in
-        // parallel) fall back to serial automatically.
-        let pool = (mmog_par::jobs() > 1
-            && !mmog_par::in_parallel()
-            && self.groups.len() >= PARALLEL_GROUP_THRESHOLD)
-            .then(mmog_par::Pool::with_global_jobs);
-
-        // Per-stage timers, interned once: the pipeline's timing tree.
-        let t_predict = mmog_obs::timer("sim/run/predict_score");
-        let t_reduce = mmog_obs::timer("sim/run/reduce");
-        let t_settle = mmog_obs::timer("sim/run/match_settle");
-        // Per-stage latency distributions (log-bucketed): span totals
-        // give means, these give the tail. Same paths as the timers so
-        // reports line up. All of it is timing-domain data.
-        let l_predict = mmog_obs::latency("sim/run/predict_score");
-        let l_reduce = mmog_obs::latency("sim/run/reduce");
-        let l_settle = mmog_obs::latency("sim/run/match_settle");
-        // Ticks where every group replayed its no-op memo: the settle
-        // stage's fast-path distribution, recorded alongside (not
-        // instead of) match_settle so the slow path's tail stays
-        // comparable against old baselines.
-        let l_skip = mmog_obs::latency("sim/run/match_skip");
-        let l_tick = mmog_obs::latency("sim/run/tick");
-        // Memo hit accounting. Timing domain on purpose: the memo keys
-        // on the process-global availability epoch, so parallel faulted
-        // experiments interleave epoch bumps differently across --jobs
-        // and the split between skipped and full walks is not
-        // jobs-stable. The grants themselves are (replay is an exact
-        // no-op); only this diagnostic split varies, so it lives with
-        // the other masked timing data.
-        let c_skips = mmog_obs::counter("sim.match.skips", mmog_obs::Domain::Timing);
-        let c_full = mmog_obs::counter("sim.match.full", mmog_obs::Domain::Timing);
-        let ns_since = |start: std::time::Instant| {
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+            .map(|g| g.provisioner.operator.0 as usize)
+            .max()
+            .unwrap_or(0);
+        let mut run = RunState {
+            report: SimReport {
+                per_game: self
+                    .game_names
+                    .iter()
+                    .map(|name| GameMetrics {
+                        name: name.clone(),
+                        metrics: MetricsCollector::new(),
+                    })
+                    .collect(),
+                operator_origins: std::mem::take(&mut self.operator_origins),
+                demand_cpu_series: TimeSeries::with_capacity(self.ticks),
+                alloc_cpu_series: TimeSeries::with_capacity(self.ticks),
+                ticks: self.ticks,
+                ..SimReport::default()
+            },
+            sink: EventSink::if_enabled(),
+            flight: mmog_obs::flight_recorder(),
+            topology: Topology::new(self.centers.len()),
+            faults: self.faults.take(),
+            fault_cursor: 0,
+            scenario: self.scenario.take(),
+            scenario_cursor: 0,
+            region_flash: vec![1.0; self.region_group_counts.len().max(1)],
+            flashes_active: 0,
+            open_outages: Vec::new(),
+            game_machines,
+            per_game: vec![Default::default(); game_count],
+            leases_granted: 0,
+            leases_released: 0,
+            usage: vec![(vec![0.0; ops], vec![false; ops], 0.0); self.centers.len()],
+            pool: (mmog_par::jobs() > 1
+                && !mmog_par::in_parallel()
+                && self.groups.len() >= PARALLEL_GROUP_THRESHOLD)
+                .then(mmog_par::Pool::with_global_jobs),
+            t_predict: mmog_obs::timer("sim/run/predict_score"),
+            t_reduce: mmog_obs::timer("sim/run/reduce"),
+            t_settle: mmog_obs::timer("sim/run/match_settle"),
+            l_predict: mmog_obs::latency("sim/run/predict_score"),
+            l_reduce: mmog_obs::latency("sim/run/reduce"),
+            l_settle: mmog_obs::latency("sim/run/match_settle"),
+            l_skip: mmog_obs::latency("sim/run/match_skip"),
+            l_tick: mmog_obs::latency("sim/run/tick"),
+            memo_skips: mmog_obs::counter("sim.match.skips", Domain::Timing),
+            memo_full: mmog_obs::counter("sim.match.full", Domain::Timing),
+            ts: mmog_obs::ts_enabled()
+                .then(|| mmog_obs::timeseries::TimeSeries::new(mmog_obs::TS_DEFAULT_CAPACITY)),
+            live: mmog_obs::live_config(),
+            last_live_write: None,
+            live_writes: 0,
+            live_write_ns: 0,
+            run_start_wall: Instant::now(),
+            tick: TickState::default(),
         };
-        // Per-game reduction scratch, recycled tick to tick.
-        let mut per_game = vec![
-            (
-                ResourceVector::ZERO,
-                ResourceVector::ZERO,
-                ResourceVector::ZERO
-            );
-            game_count
-        ];
+        run.emit(
+            "run_start",
+            &[
+                ("mode", format!("{:?}", self.mode).to_lowercase().into()),
+                ("groups", self.groups.len().into()),
+                ("centers", self.centers.len().into()),
+                ("ticks", self.ticks.into()),
+                ("warmup", self.warmup.into()),
+            ],
+        );
+        if self.mode == AllocationMode::Static {
+            self.settle(&mut run, Settle::Initial);
+        }
+        run
+    }
 
-        for t in 0..self.ticks {
-            let tick_start = std::time::Instant::now();
-            if let Some(rec) = flight.as_mut() {
-                rec.begin_tick(t as u64);
+    /// One tick of the Section V protocol, stage by stage.
+    fn step(&mut self, run: &mut RunState, t: usize) {
+        let tick_start = Instant::now();
+        if let Some(rec) = run.flight.as_mut() {
+            rec.begin_tick(t as u64);
+        }
+        run.tick = TickState::default();
+        run.tick.t = t;
+        self.apply_faults(run);
+        self.fill_players(t);
+        self.apply_scenario(run);
+        self.predict(run);
+        self.reduce(run);
+        self.settle_stage(run);
+        self.account(run);
+        run.tick.tick_ns = ns_since(tick_start);
+        self.publish(run);
+    }
+
+    /// Fault application: serial, before the fan-out, so revoked
+    /// capacity is already gone when this tick is scored and the events
+    /// land in program order. Only applied events are counted and can
+    /// fire the flight recorder's fault trigger.
+    fn apply_faults(&mut self, run: &mut RunState) {
+        let t = run.tick.t;
+        while let Some(ev) = run.next_fault() {
+            if ev.kind != FaultKind::PredictorDropout && ev.center >= self.centers.len() {
+                continue; // explicit schedule naming a center we don't have
             }
-            let fired_before = fault_cursor;
-            let now = SimTime(t as u64);
-            let dynamic = self.mode == AllocationMode::Dynamic;
-            // Fault application: serial, before the fan-out, so revoked
-            // capacity is already gone when this tick is scored and the
-            // events land in program order.
-            let mut dropout = false;
-            while fault_cursor < fault_queue.len() && fault_queue[fault_cursor].tick == t as u64 {
-                let ev = fault_queue[fault_cursor];
-                fault_cursor += 1;
-                fault_event_count += 1;
-                if ev.kind != FaultKind::PredictorDropout && ev.center >= self.centers.len() {
-                    continue; // explicit schedule naming a center we don't have
+            run.report.fault_events += 1;
+            run.tick.fault_applied = true;
+            match ev.kind {
+                FaultKind::CenterDown => {
+                    let lost = self.centers[ev.center].fail();
+                    run.report.leases_revoked += lost.len() as u64;
+                    // Terminal lifecycle events for the outage's
+                    // victims: groups are walked in index order, so the
+                    // emission order is jobs-independent. The failed
+                    // center's ledger is already empty, so the drain's
+                    // center-side revocation finds nothing.
+                    for gi in 0..self.groups.len() {
+                        self.drain(run, gi, ev.center, ReleaseCause::CenterDown);
+                    }
+                    run.open_outage(ev.center);
+                    run.emit(
+                        "center_down",
+                        &[
+                            ("tick", t.into()),
+                            ("center", ev.center.into()),
+                            ("name", self.centers[ev.center].spec.name.as_str().into()),
+                            ("leases_lost", lost.len().into()),
+                        ],
+                    );
                 }
-                match ev.kind {
-                    FaultKind::CenterDown => {
-                        let lost = self.centers[ev.center].fail();
-                        leases_revoked += lost.len() as u64;
+                FaultKind::CenterUp => {
+                    self.centers[ev.center].repair();
+                    run.emit(
+                        "center_up",
+                        &[
+                            ("tick", t.into()),
+                            ("center", ev.center.into()),
+                            ("name", self.centers[ev.center].spec.name.as_str().into()),
+                        ],
+                    );
+                }
+                FaultKind::CenterDegraded { fraction } => {
+                    self.centers[ev.center].degrade(fraction);
+                    run.emit(
+                        "center_degraded",
+                        &[
+                            ("tick", t.into()),
+                            ("center", ev.center.into()),
+                            ("fraction", fraction.into()),
+                        ],
+                    );
+                }
+                FaultKind::LeaseRevoked => {
+                    if let Some(lease) = self.centers[ev.center].revoke_oldest() {
                         for group in &mut self.groups {
-                            let dropped = group.provisioner.drop_leases_at_center(ev.center);
-                            // Terminal lifecycle events for the outage's
-                            // victims: groups are walked in index order,
-                            // so the emission order is jobs-independent.
-                            if let Some(sink) = sink.as_mut() {
-                                let op = group.provisioner.operator.0;
-                                for lease in &dropped {
-                                    sink.emit(
-                                        "lease_release",
-                                        &[
-                                            ("tick", t.into()),
-                                            ("center", ev.center.into()),
-                                            ("lease", lease.id.0.into()),
-                                            ("operator", op.into()),
-                                            ("cpu", lease.amounts.cpu.into()),
-                                            ("cause", ReleaseCause::CenterDown.label().into()),
-                                        ],
-                                    );
-                                }
+                            if group.provisioner.drop_lease(ev.center, lease.id).is_some() {
+                                break;
                             }
                         }
-                        if !open_outages.iter().any(|(c, _)| *c == ev.center) {
-                            open_outages.push((ev.center, t as u64));
-                        }
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit(
-                                "center_down",
-                                &[
-                                    ("tick", t.into()),
-                                    ("center", ev.center.into()),
-                                    ("name", self.centers[ev.center].spec.name.as_str().into()),
-                                    ("leases_lost", lost.len().into()),
-                                ],
-                            );
-                        }
-                    }
-                    FaultKind::CenterUp => {
-                        self.centers[ev.center].repair();
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit(
-                                "center_up",
-                                &[
-                                    ("tick", t.into()),
-                                    ("center", ev.center.into()),
-                                    ("name", self.centers[ev.center].spec.name.as_str().into()),
-                                ],
-                            );
-                        }
-                    }
-                    FaultKind::CenterDegraded { fraction } => {
-                        self.centers[ev.center].degrade(fraction);
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit(
-                                "center_degraded",
-                                &[
-                                    ("tick", t.into()),
-                                    ("center", ev.center.into()),
-                                    ("fraction", fraction.into()),
-                                ],
-                            );
-                        }
-                    }
-                    FaultKind::LeaseRevoked => {
-                        if let Some(lease) = self.centers[ev.center].revoke_oldest() {
-                            for group in &mut self.groups {
-                                if group.provisioner.drop_lease(ev.center, lease.id).is_some() {
-                                    break;
-                                }
-                            }
-                            leases_revoked += 1;
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "lease_revoked",
-                                    &[
-                                        ("tick", t.into()),
-                                        ("center", ev.center.into()),
-                                        ("lease", lease.id.0.into()),
-                                        ("operator", lease.operator.0.into()),
-                                        ("cpu", lease.amounts.cpu.into()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    FaultKind::PredictorDropout => {
-                        dropout = true;
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit("predictor_dropout", &[("tick", t.into())]);
-                        }
-                    }
-                }
-            }
-            // Fill this tick's player counts into the hot array from
-            // each game's source (serial: streaming sources advance
-            // stateful generators; the materialized copy is a gather).
-            let hot = &mut self.hot;
-            for src in &mut self.sources {
-                match src {
-                    WorkloadSource::Materialized { start, series } => {
-                        for (j, s) in series.iter().enumerate() {
-                            hot[*start + j].players = s.values()[t];
-                        }
-                    }
-                    WorkloadSource::Streaming { start, stream } => {
-                        let row = &mut self.players_scratch[..stream.group_count()];
-                        let produced = stream.next_tick(row);
-                        debug_assert!(produced, "ticks clamped to the stream length");
-                        for (j, &p) in row.iter().enumerate() {
-                            hot[*start + j].players = p;
-                        }
-                    }
-                }
-            }
-            // Scenario application: serial, after the fill (so migration
-            // costs are charged against this tick's player counts) and
-            // before the fan-out (so dropped leases and flash-crowd
-            // demand are visible the same tick).
-            let mut partition_fired = false;
-            let mut migration_fired = false;
-            if scenario_active {
-                let topo = topology.as_mut().expect("scenario runs install a topology");
-                while scenario_cursor < scenario_queue.len()
-                    && scenario_queue[scenario_cursor].tick == t as u64
-                {
-                    let ev = scenario_queue[scenario_cursor];
-                    scenario_cursor += 1;
-                    scenario_event_count += 1;
-                    match ev.kind {
-                        ScenarioEventKind::Partition { mask } => {
-                            topo.partition(mask);
-                            partition_fired = true;
-                            let components = topo.components();
-                            if let Some(rec) = flight.as_mut() {
-                                rec.push("partition", t as u64, &[mask as f64, components as f64]);
-                            }
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "partition",
-                                    &[
-                                        ("tick", t.into()),
-                                        ("mask", mask.into()),
-                                        ("components", components.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        ScenarioEventKind::Heal => {
-                            topo.heal();
-                            let components = topo.components();
-                            if let Some(rec) = flight.as_mut() {
-                                rec.push("heal", t as u64, &[components as f64]);
-                            }
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "heal",
-                                    &[("tick", t.into()), ("components", components.into())],
-                                );
-                            }
-                        }
-                        ScenarioEventKind::LinkDegrade { .. }
-                        | ScenarioEventKind::LinkRestore { .. } => {
-                            let (a, b, factor) = match ev.kind {
-                                ScenarioEventKind::LinkDegrade { a, b, factor } => (a, b, factor),
-                                ScenarioEventKind::LinkRestore { a, b } => (a, b, 1.0),
-                                _ => unreachable!("outer arm matched a link event"),
-                            };
-                            topo.set_link_factor(a as usize, b as usize, factor);
-                            if let Some(rec) = flight.as_mut() {
-                                rec.push(
-                                    "topology_change",
-                                    t as u64,
-                                    &[f64::from(a), f64::from(b), factor],
-                                );
-                            }
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "topology_change",
-                                    &[
-                                        ("tick", t.into()),
-                                        ("a", a.into()),
-                                        ("b", b.into()),
-                                        ("factor", factor.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        ScenarioEventKind::FlashBegin { .. }
-                        | ScenarioEventKind::FlashEnd { .. } => {
-                            if n_regions == 0 {
-                                continue;
-                            }
-                            let (pick, factor) = match ev.kind {
-                                ScenarioEventKind::FlashBegin { pick, factor } => {
-                                    flashes_active += 1;
-                                    (pick, factor)
-                                }
-                                ScenarioEventKind::FlashEnd { pick } => {
-                                    flashes_active = flashes_active.saturating_sub(1);
-                                    (pick, 1.0)
-                                }
-                                _ => unreachable!("outer arm matched a flash event"),
-                            };
-                            let region = (pick % n_regions as u64) as usize;
-                            region_flash[region] = factor;
-                            let groups = self.region_group_counts[region];
-                            if let Some(rec) = flight.as_mut() {
-                                rec.push(
-                                    "flash_crowd",
-                                    t as u64,
-                                    &[region as f64, factor, groups as f64],
-                                );
-                            }
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "flash_crowd",
-                                    &[
-                                        ("tick", t.into()),
-                                        ("region", region.into()),
-                                        ("factor", factor.into()),
-                                        ("groups", groups.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        ScenarioEventKind::Migrate { pick } => {
-                            let gi = (pick % self.groups.len() as u64) as usize;
-                            // Drain the group everywhere it holds
-                            // leases; the centers stay up, so each lease
-                            // must be revoked center-side too.
-                            let mut total_dropped = 0usize;
-                            let mut principal: Option<(usize, f64)> = None;
-                            for c in 0..self.centers.len() {
-                                let dropped = self.groups[gi].provisioner.drop_leases_at_center(c);
-                                if dropped.is_empty() {
-                                    continue;
-                                }
-                                let cpu: f64 = dropped.iter().map(|l| l.amounts.cpu).sum();
-                                for lease in &dropped {
-                                    self.centers[c].revoke(lease.id);
-                                }
-                                if let Some(sink) = sink.as_mut() {
-                                    let op = self.groups[gi].provisioner.operator.0;
-                                    for lease in &dropped {
-                                        sink.emit(
-                                            "lease_release",
-                                            &[
-                                                ("tick", t.into()),
-                                                ("center", c.into()),
-                                                ("lease", lease.id.0.into()),
-                                                ("operator", op.into()),
-                                                ("cpu", lease.amounts.cpu.into()),
-                                                ("cause", ReleaseCause::Migration.label().into()),
-                                            ],
-                                        );
-                                    }
-                                }
-                                total_dropped += dropped.len();
-                                if principal.is_none_or(|(_, best)| cpu > best) {
-                                    principal = Some((c, cpu));
-                                }
-                            }
-                            // A group with nothing allocated migrates
-                            // for free: nothing moved, nothing charged.
-                            if total_dropped == 0 {
-                                continue;
-                            }
-                            let (center, _) = principal.expect("leases were dropped");
-                            let players = self.hot[gi].players;
-                            let cost = players * migration_cost as f64;
-                            migration_player_ticks += cost;
-                            unserved_player_ticks += cost;
-                            migrations += 1;
-                            migration_fired = true;
-                            if !open_outages.iter().any(|(c, _)| *c == center) {
-                                open_outages.push((center, t as u64));
-                            }
-                            if let Some(rec) = flight.as_mut() {
-                                rec.push(
-                                    "migration",
-                                    t as u64,
-                                    &[gi as f64, center as f64, total_dropped as f64, cost],
-                                );
-                            }
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "migration",
-                                    &[
-                                        ("tick", t.into()),
-                                        ("group", gi.into()),
-                                        ("center", center.into()),
-                                        ("leases", total_dropped.into()),
-                                        ("cost", cost.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        ScenarioEventKind::RegionFailover { center } => {
-                            let center = center as usize;
-                            if center >= self.centers.len() {
-                                continue;
-                            }
-                            for gi in 0..self.groups.len() {
-                                let dropped =
-                                    self.groups[gi].provisioner.drop_leases_at_center(center);
-                                if dropped.is_empty() {
-                                    continue;
-                                }
-                                for lease in &dropped {
-                                    self.centers[center].revoke(lease.id);
-                                }
-                                if let Some(sink) = sink.as_mut() {
-                                    let op = self.groups[gi].provisioner.operator.0;
-                                    for lease in &dropped {
-                                        sink.emit(
-                                            "lease_release",
-                                            &[
-                                                ("tick", t.into()),
-                                                ("center", center.into()),
-                                                ("lease", lease.id.0.into()),
-                                                ("operator", op.into()),
-                                                ("cpu", lease.amounts.cpu.into()),
-                                                ("cause", ReleaseCause::Failover.label().into()),
-                                            ],
-                                        );
-                                    }
-                                }
-                                let players = self.hot[gi].players;
-                                let cost = players * migration_cost as f64;
-                                migration_player_ticks += cost;
-                                unserved_player_ticks += cost;
-                                migrations += 1;
-                                migration_fired = true;
-                                if !open_outages.iter().any(|(c, _)| *c == center) {
-                                    open_outages.push((center, t as u64));
-                                }
-                                if let Some(rec) = flight.as_mut() {
-                                    rec.push(
-                                        "migration",
-                                        t as u64,
-                                        &[gi as f64, center as f64, dropped.len() as f64, cost],
-                                    );
-                                }
-                                if let Some(sink) = sink.as_mut() {
-                                    sink.emit(
-                                        "migration",
-                                        &[
-                                            ("tick", t.into()),
-                                            ("group", gi.into()),
-                                            ("center", center.into()),
-                                            ("leases", dropped.len().into()),
-                                            ("cost", cost.into()),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                // Flash crowds multiply demand while active: every group
-                // in a surging region sees its player count scaled.
-                if flashes_active > 0 {
-                    for (hot, &rid) in self.hot.iter_mut().zip(&self.region_ids) {
-                        hot.players *= region_flash[rid as usize];
-                    }
-                }
-            }
-            // Fan-out: score the allocation in force against the actual
-            // demand and (in dynamic mode) compute each group's next
-            // demand target. Each group touches only its own cold state
-            // and its slot in the contiguous hot array.
-            let step = |_i: usize, group: &mut GroupRuntime, hot: &mut GroupHot| {
-                let players = hot.players;
-                // Score the prediction made last tick against this
-                // tick's observation. Per-group accumulators keep the
-                // sums deterministic under the fan-out.
-                let prev = group.provisioner.last_prediction();
-                if dynamic && prev.is_finite() {
-                    hot.abs_err_sum += (prev - players).abs();
-                    hot.actual_sum += players;
-                }
-                hot.demand = group.demand_model.demand(players);
-                hot.alloc = group.provisioner.allocated();
-                hot.short = (hot.alloc - hot.demand).min(&ResourceVector::ZERO);
-                hot.target = if dynamic {
-                    if dropout {
-                        // The schedule dropped the predictor this tick:
-                        // last-value fallback, history stays warm.
-                        group.provisioner.observe_and_target_fallback(players)
-                    } else {
-                        group.provisioner.observe_and_target(players)
-                    }
-                } else {
-                    ResourceVector::ZERO
-                };
-            };
-            let predict_start = std::time::Instant::now();
-            match &pool {
-                Some(pool) => pool.for_each_mut2(&mut self.groups, &mut self.hot, step),
-                None => {
-                    for (i, (group, hot)) in
-                        self.groups.iter_mut().zip(self.hot.iter_mut()).enumerate()
-                    {
-                        step(i, group, hot);
-                    }
-                }
-            }
-            let predict_ns = ns_since(predict_start);
-            t_predict.record_ns(predict_ns);
-            l_predict.record(predict_ns);
-            let reduce_start = std::time::Instant::now();
-            // Ordered reduction (Eq. 2's min is per server group so one
-            // group's surplus never hides another's deficit): fold the
-            // scratch in group-index order — float sums come out
-            // bit-identical to the serial engine for any thread count.
-            let mut total_demand = ResourceVector::ZERO;
-            let mut total_alloc = ResourceVector::ZERO;
-            let mut shortfall = ResourceVector::ZERO;
-            for entry in per_game.iter_mut() {
-                *entry = (
-                    ResourceVector::ZERO,
-                    ResourceVector::ZERO,
-                    ResourceVector::ZERO,
-                );
-            }
-            for (group, hot) in self.groups.iter().zip(&self.hot) {
-                total_demand += hot.demand;
-                total_alloc += hot.alloc;
-                shortfall += hot.short;
-                let entry = &mut per_game[group.game];
-                entry.0 += hot.alloc;
-                entry.1 += hot.demand;
-                entry.2 += hot.short;
-            }
-            if t >= self.warmup {
-                metrics.record(now, &total_alloc, &total_demand, &shortfall, machines);
-                for (gi, (alloc, demand, short)) in per_game.iter().enumerate() {
-                    game_metrics[gi].record(now, alloc, demand, short, game_machines[gi]);
-                }
-                demand_cpu_series.push(total_demand.cpu);
-                alloc_cpu_series.push(total_alloc.cpu);
-                for (center, acc) in self.centers.iter().zip(usage.iter_mut()) {
-                    for &(op, cpu) in center.lease_cpu() {
-                        let slot = op_slot[op as usize] as usize;
-                        debug_assert!(slot < op_ids.len(), "lease from a non-group operator");
-                        acc.0[slot] += cpu;
-                        acc.1[slot] = true;
-                    }
-                    acc.2 += center.free().cpu;
-                }
-            }
-            if let Some(sink) = sink.as_mut() {
-                sink.emit(
-                    "tick",
-                    &[
-                        ("tick", t.into()),
-                        ("demand_cpu", total_demand.cpu.into()),
-                        ("alloc_cpu", total_alloc.cpu.into()),
-                        ("shortfall_cpu", shortfall.cpu.into()),
-                    ],
-                );
-                // Per-center allocation snapshots for the analytics
-                // timelines, sampled on a tick-count-derived stride (plus
-                // the final tick) so suite-scale traces stay bounded.
-                if t % center_tick_stride == 0 || t + 1 == self.ticks {
-                    for (ci, center) in self.centers.iter().enumerate() {
-                        let alloc_cpu: f64 = center.leases().iter().map(|l| l.amounts.cpu).sum();
-                        sink.emit(
-                            "center_tick",
+                        run.report.leases_revoked += 1;
+                        run.emit(
+                            "lease_revoked",
                             &[
                                 ("tick", t.into()),
-                                ("center", ci.into()),
-                                ("alloc_cpu", alloc_cpu.into()),
-                                ("free_cpu", center.free().cpu.into()),
+                                ("center", ev.center.into()),
+                                ("lease", lease.id.0.into()),
+                                ("operator", lease.operator.0.into()),
+                                ("cpu", lease.amounts.cpu.into()),
                             ],
                         );
                     }
                 }
-            }
-            let reduce_ns = ns_since(reduce_start);
-            t_reduce.record_ns(reduce_ns);
-            l_reduce.record(reduce_ns);
-            // Serial stage: adjust allocations for the next tick, in
-            // priority order — higher-priority games lease (and keep)
-            // capacity first. Matching contends on the shared centers,
-            // so this ordering IS the semantics and cannot fan out.
-            let mut settle_ns = None;
-            let mut tick_skips = 0u64;
-            let mut tick_full = 0u64;
-            if dynamic {
-                let settle_start = std::time::Instant::now();
-                {
-                    for gi in 0..self.processing_order.len() {
-                        let idx = self.processing_order[gi];
-                        let target = self.hot[idx].target;
-                        let group = &mut self.groups[idx];
-                        let out = group.provisioner.adjust_via(
-                            topology.as_ref(),
-                            &target,
-                            &mut self.centers,
-                            now,
-                        );
-                        if out.replayed {
-                            tick_skips += 1;
-                        } else {
-                            tick_full += 1;
-                        }
-                        leases_granted += out.granted as u64;
-                        leases_released += out.released as u64;
-                        rejections.merge(&out.rejections);
-                        if out.unmet {
-                            unmet_steps += 1;
-                        }
-                        if faults_active || scenario_active {
-                            let lost = group.provisioner.lost_capacity();
-                            if !lost.is_negligible(1e-9) {
-                                if out.granted > 0 {
-                                    reprovisions += out.granted as u64;
-                                    if let Some(sink) = sink.as_mut() {
-                                        sink.emit(
-                                            "reprovision",
-                                            &[
-                                                ("tick", t.into()),
-                                                ("operator", group.provisioner.operator.0.into()),
-                                                ("granted", out.granted.into()),
-                                                ("lost_cpu", lost.cpu.into()),
-                                            ],
-                                        );
-                                    }
-                                }
-                                // Whole again: stop attributing grants
-                                // to fault recovery.
-                                if !out.unmet && !out.deferred {
-                                    group.provisioner.clear_lost_capacity();
-                                }
-                            }
-                        }
-                        emit_adjust_events(
-                            sink.as_mut(),
-                            flight.as_mut(),
-                            t,
-                            &group.provisioner,
-                            &target,
-                            &out,
-                        );
-                    }
-                }
-                settle_ns = Some(ns_since(settle_start));
-            } else if faults_active || scenario_active {
-                // Static mode under faults or scenarios: the operator
-                // re-buys its fixed peak allocation after losing
-                // capacity (it never otherwise adjusts). Without a
-                // schedule or timeline this loop body is unreachable —
-                // static stays allocate-once.
-                let settle_start = std::time::Instant::now();
-                {
-                    for gi in 0..self.processing_order.len() {
-                        let idx = self.processing_order[gi];
-                        let lost = self.groups[idx].provisioner.lost_capacity();
-                        if lost.is_negligible(1e-9) {
-                            continue;
-                        }
-                        let target = self.static_targets[idx];
-                        let group = &mut self.groups[idx];
-                        let out = group.provisioner.adjust_via(
-                            topology.as_ref(),
-                            &target,
-                            &mut self.centers,
-                            now,
-                        );
-                        if out.replayed {
-                            tick_skips += 1;
-                        } else {
-                            tick_full += 1;
-                        }
-                        leases_granted += out.granted as u64;
-                        leases_released += out.released as u64;
-                        rejections.merge(&out.rejections);
-                        if out.unmet {
-                            unmet_steps += 1;
-                        }
-                        if out.granted > 0 {
-                            reprovisions += out.granted as u64;
-                            if let Some(sink) = sink.as_mut() {
-                                sink.emit(
-                                    "reprovision",
-                                    &[
-                                        ("tick", t.into()),
-                                        ("operator", group.provisioner.operator.0.into()),
-                                        ("granted", out.granted.into()),
-                                        ("lost_cpu", lost.cpu.into()),
-                                    ],
-                                );
-                            }
-                        }
-                        if !out.unmet && !out.deferred {
-                            group.provisioner.clear_lost_capacity();
-                        }
-                        emit_adjust_events(
-                            sink.as_mut(),
-                            flight.as_mut(),
-                            t,
-                            &group.provisioner,
-                            &target,
-                            &out,
-                        );
-                    }
-                }
-                settle_ns = Some(ns_since(settle_start));
-            }
-            if let Some(ns) = settle_ns {
-                t_settle.record_ns(ns);
-                l_settle.record(ns);
-                c_skips.add(tick_skips);
-                c_full.add(tick_full);
-                if tick_full == 0 && tick_skips > 0 {
-                    // A pure fast-path tick: the whole settle stage was
-                    // memo replays, so its duration belongs to the skip
-                    // distribution too.
-                    l_skip.record(ns);
+                FaultKind::PredictorDropout => {
+                    run.tick.dropout = true;
+                    run.emit("predictor_dropout", &[("tick", t.into())]);
                 }
             }
-            if faults_active || scenario_active {
-                // Unserved player-ticks: each group's players scaled by
-                // the fraction of its target the settle stage could not
-                // (re-)acquire. Routine prediction lag never shows up
-                // here (a met request zeroes the deficit), so a healthy
-                // run contributes nothing and an outage episode closes
-                // at the first tick the platform is whole again.
-                let mut tick_unserved = 0.0f64;
-                for (gi, group) in self.groups.iter().enumerate() {
-                    let target = if dynamic {
-                        self.hot[gi].target
-                    } else {
-                        self.static_targets[gi]
-                    };
-                    if target.cpu <= 1e-12 {
-                        continue;
-                    }
-                    let deficit = (target.cpu - group.provisioner.allocated().cpu).max(0.0);
-                    if deficit <= 1e-9 {
-                        continue;
-                    }
-                    let players = self.hot[gi].players;
-                    tick_unserved += players * (deficit / target.cpu).clamp(0.0, 1.0);
-                }
-                unserved_player_ticks += tick_unserved;
-                if !open_outages.is_empty() && tick_unserved <= 1e-9 {
-                    for (center, start) in open_outages.drain(..) {
-                        let down_ticks = t as u64 - start;
-                        recovery_ticks.push(down_ticks);
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit(
-                                "fault_recovery",
-                                &[
-                                    ("tick", t.into()),
-                                    ("center", center.into()),
-                                    ("down_ticks", down_ticks.into()),
-                                ],
-                            );
-                        }
+        }
+    }
+
+    /// Fills this tick's player counts into the hot array from each
+    /// game's source (serial: streaming sources advance stateful
+    /// generators; the materialized copy is a gather).
+    fn fill_players(&mut self, t: usize) {
+        let hot = &mut self.hot;
+        for src in &mut self.sources {
+            match src {
+                WorkloadSource::Materialized { start, series } => {
+                    for (j, s) in series.iter().enumerate() {
+                        hot[*start + j].players = s.values()[t];
                     }
                 }
-            }
-            let tick_ns = ns_since(tick_start);
-            l_tick.record(tick_ns);
-            // Time-series + live tap, fed from this serial tail. The
-            // skip rate is this tick's memo-replay fraction; with no
-            // settle stage this tick it is zero. It is a timing series,
-            // like the `sim.match.skips` counter: memo replays key on
-            // the process-wide availability epoch, so a concurrent
-            // run's fault can demote a replay to an (equally no-op)
-            // full walk without any semantic output changing.
-            let settled = tick_skips + tick_full;
-            let skip_rate = if settled > 0 {
-                tick_skips as f64 / settled as f64
-            } else {
-                0.0
-            };
-            if let Some(ts) = ts.as_mut() {
-                ts.record_semantic("demand_cpu", total_demand.cpu);
-                ts.record_semantic("alloc_cpu", total_alloc.cpu);
-                ts.record_semantic("shortfall_cpu", shortfall.cpu);
-                ts.record_timing("match_skip_rate", skip_rate);
-                ts.record_timing("predict_ns", predict_ns as f64);
-                ts.record_timing("reduce_ns", reduce_ns as f64);
-                ts.record_timing("settle_ns", settle_ns.unwrap_or(0) as f64);
-                ts.record_timing("tick_ns", tick_ns as f64);
-                ts_samples += 8;
-            }
-            if let Some(cfg) = live.as_ref() {
-                let done = t + 1 == self.ticks;
-                let due = (t as u64).is_multiple_of(live_interval) || done;
-                let throttled =
-                    !done && last_live_write.is_some_and(|at| at.elapsed() < MIN_LIVE_WRITE_GAP);
-                if due && !throttled {
-                    let p99_us = |l: &mmog_obs::LatencyHisto| {
-                        l.snapshot().p99().map_or(0.0, |ns| ns as f64 / 1000.0)
-                    };
-                    let snap = mmog_obs::LiveSnapshot {
-                        run: self.trace_label.clone(),
-                        tick: t as u64,
-                        ticks_total: self.ticks as u64,
-                        done,
-                        demand_cpu: total_demand.cpu,
-                        alloc_cpu: total_alloc.cpu,
-                        shortfall_cpu: shortfall.cpu,
-                        match_skip_rate: skip_rate,
-                        leases_held: self
-                            .groups
-                            .iter()
-                            .map(|g| g.provisioner.held_leases().len() as u64)
-                            .sum(),
-                        fault_events: schedule.as_ref().map_or(0, |s| s.applied_through(t as u64)),
-                        scenario_events: scenario
-                            .as_ref()
-                            .map_or(0, |s| s.applied_through(t as u64)),
-                        centers_down: self.centers.iter().filter(|c| c.is_down()).count() as u64,
-                        centers: self
-                            .centers
-                            .iter()
-                            .map(|c| mmog_obs::LiveCenter {
-                                name: c.spec.name.clone(),
-                                alloc_cpu: c.allocated().cpu,
-                                capacity_cpu: c.effective_capacity().cpu,
-                            })
-                            .collect(),
-                        tick_rate: (t + 1) as f64
-                            / run_start_wall.elapsed().as_secs_f64().max(1e-9),
-                        stage_p99_us: vec![
-                            ("predict_score".to_string(), p99_us(&l_predict)),
-                            ("reduce".to_string(), p99_us(&l_reduce)),
-                            ("match_settle".to_string(), p99_us(&l_settle)),
-                            ("tick".to_string(), p99_us(&l_tick)),
-                        ],
-                    };
-                    let write_start = std::time::Instant::now();
-                    if let Err(err) = mmog_obs::write_live(&cfg.path, &snap.to_value()) {
-                        eprintln!("warning: live snapshot write failed: {err}");
-                    }
-                    live_write_ns += ns_since(write_start);
-                    live_writes += 1;
-                    last_live_write = Some(std::time::Instant::now());
-                }
-            }
-            if let Some(rec) = flight.as_mut() {
-                let tick = t as u64;
-                rec.push(
-                    "tick",
-                    tick,
-                    &[total_demand.cpu, total_alloc.cpu, shortfall.cpu],
-                );
-                // Stage latencies travel with the window so a dump shows
-                // both what the engine decided and how long it took.
-                rec.push(
-                    "tick_latency",
-                    tick,
-                    &[
-                        predict_ns as f64,
-                        reduce_ns as f64,
-                        settle_ns.unwrap_or(0) as f64,
-                        tick_ns as f64,
-                    ],
-                );
-                // Trigger decisions, in fixed priority order: faults are
-                // semantic (deterministic for a fixed schedule), the
-                // deadline is wall-clock (opt-in via the config).
-                if fault_cursor > fired_before {
-                    if let Err(err) = rec.trigger(FlightTrigger::Fault, tick, &self.trace_label) {
-                        eprintln!("warning: flight dump failed: {err}");
-                    }
-                } else if partition_fired {
-                    if let Err(err) = rec.trigger(FlightTrigger::Partition, tick, &self.trace_label)
-                    {
-                        eprintln!("warning: flight dump failed: {err}");
-                    }
-                } else if migration_fired {
-                    if let Err(err) = rec.trigger(FlightTrigger::Migration, tick, &self.trace_label)
-                    {
-                        eprintln!("warning: flight dump failed: {err}");
-                    }
-                } else if rec.deadline_ns().is_some_and(|d| tick_ns > d) {
-                    if let Err(err) =
-                        rec.trigger(FlightTrigger::DeadlineOverrun, tick, &self.trace_label)
-                    {
-                        eprintln!("warning: flight dump failed: {err}");
+                WorkloadSource::Streaming { start, stream } => {
+                    let row = &mut self.players_scratch[..stream.group_count()];
+                    let produced = stream.next_tick(row);
+                    debug_assert!(produced, "ticks clamped to the stream length");
+                    for (j, &p) in row.iter().enumerate() {
+                        hot[*start + j].players = p;
                     }
                 }
             }
         }
+    }
 
-        let center_usage: Vec<CenterUsage> = self
+    /// Scenario application: serial, after the fill (so migration costs
+    /// are charged against this tick's player counts) and before the
+    /// fan-out (so dropped leases and flash-crowd demand are visible the
+    /// same tick).
+    fn apply_scenario(&mut self, run: &mut RunState) {
+        let t = run.tick.t;
+        let n_regions = self.region_group_counts.len();
+        while let Some(ev) = run.next_scenario_event() {
+            run.report.scenario_events += 1;
+            match ev.kind {
+                ScenarioEventKind::Partition { mask } => {
+                    run.topology.partition(mask);
+                    run.tick.partition_fired = true;
+                    let components = run.topology.components();
+                    run.flight_push("partition", &[mask as f64, components as f64]);
+                    run.emit(
+                        "partition",
+                        &[
+                            ("tick", t.into()),
+                            ("mask", mask.into()),
+                            ("components", components.into()),
+                        ],
+                    );
+                }
+                ScenarioEventKind::Heal => {
+                    run.topology.heal();
+                    let components = run.topology.components();
+                    run.flight_push("heal", &[components as f64]);
+                    run.emit(
+                        "heal",
+                        &[("tick", t.into()), ("components", components.into())],
+                    );
+                }
+                ScenarioEventKind::LinkDegrade { .. } | ScenarioEventKind::LinkRestore { .. } => {
+                    let (a, b, factor) = match ev.kind {
+                        ScenarioEventKind::LinkDegrade { a, b, factor } => (a, b, factor),
+                        ScenarioEventKind::LinkRestore { a, b } => (a, b, 1.0),
+                        _ => unreachable!("outer arm matched a link event"),
+                    };
+                    run.topology.set_link_factor(a as usize, b as usize, factor);
+                    run.flight_push("topology_change", &[f64::from(a), f64::from(b), factor]);
+                    run.emit(
+                        "topology_change",
+                        &[
+                            ("tick", t.into()),
+                            ("a", a.into()),
+                            ("b", b.into()),
+                            ("factor", factor.into()),
+                        ],
+                    );
+                }
+                ScenarioEventKind::FlashBegin { .. } | ScenarioEventKind::FlashEnd { .. } => {
+                    if n_regions == 0 {
+                        continue;
+                    }
+                    let (pick, factor) = match ev.kind {
+                        ScenarioEventKind::FlashBegin { pick, factor } => {
+                            run.flashes_active += 1;
+                            (pick, factor)
+                        }
+                        ScenarioEventKind::FlashEnd { pick } => {
+                            run.flashes_active = run.flashes_active.saturating_sub(1);
+                            (pick, 1.0)
+                        }
+                        _ => unreachable!("outer arm matched a flash event"),
+                    };
+                    let region = (pick % n_regions as u64) as usize;
+                    run.region_flash[region] = factor;
+                    let groups = self.region_group_counts[region];
+                    run.flight_push("flash_crowd", &[region as f64, factor, groups as f64]);
+                    run.emit(
+                        "flash_crowd",
+                        &[
+                            ("tick", t.into()),
+                            ("region", region.into()),
+                            ("factor", factor.into()),
+                            ("groups", groups.into()),
+                        ],
+                    );
+                }
+                ScenarioEventKind::Migrate { pick } => {
+                    let gi = (pick % self.groups.len() as u64) as usize;
+                    // Drain the group everywhere it holds leases; the
+                    // centers stay up, so each lease must be revoked
+                    // center-side too. The principal center is the one
+                    // that held the most CPU.
+                    let mut total_dropped = 0usize;
+                    let mut principal: Option<(usize, f64)> = None;
+                    for c in 0..self.centers.len() {
+                        let (dropped, cpu) = self.drain(run, gi, c, ReleaseCause::Migration);
+                        total_dropped += dropped;
+                        if dropped > 0 && principal.is_none_or(|(_, best)| cpu > best) {
+                            principal = Some((c, cpu));
+                        }
+                    }
+                    // A group with nothing allocated migrates for free:
+                    // nothing moved, nothing charged.
+                    if let Some((center, _)) = principal {
+                        self.charge_migration(run, gi, center, total_dropped);
+                    }
+                }
+                ScenarioEventKind::RegionFailover { center } => {
+                    let center = center as usize;
+                    if center >= self.centers.len() {
+                        continue;
+                    }
+                    for gi in 0..self.groups.len() {
+                        let (dropped, _) = self.drain(run, gi, center, ReleaseCause::Failover);
+                        if dropped > 0 {
+                            self.charge_migration(run, gi, center, dropped);
+                        }
+                    }
+                }
+            }
+        }
+        // Flash crowds multiply demand while active: every group in a
+        // surging region sees its player count scaled.
+        if run.flashes_active > 0 {
+            for (hot, &rid) in self.hot.iter_mut().zip(&self.region_ids) {
+                hot.players *= run.region_flash[rid as usize];
+            }
+        }
+    }
+
+    /// Drops every lease group `gi` holds at `center`, revokes each one
+    /// center-side, and closes it with a `cause` release event. Returns
+    /// the number of leases dropped and their summed CPU.
+    fn drain(
+        &mut self,
+        run: &mut RunState,
+        gi: usize,
+        center: usize,
+        cause: ReleaseCause,
+    ) -> (usize, f64) {
+        let provisioner = &mut self.groups[gi].provisioner;
+        let dropped = provisioner.drop_leases_at_center(center);
+        for lease in &dropped {
+            self.centers[center].revoke(lease.id);
+        }
+        if let Some(sink) = run.sink.as_mut() {
+            let op = provisioner.operator.0;
+            for lease in &dropped {
+                emit_lease_release(sink, run.tick.t, center, lease, op, cause);
+            }
+        }
+        (dropped.len(), dropped.iter().map(|l| l.amounts.cpu).sum())
+    }
+
+    /// Charges one group's migration off `center` (after [`drain`]
+    /// moved `leases` of its leases): the players pay the migration
+    /// cost as unserved player-ticks, and the move opens an outage
+    /// episode at `center` that closes once the group is whole again.
+    ///
+    /// [`drain`]: Self::drain
+    fn charge_migration(&self, run: &mut RunState, gi: usize, center: usize, leases: usize) {
+        let t = run.tick.t;
+        let cost_ticks = run
+            .scenario
+            .as_ref()
+            .map_or(0, ScenarioTimeline::migration_cost_ticks);
+        let cost = self.hot[gi].players * cost_ticks as f64;
+        run.report.migration_player_ticks += cost;
+        run.report.unserved_player_ticks += cost;
+        run.report.migrations += 1;
+        run.tick.migration_fired = true;
+        run.open_outage(center);
+        run.flight_push(
+            "migration",
+            &[gi as f64, center as f64, leases as f64, cost],
+        );
+        run.emit(
+            "migration",
+            &[
+                ("tick", t.into()),
+                ("group", gi.into()),
+                ("center", center.into()),
+                ("leases", leases.into()),
+                ("cost", cost.into()),
+            ],
+        );
+    }
+
+    /// Fan-out: score the allocation in force against the actual demand
+    /// and (in dynamic mode) compute each group's next demand target.
+    /// Each group touches only its own cold state and its slot in the
+    /// contiguous hot array.
+    fn predict(&mut self, run: &mut RunState) {
+        let dynamic = self.mode == AllocationMode::Dynamic;
+        let dropout = run.tick.dropout;
+        let step = |_i: usize, group: &mut GroupRuntime, hot: &mut GroupHot| {
+            let players = hot.players;
+            // Score the prediction made last tick against this
+            // tick's observation. Per-group accumulators keep the
+            // sums deterministic under the fan-out.
+            let prev = group.provisioner.last_prediction();
+            if dynamic && prev.is_finite() {
+                hot.abs_err_sum += (prev - players).abs();
+                hot.actual_sum += players;
+            }
+            hot.demand = group.demand_model.demand(players);
+            hot.alloc = group.provisioner.allocated();
+            hot.short = (hot.alloc - hot.demand).min(&ResourceVector::ZERO);
+            if dynamic {
+                hot.target = if dropout {
+                    // The schedule dropped the predictor this tick:
+                    // last-value fallback, history stays warm.
+                    group.provisioner.observe_and_target_fallback(players)
+                } else {
+                    group.provisioner.observe_and_target(players)
+                };
+            }
+        };
+        let start = Instant::now();
+        match &run.pool {
+            Some(pool) => pool.for_each_mut2(&mut self.groups, &mut self.hot, step),
+            None => {
+                for (i, (group, hot)) in self.groups.iter_mut().zip(self.hot.iter_mut()).enumerate()
+                {
+                    step(i, group, hot);
+                }
+            }
+        }
+        run.tick.predict_ns = ns_since(start);
+        run.t_predict.record_ns(run.tick.predict_ns);
+        run.l_predict.record(run.tick.predict_ns);
+    }
+
+    /// Ordered reduction (Eq. 2's min is per server group so one group's
+    /// surplus never hides another's deficit): fold the hot array in
+    /// group-index order — float sums come out bit-identical to the
+    /// serial engine for any thread count. Scored ticks also feed the
+    /// metrics, the report series and the per-center usage integration.
+    fn reduce(&mut self, run: &mut RunState) {
+        let start = Instant::now();
+        let t = run.tick.t;
+        let mut total_demand = ResourceVector::ZERO;
+        let mut total_alloc = ResourceVector::ZERO;
+        let mut shortfall = ResourceVector::ZERO;
+        run.per_game.fill(Default::default());
+        for (group, hot) in self.groups.iter().zip(&self.hot) {
+            total_demand += hot.demand;
+            total_alloc += hot.alloc;
+            shortfall += hot.short;
+            let entry = &mut run.per_game[group.game];
+            entry.0 += hot.alloc;
+            entry.1 += hot.demand;
+            entry.2 += hot.short;
+        }
+        if t >= self.warmup {
+            let now = SimTime(t as u64);
+            // M of Eq. 2: one machine-equivalent per server group (a
+            // group at full load is exactly one game server, Sec. V-A).
+            let machines = self.groups.len() as f64;
+            run.report
+                .metrics
+                .record(now, &total_alloc, &total_demand, &shortfall, machines);
+            let games = run.report.per_game.iter_mut().zip(&run.per_game);
+            for (gi, (game, (alloc, demand, short))) in games.enumerate() {
+                game.metrics
+                    .record(now, alloc, demand, short, run.game_machines[gi]);
+            }
+            run.report.demand_cpu_series.push(total_demand.cpu);
+            run.report.alloc_cpu_series.push(total_alloc.cpu);
+            for (center, acc) in self.centers.iter().zip(run.usage.iter_mut()) {
+                for &(op, cpu) in center.lease_cpu() {
+                    acc.0[op as usize] += cpu;
+                    acc.1[op as usize] = true;
+                }
+                acc.2 += center.free().cpu;
+            }
+        }
+        if let Some(sink) = run.sink.as_mut() {
+            sink.emit(
+                "tick",
+                &[
+                    ("tick", t.into()),
+                    ("demand_cpu", total_demand.cpu.into()),
+                    ("alloc_cpu", total_alloc.cpu.into()),
+                    ("shortfall_cpu", shortfall.cpu.into()),
+                ],
+            );
+            // Per-center allocation snapshots for the analytics
+            // timelines, sampled on a tick-count-derived stride (plus
+            // the final tick) so suite-scale traces stay bounded: at
+            // most ~96 sampled ticks per run regardless of scale,
+            // derived from the configuration so it is jobs-independent.
+            let center_tick_stride = (self.ticks / 96).max(1);
+            if t.is_multiple_of(center_tick_stride) || t + 1 == self.ticks {
+                for (ci, center) in self.centers.iter().enumerate() {
+                    let alloc_cpu: f64 = center.leases().iter().map(|l| l.amounts.cpu).sum();
+                    sink.emit(
+                        "center_tick",
+                        &[
+                            ("tick", t.into()),
+                            ("center", ci.into()),
+                            ("alloc_cpu", alloc_cpu.into()),
+                            ("free_cpu", center.free().cpu.into()),
+                        ],
+                    );
+                }
+            }
+        }
+        run.tick.demand = total_demand;
+        run.tick.alloc = total_alloc;
+        run.tick.shortfall = shortfall;
+        run.tick.reduce_ns = ns_since(start);
+        run.t_reduce.record_ns(run.tick.reduce_ns);
+        run.l_reduce.record(run.tick.reduce_ns);
+    }
+
+    /// Serial stage: adjust allocations for the next tick. Dynamic mode
+    /// settles every group; static mode settles only under faults or
+    /// scenarios, to re-buy lost capacity.
+    fn settle_stage(&mut self, run: &mut RunState) {
+        let pass = if self.mode == AllocationMode::Dynamic {
+            Settle::Dynamic
+        } else if run.faults.is_some() || run.scenario.is_some() {
+            Settle::Recover
+        } else {
+            return;
+        };
+        let start = Instant::now();
+        self.settle(run, pass);
+        let ns = ns_since(start);
+        run.tick.settle_ns = ns;
+        run.t_settle.record_ns(ns);
+        run.l_settle.record(ns);
+        run.memo_skips.add(run.tick.skips);
+        run.memo_full.add(run.tick.full);
+        if run.tick.full == 0 && run.tick.skips > 0 {
+            // A pure fast-path tick: the whole settle stage was memo
+            // replays, so its duration belongs to the skip distribution
+            // too.
+            run.l_skip.record(ns);
+        }
+    }
+
+    /// The one settle loop behind every [`Settle`] pass. Groups go in
+    /// priority order — higher-priority games lease (and keep) capacity
+    /// first. Matching contends on the shared centers, so this ordering
+    /// IS the semantics and cannot fan out.
+    fn settle(&mut self, run: &mut RunState, pass: Settle) {
+        let t = run.tick.t;
+        let now = SimTime(t as u64);
+        let by_priority = pass != Settle::Initial;
+        for k in 0..self.groups.len() {
+            let idx = if by_priority { self.order[k] } else { k };
+            // `adjust` never touches the lost-capacity accumulator, so
+            // this is also what the group has lost after the step.
+            let lost = self.groups[idx].provisioner.lost_capacity();
+            let recovering = !lost.is_negligible(1e-9);
+            if pass == Settle::Recover && !recovering {
+                continue;
+            }
+            let target = self.hot[idx].target;
+            let provisioner = &mut self.groups[idx].provisioner;
+            let out = provisioner.adjust(&run.topology, &target, &mut self.centers, now);
+            run.tick.skips += u64::from(out.replayed);
+            run.tick.full += u64::from(!out.replayed);
+            run.leases_granted += out.granted as u64;
+            run.leases_released += out.released as u64;
+            run.report.rejections.merge(&out.rejections);
+            run.report.unmet_steps += u64::from(out.unmet);
+            // Capacity is only ever lost to fault and scenario drops, so
+            // undisturbed runs never take this branch.
+            if recovering {
+                if out.granted > 0 {
+                    run.report.reprovisions += out.granted as u64;
+                    run.emit(
+                        "reprovision",
+                        &[
+                            ("tick", t.into()),
+                            ("operator", provisioner.operator.0.into()),
+                            ("granted", out.granted.into()),
+                            ("lost_cpu", lost.cpu.into()),
+                        ],
+                    );
+                }
+                // Whole again: stop attributing grants to fault
+                // recovery.
+                if !out.unmet && !out.deferred {
+                    provisioner.clear_lost_capacity();
+                }
+            }
+            run.emit_adjust(provisioner, &target, &out);
+        }
+    }
+
+    /// Unserved player-ticks: each group's players scaled by the
+    /// fraction of its target the settle stage could not (re-)acquire.
+    /// Routine prediction lag never shows up here (a met request zeroes
+    /// the deficit), so a healthy run contributes nothing and an outage
+    /// episode closes at the first tick the platform is whole again.
+    fn account(&mut self, run: &mut RunState) {
+        if run.faults.is_none() && run.scenario.is_none() {
+            return;
+        }
+        let t = run.tick.t;
+        let mut tick_unserved = 0.0f64;
+        for (gi, group) in self.groups.iter().enumerate() {
+            let target = self.hot[gi].target;
+            if target.cpu <= 1e-12 {
+                continue;
+            }
+            let deficit = (target.cpu - group.provisioner.allocated().cpu).max(0.0);
+            if deficit <= 1e-9 {
+                continue;
+            }
+            let players = self.hot[gi].players;
+            tick_unserved += players * (deficit / target.cpu).clamp(0.0, 1.0);
+        }
+        run.report.unserved_player_ticks += tick_unserved;
+        if !run.open_outages.is_empty() && tick_unserved <= 1e-9 {
+            for (center, start) in std::mem::take(&mut run.open_outages) {
+                let down_ticks = t as u64 - start;
+                run.report.recovery_ticks.push(down_ticks);
+                run.emit(
+                    "fault_recovery",
+                    &[
+                        ("tick", t.into()),
+                        ("center", center.into()),
+                        ("down_ticks", down_ticks.into()),
+                    ],
+                );
+            }
+        }
+    }
+
+    /// Time-series, live tap and flight recorder, fed from the serial
+    /// tail of the tick.
+    fn publish(&mut self, run: &mut RunState) {
+        let tick = run.tick;
+        let t = tick.t;
+        run.l_tick.record(tick.tick_ns);
+        // The skip rate is this tick's memo-replay fraction; with no
+        // settle stage this tick it is zero. It is a timing series,
+        // like the `sim.match.skips` counter: memo replays key on the
+        // process-wide availability epoch, so a concurrent run's fault
+        // can demote a replay to an (equally no-op) full walk without
+        // any semantic output changing.
+        let skip_rate = tick.skips as f64 / (tick.skips + tick.full).max(1) as f64;
+        if let Some(ts) = run.ts.as_mut() {
+            ts.record_semantic("demand_cpu", tick.demand.cpu);
+            ts.record_semantic("alloc_cpu", tick.alloc.cpu);
+            ts.record_semantic("shortfall_cpu", tick.shortfall.cpu);
+            ts.record_timing("match_skip_rate", skip_rate);
+            ts.record_timing("predict_ns", tick.predict_ns as f64);
+            ts.record_timing("reduce_ns", tick.reduce_ns as f64);
+            ts.record_timing("settle_ns", tick.settle_ns as f64);
+            ts.record_timing("tick_ns", tick.tick_ns as f64);
+        }
+        if let Some(cfg) = run.live.as_ref() {
+            let done = t + 1 == self.ticks;
+            let due = (t as u64).is_multiple_of(cfg.interval()) || done;
+            let throttled = !done
+                && run
+                    .last_live_write
+                    .is_some_and(|at| at.elapsed() < MIN_LIVE_WRITE_GAP);
+            if due && !throttled {
+                let p99_us = |l: &mmog_obs::LatencyHisto| {
+                    l.snapshot().p99().map_or(0.0, |ns| ns as f64 / 1000.0)
+                };
+                let snap = mmog_obs::LiveSnapshot {
+                    run: self.trace_label.clone(),
+                    tick: t as u64,
+                    ticks_total: self.ticks as u64,
+                    done,
+                    demand_cpu: tick.demand.cpu,
+                    alloc_cpu: tick.alloc.cpu,
+                    shortfall_cpu: tick.shortfall.cpu,
+                    match_skip_rate: skip_rate,
+                    leases_held: self
+                        .groups
+                        .iter()
+                        .map(|g| g.provisioner.held_leases().len() as u64)
+                        .sum(),
+                    fault_events: run.report.fault_events,
+                    scenario_events: run.report.scenario_events,
+                    centers_down: self.centers.iter().filter(|c| c.is_down()).count() as u64,
+                    centers: self
+                        .centers
+                        .iter()
+                        .map(|c| mmog_obs::LiveCenter {
+                            name: c.spec.name.clone(),
+                            alloc_cpu: c.allocated().cpu,
+                            capacity_cpu: c.effective_capacity().cpu,
+                        })
+                        .collect(),
+                    tick_rate: (t + 1) as f64
+                        / run.run_start_wall.elapsed().as_secs_f64().max(1e-9),
+                    stage_p99_us: vec![
+                        ("predict_score".to_string(), p99_us(&run.l_predict)),
+                        ("reduce".to_string(), p99_us(&run.l_reduce)),
+                        ("match_settle".to_string(), p99_us(&run.l_settle)),
+                        ("tick".to_string(), p99_us(&run.l_tick)),
+                    ],
+                };
+                let write_start = Instant::now();
+                if let Err(err) = mmog_obs::write_live(&cfg.path, &snap.to_value()) {
+                    eprintln!("warning: live snapshot write failed: {err}");
+                }
+                run.live_write_ns += ns_since(write_start);
+                run.live_writes += 1;
+                run.last_live_write = Some(Instant::now());
+            }
+        }
+        run.flight_push(
+            "tick",
+            &[tick.demand.cpu, tick.alloc.cpu, tick.shortfall.cpu],
+        );
+        // Stage latencies travel with the window so a dump shows both
+        // what the engine decided and how long it took.
+        let stage_ns = [
+            tick.predict_ns,
+            tick.reduce_ns,
+            tick.settle_ns,
+            tick.tick_ns,
+        ];
+        run.flight_push("tick_latency", &stage_ns.map(|ns| ns as f64));
+        if let Some(rec) = run.flight.as_mut() {
+            // Trigger decisions, in fixed priority order: faults are
+            // semantic (deterministic for a fixed schedule), the
+            // deadline is wall-clock (opt-in via the config).
+            let trigger = if tick.fault_applied {
+                Some(FlightTrigger::Fault)
+            } else if tick.partition_fired {
+                Some(FlightTrigger::Partition)
+            } else if tick.migration_fired {
+                Some(FlightTrigger::Migration)
+            } else {
+                rec.deadline_ns()
+                    .is_some_and(|d| tick.tick_ns > d)
+                    .then_some(FlightTrigger::DeadlineOverrun)
+            };
+            if let Some(Err(err)) = trigger.map(|tr| rec.trigger(tr, t as u64, &self.trace_label)) {
+                eprintln!("warning: flight dump failed: {err}");
+            }
+        }
+    }
+
+    /// Run-level teardown: integrated usage, run counters, closing
+    /// events, the observability plane submissions, and the report.
+    fn finish(self, mut run: RunState) -> SimReport {
+        run.report.center_usage = self
             .centers
             .iter()
-            .zip(usage)
+            .zip(std::mem::take(&mut run.usage))
             .map(|(c, (sums, touched, free))| {
-                // Slots are in ascending operator-id order, so both the
-                // map contents and the total's summation order match
-                // the historical `BTreeMap` accumulation exactly; an
-                // operator that never leased here stays absent even if
-                // its (untouched) slot is zero.
-                let by_op: BTreeMap<u32, f64> = op_ids
-                    .iter()
+                // Ids ascend with the index, so both the map contents
+                // and the total's summation order match the historical
+                // `BTreeMap` accumulation exactly; an operator that
+                // never leased here stays absent even if its (untouched)
+                // slot is zero.
+                let by_op: BTreeMap<u32, f64> = (0u32..)
                     .zip(sums)
                     .zip(touched)
                     .filter(|(_, t)| *t)
-                    .map(|((op, sum), _)| (*op, sum))
+                    .map(|((op, sum), _)| (op, sum))
                     .collect();
                 CenterUsage {
                     name: c.spec.name.clone(),
@@ -1785,25 +1690,26 @@ impl Simulation {
                 }
             })
             .collect();
-
-        mmog_obs::counter("sim.unmet_steps", Domain::Semantic).add(unmet_steps);
-        mmog_obs::counter("sim.leases_granted", Domain::Semantic).add(leases_granted);
-        mmog_obs::counter("sim.leases_released", Domain::Semantic).add(leases_released);
+        let report = &mut run.report;
+        report.unrecovered_outages = run.open_outages.len();
+        mmog_obs::counter("sim.unmet_steps", Domain::Semantic).add(report.unmet_steps);
+        mmog_obs::counter("sim.leases_granted", Domain::Semantic).add(run.leases_granted);
+        mmog_obs::counter("sim.leases_released", Domain::Semantic).add(run.leases_released);
         // Fault counters register only on faulted runs, so an unfaulted
         // metrics summary stays byte-identical to the baseline.
-        if faults_active {
-            mmog_obs::counter("faults.events", Domain::Semantic).add(fault_event_count);
-            mmog_obs::counter("faults.leases_revoked", Domain::Semantic).add(leases_revoked);
-            mmog_obs::counter("faults.reprovisions", Domain::Semantic).add(reprovisions);
+        if run.faults.is_some() {
+            mmog_obs::counter("faults.events", Domain::Semantic).add(report.fault_events);
+            mmog_obs::counter("faults.leases_revoked", Domain::Semantic).add(report.leases_revoked);
+            mmog_obs::counter("faults.reprovisions", Domain::Semantic).add(report.reprovisions);
             mmog_obs::counter("faults.outages_recovered", Domain::Semantic)
-                .add(recovery_ticks.len() as u64);
+                .add(report.recovery_ticks.len() as u64);
             mmog_obs::counter("faults.outages_unrecovered", Domain::Semantic)
-                .add(open_outages.len() as u64);
+                .add(report.unrecovered_outages as u64);
         }
         // Scenario counters likewise register only on scenario runs.
-        if scenario_active {
-            mmog_obs::counter("scenario.events", Domain::Semantic).add(scenario_event_count);
-            mmog_obs::counter("scenario.migrations", Domain::Semantic).add(migrations);
+        if run.scenario.is_some() {
+            mmog_obs::counter("scenario.events", Domain::Semantic).add(report.scenario_events);
+            mmog_obs::counter("scenario.migrations", Domain::Semantic).add(report.migrations);
         }
         // Per-group online prediction error (the paper's metric, scored
         // over the whole run); both the histogram records and the event
@@ -1819,7 +1725,7 @@ impl Simulation {
             }
             let error_pct = 100.0 * hot.abs_err_sum / hot.actual_sum;
             err_hist.record(error_pct);
-            if let Some(sink) = sink.as_mut() {
+            if let Some(sink) = run.sink.as_mut() {
                 sink.emit(
                     "prediction_group",
                     &[
@@ -1831,10 +1737,10 @@ impl Simulation {
                 );
             }
         }
-        if let Some(mut sink) = sink {
+        if let Some(mut sink) = run.sink.take() {
             // Integrated per-center usage: the bulk-waste attribution of
             // Figures 13–14, one event per center in platform order.
-            for u in &center_usage {
+            for u in &report.center_usage {
                 sink.emit(
                     "center_usage",
                     &[
@@ -1845,71 +1751,61 @@ impl Simulation {
                     ],
                 );
             }
-            if faults_active {
+            if run.faults.is_some() {
                 sink.emit(
                     "fault_summary",
                     &[
-                        ("events", fault_event_count.into()),
-                        ("leases_revoked", leases_revoked.into()),
-                        ("reprovisions", reprovisions.into()),
-                        ("unserved_player_ticks", unserved_player_ticks.into()),
-                        ("recovered", recovery_ticks.len().into()),
-                        ("unrecovered", open_outages.len().into()),
+                        ("events", report.fault_events.into()),
+                        ("leases_revoked", report.leases_revoked.into()),
+                        ("reprovisions", report.reprovisions.into()),
+                        ("unserved_player_ticks", report.unserved_player_ticks.into()),
+                        ("recovered", report.recovery_ticks.len().into()),
+                        ("unrecovered", report.unrecovered_outages.into()),
                     ],
                 );
             }
             // Lifecycle closure: every lease still held at run end gets
             // its terminal event (groups in index order), so the
             // analyzer always reconstructs 100% of granted leases.
-            let end_tick = self.ticks.saturating_sub(1);
+            let (end_tick, cause) = (self.ticks.saturating_sub(1), ReleaseCause::RunEnd);
             for group in &self.groups {
                 let op = group.provisioner.operator.0;
                 for held in group.provisioner.held_leases() {
-                    sink.emit(
-                        "lease_release",
-                        &[
-                            ("tick", end_tick.into()),
-                            ("center", held.center.into()),
-                            ("lease", held.lease.id.0.into()),
-                            ("operator", op.into()),
-                            ("cpu", held.lease.amounts.cpu.into()),
-                            ("cause", ReleaseCause::RunEnd.label().into()),
-                        ],
-                    );
+                    emit_lease_release(&mut sink, end_tick, held.center, &held.lease, op, cause);
                 }
             }
             sink.emit(
                 "run_end",
                 &[
                     ("ticks", self.ticks.into()),
-                    ("unmet_steps", unmet_steps.into()),
-                    ("leases_granted", leases_granted.into()),
-                    ("leases_released", leases_released.into()),
+                    ("unmet_steps", report.unmet_steps.into()),
+                    ("leases_granted", run.leases_granted.into()),
+                    ("leases_released", run.leases_released.into()),
                 ],
             );
             sink.submit(&self.trace_label);
         }
-
         // Time-series submission + self-cost accounting (timing domain:
         // sample counts depend on whether the planes are enabled, never
         // on the run's semantics).
-        if let Some(ts) = ts.take() {
+        if let Some(ts) = run.ts.take() {
             mmog_obs::submit_ts(
                 &self.trace_label,
                 &ts.to_value(&self.trace_label, self.ticks as u64),
             );
-            mmog_obs::counter("obs.self.ts_samples", Domain::Timing).add(ts_samples);
+            // Eight series, one sample each per tick.
+            let samples = 8 * self.ticks as u64;
+            mmog_obs::counter("obs.self.ts_samples", Domain::Timing).add(samples);
         }
-        if live.is_some() {
-            mmog_obs::counter("obs.self.live_writes", Domain::Timing).add(live_writes);
-            mmog_obs::counter("obs.self.live_write_ns", Domain::Timing).add(live_write_ns);
+        if run.live.is_some() {
+            mmog_obs::counter("obs.self.live_writes", Domain::Timing).add(run.live_writes);
+            mmog_obs::counter("obs.self.live_write_ns", Domain::Timing).add(run.live_write_ns);
         }
-
         // Flight recorder teardown: the end-of-run explicit dump (when
         // `--flight-dump` asked for one), the recorder's own cost
         // counters (timing domain — the registration must not perturb
         // semantic summaries), and the dump report for harnesses.
-        let flight_dump = flight.and_then(|mut rec| {
+        report.flight_dump = run.flight.take().and_then(|mut rec| {
             if let Err(err) = rec.finish(self.ticks.saturating_sub(1) as u64, &self.trace_label) {
                 eprintln!("warning: flight dump failed: {err}");
             }
@@ -1927,36 +1823,7 @@ impl Simulation {
                 path: info.path.display().to_string(),
             })
         });
-
-        SimReport {
-            metrics,
-            per_game: self
-                .game_names
-                .iter()
-                .zip(game_metrics)
-                .map(|(name, metrics)| GameMetrics {
-                    name: name.clone(),
-                    metrics,
-                })
-                .collect(),
-            center_usage,
-            operator_origins: self.operator_origins,
-            demand_cpu_series,
-            alloc_cpu_series,
-            unmet_steps,
-            ticks: self.ticks,
-            rejections,
-            unserved_player_ticks,
-            recovery_ticks,
-            unrecovered_outages: open_outages.len(),
-            fault_events: fault_event_count,
-            leases_revoked,
-            reprovisions,
-            scenario_events: scenario_event_count,
-            migrations,
-            migration_player_ticks,
-            flight_dump,
-        }
+        run.report
     }
 }
 
@@ -2464,8 +2331,9 @@ mod tests {
         assert_eq!(report.unrecovered_outages, 0);
     }
 
-    #[test]
-    fn scenario_composes_with_fault_schedule() {
+    /// An outage at the busiest center (ticks 100–160) composed with a
+    /// partition (ticks 120–200).
+    fn faulted_scenario_config() -> SimulationConfig {
         use mmog_faults::{
             FaultEvent, FaultKind, ScenarioEvent, ScenarioEventKind, ScenarioTimeline,
         };
@@ -2499,10 +2367,118 @@ mod tests {
                 },
             ],
         ));
-        let report = Simulation::new(cfg).run();
+        cfg
+    }
+
+    #[test]
+    fn scenario_composes_with_fault_schedule() {
+        let report = Simulation::new(faulted_scenario_config()).run();
         assert_eq!(report.fault_events, 2);
         assert_eq!(report.scenario_events, 2);
         assert_eq!(report.unrecovered_outages, 0, "both planes heal");
+    }
+
+    /// Steps `cfg` one tick at a time and checks lease conservation
+    /// after every tick: each center's ledger holds exactly the leases
+    /// the groups hold there, and each group's allocation is the sum of
+    /// its held leases.
+    fn assert_leases_conserved(cfg: SimulationConfig) {
+        let mut sim = Simulation::new(cfg);
+        let mut run = sim.start();
+        for t in 0..sim.ticks {
+            sim.step(&mut run, t);
+            for (ci, center) in sim.centers.iter().enumerate() {
+                let mut ledger: Vec<u64> = center.leases().iter().map(|l| l.id.0).collect();
+                let mut held: Vec<u64> = sim
+                    .groups
+                    .iter()
+                    .flat_map(|g| g.provisioner.held_leases())
+                    .filter(|h| h.center == ci)
+                    .map(|h| h.lease.id.0)
+                    .collect();
+                ledger.sort_unstable();
+                held.sort_unstable();
+                assert_eq!(ledger, held, "center {ci} at tick {t}");
+            }
+            for (gi, group) in sim.groups.iter().enumerate() {
+                let held = group.provisioner.held_leases();
+                let sum: f64 = held.iter().map(|h| h.lease.amounts.cpu).sum();
+                let alloc = group.provisioner.allocated().cpu;
+                assert!(
+                    (alloc - sum).abs() <= 1e-6 * alloc.abs().max(sum.abs()),
+                    "group {gi} at tick {t}: allocated {alloc} vs held {sum}"
+                );
+            }
+        }
+        let report = sim.finish(run);
+        assert_eq!(report.ticks, 2 * TICKS_PER_DAY as usize);
+    }
+
+    #[test]
+    fn leases_are_conserved_every_tick() {
+        assert_leases_conserved(faulted_scenario_config());
+        // Migration, failover and spontaneous revocation drain leases
+        // through the other drop paths.
+        use mmog_faults::{FaultEvent, FaultKind, ScenarioEvent, ScenarioEventKind};
+        let victim = busiest_center(AllocationMode::Dynamic);
+        let mut cfg = faulted_scenario_config();
+        cfg.faults = Some(FaultSchedule::from_events(
+            "revocations",
+            (0..8)
+                .map(|i| FaultEvent {
+                    tick: 50 + 40 * i,
+                    center: victim,
+                    kind: FaultKind::LeaseRevoked,
+                })
+                .collect(),
+        ));
+        cfg.scenario = Some(mmog_faults::ScenarioTimeline::from_events(
+            "moves",
+            vec![
+                ScenarioEvent {
+                    tick: 90,
+                    kind: ScenarioEventKind::Migrate { pick: 3 },
+                },
+                ScenarioEvent {
+                    tick: 140,
+                    kind: ScenarioEventKind::RegionFailover {
+                        center: victim as u32,
+                    },
+                },
+            ],
+        ));
+        assert_leases_conserved(cfg);
+    }
+
+    #[test]
+    fn out_of_range_fault_events_are_not_applied_counted_or_triggered() {
+        use mmog_faults::{FaultEvent, FaultKind};
+        let bogus = || {
+            let mut cfg = base_config(AllocationMode::Dynamic, PredictorKind::LastValue);
+            cfg.faults = Some(FaultSchedule::from_events(
+                "bogus-center",
+                vec![FaultEvent {
+                    tick: 100,
+                    center: 99,
+                    kind: FaultKind::CenterDown,
+                }],
+            ));
+            cfg
+        };
+        let mut empty = base_config(AllocationMode::Dynamic, PredictorKind::LastValue);
+        empty.faults = Some(FaultSchedule::from_events("empty", vec![]));
+        assert_eq!(
+            format!("{:?}", Simulation::new(bogus()).run()),
+            format!("{:?}", Simulation::new(empty).run())
+        );
+        // The skipped event leaves the tick's flight-trigger input unset.
+        let mut sim = Simulation::new(bogus());
+        let mut run = sim.start();
+        for t in 0..=100 {
+            sim.step(&mut run, t);
+            assert!(!run.tick.fault_applied, "tick {t}");
+        }
+        assert_eq!(run.fault_cursor, 1, "the event was consumed");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 use crate::demand::DemandModel;
 use mmog_datacenter::center::{availability_epoch, DataCenter, Lease, LeaseId};
 use mmog_datacenter::matching::{
-    match_request_indexed_into_via, CandidateIndex, MatchMemo, MatchOutcome, RejectionTotals,
+    match_request_indexed, CandidateIndex, MatchMemo, MatchOutcome, RejectionTotals,
 };
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
-use mmog_datacenter::resource::ResourceVector;
+use mmog_datacenter::resource::{ResourceType, ResourceVector};
 use mmog_datacenter::topology::Topology;
 use mmog_predict::traits::Predictor;
 use mmog_util::geo::{DistanceClass, GeoPoint};
@@ -211,11 +211,11 @@ pub struct GroupProvisioner {
     /// keyed on the center count. Policies are static for a run, so
     /// this is computed at most once per platform.
     finest_bulks: Option<(usize, [Option<f64>; 4])>,
-    /// When set (the default), [`adjust_via`] replays memoized no-op
+    /// When set (the default), [`adjust`] replays memoized no-op
     /// steps instead of re-running the full pipeline. Tests flip this
     /// off to compare the memoized path against the full walk.
     ///
-    /// [`adjust_via`]: Self::adjust_via
+    /// [`adjust`]: Self::adjust
     pub memo_enabled: bool,
     /// Memoized proof that the previous step was a no-op, and the keys
     /// it depends on.
@@ -240,13 +240,13 @@ pub struct GroupProvisioner {
     /// [`record_matches`]: Self::record_matches
     detail: LifecycleDetail,
     /// Earliest `earliest_release` across held leases not yet flagged
-    /// `matured` — the watermark that lets [`adjust_via`] skip the
+    /// `matured` — the watermark that lets [`adjust`] skip the
     /// per-step maturity scan until something can actually mature.
     /// May be stale after a release/revocation (the removed lease's
     /// time survives here), which only costs one harmless empty scan.
     /// Only maintained while [`record_matches`] is set.
     ///
-    /// [`adjust_via`]: Self::adjust_via
+    /// [`adjust`]: Self::adjust
     /// [`record_matches`]: Self::record_matches
     next_maturity: Option<SimTime>,
 }
@@ -393,17 +393,8 @@ impl GroupProvisioner {
     /// [`clear_lost_capacity`]: Self::clear_lost_capacity
     pub fn drop_leases_at_center(&mut self, center: usize) -> Vec<Lease> {
         let mut dropped = Vec::new();
-        let mut i = 0;
-        while i < self.leases.len() {
-            if self.leases[i].center == center {
-                let held = self.leases.swap_remove(i);
-                self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
-                self.lost += held.lease.amounts;
-                self.lease_gen = self.lease_gen.wrapping_add(1);
-                dropped.push(held.lease);
-            } else {
-                i += 1;
-            }
+        while let Some(i) = self.leases.iter().position(|h| h.center == center) {
+            dropped.push(self.forget(i));
         }
         dropped
     }
@@ -415,11 +406,17 @@ impl GroupProvisioner {
             .leases
             .iter()
             .position(|h| h.center == center && h.lease.id == id)?;
+        Some(self.forget(i))
+    }
+
+    /// Removes held lease `i` after its center revoked it, moving its
+    /// amounts from the allocation into the lost-capacity accumulator.
+    fn forget(&mut self, i: usize) -> Lease {
         let held = self.leases.swap_remove(i);
         self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
         self.lost += held.lease.amounts;
         self.lease_gen = self.lease_gen.wrapping_add(1);
-        Some(held.lease)
+        held.lease
     }
 
     /// Amounts lost to outages/revocations since the last
@@ -438,26 +435,13 @@ impl GroupProvisioner {
     }
 
     /// Adjusts held leases towards `target`: releases matured leases
-    /// wholly contained in the surplus, then requests any deficit.
+    /// wholly contained in the surplus, then requests any deficit,
+    /// matched through `topology` (partitioned centers are unreachable
+    /// and degraded links inflate effective distances; the nominal
+    /// [`Topology::new`] leaves every distance as measured).
     pub fn adjust(
         &mut self,
-        target: &ResourceVector,
-        centers: &mut [DataCenter],
-        now: SimTime,
-    ) -> AdjustOutcome {
-        self.adjust_via(None, target, centers, now)
-    }
-
-    /// Like [`adjust`], but matches the deficit through `topology` when
-    /// one is installed: partitioned centers are unreachable and
-    /// degraded links inflate effective distances. `adjust(..)` is
-    /// exactly `adjust_via(None, ..)`, so runs without a scenario take
-    /// the identical code path they always did.
-    ///
-    /// [`adjust`]: Self::adjust
-    pub fn adjust_via(
-        &mut self,
-        topology: Option<&Topology>,
+        topology: &Topology,
         target: &ResourceVector,
         centers: &mut [DataCenter],
         now: SimTime,
@@ -498,7 +482,7 @@ impl GroupProvisioner {
         // every side effect it would not have (no sort, no release, no
         // matcher call, no event).
         let epoch = availability_epoch();
-        let topo_version = topology.map(Topology::version);
+        let topo_version = topology.version();
         if self.memo_enabled
             && self
                 .memo
@@ -559,38 +543,25 @@ impl GroupProvisioner {
             let finest: [Option<f64>; 4] = match self.finest_bulks {
                 Some((n, cached)) if n == centers.len() => cached,
                 _ => {
-                    let mut out = [None; 4];
-                    for (slot, r) in out
-                        .iter_mut()
-                        .zip(mmog_datacenter::resource::ResourceType::ALL)
-                    {
-                        let mut any_exact = false;
-                        let mut min_bulk = f64::INFINITY;
-                        for c in centers.iter() {
-                            match c.spec.policy.bulk(r) {
-                                None => any_exact = true,
-                                Some(b) => min_bulk = min_bulk.min(b),
-                            }
-                        }
-                        *slot = (!any_exact && min_bulk.is_finite()).then_some(min_bulk);
-                    }
+                    let out = ResourceType::ALL.map(|r| {
+                        centers
+                            .iter()
+                            .try_fold(f64::INFINITY, |min, c| {
+                                c.spec.policy.bulk(r).map(|b| min.min(b))
+                            })
+                            .filter(|b| b.is_finite())
+                    });
                     self.finest_bulks = Some((centers.len(), out));
                     out
                 }
             };
+            // `ALL` lists the types in declaration order, so a type's
+            // discriminant is its index there.
             let finest_round = |v: &ResourceVector| {
-                v.map(|r, amount| {
-                    if amount <= 0.0 {
-                        return 0.0;
-                    }
-                    let idx = mmog_datacenter::resource::ResourceType::ALL
-                        .iter()
-                        .position(|t| *t == r)
-                        .expect("ALL is complete");
-                    match finest[idx] {
-                        None => amount,
-                        Some(b) => (amount / b).ceil() * b,
-                    }
+                v.map(|r, amount| match finest[r as usize] {
+                    _ if amount <= 0.0 => 0.0,
+                    None => amount,
+                    Some(b) => (amount / b).ceil() * b,
                 })
             };
             let mut best: Option<(usize, f64)> = None;
@@ -643,7 +614,7 @@ impl GroupProvisioner {
             }
             let request = ResourceRequest::new(self.operator, deficit, self.origin, self.tolerance);
             let mut matched = std::mem::take(&mut self.match_scratch);
-            match_request_indexed_into_via(
+            match_request_indexed(
                 topology,
                 &mut self.index,
                 centers,
@@ -726,7 +697,7 @@ impl GroupProvisioner {
         outcome: &AdjustOutcome,
         target: &ResourceVector,
         epoch: u64,
-        topo_version: Option<u64>,
+        topo_version: u64,
         now: SimTime,
     ) {
         // A step arms the memo when it left the group whole: fully
@@ -844,9 +815,10 @@ mod tests {
     #[test]
     fn requests_cover_target() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        let out = p.adjust(&target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
         assert!(out.granted > 0);
         assert!(!out.unmet);
         assert!(
@@ -858,19 +830,20 @@ mod tests {
     #[test]
     fn surplus_released_after_time_bulk() {
         let mut centers = one_center(HostingPolicy::hp(5)); // 180-min bulk
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         let high = p.demand_model.demand(2000.0);
-        p.adjust(&high, &mut centers, SimTime::ZERO);
+        p.adjust(&topo, &high, &mut centers, SimTime::ZERO);
         let held_at_peak = p.allocated();
         // Demand collapses; before the bulk matures nothing can go.
         let low = p.demand_model.demand(200.0);
         let early = SimTime::from_minutes(60);
-        let out = p.adjust(&low, &mut centers, early);
+        let out = p.adjust(&topo, &low, &mut centers, early);
         assert_eq!(out.released, 0);
         assert_eq!(p.allocated(), held_at_peak);
         // After maturity the surplus leases drop.
         let late = SimTime::from_minutes(200);
-        let out = p.adjust(&low, &mut centers, late);
+        let out = p.adjust(&topo, &low, &mut centers, late);
         assert!(out.released > 0);
         assert!(p.allocated().cpu < held_at_peak.cpu);
         // Still covering the low target.
@@ -880,10 +853,11 @@ mod tests {
     #[test]
     fn unmet_reported_when_platform_full() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         centers[0].spec.machines = 1; // 1.2 CPU units total
         let mut p = provisioner();
         let target = p.demand_model.demand(4000.0); // 4 CPU units
-        let out = p.adjust(&target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
         assert!(out.unmet);
         assert!(p.allocated().cpu < target.cpu);
     }
@@ -917,14 +891,15 @@ mod tests {
     #[test]
     fn repeated_adjust_converges_to_stable_leases() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&target, &mut centers, now);
+        p.adjust(&topo, &target, &mut centers, now);
         let after_first = p.lease_count();
         for _ in 0..10 {
             now += SimDuration::TICK;
-            let out = p.adjust(&target, &mut centers, now);
+            let out = p.adjust(&topo, &target, &mut centers, now);
             assert_eq!(out.granted, 0, "stable target must not re-request");
             assert_eq!(out.released, 0);
         }
@@ -988,9 +963,10 @@ mod tests {
     #[test]
     fn dropped_leases_accumulate_lost_capacity() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&target, &mut centers, SimTime::ZERO);
+        p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
         let held = p.allocated();
         assert!(held.cpu > 0.0);
         let dropped = p.drop_leases_at_center(0);
@@ -1007,39 +983,40 @@ mod tests {
     #[test]
     fn backoff_defers_doomed_requests() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         centers[0].spec.machines = 0; // nothing can ever be granted
         let mut p = provisioner();
         p.retry = Some(RetryPolicy::default());
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         // First attempt fails and arms a 1-tick backoff.
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&topo, &target, &mut centers, now);
         assert!(out.unmet && !out.deferred);
         assert!(out.rejections.total() > 0);
         // Next tick is within the backoff window → deferred, no matcher
         // call (no new rejections).
         now += SimDuration::TICK;
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&topo, &target, &mut centers, now);
         assert!(out.deferred && !out.unmet);
         assert_eq!(out.rejections.total(), 0);
         // Consecutive failures stretch the window exponentially: after
         // the second real failure the wait is 2 ticks.
         now += SimDuration::TICK;
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&topo, &target, &mut centers, now);
         assert!(out.unmet && !out.deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&target, &mut centers, now).deferred);
+        assert!(p.adjust(&topo, &target, &mut centers, now).deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&target, &mut centers, now).deferred);
+        assert!(p.adjust(&topo, &target, &mut centers, now).deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&target, &mut centers, now).unmet);
+        assert!(p.adjust(&topo, &target, &mut centers, now).unmet);
         // Capacity returns → request succeeds and the backoff resets.
         centers[0].spec.machines = 20;
         now += SimDuration(RetryPolicy::default().max_backoff_ticks);
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&topo, &target, &mut centers, now);
         assert!(out.granted > 0 && !out.unmet);
         now += SimDuration::TICK;
-        let out = p.adjust(&target, &mut centers, now);
+        let out = p.adjust(&topo, &target, &mut centers, now);
         assert!(!out.deferred, "met request resets the backoff");
     }
 
@@ -1060,15 +1037,16 @@ mod tests {
         // — the mechanism behind Table V's inflated ExtNet[in]
         // over-allocation.
         let mut centers = one_center(HostingPolicy::hp(1));
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&target, &mut centers, SimTime::ZERO);
+        p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
         // Demand halves; even after the time bulk, inbound stays at 6
         // because releasing the bundle would drop CPU below target.
         let lower = p.demand_model.demand(1200.0);
         let later = SimTime::from_hours(7);
-        p.adjust(&lower, &mut centers, later);
+        p.adjust(&topo, &lower, &mut centers, later);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
     }
 
@@ -1079,16 +1057,23 @@ mod tests {
         // quiet window, then the replay assertion is exact.
         for _ in 0..100 {
             let mut centers = one_center(HostingPolicy::hp(5));
+            let topo = Topology::new(centers.len());
             let mut p = provisioner();
             let target = p.demand_model.demand(1000.0);
             let epoch = availability_epoch();
-            let first = p.adjust(&target, &mut centers, SimTime::ZERO);
+            let first = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
             assert!(!first.replayed, "a granting step cannot be a replay");
             // The granting walk itself proves phases 1/1b inert (no
             // matured leases, sorted ledger), so post-mutation arming
             // lets every later stable tick replay without a walk.
-            let second = p.adjust(&target, &mut centers, SimTime::ZERO + SimDuration::TICK);
+            let second = p.adjust(
+                &topo,
+                &target,
+                &mut centers,
+                SimTime::ZERO + SimDuration::TICK,
+            );
             let third = p.adjust(
+                &topo,
                 &target,
                 &mut centers,
                 SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
@@ -1111,12 +1096,13 @@ mod tests {
     #[test]
     fn memo_disabled_always_runs_the_full_walk() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         p.memo_enabled = false;
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
-            let out = p.adjust(&target, &mut centers, now);
+            let out = p.adjust(&topo, &target, &mut centers, now);
             assert!(!out.replayed);
             now += SimDuration::TICK;
         }
@@ -1125,18 +1111,19 @@ mod tests {
     #[test]
     fn memo_drops_on_real_demand_growth() {
         let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&target, &mut centers, now);
+        p.adjust(&topo, &target, &mut centers, now);
         now += SimDuration::TICK;
-        p.adjust(&target, &mut centers, now);
+        p.adjust(&topo, &target, &mut centers, now);
         // A genuinely larger target has a non-negligible deficit: the
         // fast path must step aside and the full walk must grant.
         let gen = p.lease_generation();
         let bigger = p.demand_model.demand(4000.0);
         now += SimDuration::TICK;
-        let out = p.adjust(&bigger, &mut centers, now);
+        let out = p.adjust(&topo, &bigger, &mut centers, now);
         assert!(!out.replayed);
         assert!(out.granted > 0);
         assert_ne!(p.lease_generation(), gen, "grants bump the ledger gen");

@@ -83,6 +83,42 @@ fn bench_rounding(c: &mut Criterion) {
     });
 }
 
+/// Lease release at a center holding 4,096 live leases: release the
+/// oldest-granted lease and grant a replacement, so the ledger size
+/// stays fixed. With the `LeaseId → slot` index this is O(1) in the
+/// ledger size; a position scan would read ~2k leases per release.
+fn bench_center_release(c: &mut Criterion) {
+    use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
+    use std::collections::VecDeque;
+
+    let mut center = DataCenter::new(DataCenterSpec {
+        id: DataCenterId(0),
+        name: "bench".into(),
+        country: "NL".into(),
+        continent: "Europe".into(),
+        location: GeoPoint::new(52.37, 4.90),
+        machines: 100_000,
+        machine_capacity: DataCenterSpec::default_machine_capacity(),
+        policy: HostingPolicy::hp(3),
+    });
+    let amounts = ResourceVector::new(0.22, 0.0, 0.0, 0.0);
+    let grant = |center: &mut DataCenter| {
+        center
+            .grant(OperatorId(1), amounts, SimTime::ZERO)
+            .expect("bench center has room")
+    };
+    let mut live: VecDeque<_> = (0..4096).map(|_| grant(&mut center)).collect();
+    let matured = SimTime::from_days(10);
+    c.bench_function("center_release_4k", |b| {
+        b.iter(|| {
+            let oldest = live.pop_front().expect("ledger is never empty");
+            assert!(center.release(black_box(oldest), matured));
+            live.push_back(grant(&mut center));
+        })
+    });
+    assert_eq!(center.leases().len(), 4096);
+}
+
 /// The incremental-skip payoff: a steady-state no-op settle with the
 /// match memo armed (replay) versus the same tick forced down the full
 /// candidate walk. Both paths leave the world untouched, so one
@@ -137,6 +173,7 @@ criterion_group!(
     bench_match,
     bench_match_indexed,
     bench_rounding,
+    bench_center_release,
     bench_memo_adjust
 );
 criterion_main!(benches);

@@ -62,6 +62,7 @@ fn hot_kernels_stay_allocation_free_in_steady_state() {
     mlp_forward_batch_is_allocation_free();
     neural_observe_predict_is_allocation_free();
     memoized_match_replay_is_allocation_free();
+    full_adjust_walk_is_allocation_free();
     emulator_step_allocations_are_bounded();
     indexed_match_allocations_are_bounded();
     streaming_trace_tick_is_allocation_free();
@@ -228,6 +229,64 @@ fn memoized_match_replay_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "memoized match replay must not allocate, got {n}");
+}
+
+/// A long ledger with a surplus nothing can release yet: every step
+/// with the memo off walks phase 1 (the start re-sort over every held
+/// lease), phase 1b and the no-deficit phase 2. Past ~51 leases std's
+/// stable sort would heap-allocate its scratch on every walk.
+fn full_adjust_walk_is_allocation_free() {
+    use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
+    use mmog_datacenter::policy::HostingPolicy;
+    use mmog_datacenter::request::OperatorId;
+    use mmog_datacenter::resource::ResourceVector;
+    use mmog_predict::simple::LastValue;
+    use mmog_sim::demand::DemandModel;
+    use mmog_sim::provision::GroupProvisioner;
+    use mmog_util::geo::{DistanceClass, GeoPoint};
+    use mmog_util::time::SimTime;
+    use mmog_world::update::UpdateModel;
+
+    let origin = GeoPoint::new(52.37, 4.90);
+    // HP-3: 0.22 CPU bulk, 90-tick time bulk.
+    let mut centers = vec![DataCenter::new(DataCenterSpec {
+        id: DataCenterId(0),
+        name: "dc".into(),
+        country: "NL".into(),
+        continent: "Europe".into(),
+        location: origin,
+        machines: 20,
+        machine_capacity: DataCenterSpec::default_machine_capacity(),
+        policy: HostingPolicy::hp(3),
+    })];
+    let topo = mmog_datacenter::topology::Topology::new(centers.len());
+    let mut p = GroupProvisioner::new(
+        OperatorId(1),
+        origin,
+        DistanceClass::VeryFar,
+        DemandModel::paper(UpdateModel::Quadratic),
+        1.0,
+        Box::new(LastValue::new()),
+    );
+    p.memo_enabled = false;
+    // One 0.22-CPU lease per tick for 64 ticks.
+    let leases = 64u32;
+    for k in 1..=leases {
+        let target = ResourceVector::new(0.22 * f64::from(k) - 0.01, 0.0, 0.0, 0.0);
+        let out = p.adjust(&topo, &target, &mut centers, SimTime(u64::from(k)));
+        assert_eq!(out.granted, 1, "tick {k} grants one lease");
+    }
+    assert_eq!(p.lease_count(), leases as usize);
+    // Demand drops by two leases' worth before any lease matures.
+    let target = ResourceVector::new(0.22 * f64::from(leases - 2), 0.0, 0.0, 0.0);
+    let now = SimTime(u64::from(leases) + 1);
+    let n = count_allocs(|| {
+        for _ in 0..64 {
+            let out = p.adjust(&topo, &target, &mut centers, now);
+            assert!(!out.replayed && out.released == 0 && out.granted == 0);
+        }
+    });
+    assert_eq!(n, 0, "full adjust walk must not allocate, got {n}");
 }
 
 fn neural_observe_predict_is_allocation_free() {

@@ -15,6 +15,8 @@ use crate::resource::ResourceVector;
 use mmog_util::geo::GeoPoint;
 use mmog_util::time::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide availability-change epoch. Bumped whenever any center's
@@ -86,6 +88,31 @@ impl DataCenterSpec {
     }
 }
 
+/// Hasher for the ledger's `LeaseId → slot` index. Lease ids are
+/// sequential per center, and one multiply by an odd constant keeps
+/// the low bits a bijection of the id's low bits (a run of consecutive
+/// ids fills distinct buckets) while mixing the high bits the table's
+/// tag bytes use — far cheaper than SipHash for a key that is never
+/// chosen from outside the program.
+#[derive(Debug, Clone, Copy, Default)]
+struct LeaseIdHasher(u64);
+
+impl Hasher for LeaseIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// A granted lease.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Lease {
@@ -136,6 +163,10 @@ pub struct DataCenter {
     /// per lease from here instead of pulling whole `Lease` records
     /// through the cache. Every `leases` mutation updates both.
     lease_cpu: Vec<(u32, f64)>,
+    /// `LeaseId → index into leases` for every live lease, so release,
+    /// revoke and lookup cost O(1) instead of a ledger scan. Sized by
+    /// the live leases, not by every id ever issued.
+    slots: HashMap<u64, u32, BuildHasherDefault<LeaseIdHasher>>,
     next_lease: u64,
     availability: Availability,
 }
@@ -149,6 +180,7 @@ impl DataCenter {
             allocated: ResourceVector::ZERO,
             leases: Vec::new(),
             lease_cpu: Vec::new(),
+            slots: HashMap::default(),
             next_lease: 0,
             availability: Availability::Up,
         }
@@ -204,6 +236,7 @@ impl DataCenter {
         self.allocated = ResourceVector::ZERO;
         bump_availability_epoch();
         self.lease_cpu.clear();
+        self.slots.clear();
         std::mem::take(&mut self.leases)
     }
 
@@ -230,28 +263,50 @@ impl DataCenter {
     /// lease, or `None` when the id is not live — so a revoked or
     /// released lease can never be double-released.
     pub fn revoke(&mut self, lease: LeaseId) -> Option<Lease> {
-        let idx = self.leases.iter().position(|l| l.id == lease)?;
+        let idx = self.slot(lease)?;
+        Some(self.remove_at(idx))
+    }
+
+    /// Ledger index of a live lease.
+    fn slot(&self, lease: LeaseId) -> Option<usize> {
+        self.slots.get(&lease.0).map(|&i| i as usize)
+    }
+
+    /// Removes the lease at ledger index `idx` by `swap_remove` and
+    /// re-points the slot of the lease that fills the hole. The usage
+    /// walk sums floats in ledger order, so this order is load-bearing.
+    fn remove_at(&mut self, idx: usize) -> Lease {
         let l = self.leases.swap_remove(idx);
         self.lease_cpu.swap_remove(idx);
+        self.slots.remove(&l.id.0);
+        if let Some(moved) = self.leases.get(idx) {
+            self.slots.insert(moved.id.0, idx as u32);
+        }
         self.allocated = (self.allocated - l.amounts).clamp_non_negative();
-        Some(l)
+        l
     }
 
     /// Revokes the oldest active lease (ties broken by id). Returns
     /// `None` when the center holds no leases.
     pub fn revoke_oldest(&mut self) -> Option<Lease> {
-        let oldest = self
+        let (idx, _) = self
             .leases
             .iter()
-            .min_by_key(|l| (l.start, l.id))
-            .map(|l| l.id)?;
-        self.revoke(oldest)
+            .enumerate()
+            .min_by_key(|(_, l)| (l.start, l.id))?;
+        Some(self.remove_at(idx))
     }
 
     /// Active leases.
     #[must_use]
     pub fn leases(&self) -> &[Lease] {
         &self.leases
+    }
+
+    /// The live lease with id `lease`, if any.
+    #[must_use]
+    pub fn lease(&self, lease: LeaseId) -> Option<&Lease> {
+        self.slot(lease).map(|i| &self.leases[i])
     }
 
     /// Compact `(operator id, cpu)` view of the active leases, in the
@@ -285,6 +340,7 @@ impl DataCenter {
         let id = LeaseId(self.next_lease);
         self.next_lease += 1;
         self.allocated += amounts;
+        self.slots.insert(id.0, self.leases.len() as u32);
         self.leases.push(Lease {
             id,
             operator,
@@ -300,30 +356,13 @@ impl DataCenter {
     /// place) before its earliest release time — the time bulk is a
     /// contractual minimum.
     pub fn release(&mut self, lease: LeaseId, now: SimTime) -> bool {
-        let Some(idx) = self.leases.iter().position(|l| l.id == lease) else {
-            return false;
-        };
-        if now < self.leases[idx].earliest_release {
-            return false;
+        match self.slot(lease) {
+            Some(idx) if now >= self.leases[idx].earliest_release => {
+                self.remove_at(idx);
+                true
+            }
+            _ => false,
         }
-        let l = self.leases.swap_remove(idx);
-        self.lease_cpu.swap_remove(idx);
-        self.allocated = (self.allocated - l.amounts).clamp_non_negative();
-        true
-    }
-
-    /// Leases of one operator that may be released at `now`, sorted by
-    /// grant time (oldest first).
-    #[must_use]
-    pub fn releasable(&self, operator: OperatorId, now: SimTime) -> Vec<Lease> {
-        let mut out: Vec<Lease> = self
-            .leases
-            .iter()
-            .filter(|l| l.operator == operator && now >= l.earliest_release)
-            .copied()
-            .collect();
-        out.sort_by_key(|l| l.start);
-        out
     }
 
     /// Total amounts held by one operator.
@@ -345,7 +384,6 @@ impl DataCenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmog_util::time::SimDuration;
 
     fn spec(machines: u32, policy: HostingPolicy) -> DataCenterSpec {
         DataCenterSpec {
@@ -419,24 +457,24 @@ mod tests {
     }
 
     #[test]
-    fn releasable_filters_by_operator_and_time() {
+    fn lease_lookup_follows_swap_remove() {
         let mut c = dc();
         let a = ResourceVector::new(0.37, 2.0, 0.0, 0.0);
-        let l1 = c.grant(OperatorId(1), a, SimTime::ZERO).unwrap();
-        let _l2 = c.grant(OperatorId(2), a, SimTime::ZERO).unwrap();
-        let l3 = c
-            .grant(OperatorId(1), a, SimTime::ZERO + SimDuration::from_hours(1))
-            .unwrap();
-        let now = SimTime::from_hours(3);
-        let rel = c.releasable(OperatorId(1), now);
-        // Only the first lease of operator 1 has matured at t=3h.
-        assert_eq!(rel.len(), 1);
-        assert_eq!(rel[0].id, l1);
-        let later = SimTime::from_hours(4);
-        let rel = c.releasable(OperatorId(1), later);
-        assert_eq!(rel.len(), 2);
-        assert_eq!(rel[0].id, l1, "oldest first");
-        assert_eq!(rel[1].id, l3);
+        let ids: Vec<LeaseId> = (0..4)
+            .map(|i| c.grant(OperatorId(i), a, SimTime::ZERO).unwrap())
+            .collect();
+        // Releasing the first lease moves the last one into its slot.
+        assert!(c.release(ids[0], SimTime::from_days(1)));
+        let order: Vec<LeaseId> = c.leases().iter().map(|l| l.id).collect();
+        assert_eq!(order, [ids[3], ids[1], ids[2]]);
+        for &id in &ids[1..] {
+            assert_eq!(c.lease(id).map(|l| l.id), Some(id));
+        }
+        assert!(c.lease(ids[0]).is_none());
+        // The moved lease is still revocable through its new slot.
+        assert_eq!(c.revoke(ids[3]).map(|l| l.id), Some(ids[3]));
+        assert_eq!(c.leases().len(), 2);
+        assert_eq!(c.lease_cpu().len(), 2);
     }
 
     #[test]

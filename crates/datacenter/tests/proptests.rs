@@ -1,6 +1,6 @@
 //! Property-based tests for policies, centers and matching.
 
-use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
+use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec, Lease, LeaseId};
 use mmog_datacenter::matching::match_request;
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
@@ -378,5 +378,137 @@ proptest! {
         // Any invalidation is final until the next arm.
         memo.invalidate();
         prop_assert!(!memo.covers(&t_query, epoch, topo, lease_gen, SimTime(now)));
+    }
+}
+
+/// Reference ledger for [`DataCenter`]: a plain `Vec` searched with a
+/// `position` scan and shrunk with `swap_remove`, plus the capacity
+/// arithmetic of an unfaulted-or-down center.
+struct LedgerModel {
+    capacity: ResourceVector,
+    down: bool,
+    allocated: ResourceVector,
+    leases: Vec<Lease>,
+    next: u64,
+    time_bulk: SimDuration,
+}
+
+impl LedgerModel {
+    fn grant(
+        &mut self,
+        operator: OperatorId,
+        amounts: ResourceVector,
+        now: SimTime,
+    ) -> Option<LeaseId> {
+        let capacity = if self.down {
+            ResourceVector::ZERO
+        } else {
+            self.capacity
+        };
+        let free = (capacity - self.allocated).clamp_non_negative();
+        if self.down || amounts.is_negligible(1e-9) || !amounts.fits_within(&free, 1e-9) {
+            return None;
+        }
+        let id = LeaseId(self.next);
+        self.next += 1;
+        self.allocated += amounts;
+        self.leases.push(Lease {
+            id,
+            operator,
+            amounts,
+            start: now,
+            earliest_release: now + self.time_bulk,
+        });
+        Some(id)
+    }
+
+    fn remove(&mut self, idx: usize) -> Lease {
+        let l = self.leases.swap_remove(idx);
+        self.allocated = (self.allocated - l.amounts).clamp_non_negative();
+        l
+    }
+
+    fn release(&mut self, id: LeaseId, now: SimTime) -> bool {
+        match self.leases.iter().position(|l| l.id == id) {
+            Some(idx) if now >= self.leases[idx].earliest_release => {
+                self.remove(idx);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn revoke(&mut self, id: LeaseId) -> Option<Lease> {
+        let idx = self.leases.iter().position(|l| l.id == id)?;
+        Some(self.remove(idx))
+    }
+
+    fn revoke_oldest(&mut self) -> Option<Lease> {
+        let oldest = self.leases.iter().min_by_key(|l| (l.start, l.id))?.id;
+        self.revoke(oldest)
+    }
+
+    fn fail(&mut self) -> Vec<Lease> {
+        self.down = true;
+        self.allocated = ResourceVector::ZERO;
+        std::mem::take(&mut self.leases)
+    }
+}
+
+proptest! {
+    /// The center's `LeaseId → slot` index changes lookup cost only:
+    /// driven through random grant/release/revoke/revoke-oldest/fail/
+    /// repair sequences, every return value, the ledger order, the
+    /// `(operator, cpu)` mirror and the allocated total equal a plain
+    /// position-scan ledger's, and every live id resolves to itself.
+    /// Ops are integer-coded: 0–2 grant, 3–4 release, 5 revoke,
+    /// 6 revoke oldest, 7 fail, 8 repair.
+    #[test]
+    fn indexed_ledger_matches_position_scan_model(
+        machines in 1u32..40,
+        ops in prop::collection::vec(
+            (0u8..9, 0u64..1_000_000, 0.0f64..0.6, 0.0f64..1.5, 0u64..400),
+            1..160,
+        ),
+    ) {
+        let policy = HostingPolicy::hp(3);
+        let time_bulk = policy.time_bulk;
+        let mut c = center(machines, policy);
+        let mut model = LedgerModel {
+            capacity: c.spec.capacity(),
+            down: false,
+            allocated: ResourceVector::ZERO,
+            leases: Vec::new(),
+            next: 0,
+            time_bulk,
+        };
+        for &(code, pick, cpu, mem, t) in &ops {
+            let now = SimTime(t);
+            // Ids up to two past the newest: live, retired and never issued.
+            let id = LeaseId(pick % (model.next + 2));
+            match code {
+                0..=2 => {
+                    let amounts = ResourceVector::new(cpu, mem, 0.0, 0.0);
+                    let op = OperatorId((pick % 7) as u32);
+                    prop_assert_eq!(c.grant(op, amounts, now), model.grant(op, amounts, now));
+                }
+                3 | 4 => prop_assert_eq!(c.release(id, now), model.release(id, now)),
+                5 => prop_assert_eq!(c.revoke(id), model.revoke(id)),
+                6 => prop_assert_eq!(c.revoke_oldest(), model.revoke_oldest()),
+                7 => prop_assert_eq!(c.fail(), model.fail()),
+                _ => {
+                    c.repair();
+                    model.down = false;
+                }
+            }
+            prop_assert_eq!(c.leases(), model.leases.as_slice());
+            let mirror: Vec<(u32, f64)> =
+                model.leases.iter().map(|l| (l.operator.0, l.amounts.cpu)).collect();
+            prop_assert_eq!(c.lease_cpu(), mirror.as_slice());
+            prop_assert_eq!(c.allocated(), model.allocated);
+            for l in &model.leases {
+                prop_assert_eq!(c.lease(l.id), Some(l));
+            }
+        }
     }
 }

@@ -392,9 +392,16 @@ impl GroupProvisioner {
     /// [`lost_capacity`]: Self::lost_capacity
     /// [`clear_lost_capacity`]: Self::clear_lost_capacity
     pub fn drop_leases_at_center(&mut self, center: usize) -> Vec<Lease> {
+        // One forward pass: after a `swap_remove` the swapped-in lease
+        // is examined in place before the scan moves on.
         let mut dropped = Vec::new();
-        while let Some(i) = self.leases.iter().position(|h| h.center == center) {
-            dropped.push(self.forget(i));
+        let mut i = 0;
+        while i < self.leases.len() {
+            if self.leases[i].center == center {
+                dropped.push(self.forget(i));
+            } else {
+                i += 1;
+            }
         }
         dropped
     }
@@ -504,7 +511,7 @@ impl GroupProvisioner {
         let mut surplus = (self.allocated - *target).clamp_non_negative();
         if !surplus.is_negligible(1e-9) {
             // Oldest first: long-held leases matured first.
-            self.leases.sort_by_key(|h| h.lease.start);
+            sort_held_by_start(&mut self.leases);
             let mut i = 0;
             while i < self.leases.len() {
                 let held = self.leases[i];
@@ -623,14 +630,8 @@ impl GroupProvisioner {
                 &mut matched,
             );
             for grant in &matched.grants {
-                // The grant's lease was pushed by this very request, so
-                // it sits at (or next to) the back of the ledger.
-                let lease = centers[grant.center_index]
-                    .leases()
-                    .iter()
-                    .rev()
-                    .find(|l| l.id == grant.lease)
-                    .copied()
+                let lease = *centers[grant.center_index]
+                    .lease(grant.lease)
                     .expect("grant refers to a live lease");
                 self.allocated += grant.amounts;
                 self.leases.push(HeldLease {
@@ -718,6 +719,8 @@ impl GroupProvisioner {
         }
         let mut valid_until: Option<SimTime> = None;
         let mut any_matured = false;
+        let mut sorted = true;
+        let mut prev_start = SimTime::ZERO;
         for held in &self.leases {
             let release_at = held.lease.earliest_release;
             if now < release_at {
@@ -725,11 +728,9 @@ impl GroupProvisioner {
             } else {
                 any_matured = true;
             }
+            sorted &= prev_start <= held.lease.start;
+            prev_start = held.lease.start;
         }
-        let sorted = self
-            .leases
-            .windows(2)
-            .all(|w| w[0].lease.start <= w[1].lease.start);
         if outcome.granted > 0 || outcome.released > 0 {
             // A mutating step only proved phases 1/1b inert for the
             // ledger it *walked*, not the one it produced: a grant can
@@ -766,6 +767,28 @@ impl GroupProvisioner {
     #[must_use]
     pub fn lease_generation(&self) -> u64 {
         self.lease_gen
+    }
+}
+
+/// Stable in-place sort of a held-lease ledger by grant time, equal to
+/// `leases.sort_by_key(|h| h.lease.start)` element for element (ties
+/// keep their ledger order) but without the scratch buffer std's
+/// stable sort heap-allocates for longer slices.
+///
+/// Phase 1 keeps the ledger start-sorted except where a `swap_remove`
+/// moved a newer lease into an earlier hole. Walking from the back,
+/// the suffix is already sorted; each out-of-place lease moves right
+/// past every strictly earlier start in one `rotate_left`, landing in
+/// front of its equals — which is what stability demands, since it
+/// preceded them.
+pub fn sort_held_by_start(leases: &mut [HeldLease]) {
+    for i in (0..leases.len().saturating_sub(1)).rev() {
+        let start = leases[i].lease.start;
+        if start <= leases[i + 1].lease.start {
+            continue;
+        }
+        let end = i + 1 + leases[i + 1..].partition_point(|h| h.lease.start < start);
+        leases[i..end].rotate_left(1);
     }
 }
 
@@ -978,6 +1001,50 @@ mod tests {
         assert!(p.lost_capacity().is_negligible(1e-12));
         // Dropping again finds nothing.
         assert!(p.drop_leases_at_center(0).is_empty());
+    }
+
+    fn held(center: usize, id: u64, start: u64) -> HeldLease {
+        HeldLease {
+            center,
+            lease: Lease {
+                id: LeaseId(id),
+                operator: OperatorId(1),
+                amounts: ResourceVector::new(0.22, 0.0, 0.0, 0.0),
+                start: SimTime(start),
+                earliest_release: SimTime(start + 90),
+            },
+            matured: false,
+        }
+    }
+
+    #[test]
+    fn drain_matches_restart_from_zero_scan() {
+        // Three centers interleaved, with runs and a matching tail, so
+        // swapped-in leases that also match are examined in place.
+        let ledger: Vec<HeldLease> = [0, 1, 2, 1, 1, 0, 2, 1, 0, 1, 2, 2, 1, 0, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| held(c, i as u64, i as u64))
+            .collect();
+        for center in 0..3 {
+            // Reference: restart the scan from index 0 after every
+            // swap_remove.
+            let mut expected = ledger.clone();
+            let mut expected_dropped = Vec::new();
+            while let Some(i) = expected.iter().position(|h| h.center == center) {
+                expected_dropped.push(expected.swap_remove(i).lease.id);
+            }
+            let mut p = provisioner();
+            p.leases.clone_from(&ledger);
+            let dropped: Vec<LeaseId> = p
+                .drop_leases_at_center(center)
+                .iter()
+                .map(|l| l.id)
+                .collect();
+            assert_eq!(dropped, expected_dropped, "center {center} drop order");
+            let ids = |v: &[HeldLease]| v.iter().map(|h| h.lease.id).collect::<Vec<_>>();
+            assert_eq!(ids(&p.leases), ids(&expected), "center {center} ledger");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the provisioning simulator.
 
-use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
+use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec, Lease, LeaseId};
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::OperatorId;
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
@@ -8,7 +8,7 @@ use mmog_datacenter::topology::Topology;
 use mmog_predict::simple::LastValue;
 use mmog_sim::demand::DemandModel;
 use mmog_sim::metrics::MetricsCollector;
-use mmog_sim::provision::GroupProvisioner;
+use mmog_sim::provision::{sort_held_by_start, GroupProvisioner, HeldLease};
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::{SimDuration, SimTime};
 use mmog_world::update::UpdateModel;
@@ -177,6 +177,42 @@ proptest! {
         if replays > 0 {
             println!("memo replayed {replays}/{} steps", ops.len());
         }
+    }
+
+    /// The allocation-free phase-1 re-sort equals std's stable
+    /// `sort_by_key` exactly, ties included. Ledgers are built the way
+    /// phase 1 shapes them: grants in time order with many equal
+    /// starts, `swap_remove`s that move newer leases into earlier
+    /// holes, and fresh grants appended after the holes.
+    #[test]
+    fn held_lease_resort_equals_stable_sort(
+        ops in prop::collection::vec((0u8..3, 0u64..6, 0usize..1000), 1..120),
+    ) {
+        let mut ledger: Vec<HeldLease> = Vec::new();
+        let mut clock = 0u64;
+        for (id, &(code, step, pick)) in ops.iter().enumerate() {
+            if code == 0 && !ledger.is_empty() {
+                ledger.swap_remove(pick % ledger.len());
+                continue;
+            }
+            // Mostly zero steps: long runs of equal starts.
+            clock += step.saturating_sub(3);
+            ledger.push(HeldLease {
+                center: pick % 3,
+                lease: Lease {
+                    id: LeaseId(id as u64),
+                    operator: OperatorId(1),
+                    amounts: ResourceVector::new(0.22, 0.0, 0.0, 0.0),
+                    start: SimTime(clock),
+                    earliest_release: SimTime(clock + 90),
+                },
+                matured: false,
+            });
+        }
+        let mut expected = ledger.clone();
+        expected.sort_by_key(|h| h.lease.start);
+        sort_held_by_start(&mut ledger);
+        prop_assert_eq!(format!("{ledger:?}"), format!("{expected:?}"));
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn main() {
         mmog_par::jobs()
     );
 
-    let experiments: Vec<(&str, fn(&RunOpts) -> String)> = vec![
+    let experiments: Vec<(&str, exp::Experiment)> = vec![
         ("fig01_growth", exp::fig01_growth),
         ("fig02_global_population", exp::fig02_global_population),
         ("fig03_regional_patterns", exp::fig03_regional_patterns),

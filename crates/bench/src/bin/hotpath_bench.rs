@@ -51,7 +51,7 @@ fn main() {
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("cannot create results/");
 
-    let experiments: Vec<(&str, fn(&RunOpts) -> String)> = vec![
+    let experiments: Vec<(&str, exp::Experiment)> = vec![
         ("fig01_growth", exp::fig01_growth),
         ("fig02_global_population", exp::fig02_global_population),
         ("fig03_regional_patterns", exp::fig03_regional_patterns),

@@ -1,9 +1,10 @@
 //! Validates observability artifacts: an `OBS_summary.json` against the
 //! `mmog-obs/v1` schema, and optionally a JSONL event trace for
 //! well-formedness, contiguous sequence numbers, and — per event — the
-//! exact field set its kind declares in `mmog_obs::EVENT_FIELDS`
-//! (names, order, and types, covering the fault plane's
-//! `center_down`/`center_up`/`lease_revoked`/`reprovision` family).
+//! exact field set its `mmog_obs::Event` variant declares (names,
+//! order, and types). Every line must also re-render from its parsed
+//! event byte for byte, so no float or string can drift in the writer
+//! unnoticed.
 //!
 //! Usage: `obs_check <OBS_summary.json> [trace.jsonl]`
 //!        `obs_check --scale <BENCH_scale.json>`
@@ -14,9 +15,8 @@
 //! (`mmog_obs_analyze::lifecycle`): every grant must name a request,
 //! lease keys must never be reused, and every granted lease must reach
 //! exactly one terminal release/revocation — orphans fail the check.
-//! The kind-coverage count is reported against
-//! `mmog_obs::KNOWN_EVENT_KINDS.len()`, so it tracks schema growth
-//! automatically instead of a hand-maintained total.
+//! The kind-coverage count is reported against `Event::KINDS.len()`,
+//! so it tracks schema growth automatically.
 //!
 //! `--scale` validates a `scale_bench` document instead: the
 //! `mmog-scale-bench/v1` or `/v2` schema tag, the gate-compatible
@@ -27,8 +27,8 @@
 //! schema versions are rejected outright.
 //!
 //! `--flight` validates a flight-recorder dump: a `flight_meta` first
-//! line, the standard trace envelope and per-kind field sets on every
-//! record, ticks monotone within the window the meta line declares,
+//! line, the standard trace envelope, per-kind field sets and byte-exact
+//! re-rendering on every record, ticks monotone within the window the meta line declares,
 //! and no more distinct ticks than `retain_ticks` — the recorder's
 //! bounded-window guarantee, checked from the artifact alone.
 //!
@@ -38,6 +38,7 @@
 //! `scale_bench --quick` output.
 
 use mmog_obs::json::Value;
+use mmog_obs::Event;
 use std::process::ExitCode;
 
 fn check_summary(path: &str) -> Result<(), String> {
@@ -47,32 +48,47 @@ fn check_summary(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks one line of a trace or flight dump: envelope, the kind's
+/// exact field set, and a byte-exact re-render of the event body.
+/// Returns the line's sequence number and the parsed value, which
+/// `Event::parse` is known to accept.
+fn check_line(line: &str) -> Result<(u64, Value), String> {
+    let (seq, _scope, _kind, value) = mmog_obs::parse_trace_line(line)?;
+    // Unknown kinds and field-set violations (missing/extra fields,
+    // order skew, wrong types) fail here.
+    let event = Event::parse(&value)?;
+    let mut body = String::from(",");
+    event.write(&mut body);
+    body.push('}');
+    if !line.ends_with(&body) {
+        return Err(format!(
+            "`{}` does not re-render byte for byte: {body:?}",
+            event.kind()
+        ));
+    }
+    Ok((seq, value))
+}
+
 fn check_trace(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut count = 0u64;
-    let mut kinds_seen = 0usize;
-    let mut seen = [false; mmog_obs::KNOWN_EVENT_KINDS.len()];
+    let mut seen = [false; Event::KINDS.len()];
     for (i, line) in text.lines().enumerate() {
-        let (seq, _scope, kind, value) =
-            mmog_obs::parse_trace_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
+        let (seq, value) = check_line(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
         if seq != i as u64 {
             return Err(format!(
                 "{path}:{}: sequence number {seq}, expected {i}",
                 i + 1
             ));
         }
-        // Unknown kinds and field-set violations (missing/extra fields,
-        // order skew, wrong types) both fail here.
-        mmog_obs::validate_event_fields(&kind, &value)
-            .map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        if let Some(idx) = mmog_obs::KNOWN_EVENT_KINDS.iter().position(|k| *k == kind) {
-            if !seen[idx] {
-                seen[idx] = true;
-                kinds_seen += 1;
-            }
-        }
+        let kind = Event::parse(&value)?.kind();
+        seen[Event::KINDS
+            .iter()
+            .position(|k| *k == kind)
+            .expect("parsed kinds are known")] = true;
         count += 1;
     }
+    let kinds_seen = seen.iter().filter(|s| **s).count();
     if count == 0 {
         return Err(format!("{path}: trace is empty"));
     }
@@ -83,7 +99,7 @@ fn check_trace(path: &str) -> Result<(), String> {
     println!(
         "OK trace {path} ({count} events, {kinds_seen}/{} kinds, all field sets valid, \
          {} leases reconstructed)",
-        mmog_obs::KNOWN_EVENT_KINDS.len(),
+        Event::KINDS.len(),
         report.total_leases()
     );
     Ok(())
@@ -262,29 +278,26 @@ fn check_flight(path: &str) -> Result<(), String> {
 fn check_flight_text(text: &str) -> Result<(u64, u64), String> {
     let mut lines = text.lines().enumerate();
     let (_, meta_line) = lines.next().ok_or("dump is empty")?;
-    let (seq, _scope, kind, meta) =
-        mmog_obs::parse_trace_line(meta_line).map_err(|e| format!("line 1: {e}"))?;
-    if seq != 0 || kind != "flight_meta" {
+    let (seq, meta) = check_line(meta_line).map_err(|e| format!("line 1: {e}"))?;
+    let Some(Event::FlightMeta {
+        trigger,
+        retain_ticks,
+        tick_from,
+        tick_to,
+        records: declared_records,
+        ..
+    }) = Event::parse(&meta).ok().filter(|_| seq == 0)
+    else {
         return Err(format!(
-            "line 1: expected flight_meta at seq 0, found {kind:?} at seq {seq}"
+            "line 1: expected flight_meta at seq 0, found {:?} at seq {seq}",
+            meta.get("kind").and_then(Value::as_str).unwrap_or_default()
         ));
-    }
-    mmog_obs::validate_event_fields(&kind, &meta).map_err(|e| format!("line 1: {e}"))?;
-    let meta_u64 = |field: &str| {
-        meta.get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("line 1: flight_meta missing {field}"))
     };
-    let retain_ticks = meta_u64("retain_ticks")?;
-    let tick_from = meta_u64("tick_from")?;
-    let tick_to = meta_u64("tick_to")?;
-    let declared_records = meta_u64("records")?;
-    match meta.get("trigger").and_then(Value::as_str) {
-        Some(
-            "fault" | "partition" | "migration" | "deadline_overrun" | "gate_breach" | "explicit",
-        ) => {}
-        Some(other) => return Err(format!("line 1: unknown trigger {other:?}")),
-        None => return Err("line 1: flight_meta missing trigger".into()),
+    if !matches!(
+        trigger,
+        "fault" | "partition" | "migration" | "deadline_overrun" | "gate_breach" | "explicit"
+    ) {
+        return Err(format!("line 1: unknown trigger {trigger:?}"));
     }
     if tick_from > tick_to {
         return Err(format!(
@@ -296,15 +309,12 @@ fn check_flight_text(text: &str) -> Result<(u64, u64), String> {
     let mut last_tick: Option<u64> = None;
     for (i, line) in lines {
         let n = i + 1;
-        let (seq, _scope, kind, value) =
-            mmog_obs::parse_trace_line(line).map_err(|e| format!("line {n}: {e}"))?;
+        let (seq, value) = check_line(line).map_err(|e| format!("line {n}: {e}"))?;
         if seq != i as u64 {
             return Err(format!("line {n}: sequence number {seq}, expected {i}"));
         }
-        mmog_obs::validate_event_fields(&kind, &value).map_err(|e| format!("line {n}: {e}"))?;
-        let tick = value
-            .get("tick")
-            .and_then(Value::as_u64)
+        let tick = Event::parse(&value)?
+            .tick()
             .ok_or_else(|| format!("line {n}: record without a tick"))?;
         if !(tick_from..=tick_to).contains(&tick) {
             return Err(format!(
@@ -427,8 +437,19 @@ mod tests {
         let mut rec = FlightRecorder::new(cfg);
         for t in push_ticks {
             rec.begin_tick(t);
-            rec.push("tick", t, &[1.0, 2.0, 0.0]);
-            rec.push("tick_latency", t, &[10.0, 5.0, 0.0, 20.0]);
+            rec.push(Event::Tick {
+                tick: t,
+                demand_cpu: 1.0,
+                alloc_cpu: 2.0,
+                shortfall_cpu: 0.0,
+            });
+            rec.push(Event::TickLatency {
+                tick: t,
+                predict_ns: 10,
+                reduce_ns: 5,
+                settle_ns: 0,
+                tick_ns: 20,
+            });
         }
         let path = rec
             .trigger(FlightTrigger::Explicit, 99, "check-test")

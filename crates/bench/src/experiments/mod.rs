@@ -22,3 +22,6 @@ pub use workload::{
     fig01_growth, fig02_global_population, fig03_regional_patterns, fig04_packet_cdfs,
     table1_emulator_sets,
 };
+
+/// One experiment: renders its report for the given run options.
+pub type Experiment = fn(&crate::RunOpts) -> String;

@@ -138,7 +138,7 @@ pub fn fig09_10_table6_interaction(opts: &RunOpts) -> String {
     let mut out = String::new();
     let mut table6_rows = Vec::new();
     let mut cumulative = Vec::new();
-    let mut fig9: Vec<(UpdateModel, Vec<(usize, f64)>, Vec<(usize, f64)>)> = Vec::new();
+    let mut fig9 = Vec::new();
     // One dynamic + one static run per update model; the pairs fan out
     // together.
     let reports = mmog_par::par_map(&UpdateModel::ALL, |&model| {

@@ -277,18 +277,15 @@ fn flight_trigger_decisions_are_deterministic() {
     // field sets, ticks inside the declared window.
     let text = fs::read_to_string(&serial.path).expect("dump exists");
     let mut lines = text.lines();
-    let (_, _, kind, meta) =
+    let (_, _, _, meta) =
         mmog_obs::parse_trace_line(lines.next().expect("meta line")).expect("meta parses");
-    assert_eq!(kind, "flight_meta");
-    mmog_obs::validate_event_fields(&kind, &meta).expect("meta fields");
+    let meta = mmog_obs::Event::parse(&meta).expect("meta fields");
+    assert_eq!(meta.kind(), "flight_meta");
     let mut records = 0u64;
     for line in lines {
-        let (_, _, kind, value) = mmog_obs::parse_trace_line(line).expect("record parses");
-        mmog_obs::validate_event_fields(&kind, &value).expect("record fields");
-        let tick = value
-            .get("tick")
-            .and_then(mmog_obs::json::Value::as_u64)
-            .expect("record tick");
+        let (_, _, _, value) = mmog_obs::parse_trace_line(line).expect("record parses");
+        let record = mmog_obs::Event::parse(&value).expect("record fields");
+        let tick = record.tick().expect("record tick");
         assert!((serial.tick_from..=serial.tick_to).contains(&tick));
         records += 1;
     }

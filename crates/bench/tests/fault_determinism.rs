@@ -96,8 +96,7 @@ fn faulted_runs_identical_across_jobs_and_repeats() {
     for (i, line) in trace_serial.lines().enumerate() {
         let (seq, _scope, kind, value) = mmog_obs::parse_trace_line(line).expect("line parses");
         assert_eq!(seq, i as u64, "sequence numbers are contiguous");
-        mmog_obs::validate_event_fields(&kind, &value)
-            .unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        mmog_obs::Event::parse(&value).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
         if !kinds.contains(&kind) {
             kinds.push(kind);
         }
@@ -204,20 +203,19 @@ fn scenario_determinism() {
     // player-visible cost, episodes recovered, and every new event kind
     // landed in the trace with a valid field set.
     assert!(
-        report_serial.contains("migration_player_ticks: 0.0") == false
-            && report_serial.contains("migrations: 0,") == false,
+        !report_serial.contains("migration_player_ticks: 0.0")
+            && !report_serial.contains("migrations: 0,"),
         "busy scenario must migrate and charge cost: {report_serial}"
     );
     assert!(
-        report_serial.contains("recovery_ticks: []") == false,
+        !report_serial.contains("recovery_ticks: []"),
         "scenario episodes must open and recover: {report_serial}"
     );
     let mut kinds: Vec<String> = Vec::new();
     for (i, line) in trace_serial.lines().enumerate() {
         let (seq, _scope, kind, value) = mmog_obs::parse_trace_line(line).expect("line parses");
         assert_eq!(seq, i as u64, "sequence numbers are contiguous");
-        mmog_obs::validate_event_fields(&kind, &value)
-            .unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        mmog_obs::Event::parse(&value).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
         if !kinds.contains(&kind) {
             kinds.push(kind);
         }

@@ -102,12 +102,11 @@ fn semantic_outputs_identical_across_jobs() {
         );
     }
     for (i, line) in trace_serial.lines().enumerate() {
-        let (seq, _scope, kind, value) = mmog_obs::parse_trace_line(line).expect("line parses");
+        let (seq, _scope, _kind, value) = mmog_obs::parse_trace_line(line).expect("line parses");
         assert_eq!(seq, i as u64, "sequence numbers are contiguous");
         // Every event of the real trace satisfies its kind's exact
         // field schema (names, order, types).
-        mmog_obs::validate_event_fields(&kind, &value)
-            .unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        mmog_obs::Event::parse(&value).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
     }
 
     // The analytics reader folds the real trace into timelines: every

@@ -201,6 +201,15 @@ impl FaultSpec {
                 other => return Err(format!("unknown fault spec key `{other}`")),
             }
         }
+        for (key, rate) in [
+            ("outages", out.outages_per_center_day),
+            ("degrade", out.degrade_per_center_day),
+            ("revoke", out.revocations_per_center_day),
+        ] {
+            if !rate.is_finite() || rate < 0.0 {
+                return Err(format!("{key} {rate} is not a finite rate ≥ 0"));
+            }
+        }
         if !(0.0..=1.0).contains(&out.degrade_fraction) {
             return Err(format!("dfrac {} outside [0, 1]", out.degrade_fraction));
         }
@@ -329,11 +338,11 @@ impl FaultSchedule {
                         kind,
                     });
                     events.push(FaultEvent {
-                        tick: t + duration,
+                        tick: t.saturating_add(duration),
                         center,
                         kind: FaultKind::CenterUp,
                     });
-                    busy_until = t + duration;
+                    busy_until = t.saturating_add(duration);
                 }
             }
             if p_rev > 0.0 {
@@ -432,6 +441,25 @@ mod tests {
         assert!(FaultSpec::parse("outages=abc").is_err());
         assert!(FaultSpec::parse("dfrac=1.5").is_err());
         assert!(FaultSpec::parse("dropout=-0.1").is_err());
+    }
+
+    #[test]
+    fn spec_rejects_non_finite_and_negative_rates() {
+        for bad in [
+            "outages=NaN",
+            "outages=-1",
+            "outages=inf",
+            "degrade=1e309",
+            "revoke=-0.5",
+            "revoke=NaN",
+            "dfrac=NaN",
+            "dropout=inf",
+        ] {
+            assert!(FaultSpec::parse(bad).is_err(), "{bad} must be rejected");
+        }
+        // Huge but finite values stay legal and compile.
+        let s = FaultSpec::parse("outages=1e300,repair=18446744073709551615").unwrap();
+        assert!(!FaultSchedule::from_spec(&s, 50, 2).events().is_empty());
     }
 
     #[test]

@@ -268,15 +268,26 @@ impl ScenarioSpec {
                 other => return Err(format!("unknown scenario spec key `{other}`")),
             }
         }
-        if out.flash_peak < 1.0 {
+        for (key, rate) in [
+            ("partition", out.partitions_per_day),
+            ("migrate", out.migrations_per_day),
+            ("flash", out.flash_per_day),
+            ("failover", out.failovers_per_day),
+            ("link", out.links_per_day),
+        ] {
+            if !rate.is_finite() || rate < 0.0 {
+                return Err(format!("{key} {rate} is not a finite rate ≥ 0"));
+            }
+        }
+        if !out.flash_peak.is_finite() || out.flash_peak < 1.0 {
             return Err(format!(
-                "fpeak {} below 1 (flash crowds only add demand)",
+                "fpeak {} is not a finite factor ≥ 1 (flash crowds only add demand)",
                 out.flash_peak
             ));
         }
-        if out.link_factor < 1.0 {
+        if !out.link_factor.is_finite() || out.link_factor < 1.0 {
             return Err(format!(
-                "lfactor {} below 1 (degraded links only look farther)",
+                "lfactor {} is not a finite factor ≥ 1 (degraded links only look farther)",
                 out.link_factor
             ));
         }
@@ -418,10 +429,10 @@ impl ScenarioTimeline {
                     kind: ScenarioEventKind::Partition { mask },
                 });
                 events.push(ScenarioEvent {
-                    tick: t + duration,
+                    tick: t.saturating_add(duration),
                     kind: ScenarioEventKind::Heal,
                 });
-                busy_until = t + duration;
+                busy_until = t.saturating_add(duration);
             }
         }
         let p_link = per_tick(spec.links_per_day);
@@ -448,10 +459,10 @@ impl ScenarioTimeline {
                     },
                 });
                 events.push(ScenarioEvent {
-                    tick: t + duration,
+                    tick: t.saturating_add(duration),
                     kind: ScenarioEventKind::LinkRestore { a, b },
                 });
-                busy_until = t + duration;
+                busy_until = t.saturating_add(duration);
             }
         }
         let p_flash = per_tick(spec.flash_per_day);
@@ -473,10 +484,10 @@ impl ScenarioTimeline {
                     },
                 });
                 events.push(ScenarioEvent {
-                    tick: t + duration,
+                    tick: t.saturating_add(duration),
                     kind: ScenarioEventKind::FlashEnd { pick },
                 });
-                busy_until = t + duration;
+                busy_until = t.saturating_add(duration);
             }
         }
         let p_mig = per_tick(spec.migrations_per_day);
@@ -582,6 +593,26 @@ mod tests {
         assert!(err.contains("`flash`"), "missing segment token in: {err}");
         assert!(ScenarioSpec::parse("fpeak=0.5").is_err());
         assert!(ScenarioSpec::parse("lfactor=0.9").is_err());
+    }
+
+    #[test]
+    fn spec_rejects_non_finite_and_negative_values() {
+        for bad in [
+            "fpeak=NaN",
+            "fpeak=inf",
+            "lfactor=NaN",
+            "lfactor=1e309",
+            "partition=-1",
+            "migrate=NaN",
+            "flash=inf",
+            "failover=-0.25",
+            "link=NaN",
+        ] {
+            assert!(ScenarioSpec::parse(bad).is_err(), "{bad} must be rejected");
+        }
+        // Huge but finite values stay legal and compile.
+        let s = ScenarioSpec::parse("flash=1e300,fmins=18446744073709551615").unwrap();
+        assert!(!ScenarioTimeline::from_spec(&s, 50, 2).events().is_empty());
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! ```
 //!
 //! Prints the deterministic text report and writes
-//! `DIR/TIMELINE_<stem>.json` (default: next to the trace).
+//! `DIR/TIMELINE_<stem>.json` (default: next to the trace). `--kind`
+//! must name an event kind of the trace schema; a misspelt kind is an
+//! error rather than a filter that silently matches nothing.
 
+use mmog_obs::Event;
 use mmog_obs_analyze::{analyze_trace, render_timelines, timelines_value, Query};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -29,7 +32,16 @@ fn parse_args() -> Result<Opts, String> {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--out" => out_dir = Some(PathBuf::from(value("--out")?)),
-            "--kind" => query = query.kind(&value("--kind")?),
+            "--kind" => {
+                let kind = value("--kind")?;
+                if !Event::KINDS.contains(&kind.as_str()) {
+                    return Err(format!(
+                        "unknown event kind {kind:?}; known kinds: {}",
+                        Event::KINDS.join(", ")
+                    ));
+                }
+                query = query.kind(&kind);
+            }
             "--scope" => query = query.scope_contains(&value("--scope")?),
             "--tick-min" => {
                 tick_min = Some(

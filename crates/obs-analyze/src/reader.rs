@@ -2,12 +2,12 @@
 //!
 //! [`read_trace`] walks the trace text line by line without ever
 //! materialising the whole file as parsed values; each yielded
-//! [`TraceEvent`] has already passed [`mmog_obs::validate_event_fields`]
-//! — kind known, field set exact, field order exact, types right — so
+//! [`TraceEvent`] has already passed [`mmog_obs::Event::parse`] — kind
+//! known, field set exact, field order exact, types right — so
 //! downstream analytics can index fields without re-checking.
 
 use mmog_obs::json::Value;
-use mmog_obs::{parse_trace_line, validate_event_fields};
+use mmog_obs::{parse_trace_line, Event};
 
 /// One validated trace event.
 #[derive(Debug, Clone)]
@@ -16,7 +16,7 @@ pub struct TraceEvent {
     pub seq: u64,
     /// The deterministic chunk label the emitting run submitted under.
     pub scope: String,
-    /// Event kind (one of [`mmog_obs::KNOWN_EVENT_KINDS`]).
+    /// Event kind (one of [`Event::KINDS`]).
     pub kind: String,
     /// The full parsed line, envelope included.
     pub value: Value,
@@ -156,7 +156,7 @@ pub fn read_trace<'a>(
 
 fn parse_event(line: &str) -> Result<TraceEvent, String> {
     let (seq, scope, kind, value) = parse_trace_line(line)?;
-    validate_event_fields(&kind, &value)?;
+    Event::parse(&value)?;
     Ok(TraceEvent {
         seq,
         scope,

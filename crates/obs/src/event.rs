@@ -22,477 +22,367 @@
 //!    completion time — assigns global sequence numbers, and writes the
 //!    file. Concurrent experiments can finish in any order without
 //!    perturbing a single output byte.
+//!
+//! # Schema
+//!
+//! Every kind is one [`Event`] variant, declared once in the `events!`
+//! table below with its wire name and its fields in wire order. The
+//! writer, the parser, [`Event::KINDS`] and the flight recorder's ring
+//! all come from that table, so adding a kind is one table entry.
+//! Emitters build variants, which makes a schema slip a compile error:
+//!
+//! ```
+//! let heal = mmog_obs::Event::Heal { tick: 9, components: 1 };
+//! assert_eq!(heal.kind(), "heal");
+//! ```
+//!
+//! ```compile_fail
+//! // Omitted field.
+//! let _ = mmog_obs::Event::Heal { tick: 9 };
+//! ```
+//!
+//! ```compile_fail
+//! // Misnamed field.
+//! let _ = mmog_obs::Event::Heal { tick: 9, parts: 1 };
+//! ```
+//!
+//! ```compile_fail
+//! // Wrong type.
+//! let _ = mmog_obs::Event::Heal { tick: 9, components: 1.5 };
+//! ```
 
 use crate::json::{self, Value};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-/// Every event kind the simulation engine emits, including the fault
-/// plane's. Trace validators (`obs_check`) reject kinds outside this
-/// list, so adding an emitter means extending it.
-pub const KNOWN_EVENT_KINDS: &[&str] = &[
-    "run_start",
-    "tick",
-    "provision",
-    "match_reject",
-    "prediction_group",
-    "center_tick",
-    "center_usage",
-    "run_end",
-    // Fault plane (only present when a fault schedule is installed).
-    "center_down",
-    "center_up",
-    "center_degraded",
-    "lease_revoked",
-    "predictor_dropout",
-    "reprovision",
-    "fault_recovery",
-    "fault_summary",
-    // Flight recorder (only present in `FLIGHT_*.jsonl` dumps).
-    "flight_meta",
-    "tick_latency",
-    // Scenario engine (only present when a scenario timeline is
-    // installed).
-    "topology_change",
-    "partition",
-    "heal",
-    "migration",
-    "flash_crowd",
-    // Lease lifecycle (causal chain request → grant → mature →
-    // release). `lease_revoked` above is the fault-plane terminal of
-    // the same chain; every granted lease ends in exactly one
-    // `lease_release` or `lease_revoked`.
-    "lease_request",
-    "lease_grant",
-    "lease_mature",
-    "lease_release",
-];
-
-/// The type an event field must carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FieldType {
-    /// An unsigned integer (`Value::as_u64` succeeds).
-    U64,
-    /// Any JSON number — floats render shortest-round-trip, so a whole
-    /// `f64` like `2.0` reads back as an integer node and must still
-    /// pass.
-    Num,
-    /// A string.
-    Str,
-    /// A boolean.
-    Bool,
+/// The wire types an event field can carry: how a value renders into a
+/// trace line and how it reads back out of a parsed one.
+trait Wire<'a>: Copy {
+    /// The type's name in wrong-type errors.
+    const NAME: &'static str;
+    fn write(self, out: &mut String);
+    fn read(value: &'a Value) -> Option<Self>;
 }
 
-impl FieldType {
-    /// Whether `value` satisfies this type.
-    #[must_use]
-    pub fn admits(self, value: &Value) -> bool {
-        match self {
-            FieldType::U64 => value.as_u64().is_some(),
-            FieldType::Num => value.as_f64().is_some(),
-            FieldType::Str => value.as_str().is_some(),
-            FieldType::Bool => matches!(value, Value::Bool(_)),
+impl Wire<'_> for u64 {
+    const NAME: &'static str = "U64";
+    fn write(self, out: &mut String) {
+        json::write_u64(out, self);
+    }
+    fn read(value: &Value) -> Option<Self> {
+        value.as_u64()
+    }
+}
+
+/// Floats render shortest-round-trip, so a whole `f64` like `2.0` reads
+/// back as an integer node; any JSON number is accepted.
+impl Wire<'_> for f64 {
+    const NAME: &'static str = "Num";
+    fn write(self, out: &mut String) {
+        json::write_f64(out, self);
+    }
+    fn read(value: &Value) -> Option<Self> {
+        value.as_f64()
+    }
+}
+
+impl Wire<'_> for bool {
+    const NAME: &'static str = "Bool";
+    fn write(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+    fn read(value: &Value) -> Option<Self> {
+        match value {
+            Value::Bool(b) => Some(*b),
+            _ => None,
         }
     }
 }
 
-/// The exact field set (name, type, order) each event kind carries —
-/// the write-side contract of every emitter in the workspace. Trace
-/// validators (`obs_check`, the analytics reader) check events against
-/// this table, so adding or changing an emitter means extending it in
-/// lock-step with [`KNOWN_EVENT_KINDS`].
-pub const EVENT_FIELDS: &[(&str, &[(&str, FieldType)])] = &[
-    (
-        "run_start",
-        &[
-            ("mode", FieldType::Str),
-            ("groups", FieldType::U64),
-            ("centers", FieldType::U64),
-            ("ticks", FieldType::U64),
-            ("warmup", FieldType::U64),
-        ],
-    ),
-    (
-        "tick",
-        &[
-            ("tick", FieldType::U64),
-            ("demand_cpu", FieldType::Num),
-            ("alloc_cpu", FieldType::Num),
-            ("shortfall_cpu", FieldType::Num),
-        ],
-    ),
-    (
-        "provision",
-        &[
-            ("tick", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("granted", FieldType::U64),
-            ("released", FieldType::U64),
-            ("unmet", FieldType::Bool),
-            ("target_cpu", FieldType::Num),
-            ("alloc_cpu", FieldType::Num),
-        ],
-    ),
-    (
-        "match_reject",
-        &[
-            ("tick", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("center", FieldType::U64),
-            ("reason", FieldType::Str),
-        ],
-    ),
-    (
-        "prediction_group",
-        &[
-            ("group", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("game", FieldType::Str),
-            ("error_pct", FieldType::Num),
-        ],
-    ),
-    (
-        "center_tick",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("alloc_cpu", FieldType::Num),
-            ("free_cpu", FieldType::Num),
-        ],
-    ),
-    (
-        "center_usage",
-        &[
-            ("name", FieldType::Str),
-            ("capacity_cpu", FieldType::Num),
-            ("cpu_unit_ticks", FieldType::Num),
-            ("cpu_free_unit_ticks", FieldType::Num),
-        ],
-    ),
-    (
-        "run_end",
-        &[
-            ("ticks", FieldType::U64),
-            ("unmet_steps", FieldType::U64),
-            ("leases_granted", FieldType::U64),
-            ("leases_released", FieldType::U64),
-        ],
-    ),
-    (
-        "center_down",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("name", FieldType::Str),
-            ("leases_lost", FieldType::U64),
-        ],
-    ),
-    (
-        "center_up",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("name", FieldType::Str),
-        ],
-    ),
-    (
-        "center_degraded",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("fraction", FieldType::Num),
-        ],
-    ),
-    (
-        "lease_revoked",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("lease", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("cpu", FieldType::Num),
-        ],
-    ),
-    ("predictor_dropout", &[("tick", FieldType::U64)]),
-    (
-        "reprovision",
-        &[
-            ("tick", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("granted", FieldType::U64),
-            ("lost_cpu", FieldType::Num),
-        ],
-    ),
-    (
-        "fault_recovery",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("down_ticks", FieldType::U64),
-        ],
-    ),
-    (
-        "fault_summary",
-        &[
-            ("events", FieldType::U64),
-            ("leases_revoked", FieldType::U64),
-            ("reprovisions", FieldType::U64),
-            ("unserved_player_ticks", FieldType::Num),
-            ("recovered", FieldType::U64),
-            ("unrecovered", FieldType::U64),
-        ],
-    ),
-    (
-        // First line of every flight dump: the retention window and the
-        // trigger that fired it.
-        "flight_meta",
-        &[
-            ("run", FieldType::Str),
-            ("trigger", FieldType::Str),
-            ("trigger_tick", FieldType::U64),
-            ("retain_ticks", FieldType::U64),
-            ("tick_from", FieldType::U64),
-            ("tick_to", FieldType::U64),
-            ("records", FieldType::U64),
-        ],
-    ),
-    (
-        // Per-tick stage timings in the flight ring (wall-clock — these
-        // never appear in the semantic trace, only in flight dumps).
-        "tick_latency",
-        &[
-            ("tick", FieldType::U64),
-            ("predict_ns", FieldType::U64),
-            ("reduce_ns", FieldType::U64),
-            ("settle_ns", FieldType::U64),
-            ("tick_ns", FieldType::U64),
-        ],
-    ),
-    (
-        // A backbone link's distance factor changed (degrade or
-        // restore; restore carries factor 1).
-        "topology_change",
-        &[
-            ("tick", FieldType::U64),
-            ("a", FieldType::U64),
-            ("b", FieldType::U64),
-            ("factor", FieldType::Num),
-        ],
-    ),
-    (
-        // The federation split along `mask` into `components` parts.
-        "partition",
-        &[
-            ("tick", FieldType::U64),
-            ("mask", FieldType::U64),
-            ("components", FieldType::U64),
-        ],
-    ),
-    (
-        // All partitions healed; `components` is 1 again.
-        "heal",
-        &[("tick", FieldType::U64), ("components", FieldType::U64)],
-    ),
-    (
-        // One group migrated away from `center`, dropping `leases`
-        // leases and charging `cost` unserved player-ticks.
-        "migration",
-        &[
-            ("tick", FieldType::U64),
-            ("group", FieldType::U64),
-            ("center", FieldType::U64),
-            ("leases", FieldType::U64),
-            ("cost", FieldType::Num),
-        ],
-    ),
-    (
-        // A region's demand multiplier changed (begin carries the peak
-        // factor, end carries 1); `groups` is the number of groups
-        // homed in the region.
-        "flash_crowd",
-        &[
-            ("tick", FieldType::U64),
-            ("region", FieldType::U64),
-            ("factor", FieldType::Num),
-            ("groups", FieldType::U64),
-        ],
-    ),
-    (
-        // A provisioner asked the matcher for capacity. `request` is
-        // the stable causal id (group index in the high 32 bits, a
-        // per-group sequence number in the low 32); every grant the
-        // request produced carries the same id.
-        "lease_request",
-        &[
-            ("tick", FieldType::U64),
-            ("request", FieldType::U64),
-            ("group", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("cpu", FieldType::Num),
-        ],
-    ),
-    (
-        // The matcher granted a lease against `request`. The causal
-        // lease id is the `(center, lease)` pair — centers never reuse
-        // lease ids, so the pair is unique for the whole run.
-        "lease_grant",
-        &[
-            ("tick", FieldType::U64),
-            ("request", FieldType::U64),
-            ("center", FieldType::U64),
-            ("lease", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("cpu", FieldType::Num),
-        ],
-    ),
-    (
-        // A held lease passed its earliest-release tick and became
-        // releasable. Emitted the first tick the owning provisioner
-        // observes maturity, so the stage is present wherever the
-        // provisioner adjusts every tick (dynamic mode).
-        "lease_mature",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("lease", FieldType::U64),
-            ("operator", FieldType::U64),
-        ],
-    ),
-    (
-        // A lease left its holder for any non-fault reason; `cause` is
-        // one of surplus / reshape / center_down / migration /
-        // failover / run_end. Fault-plane revocations keep emitting
-        // `lease_revoked` instead — the two kinds together are the
-        // terminal set of the lifecycle chain.
-        "lease_release",
-        &[
-            ("tick", FieldType::U64),
-            ("center", FieldType::U64),
-            ("lease", FieldType::U64),
-            ("operator", FieldType::U64),
-            ("cpu", FieldType::Num),
-            ("cause", FieldType::Str),
-        ],
-    ),
-];
-
-/// The expected field set for `kind`, if it is a known event kind.
-#[must_use]
-pub fn event_fields(kind: &str) -> Option<&'static [(&'static str, FieldType)]> {
-    EVENT_FIELDS
-        .iter()
-        .find(|(k, _)| *k == kind)
-        .map(|(_, fields)| *fields)
+impl<'a> Wire<'a> for &'a str {
+    const NAME: &'static str = "Str";
+    fn write(self, out: &mut String) {
+        json::write_escaped(out, self);
+    }
+    fn read(value: &'a Value) -> Option<Self> {
+        value.as_str()
+    }
 }
 
-/// Validates a parsed trace event against [`EVENT_FIELDS`]: after the
-/// `seq`/`scope`/`kind` envelope, the event must carry exactly the
-/// declared fields, in declaration order, each with the declared type.
-/// Emission order is deterministic, so the order check costs nothing
-/// and catches emitter/schema skew exactly.
-///
-/// # Errors
-/// Returns a message naming the first violation: unknown kind, missing
-/// or unexpected field, order skew, or type mismatch.
-pub fn validate_event_fields(kind: &str, value: &Value) -> Result<(), String> {
-    let Some(expected) = event_fields(kind) else {
-        return Err(format!("unknown event kind `{kind}`"));
+/// `Some(value)` when a kind's first field is `tick`, else `None`.
+macro_rules! tick_of {
+    (tick, $value:expr) => {
+        Some($value)
     };
-    let members = value.as_obj().ok_or("event is not a JSON object")?;
-    let payload: Vec<&(String, Value)> = members
-        .iter()
-        .filter(|(name, _)| !matches!(name.as_str(), "seq" | "scope" | "kind"))
-        .collect();
-    if payload.len() != expected.len() {
-        let actual: Vec<&str> = payload.iter().map(|(n, _)| n.as_str()).collect();
-        let wanted: Vec<&str> = expected.iter().map(|(n, _)| *n).collect();
+    ($other:ident, $value:expr) => {{
+        let _ = $value;
+        None
+    }};
+}
+
+/// Declares [`Event`] from the schema table below: one entry per kind,
+/// giving the variant, its wire name, and its fields in wire order.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $kind:literal { $first:ident: $first_ty:ty $(, $field:ident: $ty:ty)* $(,)? }
+    )*) => {
+        /// One trace event. The enum *is* the trace schema: every kind
+        /// the workspace emits is one variant whose fields, in
+        /// declaration order, are exactly the JSON members its line
+        /// carries after the `kind` tag. Field types are `u64`, `f64`,
+        /// `bool` or a borrowed `&str`, so building an event never
+        /// allocates.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Event<'a> {
+            $($(#[$doc])* $variant {
+                #[doc = concat!("The `", stringify!($first), "` member of the line.")]
+                $first: $first_ty,
+                $(
+                    #[doc = concat!("The `", stringify!($field), "` member of the line.")]
+                    $field: $ty,
+                )*
+            },)*
+        }
+
+        impl<'a> Event<'a> {
+            /// Every event kind's wire name, in schema order.
+            pub const KINDS: &'static [&'static str] = &[$($kind),*];
+
+            /// The event's wire name.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// The event's tick, for kinds whose first field is `tick`.
+            #[must_use]
+            pub fn tick(&self) -> Option<u64> {
+                match *self {
+                    $(Event::$variant { $first, .. } => tick_of!($first, $first),)*
+                }
+            }
+
+            /// Appends the event's JSON members — `"kind":…` and then
+            /// every field in wire order — without the enclosing braces,
+            /// so callers can put an envelope in front. Allocation-free
+            /// apart from growing `out`.
+            pub fn write(&self, out: &mut String) {
+                match *self {
+                    $(Event::$variant { $first, $($field),* } => {
+                        out.push_str(concat!(
+                            "\"kind\":\"", $kind, "\",\"", stringify!($first), "\":"
+                        ));
+                        Wire::write($first, out);
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Wire::write($field, out);
+                        )*
+                    })*
+                }
+            }
+
+            /// Reads a parsed trace line back into its event. After the
+            /// `seq`/`scope`/`kind` envelope the line must carry exactly
+            /// the kind's fields, in wire order, each of the right type;
+            /// string fields borrow from `value`.
+            ///
+            /// # Errors
+            /// Returns a message naming the first violation: unknown
+            /// kind, missing or unexpected field, order skew, or wrong
+            /// type.
+            pub fn parse(value: &'a Value) -> Result<Self, String> {
+                let members = value.as_obj().ok_or("event is not a JSON object")?;
+                let kind = value.get("kind").and_then(Value::as_str).ok_or("missing kind")?;
+                let mut payload = members
+                    .iter()
+                    .filter(|(name, _)| !matches!(name.as_str(), "seq" | "scope" | "kind"));
+                match kind {
+                    $($kind => {
+                        check_arity(
+                            kind,
+                            payload.clone(),
+                            &[stringify!($first) $(, stringify!($field))*],
+                        )?;
+                        Ok(Event::$variant {
+                            $first: read_field(kind, stringify!($first), payload.next())?,
+                            $($field: read_field(kind, stringify!($field), payload.next())?,)*
+                        })
+                    })*
+                    other => Err(format!("unknown event kind `{other}`")),
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// A simulation run began; `mode` is `dynamic` or `static`.
+    RunStart = "run_start" { mode: &'a str, groups: u64, centers: u64, ticks: u64, warmup: u64 }
+    /// Platform-wide CPU demand, allocation and shortfall of one tick.
+    Tick = "tick" { tick: u64, demand_cpu: f64, alloc_cpu: f64, shortfall_cpu: f64 }
+    /// One adjustment step that granted, released, or went unmet.
+    Provision = "provision" {
+        tick: u64,
+        operator: u64,
+        granted: u64,
+        released: u64,
+        unmet: bool,
+        target_cpu: f64,
+        alloc_cpu: f64,
+    }
+    /// The matcher rejected `center` for part of an unmet request.
+    MatchReject = "match_reject" { tick: u64, operator: u64, center: u64, reason: &'a str }
+    /// A group's online prediction error over the whole run.
+    PredictionGroup = "prediction_group" { group: u64, operator: u64, game: &'a str, error_pct: f64 }
+    /// A sampled per-center allocation snapshot.
+    CenterTick = "center_tick" { tick: u64, center: u64, alloc_cpu: f64, free_cpu: f64 }
+    /// A center's integrated usage over the run (Figures 13–14).
+    CenterUsage = "center_usage" {
+        name: &'a str,
+        capacity_cpu: f64,
+        cpu_unit_ticks: f64,
+        cpu_free_unit_ticks: f64,
+    }
+    /// A simulation run ended.
+    RunEnd = "run_end" { ticks: u64, unmet_steps: u64, leases_granted: u64, leases_released: u64 }
+    /// Fault plane: a center went down, losing `leases_lost` leases.
+    CenterDown = "center_down" { tick: u64, center: u64, name: &'a str, leases_lost: u64 }
+    /// Fault plane: a center was repaired.
+    CenterUp = "center_up" { tick: u64, center: u64, name: &'a str }
+    /// Fault plane: a center kept only `fraction` of its capacity.
+    CenterDegraded = "center_degraded" { tick: u64, center: u64, fraction: f64 }
+    /// Fault plane: a lease was revoked — with `lease_release`, the
+    /// terminal set of the lease lifecycle chain.
+    LeaseRevoked = "lease_revoked" { tick: u64, center: u64, lease: u64, operator: u64, cpu: f64 }
+    /// Fault plane: the predictor returned no forecast this tick.
+    PredictorDropout = "predictor_dropout" { tick: u64 }
+    /// Fault plane: a group re-acquired fault-lost capacity.
+    Reprovision = "reprovision" { tick: u64, operator: u64, granted: u64, lost_cpu: f64 }
+    /// Fault plane: an outage episode at `center` closed.
+    FaultRecovery = "fault_recovery" { tick: u64, center: u64, down_ticks: u64 }
+    /// Fault plane: the run's fault totals.
+    FaultSummary = "fault_summary" {
+        events: u64,
+        leases_revoked: u64,
+        reprovisions: u64,
+        unserved_player_ticks: f64,
+        recovered: u64,
+        unrecovered: u64,
+    }
+    /// First line of every flight dump: the retention window and the
+    /// trigger that fired it.
+    FlightMeta = "flight_meta" {
+        run: &'a str,
+        trigger: &'a str,
+        trigger_tick: u64,
+        retain_ticks: u64,
+        tick_from: u64,
+        tick_to: u64,
+        records: u64,
+    }
+    /// Per-tick stage timings in the flight ring (wall-clock — these
+    /// never appear in the semantic trace, only in flight dumps).
+    TickLatency = "tick_latency" {
+        tick: u64,
+        predict_ns: u64,
+        reduce_ns: u64,
+        settle_ns: u64,
+        tick_ns: u64,
+    }
+    /// Scenario: a backbone link's distance factor changed (degrade or
+    /// restore; restore carries factor 1).
+    TopologyChange = "topology_change" { tick: u64, a: u64, b: u64, factor: f64 }
+    /// Scenario: the federation split along `mask` into `components`
+    /// parts.
+    Partition = "partition" { tick: u64, mask: u64, components: u64 }
+    /// Scenario: all partitions healed; `components` is 1 again.
+    Heal = "heal" { tick: u64, components: u64 }
+    /// Scenario: one group migrated away from `center`, dropping
+    /// `leases` leases and charging `cost` unserved player-ticks.
+    Migration = "migration" { tick: u64, group: u64, center: u64, leases: u64, cost: f64 }
+    /// Scenario: a region's demand multiplier changed (begin carries
+    /// the peak factor, end carries 1); `groups` is the number of
+    /// groups homed in the region.
+    FlashCrowd = "flash_crowd" { tick: u64, region: u64, factor: f64, groups: u64 }
+    /// A provisioner asked the matcher for capacity. `request` is the
+    /// stable causal id (group index in the high 32 bits, a per-group
+    /// sequence number in the low 32); every grant the request produced
+    /// carries the same id.
+    LeaseRequest = "lease_request" { tick: u64, request: u64, group: u64, operator: u64, cpu: f64 }
+    /// The matcher granted a lease against `request`. The causal lease
+    /// id is the `(center, lease)` pair — centers never reuse lease
+    /// ids, so the pair is unique for the whole run.
+    LeaseGrant = "lease_grant" {
+        tick: u64,
+        request: u64,
+        center: u64,
+        lease: u64,
+        operator: u64,
+        cpu: f64,
+    }
+    /// A held lease passed its earliest-release tick and became
+    /// releasable, observed by its provisioner this tick.
+    LeaseMature = "lease_mature" { tick: u64, center: u64, lease: u64, operator: u64 }
+    /// A lease left its holder for a non-fault reason; `cause` is one
+    /// of surplus / reshape / center_down / migration / failover /
+    /// run_end.
+    LeaseRelease = "lease_release" {
+        tick: u64,
+        center: u64,
+        lease: u64,
+        operator: u64,
+        cpu: f64,
+        cause: &'a str,
+    }
+}
+
+/// Fails unless `payload` names exactly `wanted.len()` fields.
+fn check_arity<'v>(
+    kind: &str,
+    payload: impl Iterator<Item = &'v (String, Value)> + Clone,
+    wanted: &[&str],
+) -> Result<(), String> {
+    if payload.clone().count() == wanted.len() {
+        return Ok(());
+    }
+    let actual: Vec<&str> = payload.map(|(name, _)| name.as_str()).collect();
+    Err(format!(
+        "`{kind}` carries fields {actual:?}, expected {wanted:?}"
+    ))
+}
+
+/// Reads the next payload member as field `want` of `kind`.
+fn read_field<'a, T: Wire<'a>>(
+    kind: &str,
+    want: &str,
+    member: Option<&'a (String, Value)>,
+) -> Result<T, String> {
+    let (name, value) = member.ok_or_else(|| format!("`{kind}` is missing field `{want}`"))?;
+    if name != want {
         return Err(format!(
-            "`{kind}` carries fields {actual:?}, expected {wanted:?}"
+            "`{kind}` field order skew: found `{name}` where `{want}` was expected"
         ));
     }
-    for ((name, value), (want_name, want_type)) in payload.iter().zip(expected) {
-        if name != want_name {
-            return Err(format!(
-                "`{kind}` field order skew: found `{name}` where `{want_name}` was expected"
-            ));
-        }
-        if !want_type.admits(value) {
-            return Err(format!(
-                "`{kind}` field `{name}` has the wrong type (expected {want_type:?})"
-            ));
-        }
-    }
-    Ok(())
+    T::read(value).ok_or_else(|| {
+        format!(
+            "`{kind}` field `{name}` has the wrong type (expected {})",
+            T::NAME
+        )
+    })
 }
 
-/// One typed field value of an event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Field {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float (rendered shortest round-trip; non-finite becomes `null`).
-    F64(f64),
-    /// String.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl From<u64> for Field {
-    fn from(v: u64) -> Self {
-        Field::U64(v)
-    }
-}
-impl From<usize> for Field {
-    fn from(v: usize) -> Self {
-        Field::U64(v as u64)
-    }
-}
-impl From<u32> for Field {
-    fn from(v: u32) -> Self {
-        Field::U64(u64::from(v))
-    }
-}
-impl From<i64> for Field {
-    fn from(v: i64) -> Self {
-        Field::I64(v)
-    }
-}
-impl From<f64> for Field {
-    fn from(v: f64) -> Self {
-        Field::F64(v)
-    }
-}
-impl From<&str> for Field {
-    fn from(v: &str) -> Self {
-        Field::Str(v.to_string())
-    }
-}
-impl From<String> for Field {
-    fn from(v: String) -> Self {
-        Field::Str(v)
-    }
-}
-impl From<bool> for Field {
-    fn from(v: bool) -> Self {
-        Field::Bool(v)
-    }
-}
-
-impl Field {
-    /// Writes the field's JSON rendering, byte-identical to what the
-    /// equivalent [`Value`] node would produce.
-    fn write(&self, out: &mut String) {
-        match self {
-            Field::U64(v) => crate::json::write_u64(out, *v),
-            Field::I64(v) => crate::json::write_i64(out, *v),
-            Field::F64(v) => crate::json::write_f64(out, *v),
-            Field::Str(v) => crate::json::write_escaped(out, v),
-            Field::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        }
-    }
+/// Writes the flush-time envelope `{"seq":N,"scope":S,` that opens every
+/// trace and flight-dump line (`scope` is already a JSON string). The
+/// event members and the closing brace follow.
+pub(crate) fn write_envelope(out: &mut String, seq: u64, scope: &str) {
+    out.push_str("{\"seq\":");
+    json::write_u64(out, seq);
+    out.push_str(",\"scope\":");
+    out.push_str(scope);
+    out.push(',');
 }
 
 /// A per-run event buffer. Create one per simulation (or other traced
@@ -527,24 +417,15 @@ impl EventSink {
         trace_enabled().then(Self::new)
     }
 
-    /// Appends one event. `kind` names the event type; fields follow in
-    /// the given order.
+    /// Appends one event.
     ///
     /// Renders the JSON line directly rather than building a [`Value`]
     /// tree: lease lifecycles emit millions of events per suite run,
     /// and the per-event key/kind allocations of the tree path showed
-    /// up as a multiple of the whole settle stage. The output is
-    /// byte-identical to `Value::Obj(..).render()` over the same
-    /// members.
-    pub fn emit(&mut self, kind: &str, fields: &[(&str, Field)]) {
-        self.buf.push_str("{\"kind\":");
-        crate::json::write_escaped(&mut self.buf, kind);
-        for (name, field) in fields {
-            self.buf.push(',');
-            crate::json::write_escaped(&mut self.buf, name);
-            self.buf.push(':');
-            field.write(&mut self.buf);
-        }
+    /// up as a multiple of the whole settle stage.
+    pub fn emit(&mut self, event: &Event<'_>) {
+        self.buf.push('{');
+        event.write(&mut self.buf);
         self.buf.push_str("}\n");
         self.count += 1;
     }
@@ -646,11 +527,7 @@ pub fn render_trace() -> String {
             // Buffered lines are complete objects `{"kind":...}`; splice
             // the flush-time fields in front of the first member.
             let body = line.strip_prefix('{').expect("buffered line is an object");
-            out.push_str("{\"seq\":");
-            json::write_u64(&mut out, seq);
-            out.push_str(",\"scope\":");
-            out.push_str(&scope);
-            out.push(',');
+            write_envelope(&mut out, seq, &scope);
             out.push_str(body);
             out.push('\n');
             seq += 1;
@@ -705,38 +582,60 @@ pub fn parse_trace_line(line: &str) -> Result<(u64, String, String, Value), Stri
 mod tests {
     use super::*;
 
+    fn line(event: &Event<'_>) -> String {
+        let mut sink = EventSink::new();
+        sink.emit(event);
+        let text = sink.lines().next().unwrap().to_string();
+        text
+    }
+
+    fn parse_err(text: &str) -> String {
+        let value = json::parse(text).unwrap();
+        Event::parse(&value).unwrap_err()
+    }
+
     #[test]
     fn emit_builds_json_lines_in_field_order() {
-        let mut sink = EventSink::new();
-        sink.emit(
-            "provision",
-            &[
-                ("tick", 7u64.into()),
-                ("target_cpu", 1.5.into()),
-                ("unmet", false.into()),
-                ("name", "g\"0".into()),
-            ],
-        );
+        let event = Event::Provision {
+            tick: 7,
+            operator: 3,
+            granted: 2,
+            released: 0,
+            unmet: false,
+            target_cpu: 1.5,
+            alloc_cpu: 2.0,
+        };
         assert_eq!(
-            sink.lines().next().unwrap(),
-            r#"{"kind":"provision","tick":7,"target_cpu":1.5,"unmet":false,"name":"g\"0"}"#
+            line(&event),
+            r#"{"kind":"provision","tick":7,"operator":3,"granted":2,"released":0,"unmet":false,"target_cpu":1.5,"alloc_cpu":2}"#
+        );
+        let named = Event::CenterUp {
+            tick: 1,
+            center: 0,
+            name: "g\"0",
+        };
+        assert_eq!(
+            line(&named),
+            r#"{"kind":"center_up","tick":1,"center":0,"name":"g\"0"}"#
         );
     }
 
     #[test]
     fn lines_round_trip_through_the_parser() {
-        let mut sink = EventSink::new();
-        sink.emit(
-            "tick",
-            &[("tick", 3u64.into()), ("demand_cpu", 0.25.into())],
-        );
-        let line = sink.lines().next().unwrap().to_string();
-        let parsed = json::parse(&line).unwrap();
-        assert_eq!(parsed.get("kind").unwrap().as_str(), Some("tick"));
-        assert_eq!(parsed.get("tick").unwrap().as_u64(), Some(3));
-        assert_eq!(parsed.get("demand_cpu").unwrap().as_f64(), Some(0.25));
-        // Re-rendering reproduces the exact bytes.
-        assert_eq!(parsed.render(), line);
+        let event = Event::Tick {
+            tick: 3,
+            demand_cpu: 0.25,
+            alloc_cpu: 2.0,
+            shortfall_cpu: 0.0,
+        };
+        let text = line(&event);
+        let parsed = json::parse(&text).unwrap();
+        // Re-rendering the tree and the parsed event reproduce the
+        // exact bytes; the whole floats read back as integer nodes.
+        assert_eq!(parsed.render(), text);
+        assert_eq!(Event::parse(&parsed), Ok(event));
+        assert_eq!(event.kind(), "tick");
+        assert_eq!(event.tick(), Some(3));
     }
 
     #[test]
@@ -749,181 +648,101 @@ mod tests {
     }
 
     #[test]
-    fn every_known_kind_has_a_field_schema() {
-        for kind in KNOWN_EVENT_KINDS {
-            assert!(
-                event_fields(kind).is_some(),
-                "kind `{kind}` missing from EVENT_FIELDS"
-            );
+    fn kinds_are_unique_and_only_tick_first_kinds_have_a_tick() {
+        for (i, kind) in Event::KINDS.iter().enumerate() {
+            assert!(!Event::KINDS[..i].contains(kind), "duplicate kind `{kind}`");
         }
-        assert_eq!(EVENT_FIELDS.len(), KNOWN_EVENT_KINDS.len());
+        let usage = Event::CenterUsage {
+            name: "c",
+            capacity_cpu: 1.0,
+            cpu_unit_ticks: 0.0,
+            cpu_free_unit_ticks: 0.0,
+        };
+        assert_eq!(usage.tick(), None);
+        assert_eq!(Event::PredictorDropout { tick: 4 }.tick(), Some(4));
     }
 
     #[test]
-    fn field_validation_accepts_real_emitter_output() {
-        let mut sink = EventSink::new();
-        sink.emit(
-            "tick",
-            &[
-                ("tick", 3u64.into()),
-                ("demand_cpu", 0.25.into()),
-                ("alloc_cpu", 2.0.into()),
-                ("shortfall_cpu", 0.0.into()),
-            ],
-        );
-        sink.emit(
-            "center_tick",
-            &[
-                ("tick", 3u64.into()),
-                ("center", 1u64.into()),
-                ("alloc_cpu", 2.0.into()),
-                ("free_cpu", 6.0.into()),
-            ],
-        );
-        for line in sink.lines() {
-            let value = json::parse(line).unwrap();
-            let kind = value.get("kind").and_then(Value::as_str).unwrap();
-            validate_event_fields(kind, &value).expect("emitter output must match its schema");
-        }
-    }
-
-    #[test]
-    fn field_validation_names_the_first_violation() {
-        // Whole floats render as integers and must still satisfy Num
+    fn parse_names_the_first_violation() {
+        // Whole floats render as integers and must still satisfy `f64`
         // fields; the parse-back path exercises exactly that collapse.
         let ok = json::parse(
             r#"{"seq":0,"kind":"tick","tick":1,"demand_cpu":2,"alloc_cpu":2.5,"shortfall_cpu":0}"#,
         )
         .unwrap();
-        validate_event_fields("tick", &ok).unwrap();
+        assert!(matches!(Event::parse(&ok), Ok(Event::Tick { tick: 1, .. })));
 
-        let err = validate_event_fields("nope", &ok).unwrap_err();
+        let err = parse_err(r#"{"kind":"nope","tick":1}"#);
         assert!(err.contains("unknown event kind"), "{err}");
 
-        let missing =
-            json::parse(r#"{"kind":"tick","tick":1,"demand_cpu":2,"alloc_cpu":2}"#).unwrap();
-        let err = validate_event_fields("tick", &missing).unwrap_err();
+        let err = parse_err(r#"{"kind":"tick","tick":1,"demand_cpu":2,"alloc_cpu":2}"#);
         assert!(err.contains("shortfall_cpu"), "{err}");
 
-        let reordered = json::parse(
-            r#"{"kind":"tick","demand_cpu":2,"tick":1,"alloc_cpu":2,"shortfall_cpu":0}"#,
-        )
-        .unwrap();
-        let err = validate_event_fields("tick", &reordered).unwrap_err();
+        let err =
+            parse_err(r#"{"kind":"tick","demand_cpu":2,"tick":1,"alloc_cpu":2,"shortfall_cpu":0}"#);
         assert!(err.contains("order skew"), "{err}");
 
-        let wrong_type = json::parse(
+        let err = parse_err(
             r#"{"kind":"tick","tick":"one","demand_cpu":2,"alloc_cpu":2,"shortfall_cpu":0}"#,
-        )
-        .unwrap();
-        let err = validate_event_fields("tick", &wrong_type).unwrap_err();
+        );
         assert!(err.contains("wrong type"), "{err}");
     }
 
     #[test]
-    fn scenario_event_schemas_accept_canonical_lines() {
+    fn scenario_and_lifecycle_kinds_accept_canonical_lines() {
         let lines = [
-            (
-                "topology_change",
-                r#"{"seq":0,"scope":"s","kind":"topology_change","tick":4,"a":0,"b":3,"factor":3.5}"#,
-            ),
-            (
-                "partition",
-                r#"{"seq":1,"scope":"s","kind":"partition","tick":5,"mask":9,"components":2}"#,
-            ),
-            (
-                "heal",
-                r#"{"seq":2,"scope":"s","kind":"heal","tick":9,"components":1}"#,
-            ),
-            (
-                "migration",
-                r#"{"seq":3,"scope":"s","kind":"migration","tick":6,"group":2,"center":1,"leases":3,"cost":84.5}"#,
-            ),
-            (
-                "flash_crowd",
-                r#"{"seq":4,"scope":"s","kind":"flash_crowd","tick":7,"region":1,"factor":2.5,"groups":4}"#,
-            ),
+            r#"{"seq":0,"scope":"s","kind":"topology_change","tick":4,"a":0,"b":3,"factor":3.5}"#,
+            r#"{"seq":1,"scope":"s","kind":"partition","tick":5,"mask":9,"components":2}"#,
+            r#"{"seq":2,"scope":"s","kind":"heal","tick":9,"components":1}"#,
+            r#"{"seq":3,"scope":"s","kind":"migration","tick":6,"group":2,"center":1,"leases":3,"cost":84.5}"#,
+            r#"{"seq":4,"scope":"s","kind":"flash_crowd","tick":7,"region":1,"factor":2.5,"groups":4}"#,
+            r#"{"seq":5,"scope":"s","kind":"lease_request","tick":4,"request":4294967296,"group":1,"operator":7,"cpu":2.5}"#,
+            r#"{"seq":6,"scope":"s","kind":"lease_grant","tick":4,"request":4294967296,"center":2,"lease":9,"operator":7,"cpu":2.5}"#,
+            r#"{"seq":7,"scope":"s","kind":"lease_mature","tick":10,"center":2,"lease":9,"operator":7}"#,
+            r#"{"seq":8,"scope":"s","kind":"lease_release","tick":30,"center":2,"lease":9,"operator":7,"cpu":2.5,"cause":"surplus"}"#,
         ];
-        for (kind, line) in lines {
-            let value = json::parse(line).unwrap();
-            validate_event_fields(kind, &value)
-                .unwrap_or_else(|e| panic!("canonical `{kind}` line rejected: {e}"));
+        for text in lines {
+            let value = json::parse(text).unwrap();
+            let event = Event::parse(&value)
+                .unwrap_or_else(|e| panic!("canonical line {text} rejected: {e}"));
+            // The body after the envelope re-renders byte for byte.
+            let mut body = String::new();
+            event.write(&mut body);
+            assert!(text.ends_with(&format!(",{body}}}")), "{text} vs {body}");
         }
     }
 
     #[test]
-    fn lifecycle_event_schemas_accept_canonical_lines() {
-        let lines = [
-            (
-                "lease_request",
-                r#"{"seq":0,"scope":"s","kind":"lease_request","tick":4,"request":4294967296,"group":1,"operator":7,"cpu":2.5}"#,
-            ),
-            (
-                "lease_grant",
-                r#"{"seq":1,"scope":"s","kind":"lease_grant","tick":4,"request":4294967296,"center":2,"lease":9,"operator":7,"cpu":2.5}"#,
-            ),
-            (
-                "lease_mature",
-                r#"{"seq":2,"scope":"s","kind":"lease_mature","tick":10,"center":2,"lease":9,"operator":7}"#,
-            ),
-            (
-                "lease_release",
-                r#"{"seq":3,"scope":"s","kind":"lease_release","tick":30,"center":2,"lease":9,"operator":7,"cpu":2.5,"cause":"surplus"}"#,
-            ),
-        ];
-        for (kind, line) in lines {
-            let value = json::parse(line).unwrap();
-            validate_event_fields(kind, &value)
-                .unwrap_or_else(|e| panic!("canonical `{kind}` line rejected: {e}"));
-        }
-    }
-
-    #[test]
-    fn lifecycle_event_schemas_reject_tampering() {
+    fn parse_rejects_tampering() {
         // Dropped field.
-        let missing = json::parse(
+        let err = parse_err(
             r#"{"kind":"lease_grant","tick":4,"request":1,"center":2,"lease":9,"operator":7}"#,
-        )
-        .unwrap();
-        let err = validate_event_fields("lease_grant", &missing).unwrap_err();
+        );
         assert!(err.contains("cpu"), "{err}");
-        // Wrong type for the cause string.
-        let wrong_type = json::parse(
-            r#"{"kind":"lease_release","tick":30,"center":2,"lease":9,"operator":7,"cpu":2.5,"cause":3}"#,
-        )
-        .unwrap();
-        let err = validate_event_fields("lease_release", &wrong_type).unwrap_err();
-        assert!(err.contains("wrong type"), "{err}");
-    }
-
-    #[test]
-    fn scenario_event_schemas_reject_tampering() {
-        // Dropped field.
-        let missing = json::parse(r#"{"kind":"partition","tick":5,"mask":9}"#).unwrap();
-        let err = validate_event_fields("partition", &missing).unwrap_err();
+        let err = parse_err(r#"{"kind":"partition","tick":5,"mask":9}"#);
         assert!(err.contains("components"), "{err}");
+        // Wrong type for the cause string.
+        let err = parse_err(
+            r#"{"kind":"lease_release","tick":30,"center":2,"lease":9,"operator":7,"cpu":2.5,"cause":3}"#,
+        );
+        assert!(err.contains("wrong type"), "{err}");
         // Reordered fields.
-        let reordered = json::parse(
+        let err = parse_err(
             r#"{"kind":"migration","tick":6,"center":1,"group":2,"leases":3,"cost":84.5}"#,
-        )
-        .unwrap();
-        let err = validate_event_fields("migration", &reordered).unwrap_err();
+        );
         assert!(err.contains("order skew"), "{err}");
         // Wrong type.
-        let wrong_type =
-            json::parse(r#"{"kind":"flash_crowd","tick":7,"region":1,"factor":"big","groups":4}"#)
-                .unwrap();
-        let err = validate_event_fields("flash_crowd", &wrong_type).unwrap_err();
+        let err =
+            parse_err(r#"{"kind":"flash_crowd","tick":7,"region":1,"factor":"big","groups":4}"#);
         assert!(err.contains("wrong type"), "{err}");
         // Extra field.
-        let extra = json::parse(r#"{"kind":"heal","tick":9,"components":1,"bonus":1}"#).unwrap();
-        let err = validate_event_fields("heal", &extra).unwrap_err();
-        assert!(err.contains("bonus") || err.contains("expected"), "{err}");
-        // Negative tick (U64 field must reject signed values).
-        let negative =
-            json::parse(r#"{"kind":"topology_change","tick":-1,"a":0,"b":3,"factor":3.5}"#)
-                .unwrap();
-        let err = validate_event_fields("topology_change", &negative).unwrap_err();
+        let err = parse_err(r#"{"kind":"heal","tick":9,"components":1,"bonus":1}"#);
+        assert!(err.contains("bonus"), "{err}");
+        // Negative tick (a `u64` field must reject signed values).
+        let err = parse_err(r#"{"kind":"topology_change","tick":-1,"a":0,"b":3,"factor":3.5}"#);
         assert!(err.contains("wrong type"), "{err}");
+        // Not an object, no kind.
+        assert!(Event::parse(&json::parse("[1]").unwrap()).is_err());
+        assert!(parse_err(r#"{"tick":1}"#).contains("kind"));
     }
 }

@@ -9,6 +9,7 @@
 //!   registered under [`Domain::Timing`]. Varies run to run;
 //!   determinism tests drop this key before comparing.
 
+use crate::event::Event;
 use crate::flight::{FlightConfig, FlightRecorder};
 use crate::json::Value;
 use crate::latency::{snapshot_latency, LatencyHisto, LatencySnapshot};
@@ -155,7 +156,13 @@ fn obs_self_value() -> Value {
     let mut ring = FlightRecorder::new(cfg);
     let per_push_ns = per_op_ns(CAL_ITERS, |i| {
         ring.begin_tick(i);
-        ring.push("tick_latency", i, &[1.0, 2.0, 3.0, 6.0]);
+        ring.push(Event::TickLatency {
+            tick: i,
+            predict_ns: 1,
+            reduce_ns: 2,
+            settle_ns: 3,
+            tick_ns: 6,
+        });
     });
     std::hint::black_box(ring.retained());
     let mut series = crate::timeseries::RingSeries::new(crate::timeseries::TS_DEFAULT_CAPACITY);

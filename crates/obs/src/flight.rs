@@ -5,19 +5,19 @@
 //! Always-on JSONL tracing is unusable at 1M/10M-player scale (PR 6's
 //! streaming path), but *post-hoc* detail is exactly what a tail-latency
 //! incident needs. The recorder squares that: the engine pushes
-//! fixed-size [`FlightRecord`]s (no allocation, no formatting) into a
-//! preallocated ring retaining the last N ticks, and only a **trigger**
+//! [`Event`]s (no allocation, no formatting) into a preallocated ring
+//! retaining the last N ticks, and only a **trigger**
 //! — a fault event, a tick-deadline overrun, a gate breach, or an
 //! explicit `--flight-dump` — renders the ring to disk. The first
 //! trigger per run wins; later triggers are counted and suppressed so a
 //! fault storm cannot write the same window a thousand times.
 //!
-//! Dumped lines reuse the trace event schema ([`crate::event`]): the
-//! first line is a `flight_meta` event describing the window and
-//! trigger, every following line is a regular event (`tick`,
-//! `tick_latency`, `provision`) with the standard `seq`/`scope`
-//! envelope, so `obs_check` and the trace tooling parse flight dumps
-//! with the machinery they already have.
+//! Dumped lines are trace events written by the same [`Event::write`]
+//! as the trace: the first line is a `flight_meta` event describing the
+//! window and trigger, every following line is a retained event
+//! (`tick`, `tick_latency`, `provision`, the scenario kinds) with the
+//! standard `seq`/`scope` envelope, so `obs_check` and the trace
+//! tooling parse flight dumps with the machinery they already have.
 //!
 //! # Determinism
 //!
@@ -29,37 +29,11 @@
 //! opt-in via [`FlightConfig::deadline_ns`]. All recorder accounting
 //! exports under `obs.self.*` in the timing section.
 
-use crate::event::{event_fields, FieldType};
+use crate::event::{write_envelope, Event};
 use crate::json::Value;
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
-
-/// Maximum number of numeric payload fields (after `tick`) a flight
-/// record can carry — sized for the widest recorded kind (`provision`).
-pub const FLIGHT_MAX_VALUES: usize = 6;
-
-/// One fixed-size ring entry: an event kind, its tick, and up to
-/// [`FLIGHT_MAX_VALUES`] numeric field values in schema order. Strings
-/// are excluded by construction (kinds with string fields cannot be
-/// recorded), which is what keeps the push path allocation-free.
-#[derive(Debug, Clone, Copy)]
-pub struct FlightRecord {
-    /// Simulation tick the record belongs to.
-    pub tick: u64,
-    /// Event kind (must be in [`crate::event::KNOWN_EVENT_KINDS`]).
-    pub kind: &'static str,
-    /// Field values after `tick`, in the kind's schema order.
-    pub values: [f64; FLIGHT_MAX_VALUES],
-    /// How many of `values` are in use.
-    pub len: u8,
-}
-
-const EMPTY_RECORD: FlightRecord = FlightRecord {
-    tick: 0,
-    kind: "",
-    values: [0.0; FLIGHT_MAX_VALUES],
-    len: 0,
-};
 
 /// Why a flight dump fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,9 +130,10 @@ pub struct FlightDumpInfo {
 #[derive(Debug)]
 pub struct FlightRecorder {
     cfg: FlightConfig,
-    ring: Vec<FlightRecord>,
-    head: usize,
-    len: usize,
+    /// Retained events, oldest first. Only `Event<'static>` enters, so
+    /// no event can borrow run state (a center name, a game name) that
+    /// the ring would outlive.
+    ring: VecDeque<Event<'static>>,
     pushed: u64,
     dropped: u64,
     suppressed: u64,
@@ -169,13 +144,11 @@ impl FlightRecorder {
     /// A recorder with its ring fully preallocated (steady-state pushes
     /// never allocate).
     #[must_use]
-    pub fn new(cfg: FlightConfig) -> Self {
-        let cap = cfg.records_capacity.max(1);
+    pub fn new(mut cfg: FlightConfig) -> Self {
+        cfg.records_capacity = cfg.records_capacity.max(1);
         Self {
+            ring: VecDeque::with_capacity(cfg.records_capacity),
             cfg,
-            ring: vec![EMPTY_RECORD; cap],
-            head: 0,
-            len: 0,
             pushed: 0,
             dropped: 0,
             suppressed: 0,
@@ -210,7 +183,7 @@ impl FlightRecorder {
     /// Number of records currently retained.
     #[must_use]
     pub fn retained(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// The dump that happened this run, if any.
@@ -229,44 +202,30 @@ impl FlightRecorder {
     /// than `retain_ticks`. Allocation-free.
     pub fn begin_tick(&mut self, t: u64) {
         let cutoff = t.saturating_sub(self.cfg.retain_ticks.saturating_sub(1));
-        while self.len > 0 && self.ring[self.head].tick < cutoff {
-            self.head = (self.head + 1) % self.ring.len();
-            self.len -= 1;
+        while self.ring.front().is_some_and(|e| record_tick(e) < cutoff) {
+            self.ring.pop_front();
         }
     }
 
-    /// Pushes one record. Allocation-free: when the ring is full the
-    /// oldest record is evicted. `values` beyond [`FLIGHT_MAX_VALUES`]
-    /// are truncated (debug builds assert instead).
-    pub fn push(&mut self, kind: &'static str, tick: u64, values: &[f64]) {
-        debug_assert!(values.len() <= FLIGHT_MAX_VALUES, "flight record too wide");
-        debug_assert!(
-            event_fields(kind).is_some_and(|f| f.first().is_some_and(|(n, _)| *n == "tick")),
-            "flight records must use a known tick-first event kind"
-        );
-        let cap = self.ring.len();
-        if self.len == cap {
-            self.head = (self.head + 1) % cap;
-            self.len -= 1;
+    /// Pushes one event of a tick-first kind. Allocation-free: when the
+    /// ring is full the oldest record is evicted.
+    pub fn push(&mut self, event: Event<'static>) {
+        debug_assert!(event.tick().is_some(), "flight records must be tick-first");
+        if self.ring.len() == self.cfg.records_capacity {
+            self.ring.pop_front();
             self.dropped += 1;
         }
-        let slot = (self.head + self.len) % cap;
-        let rec = &mut self.ring[slot];
-        rec.tick = tick;
-        rec.kind = kind;
-        rec.len = values.len().min(FLIGHT_MAX_VALUES) as u8;
-        rec.values[..usize::from(rec.len)].copy_from_slice(&values[..usize::from(rec.len)]);
-        self.len += 1;
+        self.ring.push_back(event);
         self.pushed += 1;
     }
 
     /// The `(oldest, newest)` tick currently retained.
     #[must_use]
     pub fn window(&self) -> Option<(u64, u64)> {
-        (self.len > 0).then(|| {
-            let newest = (self.head + self.len - 1) % self.ring.len();
-            (self.ring[self.head].tick, self.ring[newest].tick)
-        })
+        Some((
+            record_tick(self.ring.front()?),
+            record_tick(self.ring.back()?),
+        ))
     }
 
     /// Fires a trigger: dumps the retained window to
@@ -302,7 +261,7 @@ impl FlightRecorder {
             trigger_tick: tick,
             tick_from,
             tick_to,
-            records: self.len as u64,
+            records: self.ring.len() as u64,
             path: path.clone(),
         });
         Ok(Some(path))
@@ -335,57 +294,28 @@ impl FlightRecorder {
         let scope = Value::Str(run_label.to_string()).render();
         // ~96 bytes per line is a comfortable upper estimate; one
         // reservation keeps the dump path to a handful of allocations.
-        let mut out = String::with_capacity(128 * (self.len + 1));
-        let meta = Value::Obj(vec![
-            ("kind".into(), Value::Str("flight_meta".into())),
-            ("run".into(), Value::Str(run_label.to_string())),
-            ("trigger".into(), Value::Str(trigger.label().into())),
-            ("trigger_tick".into(), Value::UInt(trigger_tick)),
-            ("retain_ticks".into(), Value::UInt(self.cfg.retain_ticks)),
-            ("tick_from".into(), Value::UInt(tick_from)),
-            ("tick_to".into(), Value::UInt(tick_to)),
-            ("records".into(), Value::UInt(self.len as u64)),
-        ]);
-        push_line(&mut out, 0, &scope, &meta.render());
-        for i in 0..self.len {
-            let rec = &self.ring[(self.head + i) % self.ring.len()];
-            push_line(&mut out, (i + 1) as u64, &scope, &render_record(rec));
+        let mut out = String::with_capacity(128 * (self.ring.len() + 1));
+        let meta = Event::FlightMeta {
+            run: run_label,
+            trigger: trigger.label(),
+            trigger_tick,
+            retain_ticks: self.cfg.retain_ticks,
+            tick_from,
+            tick_to,
+            records: self.ring.len() as u64,
+        };
+        for (seq, event) in (0u64..).zip(std::iter::once(&meta).chain(&self.ring)) {
+            write_envelope(&mut out, seq, &scope);
+            event.write(&mut out);
+            out.push_str("}\n");
         }
         out
     }
 }
 
-/// Splices the flush-style `seq`/`scope` envelope in front of a
-/// rendered `{"kind":...}` object, mirroring `render_trace`.
-fn push_line(out: &mut String, seq: u64, scope: &str, body: &str) {
-    use std::fmt::Write as _;
-    let body = body.strip_prefix('{').expect("rendered line is an object");
-    let _ = writeln!(out, "{{\"seq\":{seq},\"scope\":{scope},{body}");
-}
-
-/// Renders one ring record against its kind's schema: field names come
-/// from [`crate::event::EVENT_FIELDS`], values from the record, typed
-/// per the schema (`U64` casts, `Bool` is non-zero, `Num` stays float).
-fn render_record(rec: &FlightRecord) -> String {
-    let fields = event_fields(rec.kind).expect("flight records use known kinds");
-    let mut members = Vec::with_capacity(fields.len() + 1);
-    members.push(("kind".to_string(), Value::Str(rec.kind.to_string())));
-    members.push(("tick".to_string(), Value::UInt(rec.tick)));
-    for (i, (name, ty)) in fields.iter().skip(1).enumerate() {
-        let v = rec
-            .values
-            .get(i)
-            .copied()
-            .filter(|_| i < usize::from(rec.len));
-        let value = match (v, ty) {
-            (Some(v), FieldType::U64) => Value::UInt(v.max(0.0) as u64),
-            (Some(v), FieldType::Bool) => Value::Bool(v != 0.0),
-            (Some(v), _) => Value::Num(v),
-            (None, _) => Value::Null,
-        };
-        members.push(((*name).to_string(), value));
-    }
-    Value::Obj(members).render()
+/// A retained record's tick (every pushed kind is tick-first).
+fn record_tick(event: &Event<'_>) -> u64 {
+    event.tick().unwrap_or(0)
 }
 
 /// Maps a run label to a filesystem-safe artifact stem: alphanumerics,
@@ -449,7 +379,7 @@ pub fn flight_recorder() -> Option<FlightRecorder> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{parse_trace_line, validate_event_fields};
+    use crate::event::parse_trace_line;
     use std::path::Path;
 
     fn test_cfg(retain: u64, cap: usize, dir: &Path) -> FlightConfig {
@@ -462,13 +392,88 @@ mod tests {
         }
     }
 
+    fn tick(t: u64) -> Event<'static> {
+        Event::Tick {
+            tick: t,
+            demand_cpu: 1.0,
+            alloc_cpu: 2.0,
+            shortfall_cpu: 0.0,
+        }
+    }
+
+    fn latency(t: u64) -> Event<'static> {
+        Event::TickLatency {
+            tick: t,
+            predict_ns: 5,
+            reduce_ns: 6,
+            settle_ns: 7,
+            tick_ns: 20,
+        }
+    }
+
+    /// One event of every tick-first kind the engine records, at `t`.
+    fn engine_kinds(t: u64) -> [Event<'static>; 8] {
+        [
+            Event::Provision {
+                tick: t,
+                operator: 1,
+                granted: 2,
+                released: 0,
+                unmet: true,
+                target_cpu: 4.5,
+                alloc_cpu: 4.0,
+            },
+            Event::Partition {
+                tick: t,
+                mask: 9,
+                components: 2,
+            },
+            Event::Heal {
+                tick: t,
+                components: 1,
+            },
+            Event::TopologyChange {
+                tick: t,
+                a: 0,
+                b: 3,
+                factor: 3.5,
+            },
+            Event::FlashCrowd {
+                tick: t,
+                region: 1,
+                factor: 2.5,
+                groups: 4,
+            },
+            Event::Migration {
+                tick: t,
+                group: 2,
+                center: 1,
+                leases: 3,
+                cost: 84.5,
+            },
+            Event::Tick {
+                tick: t,
+                demand_cpu: 3.0,
+                alloc_cpu: 2.5,
+                shortfall_cpu: -0.5,
+            },
+            Event::TickLatency {
+                tick: t,
+                predict_ns: 100,
+                reduce_ns: 200,
+                settle_ns: 300,
+                tick_ns: 700,
+            },
+        ]
+    }
+
     #[test]
     fn ring_retains_last_n_ticks() {
         let mut rec = FlightRecorder::new(test_cfg(3, 64, Path::new("unused")));
         for t in 0..10u64 {
             rec.begin_tick(t);
-            rec.push("tick", t, &[1.0, 2.0, 0.0]);
-            rec.push("tick_latency", t, &[5.0, 6.0, 7.0, 20.0]);
+            rec.push(tick(t));
+            rec.push(latency(t));
         }
         assert_eq!(rec.window(), Some((7, 9)));
         assert_eq!(rec.retained(), 6, "3 ticks x 2 records");
@@ -481,7 +486,7 @@ mod tests {
         let mut rec = FlightRecorder::new(test_cfg(100, 4, Path::new("unused")));
         for t in 0..6u64 {
             rec.begin_tick(t);
-            rec.push("tick", t, &[0.0, 0.0, 0.0]);
+            rec.push(tick(t));
         }
         assert_eq!(rec.retained(), 4);
         assert_eq!(rec.dropped(), 2);
@@ -494,9 +499,9 @@ mod tests {
         let mut rec = FlightRecorder::new(test_cfg(4, 64, &dir));
         for t in 0..8u64 {
             rec.begin_tick(t);
-            rec.push("tick", t, &[3.0, 2.5, 0.5]);
-            rec.push("tick_latency", t, &[100.0, 200.0, 300.0, 700.0]);
-            rec.push("provision", t, &[1.0, 2.0, 0.0, 1.0, 4.5, 4.0]);
+            for event in engine_kinds(t) {
+                rec.push(event);
+            }
         }
         let path = rec
             .trigger(FlightTrigger::Fault, 7, "unit/flight run")
@@ -504,22 +509,30 @@ mod tests {
             .expect("first trigger dumps");
         let body = std::fs::read_to_string(&path).expect("read dump");
         let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 1 + 12, "meta line + 4 ticks x 3 records");
-        let mut last_tick = 0u64;
+        assert_eq!(lines.len(), 1 + 4 * 8, "meta line + 4 ticks x 8 records");
         for (i, line) in lines.iter().enumerate() {
-            let (seq, scope, kind, value) = parse_trace_line(line).expect("parseable");
+            let (seq, scope, _, value) = parse_trace_line(line).expect("parseable");
             assert_eq!(seq, i as u64, "seq must be contiguous");
             assert_eq!(scope, "unit/flight run");
-            validate_event_fields(&kind, &value).expect("schema reuse");
+            let event = Event::parse(&value).expect("schema reuse");
             if i == 0 {
-                assert_eq!(kind, "flight_meta");
-                assert_eq!(value.get("trigger").unwrap().as_str(), Some("fault"));
-                assert_eq!(value.get("tick_from").unwrap().as_u64(), Some(4));
-                assert_eq!(value.get("tick_to").unwrap().as_u64(), Some(7));
+                assert_eq!(
+                    event,
+                    Event::FlightMeta {
+                        run: "unit/flight run",
+                        trigger: "fault",
+                        trigger_tick: 7,
+                        retain_ticks: 4,
+                        tick_from: 4,
+                        tick_to: 7,
+                        records: 32,
+                    }
+                );
             } else {
-                let t = value.get("tick").unwrap().as_u64().unwrap();
-                assert!(t >= last_tick, "ticks must be monotone");
-                last_tick = t;
+                // Every recorded kind comes back exactly as pushed, in
+                // push order.
+                let t = 4 + (i as u64 - 1) / 8;
+                assert_eq!(event, engine_kinds(t)[(i - 1) % 8]);
             }
         }
         // Second trigger is suppressed.
@@ -530,7 +543,7 @@ mod tests {
         assert_eq!(rec.suppressed(), 1);
         let info = rec.dump_info().expect("recorded");
         assert_eq!(info.trigger, "fault");
-        assert_eq!(info.records, 12);
+        assert_eq!(info.records, 32);
         std::fs::remove_file(path).ok();
     }
 
@@ -539,11 +552,11 @@ mod tests {
         let dir = std::env::temp_dir().join("mmog_flight_test_end");
         let mut cfg = test_cfg(4, 64, &dir);
         let mut rec = FlightRecorder::new(cfg.clone());
-        rec.push("tick", 0, &[0.0, 0.0, 0.0]);
+        rec.push(tick(0));
         assert!(rec.finish(0, "no-dump").expect("io").is_none());
         cfg.dump_at_end = true;
         let mut rec = FlightRecorder::new(cfg);
-        rec.push("tick", 0, &[0.0, 0.0, 0.0]);
+        rec.push(tick(0));
         let path = rec.finish(0, "end-dump").expect("io").expect("dumps");
         assert_eq!(rec.dump_info().unwrap().trigger, "explicit");
         std::fs::remove_file(path).ok();

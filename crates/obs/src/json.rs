@@ -401,7 +401,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         if let Ok(u) = text.parse::<u64>() {
             return Ok(Value::UInt(u));
         }
-        if let Ok(i) = text.parse::<i64>() {
+        // `-0` is the rendering of a negative-zero float, not the
+        // integer 0: it falls through to the float path so the sign
+        // survives and re-rendering reproduces the input.
+        if let Some(i) = text.parse::<i64>().ok().filter(|&i| i != 0) {
             return Ok(Value::Int(i));
         }
     }
@@ -535,6 +538,16 @@ mod tests {
         let pretty = v.render_pretty();
         assert_eq!(parse(&pretty).unwrap(), v);
         assert!(pretty.contains("\n  \"list\""));
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        // A float sum over nothing is -0.0, which renders as `-0`.
+        assert_eq!(Value::Num(-0.0).render(), "-0");
+        let v = parse("-0").unwrap();
+        assert!(v.as_f64().is_some_and(|x| x == 0.0 && x.is_sign_negative()));
+        assert_eq!(v.render(), "-0");
+        assert_eq!(v.as_u64(), None, "not an unsigned integer");
     }
 
     #[test]

@@ -65,9 +65,8 @@ pub mod span;
 pub mod timeseries;
 
 pub use event::{
-    apply_trace_env, event_fields, flush_trace, parse_trace_line, render_trace, set_trace_path,
-    trace_enabled, validate_event_fields, EventSink, Field, FieldType, EVENT_FIELDS,
-    KNOWN_EVENT_KINDS,
+    apply_trace_env, flush_trace, parse_trace_line, render_trace, set_trace_path, trace_enabled,
+    Event, EventSink,
 };
 pub use export::{
     note_wall_seconds, render_summary_table, semantic_section, summary_json, summary_value,
@@ -75,7 +74,7 @@ pub use export::{
 };
 pub use flight::{
     flight_config, flight_recorder, sanitize_label, set_flight_config, FlightConfig,
-    FlightDumpInfo, FlightRecord, FlightRecorder, FlightTrigger, FLIGHT_MAX_VALUES,
+    FlightDumpInfo, FlightRecorder, FlightTrigger,
 };
 pub use latency::{
     latency, reset_latency, snapshot_latency, LatencyHisto, LatencySnapshot, LATENCY_BUCKETS,

@@ -7,7 +7,7 @@
 //! process-global, so separate `#[test]`s would race under the parallel
 //! test harness.
 
-use mmog_obs::{counter, gauge, histogram, parse_trace_line, Domain, EventSink};
+use mmog_obs::{counter, gauge, histogram, parse_trace_line, Domain, Event, EventSink};
 
 const ITEMS: usize = 4096;
 
@@ -59,14 +59,27 @@ fn pool_recording_and_event_round_trip() {
     // Chunks submitted in "wrong" (completion) order: flush must order
     // them by label, then assign contiguous sequence numbers.
     let mut late = EventSink::new();
-    late.emit("tick", &[("tick", 9u64.into()), ("demand_cpu", 2.5.into())]);
+    late.emit(&Event::Tick {
+        tick: 9,
+        demand_cpu: 2.5,
+        alloc_cpu: 3.0,
+        shortfall_cpu: 0.0,
+    });
     late.submit("run B");
     let mut early = EventSink::new();
-    early.emit("run_start", &[("groups", 10u64.into())]);
-    early.emit(
-        "provision",
-        &[("unmet", true.into()), ("reason", "distance".into())],
-    );
+    early.emit(&Event::RunStart {
+        mode: "dynamic",
+        groups: 10,
+        centers: 2,
+        ticks: 30,
+        warmup: 0,
+    });
+    early.emit(&Event::MatchReject {
+        tick: 4,
+        operator: 1,
+        center: 0,
+        reason: "distance",
+    });
     early.submit("run A");
     let written = mmog_obs::flush_trace()
         .expect("flush must succeed")
@@ -88,7 +101,7 @@ fn pool_recording_and_event_round_trip() {
                 assert_eq!(value.get("groups").and_then(|v| v.as_u64()), Some(10));
             }
             1 => {
-                assert_eq!(kind, "provision");
+                assert_eq!(kind, "match_reject");
                 assert_eq!(
                     value.get("reason").and_then(|v| v.as_str()),
                     Some("distance")

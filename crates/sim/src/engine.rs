@@ -19,7 +19,7 @@ use mmog_faults::{
     FaultEvent, FaultKind, FaultSchedule, ScenarioEvent, ScenarioEventKind, ScenarioTimeline,
 };
 use mmog_obs::{
-    Counter, Domain, EventSink, Field, FlightRecorder, FlightTrigger, LatencyHisto, SpanStat,
+    Counter, Domain, Event, EventSink, FlightRecorder, FlightTrigger, LatencyHisto, SpanStat,
 };
 use mmog_predict::eval::PredictorKind;
 use mmog_util::geo::{DistanceClass, GeoPoint};
@@ -44,6 +44,17 @@ pub enum AllocationMode {
     /// One peak-sized allocation at the start, never adjusted — "the
     /// current industry practice" the paper argues against.
     Static,
+}
+
+impl AllocationMode {
+    /// Stable lower-case label used in trace events.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::Dynamic => "dynamic",
+            Self::Static => "static",
+        }
+    }
 }
 
 /// A game's player-count workload: a fully materialized trace, or a
@@ -318,29 +329,24 @@ fn ns_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Emits one `lease_release` lifecycle event. Every release cause —
+/// The `lease_release` lifecycle event. Every release cause —
 /// settle-step surplus and reshape, outages, migrations, failovers and
-/// the run-end closure — goes through here, so the event's layout is
-/// defined once.
-fn emit_lease_release(
-    sink: &mut EventSink,
-    tick: usize,
+/// the run-end closure — builds its event here.
+fn lease_release(
+    tick: u64,
     center: usize,
     lease: &Lease,
     operator: u32,
     cause: ReleaseCause,
-) {
-    sink.emit(
-        "lease_release",
-        &[
-            ("tick", tick.into()),
-            ("center", center.into()),
-            ("lease", lease.id.0.into()),
-            ("operator", operator.into()),
-            ("cpu", lease.amounts.cpu.into()),
-            ("cause", cause.label().into()),
-        ],
-    );
+) -> Event<'static> {
+    Event::LeaseRelease {
+        tick,
+        center: center as u64,
+        lease: lease.id.0,
+        operator: u64::from(operator),
+        cpu: lease.amounts.cpu,
+        cause: cause.label(),
+    }
 }
 
 /// Which groups a settle pass adjusts, in what order, and towards what.
@@ -507,110 +513,93 @@ impl RunState {
         target: &ResourceVector,
         out: &AdjustOutcome,
     ) {
-        let tick = self.tick.t;
+        let tick = self.tick.t as u64;
         let detail = provisioner.lifecycle_detail();
         let changed = out.granted > 0 || out.released > 0 || out.unmet;
         if !changed && detail.is_empty() {
             return;
         }
-        if let (true, Some(flight)) = (changed, self.flight.as_mut()) {
-            flight.push(
-                "provision",
-                tick as u64,
-                &[
-                    f64::from(provisioner.operator.0),
-                    out.granted as f64,
-                    out.released as f64,
-                    if out.unmet { 1.0 } else { 0.0 },
-                    target.cpu,
-                    provisioner.allocated().cpu,
-                ],
-            );
+        let op = provisioner.operator.0;
+        let provision = Event::Provision {
+            tick,
+            operator: u64::from(op),
+            granted: out.granted as u64,
+            released: out.released as u64,
+            unmet: out.unmet,
+            target_cpu: target.cpu,
+            alloc_cpu: provisioner.allocated().cpu,
+        };
+        if changed {
+            self.flight_push(provision);
         }
         let Some(sink) = &mut self.sink else { return };
-        let op = provisioner.operator.0;
         for &(center, lease_id) in &detail.matured {
-            sink.emit(
-                "lease_mature",
-                &[
-                    ("tick", tick.into()),
-                    ("center", center.into()),
-                    ("lease", lease_id.0.into()),
-                    ("operator", op.into()),
-                ],
-            );
+            sink.emit(&Event::LeaseMature {
+                tick,
+                center: center as u64,
+                lease: lease_id.0,
+                operator: u64::from(op),
+            });
         }
         for &(center, ref lease, cause) in &detail.releases {
-            emit_lease_release(sink, tick, center, lease, op, cause);
+            sink.emit(&lease_release(tick, center, lease, op, cause));
         }
         if let Some((request, cpu)) = detail.request {
-            sink.emit(
-                "lease_request",
-                &[
-                    ("tick", tick.into()),
-                    ("request", request.into()),
-                    ("group", (request >> 32).into()),
-                    ("operator", op.into()),
-                    ("cpu", cpu.into()),
-                ],
-            );
+            sink.emit(&Event::LeaseRequest {
+                tick,
+                request,
+                group: request >> 32,
+                operator: u64::from(op),
+                cpu,
+            });
             for (center, lease) in &detail.grants {
-                sink.emit(
-                    "lease_grant",
-                    &[
-                        ("tick", tick.into()),
-                        ("request", request.into()),
-                        ("center", (*center).into()),
-                        ("lease", lease.id.0.into()),
-                        ("operator", op.into()),
-                        ("cpu", lease.amounts.cpu.into()),
-                    ],
-                );
+                sink.emit(&Event::LeaseGrant {
+                    tick,
+                    request,
+                    center: *center as u64,
+                    lease: lease.id.0,
+                    operator: u64::from(op),
+                    cpu: lease.amounts.cpu,
+                });
             }
         }
         if !changed {
             return;
         }
-        sink.emit(
-            "provision",
-            &[
-                ("tick", tick.into()),
-                ("operator", provisioner.operator.0.into()),
-                ("granted", out.granted.into()),
-                ("released", out.released.into()),
-                ("unmet", out.unmet.into()),
-                ("target_cpu", target.cpu.into()),
-                ("alloc_cpu", provisioner.allocated().cpu.into()),
-            ],
-        );
+        sink.emit(&provision);
         if let (true, Some(matched)) = (out.unmet, provisioner.last_match()) {
             for r in &matched.rejections {
-                sink.emit(
-                    "match_reject",
-                    &[
-                        ("tick", tick.into()),
-                        ("operator", provisioner.operator.0.into()),
-                        ("center", r.center_index.into()),
-                        ("reason", r.reason.label().into()),
-                    ],
-                );
+                sink.emit(&Event::MatchReject {
+                    tick,
+                    operator: u64::from(op),
+                    center: r.center_index as u64,
+                    reason: r.reason.label(),
+                });
             }
         }
     }
 
-    /// Emits one event when tracing is on. The fields are built even
-    /// when it is off, so hot paths gate on `sink` themselves.
-    fn emit(&mut self, kind: &str, fields: &[(&str, Field)]) {
+    /// Appends `event` to the trace when tracing is on. Building an
+    /// event only copies scalars and borrows strings, so call sites need
+    /// no gate of their own unless computing a field costs work.
+    fn trace(&mut self, event: &Event<'_>) {
         if let Some(sink) = self.sink.as_mut() {
-            sink.emit(kind, fields);
+            sink.emit(event);
         }
     }
 
-    /// Pushes one flight-recorder record at the current tick.
-    fn flight_push(&mut self, kind: &'static str, values: &[f64]) {
+    /// Pushes one event into the flight ring, when one is recording.
+    fn flight_push(&mut self, event: Event<'static>) {
         if let Some(rec) = self.flight.as_mut() {
-            rec.push(kind, self.tick.t as u64, values);
+            rec.push(event);
         }
+    }
+
+    /// Scenario events go to both planes: the flight ring, so a
+    /// triggered dump shows what changed, and the trace.
+    fn record(&mut self, event: Event<'static>) {
+        self.flight_push(event);
+        self.trace(&event);
     }
 
     /// Opens an outage episode at `center` now, unless one is open.
@@ -978,16 +967,13 @@ impl Simulation {
             run_start_wall: Instant::now(),
             tick: TickState::default(),
         };
-        run.emit(
-            "run_start",
-            &[
-                ("mode", format!("{:?}", self.mode).to_lowercase().into()),
-                ("groups", self.groups.len().into()),
-                ("centers", self.centers.len().into()),
-                ("ticks", self.ticks.into()),
-                ("warmup", self.warmup.into()),
-            ],
-        );
+        run.trace(&Event::RunStart {
+            mode: self.mode.label(),
+            groups: self.groups.len() as u64,
+            centers: self.centers.len() as u64,
+            ticks: self.ticks as u64,
+            warmup: self.warmup as u64,
+        });
         if self.mode == AllocationMode::Static {
             self.settle(&mut run, Settle::Initial);
         }
@@ -1018,7 +1004,7 @@ impl Simulation {
     /// land in program order. Only applied events are counted and can
     /// fire the flight recorder's fault trigger.
     fn apply_faults(&mut self, run: &mut RunState) {
-        let t = run.tick.t;
+        let tick = run.tick.t as u64;
         while let Some(ev) = run.next_fault() {
             if ev.kind != FaultKind::PredictorDropout && ev.center >= self.centers.len() {
                 continue; // explicit schedule naming a center we don't have
@@ -1038,37 +1024,28 @@ impl Simulation {
                         self.drain(run, gi, ev.center, ReleaseCause::CenterDown);
                     }
                     run.open_outage(ev.center);
-                    run.emit(
-                        "center_down",
-                        &[
-                            ("tick", t.into()),
-                            ("center", ev.center.into()),
-                            ("name", self.centers[ev.center].spec.name.as_str().into()),
-                            ("leases_lost", lost.len().into()),
-                        ],
-                    );
+                    run.trace(&Event::CenterDown {
+                        tick,
+                        center: ev.center as u64,
+                        name: &self.centers[ev.center].spec.name,
+                        leases_lost: lost.len() as u64,
+                    });
                 }
                 FaultKind::CenterUp => {
                     self.centers[ev.center].repair();
-                    run.emit(
-                        "center_up",
-                        &[
-                            ("tick", t.into()),
-                            ("center", ev.center.into()),
-                            ("name", self.centers[ev.center].spec.name.as_str().into()),
-                        ],
-                    );
+                    run.trace(&Event::CenterUp {
+                        tick,
+                        center: ev.center as u64,
+                        name: &self.centers[ev.center].spec.name,
+                    });
                 }
                 FaultKind::CenterDegraded { fraction } => {
                     self.centers[ev.center].degrade(fraction);
-                    run.emit(
-                        "center_degraded",
-                        &[
-                            ("tick", t.into()),
-                            ("center", ev.center.into()),
-                            ("fraction", fraction.into()),
-                        ],
-                    );
+                    run.trace(&Event::CenterDegraded {
+                        tick,
+                        center: ev.center as u64,
+                        fraction,
+                    });
                 }
                 FaultKind::LeaseRevoked => {
                     if let Some(lease) = self.centers[ev.center].revoke_oldest() {
@@ -1078,21 +1055,18 @@ impl Simulation {
                             }
                         }
                         run.report.leases_revoked += 1;
-                        run.emit(
-                            "lease_revoked",
-                            &[
-                                ("tick", t.into()),
-                                ("center", ev.center.into()),
-                                ("lease", lease.id.0.into()),
-                                ("operator", lease.operator.0.into()),
-                                ("cpu", lease.amounts.cpu.into()),
-                            ],
-                        );
+                        run.trace(&Event::LeaseRevoked {
+                            tick,
+                            center: ev.center as u64,
+                            lease: lease.id.0,
+                            operator: u64::from(lease.operator.0),
+                            cpu: lease.amounts.cpu,
+                        });
                     }
                 }
                 FaultKind::PredictorDropout => {
                     run.tick.dropout = true;
-                    run.emit("predictor_dropout", &[("tick", t.into())]);
+                    run.trace(&Event::PredictorDropout { tick });
                 }
             }
         }
@@ -1127,7 +1101,7 @@ impl Simulation {
     /// fan-out (so dropped leases and flash-crowd demand are visible the
     /// same tick).
     fn apply_scenario(&mut self, run: &mut RunState) {
-        let t = run.tick.t;
+        let tick = run.tick.t as u64;
         let n_regions = self.region_group_counts.len();
         while let Some(ev) = run.next_scenario_event() {
             run.report.scenario_events += 1;
@@ -1135,25 +1109,17 @@ impl Simulation {
                 ScenarioEventKind::Partition { mask } => {
                     run.topology.partition(mask);
                     run.tick.partition_fired = true;
-                    let components = run.topology.components();
-                    run.flight_push("partition", &[mask as f64, components as f64]);
-                    run.emit(
-                        "partition",
-                        &[
-                            ("tick", t.into()),
-                            ("mask", mask.into()),
-                            ("components", components.into()),
-                        ],
-                    );
+                    let components = run.topology.components() as u64;
+                    run.record(Event::Partition {
+                        tick,
+                        mask,
+                        components,
+                    });
                 }
                 ScenarioEventKind::Heal => {
                     run.topology.heal();
-                    let components = run.topology.components();
-                    run.flight_push("heal", &[components as f64]);
-                    run.emit(
-                        "heal",
-                        &[("tick", t.into()), ("components", components.into())],
-                    );
+                    let components = run.topology.components() as u64;
+                    run.record(Event::Heal { tick, components });
                 }
                 ScenarioEventKind::LinkDegrade { .. } | ScenarioEventKind::LinkRestore { .. } => {
                     let (a, b, factor) = match ev.kind {
@@ -1162,16 +1128,12 @@ impl Simulation {
                         _ => unreachable!("outer arm matched a link event"),
                     };
                     run.topology.set_link_factor(a as usize, b as usize, factor);
-                    run.flight_push("topology_change", &[f64::from(a), f64::from(b), factor]);
-                    run.emit(
-                        "topology_change",
-                        &[
-                            ("tick", t.into()),
-                            ("a", a.into()),
-                            ("b", b.into()),
-                            ("factor", factor.into()),
-                        ],
-                    );
+                    run.record(Event::TopologyChange {
+                        tick,
+                        a: u64::from(a),
+                        b: u64::from(b),
+                        factor,
+                    });
                 }
                 ScenarioEventKind::FlashBegin { .. } | ScenarioEventKind::FlashEnd { .. } => {
                     if n_regions == 0 {
@@ -1190,17 +1152,12 @@ impl Simulation {
                     };
                     let region = (pick % n_regions as u64) as usize;
                     run.region_flash[region] = factor;
-                    let groups = self.region_group_counts[region];
-                    run.flight_push("flash_crowd", &[region as f64, factor, groups as f64]);
-                    run.emit(
-                        "flash_crowd",
-                        &[
-                            ("tick", t.into()),
-                            ("region", region.into()),
-                            ("factor", factor.into()),
-                            ("groups", groups.into()),
-                        ],
-                    );
+                    run.record(Event::FlashCrowd {
+                        tick,
+                        region: region as u64,
+                        factor,
+                        groups: self.region_group_counts[region],
+                    });
                 }
                 ScenarioEventKind::Migrate { pick } => {
                     let gi = (pick % self.groups.len() as u64) as usize;
@@ -1264,7 +1221,7 @@ impl Simulation {
         if let Some(sink) = run.sink.as_mut() {
             let op = provisioner.operator.0;
             for lease in &dropped {
-                emit_lease_release(sink, run.tick.t, center, lease, op, cause);
+                sink.emit(&lease_release(run.tick.t as u64, center, lease, op, cause));
             }
         }
         (dropped.len(), dropped.iter().map(|l| l.amounts.cpu).sum())
@@ -1277,7 +1234,6 @@ impl Simulation {
     ///
     /// [`drain`]: Self::drain
     fn charge_migration(&self, run: &mut RunState, gi: usize, center: usize, leases: usize) {
-        let t = run.tick.t;
         let cost_ticks = run
             .scenario
             .as_ref()
@@ -1288,20 +1244,13 @@ impl Simulation {
         run.report.migrations += 1;
         run.tick.migration_fired = true;
         run.open_outage(center);
-        run.flight_push(
-            "migration",
-            &[gi as f64, center as f64, leases as f64, cost],
-        );
-        run.emit(
-            "migration",
-            &[
-                ("tick", t.into()),
-                ("group", gi.into()),
-                ("center", center.into()),
-                ("leases", leases.into()),
-                ("cost", cost.into()),
-            ],
-        );
+        run.record(Event::Migration {
+            tick: run.tick.t as u64,
+            group: gi as u64,
+            center: center as u64,
+            leases: leases as u64,
+            cost,
+        });
     }
 
     /// Fan-out: score the allocation in force against the actual demand
@@ -1394,15 +1343,12 @@ impl Simulation {
             }
         }
         if let Some(sink) = run.sink.as_mut() {
-            sink.emit(
-                "tick",
-                &[
-                    ("tick", t.into()),
-                    ("demand_cpu", total_demand.cpu.into()),
-                    ("alloc_cpu", total_alloc.cpu.into()),
-                    ("shortfall_cpu", shortfall.cpu.into()),
-                ],
-            );
+            sink.emit(&Event::Tick {
+                tick: t as u64,
+                demand_cpu: total_demand.cpu,
+                alloc_cpu: total_alloc.cpu,
+                shortfall_cpu: shortfall.cpu,
+            });
             // Per-center allocation snapshots for the analytics
             // timelines, sampled on a tick-count-derived stride (plus
             // the final tick) so suite-scale traces stay bounded: at
@@ -1411,16 +1357,12 @@ impl Simulation {
             let center_tick_stride = (self.ticks / 96).max(1);
             if t.is_multiple_of(center_tick_stride) || t + 1 == self.ticks {
                 for (ci, center) in self.centers.iter().enumerate() {
-                    let alloc_cpu: f64 = center.leases().iter().map(|l| l.amounts.cpu).sum();
-                    sink.emit(
-                        "center_tick",
-                        &[
-                            ("tick", t.into()),
-                            ("center", ci.into()),
-                            ("alloc_cpu", alloc_cpu.into()),
-                            ("free_cpu", center.free().cpu.into()),
-                        ],
-                    );
+                    sink.emit(&Event::CenterTick {
+                        tick: t as u64,
+                        center: ci as u64,
+                        alloc_cpu: center.leases().iter().map(|l| l.amounts.cpu).sum(),
+                        free_cpu: center.free().cpu,
+                    });
                 }
             }
         }
@@ -1490,15 +1432,12 @@ impl Simulation {
             if recovering {
                 if out.granted > 0 {
                     run.report.reprovisions += out.granted as u64;
-                    run.emit(
-                        "reprovision",
-                        &[
-                            ("tick", t.into()),
-                            ("operator", provisioner.operator.0.into()),
-                            ("granted", out.granted.into()),
-                            ("lost_cpu", lost.cpu.into()),
-                        ],
-                    );
+                    run.trace(&Event::Reprovision {
+                        tick: t as u64,
+                        operator: u64::from(provisioner.operator.0),
+                        granted: out.granted as u64,
+                        lost_cpu: lost.cpu,
+                    });
                 }
                 // Whole again: stop attributing grants to fault
                 // recovery.
@@ -1538,14 +1477,11 @@ impl Simulation {
             for (center, start) in std::mem::take(&mut run.open_outages) {
                 let down_ticks = t as u64 - start;
                 run.report.recovery_ticks.push(down_ticks);
-                run.emit(
-                    "fault_recovery",
-                    &[
-                        ("tick", t.into()),
-                        ("center", center.into()),
-                        ("down_ticks", down_ticks.into()),
-                    ],
-                );
+                run.trace(&Event::FaultRecovery {
+                    tick: t as u64,
+                    center: center as u64,
+                    down_ticks,
+                });
             }
         }
     }
@@ -1628,19 +1564,21 @@ impl Simulation {
                 run.last_live_write = Some(Instant::now());
             }
         }
-        run.flight_push(
-            "tick",
-            &[tick.demand.cpu, tick.alloc.cpu, tick.shortfall.cpu],
-        );
+        run.flight_push(Event::Tick {
+            tick: t as u64,
+            demand_cpu: tick.demand.cpu,
+            alloc_cpu: tick.alloc.cpu,
+            shortfall_cpu: tick.shortfall.cpu,
+        });
         // Stage latencies travel with the window so a dump shows both
         // what the engine decided and how long it took.
-        let stage_ns = [
-            tick.predict_ns,
-            tick.reduce_ns,
-            tick.settle_ns,
-            tick.tick_ns,
-        ];
-        run.flight_push("tick_latency", &stage_ns.map(|ns| ns as f64));
+        run.flight_push(Event::TickLatency {
+            tick: t as u64,
+            predict_ns: tick.predict_ns,
+            reduce_ns: tick.reduce_ns,
+            settle_ns: tick.settle_ns,
+            tick_ns: tick.tick_ns,
+        });
         if let Some(rec) = run.flight.as_mut() {
             // Trigger decisions, in fixed priority order: faults are
             // semantic (deterministic for a fixed schedule), the
@@ -1726,63 +1664,57 @@ impl Simulation {
             let error_pct = 100.0 * hot.abs_err_sum / hot.actual_sum;
             err_hist.record(error_pct);
             if let Some(sink) = run.sink.as_mut() {
-                sink.emit(
-                    "prediction_group",
-                    &[
-                        ("group", gi.into()),
-                        ("operator", group.provisioner.operator.0.into()),
-                        ("game", self.game_names[group.game].as_str().into()),
-                        ("error_pct", error_pct.into()),
-                    ],
-                );
+                sink.emit(&Event::PredictionGroup {
+                    group: gi as u64,
+                    operator: u64::from(group.provisioner.operator.0),
+                    game: &self.game_names[group.game],
+                    error_pct,
+                });
             }
         }
         if let Some(mut sink) = run.sink.take() {
             // Integrated per-center usage: the bulk-waste attribution of
             // Figures 13–14, one event per center in platform order.
             for u in &report.center_usage {
-                sink.emit(
-                    "center_usage",
-                    &[
-                        ("name", u.name.as_str().into()),
-                        ("capacity_cpu", u.capacity_cpu.into()),
-                        ("cpu_unit_ticks", u.cpu_total.into()),
-                        ("cpu_free_unit_ticks", u.cpu_free.into()),
-                    ],
-                );
+                sink.emit(&Event::CenterUsage {
+                    name: &u.name,
+                    capacity_cpu: u.capacity_cpu,
+                    cpu_unit_ticks: u.cpu_total,
+                    cpu_free_unit_ticks: u.cpu_free,
+                });
             }
             if run.faults.is_some() {
-                sink.emit(
-                    "fault_summary",
-                    &[
-                        ("events", report.fault_events.into()),
-                        ("leases_revoked", report.leases_revoked.into()),
-                        ("reprovisions", report.reprovisions.into()),
-                        ("unserved_player_ticks", report.unserved_player_ticks.into()),
-                        ("recovered", report.recovery_ticks.len().into()),
-                        ("unrecovered", report.unrecovered_outages.into()),
-                    ],
-                );
+                sink.emit(&Event::FaultSummary {
+                    events: report.fault_events,
+                    leases_revoked: report.leases_revoked,
+                    reprovisions: report.reprovisions,
+                    unserved_player_ticks: report.unserved_player_ticks,
+                    recovered: report.recovery_ticks.len() as u64,
+                    unrecovered: report.unrecovered_outages as u64,
+                });
             }
             // Lifecycle closure: every lease still held at run end gets
             // its terminal event (groups in index order), so the
             // analyzer always reconstructs 100% of granted leases.
-            let (end_tick, cause) = (self.ticks.saturating_sub(1), ReleaseCause::RunEnd);
+            let (end_tick, cause) = (self.ticks.saturating_sub(1) as u64, ReleaseCause::RunEnd);
             for group in &self.groups {
                 let op = group.provisioner.operator.0;
                 for held in group.provisioner.held_leases() {
-                    emit_lease_release(&mut sink, end_tick, held.center, &held.lease, op, cause);
+                    sink.emit(&lease_release(
+                        end_tick,
+                        held.center,
+                        &held.lease,
+                        op,
+                        cause,
+                    ));
                 }
             }
-            sink.emit(
-                "run_end",
-                &[
-                    ("ticks", self.ticks.into()),
-                    ("unmet_steps", report.unmet_steps.into()),
-                    ("leases_granted", run.leases_granted.into()),
-                    ("leases_released", run.leases_released.into()),
-                ],
-            );
+            sink.emit(&Event::RunEnd {
+                ticks: self.ticks as u64,
+                unmet_steps: report.unmet_steps,
+                leases_granted: run.leases_granted,
+                leases_released: run.leases_released,
+            });
             sink.submit(&self.trace_label);
         }
         // Time-series submission + self-cost accounting (timing domain:

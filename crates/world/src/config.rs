@@ -318,27 +318,39 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_configs() {
-        let mut cfg = EmulatorConfig::default();
-        cfg.grid = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.peak_entities = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.world_size = -1.0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.aoi_radius = -0.1;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.npc_ratio = -0.5;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.hotspots = 0;
-        assert!(cfg.validate().is_err());
-        let mut cfg = EmulatorConfig::default();
-        cfg.teams = 0;
-        assert!(cfg.validate().is_err());
+        let bad = [
+            EmulatorConfig {
+                grid: 0,
+                ..EmulatorConfig::default()
+            },
+            EmulatorConfig {
+                peak_entities: 0,
+                ..EmulatorConfig::default()
+            },
+            EmulatorConfig {
+                world_size: -1.0,
+                ..EmulatorConfig::default()
+            },
+            EmulatorConfig {
+                aoi_radius: -0.1,
+                ..EmulatorConfig::default()
+            },
+            EmulatorConfig {
+                npc_ratio: -0.5,
+                ..EmulatorConfig::default()
+            },
+            EmulatorConfig {
+                hotspots: 0,
+                ..EmulatorConfig::default()
+            },
+            EmulatorConfig {
+                teams: 0,
+                ..EmulatorConfig::default()
+            },
+        ];
+        for cfg in bad {
+            assert!(cfg.validate().is_err(), "{cfg:?}");
+        }
     }
 
     #[test]

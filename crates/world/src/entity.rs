@@ -393,7 +393,7 @@ mod tests {
             AiProfile::Scout,
         );
         e.team = team;
-        e.target = (id % 2 == 0).then(|| Position::new(9.0, 9.0));
+        e.target = id.is_multiple_of(2).then(|| Position::new(9.0, 9.0));
         e
     }
 

@@ -187,7 +187,8 @@ mod tests {
 
     #[test]
     fn subzone_pairs_formula() {
-        assert_eq!(count_pairs_subzone(&[0, 1, 2, 3]), 0 + 0 + 1 + 3);
+        // Zones of 0, 1, 2 and 3 entities hold 0, 0, 1 and 3 pairs.
+        assert_eq!(count_pairs_subzone(&[0, 1, 2, 3]), 4);
         assert_eq!(count_pairs_subzone(&[]), 0);
         assert_eq!(count_pairs_subzone(&[10]), 45);
     }

@@ -11,7 +11,9 @@
 //! worker threads (default: all logical CPUs; `--jobs 1` reproduces the
 //! serial path). Reports are collected in suite order and printed and
 //! written exactly as the serial runner did — byte-identical output for
-//! any job count. Wall-clock timings land in `results/BENCH_parallel.json`.
+//! any job count. With `--metrics`, per-stage wall-clock totals and
+//! latency tails land in the `timing` section of
+//! `results/OBS_summary.json`.
 
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
@@ -28,57 +30,6 @@ V-D      dynamic       Neural      O(n^2)         ALL       none     one
 V-E      dynamic       Neural      O(n^2)         east/west ALL      one
 V-F      dynamic       Neural      O(n^2) mix     optimal   none     SEVERAL
 ";
-
-/// Renders the timing report as JSON (the workspace's serde is an
-/// offline no-op shim, so the handful of fields are formatted by hand).
-/// Every entry carries the jobs/CPU context it ran under, and the
-/// suite-wide per-stage span breakdown from `mmog-obs` follows the
-/// experiment list.
-fn timing_json(opts: &RunOpts, cores: usize, timings: &[(&str, f64)], wall_seconds: f64) -> String {
-    let serial_sum: f64 = timings.iter().map(|(_, s)| s).sum();
-    let speedup = if wall_seconds > 0.0 {
-        serial_sum / wall_seconds
-    } else {
-        1.0
-    };
-    let jobs = mmog_par::jobs();
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"logical_cpus\": {cores},\n"));
-    out.push_str(&format!(
-        "  \"scale\": {{\"days\": {}, \"cap\": {}, \"seed\": {}}},\n",
-        opts.days,
-        opts.cap.map_or("null".to_string(), |c| c.to_string()),
-        opts.seed
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, (name, secs)) in timings.iter().enumerate() {
-        let comma = if i + 1 == timings.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"seconds\": {secs:.3}, \
-             \"jobs\": {jobs}, \"logical_cpus\": {cores}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stages\": [\n");
-    let spans = mmog_obs::snapshot_spans();
-    for (i, (path, s)) in spans.iter().enumerate() {
-        let comma = if i + 1 == spans.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"path\": \"{path}\", \"calls\": {}, \"total_ms\": {:.3}, \
-             \"mean_us\": {:.2}}}{comma}\n",
-            s.calls,
-            s.total_ns as f64 / 1e6,
-            s.mean_us()
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"experiment_seconds_sum\": {serial_sum:.3},\n"));
-    out.push_str(&format!("  \"wall_seconds\": {wall_seconds:.3},\n"));
-    out.push_str(&format!("  \"speedup_vs_serial_sum\": {speedup:.2}\n"));
-    out.push_str("}\n");
-    out
-}
 
 fn main() {
     let opts = RunOpts::from_args();
@@ -132,24 +83,17 @@ fn main() {
     });
     let wall_seconds = suite_start.elapsed().as_secs_f64();
 
-    let mut timings: Vec<(&str, f64)> = Vec::with_capacity(experiments.len());
     for ((name, _), (report, secs)) in experiments.iter().zip(&reports) {
         let path = out_dir.join(format!("{name}.txt"));
         fs::write(&path, report).expect("cannot write report");
         println!("== {name} ({secs:.1}s) -> {}", path.display());
         println!("{report}");
-        timings.push((name, *secs));
     }
-
     let cores = mmog_par::available_jobs();
-    let json = timing_json(&opts, cores, &timings, wall_seconds);
-    let bench_path = out_dir.join("BENCH_parallel.json");
-    fs::write(&bench_path, &json).expect("cannot write timing report");
     println!(
-        "== suite wall time {wall_seconds:.1}s over {} experiments ({} jobs, {cores} CPUs) -> {}",
-        timings.len(),
-        mmog_par::jobs(),
-        bench_path.display()
+        "== suite wall time {wall_seconds:.1}s over {} experiments ({} jobs, {cores} CPUs)",
+        experiments.len(),
+        mmog_par::jobs()
     );
 
     // Observability exports: the JSONL event log (--trace / MMOG_TRACE)
@@ -168,9 +112,10 @@ fn main() {
         Err(e) => eprintln!("== time-series write failed: {e}"),
     }
     if opts.metrics {
-        // Give the summary the suite wall time so the `obs/self`
-        // section can report the recorder's overhead as a percentage.
-        mmog_obs::note_wall_seconds(wall_seconds);
+        // The suite wall time lets `obs/self` report the recorder's
+        // overhead as a percentage; jobs and CPUs let the gate judge
+        // timings only in a matching environment.
+        mmog_obs::note_run(wall_seconds, mmog_par::jobs(), cores);
         let summary_path = out_dir.join("OBS_summary.json");
         fs::write(&summary_path, mmog_obs::summary_json()).expect("cannot write OBS summary");
         println!("== metrics summary -> {}\n", summary_path.display());

@@ -7,7 +7,6 @@
 //! unnoticed.
 //!
 //! Usage: `obs_check <OBS_summary.json> [trace.jsonl]`
-//!        `obs_check --scale <BENCH_scale.json>`
 //!        `obs_check --flight <FLIGHT_run.jsonl>`
 //!        `obs_check --ts <TS_run.json | OBS_live.json>...`
 //!
@@ -18,14 +17,6 @@
 //! The kind-coverage count is reported against `Event::KINDS.len()`,
 //! so it tracks schema growth automatically.
 //!
-//! `--scale` validates a `scale_bench` document instead: the
-//! `mmog-scale-bench/v1` or `/v2` schema tag, the gate-compatible
-//! timing shape (`jobs`, `logical_cpus`, `stages[{path, total_ms}]`,
-//! `wall_seconds`), the per-stage throughput fields, the v2 per-stage
-//! `latency` sections (well-formed snapshots with monotone
-//! percentiles), and the deterministic `semantic` section. Unknown
-//! schema versions are rejected outright.
-//!
 //! `--flight` validates a flight-recorder dump: a `flight_meta` first
 //! line, the standard trace envelope, per-kind field sets and byte-exact
 //! re-rendering on every record, ticks monotone within the window the meta line declares,
@@ -34,8 +25,8 @@
 //!
 //! Exits non-zero with a diagnostic on the first violation — the CI
 //! observability smoke job runs this against a quick-scale
-//! `all_experiments` run, and the scale smoke job against
-//! `scale_bench --quick` output.
+//! `all_experiments` run, and the scale smoke job against the summary
+//! and flight dumps of `scale_bench --quick --metrics`.
 
 use mmog_obs::json::Value;
 use mmog_obs::Event;
@@ -125,147 +116,6 @@ fn check_ts(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates a `BENCH_scale.json` document (the testable core is
-/// [`check_scale_text`]; this wrapper adds file I/O).
-fn check_scale(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    check_scale_text(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("OK scale bench {path}");
-    Ok(())
-}
-
-fn check_scale_text(text: &str) -> Result<(), String> {
-    let doc = mmog_obs::json::parse(text)?;
-    // v1: pre-latency documents, still accepted (committed baselines
-    // age slowly). v2: per-stage latency sections become mandatory.
-    let latency_required = match doc.get("schema").and_then(Value::as_str) {
-        Some("mmog-scale-bench/v1") => false,
-        Some("mmog-scale-bench/v2") => true,
-        Some(other) => return Err(format!("unknown schema {other:?}")),
-        None => return Err("missing schema field".into()),
-    };
-    for field in ["jobs", "logical_cpus", "ticks", "seed"] {
-        doc.get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("missing or non-integer {field}"))?;
-    }
-    doc.get("wall_seconds")
-        .and_then(Value::as_f64)
-        .ok_or("missing or non-numeric wall_seconds")?;
-    let stages = doc
-        .get("stages")
-        .and_then(Value::as_arr)
-        .ok_or("missing stages array")?;
-    if stages.is_empty() {
-        return Err("stages array is empty".into());
-    }
-    for (i, s) in stages.iter().enumerate() {
-        let path = s
-            .get("path")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("stages[{i}]: missing path"))?;
-        if !path.starts_with("scale/") {
-            return Err(format!("stages[{i}]: path {path:?} must start with scale/"));
-        }
-        for field in ["total_ms", "players_per_sec", "ticks_per_sec"] {
-            s.get(field)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("stages[{i}]: missing or non-numeric {field}"))?;
-        }
-        for field in ["players", "worlds", "groups"] {
-            s.get(field)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stages[{i}]: missing or non-integer {field}"))?;
-        }
-        // peak_rss_kb is platform-dependent: integer or null, but
-        // must be present.
-        let rss = s
-            .get("peak_rss_kb")
-            .ok_or_else(|| format!("stages[{i}]: missing peak_rss_kb"))?;
-        if rss.as_u64().is_none() && !matches!(rss, Value::Null) {
-            return Err(format!("stages[{i}]: peak_rss_kb must be integer or null"));
-        }
-        // Match-skip telemetry: optional (absent from pre-memo
-        // documents), but when present must be coherent.
-        for field in ["match_skips", "match_full"] {
-            if let Some(v) = s.get(field) {
-                v.as_u64()
-                    .ok_or_else(|| format!("stages[{i}]: {field} must be an integer"))?;
-            }
-        }
-        if let Some(rate) = s.get("match_skip_rate") {
-            let rate = rate
-                .as_f64()
-                .ok_or_else(|| format!("stages[{i}]: match_skip_rate must be numeric"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!(
-                    "stages[{i}]: match_skip_rate {rate} outside [0, 1]"
-                ));
-            }
-        }
-        match s.get("latency") {
-            Some(latency) => check_stage_latency(latency, i)?,
-            None if latency_required => {
-                return Err(format!(
-                    "stages[{i}]: v2 documents require a latency section"
-                ))
-            }
-            None => {}
-        }
-    }
-    let points = doc
-        .get("semantic")
-        .and_then(|s| s.get("points"))
-        .and_then(Value::as_arr)
-        .ok_or("missing semantic.points array")?;
-    if points.len() != stages.len() {
-        return Err(format!(
-            "semantic.points has {} entries but stages has {}",
-            points.len(),
-            stages.len()
-        ));
-    }
-    for (i, p) in points.iter().enumerate() {
-        let worlds = p
-            .get("worlds")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("semantic.points[{i}]: missing worlds array"))?;
-        if worlds.is_empty() {
-            return Err(format!("semantic.points[{i}]: worlds array is empty"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates one stage's `latency` object: every entry must parse as a
-/// `LatencySnapshot` (which re-checks that bucket counts sum to the
-/// recorded count) and report monotone percentiles.
-fn check_stage_latency(latency: &Value, stage: usize) -> Result<(), String> {
-    let entries = latency
-        .as_obj()
-        .ok_or_else(|| format!("stages[{stage}]: latency must be an object"))?;
-    if entries.is_empty() {
-        return Err(format!("stages[{stage}]: latency object is empty"));
-    }
-    for (path, value) in entries {
-        let snap = mmog_obs::LatencySnapshot::from_value(value)
-            .map_err(|e| format!("stages[{stage}]: latency {path}: {e}"))?;
-        if snap.count == 0 {
-            return Err(format!("stages[{stage}]: latency {path}: empty snapshot"));
-        }
-        let quantiles: Vec<u64> = [0.5, 0.9, 0.99, 0.999]
-            .iter()
-            .filter_map(|&p| snap.quantile(p))
-            .collect();
-        if quantiles.windows(2).any(|w| w[0] > w[1]) {
-            return Err(format!(
-                "stages[{stage}]: latency {path}: percentiles not monotone: {quantiles:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Validates a `FLIGHT_<run>.jsonl` dump (the testable core is
 /// [`check_flight_text`]; this wrapper adds file I/O).
 fn check_flight(path: &str) -> Result<(), String> {
@@ -349,18 +199,12 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(first) = args.next() else {
         eprintln!(
-            "usage: obs_check <OBS_summary.json> [trace.jsonl] | obs_check --scale \
-             <BENCH_scale.json> | obs_check --flight <FLIGHT_run.jsonl> | obs_check --ts \
-             <TS_run.json | OBS_live.json>..."
+            "usage: obs_check <OBS_summary.json> [trace.jsonl] | obs_check --flight \
+             <FLIGHT_run.jsonl> | obs_check --ts <TS_run.json | OBS_live.json>..."
         );
         return ExitCode::FAILURE;
     };
-    let result = if first == "--scale" {
-        match args.next() {
-            Some(path) => check_scale(&path),
-            None => Err("--scale needs a path".into()),
-        }
-    } else if first == "--ts" {
+    let result = if first == "--ts" {
         let paths: Vec<String> = args.collect();
         if paths.is_empty() {
             Err("--ts needs at least one path".into())
@@ -391,44 +235,6 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use mmog_obs::{FlightConfig, FlightRecorder, FlightTrigger};
-
-    fn snapshot_json(values: &[u64]) -> String {
-        let h = mmog_obs::LatencyHisto::new();
-        for &v in values {
-            h.record(v);
-        }
-        h.snapshot().to_value().render()
-    }
-
-    fn scale_doc(schema: &str, latency: Option<&str>) -> String {
-        let latency = latency.map_or(String::new(), |l| format!(r#", "latency": {l}"#));
-        format!(
-            r#"{{"schema":"{schema}","jobs":1,"logical_cpus":1,"ticks":30,"seed":7,
-  "stages":[{{"path":"scale/10k","players":10000,"worlds":1,"groups":5,"total_ms":5.0,
-    "players_per_sec":1.0,"ticks_per_sec":1.0,"peak_rss_kb":null{latency}}}],
-  "semantic":{{"points":[{{"label":"10k","players":10000,"worlds":[{{"world":0}}]}}]}},
-  "wall_seconds":0.005}}"#
-        )
-    }
-
-    #[test]
-    fn scale_schema_versions() {
-        let snap = snapshot_json(&[1_000, 2_000, 3_000]);
-        let latency = format!(r#"{{"sim/run/tick":{snap}}}"#);
-        // v2 with a well-formed latency section passes.
-        check_scale_text(&scale_doc("mmog-scale-bench/v2", Some(&latency))).unwrap();
-        // v2 without latency fails; v1 without it passes.
-        let err = check_scale_text(&scale_doc("mmog-scale-bench/v2", None)).unwrap_err();
-        assert!(err.contains("latency"), "{err}");
-        check_scale_text(&scale_doc("mmog-scale-bench/v1", None)).unwrap();
-        // Unknown schema versions are rejected with a clear message.
-        let err = check_scale_text(&scale_doc("mmog-scale-bench/v3", None)).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
-        // A latency section whose bucket counts disagree with `count`
-        // is malformed.
-        let lying = latency.replace(r#""count":3"#, r#""count":4"#);
-        assert!(check_scale_text(&scale_doc("mmog-scale-bench/v2", Some(&lying))).is_err());
-    }
 
     fn dump_text(retain: u64, push_ticks: std::ops::Range<u64>) -> String {
         let dir = std::env::temp_dir().join(format!("obs_check_flight_{retain}"));

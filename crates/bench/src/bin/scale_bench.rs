@@ -1,46 +1,50 @@
 //! `scale_bench` — the federation scale sweep (10k → 10M synthetic
-//! players), writing `results/BENCH_scale.json`.
+//! players).
 //!
 //! Each sweep point federates independent worlds, every one driven by a
 //! streaming one-region RuneScape-like workload (O(1) memory per group
 //! in the trace length) and fanned across the parallel layer; see
-//! [`mmog_bench::scale`]. The JSON is gate-compatible: CI compares it
-//! against `results/BASELINE_scale.json` with `obs_gate --bench-only`.
+//! [`mmog_bench::scale`]. The per-point throughput goes to stdout,
+//! followed by the deterministic semantic section. With `--metrics` the
+//! whole ladder's stage totals and latency tails are written to the
+//! `timing` section of `results/OBS_summary.json`; CI gates that file
+//! against `results/BASELINE_scale.json` with `obs_gate`.
 //!
 //! ```text
 //! scale_bench [--quick] [--full] [--ticks N] [--jobs N] [--seed N]
-//!             [--flight N] [--flight-dump] [--tick-deadline-ms N]
-//!             [--trace PATH] [--ts DIR] [--live PATH] [--live-every N]
+//!             [--metrics] [--flight N] [--flight-dump]
+//!             [--tick-deadline-ms N] [--trace PATH] [--ts DIR]
+//!             [--live PATH] [--live-every N]
 //! ```
 //!
 //! `--quick` stops the ladder at 100k (the CI smoke scale), the default
 //! runs 10k → 1M, `--full` adds the 10M point. `--ticks` sets the
-//! per-world tick count (default one day, 720). The flight flags
-//! install the per-run flight recorder exactly as the experiment
-//! binaries do (see `mmog_bench::cli`): each world keeps a bounded
-//! window of full-detail events and dumps `FLIGHT_<run>.jsonl` only on
-//! a trigger.
+//! per-world tick count (default one day, 720). Every other flag is the
+//! experiment binaries' (see `mmog_bench::cli`): with the flight flags
+//! each world keeps a bounded window of full-detail events and dumps
+//! `FLIGHT_<run>.jsonl` only on a trigger.
 
-use mmog_bench::scale;
+use mmog_bench::{scale, RunOpts};
 use mmog_util::time::TICKS_PER_DAY;
 use std::fs;
 use std::path::Path;
+use std::time::Instant;
 
 struct Opts {
     quick: bool,
     full: bool,
     ticks: usize,
-    seed: u64,
+    run: RunOpts,
 }
 
 fn parse_args() -> Opts {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Opts {
         quick: false,
         full: false,
         ticks: TICKS_PER_DAY as usize,
-        seed: 2008,
+        run: RunOpts::parse(args.iter().cloned()),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -50,20 +54,12 @@ fn parse_args() -> Opts {
                 opts.ticks = args[i + 1].parse().unwrap_or(opts.ticks);
                 i += 1;
             }
-            "--seed" if i + 1 < args.len() => {
-                opts.seed = args[i + 1].parse().unwrap_or(opts.seed);
-                i += 1;
-            }
             _ => {}
         }
         i += 1;
     }
-    // --jobs and the observability flags (--trace, --flight, --ts,
-    // --live, ...) share the experiment binaries' parser, so every
-    // binary spells them identically.
-    let run = mmog_bench::cli::RunOpts::parse(args);
-    run.apply_jobs();
-    run.apply_obs();
+    opts.run.apply_jobs();
+    opts.run.apply_obs();
     opts
 }
 
@@ -77,14 +73,10 @@ fn main() {
         opts.ticks,
         mmog_par::jobs()
     );
-    let results = scale::run_sweep(&points, opts.ticks, opts.seed);
-    let json = scale::render_json(&results, opts.ticks, opts.seed);
-    let out_dir = Path::new("results");
-    fs::create_dir_all(out_dir).expect("cannot create results/");
-    let path = out_dir.join("BENCH_scale.json");
-    fs::write(&path, &json).expect("cannot write BENCH_scale.json");
-    println!("-> {}", path.display());
-    print!("{json}");
+    let start = Instant::now();
+    let results = scale::run_sweep(&points, opts.ticks, opts.run.seed);
+    let wall_seconds = start.elapsed().as_secs_f64();
+    println!("{}", scale::render_semantic(&results));
     match mmog_obs::flush_trace() {
         Ok(Some(path)) => println!("== event trace -> {}", path.display()),
         Ok(None) => {}
@@ -97,5 +89,13 @@ fn main() {
             }
         }
         Err(e) => eprintln!("== time-series write failed: {e}"),
+    }
+    if opts.run.metrics {
+        mmog_obs::note_run(wall_seconds, mmog_par::jobs(), mmog_par::available_jobs());
+        let out_dir = Path::new("results");
+        fs::create_dir_all(out_dir).expect("cannot create results/");
+        let path = out_dir.join("OBS_summary.json");
+        fs::write(&path, mmog_obs::summary_json()).expect("cannot write OBS summary");
+        println!("== metrics summary -> {}", path.display());
     }
 }

@@ -10,10 +10,11 @@
 //! the per-world reports are bit-identical for any `--jobs` and the
 //! sweep's semantic section can be committed and diffed byte-for-byte.
 //!
-//! The JSON document written by [`render_json`] is shaped like
-//! `BENCH_parallel.json` (`jobs`, `logical_cpus`, `stages[{path,
-//! total_ms}]`, `wall_seconds`) so the PR-5 `obs_gate` bench machinery
-//! gates it against a committed baseline without new comparison code.
+//! Wall-clock data stays in the process-global observability plane: the
+//! engine's spans and latency histograms accumulate over the whole
+//! ladder, and `scale_bench --metrics` exports them in the `timing`
+//! section of `OBS_summary.json`, which `obs_gate` checks against
+//! `results/BASELINE_scale.json`.
 
 use mmog_datacenter::resource::ResourceType;
 use mmog_predict::eval::PredictorKind;
@@ -120,15 +121,11 @@ pub struct PointResult {
     pub peak_rss_kb: Option<u64>,
     /// One summary per world, in world order.
     pub worlds: Vec<WorldSummary>,
-    /// Per-stage latency distributions over every world of this point
-    /// (path → merged snapshot), captured from the engine's log-bucketed
-    /// histograms. Wall-clock data — never part of the semantic section.
-    pub latency: Vec<(String, mmog_obs::LatencySnapshot)>,
     /// Settle calls the match memo replayed across every world of this
     /// point. Timing-domain: parallel fault interleavings can shift the
     /// process-global availability epoch, so counts may vary with
-    /// `--jobs` — reported here and in the stage JSON, never in the
-    /// semantic section.
+    /// `--jobs` — reported in the progress line, never in the semantic
+    /// section.
     pub match_skips: u64,
     /// Settle calls that ran the full candidate walk.
     pub match_full: u64,
@@ -215,14 +212,9 @@ fn peak_rss_kb() -> Option<u64> {
 /// Runs one sweep point: builds every world's streaming configuration
 /// and fans the runs across the parallel layer. World order (and so the
 /// semantic section) is independent of `--jobs`.
-///
-/// Resets the process-global latency registry first so each point's
-/// snapshot covers exactly its own worlds — callers interleaving other
-/// instrumented work with a sweep should snapshot before calling.
 #[must_use]
 pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointResult {
     let worlds: Vec<usize> = (0..point.worlds).collect();
-    mmog_obs::reset_latency();
     // Counters are process-global and cumulative: deltas around the
     // point isolate this point's skip activity.
     let c_skips = mmog_obs::counter("sim.match.skips", mmog_obs::Domain::Timing);
@@ -236,10 +228,6 @@ pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointRes
     let seconds = start.elapsed().as_secs_f64();
     let match_skips = c_skips.get().wrapping_sub(skips_before);
     let match_full = c_full.get().wrapping_sub(full_before);
-    let latency = mmog_obs::snapshot_latency()
-        .into_iter()
-        .filter(|(path, snap)| path.starts_with("sim/run/") && snap.count > 0)
-        .collect();
     let worlds = reports
         .iter()
         .enumerate()
@@ -251,7 +239,6 @@ pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointRes
         seconds,
         peak_rss_kb: peak_rss_kb(),
         worlds,
-        latency,
         match_skips,
         match_full,
     }
@@ -264,8 +251,11 @@ pub fn run_sweep(points: &[SweepPoint], ticks: usize, master_seed: u64) -> Vec<P
         .iter()
         .map(|p| {
             let result = run_point(p, ticks, master_seed);
+            let rss = result
+                .peak_rss_kb
+                .map_or("-".to_string(), |kb| format!("{:.1} MB", kb as f64 / 1024.0));
             println!(
-                "scale/{}: {} players, {} worlds x {} groups, {:.2}s ({:.0} players/s, {:.1} world-ticks/s, {:.1}% match skips)",
+                "scale/{}: {} players, {} worlds x {} groups, {:.2}s ({:.0} players/s, {:.1} world-ticks/s, {:.1}% match skips, peak RSS {rss})",
                 p.label,
                 p.players(),
                 p.worlds,
@@ -304,60 +294,6 @@ pub fn render_semantic(results: &[PointResult]) -> String {
         out.push_str(&format!("      ]}}{comma}\n"));
     }
     out.push_str("    ]\n  }");
-    out
-}
-
-/// Renders the full `BENCH_scale.json` document
-/// (`mmog-scale-bench/v2`). The `stages` array matches the shape
-/// `obs_gate`'s bench comparison reads (`path`, `total_ms`), with
-/// throughput fields alongside; v2 adds a per-stage `latency` object
-/// (engine path → log-bucketed snapshot with percentiles) feeding the
-/// p99 gate and `latency_report`; `semantic` embeds [`render_semantic`].
-#[must_use]
-pub fn render_json(results: &[PointResult], ticks: usize, seed: u64) -> String {
-    let jobs = mmog_par::jobs();
-    let cpus = mmog_par::available_jobs();
-    let wall: f64 = results.iter().map(|r| r.seconds).sum();
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"mmog-scale-bench/v2\",\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!("  \"logical_cpus\": {cpus},\n"));
-    out.push_str(&format!("  \"ticks\": {ticks},\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"stages\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        let rss = r
-            .peak_rss_kb
-            .map_or("null".to_string(), |kb| kb.to_string());
-        let latency = mmog_obs::json::Value::Obj(
-            r.latency
-                .iter()
-                .map(|(path, snap)| (path.clone(), snap.to_value()))
-                .collect(),
-        )
-        .render();
-        out.push_str(&format!(
-            "    {{\"path\": \"scale/{}\", \"players\": {}, \"worlds\": {}, \"groups\": {}, \
-             \"total_ms\": {:.3}, \"players_per_sec\": {:.0}, \"ticks_per_sec\": {:.2}, \
-             \"peak_rss_kb\": {rss}, \"match_skips\": {}, \"match_full\": {}, \
-             \"match_skip_rate\": {:.4}, \"latency\": {latency}}}{comma}\n",
-            r.point.label,
-            r.point.players(),
-            r.point.worlds,
-            r.point.worlds as u64 * u64::from(r.point.groups_per_world),
-            r.seconds * 1e3,
-            r.players_per_sec(),
-            r.ticks_per_sec(),
-            r.match_skips,
-            r.match_full,
-            r.match_skip_rate(),
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"semantic\": {},\n", render_semantic(results)));
-    out.push_str(&format!("  \"wall_seconds\": {wall:.3}\n"));
-    out.push_str("}\n");
     out
 }
 
@@ -408,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn tiny_sweep_produces_gate_compatible_json() {
+    fn tiny_sweep_summary_round_trips_through_the_timing_gate() {
         let p = SweepPoint {
             label: "10k",
             worlds: 2,
@@ -418,33 +354,25 @@ mod tests {
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].worlds.len(), 2);
         assert!(results[0].worlds.iter().all(|w| w.samples == 30));
-        let json = render_json(&results, 30, 7);
-        // The bench-gate reader must accept this document as-is, and an
-        // identical run must pass the p99 gate it feeds.
-        let baseline = mmog_obs_analyze::gate::make_bench_baseline(&json).unwrap();
-        let thresholds = mmog_obs_analyze::gate::BenchThresholds::default();
-        let outcome = mmog_obs_analyze::gate::check_bench(&baseline, &json, &thresholds).unwrap();
-        assert!(outcome.pass(), "{:?}", outcome.failures);
-        // And the document itself parses as JSON with the v2 latency
-        // section carrying the engine's per-tick distribution.
-        let doc = mmog_obs::json::parse(&json).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(mmog_obs::json::Value::as_str),
-            Some("mmog-scale-bench/v2")
-        );
-        assert!(doc.get("semantic").is_some());
-        let stage = &doc
-            .get("stages")
-            .and_then(mmog_obs::json::Value::as_arr)
-            .unwrap()[0];
-        let tick = stage
-            .get("latency")
-            .and_then(|l| l.get("sim/run/tick"))
-            .expect("v2 stages carry sim/run/tick latency");
-        let count = tick.get("count").and_then(mmog_obs::json::Value::as_u64);
-        assert_eq!(count, Some(2 * 30), "one tick record per world-tick");
-        let snap = mmog_obs::LatencySnapshot::from_value(tick).unwrap();
-        assert!(snap.quantile(0.99).is_some());
+        // The summary `scale_bench --metrics` writes must build a timing
+        // baseline, and an identical summary must pass the gate against
+        // it. Other tests share the process-global registries, so only
+        // the sweep's own paths are asserted, never exact counts.
+        mmog_obs::note_run(results[0].seconds, 1, 1);
+        let summary = mmog_obs::summary_value().render_pretty();
+        let gate = mmog_obs_analyze::gate::TimingThresholds {
+            strict_paths: true,
+            ..Default::default()
+        };
+        let baseline = mmog_obs_analyze::gate::make_timing_baseline(&summary).unwrap();
+        let outcome = mmog_obs_analyze::gate::check_timing(&baseline, &summary, &gate).unwrap();
+        assert!(outcome.pass(), "{outcome:?}");
+        for path in ["sim/run", "sim/run/tick"] {
+            assert!(
+                baseline.contains(&format!("\"{path}\"")),
+                "baseline misses {path}: {baseline}"
+            );
+        }
     }
 
     #[test]

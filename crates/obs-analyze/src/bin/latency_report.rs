@@ -1,11 +1,13 @@
 //! `latency_report` — percentile tables and ASCII distribution
-//! sketches from any artifact carrying log-bucketed latency snapshots:
-//! a `mmog-scale-bench/v2` `BENCH_scale.json` (per-stage `latency`
-//! sections) or an `OBS_summary.json` (`timing.latency`).
+//! sketches from the log-bucketed latency snapshots in the
+//! `timing.latency` section of one or more `OBS_summary.json` files.
 //!
 //! ```text
-//! latency_report results/BENCH_scale.json [more.json ...]
+//! latency_report results/OBS_summary.json [more.json ...]
 //! ```
+//!
+//! Exits non-zero when no given artifact carries a latency snapshot, so
+//! a run whose latency instrumentation went missing fails loudly.
 
 use mmog_obs_analyze::{collect_snapshots, render_report};
 use std::process::ExitCode;
@@ -13,7 +15,7 @@ use std::process::ExitCode;
 fn run() -> Result<(), String> {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        return Err("usage: latency_report ARTIFACT.json [more.json ...]".into());
+        return Err("usage: latency_report OBS_summary.json [more.json ...]".into());
     }
     let mut snapshots = Vec::new();
     for path in &paths {
@@ -26,6 +28,9 @@ fn run() -> Result<(), String> {
             }
         }
         snapshots.extend(found);
+    }
+    if snapshots.is_empty() {
+        return Err("no latency sections found (latency instrumentation off?)".into());
     }
     print!("{}", render_report(&snapshots));
     Ok(())

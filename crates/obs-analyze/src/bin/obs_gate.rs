@@ -1,46 +1,38 @@
 //! `obs_gate` — the baseline regression gate CI runs after the quick
-//! suite.
+//! suite and after the scale ladder.
 //!
 //! ```text
-//! obs_gate --summary OBS_summary.json --bench BENCH_parallel.json
-//!          --obs-baseline results/BASELINE_obs.json
+//! obs_gate --summary results/OBS_summary.json
 //!          --bench-baseline results/BASELINE_bench.json
+//!          [--obs-baseline results/BASELINE_obs.json]
 //!          [--max-slowdown-pct 25] [--min-stage-ms 50]
 //!          [--max-p99-slowdown-pct 100] [--min-p99-us 20]
 //!          [--strict-paths] [--update] [--suite quick]
 //! ```
 //!
-//! Default mode compares and exits non-zero on any failure (semantic
-//! drift always fails; timing failures require a matching
-//! `jobs`/`logical_cpus` environment). Stages and latency paths the
-//! baseline has never seen are listed by name — warnings by default,
-//! hard failures under `--strict-paths` (the CI posture, so a renamed
-//! kernel path can't silently dodge the p99 gate). `--update`
-//! regenerates the baseline files from the current artifacts instead.
-//!
-//! `--summary`/`--obs-baseline` may be omitted **together** for
-//! bench-only gating — any timing document with `jobs`,
-//! `logical_cpus`, `stages[{path, total_ms}]` and `wall_seconds`
-//! (`BENCH_parallel.json`, `BENCH_scale.json`) works as `--bench`:
-//!
-//! ```text
-//! obs_gate --bench results/BENCH_scale.json
-//!          --bench-baseline results/BASELINE_scale.json
-//! ```
+//! The summary's `timing` section is checked against the timing
+//! baseline (`--bench-baseline`: `BASELINE_bench.json` for the quick
+//! suite, `BASELINE_scale.json` for `scale_bench`), and — when
+//! `--obs-baseline` is given — its `semantic` section against that
+//! baseline exactly. Default mode compares and exits non-zero on any
+//! failure (semantic drift always fails; timing failures require a
+//! matching `jobs`/`logical_cpus` environment). Stages and latency paths
+//! the baseline has never seen are listed by name — warnings by
+//! default, hard failures under `--strict-paths` (the CI posture, so a
+//! renamed kernel path can't silently dodge the p99 gate). `--update`
+//! regenerates the given baseline files from the summary instead.
 
 use mmog_obs_analyze::gate::{
-    check_bench, check_obs, make_bench_baseline, make_obs_baseline, BenchThresholds, GateOutcome,
+    check_obs, check_timing, make_obs_baseline, make_timing_baseline, GateOutcome, TimingThresholds,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Opts {
-    /// `None` in bench-only mode (`--obs-baseline` must be absent too).
-    summary: Option<PathBuf>,
-    bench: PathBuf,
+    summary: PathBuf,
     obs_baseline: Option<PathBuf>,
     bench_baseline: PathBuf,
-    thresholds: BenchThresholds,
+    thresholds: TimingThresholds,
     update: bool,
     suite: String,
 }
@@ -48,17 +40,15 @@ struct Opts {
 fn parse_args() -> Result<Opts, String> {
     let mut args = std::env::args().skip(1);
     let mut summary = None;
-    let mut bench = None;
     let mut obs_baseline = None;
     let mut bench_baseline = None;
-    let mut thresholds = BenchThresholds::default();
+    let mut thresholds = TimingThresholds::default();
     let mut update = false;
     let mut suite = "quick".to_string();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match arg.as_str() {
             "--summary" => summary = Some(PathBuf::from(value("--summary")?)),
-            "--bench" => bench = Some(PathBuf::from(value("--bench")?)),
             "--obs-baseline" => obs_baseline = Some(PathBuf::from(value("--obs-baseline")?)),
             "--bench-baseline" => bench_baseline = Some(PathBuf::from(value("--bench-baseline")?)),
             "--max-slowdown-pct" => {
@@ -87,15 +77,8 @@ fn parse_args() -> Result<Opts, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    if summary.is_some() != obs_baseline.is_some() {
-        return Err(
-            "--summary and --obs-baseline must be given together (omit both for bench-only gating)"
-                .into(),
-        );
-    }
     Ok(Opts {
-        summary,
-        bench: bench.ok_or("missing --bench")?,
+        summary: summary.ok_or("missing --summary")?,
         obs_baseline,
         bench_baseline: bench_baseline.ok_or("missing --bench-baseline")?,
         thresholds,
@@ -113,26 +96,23 @@ fn write(path: &PathBuf, body: String) -> Result<(), String> {
 }
 
 fn run(opts: &Opts) -> Result<bool, String> {
-    let bench = read(&opts.bench)?;
+    let summary = read(&opts.summary)?;
     if opts.update {
-        if let (Some(summary), Some(obs_baseline)) = (&opts.summary, &opts.obs_baseline) {
-            write(
-                obs_baseline,
-                make_obs_baseline(&read(summary)?, &opts.suite)?,
-            )?;
+        if let Some(obs_baseline) = &opts.obs_baseline {
+            write(obs_baseline, make_obs_baseline(&summary, &opts.suite)?)?;
             println!("updated {}", obs_baseline.display());
         }
-        write(&opts.bench_baseline, make_bench_baseline(&bench)?)?;
+        write(&opts.bench_baseline, make_timing_baseline(&summary)?)?;
         println!("updated {}", opts.bench_baseline.display());
         return Ok(true);
     }
     let mut outcome = GateOutcome::default();
-    if let (Some(summary), Some(obs_baseline)) = (&opts.summary, &opts.obs_baseline) {
-        outcome.merge(check_obs(&read(obs_baseline)?, &read(summary)?)?);
+    if let Some(obs_baseline) = &opts.obs_baseline {
+        outcome.merge(check_obs(&read(obs_baseline)?, &summary)?);
     }
-    outcome.merge(check_bench(
+    outcome.merge(check_timing(
         &read(&opts.bench_baseline)?,
-        &bench,
+        &summary,
         &opts.thresholds,
     )?);
     print!("{}", outcome.render("obs_gate"));

@@ -1,21 +1,25 @@
 //! The baseline regression gate.
 //!
-//! Two committed baselines, two comparison regimes:
+//! Both comparisons read one `OBS_summary.json`, against two kinds of
+//! committed baseline:
 //!
 //! - `results/BASELINE_obs.json` holds the **semantic** metrics section
-//!   of a quick-suite `OBS_summary.json`. Semantic instruments use only
+//!   of a quick-suite summary. Semantic instruments use only
 //!   commutative integer operations and the workload caches build once
 //!   per key, so a fresh-process quick-suite run reproduces the section
 //!   byte-for-byte on any machine at any `--jobs` — the gate compares
 //!   **exactly** and any drift fails the build.
-//! - `results/BASELINE_bench.json` holds hot-path stage timings from
-//!   `BENCH_parallel.json`. Wall-clock is machine-dependent, so the
-//!   gate is **threshold-tolerant** (default: fail past a 25% slowdown
-//!   on stages above a noise floor) and records `jobs`/`logical_cpus`
-//!   honestly: when the current run's parallelism or core count differs
-//!   from the baseline's, timing verdicts downgrade to warnings —
-//!   cross-machine noise must never fail a build, but semantic drift
-//!   always does.
+//! - A timing baseline (`results/BASELINE_bench.json` for the quick
+//!   suite, `results/BASELINE_scale.json` for the `scale_bench` ladder)
+//!   holds the summary's stage totals (`timing.spans[].total_ns`), p99
+//!   tails (`timing.latency[*].p99_ns`), wall clock and the
+//!   `obs.jobs`/`obs.logical_cpus` gauges. Wall-clock is
+//!   machine-dependent, so the gate is **threshold-tolerant** (default:
+//!   fail past a 25% slowdown on stages above a noise floor) and
+//!   environment-honest: when the current run's parallelism or core
+//!   count differs from the baseline's, timing verdicts downgrade to
+//!   warnings — cross-machine noise must never fail a build, but
+//!   semantic drift always does.
 
 use crate::diff::first_text_divergence;
 use mmog_obs::json::Value;
@@ -41,13 +45,14 @@ pub const DEFAULT_MAX_P99_SLOWDOWN_PCT: f64 = 100.0;
 /// this are scheduler noise, never judged.
 pub const DEFAULT_MIN_P99_US: f64 = 20.0;
 
-/// Tunable thresholds for [`check_bench`]. `..Default::default()` keeps
+/// Tunable thresholds for [`check_timing`]. `..Default::default()` keeps
 /// call sites stable as gates grow new knobs.
 #[derive(Debug, Clone, Copy)]
-pub struct BenchThresholds {
+pub struct TimingThresholds {
     /// Stage/wall slowdown that fails the gate, percent.
     pub max_slowdown_pct: f64,
-    /// Stages faster than this in the baseline are never judged, ms.
+    /// Stages (and a wall clock) faster than this in the baseline are
+    /// never judged, ms.
     pub min_stage_ms: f64,
     /// p99 tail slowdown that fails the gate, percent.
     pub max_p99_slowdown_pct: f64,
@@ -61,7 +66,7 @@ pub struct BenchThresholds {
     pub strict_paths: bool,
 }
 
-impl Default for BenchThresholds {
+impl Default for TimingThresholds {
     fn default() -> Self {
         Self {
             max_slowdown_pct: DEFAULT_MAX_SLOWDOWN_PCT,
@@ -184,266 +189,283 @@ pub fn check_obs(baseline_text: &str, summary_text: &str) -> Result<GateOutcome,
     Ok(outcome)
 }
 
-struct Stage {
-    path: String,
-    total_ms: f64,
-    /// Per-path p99 latency (µs) from the stage's optional `latency`
-    /// section (`mmog-scale-bench/v2`), plus the raw section for
-    /// baseline regeneration. Empty for v1 documents — p99 gating is
-    /// skipped where the data doesn't exist.
-    p99_us: Vec<(String, f64)>,
-    latency_raw: Option<Value>,
+/// The timing essentials the gate compares, read from an
+/// `OBS_summary.json` or from a timing baseline built out of one.
+struct Timing {
+    jobs: u64,
+    logical_cpus: u64,
+    wall_ms: Option<f64>,
+    /// Span path → total milliseconds over every call.
+    stages: Vec<(String, f64)>,
+    /// Latency path → p99 nanoseconds.
+    p99_ns: Vec<(String, u64)>,
 }
 
-/// Per-path p99 values (µs) plus the raw `latency` object of one stage.
-type StageLatency = (Vec<(String, f64)>, Option<Value>);
-
-fn stage_latency(s: &Value, what: &str) -> Result<StageLatency, String> {
-    let Some(latency) = s.get("latency") else {
-        return Ok((Vec::new(), None));
+/// Reads the timing essentials of a summary: `timing.spans[].total_ns`,
+/// `timing.latency[*].p99_ns` (empty histograms have no tail and are
+/// skipped) and the `obs.wall_ms`/`obs.jobs`/`obs.logical_cpus` gauges
+/// the runners record through `mmog_obs::note_run`.
+fn summary_timing(summary_text: &str) -> Result<Timing, String> {
+    mmog_obs::validate_summary(summary_text)?;
+    let doc = parse_doc(summary_text, "OBS summary")?;
+    let timing = doc
+        .get("timing")
+        .ok_or("OBS summary: missing timing section")?;
+    let gauge = |name: &str| timing.get("gauges").and_then(|g| g.get(name));
+    let env = |name: &str| {
+        gauge(name).and_then(Value::as_u64).ok_or_else(|| {
+            format!("OBS summary: missing timing gauge {name} (recorded by mmog_obs::note_run)")
+        })
     };
-    let entries = latency
-        .as_obj()
-        .ok_or_else(|| format!("{what}: stage latency must be an object"))?;
-    let mut p99 = Vec::with_capacity(entries.len());
-    for (path, snap) in entries {
-        let p99_ns = snap
-            .get("p99_ns")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{what}: stage latency entry `{path}` missing p99_ns"))?;
-        p99.push((path.clone(), p99_ns / 1e3));
-    }
-    Ok((p99, Some(latency.clone())))
+    let stages = timing
+        .get("spans")
+        .and_then(Value::as_arr)
+        .ok_or("OBS summary: missing timing.spans")?
+        .iter()
+        .filter_map(|s| {
+            let path = s.get("path").and_then(Value::as_str)?;
+            let total_ns = s.get("total_ns").and_then(Value::as_u64)?;
+            Some((path.to_string(), (total_ns as f64 / 1e3).round() / 1e3))
+        })
+        .collect();
+    let p99_ns = timing
+        .get("latency")
+        .and_then(Value::as_obj)
+        .map(|entries| {
+            entries
+                .iter()
+                .filter_map(|(path, snap)| {
+                    Some((path.clone(), snap.get("p99_ns").and_then(Value::as_u64)?))
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    Ok(Timing {
+        jobs: env("obs.jobs")?,
+        logical_cpus: env("obs.logical_cpus")?,
+        wall_ms: gauge("obs.wall_ms").and_then(Value::as_f64),
+        stages,
+        p99_ns,
+    })
 }
 
-fn bench_stages(doc: &Value, what: &str) -> Result<Vec<Stage>, String> {
+fn baseline_timing(baseline_text: &str) -> Result<Timing, String> {
+    const WHAT: &str = "timing baseline";
+    let doc = parse_doc(baseline_text, WHAT)?;
+    check_gate_schema(&doc, WHAT)?;
+    let env = |field: &str| {
+        doc.get(field)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("{WHAT}: missing {field}"))
+    };
     let stages = doc
         .get("stages")
         .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{what}: missing stages array"))?;
-    stages
+        .ok_or_else(|| format!("{WHAT}: missing stages array"))?
         .iter()
         .map(|s| {
-            let (p99_us, latency_raw) = stage_latency(s, what)?;
-            Ok(Stage {
-                path: s
-                    .get("path")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("{what}: stage without path"))?
-                    .to_string(),
-                total_ms: s
-                    .get("total_ms")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| format!("{what}: stage without total_ms"))?,
-                p99_us,
-                latency_raw,
-            })
+            let path = s.get("path").and_then(Value::as_str);
+            let total_ms = s.get("total_ms").and_then(Value::as_f64);
+            path.zip(total_ms)
+                .map(|(p, ms)| (p.to_string(), ms))
+                .ok_or_else(|| format!("{WHAT}: stages entries need path and total_ms"))
         })
-        .collect()
+        .collect::<Result<_, _>>()?;
+    let p99_ns = doc
+        .get("p99_ns")
+        .and_then(Value::as_obj)
+        .ok_or_else(|| format!("{WHAT}: missing p99_ns object"))?
+        .iter()
+        .map(|(path, ns)| {
+            ns.as_u64()
+                .map(|ns| (path.clone(), ns))
+                .ok_or_else(|| format!("{WHAT}: p99_ns entry `{path}` must be a u64"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Timing {
+        jobs: env("jobs")?,
+        logical_cpus: env("logical_cpus")?,
+        wall_ms: doc.get("wall_ms").and_then(Value::as_f64),
+        stages,
+        p99_ns,
+    })
 }
 
-fn env_fields(doc: &Value, what: &str) -> Result<(u64, u64), String> {
-    let get = |field: &str| {
-        doc.get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{what}: missing {field}"))
-    };
-    Ok((get("jobs")?, get("logical_cpus")?))
-}
-
-/// Builds the `BASELINE_bench.json` document from a
-/// `BENCH_parallel.json`, keeping `jobs` and `logical_cpus` honest so
-/// comparisons on a differently-shaped machine degrade to warnings.
+/// Builds a timing baseline (`BASELINE_bench.json`,
+/// `BASELINE_scale.json`) from an `OBS_summary.json`: per-stage span
+/// totals, per-path p99 tails, the wall clock, and `jobs` and
+/// `logical_cpus` kept honest so comparisons on a differently-shaped
+/// machine degrade to warnings.
 ///
 /// # Errors
-/// Returns a message when the bench document is malformed.
-pub fn make_bench_baseline(bench_text: &str) -> Result<String, String> {
-    let doc = parse_doc(bench_text, "BENCH_parallel.json")?;
-    let (jobs, cpus) = env_fields(&doc, "BENCH_parallel.json")?;
-    let stages = bench_stages(&doc, "BENCH_parallel.json")?;
-    let wall = doc
-        .get("wall_seconds")
-        .and_then(Value::as_f64)
-        .ok_or("BENCH_parallel.json: missing wall_seconds")?;
-    let stage_values: Vec<Value> = stages
-        .iter()
-        .map(|s| {
-            let mut members = vec![
-                ("path".to_string(), Value::Str(s.path.clone())),
-                ("total_ms".to_string(), Value::Num(s.total_ms)),
-            ];
-            // v2 latency sections travel into the baseline so the p99
-            // gate has something to compare against.
-            if let Some(latency) = &s.latency_raw {
-                members.push(("latency".to_string(), latency.clone()));
-            }
-            Value::Obj(members)
+/// Returns a message when the summary is malformed or lacks the
+/// environment gauges.
+pub fn make_timing_baseline(summary_text: &str) -> Result<String, String> {
+    let t = summary_timing(summary_text)?;
+    let stages = t
+        .stages
+        .into_iter()
+        .map(|(path, ms)| {
+            Value::Obj(vec![
+                ("path".to_string(), Value::Str(path)),
+                ("total_ms".to_string(), Value::Num(ms)),
+            ])
         })
+        .collect();
+    let p99 = t
+        .p99_ns
+        .into_iter()
+        .map(|(path, ns)| (path, Value::UInt(ns)))
         .collect();
     let baseline = Value::Obj(vec![
         ("schema".to_string(), Value::Str(GATE_SCHEMA.to_string())),
         (
             "source".to_string(),
-            Value::Str("BENCH_parallel.json".to_string()),
+            Value::Str("OBS_summary.json".to_string()),
         ),
-        ("jobs".to_string(), Value::UInt(jobs)),
-        ("logical_cpus".to_string(), Value::UInt(cpus)),
-        ("wall_seconds".to_string(), Value::Num(wall)),
-        ("stages".to_string(), Value::Arr(stage_values)),
+        ("jobs".to_string(), Value::UInt(t.jobs)),
+        ("logical_cpus".to_string(), Value::UInt(t.logical_cpus)),
+        (
+            "wall_ms".to_string(),
+            t.wall_ms.map_or(Value::Null, Value::Num),
+        ),
+        ("stages".to_string(), Value::Arr(stages)),
+        ("p99_ns".to_string(), Value::Obj(p99)),
     ]);
     Ok(baseline.render_pretty())
 }
 
-/// Compares a `BENCH_parallel.json` against the committed timing
-/// baseline: stages above [`BenchThresholds::min_stage_ms`] in the
-/// baseline that slowed down more than
-/// [`BenchThresholds::max_slowdown_pct`] fail the gate, and per-path
-/// p99 tails (when both documents carry the v2 `latency` section) that
-/// slowed past [`BenchThresholds::max_p99_slowdown_pct`] do too —
-/// unless the environment (`jobs`, `logical_cpus`) differs from the
-/// baseline's, in which case every timing verdict is a warning.
-/// Stages and latency paths absent from the baseline are listed by
-/// name: warnings by default, hard failures under
-/// [`BenchThresholds::strict_paths`].
+/// Compares a summary's timing section against a timing baseline:
+/// stages above [`TimingThresholds::min_stage_ms`] in the baseline that
+/// slowed down more than [`TimingThresholds::max_slowdown_pct`] fail
+/// the gate, and so do p99 tails above
+/// [`TimingThresholds::min_p99_us`] that slowed past
+/// [`TimingThresholds::max_p99_slowdown_pct`] — unless the environment
+/// (`jobs`, `logical_cpus`) differs from the baseline's, in which case
+/// every timing verdict is a warning. Stages and latency paths absent
+/// from the baseline are listed by name: warnings by default, hard
+/// failures under [`TimingThresholds::strict_paths`].
 ///
 /// # Errors
 /// Returns a message when either document is malformed.
-pub fn check_bench(
+pub fn check_timing(
     baseline_text: &str,
-    bench_text: &str,
-    thresholds: &BenchThresholds,
+    summary_text: &str,
+    thresholds: &TimingThresholds,
 ) -> Result<GateOutcome, String> {
-    let max_slowdown_pct = thresholds.max_slowdown_pct;
-    let min_stage_ms = thresholds.min_stage_ms;
-    let baseline = parse_doc(baseline_text, "BASELINE_bench.json")?;
-    check_gate_schema(&baseline, "BASELINE_bench.json")?;
-    let bench = parse_doc(bench_text, "BENCH_parallel.json")?;
-    let (base_jobs, base_cpus) = env_fields(&baseline, "BASELINE_bench.json")?;
-    let (cur_jobs, cur_cpus) = env_fields(&bench, "BENCH_parallel.json")?;
-    let base_stages = bench_stages(&baseline, "BASELINE_bench.json")?;
-    let cur_stages = bench_stages(&bench, "BENCH_parallel.json")?;
-
+    let base = baseline_timing(baseline_text)?;
+    let cur = summary_timing(summary_text)?;
     let mut outcome = GateOutcome::default();
-    let comparable = base_jobs == cur_jobs && base_cpus == cur_cpus;
+    let comparable = base.jobs == cur.jobs && base.logical_cpus == cur.logical_cpus;
     if !comparable {
         outcome.notes.push(format!(
-            "environment differs from baseline (jobs {base_jobs}→{cur_jobs}, logical_cpus \
-             {base_cpus}→{cur_cpus}); timing verdicts downgraded to warnings"
+            "environment differs from baseline (jobs {}→{}, logical_cpus {}→{}); timing \
+             verdicts downgraded to warnings",
+            base.jobs, cur.jobs, base.logical_cpus, cur.logical_cpus
         ));
     }
-    fn verdict(outcome: &mut GateOutcome, comparable: bool, message: String) {
+    let verdict = |outcome: &mut GateOutcome, message: String| {
         if comparable {
             outcome.failures.push(message);
         } else {
             outcome.warnings.push(message);
         }
+    };
+    let max_slowdown_pct = thresholds.max_slowdown_pct;
+    for (path, base_ms) in &base.stages {
+        let Some((_, cur_ms)) = cur.stages.iter().find(|(p, _)| p == path) else {
+            outcome
+                .warnings
+                .push(format!("stage `{path}` missing from the current run"));
+            continue;
+        };
+        if *base_ms < thresholds.min_stage_ms {
+            continue;
+        }
+        let slowdown_pct = (cur_ms / base_ms - 1.0) * 100.0;
+        if slowdown_pct > max_slowdown_pct {
+            verdict(
+                &mut outcome,
+                format!(
+                    "stage `{path}` slowed down {slowdown_pct:.1}% ({base_ms:.1} ms → {cur_ms:.1} \
+                     ms, threshold {max_slowdown_pct:.0}%)"
+                ),
+            );
+        } else if slowdown_pct < -max_slowdown_pct {
+            outcome.notes.push(format!(
+                "stage `{path}` sped up {:.1}% ({base_ms:.1} ms → {cur_ms:.1} ms) — consider \
+                 refreshing the baseline",
+                -slowdown_pct
+            ));
+        }
     }
-    for base in &base_stages {
-        let Some(cur) = cur_stages.iter().find(|s| s.path == base.path) else {
+    // The p99 gate is independent of the stage floor: a short stage can
+    // still carry a meaningful tail (many fast ticks, a few
+    // pathological ones).
+    for (path, base_ns) in &base.p99_ns {
+        let base_p99 = *base_ns as f64 / 1e3;
+        if base_p99 < thresholds.min_p99_us {
+            continue;
+        }
+        let Some((_, cur_ns)) = cur.p99_ns.iter().find(|(p, _)| p == path) else {
             outcome.warnings.push(format!(
-                "stage `{}` missing from the current run",
-                base.path
+                "latency path `{path}` missing from the current run"
             ));
             continue;
         };
-        // Stage wall-clock gate, floored by min_stage_ms. The p99 gate
-        // below runs regardless — a short stage can still carry a
-        // meaningful tail (many fast ticks, a few pathological ones).
-        if base.total_ms >= min_stage_ms {
-            let slowdown_pct = (cur.total_ms / base.total_ms - 1.0) * 100.0;
-            if slowdown_pct > max_slowdown_pct {
-                verdict(
-                    &mut outcome,
-                    comparable,
-                    format!(
-                        "stage `{}` slowed down {slowdown_pct:.1}% ({:.1} ms → {:.1} ms, threshold {max_slowdown_pct:.0}%)",
-                        base.path, base.total_ms, cur.total_ms
-                    ),
-                );
-            } else if slowdown_pct < -max_slowdown_pct {
-                outcome.notes.push(format!(
-                    "stage `{}` sped up {:.1}% ({:.1} ms → {:.1} ms) — consider refreshing the baseline",
-                    base.path, -slowdown_pct, base.total_ms, cur.total_ms
-                ));
-            }
-        }
-        // Tail-latency gate: per-path p99, only where the baseline has
-        // the v2 latency section (v1 baselines skip silently — refresh
-        // with --update to opt in) and the tail clears the noise floor.
-        for (lat_path, base_p99) in &base.p99_us {
-            if *base_p99 < thresholds.min_p99_us {
-                continue;
-            }
-            let Some((_, cur_p99)) = cur.p99_us.iter().find(|(p, _)| p == lat_path) else {
-                outcome.warnings.push(format!(
-                    "stage `{}`: latency path `{lat_path}` missing from the current run",
-                    base.path
-                ));
-                continue;
-            };
-            let slowdown_pct = (cur_p99 / base_p99 - 1.0) * 100.0;
-            if slowdown_pct > thresholds.max_p99_slowdown_pct {
-                verdict(
-                    &mut outcome,
-                    comparable,
-                    format!(
-                        "stage `{}`: p99 of `{lat_path}` regressed {slowdown_pct:.0}% \
-                         ({base_p99:.1} µs → {cur_p99:.1} µs, threshold {:.0}%)",
-                        base.path, thresholds.max_p99_slowdown_pct
-                    ),
-                );
-            }
+        let cur_p99 = *cur_ns as f64 / 1e3;
+        let slowdown_pct = (cur_p99 / base_p99 - 1.0) * 100.0;
+        if slowdown_pct > thresholds.max_p99_slowdown_pct {
+            verdict(
+                &mut outcome,
+                format!(
+                    "p99 of `{path}` regressed {slowdown_pct:.0}% ({base_p99:.1} µs → \
+                     {cur_p99:.1} µs, threshold {:.0}%)",
+                    thresholds.max_p99_slowdown_pct
+                ),
+            );
         }
     }
     // The reverse direction: work the current run does that the
     // baseline has never seen is work the gate silently isn't judging.
     // A renamed or newly-added kernel path would otherwise dodge the
-    // p99 gate forever, so surface every one by name and point at
+    // gate forever, so surface every one by name and point at
     // --update. Under `strict_paths` (the CI posture) an ungated path
     // is a hard failure, not a warning.
-    let ungated = |outcome: &mut GateOutcome, message: String| {
+    let mut ungated = |message: String| {
         if thresholds.strict_paths {
             outcome.failures.push(message);
         } else {
             outcome.warnings.push(message);
         }
     };
-    for cur in &cur_stages {
-        let Some(base) = base_stages.iter().find(|s| s.path == cur.path) else {
-            ungated(
-                &mut outcome,
-                format!(
-                    "stage `{}` is not in the baseline — ungated; refresh the baseline with \
-                     --update",
-                    cur.path
-                ),
-            );
-            continue;
-        };
-        for (lat_path, _) in &cur.p99_us {
-            if !base.p99_us.iter().any(|(p, _)| p == lat_path) {
-                ungated(
-                    &mut outcome,
-                    format!(
-                        "stage `{}`: latency path `{lat_path}` is not in the baseline — its p99 \
-                         is ungated; refresh the baseline with --update",
-                        cur.path
-                    ),
-                );
-            }
+    for (path, _) in &cur.stages {
+        if !base.stages.iter().any(|(p, _)| p == path) {
+            ungated(format!(
+                "stage `{path}` is not in the baseline — ungated; refresh the baseline with \
+                 --update"
+            ));
         }
     }
-    if let (Some(base_wall), Some(cur_wall)) = (
-        baseline.get("wall_seconds").and_then(Value::as_f64),
-        bench.get("wall_seconds").and_then(Value::as_f64),
-    ) {
+    for (path, _) in &cur.p99_ns {
+        if !base.p99_ns.iter().any(|(p, _)| p == path) {
+            ungated(format!(
+                "latency path `{path}` is not in the baseline — its p99 is ungated; refresh \
+                 the baseline with --update"
+            ));
+        }
+    }
+    // The wall clock is judged like a stage, floor included: a sweep of
+    // a few tens of milliseconds is all scheduler noise.
+    let base_wall = base.wall_ms.filter(|ms| *ms >= thresholds.min_stage_ms);
+    if let (Some(base_wall), Some(cur_wall)) = (base_wall, cur.wall_ms) {
         let slowdown_pct = (cur_wall / base_wall - 1.0) * 100.0;
         if slowdown_pct > max_slowdown_pct {
             verdict(
                 &mut outcome,
-                comparable,
                 format!(
-                    "suite wall clock slowed down {slowdown_pct:.1}% ({base_wall:.1} s → {cur_wall:.1} s)"
+                    "wall clock slowed down {slowdown_pct:.1}% ({base_wall:.0} ms → {cur_wall:.0} \
+                     ms)"
                 ),
             );
         }
@@ -471,53 +493,77 @@ mod tests {
         assert!(msg.contains("drifted"), "{msg}");
     }
 
-    fn bench(jobs: u64, cpus: u64, ms: f64) -> String {
+    /// A summary whose timing section carries two stages (`sim/run`
+    /// and the sub-floor `tiny`), two latency paths (`sim/run/tick` and
+    /// the sub-floor `sim/run/reduce`) and the environment gauges.
+    fn summary(jobs: u64, cpus: u64, run_ms: u64, tick_p99_ns: u64) -> String {
+        let latency = |p99_ns: u64| {
+            format!(
+                r#"{{"count":1,"mean_ns":1,"p99_ns":{p99_ns},"min_ns":1,"max_ns":1,"buckets":[[0,1]]}}"#
+            )
+        };
         format!(
-            r#"{{"jobs":{jobs},"logical_cpus":{cpus},"stages":[{{"path":"sim/run","calls":1,"total_ms":{ms},"mean_us":1}},{{"path":"tiny","calls":1,"total_ms":1,"mean_us":1}}],"wall_seconds":10}}"#
+            r#"{{"schema":"mmog-obs/v1","semantic":{{"counters":{{}},"gauges":{{}},"histograms":{{}}}},"timing":{{"counters":{{}},"gauges":{{"obs.jobs":{jobs},"obs.logical_cpus":{cpus},"obs.wall_ms":10000}},"histograms":{{}},"spans":[{{"path":"sim/run","calls":1,"total_ns":{},"max_ns":1}},{{"path":"tiny","calls":1,"total_ns":1000000,"max_ns":1}}],"latency":{{"sim/run/tick":{},"sim/run/reduce":{}}}}}}}"#,
+            run_ms * 1_000_000,
+            latency(tick_p99_ns),
+            latency(500),
         )
     }
 
     #[test]
-    fn bench_gate_thresholds_and_environment_honesty() {
-        let t = BenchThresholds::default();
-        let baseline = make_bench_baseline(&bench(1, 1, 1000.0)).unwrap();
+    fn timing_gate_thresholds_and_environment_honesty() {
+        let t = TimingThresholds::default();
+        let baseline = make_timing_baseline(&summary(1, 1, 1000, 80_000)).unwrap();
         // Within threshold: pass.
-        let ok = check_bench(&baseline, &bench(1, 1, 1200.0), &t).unwrap();
+        let ok = check_timing(&baseline, &summary(1, 1, 1200, 80_000), &t).unwrap();
         assert!(ok.pass(), "{:?}", ok.failures);
         // Past threshold on the same environment: fail.
-        let slow = check_bench(&baseline, &bench(1, 1, 1500.0), &t).unwrap();
+        let slow = check_timing(&baseline, &summary(1, 1, 1500, 80_000), &t).unwrap();
         assert!(!slow.pass());
         assert!(slow.failures[0].contains("sim/run"), "{:?}", slow.failures);
         // Same slowdown on different hardware: warning, not failure.
-        let other = check_bench(&baseline, &bench(4, 4, 1500.0), &t).unwrap();
+        let other = check_timing(&baseline, &summary(4, 4, 1500, 80_000), &t).unwrap();
         assert!(other.pass());
         assert_eq!(other.warnings.len(), 1);
         // Stages under the noise floor are never judged: `tiny` grows
         // 100x without tripping anything.
-        let noisy = bench(1, 1, 1000.0).replace(r#""total_ms":1,"#, r#""total_ms":100,"#);
-        let out = check_bench(&baseline, &noisy, &t).unwrap();
+        let noisy = summary(1, 1, 1000, 80_000)
+            .replace(r#""total_ns":1000000,"#, r#""total_ns":100000000,"#);
+        let out = check_timing(&baseline, &noisy, &t).unwrap();
         assert!(out.pass(), "{:?}", out.failures);
-    }
-
-    fn bench_v2(jobs: u64, cpus: u64, p99_ns: u64) -> String {
-        format!(
-            r#"{{"jobs":{jobs},"logical_cpus":{cpus},"stages":[{{"path":"scale/10k","total_ms":100,"latency":{{"sim/run/tick":{{"count":60,"p99_ns":{p99_ns}}},"sim/run/reduce":{{"count":60,"p99_ns":500}}}}}}],"wall_seconds":1}}"#
-        )
+        // The wall clock is judged like a stage.
+        let slow_wall =
+            summary(1, 1, 1000, 80_000).replace(r#""obs.wall_ms":10000"#, r#""obs.wall_ms":20000"#);
+        let out = check_timing(&baseline, &slow_wall, &t).unwrap();
+        assert!(
+            !out.pass() && out.failures[0].contains("wall clock"),
+            "{out:?}"
+        );
+        // ... floor included: a 10 ms sweep is noise, even doubled.
+        let short = |wall: &str| {
+            summary(1, 1, 1000, 80_000).replace(
+                r#""obs.wall_ms":10000"#,
+                &format!(r#""obs.wall_ms":{wall}"#),
+            )
+        };
+        let short_baseline = make_timing_baseline(&short("10")).unwrap();
+        let out = check_timing(&short_baseline, &short("20"), &t).unwrap();
+        assert!(out.pass(), "{out:?}");
     }
 
     #[test]
     fn p99_gate_catches_injected_tail_regressions() {
-        let t = BenchThresholds::default();
-        let baseline = make_bench_baseline(&bench_v2(1, 1, 80_000)).unwrap();
+        let t = TimingThresholds::default();
+        let baseline = make_timing_baseline(&summary(1, 1, 100, 80_000)).unwrap();
         assert!(
-            baseline.contains("latency"),
-            "baseline must carry the latency section: {baseline}"
+            baseline.contains(r#""sim/run/tick": 80000"#),
+            "baseline must carry the p99 tails: {baseline}"
         );
         // Identical tail: pass.
-        let ok = check_bench(&baseline, &bench_v2(1, 1, 80_000), &t).unwrap();
+        let ok = check_timing(&baseline, &summary(1, 1, 100, 80_000), &t).unwrap();
         assert!(ok.pass(), "{:?}", ok.failures);
         // 10x p99 on the same environment: hard failure naming the path.
-        let slow = check_bench(&baseline, &bench_v2(1, 1, 800_000), &t).unwrap();
+        let slow = check_timing(&baseline, &summary(1, 1, 100, 800_000), &t).unwrap();
         assert!(!slow.pass());
         assert!(
             slow.failures[0].contains("sim/run/tick") && slow.failures[0].contains("p99"),
@@ -525,40 +571,34 @@ mod tests {
             slow.failures
         );
         // Same regression on different hardware: warning only.
-        let other = check_bench(&baseline, &bench_v2(2, 2, 800_000), &t).unwrap();
+        let other = check_timing(&baseline, &summary(2, 2, 100, 800_000), &t).unwrap();
         assert!(other.pass(), "{:?}", other.failures);
         assert!(!other.warnings.is_empty());
         // Tails under the µs noise floor are never judged: the 0.5 µs
         // `sim/run/reduce` entry grows 100x without tripping anything.
-        let noisy = bench_v2(1, 1, 80_000).replace(r#""p99_ns":500"#, r#""p99_ns":50000"#);
-        let out = check_bench(&baseline, &noisy, &t).unwrap();
+        let noisy = summary(1, 1, 100, 80_000).replace(r#""p99_ns":500"#, r#""p99_ns":50000"#);
+        let out = check_timing(&baseline, &noisy, &t).unwrap();
         assert!(out.pass(), "{:?}", out.failures);
         // The p99 gate is independent of the stage wall-clock floor: a
-        // stage too short for total_ms gating (quick-suite scale) still
-        // fails on a regressed tail.
-        let short = bench_v2(1, 1, 80_000).replace(r#""total_ms":100,"#, r#""total_ms":1,"#);
-        let short_baseline = make_bench_baseline(&short).unwrap();
-        let short_slow = bench_v2(1, 1, 800_000).replace(r#""total_ms":100,"#, r#""total_ms":1,"#);
-        let out = check_bench(&short_baseline, &short_slow, &t).unwrap();
+        // run whose stages are all too short for total-time gating
+        // (quick-suite scale) still fails on a regressed tail.
+        let short_baseline = make_timing_baseline(&summary(1, 1, 1, 80_000)).unwrap();
+        let out = check_timing(&short_baseline, &summary(1, 1, 1, 800_000), &t).unwrap();
         assert!(
             !out.pass() && out.failures[0].contains("p99"),
             "sub-floor stages must still be p99-gated: {out:?}"
         );
-        // A v1 baseline (no latency section) skips p99 gating entirely.
-        let v1_baseline = make_bench_baseline(&bench(1, 1, 100.0)).unwrap();
-        let against_v1 = check_bench(&v1_baseline, &bench(1, 1, 100.0), &t).unwrap();
-        assert!(against_v1.pass(), "{:?}", against_v1.failures);
     }
 
     #[test]
     fn paths_unknown_to_the_baseline_warn_instead_of_dodging_the_gate() {
-        let t = BenchThresholds::default();
-        let baseline = make_bench_baseline(&bench_v2(1, 1, 80_000)).unwrap();
+        let t = TimingThresholds::default();
+        let baseline = make_timing_baseline(&summary(1, 1, 100, 80_000)).unwrap();
         // A latency path added since the baseline (a renamed kernel,
         // say) must be called out as ungated, not silently passed.
         let with_new_path =
-            bench_v2(1, 1, 80_000).replace(r#""sim/run/reduce""#, r#""sim/run/match_skip""#);
-        let out = check_bench(&baseline, &with_new_path, &t).unwrap();
+            summary(1, 1, 100, 80_000).replace(r#""sim/run/reduce""#, r#""sim/run/match_skip""#);
+        let out = check_timing(&baseline, &with_new_path, &t).unwrap();
         assert!(out.pass(), "new paths warn, they don't fail: {out:?}");
         assert!(
             out.warnings
@@ -568,31 +608,31 @@ mod tests {
         );
         // Same for a whole stage the baseline has never seen.
         let with_new_stage =
-            bench_v2(1, 1, 80_000).replace(r#""path":"scale/10k""#, r#""path":"scale/1M""#);
-        let out = check_bench(&baseline, &with_new_stage, &t).unwrap();
+            summary(1, 1, 100, 80_000).replace(r#""path":"tiny""#, r#""path":"sim/build""#);
+        let out = check_timing(&baseline, &with_new_stage, &t).unwrap();
         assert!(
             out.warnings
                 .iter()
-                .any(|w| w.contains("scale/1M") && w.contains("--update")),
+                .any(|w| w.contains("sim/build") && w.contains("--update")),
             "missing ungated-stage warning: {out:?}"
         );
         // An identical run stays warning-free in both directions.
-        let clean = check_bench(&baseline, &bench_v2(1, 1, 80_000), &t).unwrap();
+        let clean = check_timing(&baseline, &summary(1, 1, 100, 80_000), &t).unwrap();
         assert!(clean.warnings.is_empty(), "{clean:?}");
     }
 
     #[test]
     fn strict_paths_promotes_ungated_paths_to_failures() {
-        let strict = BenchThresholds {
+        let strict = TimingThresholds {
             strict_paths: true,
             ..Default::default()
         };
-        let baseline = make_bench_baseline(&bench_v2(1, 1, 80_000)).unwrap();
+        let baseline = make_timing_baseline(&summary(1, 1, 100, 80_000)).unwrap();
         // A new latency path fails under --strict-paths, still naming
         // the exact path.
         let with_new_path =
-            bench_v2(1, 1, 80_000).replace(r#""sim/run/reduce""#, r#""sim/run/match_skip""#);
-        let out = check_bench(&baseline, &with_new_path, &strict).unwrap();
+            summary(1, 1, 100, 80_000).replace(r#""sim/run/reduce""#, r#""sim/run/match_skip""#);
+        let out = check_timing(&baseline, &with_new_path, &strict).unwrap();
         assert!(!out.pass(), "strict mode must fail on ungated paths");
         assert!(
             out.failures
@@ -602,26 +642,36 @@ mod tests {
         );
         // Same for a stage the baseline has never seen.
         let with_new_stage =
-            bench_v2(1, 1, 80_000).replace(r#""path":"scale/10k""#, r#""path":"scale/1M""#);
-        let out = check_bench(&baseline, &with_new_stage, &strict).unwrap();
+            summary(1, 1, 100, 80_000).replace(r#""path":"tiny""#, r#""path":"sim/build""#);
+        let out = check_timing(&baseline, &with_new_stage, &strict).unwrap();
         assert!(
-            out.failures.iter().any(|f| f.contains("scale/1M")),
+            out.failures.iter().any(|f| f.contains("sim/build")),
             "failure must name the missing stage: {out:?}"
         );
         // A clean run passes strict mode — the flag only bites when
         // paths actually went ungated.
-        let clean = check_bench(&baseline, &bench_v2(1, 1, 80_000), &strict).unwrap();
+        let clean = check_timing(&baseline, &summary(1, 1, 100, 80_000), &strict).unwrap();
         assert!(clean.pass(), "{clean:?}");
     }
 
     #[test]
     fn malformed_baselines_are_errors_not_failures() {
-        let t = BenchThresholds::default();
+        let t = TimingThresholds::default();
+        let good = summary(1, 1, 1, 1);
         assert!(check_obs("{}", SUMMARY).is_err());
-        assert!(check_bench("{}", &bench(1, 1, 1.0), &t).is_err());
+        assert!(check_timing("{}", &good, &t).is_err());
         assert!(make_obs_baseline("{}", "quick").is_err());
-        // A latency section without p99 is malformed, not ignorable.
-        let bad = bench_v2(1, 1, 1).replace(r#""p99_ns":1"#, r#""q":1"#);
-        assert!(make_bench_baseline(&bad).is_err());
+        assert!(make_timing_baseline("{}").is_err());
+        // A summary without the environment gauges cannot be judged
+        // honestly, so it is malformed rather than silently comparable.
+        let no_env = good.replace(r#""obs.jobs":1,"#, "");
+        let err = make_timing_baseline(&no_env).unwrap_err();
+        assert!(err.contains("obs.jobs"), "{err}");
+        // A baseline p99 entry that is not a count is malformed, not
+        // ignorable.
+        let baseline = make_timing_baseline(&good).unwrap();
+        let bad = baseline.replace(r#""sim/run/tick": 1"#, r#""sim/run/tick": "fast""#);
+        assert_ne!(bad, baseline, "fixture shape");
+        assert!(check_timing(&bad, &good, &t).is_err());
     }
 }

@@ -1,7 +1,6 @@
 //! The `latency_report` renderer: percentile tables and ASCII
 //! distribution sketches over the log-bucketed snapshots that
-//! `mmog_obs::latency` embeds in `BENCH_scale.json`
-//! (`mmog-scale-bench/v2` stages) and `OBS_summary.json`
+//! `mmog_obs::latency` exports in `OBS_summary.json`
 //! (`timing.latency`).
 //!
 //! Everything here is wall-clock-derived presentation — the report is
@@ -14,56 +13,35 @@ use mmog_obs::{LatencySnapshot, LATENCY_BUCKETS};
 /// One named distribution pulled out of an artifact.
 #[derive(Debug, Clone)]
 pub struct NamedSnapshot {
-    /// Where the distribution came from (stage + path for scale-bench
-    /// documents, the registry path for summaries).
+    /// The registry path the distribution was recorded under.
     pub name: String,
     /// The parsed snapshot.
     pub snapshot: LatencySnapshot,
 }
 
-/// Extracts every latency snapshot from a parsed artifact: the
-/// `timing.latency` section of an `OBS_summary.json`, or each stage's
-/// `latency` object in a `mmog-scale-bench/v2` document
-/// (`mmog-scale-bench/v1` has none and yields an empty list).
+/// Extracts every latency snapshot from the `timing.latency` section
+/// of a parsed `OBS_summary.json` (path → snapshot). A document without
+/// the section yields an empty list.
 ///
 /// # Errors
 /// Returns a message when a latency entry is present but malformed —
 /// a half-readable artifact is an error, not a shorter report.
 pub fn collect_snapshots(doc: &Value) -> Result<Vec<NamedSnapshot>, String> {
-    let mut out = Vec::new();
-    // OBS_summary.json: timing.latency is path → snapshot.
-    if let Some(entries) = doc.get("timing").and_then(|t| t.get("latency")) {
-        let entries = entries.as_obj().ok_or("timing.latency must be an object")?;
-        for (path, snap) in entries {
+    let Some(entries) = doc.get("timing").and_then(|t| t.get("latency")) else {
+        return Ok(Vec::new());
+    };
+    let entries = entries.as_obj().ok_or("timing.latency must be an object")?;
+    entries
+        .iter()
+        .map(|(path, snap)| {
             let snapshot = LatencySnapshot::from_value(snap)
                 .map_err(|e| format!("timing.latency.{path}: {e}"))?;
-            out.push(NamedSnapshot {
+            Ok(NamedSnapshot {
                 name: path.clone(),
                 snapshot,
-            });
-        }
-    }
-    // Scale-bench documents: stages[].latency, keyed by engine path.
-    if let Some(stages) = doc.get("stages").and_then(Value::as_arr) {
-        for stage in stages {
-            let stage_path = stage.get("path").and_then(Value::as_str).unwrap_or("?");
-            let Some(latency) = stage.get("latency") else {
-                continue;
-            };
-            let entries = latency
-                .as_obj()
-                .ok_or_else(|| format!("stage {stage_path}: latency must be an object"))?;
-            for (path, snap) in entries {
-                let snapshot = LatencySnapshot::from_value(snap)
-                    .map_err(|e| format!("stage {stage_path} latency {path}: {e}"))?;
-                out.push(NamedSnapshot {
-                    name: format!("{stage_path} {path}"),
-                    snapshot,
-                });
-            }
-        }
-    }
-    Ok(out)
+            })
+        })
+        .collect()
 }
 
 /// Scales nanoseconds into the most readable unit.
@@ -149,10 +127,6 @@ pub fn render_sketch(s: &NamedSnapshot) -> String {
 /// distribution.
 #[must_use]
 pub fn render_report(snapshots: &[NamedSnapshot]) -> String {
-    if snapshots.is_empty() {
-        return "no latency sections found (v1 artifact, or latency instrumentation off)\n"
-            .to_string();
-    }
     let mut out = render_table(snapshots);
     for s in snapshots {
         out.push('\n');
@@ -190,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn collects_from_both_artifact_shapes() {
+    fn collects_from_the_summary_latency_section() {
         let snap = named("x", &[1_000, 2_000]).snapshot.to_value().render();
         let summary = format!(
             r#"{{"schema":"mmog-obs/v1","timing":{{"latency":{{"sim/run/tick":{snap}}}}}}}"#
@@ -201,22 +175,13 @@ mod tests {
         assert_eq!(got[0].name, "sim/run/tick");
         assert_eq!(got[0].snapshot.count, 2);
 
-        let bench = format!(
-            r#"{{"schema":"mmog-scale-bench/v2","stages":[{{"path":"scale/10k","total_ms":1,"latency":{{"sim/run/reduce":{snap}}}}}]}}"#
-        );
-        let doc = mmog_obs::json::parse(&bench).unwrap();
-        let got = collect_snapshots(&doc).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].name, "scale/10k sim/run/reduce");
-
-        // v1 documents (no latency anywhere) are fine and empty.
-        let v1 = r#"{"schema":"mmog-scale-bench/v1","stages":[{"path":"a","total_ms":1}]}"#;
-        let doc = mmog_obs::json::parse(v1).unwrap();
+        // Documents without a latency section are fine and empty.
+        let bare = r#"{"schema":"mmog-obs/v1","timing":{"spans":[]}}"#;
+        let doc = mmog_obs::json::parse(bare).unwrap();
         assert!(collect_snapshots(&doc).unwrap().is_empty());
-        assert!(render_report(&[]).contains("no latency sections"));
 
         // Malformed latency entries are errors, not omissions.
-        let bad = r#"{"stages":[{"path":"a","total_ms":1,"latency":{"p":{"count":1}}}]}"#;
+        let bad = r#"{"timing":{"latency":{"p":{"count":1}}}}"#;
         let doc = mmog_obs::json::parse(bad).unwrap();
         assert!(collect_snapshots(&doc).is_err());
     }

@@ -21,12 +21,13 @@
 //! - [`diff`] — semantic first-divergence reporting for traces and for
 //!   report text, so determinism failures localize to one event and
 //!   one field instead of a byte offset.
-//! - [`gate`] — the baseline regression gate CI runs: exact match on
-//!   the semantic metrics section, threshold-tolerant comparison on
-//!   hot-path stage timings and per-stage p99 tail latency.
+//! - [`gate`] — the baseline regression gate CI runs over an
+//!   `OBS_summary.json`: exact match on the semantic metrics section,
+//!   threshold-tolerant comparison on the timing section's stage totals
+//!   and per-path p99 tail latency.
 //! - [`latency`] — percentile tables and ASCII distribution sketches
-//!   over the log-bucketed latency snapshots in `BENCH_scale.json`
-//!   (v2) and `OBS_summary.json` (the `latency_report` binary).
+//!   over the log-bucketed latency snapshots in `OBS_summary.json` (the
+//!   `latency_report` binary).
 //! - [`lifecycle`] — causal lease-lifecycle reconstruction: replays
 //!   the `lease_request` → `lease_grant` → `lease_mature` →
 //!   release/revoke chain per run, rebuilds every lease's waterfall
@@ -53,7 +54,7 @@ pub mod timeline;
 
 pub use diff::{first_text_divergence, trace_diff, Divergence, TextDivergence};
 pub use gate::{
-    check_bench, check_obs, make_bench_baseline, make_obs_baseline, BenchThresholds, GateOutcome,
+    check_obs, check_timing, make_obs_baseline, make_timing_baseline, GateOutcome, TimingThresholds,
 };
 pub use latency::{collect_snapshots, render_report, render_sketch, render_table, NamedSnapshot};
 pub use lifecycle::{

@@ -1,5 +1,6 @@
-//! Command-line contract of `trace_analyze`: `--kind` accepts exactly
-//! the kinds of the event schema.
+//! Command-line contracts: `trace_analyze --kind` accepts exactly the
+//! kinds of the event schema, and `latency_report` fails on an artifact
+//! without latency.
 
 use mmog_obs::Event;
 use std::process::Command;
@@ -49,4 +50,42 @@ fn known_kind_filters_the_trace() {
     );
     assert!(dir.join("TIMELINE_trace.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn latency_report(summary: &str, name: &str) -> std::process::Output {
+    let path =
+        std::env::temp_dir().join(format!("latency_report_{name}_{}.json", std::process::id()));
+    std::fs::write(&path, summary).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_latency_report"))
+        .arg(&path)
+        .output()
+        .expect("latency_report runs");
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+#[test]
+fn latency_report_fails_without_latency_and_renders_with_it() {
+    let bare = r#"{"schema":"mmog-obs/v1","timing":{"spans":[]}}"#;
+    let out = latency_report(bare, "bare");
+    assert!(
+        !out.status.success(),
+        "an artifact without latency must fail"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no latency sections"), "{stderr}");
+
+    let h = mmog_obs::LatencyHisto::new();
+    h.record(1_500);
+    let with = format!(
+        r#"{{"schema":"mmog-obs/v1","timing":{{"latency":{{"sim/run/tick":{}}}}}}}"#,
+        h.snapshot().to_value().render()
+    );
+    let out = latency_report(&with, "with");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("sim/run/tick"));
 }

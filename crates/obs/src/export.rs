@@ -108,11 +108,18 @@ pub fn summary_json() -> String {
     summary_value().render_pretty()
 }
 
-/// Records the suite's wall-clock duration so [`summary_value`] can
-/// report the observability plane's overhead as a percentage. Runners
-/// (e.g. `all_experiments`) call this right before writing the summary.
-pub fn note_wall_seconds(seconds: f64) {
-    crate::registry::gauge("obs.wall_ms", Domain::Timing).set((seconds * 1e3).round() as i64);
+/// Records the run's wall-clock duration and the environment it ran
+/// in as Timing-domain gauges (`obs.wall_ms`, `obs.jobs`,
+/// `obs.logical_cpus`): [`summary_value`] reports the observability
+/// plane's overhead against the wall clock, and the regression gate
+/// only judges timings recorded in a matching environment. Runners
+/// (`all_experiments`, `scale_bench`) call this right before writing
+/// the summary.
+pub fn note_run(wall_seconds: f64, jobs: usize, logical_cpus: usize) {
+    let gauge = |name| crate::registry::gauge(name, Domain::Timing);
+    gauge("obs.wall_ms").set((wall_seconds * 1e3).round() as i64);
+    gauge("obs.jobs").set(jobs as i64);
+    gauge("obs.logical_cpus").set(logical_cpus as i64);
 }
 
 /// Times `op()` repeated `n` times, returning mean nanoseconds per
@@ -130,7 +137,7 @@ fn per_op_ns(n: u64, mut op: impl FnMut(u64)) -> f64 {
 /// is measured by a short calibration loop at export time (scratch
 /// instruments, so the calibration never pollutes the report), and the
 /// product is the estimated overhead. `overhead_pct` is reported
-/// against the wall-clock installed via [`note_wall_seconds`] (`null`
+/// against the wall-clock installed via [`note_run`] (`null`
 /// until a runner installs one).
 fn obs_self_value() -> Value {
     let _span = crate::span::span("obs/self/export");
@@ -448,7 +455,7 @@ mod tests {
         for v in [100u64, 200, 50_000] {
             h.record(v);
         }
-        note_wall_seconds(1.5);
+        note_run(1.5, 1, 1);
         let doc = summary_value();
         let timing = doc.get("timing").unwrap();
         let lat = timing

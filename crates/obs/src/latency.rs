@@ -282,8 +282,8 @@ impl LatencySnapshot {
         (self.count > 0).then(|| self.sum_ns as f64 / self.count as f64)
     }
 
-    /// Renders the snapshot as the JSON object embedded in summaries
-    /// and `BENCH_scale.json` stage records: counts, percentile
+    /// Renders the snapshot as the JSON object embedded in the
+    /// summary's `timing.latency` section: counts, percentile
     /// estimates, extremes and the sparse non-zero `[index, count]`
     /// bucket list.
     #[must_use]
@@ -407,8 +407,7 @@ pub fn snapshot_latency() -> Vec<(String, LatencySnapshot)> {
 }
 
 /// Zeroes every interned latency histogram; paths and cached handles
-/// stay valid. Sweep harnesses reset between points so each point
-/// reports its own distribution.
+/// stay valid.
 pub fn reset_latency() {
     for h in lock().values() {
         h.reset();

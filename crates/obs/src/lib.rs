@@ -69,7 +69,7 @@ pub use event::{
     Event, EventSink,
 };
 pub use export::{
-    note_wall_seconds, render_summary_table, semantic_section, summary_json, summary_value,
+    note_run, render_summary_table, semantic_section, summary_json, summary_value,
     validate_summary, SUMMARY_SCHEMA,
 };
 pub use flight::{

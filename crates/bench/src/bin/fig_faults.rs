@@ -3,7 +3,7 @@
 //! Standalone entry point for the fault plane: writes the rendered
 //! table to `results/fig_faults.txt`, flushes the event trace when one
 //! is configured (`--trace` / `MMOG_TRACE`), and exports the metrics
-//! summary under `--metrics` — the artifacts the `faults-smoke` CI job
+//! summary under `--metrics` — the artifacts the `effects-smoke` CI job
 //! validates.
 
 use std::fs;

@@ -4,7 +4,7 @@
 //! table to `results/fig_scenarios.txt`, flushes the event trace when
 //! one is configured (`--trace` / `MMOG_TRACE`), and exports the
 //! metrics summary under `--metrics` — the artifacts the
-//! `scenario-smoke` CI job validates.
+//! `effects-smoke` CI job validates.
 
 use std::fs;
 use std::path::Path;

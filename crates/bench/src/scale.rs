@@ -122,9 +122,8 @@ pub struct PointResult {
     /// One summary per world, in world order.
     pub worlds: Vec<WorldSummary>,
     /// Settle calls the match memo replayed across every world of this
-    /// point. Timing-domain: parallel fault interleavings can shift the
-    /// process-global availability epoch, so counts may vary with
-    /// `--jobs` — reported in the progress line, never in the semantic
+    /// point. Timing-domain, like the `sim.match.skips` counter it
+    /// mirrors: reported in the progress line, never in the semantic
     /// section.
     pub match_skips: u64,
     /// Settle calls that ran the full candidate walk.

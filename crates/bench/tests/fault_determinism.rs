@@ -11,7 +11,9 @@
 //! Mismatches route through `mmog-obs-analyze`'s first-divergence
 //! helpers, so a failure names the first diverging event or line.
 
-use mmog_faults::{FaultSpec, ScenarioEvent, ScenarioEventKind, ScenarioSpec, ScenarioTimeline};
+use mmog_faults::{
+    FaultSpec, ScenarioEvent, ScenarioEventKind, ScenarioParams, ScenarioSpec, ScenarioTimeline,
+};
 use mmog_obs_analyze::{first_text_divergence, trace_diff};
 use mmog_sim::engine::{AllocationMode, Simulation};
 use mmog_sim::scenario::{self, ScenarioOpts};
@@ -259,7 +261,9 @@ fn scenario_determinism() {
                 },
             ],
         )
-        .with_migration_cost(2),
+        .with_params(ScenarioParams {
+            migration_cost_ticks: 2,
+        }),
     );
     let golden_report = Simulation::new(cfg).run();
     check_golden(

@@ -152,9 +152,9 @@ fn lease_lifecycles_reconstruct_fully_across_jobs() {
     // allocation, shortfall — sampled from serial sections and
     // downsampled by a pure function of the sample sequence) are
     // byte-identical across job counts. The `timing` sections (stage
-    // latencies, and the memo skip rate, whose replay eligibility keys
-    // on the process-wide availability epoch and so moves with --jobs)
-    // are excluded, per the determinism contract.
+    // latencies, and the memo skip rate, which stays timing with the
+    // `sim.match.skips` counter) are excluded, per the determinism
+    // contract.
     assert!(
         !ts_serial.is_empty(),
         "mini-suite must export at least one TS document"

@@ -43,7 +43,7 @@ pub mod prelude {
     pub use mmog_datacenter::resource::{ResourceType, ResourceVector};
     pub use mmog_faults::{
         FaultEvent, FaultKind, FaultSchedule, FaultSpec, ScenarioEvent, ScenarioEventKind,
-        ScenarioSpec, ScenarioTimeline,
+        ScenarioParams, ScenarioSpec, ScenarioTimeline,
     };
     pub use mmog_predict::eval::PredictorKind;
     pub use mmog_predict::neural::{NeuralConfig, NeuralPredictor};

@@ -17,29 +17,19 @@ use mmog_util::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide availability-change epoch. Bumped whenever any center's
-/// availability state changes ([`DataCenter::fail`],
-/// [`DataCenter::repair`], [`DataCenter::degrade`]), so cached matcher
-/// views ([`crate::matching::CandidateIndex`]) know when their
-/// availability-dependent filtering is stale. The epoch is a pure
-/// invalidation signal: a spurious bump (e.g. from an unrelated center
-/// set in another test) only costs a redundant refresh, never changes a
-/// match result, so determinism is unaffected. It does move the
-/// memo-replay *counts* (a spuriously invalidated step runs the full
-/// no-op walk instead of replaying), which is why skip counters and the
-/// `match_skip_rate` series are classified as timing, never semantic.
-static AVAIL_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Current value of the global availability epoch.
+/// The availability epoch of a center set: the sum of each center's
+/// availability generation, which [`DataCenter::fail`],
+/// [`DataCenter::repair`] and [`DataCenter::degrade`] bump by one. Every
+/// change adds exactly one, so for a fixed center set the epoch is
+/// strictly monotone, and cached matcher views
+/// ([`crate::matching::CandidateIndex`]) and the provisioner's no-op
+/// memo know their availability-dependent state is stale when it moves.
+/// It reads only the given centers, so one run's faults never
+/// invalidate another run's caches.
 #[must_use]
-pub fn availability_epoch() -> u64 {
-    AVAIL_EPOCH.load(Ordering::Relaxed)
-}
-
-fn bump_availability_epoch() {
-    AVAIL_EPOCH.fetch_add(1, Ordering::Relaxed);
+pub fn availability_epoch(centers: &[DataCenter]) -> u64 {
+    centers.iter().map(|c| c.avail_gen).sum()
 }
 
 /// Identifier of a data center (hoster).
@@ -169,6 +159,8 @@ pub struct DataCenter {
     slots: HashMap<u64, u32, BuildHasherDefault<LeaseIdHasher>>,
     next_lease: u64,
     availability: Availability,
+    /// Availability changes so far (see [`availability_epoch`]).
+    avail_gen: u64,
 }
 
 impl DataCenter {
@@ -183,6 +175,7 @@ impl DataCenter {
             slots: HashMap::default(),
             next_lease: 0,
             availability: Availability::Up,
+            avail_gen: 0,
         }
     }
 
@@ -234,7 +227,7 @@ impl DataCenter {
     pub fn fail(&mut self) -> Vec<Lease> {
         self.availability = Availability::Down;
         self.allocated = ResourceVector::ZERO;
-        bump_availability_epoch();
+        self.avail_gen += 1;
         self.lease_cpu.clear();
         self.slots.clear();
         std::mem::take(&mut self.leases)
@@ -246,7 +239,7 @@ impl DataCenter {
     /// [`fail`]: Self::fail
     pub fn repair(&mut self) {
         self.availability = Availability::Up;
-        bump_availability_epoch();
+        self.avail_gen += 1;
     }
 
     /// Partial degradation to `fraction` of nominal capacity (clamped
@@ -255,7 +248,7 @@ impl DataCenter {
         self.availability = Availability::Degraded {
             fraction: fraction.clamp(0.0, 1.0),
         };
-        bump_availability_epoch();
+        self.avail_gen += 1;
     }
 
     /// Force-revokes one lease regardless of its earliest-release time
@@ -522,6 +515,21 @@ mod tests {
         // The clamp keeps pathological fractions inside [0, 1].
         c.degrade(7.0);
         assert_eq!(c.availability(), Availability::Degraded { fraction: 1.0 });
+    }
+
+    #[test]
+    fn availability_epoch_counts_only_its_own_centers() {
+        let mut set = vec![dc(), dc()];
+        let mut other_set = vec![dc()];
+        assert_eq!(availability_epoch(&set), 0);
+        other_set[0].fail();
+        assert_eq!(availability_epoch(&set), 0, "another set's outage");
+        // Every availability change moves the epoch by exactly one.
+        set[0].fail();
+        set[1].degrade(0.5);
+        set[0].repair();
+        assert_eq!(availability_epoch(&set), 3);
+        assert_eq!(availability_epoch(&other_set), 1);
     }
 
     #[test]

@@ -378,7 +378,7 @@ pub fn match_request(
 /// by the fault plane). The index therefore pre-computes the distances
 /// and the full offer-preference order once, and re-derives the
 /// availability-dependent admissible list and phase-1 rejections only
-/// when the global [`availability_epoch`] moves. In an unfaulted run
+/// when the centers' [`availability_epoch`] moves. In an unfaulted run
 /// every request after the first skips straight to the fill loop.
 ///
 /// An index is bound to one `(origin, tolerance)` pair — one per server
@@ -507,7 +507,7 @@ impl CandidateIndex {
 ///   every deficit-negligible target — sound only while the ledger
 ///   holds *no matured lease*, because then there are no release or
 ///   reshape candidates at all, whatever the surplus;
-/// - the global **availability epoch** ([`availability_epoch`]): any
+/// - the centers' **availability epoch** ([`availability_epoch`]): any
 ///   fault-plane change (outage, repair, degradation) invalidates;
 /// - the **topology version**: any scenario-plane mutation invalidates;
 /// - the caller's **lease-ledger generation**, a counter the caller
@@ -624,7 +624,7 @@ pub fn match_request_indexed(
         "a CandidateIndex serves one (origin, tolerance) requester"
     );
     mmog_obs::time_stat(obs::match_timer(), || {
-        let epoch = availability_epoch();
+        let epoch = availability_epoch(centers);
         let topo_version = topology.version();
         if !index.built || index.n_centers != centers.len() || index.topo_version != topo_version {
             index.build(centers, topology);

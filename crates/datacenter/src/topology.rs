@@ -8,9 +8,9 @@
 //! whole subsets of the federation unreachable from a player's home
 //! region until a `heal` event.
 //!
-//! A [`Topology`] is **per-simulation** state (not process-global like
-//! the availability epoch): two concurrent simulations may hold
-//! disjoint topologies. Every simulation carries one; runs without a
+//! A [`Topology`] is **per-simulation** state, like the availability
+//! epoch of the simulation's own centers: two concurrent simulations
+//! may hold disjoint topologies. Every simulation carries one; runs without a
 //! scenario keep the nominal [`Topology::new`], under which
 //! [`crate::matching`] sees every center reachable and every distance
 //! exactly as measured (`raw_km × 1.0`).

@@ -1,32 +1,200 @@
-//! `mmog-faults` — the deterministic fault-injection plane.
+//! `mmog-faults` — the deterministic effect timelines.
 //!
 //! The paper's evaluation (Sec. V) assumes every data center is always
 //! up and every granted lease survives its full term. Resource-management
 //! work for cloud data centers treats failure handling as a first-class
 //! concern next to allocation efficiency, so this crate supplies the
-//! missing uncertainty: a [`FaultSchedule`] of timed events — full
-//! center outages with repair times, partial capacity degradation,
-//! spontaneous lease revocations, and predictor dropouts — that the
-//! simulation engine applies from its serial sections.
+//! missing uncertainty as two planes of timed events, both held in one
+//! sorted list type, [`Timeline`]: a [`FaultSchedule`] — full center
+//! outages with repair times, partial capacity degradation, spontaneous
+//! lease revocations, and predictor dropouts — and a [`scenario`]
+//! timeline. The simulation engine merges both into one effect timeline
+//! applied from its serial sections.
 //!
-//! Determinism contract: a schedule is a pure function of a
-//! [`FaultSpec`] (or an explicit event list), the tick horizon and the
-//! platform size. Generation draws from per-center
-//! [`mmog_util::rng::stream_seed`] streams, so the same spec produces
-//! the same events regardless of thread count, and runs with faults
-//! disabled take code paths byte-identical to a build without this
-//! crate.
+//! Determinism contract: a timeline is a pure function of a spec (or an
+//! explicit event list), the tick horizon and the platform size.
+//! Generation draws from per-class [`mmog_util::rng::stream_seed`]
+//! streams, so the same spec produces the same events regardless of
+//! thread count, and runs with neither plane take code paths
+//! byte-identical to a build without this crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod scenario;
 
-pub use scenario::{ScenarioEvent, ScenarioEventKind, ScenarioSpec, ScenarioTimeline};
+pub use scenario::{
+    ScenarioEvent, ScenarioEventKind, ScenarioParams, ScenarioSpec, ScenarioTimeline,
+};
 
 use mmog_util::rng::Rng64;
 use mmog_util::time::{TICKS_PER_DAY, TICK_MINUTES};
 use serde::{Deserialize, Serialize};
+use std::fmt::{Debug, Display};
+use std::str::FromStr;
+
+/// An event a [`Timeline`] can hold.
+pub trait TimelineEvent: Copy {
+    /// Settings that apply to the whole timeline, not to one event.
+    type Params: Copy + Debug + Default + PartialEq;
+    /// The canonical sort key; its first component is the tick.
+    fn sort_key(&self) -> [u64; 4];
+}
+
+/// A deterministic, pre-materialised event list in canonical
+/// ([`TimelineEvent::sort_key`]) order, with the label its runs trace
+/// under and the timeline-wide parameters.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Timeline<E: TimelineEvent> {
+    events: Vec<E>,
+    label: String,
+    params: E::Params,
+}
+
+impl<E: TimelineEvent> Timeline<E> {
+    /// Builds a timeline from explicit events (tests, bespoke
+    /// scenarios) with default parameters. Events are sorted into the
+    /// canonical order; the sort is stable.
+    #[must_use]
+    pub fn from_events(label: &str, mut events: Vec<E>) -> Self {
+        events.sort_by_key(E::sort_key);
+        Self {
+            events,
+            label: label.to_string(),
+            params: E::Params::default(),
+        }
+    }
+
+    /// Replaces the timeline-wide parameters (builder style).
+    #[must_use]
+    pub fn with_params(mut self, params: E::Params) -> Self {
+        self.params = params;
+        self
+    }
+
+    /// The timeline-wide parameters.
+    #[must_use]
+    pub fn params(&self) -> E::Params {
+        self.params
+    }
+
+    /// The events, in canonical order.
+    #[must_use]
+    pub fn events(&self) -> &[E] {
+        &self.events
+    }
+
+    /// The timeline's label (spec-derived or caller-supplied).
+    #[must_use]
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// True when the timeline contains no events.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Number of events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+}
+
+/// One trimmed `key=value` segment of a `grammar` (`fault`,
+/// `scenario`) spec string.
+struct Pair<'a> {
+    grammar: &'static str,
+    key: &'a str,
+    value: &'a str,
+}
+
+impl Pair<'_> {
+    /// Parses the value into `slot`; a malformed value is an error that
+    /// names the key and the value token.
+    fn set<T: FromStr<Err: Display>>(&self, slot: &mut T) -> Result<(), String> {
+        let (grammar, key, value) = (self.grammar, self.key, self.value);
+        *slot = value
+            .parse()
+            .map_err(|e| format!("{grammar} spec `{key}`: bad value `{value}`: {e}"))?;
+        Ok(())
+    }
+
+    /// The error for a key the grammar does not define.
+    fn unknown(&self) -> Result<(), String> {
+        Err(format!("unknown {} spec key `{}`", self.grammar, self.key))
+    }
+}
+
+/// The parse loop both spec grammars share: splits `spec` into
+/// comma-separated `key=value` pairs and hands each to `set`.
+/// Whitespace around `=` and `,` is ignored and empty segments are
+/// skipped; a segment without `=` is an error naming it.
+fn parse_pairs(
+    grammar: &'static str,
+    spec: &str,
+    mut set: impl FnMut(&Pair<'_>) -> Result<(), String>,
+) -> Result<(), String> {
+    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (key, value) = part
+            .split_once('=')
+            .ok_or_else(|| format!("{grammar} spec segment `{part}` is not key=value"))?;
+        set(&Pair {
+            grammar,
+            key: key.trim(),
+            value: value.trim(),
+        })?;
+    }
+    Ok(())
+}
+
+/// Rejects any `(key, rate)` whose rate is not finite and ≥ 0.
+fn check_rates(rates: &[(&str, f64)]) -> Result<(), String> {
+    match rates.iter().find(|(_, r)| !r.is_finite() || *r < 0.0) {
+        Some((key, rate)) => Err(format!("{key} {rate} is not a finite rate ≥ 0")),
+        None => Ok(()),
+    }
+}
+
+/// A per-day rate as a per-tick probability.
+fn per_tick(rate_per_day: f64) -> f64 {
+    (rate_per_day / TICKS_PER_DAY as f64).clamp(0.0, 1.0)
+}
+
+/// A mean duration in minutes as a mean in ticks (at least one).
+fn mean_ticks(minutes: u64) -> f64 {
+    (minutes as f64 / TICK_MINUTES as f64).max(1.0)
+}
+
+/// An episode's exponential holding time with mean `mean` ticks,
+/// rounded up to at least one tick.
+fn holding_ticks(rng: &mut Rng64, mean: f64) -> u64 {
+    (rng.exponential(1.0 / mean).ceil() as u64).max(1)
+}
+
+/// Memoryless per-tick draws from stream `stream` of `seed`: every tick
+/// of `0..ticks` fires with probability `p`, and `event` builds the
+/// tick's event, drawing any payload from the same stream right after
+/// the hit. A zero rate draws nothing.
+fn per_tick_draws<E>(
+    events: &mut Vec<E>,
+    (seed, stream): (u64, u64),
+    p: f64,
+    ticks: u64,
+    mut event: impl FnMut(u64, &mut Rng64) -> E,
+) {
+    if p <= 0.0 {
+        return;
+    }
+    let mut rng = Rng64::stream(seed, stream);
+    for t in 0..ticks {
+        if rng.chance(p) {
+            events.push(event(t, &mut rng));
+        }
+    }
+}
 
 /// What a single fault event does when the engine applies it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,33 +221,6 @@ pub enum FaultKind {
     PredictorDropout,
 }
 
-impl FaultKind {
-    /// Stable lower-case label used in trace events.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::CenterDown => "center_down",
-            Self::CenterUp => "center_up",
-            Self::CenterDegraded { .. } => "center_degraded",
-            Self::LeaseRevoked => "lease_revoked",
-            Self::PredictorDropout => "predictor_dropout",
-        }
-    }
-
-    /// Ordering rank used to sort same-tick events deterministically
-    /// (repairs before new failures so a back-to-back repair/outage
-    /// pair on one center resolves to the outage).
-    fn rank(&self) -> u8 {
-        match self {
-            Self::CenterUp => 0,
-            Self::CenterDown => 1,
-            Self::CenterDegraded { .. } => 2,
-            Self::LeaseRevoked => 3,
-            Self::PredictorDropout => 4,
-        }
-    }
-}
-
 /// One timed fault event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
@@ -91,6 +232,24 @@ pub struct FaultEvent {
     pub center: usize,
     /// What happens.
     pub kind: FaultKind,
+}
+
+impl TimelineEvent for FaultEvent {
+    type Params = ();
+
+    /// `(tick, center, kind rank)`. Repairs rank before new failures,
+    /// so a back-to-back repair/outage pair on one center resolves to
+    /// the outage.
+    fn sort_key(&self) -> [u64; 4] {
+        let rank = match self.kind {
+            FaultKind::CenterUp => 0,
+            FaultKind::CenterDown => 1,
+            FaultKind::CenterDegraded { .. } => 2,
+            FaultKind::LeaseRevoked => 3,
+            FaultKind::PredictorDropout => 4,
+        };
+        [self.tick, self.center as u64, rank, 0]
+    }
 }
 
 /// Declarative fault-model parameters, parseable from the `--faults`
@@ -172,44 +331,22 @@ impl FaultSpec {
     /// errors that name the offending token.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut out = Self::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec segment `{part}` is not key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad =
-                |e: &dyn std::fmt::Display| format!("fault spec `{key}`: bad value `{value}`: {e}");
-            match key {
-                "seed" => out.seed = value.parse().map_err(|e| bad(&e))?,
-                "outages" => {
-                    out.outages_per_center_day = value.parse().map_err(|e| bad(&e))?;
-                }
-                "repair" => out.repair_minutes = value.parse().map_err(|e| bad(&e))?,
-                "degrade" => {
-                    out.degrade_per_center_day = value.parse().map_err(|e| bad(&e))?;
-                }
-                "dfrac" => out.degrade_fraction = value.parse().map_err(|e| bad(&e))?,
-                "dmins" => out.degrade_minutes = value.parse().map_err(|e| bad(&e))?,
-                "revoke" => {
-                    out.revocations_per_center_day = value.parse().map_err(|e| bad(&e))?;
-                }
-                "dropout" => out.dropout_per_tick = value.parse().map_err(|e| bad(&e))?,
-                other => return Err(format!("unknown fault spec key `{other}`")),
-            }
-        }
-        for (key, rate) in [
+        parse_pairs("fault", spec, |p| match p.key {
+            "seed" => p.set(&mut out.seed),
+            "outages" => p.set(&mut out.outages_per_center_day),
+            "repair" => p.set(&mut out.repair_minutes),
+            "degrade" => p.set(&mut out.degrade_per_center_day),
+            "dfrac" => p.set(&mut out.degrade_fraction),
+            "dmins" => p.set(&mut out.degrade_minutes),
+            "revoke" => p.set(&mut out.revocations_per_center_day),
+            "dropout" => p.set(&mut out.dropout_per_tick),
+            _ => p.unknown(),
+        })?;
+        check_rates(&[
             ("outages", out.outages_per_center_day),
             ("degrade", out.degrade_per_center_day),
             ("revoke", out.revocations_per_center_day),
-        ] {
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(format!("{key} {rate} is not a finite rate ≥ 0"));
-            }
-        }
+        ])?;
         if !(0.0..=1.0).contains(&out.degrade_fraction) {
             return Err(format!("dfrac {} outside [0, 1]", out.degrade_fraction));
         }
@@ -217,16 +354,6 @@ impl FaultSpec {
             return Err(format!("dropout {} outside [0, 1]", out.dropout_per_tick));
         }
         Ok(out)
-    }
-
-    /// True when every event rate is zero — such a spec generates an
-    /// empty schedule and callers should run the unfaulted code path.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.outages_per_center_day == 0.0
-            && self.degrade_per_center_day == 0.0
-            && self.revocations_per_center_day == 0.0
-            && self.dropout_per_tick == 0.0
     }
 
     /// Scales every event rate by `factor` (the `fig_faults` sweep
@@ -267,26 +394,10 @@ const STREAM_AVAILABILITY: u64 = 0;
 const STREAM_REVOCATION: u64 = 1 << 20;
 const STREAM_DROPOUT: u64 = 1 << 21;
 
-/// A deterministic, pre-materialised list of fault events sorted by
-/// `(tick, center, kind)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultSchedule {
-    events: Vec<FaultEvent>,
-    label: String,
-}
+/// The fault plane: a [`Timeline`] of [`FaultEvent`]s.
+pub type FaultSchedule = Timeline<FaultEvent>;
 
-impl FaultSchedule {
-    /// Builds a schedule from explicit events (tests, bespoke
-    /// scenarios). Events are sorted into the canonical order.
-    #[must_use]
-    pub fn from_events(label: &str, mut events: Vec<FaultEvent>) -> Self {
-        events.sort_by_key(|e| (e.tick, e.center, e.kind.rank()));
-        Self {
-            events,
-            label: label.to_string(),
-        }
-    }
-
+impl Timeline<FaultEvent> {
     /// Generates a schedule from a declarative spec over `ticks` ticks
     /// and `centers` data centers.
     ///
@@ -302,11 +413,10 @@ impl FaultSchedule {
     #[must_use]
     pub fn from_spec(spec: &FaultSpec, ticks: u64, centers: usize) -> Self {
         let mut events = Vec::new();
-        let p_out = (spec.outages_per_center_day / TICKS_PER_DAY as f64).clamp(0.0, 1.0);
-        let p_deg = (spec.degrade_per_center_day / TICKS_PER_DAY as f64).clamp(0.0, 1.0);
-        let p_rev = (spec.revocations_per_center_day / TICKS_PER_DAY as f64).clamp(0.0, 1.0);
-        let repair_ticks_mean = (spec.repair_minutes as f64 / TICK_MINUTES as f64).max(1.0);
-        let degrade_ticks_mean = (spec.degrade_minutes as f64 / TICK_MINUTES as f64).max(1.0);
+        let p_out = per_tick(spec.outages_per_center_day);
+        let p_deg = per_tick(spec.degrade_per_center_day);
+        let repair_ticks_mean = mean_ticks(spec.repair_minutes);
+        let degrade_ticks_mean = mean_ticks(spec.degrade_minutes);
         for center in 0..centers {
             if p_out > 0.0 || p_deg > 0.0 {
                 let mut rng = Rng64::stream(spec.seed, STREAM_AVAILABILITY + center as u64);
@@ -331,81 +441,39 @@ impl FaultSchedule {
                     } else {
                         continue;
                     };
-                    let duration = (rng.exponential(1.0 / mean).ceil() as u64).max(1);
+                    busy_until = t.saturating_add(holding_ticks(&mut rng, mean));
                     events.push(FaultEvent {
                         tick: t,
                         center,
                         kind,
                     });
                     events.push(FaultEvent {
-                        tick: t.saturating_add(duration),
+                        tick: busy_until,
                         center,
                         kind: FaultKind::CenterUp,
                     });
-                    busy_until = t.saturating_add(duration);
                 }
             }
-            if p_rev > 0.0 {
-                let mut rng = Rng64::stream(spec.seed, STREAM_REVOCATION + center as u64);
-                for t in 0..ticks {
-                    if rng.chance(p_rev) {
-                        events.push(FaultEvent {
-                            tick: t,
-                            center,
-                            kind: FaultKind::LeaseRevoked,
-                        });
-                    }
-                }
-            }
+            let stream = (spec.seed, STREAM_REVOCATION + center as u64);
+            let p_rev = per_tick(spec.revocations_per_center_day);
+            per_tick_draws(&mut events, stream, p_rev, ticks, |tick, _| {
+                let kind = FaultKind::LeaseRevoked;
+                FaultEvent { tick, center, kind }
+            });
         }
-        if spec.dropout_per_tick > 0.0 {
-            let mut rng = Rng64::stream(spec.seed, STREAM_DROPOUT);
-            for t in 0..ticks {
-                if rng.chance(spec.dropout_per_tick) {
-                    events.push(FaultEvent {
-                        tick: t,
-                        center: 0,
-                        kind: FaultKind::PredictorDropout,
-                    });
-                }
+        let (stream, p) = ((spec.seed, STREAM_DROPOUT), spec.dropout_per_tick);
+        per_tick_draws(&mut events, stream, p, ticks, |tick, _| {
+            let kind = FaultKind::PredictorDropout;
+            FaultEvent {
+                tick,
+                center: 0,
+                kind,
             }
-        }
+        });
         // Repair events may land past the horizon; the engine simply
         // never reaches them, but they keep the schedule self-contained
         // if the run is extended.
         Self::from_events(&spec.label(), events)
-    }
-
-    /// The events, sorted by `(tick, center, kind)`.
-    #[must_use]
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// The schedule's label (spec-derived or caller-supplied).
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// True when the schedule contains no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Number of events at ticks `<= tick` — how many the engine has
-    /// applied once it finishes that tick (events are sorted by tick).
-    /// The live telemetry tap reports this as its `fault_events` gauge.
-    #[must_use]
-    pub fn applied_through(&self, tick: u64) -> u64 {
-        self.events.partition_point(|e| e.tick <= tick) as u64
     }
 }
 
@@ -427,11 +495,8 @@ mod tests {
         assert_eq!(s.degrade_minutes, 60);
         assert_eq!(s.revocations_per_center_day, 2.0);
         assert_eq!(s.dropout_per_tick, 0.02);
-        assert!(!s.is_zero());
-        // Re-parsing the label-ish canonical form is not required, but
-        // an empty spec is the zero model.
-        let zero = FaultSpec::parse("").unwrap();
-        assert!(zero.is_zero());
+        // An empty spec is the zero model.
+        assert_eq!(FaultSpec::parse("").unwrap(), FaultSpec::default());
     }
 
     #[test]
@@ -472,15 +537,24 @@ mod tests {
 
     #[test]
     fn spec_errors_name_the_offending_token() {
-        let err = FaultSpec::parse("outages=abc").unwrap_err();
-        assert!(err.contains("`outages`"), "missing key in: {err}");
-        assert!(err.contains("`abc`"), "missing value token in: {err}");
-        let err = FaultSpec::parse("repair = 12x").unwrap_err();
-        assert!(err.contains("`12x`"), "missing value token in: {err}");
-        let err = FaultSpec::parse("bogus=1").unwrap_err();
-        assert!(err.contains("`bogus`"), "missing key token in: {err}");
-        let err = FaultSpec::parse("outages").unwrap_err();
-        assert!(err.contains("`outages`"), "missing segment token in: {err}");
+        let cases = [
+            (
+                "outages=abc",
+                "fault spec `outages`: bad value `abc`: invalid float literal",
+            ),
+            (
+                "repair = 12x",
+                "fault spec `repair`: bad value `12x`: invalid digit found in string",
+            ),
+            ("bogus=1", "unknown fault spec key `bogus`"),
+            ("outages", "fault spec segment `outages` is not key=value"),
+            ("revoke=-0.5", "revoke -0.5 is not a finite rate ≥ 0"),
+            ("dfrac=1.5", "dfrac 1.5 outside [0, 1]"),
+            ("dropout=2", "dropout 2 outside [0, 1]"),
+        ];
+        for (spec, err) in cases {
+            assert_eq!(FaultSpec::parse(spec).unwrap_err(), err);
+        }
     }
 
     #[test]
@@ -496,10 +570,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_spec_generates_nothing() {
-        let schedule = FaultSchedule::from_spec(&FaultSpec::default(), 1440, 17);
-        assert!(schedule.is_empty());
-        assert_eq!(schedule.len(), 0);
+    fn zero_specs_generate_nothing() {
+        let faults = FaultSchedule::from_spec(&FaultSpec::default(), 1440, 17);
+        assert!(faults.is_empty());
+        assert_eq!(faults.len(), 0);
+        let scenario = ScenarioTimeline::from_spec(&ScenarioSpec::default(), 1440, 12);
+        assert!(scenario.is_empty());
+        assert_eq!(scenario.len(), 0);
     }
 
     #[test]
@@ -524,14 +601,24 @@ mod tests {
         }
     }
 
+    /// True when `events` are in canonical order.
+    fn is_canonical<E: TimelineEvent>(events: &[E]) -> bool {
+        events
+            .windows(2)
+            .all(|w| w[0].sort_key() <= w[1].sort_key())
+    }
+
     #[test]
-    fn events_sorted_by_tick() {
+    fn compiled_timelines_are_in_canonical_order() {
         let spec = FaultSpec::parse("seed=5,outages=4,revoke=4,dropout=0.05").unwrap();
-        let schedule = FaultSchedule::from_spec(&spec, 1000, 6);
-        let ticks: Vec<u64> = schedule.events().iter().map(|e| e.tick).collect();
-        let mut sorted = ticks.clone();
-        sorted.sort_unstable();
-        assert_eq!(ticks, sorted);
+        assert!(is_canonical(
+            FaultSchedule::from_spec(&spec, 1000, 6).events()
+        ));
+        let spec =
+            ScenarioSpec::parse("seed=5,partition=4,migrate=8,flash=4,failover=2,link=4").unwrap();
+        assert!(is_canonical(
+            ScenarioTimeline::from_spec(&spec, 1000, 6).events()
+        ));
     }
 
     #[test]
@@ -542,9 +629,7 @@ mod tests {
             double.outages_per_center_day,
             spec.outages_per_center_day * 2.0
         );
-        let zero = spec.scaled(0.0);
-        assert!(zero.is_zero());
-        assert!(FaultSchedule::from_spec(&zero, 1440, 17).is_empty());
+        assert!(FaultSchedule::from_spec(&spec.scaled(0.0), 1440, 17).is_empty());
     }
 
     #[test]
@@ -573,5 +658,39 @@ mod tests {
         assert_eq!(schedule.events()[1].kind, FaultKind::CenterUp);
         assert_eq!(schedule.events()[2].kind, FaultKind::CenterDown);
         assert_eq!(schedule.label(), "test");
+        assert_eq!(schedule.len(), 3);
+        assert_eq!(schedule.params(), ());
+        // Same tick, same rank: the payload breaks the tie.
+        let timeline = ScenarioTimeline::from_events(
+            "test",
+            vec![
+                ScenarioEvent {
+                    tick: 3,
+                    kind: ScenarioEventKind::Migrate { pick: 9 },
+                },
+                ScenarioEvent {
+                    tick: 3,
+                    kind: ScenarioEventKind::Migrate { pick: 4 },
+                },
+                ScenarioEvent {
+                    tick: 3,
+                    kind: ScenarioEventKind::Heal,
+                },
+            ],
+        );
+        let kinds: Vec<_> = timeline.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                ScenarioEventKind::Heal,
+                ScenarioEventKind::Migrate { pick: 4 },
+                ScenarioEventKind::Migrate { pick: 9 },
+            ]
+        );
+        assert_eq!(timeline.params(), ScenarioParams::default());
+        let costly = ScenarioParams {
+            migration_cost_ticks: 7,
+        };
+        assert_eq!(timeline.with_params(costly).params(), costly);
     }
 }

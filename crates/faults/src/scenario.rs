@@ -1,16 +1,16 @@
-//! The deterministic scenario engine: topology mutations, zone
-//! migration and demand surges compiled into a timed event list.
+//! The scenario plane: topology mutations, zone migration and demand
+//! surges compiled into a timed event list.
 //!
 //! Where the fault plane ([`crate::FaultSchedule`]) perturbs center
 //! *availability*, a scenario perturbs everything around it: the
 //! network between centers (partitions, link degradation), the homes
 //! of server groups (zone migration, region failover) and the demand
 //! itself (flash crowds). A [`ScenarioSpec`] — parsed from the
-//! `--scenario` CLI flag / `MMOG_SCENARIO` environment variable in the
-//! same `key=value` grammar as [`crate::FaultSpec`] — compiles into a
-//! [`ScenarioTimeline`]: a pre-materialised, canonically sorted list of
-//! [`ScenarioEvent`]s the simulation engine applies from its serial
-//! sections only.
+//! `--scenario` CLI flag / `MMOG_SCENARIO` environment variable through
+//! the same `key=value` parse loop as [`crate::FaultSpec`] — compiles
+//! into a [`ScenarioTimeline`]: a [`Timeline`] of [`ScenarioEvent`]s
+//! that the simulation engine merges with the fault schedule into one
+//! effect timeline and applies from its serial sections only.
 //!
 //! Determinism contract: a timeline is a pure function of
 //! `(spec, ticks, centers)`. Generation draws from dedicated
@@ -27,8 +27,11 @@
 //! [`crate::FaultKind::LeaseRevoked`] picks a center at compile time
 //! but a lease at apply time.
 
+use crate::{
+    check_rates, holding_ticks, mean_ticks, parse_pairs, per_tick, per_tick_draws, Timeline,
+    TimelineEvent,
+};
 use mmog_util::rng::Rng64;
-use mmog_util::time::{TICKS_PER_DAY, TICK_MINUTES};
 use serde::{Deserialize, Serialize};
 
 /// What a single scenario event does when the engine applies it.
@@ -89,59 +92,53 @@ pub enum ScenarioEventKind {
     },
 }
 
-impl ScenarioEventKind {
-    /// Stable lower-case label used in trace events.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Heal => "heal",
-            Self::LinkRestore { .. } | Self::LinkDegrade { .. } => "topology_change",
-            Self::Partition { .. } => "partition",
-            Self::FlashEnd { .. } | Self::FlashBegin { .. } => "flash_crowd",
-            Self::Migrate { .. } | Self::RegionFailover { .. } => "migration",
-        }
-    }
-
-    /// Ordering rank for same-tick events: recoveries (heal, restore,
-    /// flash end) before new disruptions, so a back-to-back end/begin
-    /// pair resolves to the disruption — the same convention as the
-    /// fault plane's repair-before-outage rank.
-    fn rank(&self) -> u8 {
-        match self {
-            Self::Heal => 0,
-            Self::LinkRestore { .. } => 1,
-            Self::FlashEnd { .. } => 2,
-            Self::Partition { .. } => 3,
-            Self::LinkDegrade { .. } => 4,
-            Self::FlashBegin { .. } => 5,
-            Self::Migrate { .. } => 6,
-            Self::RegionFailover { .. } => 7,
-        }
-    }
-
-    /// Payload tiebreaker for the canonical sort (same tick, same rank).
-    fn sort_payload(&self) -> (u64, u64) {
-        match *self {
-            Self::Heal => (0, 0),
-            Self::LinkRestore { a, b } | Self::LinkDegrade { a, b, .. } => {
-                (u64::from(a), u64::from(b))
-            }
-            Self::Partition { mask } => (mask, 0),
-            Self::FlashEnd { pick } | Self::FlashBegin { pick, .. } => (pick, 0),
-            Self::Migrate { pick } => (pick, 0),
-            Self::RegionFailover { center } => (u64::from(center), 0),
-        }
-    }
-}
-
 /// One timed scenario event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioEvent {
     /// Tick at which the event strikes (applied before the tick's
-    /// demand fill, so its impact is visible the same tick).
+    /// scoring, so its impact is visible the same tick).
     pub tick: u64,
     /// What happens.
     pub kind: ScenarioEventKind,
+}
+
+impl TimelineEvent for ScenarioEvent {
+    type Params = ScenarioParams;
+
+    /// `(tick, kind rank, payload)`. Recoveries (heal, restore, flash
+    /// end) rank before new disruptions, so a back-to-back end/begin
+    /// pair resolves to the disruption — the same convention as the
+    /// fault plane's repair-before-outage rank.
+    fn sort_key(&self) -> [u64; 4] {
+        use ScenarioEventKind as K;
+        let (rank, a, b) = match self.kind {
+            K::Heal => (0, 0, 0),
+            K::LinkRestore { a, b } => (1, a.into(), b.into()),
+            K::FlashEnd { pick } => (2, pick, 0),
+            K::Partition { mask } => (3, mask, 0),
+            K::LinkDegrade { a, b, .. } => (4, a.into(), b.into()),
+            K::FlashBegin { pick, .. } => (5, pick, 0),
+            K::Migrate { pick } => (6, pick, 0),
+            K::RegionFailover { center } => (7, center.into(), 0),
+        };
+        [self.tick, rank, a, b]
+    }
+}
+
+/// Timeline-wide scenario settings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScenarioParams {
+    /// Unserved player-ticks charged per player each time a group
+    /// migrates (copied from [`ScenarioSpec::migration_cost_ticks`]).
+    pub migration_cost_ticks: u64,
+}
+
+impl Default for ScenarioParams {
+    fn default() -> Self {
+        Self {
+            migration_cost_ticks: ScenarioSpec::default().migration_cost_ticks,
+        }
+    }
 }
 
 /// Declarative scenario parameters, parseable from the `--scenario`
@@ -240,45 +237,28 @@ impl ScenarioSpec {
     /// errors that name the offending token.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut out = Self::default();
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("scenario spec segment `{part}` is not key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = |e: &dyn std::fmt::Display| {
-                format!("scenario spec `{key}`: bad value `{value}`: {e}")
-            };
-            match key {
-                "seed" => out.seed = value.parse().map_err(|e| bad(&e))?,
-                "partition" => out.partitions_per_day = value.parse().map_err(|e| bad(&e))?,
-                "pmins" => out.partition_minutes = value.parse().map_err(|e| bad(&e))?,
-                "migrate" => out.migrations_per_day = value.parse().map_err(|e| bad(&e))?,
-                "mcost" => out.migration_cost_ticks = value.parse().map_err(|e| bad(&e))?,
-                "flash" => out.flash_per_day = value.parse().map_err(|e| bad(&e))?,
-                "fpeak" => out.flash_peak = value.parse().map_err(|e| bad(&e))?,
-                "fmins" => out.flash_minutes = value.parse().map_err(|e| bad(&e))?,
-                "failover" => out.failovers_per_day = value.parse().map_err(|e| bad(&e))?,
-                "link" => out.links_per_day = value.parse().map_err(|e| bad(&e))?,
-                "lfactor" => out.link_factor = value.parse().map_err(|e| bad(&e))?,
-                "lmins" => out.link_minutes = value.parse().map_err(|e| bad(&e))?,
-                other => return Err(format!("unknown scenario spec key `{other}`")),
-            }
-        }
-        for (key, rate) in [
+        parse_pairs("scenario", spec, |p| match p.key {
+            "seed" => p.set(&mut out.seed),
+            "partition" => p.set(&mut out.partitions_per_day),
+            "pmins" => p.set(&mut out.partition_minutes),
+            "migrate" => p.set(&mut out.migrations_per_day),
+            "mcost" => p.set(&mut out.migration_cost_ticks),
+            "flash" => p.set(&mut out.flash_per_day),
+            "fpeak" => p.set(&mut out.flash_peak),
+            "fmins" => p.set(&mut out.flash_minutes),
+            "failover" => p.set(&mut out.failovers_per_day),
+            "link" => p.set(&mut out.links_per_day),
+            "lfactor" => p.set(&mut out.link_factor),
+            "lmins" => p.set(&mut out.link_minutes),
+            _ => p.unknown(),
+        })?;
+        check_rates(&[
             ("partition", out.partitions_per_day),
             ("migrate", out.migrations_per_day),
             ("flash", out.flash_per_day),
             ("failover", out.failovers_per_day),
             ("link", out.links_per_day),
-        ] {
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(format!("{key} {rate} is not a finite rate ≥ 0"));
-            }
-        }
+        ])?;
         if !out.flash_peak.is_finite() || out.flash_peak < 1.0 {
             return Err(format!(
                 "fpeak {} is not a finite factor ≥ 1 (flash crowds only add demand)",
@@ -292,18 +272,6 @@ impl ScenarioSpec {
             ));
         }
         Ok(out)
-    }
-
-    /// True when every event rate is zero — such a spec generates an
-    /// empty timeline and callers should run the scenario-free code
-    /// path.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.partitions_per_day == 0.0
-            && self.migrations_per_day == 0.0
-            && self.flash_per_day == 0.0
-            && self.failovers_per_day == 0.0
-            && self.links_per_day == 0.0
     }
 
     /// Scales every event rate by `factor` (the `fig_scenarios` sweep
@@ -355,45 +323,40 @@ const STREAM_FLASH: u64 = 1 << 24;
 const STREAM_FAILOVER: u64 = 1 << 25;
 const STREAM_LINK: u64 = 1 << 26;
 
-/// A deterministic, pre-materialised list of scenario events sorted by
-/// `(tick, kind rank, payload)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioTimeline {
-    events: Vec<ScenarioEvent>,
-    label: String,
-    /// Unserved player-ticks charged per player each time a group
-    /// migrates (copied from [`ScenarioSpec::migration_cost_ticks`]).
-    migration_cost_ticks: u64,
-}
+/// The scenario plane: a [`Timeline`] of [`ScenarioEvent`]s.
+pub type ScenarioTimeline = Timeline<ScenarioEvent>;
 
-impl ScenarioTimeline {
-    /// Builds a timeline from explicit events (tests, bespoke
-    /// scenarios). Events are sorted into the canonical order; the
-    /// migration cost is the spec default (override with
-    /// [`with_migration_cost`](Self::with_migration_cost)).
-    #[must_use]
-    pub fn from_events(label: &str, mut events: Vec<ScenarioEvent>) -> Self {
-        events.sort_by_key(|e| (e.tick, e.kind.rank(), e.kind.sort_payload()));
-        Self {
-            events,
-            label: label.to_string(),
-            migration_cost_ticks: ScenarioSpec::default().migration_cost_ticks,
+/// Non-overlapping begin/end episodes from stream `stream` of `seed`:
+/// while no episode is open, each tick starts one with probability
+/// `p`. `begin` draws the episode's payload from the stream and returns
+/// its (begin, end) kinds; an exponential holding time of mean `mean`
+/// ticks then places the end. A zero rate draws nothing.
+fn episodes(
+    events: &mut Vec<ScenarioEvent>,
+    (seed, stream): (u64, u64),
+    p: f64,
+    mean: f64,
+    ticks: u64,
+    mut begin: impl FnMut(&mut Rng64) -> (ScenarioEventKind, ScenarioEventKind),
+) {
+    if p <= 0.0 {
+        return;
+    }
+    let mut rng = Rng64::stream(seed, stream);
+    let mut busy_until = 0u64;
+    for t in 0..ticks {
+        if t < busy_until || !rng.chance(p) {
+            continue;
+        }
+        let (start, end) = begin(&mut rng);
+        busy_until = t.saturating_add(holding_ticks(&mut rng, mean));
+        for (tick, kind) in [(t, start), (busy_until, end)] {
+            events.push(ScenarioEvent { tick, kind });
         }
     }
+}
 
-    /// Sets the per-player migration cost (builder style).
-    #[must_use]
-    pub fn with_migration_cost(mut self, ticks: u64) -> Self {
-        self.migration_cost_ticks = ticks;
-        self
-    }
-
-    /// Unserved player-ticks charged per player moved by a migration.
-    #[must_use]
-    pub fn migration_cost_ticks(&self) -> u64 {
-        self.migration_cost_ticks
-    }
-
+impl Timeline<ScenarioEvent> {
     /// Compiles a declarative spec into a timeline over `ticks` ticks
     /// and `centers` data centers.
     ///
@@ -405,153 +368,60 @@ impl ScenarioTimeline {
     /// pure function of `(spec, ticks, centers)`.
     #[must_use]
     pub fn from_spec(spec: &ScenarioSpec, ticks: u64, centers: usize) -> Self {
+        use ScenarioEventKind as K;
         let mut events = Vec::new();
-        let per_tick = |rate: f64| (rate / TICKS_PER_DAY as f64).clamp(0.0, 1.0);
-        let mean_ticks = |minutes: u64| (minutes as f64 / TICK_MINUTES as f64).max(1.0);
+        let seed = spec.seed;
         // Masks address at most the low 63 center bits; federations
-        // beyond that (none exist) would leave the tail uncut.
+        // beyond that (none exist) would leave the tail uncut. A split is
+        // non-trivial: at least one center on each side.
         let maskable = centers.min(63) as u32;
-        let p_part = per_tick(spec.partitions_per_day);
-        if p_part > 0.0 && maskable >= 2 {
-            let mut rng = Rng64::stream(spec.seed, STREAM_PARTITION);
-            let mean = mean_ticks(spec.partition_minutes);
+        if maskable >= 2 {
             let all = (1u64 << maskable) - 1;
-            let mut busy_until = 0u64;
-            for t in 0..ticks {
-                if t < busy_until || !rng.chance(p_part) {
-                    continue;
-                }
-                // Non-trivial split: at least one center on each side.
+            let stream = (seed, STREAM_PARTITION);
+            let p = per_tick(spec.partitions_per_day);
+            let mean = mean_ticks(spec.partition_minutes);
+            episodes(&mut events, stream, p, mean, ticks, |rng| {
                 let mask = 1 + rng.below(all - 1);
-                let duration = (rng.exponential(1.0 / mean).ceil() as u64).max(1);
-                events.push(ScenarioEvent {
-                    tick: t,
-                    kind: ScenarioEventKind::Partition { mask },
-                });
-                events.push(ScenarioEvent {
-                    tick: t.saturating_add(duration),
-                    kind: ScenarioEventKind::Heal,
-                });
-                busy_until = t.saturating_add(duration);
-            }
+                (K::Partition { mask }, K::Heal)
+            });
         }
-        let p_link = per_tick(spec.links_per_day);
-        if p_link > 0.0 && centers >= 2 {
-            let mut rng = Rng64::stream(spec.seed, STREAM_LINK);
-            let mean = mean_ticks(spec.link_minutes);
-            let mut busy_until = 0u64;
-            for t in 0..ticks {
-                if t < busy_until || !rng.chance(p_link) {
-                    continue;
-                }
+        if centers >= 2 {
+            let stream = (seed, STREAM_LINK);
+            let (p, mean) = (per_tick(spec.links_per_day), mean_ticks(spec.link_minutes));
+            episodes(&mut events, stream, p, mean, ticks, |rng| {
                 let a = rng.below(centers as u64) as u32;
                 let mut b = rng.below(centers as u64 - 1) as u32;
                 if b >= a {
                     b += 1;
                 }
-                let duration = (rng.exponential(1.0 / mean).ceil() as u64).max(1);
-                events.push(ScenarioEvent {
-                    tick: t,
-                    kind: ScenarioEventKind::LinkDegrade {
-                        a,
-                        b,
-                        factor: spec.link_factor,
-                    },
-                });
-                events.push(ScenarioEvent {
-                    tick: t.saturating_add(duration),
-                    kind: ScenarioEventKind::LinkRestore { a, b },
-                });
-                busy_until = t.saturating_add(duration);
-            }
+                let factor = spec.link_factor;
+                (K::LinkDegrade { a, b, factor }, K::LinkRestore { a, b })
+            });
         }
-        let p_flash = per_tick(spec.flash_per_day);
-        if p_flash > 0.0 {
-            let mut rng = Rng64::stream(spec.seed, STREAM_FLASH);
-            let mean = mean_ticks(spec.flash_minutes);
-            let mut busy_until = 0u64;
-            for t in 0..ticks {
-                if t < busy_until || !rng.chance(p_flash) {
-                    continue;
-                }
-                let pick = rng.next_u64();
-                let duration = (rng.exponential(1.0 / mean).ceil() as u64).max(1);
-                events.push(ScenarioEvent {
-                    tick: t,
-                    kind: ScenarioEventKind::FlashBegin {
-                        pick,
-                        factor: spec.flash_peak,
-                    },
-                });
-                events.push(ScenarioEvent {
-                    tick: t.saturating_add(duration),
-                    kind: ScenarioEventKind::FlashEnd { pick },
-                });
-                busy_until = t.saturating_add(duration);
-            }
+        let stream = (seed, STREAM_FLASH);
+        let (p, mean) = (per_tick(spec.flash_per_day), mean_ticks(spec.flash_minutes));
+        episodes(&mut events, stream, p, mean, ticks, |rng| {
+            let (pick, factor) = (rng.next_u64(), spec.flash_peak);
+            (K::FlashBegin { pick, factor }, K::FlashEnd { pick })
+        });
+        let (stream, p) = ((seed, STREAM_MIGRATION), per_tick(spec.migrations_per_day));
+        per_tick_draws(&mut events, stream, p, ticks, |tick, rng| {
+            let pick = rng.next_u64();
+            let kind = K::Migrate { pick };
+            ScenarioEvent { tick, kind }
+        });
+        if centers > 0 {
+            let (stream, p) = ((seed, STREAM_FAILOVER), per_tick(spec.failovers_per_day));
+            per_tick_draws(&mut events, stream, p, ticks, |tick, rng| {
+                let center = rng.below(centers as u64) as u32;
+                let kind = K::RegionFailover { center };
+                ScenarioEvent { tick, kind }
+            });
         }
-        let p_mig = per_tick(spec.migrations_per_day);
-        if p_mig > 0.0 {
-            let mut rng = Rng64::stream(spec.seed, STREAM_MIGRATION);
-            for t in 0..ticks {
-                if rng.chance(p_mig) {
-                    events.push(ScenarioEvent {
-                        tick: t,
-                        kind: ScenarioEventKind::Migrate {
-                            pick: rng.next_u64(),
-                        },
-                    });
-                }
-            }
-        }
-        let p_fo = per_tick(spec.failovers_per_day);
-        if p_fo > 0.0 && centers > 0 {
-            let mut rng = Rng64::stream(spec.seed, STREAM_FAILOVER);
-            for t in 0..ticks {
-                if rng.chance(p_fo) {
-                    events.push(ScenarioEvent {
-                        tick: t,
-                        kind: ScenarioEventKind::RegionFailover {
-                            center: rng.below(centers as u64) as u32,
-                        },
-                    });
-                }
-            }
-        }
-        Self::from_events(&spec.label(), events).with_migration_cost(spec.migration_cost_ticks)
-    }
-
-    /// The events, sorted by `(tick, kind rank, payload)`.
-    #[must_use]
-    pub fn events(&self) -> &[ScenarioEvent] {
-        &self.events
-    }
-
-    /// The timeline's label (spec-derived or caller-supplied).
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// True when the timeline contains no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Number of events at ticks `<= tick` — how many the engine has
-    /// applied once it finishes that tick (events are sorted by tick).
-    /// The live telemetry tap reports this as its `scenario_events`
-    /// gauge.
-    #[must_use]
-    pub fn applied_through(&self, tick: u64) -> u64 {
-        self.events.partition_point(|e| e.tick <= tick) as u64
+        let migration_cost_ticks = spec.migration_cost_ticks;
+        Self::from_events(&spec.label(), events).with_params(ScenarioParams {
+            migration_cost_ticks,
+        })
     }
 }
 
@@ -578,21 +448,35 @@ mod tests {
         assert_eq!(s.links_per_day, 1.0);
         assert_eq!(s.link_factor, 4.0);
         assert_eq!(s.link_minutes, 30);
-        assert!(!s.is_zero());
-        assert!(ScenarioSpec::parse("").unwrap().is_zero());
+        assert_eq!(ScenarioSpec::parse("").unwrap(), ScenarioSpec::default());
     }
 
     #[test]
     fn spec_errors_name_the_offending_token() {
-        let err = ScenarioSpec::parse("partition=abc").unwrap_err();
-        assert!(err.contains("`partition`"), "missing key in: {err}");
-        assert!(err.contains("`abc`"), "missing value token in: {err}");
-        let err = ScenarioSpec::parse("bogus=1").unwrap_err();
-        assert!(err.contains("`bogus`"), "missing key token in: {err}");
-        let err = ScenarioSpec::parse("flash").unwrap_err();
-        assert!(err.contains("`flash`"), "missing segment token in: {err}");
-        assert!(ScenarioSpec::parse("fpeak=0.5").is_err());
-        assert!(ScenarioSpec::parse("lfactor=0.9").is_err());
+        let cases = [
+            (
+                "partition=abc",
+                "scenario spec `partition`: bad value `abc`: invalid float literal",
+            ),
+            (
+                "mcost=-2",
+                "scenario spec `mcost`: bad value `-2`: invalid digit found in string",
+            ),
+            ("bogus=1", "unknown scenario spec key `bogus`"),
+            ("flash", "scenario spec segment `flash` is not key=value"),
+            ("failover=-0.25", "failover -0.25 is not a finite rate ≥ 0"),
+            (
+                "fpeak=0.5",
+                "fpeak 0.5 is not a finite factor ≥ 1 (flash crowds only add demand)",
+            ),
+            (
+                "lfactor=0.9",
+                "lfactor 0.9 is not a finite factor ≥ 1 (degraded links only look farther)",
+            ),
+        ];
+        for (spec, err) in cases {
+            assert_eq!(ScenarioSpec::parse(spec).unwrap_err(), err);
+        }
     }
 
     #[test]
@@ -625,13 +509,6 @@ mod tests {
         assert!(!a.is_empty());
         let other = ScenarioSpec { seed: 8, ..spec };
         assert_ne!(a, ScenarioTimeline::from_spec(&other, 1440, 12));
-    }
-
-    #[test]
-    fn zero_spec_generates_nothing() {
-        let timeline = ScenarioTimeline::from_spec(&ScenarioSpec::default(), 1440, 12);
-        assert!(timeline.is_empty());
-        assert_eq!(timeline.len(), 0);
     }
 
     #[test]
@@ -694,21 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn events_sorted_by_tick_then_rank() {
-        let spec =
-            ScenarioSpec::parse("seed=5,partition=4,migrate=8,flash=4,failover=2,link=4").unwrap();
-        let timeline = ScenarioTimeline::from_spec(&spec, 1000, 6);
-        let keys: Vec<(u64, u8)> = timeline
-            .events()
-            .iter()
-            .map(|e| (e.tick, e.kind.rank()))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
     fn scaled_spec_multiplies_rates_only() {
         let spec = ScenarioSpec::paper_default();
         let double = spec.scaled(2.0);
@@ -716,9 +578,7 @@ mod tests {
         assert_eq!(double.migrations_per_day, spec.migrations_per_day * 2.0);
         assert_eq!(double.flash_peak, spec.flash_peak);
         assert_eq!(double.migration_cost_ticks, spec.migration_cost_ticks);
-        let zero = spec.scaled(0.0);
-        assert!(zero.is_zero());
-        assert!(ScenarioTimeline::from_spec(&zero, 1440, 12).is_empty());
+        assert!(ScenarioTimeline::from_spec(&spec.scaled(0.0), 1440, 12).is_empty());
     }
 
     #[test]
@@ -730,38 +590,5 @@ mod tests {
             .iter()
             .all(|e| matches!(e.kind, ScenarioEventKind::Migrate { .. })));
         assert!(!timeline.is_empty(), "migrations still fire");
-    }
-
-    #[test]
-    fn labels_are_stable_and_kind_labels_cover_the_event_kinds() {
-        let spec = ScenarioSpec::paper_default();
-        assert_eq!(spec.label(), ScenarioSpec::paper_default().label());
-        assert_eq!(ScenarioEventKind::Heal.label(), "heal");
-        assert_eq!(
-            ScenarioEventKind::Partition { mask: 1 }.label(),
-            "partition"
-        );
-        assert_eq!(
-            ScenarioEventKind::LinkDegrade {
-                a: 0,
-                b: 1,
-                factor: 2.0
-            }
-            .label(),
-            "topology_change"
-        );
-        assert_eq!(
-            ScenarioEventKind::FlashBegin {
-                pick: 0,
-                factor: 2.0
-            }
-            .label(),
-            "flash_crowd"
-        );
-        assert_eq!(ScenarioEventKind::Migrate { pick: 0 }.label(), "migration");
-        assert_eq!(
-            ScenarioEventKind::RegionFailover { center: 0 }.label(),
-            "migration"
-        );
     }
 }

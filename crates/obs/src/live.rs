@@ -14,9 +14,9 @@
 //! semantic/timing split: allocation state, shortfall and per-center
 //! utilization are semantic; tick rate, stage p99s and the memo skip
 //! rate are execution-dependent and live in the `timing` section that
-//! determinism comparisons drop (the skip rate keys on the
-//! process-wide availability epoch, so it moves with `--jobs` even
-//! though the run's semantic output does not).
+//! determinism comparisons drop (the skip rate stays there with the
+//! `sim.match.skips` counter until the skip accounting moves to the
+//! semantic domain).
 
 use crate::json::Value;
 use std::path::{Path, PathBuf};
@@ -83,8 +83,7 @@ pub struct LiveSnapshot {
     /// Unmet CPU demand this tick.
     pub shortfall_cpu: f64,
     /// Fraction of groups whose match was memo-skipped this tick
-    /// (timing: replay eligibility keys on the process-wide
-    /// availability epoch, so the fraction is execution-dependent).
+    /// (timing, like the `sim.match.skips` counter).
     pub match_skip_rate: f64,
     /// Leases currently held across all groups.
     pub leases_held: u64,

@@ -16,10 +16,8 @@
 //! allocation, shortfall) must be byte-identical across runs, timing
 //! series (per-stage p99s, the memo skip rate) are execution-dependent
 //! and excluded from determinism comparison. The skip rate sits on the
-//! timing side for the same reason `sim.match.skips` is a timing
-//! counter: memo replays key on the process-wide availability epoch,
-//! so concurrent runs can spuriously demote a replay to an (equally
-//! no-op) full walk without changing any semantic output.
+//! timing side with the `sim.match.skips` counter until the skip
+//! accounting moves to the semantic domain.
 //!
 //! The export document (`TS_<run>.json`, schema [`TS_SCHEMA`]) is
 //! collected through a process-global sink mirroring the trace path:

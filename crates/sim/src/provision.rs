@@ -488,7 +488,7 @@ impl GroupProvisioner {
         // is byte-for-byte what the full pipeline would do, including
         // every side effect it would not have (no sort, no release, no
         // matcher call, no event).
-        let epoch = availability_epoch();
+        let epoch = availability_epoch(centers);
         let topo_version = topology.version();
         if self.memo_enabled
             && self
@@ -1119,45 +1119,34 @@ mod tests {
 
     #[test]
     fn memo_replays_stable_noop_ticks() {
-        // The availability epoch is process-global; a concurrent fault
-        // test can bump it between our two calls. Retry until we get a
-        // quiet window, then the replay assertion is exact.
-        for _ in 0..100 {
-            let mut centers = one_center(HostingPolicy::hp(5));
-            let topo = Topology::new(centers.len());
-            let mut p = provisioner();
-            let target = p.demand_model.demand(1000.0);
-            let epoch = availability_epoch();
-            let first = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
-            assert!(!first.replayed, "a granting step cannot be a replay");
-            // The granting walk itself proves phases 1/1b inert (no
-            // matured leases, sorted ledger), so post-mutation arming
-            // lets every later stable tick replay without a walk.
-            let second = p.adjust(
-                &topo,
-                &target,
-                &mut centers,
-                SimTime::ZERO + SimDuration::TICK,
-            );
-            let third = p.adjust(
-                &topo,
-                &target,
-                &mut centers,
-                SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
-            );
-            if availability_epoch() != epoch {
-                continue; // raced with a fault test; try again
-            }
-            assert!(p.memo_armed());
-            assert!(second.replayed, "first stable tick after the grant replays");
-            assert!(third.replayed, "stable tick must replay the memo");
-            assert_eq!(
-                (third.granted, third.released, third.unmet, third.deferred),
-                (0, 0, false, false)
-            );
-            return;
-        }
-        panic!("no quiet availability-epoch window in 100 attempts");
+        let mut centers = one_center(HostingPolicy::hp(5));
+        let topo = Topology::new(centers.len());
+        let mut p = provisioner();
+        let target = p.demand_model.demand(1000.0);
+        let first = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
+        assert!(!first.replayed, "a granting step cannot be a replay");
+        // The granting walk itself proves phases 1/1b inert (no matured
+        // leases, sorted ledger), so post-mutation arming lets every
+        // later stable tick replay without a walk.
+        let second = p.adjust(
+            &topo,
+            &target,
+            &mut centers,
+            SimTime::ZERO + SimDuration::TICK,
+        );
+        let third = p.adjust(
+            &topo,
+            &target,
+            &mut centers,
+            SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
+        );
+        assert!(p.memo_armed());
+        assert!(second.replayed, "first stable tick after the grant replays");
+        assert!(third.replayed, "stable tick must replay the memo");
+        assert_eq!(
+            (third.granted, third.released, third.unmet, third.deferred),
+            (0, 0, false, false)
+        );
     }
 
     #[test]

@@ -96,21 +96,9 @@ fn main() {
         mmog_par::jobs()
     );
 
-    // Observability exports: the JSONL event log (--trace / MMOG_TRACE)
-    // and the metrics summary (--metrics).
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
+    // Observability exports: the JSONL event log (--trace), the time
+    // series (--ts) and the metrics summary (--metrics).
+    opts.flush_sinks();
     if opts.metrics {
         // The suite wall time lets `obs/self` report the recorder's
         // overhead as a percentage; jobs and CPUs let the gate judge

@@ -1,8 +1,8 @@
 //! Regenerates the fault-injection figure (outage intensity × mode).
 //!
 //! Standalone entry point for the fault plane: writes the rendered
-//! table to `results/fig_faults.txt`, flushes the event trace when one
-//! is configured (`--trace` / `MMOG_TRACE`), and exports the metrics
+//! table to `results/fig_faults.txt`, flushes the event trace and time
+//! series when configured (`--trace`, `--ts`), and exports the metrics
 //! summary under `--metrics` — the artifacts the `effects-smoke` CI job
 //! validates.
 
@@ -18,19 +18,7 @@ fn main() {
     let path = out_dir.join("fig_faults.txt");
     fs::write(&path, &report).expect("cannot write report");
     println!("== fig_faults -> {}", path.display());
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
+    opts.flush_sinks();
     if opts.metrics {
         let summary_path = out_dir.join("OBS_summary.json");
         fs::write(&summary_path, mmog_obs::summary_json()).expect("cannot write OBS summary");

@@ -1,8 +1,8 @@
 //! Regenerates the scenario-engine figure (mutation intensity × mode).
 //!
 //! Standalone entry point for the scenario plane: writes the rendered
-//! table to `results/fig_scenarios.txt`, flushes the event trace when
-//! one is configured (`--trace` / `MMOG_TRACE`), and exports the
+//! table to `results/fig_scenarios.txt`, flushes the event trace and
+//! time series when configured (`--trace`, `--ts`), and exports the
 //! metrics summary under `--metrics` — the artifacts the
 //! `effects-smoke` CI job validates.
 
@@ -18,19 +18,7 @@ fn main() {
     let path = out_dir.join("fig_scenarios.txt");
     fs::write(&path, &report).expect("cannot write report");
     println!("== fig_scenarios -> {}", path.display());
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
+    opts.flush_sinks();
     if opts.metrics {
         let summary_path = out_dir.join("OBS_summary.json");
         fs::write(&summary_path, mmog_obs::summary_json()).expect("cannot write OBS summary");

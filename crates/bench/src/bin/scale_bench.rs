@@ -24,6 +24,7 @@
 //! each world keeps a bounded window of full-detail events and dumps
 //! `FLIGHT_<run>.jsonl` only on a trigger.
 
+use mmog_bench::cli::parse_value;
 use mmog_bench::{scale, RunOpts};
 use mmog_util::time::TICKS_PER_DAY;
 use std::fs;
@@ -45,21 +46,21 @@ fn parse_args() -> Opts {
         ticks: TICKS_PER_DAY as usize,
         run: RunOpts::parse(args.iter().cloned()),
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--quick" => opts.quick = true,
             "--full" => opts.full = true,
-            "--ticks" if i + 1 < args.len() => {
-                opts.ticks = args[i + 1].parse().unwrap_or(opts.ticks);
-                i += 1;
+            "--ticks" => {
+                let raw = args
+                    .next()
+                    .unwrap_or_else(|| panic!("missing value for {flag}"));
+                opts.ticks = parse_value(flag, raw);
             }
             _ => {}
         }
-        i += 1;
     }
     opts.run.apply_jobs();
-    opts.run.apply_obs();
     opts
 }
 
@@ -74,22 +75,10 @@ fn main() {
         mmog_par::jobs()
     );
     let start = Instant::now();
-    let results = scale::run_sweep(&points, opts.ticks, opts.run.seed);
+    let results = scale::run_sweep(&points, opts.ticks, opts.run.seed, &opts.run.sinks);
     let wall_seconds = start.elapsed().as_secs_f64();
     println!("{}", scale::render_semantic(&results));
-    match mmog_obs::flush_trace() {
-        Ok(Some(path)) => println!("== event trace -> {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("== event trace write failed: {e}"),
-    }
-    match mmog_obs::flush_ts() {
-        Ok(paths) => {
-            for path in paths {
-                println!("== time series -> {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("== time-series write failed: {e}"),
-    }
+    opts.run.flush_sinks();
     if opts.run.metrics {
         mmog_obs::note_run(wall_seconds, mmog_par::jobs(), mmog_par::available_jobs());
         let out_dir = Path::new("results");

@@ -1,13 +1,19 @@
 //! Minimal argument parsing shared by the experiment binaries.
 
 use mmog_faults::{FaultSpec, ScenarioSpec};
+use mmog_obs::{Collector, FlightConfig, LiveConfig, Sinks};
+use mmog_sim::engine::{SimReport, Simulation, SimulationConfig};
 use mmog_sim::scenario::ScenarioOpts;
-use std::path::{Path, PathBuf};
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// `--help` text shared by the experiment binaries: every flag plus the
 /// full `--faults` and `--scenario` grammars.
 pub const HELP: &str = "\
 Usage: <experiment> [FLAGS]
+
+A missing or malformed flag value aborts the run; unknown flags are
+ignored.
 
 Scale:
   --quick                3-day, 6-groups-per-region smoke run
@@ -18,7 +24,6 @@ Scale:
 
 Observability:
   --trace PATH           write the JSONL event log to PATH
-                         (fallback: MMOG_TRACE environment variable)
   --metrics              export the metrics summary (OBS_summary.json)
   --flight N             flight recorder: retain the last N ticks,
                          dumped to FLIGHT_<run>.jsonl on a trigger
@@ -26,12 +31,15 @@ Observability:
   --tick-deadline-ms N   fire the flight recorder when a tick exceeds
                          N wall-clock milliseconds (diagnosis only)
   --ts DIR               export per-run downsampled time series as
-                         DIR/TS_<run>.json (fallback: MMOG_TS)
+                         DIR/TS_<run>.json
   --live PATH            atomically rewrite a live telemetry snapshot
                          at PATH every few ticks; watch it with
-                         mmog_top (fallback: MMOG_LIVE)
+                         mmog_top
   --live-every N         live snapshot rewrite interval in ticks
                          (default 64)
+
+  Every run carries its own outputs; none is read from the
+  environment.
 
 Fault injection (--faults SPEC | MMOG_FAULTS):
   SPEC is `paper` or comma-separated key=value pairs; whitespace
@@ -64,9 +72,6 @@ pub struct RunOpts {
     /// Worker threads for the parallel execution layer (0 = all
     /// logical CPUs; 1 = fully serial, bit-identical reference path).
     pub jobs: usize,
-    /// JSONL event-log destination (`--trace <path>`; the `MMOG_TRACE`
-    /// environment variable is the fallback).
-    pub trace: Option<PathBuf>,
     /// Whether to export the metrics summary (`--metrics`).
     pub metrics: bool,
     /// Fault-injection spec (`--faults SPEC`; the `MMOG_FAULTS`
@@ -81,28 +86,12 @@ pub struct RunOpts {
     /// tunes them. Malformed specs abort rather than silently running
     /// scenario-free.
     pub scenario_spec: Option<ScenarioSpec>,
-    /// Flight-recorder window (`--flight N`): retain the last N ticks
-    /// of full-detail events per run, dumped to `FLIGHT_<run>.jsonl`
-    /// only when a trigger fires. `None` disables the recorder (the
-    /// default — runs stay byte-identical to pre-flight builds).
-    pub flight: Option<u64>,
-    /// `--flight-dump`: dump the final window at run end even without
-    /// a trigger (implies `--flight` with the default window).
-    pub flight_dump: bool,
-    /// Per-tick deadline in milliseconds (`--tick-deadline-ms N`): a
-    /// tick exceeding it fires the flight recorder's deadline-overrun
-    /// trigger. Wall-clock — for interactive diagnosis, never CI gates.
-    pub tick_deadline_ms: Option<u64>,
-    /// Time-series output directory (`--ts DIR`; the `MMOG_TS`
-    /// environment variable is the fallback). Each run exports its
-    /// downsampled per-metric series as `DIR/TS_<run>.json`. `None`
-    /// disables the plane (the default — runs stay byte-identical).
-    pub ts_dir: Option<PathBuf>,
-    /// Live telemetry snapshot path (`--live PATH`; the `MMOG_LIVE`
-    /// environment variable is the fallback). `None` disables the tap.
-    pub live: Option<PathBuf>,
-    /// Live snapshot rewrite interval in ticks (`--live-every N`).
-    pub live_every: Option<u64>,
+    /// The observability outputs every run of this invocation feeds:
+    /// `--trace PATH`, `--ts DIR`, the flight flags (`--flight N`,
+    /// `--flight-dump`, `--tick-deadline-ms N`) and the live tap
+    /// (`--live PATH`, `--live-every N`). All off by default, which
+    /// keeps runs byte-identical to unobserved ones.
+    pub sinks: Sinks,
 }
 
 impl Default for RunOpts {
@@ -112,25 +101,17 @@ impl Default for RunOpts {
             cap: None,
             seed: 2008,
             jobs: 0,
-            trace: None,
             metrics: false,
             faults: None,
             scenario_spec: None,
-            flight: None,
-            flight_dump: false,
-            tick_deadline_ms: None,
-            ts_dir: None,
-            live: None,
-            live_every: None,
+            sinks: Sinks::default(),
         }
     }
 }
 
 impl RunOpts {
-    /// Parses `--days N`, `--cap N`, `--seed N`, `--jobs N`, `--quick`,
-    /// `--trace PATH`, `--metrics` from the process arguments and
-    /// applies `--jobs` to the global parallelism setting plus the
-    /// trace destination to the observability plane. `--quick` is
+    /// Parses the flags of [`HELP`] from the process arguments and
+    /// applies `--jobs` to the global parallelism setting. `--quick` is
     /// shorthand for a 3-day, 6-group smoke run. Unknown flags are
     /// ignored so binaries stay composable.
     #[must_use]
@@ -155,141 +136,93 @@ impl RunOpts {
             }
         }
         opts.apply_jobs();
-        opts.apply_obs();
         opts
     }
 
     /// Parses flags from an explicit argument list (testable core of
     /// [`from_args`]; does not touch global state).
     ///
+    /// # Panics
+    /// Panics, naming the flag and the value, when a known flag's value
+    /// is missing or malformed: a typo must abort the run, not silently
+    /// run it at another scale or without the output it asked for.
+    ///
     /// [`from_args`]: Self::from_args
     #[must_use]
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
         let mut opts = Self::default();
-        let args: Vec<String> = args.into_iter().collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let (mut flight, mut flight_dump, mut deadline_ms) = (None, false, None);
+        let mut live_every = None;
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .unwrap_or_else(|| panic!("missing value for {flag}"))
+            };
+            match flag.as_str() {
                 "--quick" => {
                     opts.days = 3;
                     opts.cap = Some(6);
                 }
-                "--days" if i + 1 < args.len() => {
-                    opts.days = args[i + 1].parse().unwrap_or(opts.days);
-                    i += 1;
-                }
-                "--cap" if i + 1 < args.len() => {
-                    opts.cap = args[i + 1].parse().ok();
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    opts.seed = args[i + 1].parse().unwrap_or(opts.seed);
-                    i += 1;
-                }
-                "--jobs" if i + 1 < args.len() => {
-                    opts.jobs = args[i + 1].parse().unwrap_or(opts.jobs);
-                    i += 1;
-                }
-                "--trace" if i + 1 < args.len() => {
-                    opts.trace = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--metrics" => {
-                    opts.metrics = true;
-                }
-                "--faults" if i + 1 < args.len() => {
-                    opts.faults = Some(parse_fault_spec(&args[i + 1]));
-                    i += 1;
-                }
-                "--scenario" if i + 1 < args.len() => {
-                    opts.scenario_spec = Some(parse_scenario_spec(&args[i + 1]));
-                    i += 1;
-                }
-                "--flight" if i + 1 < args.len() => {
-                    opts.flight = args[i + 1].parse().ok();
-                    i += 1;
-                }
-                "--flight-dump" => {
-                    opts.flight_dump = true;
-                }
-                "--tick-deadline-ms" if i + 1 < args.len() => {
-                    opts.tick_deadline_ms = args[i + 1].parse().ok();
-                    i += 1;
-                }
-                "--ts" if i + 1 < args.len() => {
-                    opts.ts_dir = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--live" if i + 1 < args.len() => {
-                    opts.live = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--live-every" if i + 1 < args.len() => {
-                    opts.live_every = args[i + 1].parse().ok();
-                    i += 1;
-                }
+                "--days" => opts.days = parse_value(&flag, &value()),
+                "--cap" => opts.cap = Some(parse_value(&flag, &value())),
+                "--seed" => opts.seed = parse_value(&flag, &value()),
+                "--jobs" => opts.jobs = parse_value(&flag, &value()),
+                "--metrics" => opts.metrics = true,
+                "--faults" => opts.faults = Some(parse_fault_spec(&value())),
+                "--scenario" => opts.scenario_spec = Some(parse_scenario_spec(&value())),
+                "--trace" => opts.sinks.trace = Some(Collector::trace(value())),
+                "--ts" => opts.sinks.ts = Some(Collector::time_series(value())),
+                "--live" => opts.sinks.live = Some(LiveConfig::new(value().as_ref())),
+                "--live-every" => live_every = Some(parse_value(&flag, &value())),
+                "--flight" => flight = Some(parse_value(&flag, &value())),
+                "--flight-dump" => flight_dump = true,
+                "--tick-deadline-ms" => deadline_ms = Some(parse_value::<u64>(&flag, &value())),
                 _ => {}
             }
-            i += 1;
+        }
+        if let (Some(live), Some(every)) = (&mut opts.sinks.live, live_every) {
+            live.every_ticks = every;
+        }
+        // Any flight flag implies a recorder, with a 64-tick window
+        // unless `--flight` names one.
+        if flight.is_some() || flight_dump || deadline_ms.is_some() {
+            opts.sinks.flight = Some(FlightConfig {
+                dump_at_end: flight_dump,
+                deadline_ns: deadline_ms.map(|ms| ms.saturating_mul(1_000_000)),
+                ..FlightConfig::new(flight.unwrap_or(64))
+            });
         }
         opts
+    }
+
+    /// Runs one simulation on this invocation's observability sinks.
+    #[must_use]
+    pub fn run(&self, mut cfg: SimulationConfig) -> SimReport {
+        cfg.sinks = self.sinks.clone();
+        Simulation::new(cfg).run()
+    }
+
+    /// Writes the trace and time-series files the runs collected and
+    /// prints where they went (nothing when those sinks are off).
+    pub fn flush_sinks(&self) {
+        let sinks = self.sinks.trace.iter().map(|c| (c, "event trace"));
+        for (collector, what) in sinks.chain(self.sinks.ts.iter().map(|c| (c, "time series"))) {
+            match collector.flush() {
+                Ok(paths) => {
+                    for path in paths {
+                        println!("== {what} -> {}", path.display());
+                    }
+                }
+                Err(e) => eprintln!("== {what} write failed: {e}"),
+            }
+        }
     }
 
     /// Installs this run's `--jobs` value as the process-wide worker
     /// count consulted by every parallel sweep and simulation.
     pub fn apply_jobs(&self) {
         mmog_par::set_jobs(self.jobs);
-    }
-
-    /// Installs the trace destination: `--trace` wins, otherwise the
-    /// `MMOG_TRACE` environment variable applies. Also installs the
-    /// flight-recorder configuration when `--flight`/`--flight-dump`
-    /// asked for one, the time-series output directory (`--ts` /
-    /// `MMOG_TS`) and the live telemetry tap (`--live` / `MMOG_LIVE`).
-    pub fn apply_obs(&self) {
-        match &self.trace {
-            Some(path) => mmog_obs::set_trace_path(Some(path)),
-            None => mmog_obs::apply_trace_env(),
-        }
-        mmog_obs::set_flight_config(self.flight_config());
-        match &self.ts_dir {
-            Some(dir) => mmog_obs::set_ts_dir(Some(dir)),
-            None => {
-                if let Ok(dir) = std::env::var("MMOG_TS") {
-                    if !dir.is_empty() {
-                        mmog_obs::set_ts_dir(Some(Path::new(&dir)));
-                    }
-                }
-            }
-        }
-        match self.live_config() {
-            Some(cfg) => mmog_obs::set_live_config(Some(cfg)),
-            None => mmog_obs::apply_live_env(),
-        }
-    }
-
-    /// The live-tap configuration this run asked for, if any.
-    #[must_use]
-    pub fn live_config(&self) -> Option<mmog_obs::LiveConfig> {
-        let path = self.live.as_deref()?;
-        let mut cfg = mmog_obs::LiveConfig::new(path);
-        if let Some(every) = self.live_every {
-            cfg.every_ticks = every;
-        }
-        Some(cfg)
-    }
-
-    /// The flight-recorder configuration this run asked for, if any.
-    #[must_use]
-    pub fn flight_config(&self) -> Option<mmog_obs::FlightConfig> {
-        const DEFAULT_RETAIN_TICKS: u64 = 64;
-        if self.flight.is_none() && !self.flight_dump && self.tick_deadline_ms.is_none() {
-            return None;
-        }
-        let mut cfg = mmog_obs::FlightConfig::new(self.flight.unwrap_or(DEFAULT_RETAIN_TICKS));
-        cfg.dump_at_end = self.flight_dump;
-        cfg.deadline_ns = self.tick_deadline_ms.map(|ms| ms.saturating_mul(1_000_000));
-        Some(cfg)
     }
 
     /// The equivalent scenario options.
@@ -301,6 +234,19 @@ impl RunOpts {
             group_cap: self.cap,
         }
     }
+}
+
+/// Parses the value `raw` given for `flag`.
+///
+/// # Panics
+/// Panics, naming the flag and the value, when `raw` does not parse.
+#[must_use]
+pub fn parse_value<T: FromStr>(flag: &str, raw: &str) -> T
+where
+    T::Err: Display,
+{
+    raw.parse()
+        .unwrap_or_else(|e| panic!("invalid value {raw:?} for {flag}: {e}"))
 }
 
 /// Resolves a `--faults` / `MMOG_FAULTS` value: the keyword `paper`
@@ -367,12 +313,65 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_and_bad_values_are_ignored() {
-        let o = RunOpts::parse(args(&["--verbose", "--days", "abc", "--jobs", "x"]));
-        assert_eq!(o.days, 14);
-        assert_eq!(o.jobs, 0);
-        assert_eq!(o.trace, None);
+    fn unknown_flags_are_ignored() {
+        // `scale_bench` passes its own flags (and their values) through.
+        let o = RunOpts::parse(args(&["--verbose", "--ticks", "30", "--full"]));
+        assert_eq!((o.days, o.cap, o.seed, o.jobs), (14, None, 2008, 0));
+        assert!(o.sinks.trace.is_none() && o.sinks.flight.is_none());
         assert!(!o.metrics);
+    }
+
+    /// The panic message `RunOpts::parse(list)` aborts with.
+    fn abort_message(list: &[&str]) -> String {
+        let list = args(list);
+        let payload = std::panic::catch_unwind(|| RunOpts::parse(list))
+            .expect_err("must abort, not run with a default");
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+        }
+    }
+
+    #[test]
+    fn malformed_values_abort_naming_flag_and_value() {
+        for case in [
+            &["--days", "abc"][..],
+            &["--cap", "x"],
+            &["--quick", "--cap", "x"],
+            &["--seed", "-1"],
+            &["--jobs", "x"],
+            &["--flight", "x"],
+            &["--tick-deadline-ms", "5ms"],
+            &["--live", "p.json", "--live-every", "x"],
+        ] {
+            let (flag, raw) = (case[case.len() - 2], case[case.len() - 1]);
+            let message = abort_message(case);
+            assert!(
+                message.contains(flag) && message.contains(&format!("{raw:?}")),
+                "{case:?}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn value_flags_in_last_position_abort() {
+        for flag in [
+            "--days",
+            "--cap",
+            "--seed",
+            "--jobs",
+            "--trace",
+            "--faults",
+            "--scenario",
+            "--flight",
+            "--tick-deadline-ms",
+            "--ts",
+            "--live",
+            "--live-every",
+        ] {
+            let message = abort_message(&["--quick", flag]);
+            assert_eq!(message, format!("missing value for {flag}"));
+        }
     }
 
     #[test]
@@ -384,10 +383,7 @@ mod tests {
         assert_eq!(spec.outages_per_center_day, 0.5);
         assert_eq!(spec.repair_minutes, 120);
         assert_eq!(spec.seed, 9);
-        // Absent by default, and --faults without a value is ignored
-        // like any malformed flag.
         assert_eq!(RunOpts::parse(args(&[])).faults, None);
-        assert_eq!(RunOpts::parse(args(&["--faults"])).faults, None);
     }
 
     #[test]
@@ -405,10 +401,7 @@ mod tests {
         assert_eq!(spec.partitions_per_day, 1.5);
         assert_eq!(spec.migrations_per_day, 4.0);
         assert_eq!(spec.migration_cost_ticks, 3);
-        // Absent by default, and --scenario without a value is ignored
-        // like any malformed flag.
         assert_eq!(RunOpts::parse(args(&[])).scenario_spec, None);
-        assert_eq!(RunOpts::parse(args(&["--scenario"])).scenario_spec, None);
     }
 
     #[test]
@@ -445,54 +438,69 @@ mod tests {
     #[test]
     fn observability_flags_parse() {
         let o = RunOpts::parse(args(&["--trace", "events.jsonl", "--metrics"]));
-        assert_eq!(o.trace.as_deref(), Some(Path::new("events.jsonl")));
+        let trace = o.sinks.trace.expect("configured");
+        assert_eq!(trace.dest(), Path::new("events.jsonl"));
         assert!(o.metrics);
-        // --trace without a value is ignored like any malformed flag.
-        let o = RunOpts::parse(args(&["--trace"]));
-        assert_eq!(o.trace, None);
     }
 
     #[test]
     fn ts_and_live_flags_parse_and_configure() {
         // Off by default: no tap, runs stay byte-identical.
         let o = RunOpts::parse(args(&[]));
-        assert_eq!(o.ts_dir, None);
-        assert!(o.live_config().is_none());
+        assert!(o.sinks.ts.is_none());
+        assert!(o.sinks.live.is_none());
+        // --live-every may come before --live.
         let o = RunOpts::parse(args(&[
+            "--live-every",
+            "16",
             "--ts",
             "results",
             "--live",
             "results/OBS_live.json",
-            "--live-every",
-            "16",
         ]));
-        assert_eq!(o.ts_dir.as_deref(), Some(Path::new("results")));
-        let cfg = o.live_config().expect("configured");
+        assert_eq!(o.sinks.ts.expect("ts").dest(), Path::new("results"));
+        let cfg = o.sinks.live.expect("configured");
         assert_eq!(cfg.path, Path::new("results/OBS_live.json"));
         assert_eq!(cfg.interval(), 16);
-        // --live without --live-every keeps the default interval.
+        // --live without --live-every keeps the default interval, and
+        // --live-every alone installs no tap.
         let o = RunOpts::parse(args(&["--live", "x.json"]));
-        assert_eq!(o.live_config().expect("configured").interval(), 64);
+        assert_eq!(o.sinks.live.expect("configured").interval(), 64);
+        assert!(RunOpts::parse(args(&["--live-every", "8"]))
+            .sinks
+            .live
+            .is_none());
     }
 
     #[test]
     fn flight_flags_parse_and_configure() {
         // Off by default: no recorder, runs stay byte-identical.
-        assert!(RunOpts::parse(args(&[])).flight_config().is_none());
+        assert!(RunOpts::parse(args(&[])).sinks.flight.is_none());
         let o = RunOpts::parse(args(&["--flight", "32"]));
-        assert_eq!(o.flight, Some(32));
-        let cfg = o.flight_config().expect("configured");
+        let cfg = o.sinks.flight.expect("configured");
         assert_eq!(cfg.retain_ticks, 32);
+        assert_eq!(cfg.records_capacity, FlightConfig::new(32).records_capacity);
         assert!(!cfg.dump_at_end);
         assert_eq!(cfg.deadline_ns, None);
         // --flight-dump alone implies the default window.
         let o = RunOpts::parse(args(&["--flight-dump"]));
-        let cfg = o.flight_config().expect("configured");
+        let cfg = o.sinks.flight.expect("configured");
         assert_eq!(cfg.retain_ticks, 64);
         assert!(cfg.dump_at_end);
         // The deadline converts ms → ns and implies a recorder too.
         let o = RunOpts::parse(args(&["--tick-deadline-ms", "5"]));
-        let cfg = o.flight_config().expect("configured");
+        let cfg = o.sinks.flight.expect("configured");
+        assert_eq!(cfg.deadline_ns, Some(5_000_000));
+        // Flag order does not matter.
+        let o = RunOpts::parse(args(&[
+            "--flight-dump",
+            "--tick-deadline-ms",
+            "5",
+            "--flight",
+            "8",
+        ]));
+        let cfg = o.sinks.flight.expect("configured");
+        assert_eq!((cfg.retain_ticks, cfg.dump_at_end), (8, true));
         assert_eq!(cfg.deadline_ns, Some(5_000_000));
     }
 }

@@ -13,7 +13,7 @@
 use crate::cli::RunOpts;
 use mmog_datacenter::resource::ResourceType;
 use mmog_faults::FaultSpec;
-use mmog_sim::engine::{AllocationMode, SimReport, Simulation};
+use mmog_sim::engine::{AllocationMode, SimReport};
 use mmog_sim::report::render_table;
 use mmog_sim::scenario;
 use std::fmt::Write as _;
@@ -78,7 +78,7 @@ pub fn fig_faults(opts: &RunOpts) -> String {
         .flat_map(|&mode| FAULT_MULTIPLIERS.iter().map(move |&m| (mode, m)))
         .collect();
     let reports = mmog_par::par_map(&cells, |&(mode, mult)| {
-        Simulation::new(scenario::fault_injection(&base.scaled(mult), mode, &sopts)).run()
+        opts.run(scenario::fault_injection(&base.scaled(mult), mode, &sopts))
     });
     let mut out =
         String::from("Fault injection: deterministic outages, degradations, lease revocations\n\n");

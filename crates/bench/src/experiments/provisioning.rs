@@ -12,16 +12,12 @@ use crate::cli::RunOpts;
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::resource::ResourceType;
 use mmog_predict::eval::PredictorKind;
-use mmog_sim::engine::{AllocationMode, SimReport, Simulation};
+use mmog_sim::engine::{AllocationMode, SimReport};
 use mmog_sim::report::{render_table, sparse_series};
 use mmog_sim::scenario;
 use mmog_util::geo::DistanceClass;
 use mmog_world::update::UpdateModel;
 use std::fmt::Write as _;
-
-fn run(cfg: mmog_sim::engine::SimulationConfig) -> SimReport {
-    Simulation::new(cfg).run()
-}
 
 fn metric_row(name: &str, report: &SimReport) -> Vec<String> {
     let m = &report.metrics;
@@ -54,7 +50,7 @@ pub fn table5_prediction_impact(opts: &RunOpts) -> String {
         String::from("Table V: dynamic resource allocation under six prediction algorithms\n\n");
     let sopts = opts.scenario();
     let reports = mmog_par::par_map(&PredictorKind::TABLE5, |&kind| {
-        run(scenario::prediction_impact(
+        opts.run(scenario::prediction_impact(
             kind,
             AllocationMode::Dynamic,
             &sopts,
@@ -98,7 +94,7 @@ pub fn fig08_static_vs_dynamic(opts: &RunOpts) -> String {
     let sopts = opts.scenario();
     let modes = [AllocationMode::Dynamic, AllocationMode::Static];
     let mut reports = mmog_par::par_map(&modes, |&mode| {
-        run(scenario::prediction_impact(
+        opts.run(scenario::prediction_impact(
             PredictorKind::Neural,
             mode,
             &sopts,
@@ -142,12 +138,12 @@ pub fn fig09_10_table6_interaction(opts: &RunOpts) -> String {
     // One dynamic + one static run per update model; the pairs fan out
     // together.
     let reports = mmog_par::par_map(&UpdateModel::ALL, |&model| {
-        let dynamic = run(scenario::interaction_impact(
+        let dynamic = opts.run(scenario::interaction_impact(
             model,
             AllocationMode::Dynamic,
             &sopts,
         ));
-        let static_ = run(scenario::interaction_impact(
+        let static_ = opts.run(scenario::interaction_impact(
             model,
             AllocationMode::Static,
             &sopts,
@@ -240,7 +236,7 @@ pub fn fig11_resource_bulk(opts: &RunOpts) -> String {
         String::from("Figure 11: impact of the CPU resource bulk (policies HP-3..HP-7)\n\n");
     let policies: Vec<usize> = (3..=7).collect();
     let reports = mmog_par::par_map(&policies, |&n| {
-        run(scenario::policy_impact(HostingPolicy::hp(n), &sopts))
+        opts.run(scenario::policy_impact(HostingPolicy::hp(n), &sopts))
     });
     let mut rows = Vec::new();
     for (&n, report) in policies.iter().zip(&reports) {
@@ -278,7 +274,7 @@ pub fn fig12_time_bulk(opts: &RunOpts) -> String {
         String::from("Figure 12: impact of the time bulk (policies HP-5, HP-8..HP-11)\n\n");
     let policies = [5usize, 8, 9, 10, 11];
     let reports = mmog_par::par_map(&policies, |&n| {
-        run(scenario::policy_impact(HostingPolicy::hp(n), &sopts))
+        opts.run(scenario::policy_impact(HostingPolicy::hp(n), &sopts))
     });
     let mut rows = Vec::new();
     for (&n, report) in policies.iter().zip(&reports) {
@@ -321,7 +317,7 @@ pub fn fig13_latency_tolerance(opts: &RunOpts) -> String {
     let results = mmog_par::par_map(&DistanceClass::ALL, |&tolerance| {
         let cfg = scenario::latency_impact(tolerance, &sopts);
         let centers_copy = cfg.centers.clone();
-        let report = run(cfg);
+        let report = opts.run(cfg);
         (report, centers_copy)
     });
     let mut rows = Vec::new();
@@ -359,7 +355,7 @@ pub fn fig13_latency_tolerance(opts: &RunOpts) -> String {
 pub fn fig14_allocation_by_center(opts: &RunOpts) -> String {
     let sopts = opts.scenario();
     let cfg = scenario::latency_impact(DistanceClass::VeryFar, &sopts);
-    let report = run(cfg);
+    let report = opts.run(cfg);
     let scored_ticks = report.metrics.samples().max(1) as f64;
     let mut out = String::from(
         "Figure 14: per-center average CPU allocation [units] at Very far tolerance\n\n",
@@ -420,7 +416,7 @@ pub fn table7_multi_mmog(opts: &RunOpts) -> String {
     ];
     let mut out =
         String::from("Table VII: concurrent MMOGs (A: O(n.log n), B: O(n^2), C: O(n^2.log n))\n\n");
-    let reports = mmog_par::par_map(&mixes, |&mix| run(scenario::multi_mmog(mix, &sopts)));
+    let reports = mmog_par::par_map(&mixes, |&mix| opts.run(scenario::multi_mmog(mix, &sopts)));
     let mut rows = Vec::new();
     for (mix, report) in mixes.iter().zip(&reports) {
         let per_game = |name: &str| {
@@ -476,7 +472,7 @@ pub fn ablation_priority(opts: &RunOpts) -> String {
         ("light first (A > B > C)", [0, 1, 2]),
     ];
     let reports = mmog_par::par_map(&regimes, |&(_, priorities)| {
-        run(scenario::multi_mmog_prioritized(
+        opts.run(scenario::multi_mmog_prioritized(
             [33.0, 33.0, 33.0],
             priorities,
             0.45,
@@ -535,7 +531,7 @@ pub fn ablation_headroom(opts: &RunOpts) -> String {
         for g in &mut cfg.games {
             g.headroom = headroom;
         }
-        run(cfg)
+        opts.run(cfg)
     });
     let mut rows = Vec::new();
     for (&headroom, report) in headrooms.iter().zip(&reports) {
@@ -570,7 +566,7 @@ pub fn ablation_aoi(opts: &RunOpts) -> String {
             })
             .collect();
     let reports = mmog_par::par_map(&combos, |&(_, _, m)| {
-        run(scenario::interaction_impact(
+        opts.run(scenario::interaction_impact(
             m,
             AllocationMode::Static,
             &sopts,

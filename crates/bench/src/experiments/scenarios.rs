@@ -15,7 +15,7 @@
 use crate::cli::RunOpts;
 use mmog_datacenter::resource::ResourceType;
 use mmog_faults::ScenarioSpec;
-use mmog_sim::engine::{AllocationMode, SimReport, Simulation};
+use mmog_sim::engine::{AllocationMode, SimReport};
 use mmog_sim::report::render_table;
 use mmog_sim::scenario;
 use std::fmt::Write as _;
@@ -85,12 +85,11 @@ pub fn fig_scenarios(opts: &RunOpts) -> String {
         .flat_map(|&mode| SCENARIO_MULTIPLIERS.iter().map(move |&m| (mode, m)))
         .collect();
     let reports = mmog_par::par_map(&cells, |&(mode, mult)| {
-        Simulation::new(scenario::scenario_injection(
+        opts.run(scenario::scenario_injection(
             &base.scaled(mult),
             mode,
             &sopts,
         ))
-        .run()
     });
     let mut out = String::from(
         "Scenario engine: partitions, link degradations, zone migrations, flash crowds\n\n",

@@ -17,6 +17,7 @@
 //! `results/BASELINE_scale.json`.
 
 use mmog_datacenter::resource::ResourceType;
+use mmog_obs::Sinks;
 use mmog_predict::eval::PredictorKind;
 use mmog_sim::engine::{AllocationMode, SimReport, Simulation, SimulationConfig};
 use mmog_sim::scenario::ScenarioOpts;
@@ -209,10 +210,11 @@ fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Runs one sweep point: builds every world's streaming configuration
-/// and fans the runs across the parallel layer. World order (and so the
-/// semantic section) is independent of `--jobs`.
+/// and fans the runs across the parallel layer, each world feeding
+/// `sinks`. World order (and so the semantic section) is independent of
+/// `--jobs`.
 #[must_use]
-pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointResult {
+pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64, sinks: &Sinks) -> PointResult {
     let worlds: Vec<usize> = (0..point.worlds).collect();
     // Counters are process-global and cumulative: deltas around the
     // point isolate this point's skip activity.
@@ -222,7 +224,11 @@ pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointRes
     let full_before = c_full.get();
     let start = std::time::Instant::now();
     let reports = mmog_par::par_map(&worlds, |&w| {
-        Simulation::new(world_config(point, w, ticks, master_seed)).run()
+        let cfg = SimulationConfig {
+            sinks: sinks.clone(),
+            ..world_config(point, w, ticks, master_seed)
+        };
+        Simulation::new(cfg).run()
     });
     let seconds = start.elapsed().as_secs_f64();
     let match_skips = c_skips.get().wrapping_sub(skips_before);
@@ -243,13 +249,18 @@ pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64) -> PointRes
     }
 }
 
-/// Runs the whole ladder, reporting progress on stdout.
+/// Runs the whole ladder on `sinks`, reporting progress on stdout.
 #[must_use]
-pub fn run_sweep(points: &[SweepPoint], ticks: usize, master_seed: u64) -> Vec<PointResult> {
+pub fn run_sweep(
+    points: &[SweepPoint],
+    ticks: usize,
+    master_seed: u64,
+    sinks: &Sinks,
+) -> Vec<PointResult> {
     points
         .iter()
         .map(|p| {
-            let result = run_point(p, ticks, master_seed);
+            let result = run_point(p, ticks, master_seed, sinks);
             let rss = result
                 .peak_rss_kb
                 .map_or("-".to_string(), |kb| format!("{:.1} MB", kb as f64 / 1024.0));
@@ -349,7 +360,7 @@ mod tests {
             worlds: 2,
             groups_per_world: 2,
         };
-        let results = run_sweep(&[p], 30, 7);
+        let results = run_sweep(&[p], 30, 7, &Sinks::default());
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].worlds.len(), 2);
         assert!(results[0].worlds.iter().all(|w| w.samples == 30));
@@ -381,7 +392,7 @@ mod tests {
             worlds: 1,
             groups_per_world: 2,
         };
-        let mut results = run_sweep(&[p], 20, 11);
+        let mut results = run_sweep(&[p], 20, 11, &Sinks::default());
         let a = render_semantic(&results);
         results[0].seconds *= 100.0;
         results[0].peak_rss_kb = Some(123_456);

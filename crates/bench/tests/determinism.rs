@@ -217,11 +217,19 @@ fn reports_identical_for_any_job_count() {
         groups_per_world: 4,
     };
     mmog_par::set_jobs(1);
-    let serial_sweep =
-        mmog_bench::scale::render_semantic(&[mmog_bench::scale::run_point(&sweep, 60, 77)]);
+    let serial_sweep = mmog_bench::scale::render_semantic(&[mmog_bench::scale::run_point(
+        &sweep,
+        60,
+        77,
+        &Default::default(),
+    )]);
     mmog_par::set_jobs(4);
-    let parallel_sweep =
-        mmog_bench::scale::render_semantic(&[mmog_bench::scale::run_point(&sweep, 60, 77)]);
+    let parallel_sweep = mmog_bench::scale::render_semantic(&[mmog_bench::scale::run_point(
+        &sweep,
+        60,
+        77,
+        &Default::default(),
+    )]);
     assert_same_text(
         "scale sweep semantics must be byte-identical between --jobs 1 and --jobs 4",
         &serial_sweep,
@@ -245,13 +253,13 @@ fn flight_trigger_decisions_are_deterministic() {
     let dir = std::env::temp_dir().join("mmog_determinism_flight");
     let mut flight_cfg = mmog_obs::FlightConfig::new(12);
     flight_cfg.dump_dir.clone_from(&dir);
-    mmog_obs::set_flight_config(Some(flight_cfg));
     let run = || {
         let spec = FaultSpec {
             seed: 5,
             ..FaultSpec::paper_default()
         };
-        let cfg = scenario::fault_injection(&spec, AllocationMode::Dynamic, &tiny());
+        let mut cfg = scenario::fault_injection(&spec, AllocationMode::Dynamic, &tiny());
+        cfg.sinks.flight = Some(flight_cfg.clone());
         let report = Simulation::new(cfg).run();
         report
             .flight_dump
@@ -262,7 +270,6 @@ fn flight_trigger_decisions_are_deterministic() {
     mmog_par::set_jobs(4);
     let parallel = run();
     let repeat = run();
-    mmog_obs::set_flight_config(None);
     assert_eq!(serial.trigger, "fault");
     assert_eq!(
         serial, parallel,

@@ -4,9 +4,9 @@
 //! applied and emitted only from the engine's serial sections, so the
 //! fan-out width can never reorder or drop them.
 //!
-//! The jobs setting and the trace destination are process-global, so
-//! the fault and scenario suites serialize on one shared mutex instead
-//! of racing under the parallel test harness.
+//! The jobs setting is process-global, so the fault and scenario suites
+//! serialize on one shared mutex instead of racing under the parallel
+//! test harness. Each run traces into its own collector.
 //!
 //! Mismatches route through `mmog-obs-analyze`'s first-divergence
 //! helpers, so a failure names the first diverging event or line.
@@ -15,14 +15,14 @@ use mmog_faults::{
     FaultSpec, ScenarioEvent, ScenarioEventKind, ScenarioParams, ScenarioSpec, ScenarioTimeline,
 };
 use mmog_obs_analyze::{first_text_divergence, trace_diff};
-use mmog_sim::engine::{AllocationMode, Simulation};
+use mmog_sim::engine::{AllocationMode, Simulation, SimulationConfig};
 use mmog_sim::scenario::{self, ScenarioOpts};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 
-/// Guards the process-global jobs / trace-path / obs state shared by
-/// every test in this file.
+/// Guards the process-global jobs setting shared by every test in this
+/// file.
 static PROCESS_GLOBALS: Mutex<()> = Mutex::new(());
 
 fn tiny() -> ScenarioOpts {
@@ -33,22 +33,22 @@ fn tiny() -> ScenarioOpts {
     }
 }
 
-/// Runs one faulted simulation (paper-default spec, dynamic
-/// allocation) with tracing into `path` and returns `(report debug
+/// Runs `cfg` traced into its own collector and returns `(report debug
 /// fingerprint, trace bytes)`.
-fn faulted_pass(path: &PathBuf) -> (String, String) {
-    mmog_obs::reset();
-    mmog_obs::set_trace_path(Some(path));
-    let cfg = scenario::fault_injection(
+fn traced_run(mut cfg: SimulationConfig) -> (String, String) {
+    let trace = mmog_obs::Collector::trace("unused.jsonl");
+    cfg.sinks.trace = Some(trace.clone());
+    let report = Simulation::new(cfg).run();
+    (format!("{report:?}"), trace.render().remove(0).1)
+}
+
+/// One faulted simulation: paper-default spec, dynamic allocation.
+fn faulted_pass() -> (String, String) {
+    traced_run(scenario::fault_injection(
         &FaultSpec::paper_default(),
         AllocationMode::Dynamic,
         &tiny(),
-    );
-    let report = Simulation::new(cfg).run();
-    mmog_obs::flush_trace().expect("flush succeeds");
-    mmog_obs::set_trace_path(None);
-    let trace = fs::read_to_string(path).expect("trace file exists");
-    (format!("{report:?}"), trace)
+    ))
 }
 
 #[test]
@@ -57,21 +57,12 @@ fn faulted_runs_identical_across_jobs_and_repeats() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let baseline_jobs = mmog_par::jobs();
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let p1 = dir.join(format!("mmog_fault_det_j1_{pid}.jsonl"));
-    let p4 = dir.join(format!("mmog_fault_det_j4_{pid}.jsonl"));
-    let p4b = dir.join(format!("mmog_fault_det_j4b_{pid}.jsonl"));
-
     mmog_par::set_jobs(1);
-    let (report_serial, trace_serial) = faulted_pass(&p1);
+    let (report_serial, trace_serial) = faulted_pass();
     mmog_par::set_jobs(4);
-    let (report_parallel, trace_parallel) = faulted_pass(&p4);
-    let (report_again, trace_again) = faulted_pass(&p4b);
+    let (report_parallel, trace_parallel) = faulted_pass();
+    let (report_again, trace_again) = faulted_pass();
     mmog_par::set_jobs(baseline_jobs);
-    let _ = fs::remove_file(&p1);
-    let _ = fs::remove_file(&p4);
-    let _ = fs::remove_file(&p4b);
 
     if let Some(d) = first_text_divergence(&report_serial, &report_parallel) {
         panic!(
@@ -122,18 +113,11 @@ fn busy_scenario_spec() -> ScenarioSpec {
     .expect("valid spec")
 }
 
-/// Runs one scenario simulation (dynamic allocation) with tracing into
-/// `path` and returns `(report debug fingerprint, trace bytes)`.
-fn scenario_pass(path: &PathBuf) -> (String, String) {
-    mmog_obs::reset();
-    mmog_obs::set_trace_path(Some(path));
+/// One scenario simulation of the busy spec, dynamic allocation.
+fn scenario_pass() -> (String, String) {
     let cfg = scenario::scenario_injection(&busy_scenario_spec(), AllocationMode::Dynamic, &tiny());
     assert!(cfg.scenario.is_some(), "busy spec must produce a timeline");
-    let report = Simulation::new(cfg).run();
-    mmog_obs::flush_trace().expect("flush succeeds");
-    mmog_obs::set_trace_path(None);
-    let trace = fs::read_to_string(path).expect("trace file exists");
-    (format!("{report:?}"), trace)
+    traced_run(cfg)
 }
 
 /// Compares `actual` to the committed fixture in `tests/golden/`; set
@@ -168,21 +152,12 @@ fn scenario_determinism() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let baseline_jobs = mmog_par::jobs();
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let p1 = dir.join(format!("mmog_scenario_det_j1_{pid}.jsonl"));
-    let p4 = dir.join(format!("mmog_scenario_det_j4_{pid}.jsonl"));
-    let p4b = dir.join(format!("mmog_scenario_det_j4b_{pid}.jsonl"));
-
     mmog_par::set_jobs(1);
-    let (report_serial, trace_serial) = scenario_pass(&p1);
+    let (report_serial, trace_serial) = scenario_pass();
     mmog_par::set_jobs(4);
-    let (report_parallel, trace_parallel) = scenario_pass(&p4);
-    let (report_again, trace_again) = scenario_pass(&p4b);
+    let (report_parallel, trace_parallel) = scenario_pass();
+    let (report_again, trace_again) = scenario_pass();
     mmog_par::set_jobs(baseline_jobs);
-    let _ = fs::remove_file(&p1);
-    let _ = fs::remove_file(&p4);
-    let _ = fs::remove_file(&p4b);
 
     if let Some(d) = first_text_divergence(&report_serial, &report_parallel) {
         panic!(

@@ -6,9 +6,9 @@
 //! deterministic downsampling makes `TS_<run>.json` documents
 //! byte-identical across job counts.
 //!
-//! One test function: the jobs setting, the metric registry, the trace
-//! destination and the time-series collector are all process-global,
-//! so separate `#[test]`s would race under the parallel test harness.
+//! One test function: the jobs setting and the metric registry are
+//! process-global, so separate `#[test]`s would race under the parallel
+//! test harness. Each pass traces and exports into its own collectors.
 //!
 //! The mini-suite is chosen to exercise every terminal cause family:
 //! fig08 drives plain dynamic provisioning (surplus/reshape/run_end
@@ -17,9 +17,8 @@
 
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
+use mmog_obs::Collector;
 use mmog_obs_analyze::{analyze_lifecycle, check_lifecycle, render_lifecycle, trace_diff};
-use std::fs;
-use std::path::{Path, PathBuf};
 
 fn tiny() -> RunOpts {
     RunOpts {
@@ -38,30 +37,26 @@ fn mini_suite(opts: &RunOpts) -> Vec<String> {
     ]
 }
 
-/// Runs the mini-suite with tracing into `trace_path` and time-series
-/// export into `ts_dir`, returning `(trace bytes, sorted ts docs)`.
-fn traced_pass(opts: &RunOpts, trace_path: &PathBuf, ts_dir: &Path) -> (String, Vec<String>) {
+/// Runs the mini-suite traced and exporting time series into fresh
+/// collectors, returning `(trace bytes, ts docs in write order)`.
+fn traced_pass(opts: &RunOpts) -> (String, Vec<String>) {
     mmog_obs::reset();
-    mmog_obs::set_trace_path(Some(trace_path));
-    fs::create_dir_all(ts_dir).expect("ts dir");
-    mmog_obs::set_ts_dir(Some(ts_dir));
-    let _reports = mini_suite(opts);
-    mmog_obs::flush_trace().expect("trace flush succeeds");
-    let ts_paths = mmog_obs::flush_ts().expect("ts flush succeeds");
-    mmog_obs::set_trace_path(None);
-    mmog_obs::set_ts_dir(None);
-    let trace = fs::read_to_string(trace_path).expect("trace file exists");
-    // flush_ts writes in label order, so the document sequence is
+    let (trace, ts) = (
+        Collector::trace("unused.jsonl"),
+        Collector::time_series("unused"),
+    );
+    let mut opts = opts.clone();
+    opts.sinks.trace = Some(trace.clone());
+    opts.sinks.ts = Some(ts.clone());
+    let _reports = mini_suite(&opts);
+    // The collector names documents in label order, so the sequence is
     // directly comparable across passes.
-    let docs = ts_paths
-        .iter()
-        .map(|p| {
-            let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            let body = fs::read_to_string(p).expect("ts file exists");
-            format!("{name}\n{body}")
-        })
+    let docs = ts
+        .render()
+        .into_iter()
+        .map(|(path, body)| format!("{}\n{body}", path.file_name().unwrap().to_string_lossy()))
         .collect();
-    (trace, docs)
+    (trace.render().remove(0).1, docs)
 }
 
 #[test]
@@ -74,21 +69,10 @@ fn lease_lifecycles_reconstruct_fully_across_jobs() {
     mmog_par::set_jobs(1);
     let _ = mini_suite(&opts);
 
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let p1 = dir.join(format!("mmog_lease_det_j1_{pid}.jsonl"));
-    let p4 = dir.join(format!("mmog_lease_det_j4_{pid}.jsonl"));
-    let d1 = dir.join(format!("mmog_lease_ts_j1_{pid}"));
-    let d4 = dir.join(format!("mmog_lease_ts_j4_{pid}"));
-
-    let (trace_serial, ts_serial) = traced_pass(&opts, &p1, &d1);
+    let (trace_serial, ts_serial) = traced_pass(&opts);
     mmog_par::set_jobs(4);
-    let (trace_parallel, ts_parallel) = traced_pass(&opts, &p4, &d4);
+    let (trace_parallel, ts_parallel) = traced_pass(&opts);
     mmog_par::set_jobs(baseline_jobs);
-    let _ = fs::remove_file(&p1);
-    let _ = fs::remove_file(&p4);
-    let _ = fs::remove_dir_all(&d1);
-    let _ = fs::remove_dir_all(&d4);
 
     // The event logs (lifecycle events included) are byte-identical.
     if let Some(d) = trace_diff(&trace_serial, &trace_parallel) {

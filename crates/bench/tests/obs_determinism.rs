@@ -3,9 +3,9 @@
 //! summary are byte-identical between `--jobs 1` and `--jobs 4`, while
 //! wall-clock data stays quarantined in the `timing` section.
 //!
-//! One test function: the jobs setting, the metric registry and the
-//! trace destination are all process-global, so separate `#[test]`s
-//! would race under the parallel test harness.
+//! One test function: the jobs setting and the metric registry are
+//! process-global, so separate `#[test]`s would race under the parallel
+//! test harness. Each pass traces into its own collector.
 //!
 //! Trace mismatches route through `mmog_obs_analyze::trace_diff`, so a
 //! failure names the first diverging event (kind, tick, field) instead
@@ -15,9 +15,8 @@
 
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
+use mmog_obs::Collector;
 use mmog_obs_analyze::{analyze_trace, first_text_divergence, trace_diff, Query};
-use std::fs;
-use std::path::PathBuf;
 
 fn tiny() -> RunOpts {
     RunOpts {
@@ -39,17 +38,15 @@ fn mini_suite(opts: &RunOpts) -> Vec<String> {
     ]
 }
 
-/// Runs the mini-suite with tracing into `path` and returns
+/// Runs the mini-suite traced into a fresh collector and returns
 /// `(summary json, trace bytes)`.
-fn traced_pass(opts: &RunOpts, path: &PathBuf) -> (String, String) {
+fn traced_pass(opts: &RunOpts) -> (String, String) {
     mmog_obs::reset();
-    mmog_obs::set_trace_path(Some(path));
-    let _reports = mini_suite(opts);
-    let summary = mmog_obs::summary_json();
-    mmog_obs::flush_trace().expect("flush succeeds");
-    mmog_obs::set_trace_path(None);
-    let trace = fs::read_to_string(path).expect("trace file exists");
-    (summary, trace)
+    let trace = Collector::trace("unused.jsonl");
+    let mut opts = opts.clone();
+    opts.sinks.trace = Some(trace.clone());
+    let _reports = mini_suite(&opts);
+    (mmog_obs::summary_json(), trace.render().remove(0).1)
 }
 
 #[test]
@@ -63,16 +60,10 @@ fn semantic_outputs_identical_across_jobs() {
     mmog_par::set_jobs(1);
     let _ = mini_suite(&opts);
 
-    let dir = std::env::temp_dir();
-    let p1 = dir.join(format!("mmog_obs_det_j1_{}.jsonl", std::process::id()));
-    let p4 = dir.join(format!("mmog_obs_det_j4_{}.jsonl", std::process::id()));
-
-    let (summary_serial, trace_serial) = traced_pass(&opts, &p1);
+    let (summary_serial, trace_serial) = traced_pass(&opts);
     mmog_par::set_jobs(4);
-    let (summary_parallel, trace_parallel) = traced_pass(&opts, &p4);
+    let (summary_parallel, trace_parallel) = traced_pass(&opts);
     mmog_par::set_jobs(baseline_jobs);
-    let _ = fs::remove_file(&p1);
-    let _ = fs::remove_file(&p4);
 
     // Both summaries satisfy the exported schema.
     mmog_obs::validate_summary(&summary_serial).expect("serial summary validates");

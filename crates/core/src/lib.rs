@@ -213,6 +213,7 @@ impl EcosystemBuilder {
             master_seed: self.master_seed,
             faults: self.faults,
             scenario: self.scenario,
+            sinks: Default::default(),
         }
     }
 

@@ -2,11 +2,10 @@
 //!
 //! Simulations emit semantic events — provisioning decisions, matching
 //! accept/reject outcomes, per-group prediction error, per-center bulk
-//! waste — as one JSON object per line. The log is gated: when no trace
-//! path is configured ([`set_trace_path`] / the `MMOG_TRACE`
-//! environment variable, wired through `--trace` in the bench CLI),
-//! [`EventSink::if_enabled`] returns `None` and emission costs one
-//! branch.
+//! waste — as one JSON object per line. The log is gated: a run only
+//! builds an [`EventSink`] when its [`Sinks`](crate::Sinks) carry a trace
+//! collector (wired through `--trace` in the bench CLI), so emission
+//! costs one branch when tracing is off.
 //!
 //! # Determinism
 //!
@@ -16,9 +15,10 @@
 //! 1. Each simulation buffers its events in a private [`EventSink`] and
 //!    only ever emits from its own serial sections, so within-run order
 //!    is the deterministic program order.
-//! 2. A finished sink submits its lines as one *chunk* under a
-//!    deterministic label derived from the run's configuration.
-//! 3. [`flush_trace`] sorts chunks by `(label, content)` — not by
+//! 2. A finished sink submits its lines as one *chunk* to the run's
+//!    trace [`Collector`] under a deterministic label derived from the
+//!    run's configuration.
+//! 3. [`Collector::flush`] sorts chunks by `(label, content)` — not by
 //!    completion time — assigns global sequence numbers, and writes the
 //!    file. Concurrent experiments can finish in any order without
 //!    perturbing a single output byte.
@@ -52,8 +52,7 @@
 //! ```
 
 use crate::json::{self, Value};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use crate::sinks::Collector;
 
 /// The wire types an event field can carry: how a value renders into a
 /// trace line and how it reads back out of a parsed one.
@@ -410,13 +409,6 @@ impl EventSink {
         Self::default()
     }
 
-    /// A sink only when a trace path is configured — the gate that
-    /// makes tracing zero-cost when off.
-    #[must_use]
-    pub fn if_enabled() -> Option<Self> {
-        trace_enabled().then(Self::new)
-    }
-
     /// Appends one event.
     ///
     /// Renders the JSON line directly rather than building a [`Value`]
@@ -448,80 +440,25 @@ impl EventSink {
         self.buf.lines()
     }
 
-    /// Hands the buffered events to the global trace collector as one
-    /// chunk. `label` must be deterministic for the work performed
+    /// Hands the buffered events to `trace` as one chunk (nothing when
+    /// empty). `label` must be deterministic for the work performed
     /// (derive it from the run's configuration, never from wall-clock,
     /// thread ids or completion order).
-    pub fn submit(self, label: &str) {
-        if self.count == 0 {
-            return;
-        }
-        let mut state = trace_lock();
-        if let Some(state) = state.as_mut() {
-            state.chunks.push((label.to_string(), self.buf));
+    pub fn submit(self, trace: &Collector, label: &str) {
+        if self.count > 0 {
+            trace.submit(label, self.buf);
         }
     }
 }
 
-struct TraceState {
-    path: PathBuf,
-    /// `(label, newline-terminated lines)` per submitted sink.
-    chunks: Vec<(String, String)>,
-}
-
-fn trace_cell() -> &'static Mutex<Option<TraceState>> {
-    static TRACE: OnceLock<Mutex<Option<TraceState>>> = OnceLock::new();
-    TRACE.get_or_init(|| Mutex::new(None))
-}
-
-fn trace_lock() -> std::sync::MutexGuard<'static, Option<TraceState>> {
-    trace_cell()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Configures (or disables, with `None`) the JSONL trace destination.
-/// Discards any chunks buffered for a previous destination.
-pub fn set_trace_path(path: Option<&Path>) {
-    *trace_lock() = path.map(|p| TraceState {
-        path: p.to_path_buf(),
-        chunks: Vec::new(),
-    });
-}
-
-/// Applies the `MMOG_TRACE` environment variable if set (and non-empty)
-/// and no destination is configured yet.
-pub fn apply_trace_env() {
-    if trace_enabled() {
-        return;
-    }
-    if let Ok(path) = std::env::var("MMOG_TRACE") {
-        if !path.is_empty() {
-            set_trace_path(Some(Path::new(&path)));
-        }
-    }
-}
-
-/// Whether a trace destination is configured.
-#[must_use]
-pub fn trace_enabled() -> bool {
-    trace_lock().is_some()
-}
-
-/// Renders the trace body that [`flush_trace`] would write: chunks
-/// sorted by `(label, content)`, each line prefixed with its global
-/// sequence number and scope label.
-#[must_use]
-pub fn render_trace() -> String {
-    let mut state = trace_lock();
-    let Some(state) = state.as_mut() else {
-        return String::new();
-    };
-    state.chunks.sort();
-    let total: usize = state.chunks.iter().map(|(_, lines)| lines.len()).sum();
+/// Renders a trace body: chunks sorted by `(label, content)`, each line
+/// prefixed with its global sequence number and scope label.
+pub(crate) fn render_trace(chunks: &mut [(String, String)]) -> String {
+    chunks.sort();
+    let total: usize = chunks.iter().map(|(_, lines)| lines.len()).sum();
     let mut out = String::with_capacity(total + total / 2);
     let mut seq = 0u64;
-    for (label, lines) in &state.chunks {
+    for (label, lines) in chunks.iter() {
         let scope = Value::Str(label.clone()).render();
         for line in lines.lines() {
             // Buffered lines are complete objects `{"kind":...}`; splice
@@ -534,23 +471,6 @@ pub fn render_trace() -> String {
         }
     }
     out
-}
-
-/// Sorts the buffered chunks deterministically, writes the JSONL file,
-/// and clears the buffer (the destination stays configured). Returns
-/// the path written, or `None` when tracing is off.
-///
-/// # Errors
-/// Propagates the file-write error, leaving the buffer intact.
-pub fn flush_trace() -> std::io::Result<Option<PathBuf>> {
-    let body = render_trace();
-    let mut state = trace_lock();
-    let Some(state) = state.as_mut() else {
-        return Ok(None);
-    };
-    std::fs::write(&state.path, body)?;
-    state.chunks.clear();
-    Ok(Some(state.path.clone()))
 }
 
 /// Parses one trace line back into `(seq, scope, kind, fields)` — the
@@ -639,12 +559,11 @@ mod tests {
     }
 
     #[test]
-    fn sink_disabled_without_trace_path() {
-        // The trace cell is process-global; this test only asserts the
-        // "off" behaviour which is the default state.
-        if !trace_enabled() {
-            assert!(EventSink::if_enabled().is_none());
-        }
+    fn default_sinks_collect_no_trace() {
+        assert!(crate::Sinks::default().trace.is_none());
+        // A collector nobody submitted to renders one empty file.
+        let files = Collector::trace("unused.jsonl").render();
+        assert_eq!(files, vec![("unused.jsonl".into(), String::new())]);
     }
 
     #[test]

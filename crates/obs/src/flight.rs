@@ -21,19 +21,19 @@
 //!
 //! # Determinism
 //!
-//! The recorder is configured process-globally (like the trace path)
-//! and disabled by default, so runs without a flight config are
-//! byte-for-byte unaffected. Fault and explicit triggers depend only on
-//! the seed-driven schedule — *which* tick range dumps is deterministic
-//! for a fixed seed. Deadline triggers are wall-clock by nature and are
-//! opt-in via [`FlightConfig::deadline_ns`]. All recorder accounting
-//! exports under `obs.self.*` in the timing section.
+//! The recorder is configured per run (the `flight` field of the run's
+//! [`Sinks`](crate::Sinks)) and disabled by default, so runs without a
+//! flight config are byte-for-byte unaffected. Fault and explicit
+//! triggers depend only on the seed-driven schedule — *which* tick
+//! range dumps is deterministic for a fixed seed. Deadline triggers are
+//! wall-clock by nature and are opt-in via [`FlightConfig::deadline_ns`].
+//! All recorder accounting exports under `obs.self.*` in the timing
+//! section.
 
 use crate::event::{write_envelope, Event};
 use crate::json::Value;
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
 
 /// Why a flight dump fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +69,8 @@ impl FlightTrigger {
     }
 }
 
-/// Flight recorder configuration, installed process-globally with
-/// [`set_flight_config`].
+/// Flight recorder configuration, carried per run in
+/// [`Sinks::flight`](crate::Sinks::flight).
 #[derive(Debug, Clone)]
 pub struct FlightConfig {
     /// How many most-recent ticks the ring retains.
@@ -124,9 +124,9 @@ pub struct FlightDumpInfo {
     pub path: PathBuf,
 }
 
-/// A per-run flight recorder. Build one via [`flight_recorder`] at run
-/// start; it is single-owner mutable state, pushed to from the engine's
-/// serial sections only.
+/// A per-run flight recorder. Build one from the run's [`FlightConfig`]
+/// at run start; it is single-owner mutable state, pushed to from the
+/// engine's serial sections only.
 #[derive(Debug)]
 pub struct FlightRecorder {
     cfg: FlightConfig,
@@ -345,37 +345,6 @@ pub fn sanitize_label(label: &str) -> String {
     format!("{stem}-{tag:08x}")
 }
 
-fn config_cell() -> &'static Mutex<Option<FlightConfig>> {
-    static CONFIG: OnceLock<Mutex<Option<FlightConfig>>> = OnceLock::new();
-    CONFIG.get_or_init(|| Mutex::new(None))
-}
-
-fn config_lock() -> std::sync::MutexGuard<'static, Option<FlightConfig>> {
-    config_cell()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Installs (or removes, with `None`) the process-global flight
-/// configuration. Like the trace path, this gates the recorder: with no
-/// config installed [`flight_recorder`] returns `None` and runs are
-/// byte-for-byte unaffected.
-pub fn set_flight_config(cfg: Option<FlightConfig>) {
-    *config_lock() = cfg;
-}
-
-/// The installed flight configuration, if any.
-#[must_use]
-pub fn flight_config() -> Option<FlightConfig> {
-    config_lock().clone()
-}
-
-/// A fresh per-run recorder when flight recording is configured.
-#[must_use]
-pub fn flight_recorder() -> Option<FlightRecorder> {
-    flight_config().map(FlightRecorder::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,11 +547,10 @@ mod tests {
     }
 
     #[test]
-    fn global_config_gates_recorder_construction() {
-        // Default state: no config, no recorder. (Process-global, so
-        // only assert when unset — parallel tests may install one.)
-        if flight_config().is_none() {
-            assert!(flight_recorder().is_none());
-        }
+    fn default_sinks_build_no_recorder() {
+        assert!(crate::Sinks::default()
+            .flight
+            .map(FlightRecorder::new)
+            .is_none());
     }
 }

@@ -24,13 +24,15 @@
 //! - [`event`] — a structured JSONL event log (provisioning decisions,
 //!   match accept/reject with reason, prediction error per group, bulk
 //!   waste per center, and the causal lease lifecycle chain
-//!   request → grant → mature → release), gated behind `--trace` /
-//!   `MMOG_TRACE`.
+//!   request → grant → mature → release), gated behind `--trace`.
 //! - [`timeseries`] — fixed-memory, deterministically-downsampled
 //!   per-metric ring series exported as `TS_<run>.json`.
 //! - [`live`] — the live telemetry tap: an atomically-rewritten
-//!   `OBS_live.json` snapshot (`--live` / `MMOG_LIVE`) that `mmog_top`
-//!   renders while a run executes.
+//!   `OBS_live.json` snapshot (`--live`) that `mmog_top` renders while a
+//!   run executes.
+//! - [`sinks`] — the per-run [`Sinks`] value naming which of the trace,
+//!   time-series, flight and live outputs a run feeds. Sinks travel with
+//!   the run's configuration; none of them is process-global.
 //! - [`export`] — the `OBS_summary.json` document plus a human-readable
 //!   table, and the schema validator CI runs against it.
 //! - [`json`] — the dependency-free JSON layer underneath (the
@@ -61,39 +63,29 @@ pub mod json;
 pub mod latency;
 pub mod live;
 pub mod registry;
+pub mod sinks;
 pub mod span;
 pub mod timeseries;
 
-pub use event::{
-    apply_trace_env, flush_trace, parse_trace_line, render_trace, set_trace_path, trace_enabled,
-    Event, EventSink,
-};
+pub use event::{parse_trace_line, Event, EventSink};
 pub use export::{
     note_run, render_summary_table, semantic_section, summary_json, summary_value,
     validate_summary, SUMMARY_SCHEMA,
 };
-pub use flight::{
-    flight_config, flight_recorder, sanitize_label, set_flight_config, FlightConfig,
-    FlightDumpInfo, FlightRecorder, FlightTrigger,
-};
+pub use flight::{sanitize_label, FlightConfig, FlightDumpInfo, FlightRecorder, FlightTrigger};
 pub use latency::{
     latency, reset_latency, snapshot_latency, LatencyHisto, LatencySnapshot, LATENCY_BUCKETS,
 };
-pub use live::{
-    apply_live_env, live_config, live_enabled, set_live_config, validate_live, write_live,
-    LiveCenter, LiveConfig, LiveSnapshot, LIVE_SCHEMA,
-};
+pub use live::{validate_live, write_live, LiveCenter, LiveConfig, LiveSnapshot, LIVE_SCHEMA};
 pub use registry::{
     counter, gauge, histogram, reset_metrics, snapshot_metrics, Counter, Domain, Gauge, Histogram,
     HistogramSnapshot, MetricsSnapshot,
 };
+pub use sinks::{Collector, Sinks};
 pub use span::{
     reset_spans, snapshot_spans, span, time_stat, timer, SpanGuard, SpanSnapshot, SpanStat,
 };
-pub use timeseries::{
-    flush_ts, set_ts_dir, submit_ts, ts_enabled, validate_ts, RingSeries, TimeSeries,
-    TS_DEFAULT_CAPACITY, TS_SCHEMA,
-};
+pub use timeseries::{validate_ts, RingSeries, TimeSeries, TS_DEFAULT_CAPACITY, TS_SCHEMA};
 
 /// Marks the start of a non-deterministic (wall-clock) region inside
 /// report text.
@@ -168,7 +160,7 @@ pub fn mask_timing(text: &str) -> Result<String, String> {
 
 /// Resets every process-global accumulator (metrics, spans and latency
 /// histograms) while keeping registrations and cached handles valid.
-/// The trace destination and its buffered chunks are untouched.
+/// Per-run sinks are untouched.
 pub fn reset() {
     reset_metrics();
     reset_spans();

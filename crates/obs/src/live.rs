@@ -2,13 +2,15 @@
 //! engine atomically rewrites every N ticks so an operator (or the
 //! `mmog_top` dashboard) can watch a long run while it executes.
 //!
-//! Like the trace and flight paths, the tap is configured
-//! process-globally and disabled by default — with no [`LiveConfig`]
-//! installed, runs are byte-for-byte unaffected. When enabled, the
-//! engine builds a [`LiveSnapshot`] inside its serial sections (so the
-//! semantic half is byte-identical across `--jobs` values at any given
-//! tick) and [`write_live`] publishes it with a write-to-temp + rename,
-//! so a concurrent reader never observes a torn file.
+//! Like the trace and flight paths, the tap is configured per run (the
+//! `live` field of the run's [`Sinks`](crate::Sinks)) and disabled by
+//! default — with no [`LiveConfig`], runs are byte-for-byte unaffected.
+//! When enabled, the engine builds a [`LiveSnapshot`] inside its serial
+//! sections (so the semantic half is byte-identical across `--jobs`
+//! values at any given tick) and [`write_live`] publishes it with a
+//! write-to-temp + rename, so a concurrent reader never observes a torn
+//! file, even when several runs of one process publish to the same
+//! path.
 //!
 //! The document (schema [`LIVE_SCHEMA`]) keeps the crate's
 //! semantic/timing split: allocation state, shortfall and per-center
@@ -20,13 +22,12 @@
 
 use crate::json::Value;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
 
 /// Schema identifier stamped into every live snapshot.
 pub const LIVE_SCHEMA: &str = "mmog-obs-live/v1";
 
-/// Live tap configuration, installed process-globally with
-/// [`set_live_config`].
+/// Live tap configuration, carried per run in
+/// [`Sinks::live`](crate::Sinks::live).
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
     /// Snapshot path (conventionally `results/OBS_live.json`).
@@ -246,7 +247,9 @@ pub fn validate_live(value: &Value) -> Result<(), String> {
 
 /// Atomically publishes a snapshot: the document is written to a
 /// sibling temp file and renamed over `path`, so readers only ever see
-/// a complete document.
+/// a complete document. The temp name is unique to the writing process
+/// and thread, so concurrent writers to one path never share (and tear)
+/// a temp file; each rename publishes one whole document.
 ///
 /// # Errors
 /// Propagates the file-write or rename error (the engine reports and
@@ -257,52 +260,13 @@ pub fn write_live(path: &Path, doc: &Value) -> std::io::Result<()> {
             std::fs::create_dir_all(parent)?;
         }
     }
-    let tmp = path.with_extension("json.tmp");
+    let thread: String = format!("{:?}", std::thread::current().id())
+        .chars()
+        .filter(char::is_ascii_digit)
+        .collect();
+    let tmp = path.with_extension(format!("json.{}-{thread}.tmp", std::process::id()));
     std::fs::write(&tmp, doc.render_pretty())?;
     std::fs::rename(&tmp, path)
-}
-
-fn live_cell() -> &'static Mutex<Option<LiveConfig>> {
-    static LIVE: OnceLock<Mutex<Option<LiveConfig>>> = OnceLock::new();
-    LIVE.get_or_init(|| Mutex::new(None))
-}
-
-fn live_lock() -> std::sync::MutexGuard<'static, Option<LiveConfig>> {
-    live_cell()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Installs (or removes, with `None`) the process-global live tap
-/// configuration. `None` (the default) keeps runs byte-identical, the
-/// same contract the trace and flight paths honour.
-pub fn set_live_config(cfg: Option<LiveConfig>) {
-    *live_lock() = cfg;
-}
-
-/// The installed live tap configuration, if any.
-#[must_use]
-pub fn live_config() -> Option<LiveConfig> {
-    live_lock().clone()
-}
-
-/// Whether a live tap is configured.
-#[must_use]
-pub fn live_enabled() -> bool {
-    live_lock().is_some()
-}
-
-/// Applies the `MMOG_LIVE` environment variable if set (and non-empty)
-/// and no live tap is configured yet.
-pub fn apply_live_env() {
-    if live_enabled() {
-        return;
-    }
-    if let Ok(path) = std::env::var("MMOG_LIVE") {
-        if !path.is_empty() {
-            set_live_config(Some(LiveConfig::new(Path::new(&path))));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -368,24 +332,52 @@ mod tests {
         write_live(&path, &doc).expect("publish");
         let read = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         validate_live(&read).unwrap();
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+            .collect();
         assert!(
-            !path.with_extension("json.tmp").exists(),
-            "temp file must be renamed away"
+            leftovers.is_empty(),
+            "temp files must be renamed away: {leftovers:?}"
         );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn global_config_gates_the_tap() {
-        // Process-global cell: only assert the default "off" state, and
-        // restore it after the set/get round-trip.
-        if live_config().is_none() {
-            assert!(!live_enabled());
-            set_live_config(Some(LiveConfig::new(Path::new("results/OBS_live.json"))));
-            let cfg = live_config().expect("installed");
-            assert_eq!(cfg.interval(), 64);
-            set_live_config(None);
-            assert!(!live_enabled());
-        }
+    fn concurrent_writers_publish_whole_documents() {
+        let dir = std::env::temp_dir().join(format!("mmog-live-race-{}", std::process::id()));
+        let path = dir.join("OBS_live.json");
+        // Every writer starts at once, so the writes overlap.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for writer in 0..4u64 {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    let mut snap = snapshot();
+                    start.wait();
+                    for i in 0..50 {
+                        snap.tick = (writer * 50 + i) % snap.ticks_total;
+                        write_live(path, &snap.to_value()).expect("every write succeeds");
+                        let text = std::fs::read_to_string(path).expect("published");
+                        let doc = json::parse(&text).expect("whole document");
+                        validate_live(&doc).expect("valid document");
+                    }
+                });
+            }
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn default_sinks_install_no_tap() {
+        assert!(crate::Sinks::default().live.is_none());
+        let cfg = LiveConfig::new(Path::new("results/OBS_live.json"));
+        assert_eq!(cfg.interval(), 64);
+        let never = LiveConfig {
+            every_ticks: 0,
+            ..cfg
+        };
+        assert_eq!(never.interval(), 1, "a zero interval clamps to every tick");
     }
 }

@@ -20,15 +20,14 @@
 //! accounting moves to the semantic domain.
 //!
 //! The export document (`TS_<run>.json`, schema [`TS_SCHEMA`]) is
-//! collected through a process-global sink mirroring the trace path:
-//! [`set_ts_dir`] configures (or disables, with `None`) the output
-//! directory, runs submit their finished series under a deterministic
-//! label, and [`flush_ts`] writes one file per run in label order.
+//! collected like the trace: each run submits its rendered document to
+//! the time-series [`Collector`](crate::Collector) its sinks carry,
+//! under a deterministic label, and the collector's flush writes one
+//! file per run in label order.
 
 use crate::flight::sanitize_label;
 use crate::json::Value;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
 
 /// Schema identifier stamped into every exported time-series document.
 pub const TS_SCHEMA: &str = "mmog-obs-ts/v1";
@@ -275,53 +274,8 @@ pub fn validate_ts(value: &Value) -> Result<(), String> {
     Ok(())
 }
 
-struct TsState {
-    dir: PathBuf,
-    docs: Vec<(String, String)>,
-}
-
-fn ts_cell() -> &'static Mutex<Option<TsState>> {
-    static TS: OnceLock<Mutex<Option<TsState>>> = OnceLock::new();
-    TS.get_or_init(|| Mutex::new(None))
-}
-
-fn ts_lock() -> std::sync::MutexGuard<'static, Option<TsState>> {
-    ts_cell()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Configures (or disables, with `None`) the directory `TS_<run>.json`
-/// documents are flushed into. Discards documents buffered for a
-/// previous destination. `None` (the default) keeps runs byte-identical
-/// to a build without the time-series plane at all.
-pub fn set_ts_dir(dir: Option<&Path>) {
-    *ts_lock() = dir.map(|d| TsState {
-        dir: d.to_path_buf(),
-        docs: Vec::new(),
-    });
-}
-
-/// Whether a time-series output directory is configured.
-#[must_use]
-pub fn ts_enabled() -> bool {
-    ts_lock().is_some()
-}
-
-/// Hands one run's rendered export document to the global collector.
-/// `label` must be deterministic for the work performed (same contract
-/// as trace-chunk labels).
-pub fn submit_ts(label: &str, doc: &Value) {
-    let mut state = ts_lock();
-    if let Some(state) = state.as_mut() {
-        state.docs.push((label.to_string(), doc.render_pretty()));
-    }
-}
-
-/// Writes every buffered document as `TS_<sanitized-label>.json` in the
-/// configured directory, in label order, and clears the buffer (the
-/// destination stays configured). Returns the paths written (empty when
-/// disabled).
+/// Names every buffered document `TS_<sanitized-label>.json` in `dir`,
+/// in write order.
 ///
 /// Two runs can share one label (the same configuration reached from
 /// different experiments — trace chunks face the same collision and
@@ -330,29 +284,17 @@ pub fn submit_ts(label: &str, doc: &Value) {
 /// make the ordering jobs-dependent — and later same-label documents
 /// get a deterministic `-2`, `-3`, … filename suffix instead of
 /// silently overwriting the first.
-///
-/// # Errors
-/// Propagates the first file-write error, leaving the buffer intact.
-pub fn flush_ts() -> std::io::Result<Vec<PathBuf>> {
-    let mut state = ts_lock();
-    let Some(state) = state.as_mut() else {
-        return Ok(Vec::new());
-    };
+pub(crate) fn ts_files(dir: &Path, docs: &mut [(String, String)]) -> Vec<(PathBuf, String)> {
     fn semantic_of(doc: &str) -> String {
         crate::json::parse(doc)
             .ok()
             .and_then(|v| v.get("semantic").map(crate::json::Value::render))
             .unwrap_or_default()
     }
-    state
-        .docs
-        .sort_by_cached_key(|(label, doc)| (label.clone(), semantic_of(doc)));
-    if !state.docs.is_empty() {
-        std::fs::create_dir_all(&state.dir)?;
-    }
-    let mut written: Vec<PathBuf> = Vec::with_capacity(state.docs.len());
+    docs.sort_by_cached_key(|(label, doc)| (label.clone(), semantic_of(doc)));
+    let mut files = Vec::with_capacity(docs.len());
     let mut prev: Option<(&String, u32)> = None;
-    for (label, doc) in &state.docs {
+    for (label, doc) in docs.iter() {
         let ordinal = match prev {
             Some((p, n)) if p == label => n + 1,
             _ => 1,
@@ -364,12 +306,9 @@ pub fn flush_ts() -> std::io::Result<Vec<PathBuf>> {
         } else {
             format!("TS_{stem}-{ordinal}.json")
         };
-        let path = state.dir.join(name);
-        std::fs::write(&path, doc)?;
-        written.push(path);
+        files.push((dir.join(name), doc.clone()));
     }
-    state.docs.clear();
-    Ok(written)
+    files
 }
 
 #[cfg(test)]
@@ -449,18 +388,14 @@ mod tests {
     }
 
     #[test]
-    fn ts_sink_collects_and_flushes_in_label_order() {
-        // The sink is process-global; this test owns it briefly and
-        // restores the disabled default before returning.
-        let dir = std::env::temp_dir().join("mmog-ts-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        set_ts_dir(Some(&dir));
-        assert!(ts_enabled());
+    fn ts_collector_flushes_in_label_order() {
+        let dir = std::env::temp_dir().join(format!("mmog-ts-test-{}", std::process::id()));
+        let sink = crate::Collector::time_series(&dir);
         let mut ts = TimeSeries::new(4);
         ts.record_semantic("demand_cpu", 1.0);
-        submit_ts("b run", &ts.to_value("b run", 1));
-        submit_ts("a run", &ts.to_value("a run", 1));
-        let written = flush_ts().unwrap();
+        sink.submit("b run", ts.to_value("b run", 1).render_pretty());
+        sink.submit("a run", ts.to_value("a run", 1).render_pretty());
+        let written = sink.flush().unwrap();
         assert_eq!(written.len(), 2);
         assert!(
             written[0].file_name().unwrap().to_str().unwrap()
@@ -469,23 +404,29 @@ mod tests {
         for path in &written {
             let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
             validate_ts(&doc).unwrap();
-            std::fs::remove_file(path).unwrap();
         }
-        // Duplicate labels: two runs share a label but differ
-        // semantically; submission order is reversed relative to
-        // semantic order to prove the sort — not arrival — assigns
-        // filenames. (Same global sink, so this stays in one #[test].)
+        // Flushing cleared the buffer: nothing more to write.
+        assert!(sink.flush().unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ts_collector_suffixes_duplicate_labels_in_semantic_order() {
+        // Two runs share a label but differ semantically; submission
+        // order is reversed relative to semantic order to prove the sort
+        // — not arrival — assigns filenames.
+        let sink = crate::Collector::time_series("unused");
         let mut hi = TimeSeries::new(4);
         hi.record_semantic("demand_cpu", 9.0);
         let mut lo = TimeSeries::new(4);
         lo.record_semantic("demand_cpu", 1.0);
-        submit_ts("same run", &hi.to_value("same run", 1));
-        submit_ts("same run", &lo.to_value("same run", 1));
-        let written = flush_ts().unwrap();
-        assert_eq!(written.len(), 2);
-        let names: Vec<&str> = written
+        sink.submit("same run", hi.to_value("same run", 1).render_pretty());
+        sink.submit("same run", lo.to_value("same run", 1).render_pretty());
+        let files = sink.render();
+        assert_eq!(files.len(), 2);
+        let names: Vec<&str> = files
             .iter()
-            .map(|p| p.file_name().unwrap().to_str().unwrap())
+            .map(|(p, _)| p.file_name().unwrap().to_str().unwrap())
             .collect();
         assert!(
             names[0].ends_with(".json") && !names[0].contains("-2"),
@@ -493,14 +434,10 @@ mod tests {
         );
         assert!(names[1].ends_with("-2.json"), "{names:?}");
         // The unsuffixed file holds the semantically-smaller document.
-        let first = std::fs::read_to_string(&written[0]).unwrap();
-        let second = std::fs::read_to_string(&written[1]).unwrap();
-        assert!(first.contains("1"), "semantic sort puts 1.0 first: {first}");
-        assert!(second.contains("9"), "{second}");
-        for path in &written {
-            validate_ts(&json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()).unwrap();
-            std::fs::remove_file(path).unwrap();
+        assert!(files[0].1.contains('1'), "semantic sort puts 1.0 first");
+        assert!(files[1].1.contains('9'), "{}", files[1].1);
+        for (_, body) in &files {
+            validate_ts(&json::parse(body).unwrap()).unwrap();
         }
-        set_ts_dir(None);
     }
 }

@@ -3,11 +3,11 @@
 //! recording, and the JSONL event log must round-trip through the
 //! parser byte-for-byte.
 //!
-//! One test function: the jobs setting and the trace destination are
-//! process-global, so separate `#[test]`s would race under the parallel
-//! test harness.
+//! The jobs setting is process-global, so only the recording test
+//! touches it; the trace round-trip runs on its own collector and
+//! touches no global at all.
 
-use mmog_obs::{counter, gauge, histogram, parse_trace_line, Domain, Event, EventSink};
+use mmog_obs::{counter, gauge, histogram, parse_trace_line, Collector, Domain, Event, EventSink};
 
 const ITEMS: usize = 4096;
 
@@ -33,7 +33,7 @@ fn record_batch(tag: &str) -> (u64, i64, u64, i64) {
 }
 
 #[test]
-fn pool_recording_and_event_round_trip() {
+fn pool_recording_is_thread_count_independent() {
     let baseline_jobs = mmog_par::jobs();
 
     // --- Concurrent recording: serial and 4-way totals must agree. ---
@@ -52,10 +52,12 @@ fn pool_recording_and_event_round_trip() {
     // Integer micro-units: the histogram sum is exact, not a float fold.
     assert_eq!(serial.3, (expected_sum as i64) * 1_000_000);
     mmog_par::set_jobs(baseline_jobs);
+}
 
-    // --- JSONL round-trip through the global trace collector. ---
+#[test]
+fn trace_round_trips_through_a_collector() {
     let path = std::env::temp_dir().join(format!("mmog_obs_rt_{}.jsonl", std::process::id()));
-    mmog_obs::set_trace_path(Some(&path));
+    let trace = Collector::trace(&path);
     // Chunks submitted in "wrong" (completion) order: flush must order
     // them by label, then assign contiguous sequence numbers.
     let mut late = EventSink::new();
@@ -65,7 +67,7 @@ fn pool_recording_and_event_round_trip() {
         alloc_cpu: 3.0,
         shortfall_cpu: 0.0,
     });
-    late.submit("run B");
+    late.submit(&trace, "run B");
     let mut early = EventSink::new();
     early.emit(&Event::RunStart {
         mode: "dynamic",
@@ -80,11 +82,9 @@ fn pool_recording_and_event_round_trip() {
         center: 0,
         reason: "distance",
     });
-    early.submit("run A");
-    let written = mmog_obs::flush_trace()
-        .expect("flush must succeed")
-        .expect("tracing is enabled");
-    assert_eq!(written, path);
+    early.submit(&trace, "run A");
+    let written = trace.flush().expect("flush must succeed");
+    assert_eq!(written, std::slice::from_ref(&path));
 
     let text = std::fs::read_to_string(&path).expect("trace file exists");
     let lines: Vec<&str> = text.lines().collect();
@@ -115,8 +115,7 @@ fn pool_recording_and_event_round_trip() {
     }
     // Flush cleared the buffer but kept the destination: a second flush
     // writes an empty file.
-    mmog_obs::flush_trace().expect("second flush succeeds");
+    trace.flush().expect("second flush succeeds");
     assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-    mmog_obs::set_trace_path(None);
     let _ = std::fs::remove_file(&path);
 }

@@ -17,7 +17,7 @@ use mmog_datacenter::resource::ResourceVector;
 use mmog_datacenter::topology::Topology;
 use mmog_faults::{FaultKind, FaultSchedule, ScenarioEventKind, ScenarioTimeline};
 use mmog_obs::{
-    Counter, Domain, Event, EventSink, FlightRecorder, FlightTrigger, LatencyHisto, SpanStat,
+    Counter, Domain, Event, EventSink, FlightRecorder, FlightTrigger, LatencyHisto, Sinks, SpanStat,
 };
 use mmog_predict::eval::PredictorKind;
 use mmog_util::geo::{DistanceClass, GeoPoint};
@@ -159,6 +159,11 @@ pub struct SimulationConfig {
     /// plays the timeline from the engine's serial effect stage, merged
     /// with the fault schedule into one effect timeline.
     pub scenario: Option<ScenarioTimeline>,
+    /// The observability outputs this run feeds: trace, time series,
+    /// flight recorder and live tap. The default (every sink off, as the
+    /// scenario builders leave it) reproduces the unobserved simulation
+    /// byte-for-byte.
+    pub sinks: Sinks,
 }
 
 /// Per-center usage integrated over the simulation (the Figures 13–14
@@ -401,8 +406,8 @@ struct RunState {
     report: SimReport,
     sink: Option<EventSink>,
     /// Flight recorder: per-run ring, fed from the serial sections
-    /// only; `None` (no process-global config) costs one branch per
-    /// push site and changes nothing else.
+    /// only; `None` (no flight sink) costs one branch per push site and
+    /// changes nothing else.
     flight: Option<FlightRecorder>,
     /// The matcher's view of the network. Scenario-free runs keep the
     /// nominal `Topology::new(n)` — every center reachable, every link
@@ -469,12 +474,10 @@ struct RunState {
     /// Time-series plane: fixed-memory ring series per metric, sampled
     /// once per tick from the serial tail. Downsampling is a pure
     /// function of the sample sequence, so the semantic series are
-    /// byte-identical across `--jobs`. `None` (no output directory)
+    /// byte-identical across `--jobs`. `None` (no time-series sink)
     /// costs one branch per tick and changes nothing.
     ts: Option<mmog_obs::timeseries::TimeSeries>,
-    /// Live telemetry tap: atomically rewritten snapshot, built from
-    /// serial state only so the semantic half is jobs-independent.
-    live: Option<mmog_obs::LiveConfig>,
+    /// Live telemetry tap state; the tap itself is the run's live sink.
     last_live_write: Option<Instant>,
     live_writes: u64,
     live_write_ns: u64,
@@ -668,6 +671,8 @@ pub struct Simulation {
     region_ids: Vec<u32>,
     /// Groups per region id, for the `flash_crowd` event payload.
     region_group_counts: Vec<u64>,
+    /// The run's observability outputs.
+    sinks: Sinks,
 }
 
 impl Simulation {
@@ -783,7 +788,7 @@ impl Simulation {
         // training is self-contained (own history slice, own seed), so
         // the fan-out is embarrassingly parallel and order-preserving.
         let train_span = mmog_obs::span("sim/build/train");
-        let record_matches = mmog_obs::trace_enabled();
+        let record_matches = cfg.sinks.trace.is_some();
         // Self-healing re-provisioning only backs off under fault or
         // scenario injection; the undisturbed baseline keeps its
         // request-every-tick behaviour bit-for-bit.
@@ -859,6 +864,7 @@ impl Simulation {
             disturbed,
             region_ids,
             region_group_counts,
+            sinks: cfg.sinks,
         }
     }
 
@@ -947,8 +953,8 @@ impl Simulation {
                 ticks: self.ticks,
                 ..SimReport::default()
             },
-            sink: EventSink::if_enabled(),
-            flight: mmog_obs::flight_recorder(),
+            sink: self.sinks.trace.is_some().then(EventSink::new),
+            flight: self.sinks.flight.clone().map(FlightRecorder::new),
             topology: Topology::new(self.centers.len()),
             effects,
             effect_cursor: 0,
@@ -974,9 +980,11 @@ impl Simulation {
             l_tick: mmog_obs::latency("sim/run/tick"),
             memo_skips: mmog_obs::counter("sim.match.skips", Domain::Timing),
             memo_full: mmog_obs::counter("sim.match.full", Domain::Timing),
-            ts: mmog_obs::ts_enabled()
+            ts: self
+                .sinks
+                .ts
+                .is_some()
                 .then(|| mmog_obs::timeseries::TimeSeries::new(mmog_obs::TS_DEFAULT_CAPACITY)),
-            live: mmog_obs::live_config(),
             last_live_write: None,
             live_writes: 0,
             live_write_ns: 0,
@@ -1513,7 +1521,7 @@ impl Simulation {
             ts.record_timing("settle_ns", tick.settle_ns as f64);
             ts.record_timing("tick_ns", tick.tick_ns as f64);
         }
-        if let Some(cfg) = run.live.as_ref() {
+        if let Some(cfg) = self.sinks.live.as_ref() {
             let done = t + 1 == self.ticks;
             let due = (t as u64).is_multiple_of(cfg.interval()) || done;
             let throttled = !done
@@ -1670,7 +1678,7 @@ impl Simulation {
                 });
             }
         }
-        if let Some(mut sink) = run.sink.take() {
+        if let (Some(mut sink), Some(trace)) = (run.sink.take(), &self.sinks.trace) {
             // Integrated per-center usage: the bulk-waste attribution of
             // Figures 13–14, one event per center in platform order.
             for u in &report.center_usage {
@@ -1713,21 +1721,19 @@ impl Simulation {
                 leases_granted: run.leases_granted,
                 leases_released: run.leases_released,
             });
-            sink.submit(&self.trace_label);
+            sink.submit(trace, &self.trace_label);
         }
         // Time-series submission + self-cost accounting (timing domain:
         // sample counts depend on whether the planes are enabled, never
         // on the run's semantics).
-        if let Some(ts) = run.ts.take() {
-            mmog_obs::submit_ts(
-                &self.trace_label,
-                &ts.to_value(&self.trace_label, self.ticks as u64),
-            );
+        if let (Some(ts), Some(out)) = (run.ts.take(), &self.sinks.ts) {
+            let doc = ts.to_value(&self.trace_label, self.ticks as u64);
+            out.submit(&self.trace_label, doc.render_pretty());
             // Eight series, one sample each per tick.
             let samples = 8 * self.ticks as u64;
             mmog_obs::counter("obs.self.ts_samples", Domain::Timing).add(samples);
         }
-        if run.live.is_some() {
+        if self.sinks.live.is_some() {
             mmog_obs::counter("obs.self.live_writes", Domain::Timing).add(run.live_writes);
             mmog_obs::counter("obs.self.live_write_ns", Domain::Timing).add(run.live_write_ns);
         }
@@ -1826,6 +1832,7 @@ mod tests {
             master_seed: 5,
             faults: None,
             scenario: None,
+            sinks: Sinks::default(),
         }
     }
 
@@ -2445,6 +2452,31 @@ mod tests {
         let (bogus_trace, consumed) = trace(bogus());
         assert_eq!(consumed, 4, "the events were consumed");
         assert!(bogus_trace == trace(empty()).0, "bogus events were traced");
+    }
+
+    #[test]
+    fn concurrent_runs_trace_into_their_own_sinks() {
+        // Each run renders its own collector; `dest` is never written.
+        let traced = |mode| {
+            let trace = mmog_obs::Collector::trace("unused.jsonl");
+            let mut cfg = base_config(mode, PredictorKind::LastValue);
+            cfg.sinks.trace = Some(trace.clone());
+            let _ = Simulation::new(cfg).run();
+            trace.render().remove(0).1
+        };
+        let modes = [AllocationMode::Dynamic, AllocationMode::Static];
+        let alone = modes.map(traced);
+        let together = std::thread::scope(|scope| {
+            modes
+                .map(|mode| scope.spawn(move || traced(mode)))
+                .map(|run| run.join().expect("run thread"))
+        });
+        assert!(alone[0].contains("\"kind\":\"run_start\",\"mode\":\"dynamic\""));
+        assert!(alone[1].contains("\"kind\":\"run_start\",\"mode\":\"static\""));
+        assert_eq!(
+            alone, together,
+            "each run traces exactly what it traces alone"
+        );
     }
 
     #[test]

@@ -128,6 +128,7 @@ fn base_sim(
         master_seed: opts.seed,
         faults: None,
         scenario: None,
+        sinks: Default::default(),
     }
 }
 

@@ -369,7 +369,7 @@ mod tests {
         // it. Other tests share the process-global registries, so only
         // the sweep's own paths are asserted, never exact counts.
         mmog_obs::note_run(results[0].seconds, 1, 1);
-        let summary = mmog_obs::summary_value().render_pretty();
+        let summary = mmog_obs::summary_json();
         let gate = mmog_obs_analyze::gate::TimingThresholds {
             strict_paths: true,
             ..Default::default()

@@ -283,15 +283,15 @@ fn flight_trigger_decisions_are_deterministic() {
     // The artifact itself is well-formed: standard envelope, known
     // field sets, ticks inside the declared window.
     let text = fs::read_to_string(&serial.path).expect("dump exists");
-    let mut lines = text.lines();
-    let (_, _, _, meta) =
-        mmog_obs::parse_trace_line(lines.next().expect("meta line")).expect("meta parses");
-    let meta = mmog_obs::Event::parse(&meta).expect("meta fields");
+    let mut lines = text
+        .lines()
+        .map(|line| mmog_obs::json::parse(line).expect("line parses"));
+    let meta = lines.next().expect("meta line");
+    let (_, _, meta) = mmog_obs::parse_trace_line(&meta).expect("meta fields");
     assert_eq!(meta.kind(), "flight_meta");
     let mut records = 0u64;
-    for line in lines {
-        let (_, _, _, value) = mmog_obs::parse_trace_line(line).expect("record parses");
-        let record = mmog_obs::Event::parse(&value).expect("record fields");
+    for value in lines {
+        let (_, _, record) = mmog_obs::parse_trace_line(&value).expect("record fields");
         let tick = record.tick().expect("record tick");
         assert!((serial.tick_from..=serial.tick_to).contains(&tick));
         records += 1;

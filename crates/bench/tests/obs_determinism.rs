@@ -15,7 +15,8 @@
 
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
-use mmog_obs::Collector;
+use mmog_obs::json::Node;
+use mmog_obs::{Collector, Summary};
 use mmog_obs_analyze::{analyze_trace, first_text_divergence, trace_diff, Query};
 
 fn tiny() -> RunOpts {
@@ -65,14 +66,15 @@ fn semantic_outputs_identical_across_jobs() {
     let (summary_parallel, trace_parallel) = traced_pass(&opts);
     mmog_par::set_jobs(baseline_jobs);
 
-    // Both summaries satisfy the exported schema.
-    mmog_obs::validate_summary(&summary_serial).expect("serial summary validates");
-    mmog_obs::validate_summary(&summary_parallel).expect("parallel summary validates");
-
-    // The semantic sections — counters, gauges, histograms — are
+    // Both summaries parse back through the type that wrote them, and
+    // their semantic sections — counters, gauges, histograms — are
     // byte-identical; only `timing` may differ.
-    let sem_serial = mmog_obs::semantic_section(&summary_serial).expect("semantic section");
-    let sem_parallel = mmog_obs::semantic_section(&summary_parallel).expect("semantic section");
+    let semantic = |text: &str| {
+        let summary = Summary::parse(text).expect("summary parses");
+        summary.semantic.to_value().render()
+    };
+    let sem_serial = semantic(&summary_serial);
+    let sem_parallel = semantic(&summary_parallel);
     if let Some(d) = first_text_divergence(&sem_serial, &sem_parallel) {
         panic!(
             "semantic metrics must be byte-identical between --jobs 1 and --jobs 4: {}",
@@ -93,11 +95,12 @@ fn semantic_outputs_identical_across_jobs() {
         );
     }
     for (i, line) in trace_serial.lines().enumerate() {
-        let (seq, _scope, _kind, value) = mmog_obs::parse_trace_line(line).expect("line parses");
-        assert_eq!(seq, i as u64, "sequence numbers are contiguous");
+        let value = mmog_obs::json::parse(line).expect("line parses");
         // Every event of the real trace satisfies its kind's exact
         // field schema (names, order, types).
-        mmog_obs::Event::parse(&value).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        let (seq, _scope, _event) =
+            mmog_obs::parse_trace_line(&value).unwrap_or_else(|e| panic!("line {}: {e}", i + 1));
+        assert_eq!(seq, i as u64, "sequence numbers are contiguous");
     }
 
     // The analytics reader folds the real trace into timelines: every

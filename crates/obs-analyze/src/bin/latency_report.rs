@@ -9,7 +9,8 @@
 //! Exits non-zero when no given artifact carries a latency snapshot, so
 //! a run whose latency instrumentation went missing fails loudly.
 
-use mmog_obs_analyze::{collect_snapshots, render_report};
+use mmog_obs::Summary;
+use mmog_obs_analyze::render_report;
 use std::process::ExitCode;
 
 fn run() -> Result<(), String> {
@@ -20,14 +21,15 @@ fn run() -> Result<(), String> {
     let mut snapshots = Vec::new();
     for path in &paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let doc = mmog_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        let mut found = collect_snapshots(&doc).map_err(|e| format!("{path}: {e}"))?;
-        if paths.len() > 1 {
-            for s in &mut found {
-                s.name = format!("{path}: {}", s.name);
-            }
-        }
-        snapshots.extend(found);
+        let found = Summary::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        snapshots.extend(found.latency.into_iter().map(|(name, s)| {
+            let name = if paths.len() > 1 {
+                format!("{path}: {name}")
+            } else {
+                name
+            };
+            (name, s)
+        }));
     }
     if snapshots.is_empty() {
         return Err("no latency sections found (latency instrumentation off?)".into());

@@ -22,7 +22,9 @@
 //!   semantic drift always does.
 
 use crate::diff::first_text_divergence;
-use mmog_obs::json::Value;
+use mmog_obs::json::{Node, Value};
+use mmog_obs::{Metrics, Summary};
+use std::collections::BTreeMap;
 
 /// Schema identifier of both baseline documents.
 pub const GATE_SCHEMA: &str = "mmog-obs-gate/v1";
@@ -121,37 +123,46 @@ impl GateOutcome {
     }
 }
 
-fn parse_doc(text: &str, what: &str) -> Result<Value, String> {
-    mmog_obs::json::parse(text).map_err(|e| format!("{what}: {e}"))
-}
+/// The `source` every baseline names.
+const SOURCE: &str = "OBS_summary.json";
 
-fn check_gate_schema(doc: &Value, what: &str) -> Result<(), String> {
+/// Reads a baseline document, which must carry [`GATE_SCHEMA`].
+fn read_baseline<T: Node>(text: &str, what: &str) -> Result<T, String> {
+    let doc = mmog_obs::json::parse(text).map_err(|e| format!("{what}: {e}"))?;
     match doc.get("schema").and_then(Value::as_str) {
-        Some(GATE_SCHEMA) => Ok(()),
+        Some(GATE_SCHEMA) => T::from_value(&doc).map_err(|e| format!("{what}: {e}")),
         Some(other) => Err(format!("{what}: unknown schema {other:?}")),
         None => Err(format!("{what}: missing schema field")),
     }
 }
 
+/// `BASELINE_obs.json`: the semantic section of a suite's summary.
+struct ObsBaseline {
+    schema: String,
+    source: String,
+    suite: String,
+    semantic: Metrics,
+}
+
+mmog_obs::object_node!(ObsBaseline {
+    schema,
+    source,
+    suite,
+    semantic,
+});
+
 /// Builds the `BASELINE_obs.json` document from an `OBS_summary.json`.
 ///
 /// # Errors
-/// Returns a message when the summary doesn't validate against
-/// `mmog-obs/v1`.
+/// Returns a message when the summary doesn't parse as `mmog-obs/v1`.
 pub fn make_obs_baseline(summary_text: &str, suite: &str) -> Result<String, String> {
-    mmog_obs::validate_summary(summary_text)?;
-    let doc = parse_doc(summary_text, "OBS summary")?;
-    let semantic = doc.get("semantic").ok_or("missing semantic section")?;
-    let baseline = Value::Obj(vec![
-        ("schema".to_string(), Value::Str(GATE_SCHEMA.to_string())),
-        (
-            "source".to_string(),
-            Value::Str("OBS_summary.json".to_string()),
-        ),
-        ("suite".to_string(), Value::Str(suite.to_string())),
-        ("semantic".to_string(), semantic.clone()),
-    ]);
-    Ok(baseline.render_pretty())
+    let baseline = ObsBaseline {
+        schema: GATE_SCHEMA.to_string(),
+        source: SOURCE.to_string(),
+        suite: suite.to_string(),
+        semantic: Summary::parse(summary_text)?.semantic,
+    };
+    Ok(baseline.to_value().render_pretty())
 }
 
 /// Compares a summary's semantic section exactly against the committed
@@ -163,24 +174,20 @@ pub fn make_obs_baseline(summary_text: &str, suite: &str) -> Result<String, Stri
 /// baseline is an error, not a failure — it means the gate itself is
 /// mis-set-up).
 pub fn check_obs(baseline_text: &str, summary_text: &str) -> Result<GateOutcome, String> {
-    let baseline = parse_doc(baseline_text, "BASELINE_obs.json")?;
-    check_gate_schema(&baseline, "BASELINE_obs.json")?;
-    mmog_obs::validate_summary(summary_text)?;
-    let summary = parse_doc(summary_text, "OBS summary")?;
-    let expected = baseline
-        .get("semantic")
-        .ok_or("BASELINE_obs.json: missing semantic section")?;
-    let actual = summary
-        .get("semantic")
-        .ok_or("OBS summary: missing semantic section")?;
+    let baseline: ObsBaseline = read_baseline(baseline_text, "BASELINE_obs.json")?;
+    let expected = baseline.semantic.to_value().render_pretty();
+    let actual = Summary::parse(summary_text)?
+        .semantic
+        .to_value()
+        .render_pretty();
     let mut outcome = GateOutcome::default();
     if expected == actual {
-        let suite = baseline.get("suite").and_then(Value::as_str).unwrap_or("?");
         outcome.notes.push(format!(
-            "semantic section matches the {suite} baseline exactly"
+            "semantic section matches the {} baseline exactly",
+            baseline.suite
         ));
     } else {
-        let delta = first_text_divergence(&expected.render_pretty(), &actual.render_pretty())
+        let delta = first_text_divergence(&expected, &actual)
             .map_or_else(|| "sections differ".to_string(), |d| d.message());
         outcome.failures.push(format!(
             "semantic metrics drifted from the committed baseline — {delta}"
@@ -189,103 +196,71 @@ pub fn check_obs(baseline_text: &str, summary_text: &str) -> Result<GateOutcome,
     Ok(outcome)
 }
 
+/// One span path's total over every call.
+struct Stage {
+    path: String,
+    total_ms: f64,
+}
+
+mmog_obs::object_node!(Stage { path, total_ms });
+
 /// The timing essentials the gate compares, read from an
-/// `OBS_summary.json` or from a timing baseline built out of one.
+/// `OBS_summary.json` or from a timing baseline, the document this
+/// struct renders as.
 struct Timing {
+    schema: String,
+    source: String,
     jobs: u64,
     logical_cpus: u64,
     wall_ms: Option<f64>,
-    /// Span path → total milliseconds over every call.
-    stages: Vec<(String, f64)>,
+    stages: Vec<Stage>,
     /// Latency path → p99 nanoseconds.
-    p99_ns: Vec<(String, u64)>,
+    p99_ns: BTreeMap<String, u64>,
 }
 
-/// Reads the timing essentials of a summary: `timing.spans[].total_ns`,
-/// `timing.latency[*].p99_ns` (empty histograms have no tail and are
-/// skipped) and the `obs.wall_ms`/`obs.jobs`/`obs.logical_cpus` gauges
-/// the runners record through `mmog_obs::note_run`.
+mmog_obs::object_node!(Timing {
+    schema,
+    source,
+    jobs,
+    logical_cpus,
+    wall_ms,
+    stages,
+    p99_ns,
+});
+
+/// Reads the timing essentials of a summary: the span totals, the p99
+/// of every non-empty latency histogram, and the
+/// `obs.wall_ms`/`obs.jobs`/`obs.logical_cpus` gauges the runners
+/// record through `mmog_obs::note_run`.
 fn summary_timing(summary_text: &str) -> Result<Timing, String> {
-    mmog_obs::validate_summary(summary_text)?;
-    let doc = parse_doc(summary_text, "OBS summary")?;
-    let timing = doc
-        .get("timing")
-        .ok_or("OBS summary: missing timing section")?;
-    let gauge = |name: &str| timing.get("gauges").and_then(|g| g.get(name));
+    let summary = Summary::parse(summary_text)?;
+    let gauge = |name: &str| summary.timing.gauges.get(name).copied();
     let env = |name: &str| {
-        gauge(name).and_then(Value::as_u64).ok_or_else(|| {
-            format!("OBS summary: missing timing gauge {name} (recorded by mmog_obs::note_run)")
-        })
+        gauge(name)
+            .and_then(|v| u64::try_from(v).ok())
+            .ok_or_else(|| {
+                format!("OBS summary: missing timing gauge {name} (recorded by mmog_obs::note_run)")
+            })
     };
-    let stages = timing
-        .get("spans")
-        .and_then(Value::as_arr)
-        .ok_or("OBS summary: missing timing.spans")?
+    let stages = summary
+        .spans
         .iter()
-        .filter_map(|s| {
-            let path = s.get("path").and_then(Value::as_str)?;
-            let total_ns = s.get("total_ns").and_then(Value::as_u64)?;
-            Some((path.to_string(), (total_ns as f64 / 1e3).round() / 1e3))
+        .map(|(path, s)| Stage {
+            path: path.clone(),
+            total_ms: (s.total_ns as f64 / 1e3).round() / 1e3,
         })
         .collect();
-    let p99_ns = timing
-        .get("latency")
-        .and_then(Value::as_obj)
-        .map(|entries| {
-            entries
-                .iter()
-                .filter_map(|(path, snap)| {
-                    Some((path.clone(), snap.get("p99_ns").and_then(Value::as_u64)?))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let p99_ns = summary
+        .latency
+        .iter()
+        .filter_map(|(path, s)| Some((path.clone(), s.p99()?)))
+        .collect();
     Ok(Timing {
+        schema: GATE_SCHEMA.to_string(),
+        source: SOURCE.to_string(),
         jobs: env("obs.jobs")?,
         logical_cpus: env("obs.logical_cpus")?,
-        wall_ms: gauge("obs.wall_ms").and_then(Value::as_f64),
-        stages,
-        p99_ns,
-    })
-}
-
-fn baseline_timing(baseline_text: &str) -> Result<Timing, String> {
-    const WHAT: &str = "timing baseline";
-    let doc = parse_doc(baseline_text, WHAT)?;
-    check_gate_schema(&doc, WHAT)?;
-    let env = |field: &str| {
-        doc.get(field)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("{WHAT}: missing {field}"))
-    };
-    let stages = doc
-        .get("stages")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{WHAT}: missing stages array"))?
-        .iter()
-        .map(|s| {
-            let path = s.get("path").and_then(Value::as_str);
-            let total_ms = s.get("total_ms").and_then(Value::as_f64);
-            path.zip(total_ms)
-                .map(|(p, ms)| (p.to_string(), ms))
-                .ok_or_else(|| format!("{WHAT}: stages entries need path and total_ms"))
-        })
-        .collect::<Result<_, _>>()?;
-    let p99_ns = doc
-        .get("p99_ns")
-        .and_then(Value::as_obj)
-        .ok_or_else(|| format!("{WHAT}: missing p99_ns object"))?
-        .iter()
-        .map(|(path, ns)| {
-            ns.as_u64()
-                .map(|ns| (path.clone(), ns))
-                .ok_or_else(|| format!("{WHAT}: p99_ns entry `{path}` must be a u64"))
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(Timing {
-        jobs: env("jobs")?,
-        logical_cpus: env("logical_cpus")?,
-        wall_ms: doc.get("wall_ms").and_then(Value::as_f64),
+        wall_ms: gauge("obs.wall_ms").map(|ms| ms as f64),
         stages,
         p99_ns,
     })
@@ -301,38 +276,7 @@ fn baseline_timing(baseline_text: &str) -> Result<Timing, String> {
 /// Returns a message when the summary is malformed or lacks the
 /// environment gauges.
 pub fn make_timing_baseline(summary_text: &str) -> Result<String, String> {
-    let t = summary_timing(summary_text)?;
-    let stages = t
-        .stages
-        .into_iter()
-        .map(|(path, ms)| {
-            Value::Obj(vec![
-                ("path".to_string(), Value::Str(path)),
-                ("total_ms".to_string(), Value::Num(ms)),
-            ])
-        })
-        .collect();
-    let p99 = t
-        .p99_ns
-        .into_iter()
-        .map(|(path, ns)| (path, Value::UInt(ns)))
-        .collect();
-    let baseline = Value::Obj(vec![
-        ("schema".to_string(), Value::Str(GATE_SCHEMA.to_string())),
-        (
-            "source".to_string(),
-            Value::Str("OBS_summary.json".to_string()),
-        ),
-        ("jobs".to_string(), Value::UInt(t.jobs)),
-        ("logical_cpus".to_string(), Value::UInt(t.logical_cpus)),
-        (
-            "wall_ms".to_string(),
-            t.wall_ms.map_or(Value::Null, Value::Num),
-        ),
-        ("stages".to_string(), Value::Arr(stages)),
-        ("p99_ns".to_string(), Value::Obj(p99)),
-    ]);
-    Ok(baseline.render_pretty())
+    Ok(summary_timing(summary_text)?.to_value().render_pretty())
 }
 
 /// Compares a summary's timing section against a timing baseline:
@@ -353,7 +297,7 @@ pub fn check_timing(
     summary_text: &str,
     thresholds: &TimingThresholds,
 ) -> Result<GateOutcome, String> {
-    let base = baseline_timing(baseline_text)?;
+    let base: Timing = read_baseline(baseline_text, "timing baseline")?;
     let cur = summary_timing(summary_text)?;
     let mut outcome = GateOutcome::default();
     let comparable = base.jobs == cur.jobs && base.logical_cpus == cur.logical_cpus;
@@ -372,8 +316,15 @@ pub fn check_timing(
         }
     };
     let max_slowdown_pct = thresholds.max_slowdown_pct;
-    for (path, base_ms) in &base.stages {
-        let Some((_, cur_ms)) = cur.stages.iter().find(|(p, _)| p == path) else {
+    for Stage {
+        path,
+        total_ms: base_ms,
+    } in &base.stages
+    {
+        let Some(Stage {
+            total_ms: cur_ms, ..
+        }) = cur.stages.iter().find(|s| s.path == *path)
+        else {
             outcome
                 .warnings
                 .push(format!("stage `{path}` missing from the current run"));
@@ -407,7 +358,7 @@ pub fn check_timing(
         if base_p99 < thresholds.min_p99_us {
             continue;
         }
-        let Some((_, cur_ns)) = cur.p99_ns.iter().find(|(p, _)| p == path) else {
+        let Some(cur_ns) = cur.p99_ns.get(path) else {
             outcome.warnings.push(format!(
                 "latency path `{path}` missing from the current run"
             ));
@@ -439,16 +390,16 @@ pub fn check_timing(
             outcome.warnings.push(message);
         }
     };
-    for (path, _) in &cur.stages {
-        if !base.stages.iter().any(|(p, _)| p == path) {
+    for Stage { path, .. } in &cur.stages {
+        if !base.stages.iter().any(|s| s.path == *path) {
             ungated(format!(
                 "stage `{path}` is not in the baseline — ungated; refresh the baseline with \
                  --update"
             ));
         }
     }
-    for (path, _) in &cur.p99_ns {
-        if !base.p99_ns.iter().any(|(p, _)| p == path) {
+    for path in cur.p99_ns.keys() {
+        if !base.p99_ns.contains_key(path) {
             ungated(format!(
                 "latency path `{path}` is not in the baseline — its p99 is ungated; refresh \
                  the baseline with --update"
@@ -476,38 +427,102 @@ pub fn check_timing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmog_obs::{LatencyHisto, SpanSnapshot};
 
-    const SUMMARY: &str = r#"{"schema":"mmog-obs/v1","semantic":{"counters":{"sim.ticks":40},"gauges":{},"histograms":{}},"timing":{"counters":{},"gauges":{},"histograms":{},"spans":[]}}"#;
+    /// A summary with one semantic counter, `sim.ticks`.
+    fn semantic_summary(ticks: u64) -> String {
+        let mut summary = Summary::default();
+        summary
+            .semantic
+            .counters
+            .insert("sim.ticks".to_string(), ticks);
+        summary.to_json()
+    }
 
     #[test]
     fn obs_gate_round_trip_and_perturbation() {
-        let baseline = make_obs_baseline(SUMMARY, "quick").unwrap();
-        let clean = check_obs(&baseline, SUMMARY).unwrap();
+        let baseline = make_obs_baseline(&semantic_summary(40), "quick").unwrap();
+        let clean = check_obs(&baseline, &semantic_summary(40)).unwrap();
         assert!(clean.pass(), "{:?}", clean.failures);
 
-        let perturbed = SUMMARY.replace(r#""sim.ticks":40"#, r#""sim.ticks":41"#);
-        let bad = check_obs(&baseline, &perturbed).unwrap();
+        let bad = check_obs(&baseline, &semantic_summary(41)).unwrap();
         assert!(!bad.pass());
         let msg = &bad.failures[0];
         assert!(msg.contains("sim.ticks"), "{msg}");
         assert!(msg.contains("drifted"), "{msg}");
     }
 
+    /// The timing half of a summary the gate tests perturb.
+    struct Run {
+        /// `(gauge, value)` pairs in the timing section.
+        gauges: Vec<(&'static str, i64)>,
+        /// `sim/run` total, ms; the sub-floor `tiny` stage stays at 1 ms.
+        run_ms: u64,
+        tiny_ms: u64,
+        /// The single `sim/run/tick` sample, which is its p99; the
+        /// sub-floor `sim/run/reduce` path holds one 500 ns sample.
+        tick_p99_ns: u64,
+        reduce_p99_ns: u64,
+        /// The second stage's and latency path's names.
+        tiny_path: &'static str,
+        reduce_path: &'static str,
+    }
+
+    impl Run {
+        fn to_json(&self) -> String {
+            let latency = |ns: u64| {
+                let h = LatencyHisto::new();
+                h.record(ns);
+                h.snapshot()
+            };
+            let span = |ms: u64| SpanSnapshot {
+                calls: 1,
+                total_ns: ms * 1_000_000,
+                max_ns: 1,
+            };
+            let mut summary = Summary::default();
+            for &(name, v) in &self.gauges {
+                summary.timing.gauges.insert(name.to_string(), v);
+            }
+            summary.spans = vec![
+                ("sim/run".to_string(), span(self.run_ms)),
+                (self.tiny_path.to_string(), span(self.tiny_ms)),
+            ];
+            summary.latency = BTreeMap::from([
+                ("sim/run/tick".to_string(), latency(self.tick_p99_ns)),
+                (self.reduce_path.to_string(), latency(self.reduce_p99_ns)),
+            ]);
+            summary.to_json()
+        }
+    }
+
     /// A summary whose timing section carries two stages (`sim/run`
     /// and the sub-floor `tiny`), two latency paths (`sim/run/tick` and
     /// the sub-floor `sim/run/reduce`) and the environment gauges.
-    fn summary(jobs: u64, cpus: u64, run_ms: u64, tick_p99_ns: u64) -> String {
-        let latency = |p99_ns: u64| {
-            format!(
-                r#"{{"count":1,"mean_ns":1,"p99_ns":{p99_ns},"min_ns":1,"max_ns":1,"buckets":[[0,1]]}}"#
-            )
-        };
-        format!(
-            r#"{{"schema":"mmog-obs/v1","semantic":{{"counters":{{}},"gauges":{{}},"histograms":{{}}}},"timing":{{"counters":{{}},"gauges":{{"obs.jobs":{jobs},"obs.logical_cpus":{cpus},"obs.wall_ms":10000}},"histograms":{{}},"spans":[{{"path":"sim/run","calls":1,"total_ns":{},"max_ns":1}},{{"path":"tiny","calls":1,"total_ns":1000000,"max_ns":1}}],"latency":{{"sim/run/tick":{},"sim/run/reduce":{}}}}}}}"#,
-            run_ms * 1_000_000,
-            latency(tick_p99_ns),
-            latency(500),
-        )
+    fn run(jobs: i64, cpus: i64, run_ms: u64, tick_p99_ns: u64) -> Run {
+        Run {
+            gauges: vec![
+                ("obs.jobs", jobs),
+                ("obs.logical_cpus", cpus),
+                ("obs.wall_ms", 10_000),
+            ],
+            run_ms,
+            tiny_ms: 1,
+            tick_p99_ns,
+            reduce_p99_ns: 500,
+            tiny_path: "tiny",
+            reduce_path: "sim/run/reduce",
+        }
+    }
+
+    fn summary(jobs: i64, cpus: i64, run_ms: u64, tick_p99_ns: u64) -> String {
+        run(jobs, cpus, run_ms, tick_p99_ns).to_json()
+    }
+
+    fn with_wall_ms(wall_ms: i64) -> String {
+        let mut r = run(1, 1, 1000, 80_000);
+        r.gauges[2].1 = wall_ms;
+        r.to_json()
     }
 
     #[test]
@@ -527,27 +542,21 @@ mod tests {
         assert_eq!(other.warnings.len(), 1);
         // Stages under the noise floor are never judged: `tiny` grows
         // 100x without tripping anything.
-        let noisy = summary(1, 1, 1000, 80_000)
-            .replace(r#""total_ns":1000000,"#, r#""total_ns":100000000,"#);
-        let out = check_timing(&baseline, &noisy, &t).unwrap();
+        let noisy = Run {
+            tiny_ms: 100,
+            ..run(1, 1, 1000, 80_000)
+        };
+        let out = check_timing(&baseline, &noisy.to_json(), &t).unwrap();
         assert!(out.pass(), "{:?}", out.failures);
         // The wall clock is judged like a stage.
-        let slow_wall =
-            summary(1, 1, 1000, 80_000).replace(r#""obs.wall_ms":10000"#, r#""obs.wall_ms":20000"#);
-        let out = check_timing(&baseline, &slow_wall, &t).unwrap();
+        let out = check_timing(&baseline, &with_wall_ms(20_000), &t).unwrap();
         assert!(
             !out.pass() && out.failures[0].contains("wall clock"),
             "{out:?}"
         );
         // ... floor included: a 10 ms sweep is noise, even doubled.
-        let short = |wall: &str| {
-            summary(1, 1, 1000, 80_000).replace(
-                r#""obs.wall_ms":10000"#,
-                &format!(r#""obs.wall_ms":{wall}"#),
-            )
-        };
-        let short_baseline = make_timing_baseline(&short("10")).unwrap();
-        let out = check_timing(&short_baseline, &short("20"), &t).unwrap();
+        let short_baseline = make_timing_baseline(&with_wall_ms(10)).unwrap();
+        let out = check_timing(&short_baseline, &with_wall_ms(20), &t).unwrap();
         assert!(out.pass(), "{out:?}");
     }
 
@@ -576,8 +585,11 @@ mod tests {
         assert!(!other.warnings.is_empty());
         // Tails under the µs noise floor are never judged: the 0.5 µs
         // `sim/run/reduce` entry grows 100x without tripping anything.
-        let noisy = summary(1, 1, 100, 80_000).replace(r#""p99_ns":500"#, r#""p99_ns":50000"#);
-        let out = check_timing(&baseline, &noisy, &t).unwrap();
+        let noisy = Run {
+            reduce_p99_ns: 50_000,
+            ..run(1, 1, 100, 80_000)
+        };
+        let out = check_timing(&baseline, &noisy.to_json(), &t).unwrap();
         assert!(out.pass(), "{:?}", out.failures);
         // The p99 gate is independent of the stage wall-clock floor: a
         // run whose stages are all too short for total-time gating
@@ -596,9 +608,11 @@ mod tests {
         let baseline = make_timing_baseline(&summary(1, 1, 100, 80_000)).unwrap();
         // A latency path added since the baseline (a renamed kernel,
         // say) must be called out as ungated, not silently passed.
-        let with_new_path =
-            summary(1, 1, 100, 80_000).replace(r#""sim/run/reduce""#, r#""sim/run/match_skip""#);
-        let out = check_timing(&baseline, &with_new_path, &t).unwrap();
+        let with_new_path = Run {
+            reduce_path: "sim/run/match_skip",
+            ..run(1, 1, 100, 80_000)
+        };
+        let out = check_timing(&baseline, &with_new_path.to_json(), &t).unwrap();
         assert!(out.pass(), "new paths warn, they don't fail: {out:?}");
         assert!(
             out.warnings
@@ -607,9 +621,11 @@ mod tests {
             "missing ungated-path warning: {out:?}"
         );
         // Same for a whole stage the baseline has never seen.
-        let with_new_stage =
-            summary(1, 1, 100, 80_000).replace(r#""path":"tiny""#, r#""path":"sim/build""#);
-        let out = check_timing(&baseline, &with_new_stage, &t).unwrap();
+        let with_new_stage = Run {
+            tiny_path: "sim/build",
+            ..run(1, 1, 100, 80_000)
+        };
+        let out = check_timing(&baseline, &with_new_stage.to_json(), &t).unwrap();
         assert!(
             out.warnings
                 .iter()
@@ -630,9 +646,11 @@ mod tests {
         let baseline = make_timing_baseline(&summary(1, 1, 100, 80_000)).unwrap();
         // A new latency path fails under --strict-paths, still naming
         // the exact path.
-        let with_new_path =
-            summary(1, 1, 100, 80_000).replace(r#""sim/run/reduce""#, r#""sim/run/match_skip""#);
-        let out = check_timing(&baseline, &with_new_path, &strict).unwrap();
+        let with_new_path = Run {
+            reduce_path: "sim/run/match_skip",
+            ..run(1, 1, 100, 80_000)
+        };
+        let out = check_timing(&baseline, &with_new_path.to_json(), &strict).unwrap();
         assert!(!out.pass(), "strict mode must fail on ungated paths");
         assert!(
             out.failures
@@ -641,9 +659,11 @@ mod tests {
             "failure must name the missing path: {out:?}"
         );
         // Same for a stage the baseline has never seen.
-        let with_new_stage =
-            summary(1, 1, 100, 80_000).replace(r#""path":"tiny""#, r#""path":"sim/build""#);
-        let out = check_timing(&baseline, &with_new_stage, &strict).unwrap();
+        let with_new_stage = Run {
+            tiny_path: "sim/build",
+            ..run(1, 1, 100, 80_000)
+        };
+        let out = check_timing(&baseline, &with_new_stage.to_json(), &strict).unwrap();
         assert!(
             out.failures.iter().any(|f| f.contains("sim/build")),
             "failure must name the missing stage: {out:?}"
@@ -658,14 +678,15 @@ mod tests {
     fn malformed_baselines_are_errors_not_failures() {
         let t = TimingThresholds::default();
         let good = summary(1, 1, 1, 1);
-        assert!(check_obs("{}", SUMMARY).is_err());
+        assert!(check_obs("{}", &semantic_summary(40)).is_err());
         assert!(check_timing("{}", &good, &t).is_err());
         assert!(make_obs_baseline("{}", "quick").is_err());
         assert!(make_timing_baseline("{}").is_err());
         // A summary without the environment gauges cannot be judged
         // honestly, so it is malformed rather than silently comparable.
-        let no_env = good.replace(r#""obs.jobs":1,"#, "");
-        let err = make_timing_baseline(&no_env).unwrap_err();
+        let mut no_env = run(1, 1, 1, 1);
+        no_env.gauges.remove(0);
+        let err = make_timing_baseline(&no_env.to_json()).unwrap_err();
         assert!(err.contains("obs.jobs"), "{err}");
         // A baseline p99 entry that is not a count is malformed, not
         // ignorable.

@@ -22,7 +22,8 @@
 //! every divergence at once; [`check_lifecycle`] turns them into the
 //! hard error `obs_check` and the determinism suite gate on.
 
-use crate::reader::{read_trace, Query, TraceEvent};
+use crate::reader::{read_trace, Query};
+use mmog_obs::Event;
 use std::collections::BTreeMap;
 
 /// One reconstructed lease waterfall.
@@ -201,105 +202,116 @@ impl ScopeState {
         self.retired.clear();
         self.requests.clear();
     }
-}
 
-fn req(event: &TraceEvent, field: &str) -> Result<u64, String> {
-    event
-        .u64(field)
-        .ok_or_else(|| format!("{} event missing {field}", event.kind))
-}
-
-fn apply(state: &mut ScopeState, event: &TraceEvent, violations: &mut Vec<String>) {
-    if event.kind == "run_start" {
-        state.close_segment(violations);
-        return;
-    }
-    let scope = &state.lifecycle.scope;
-    let result: Result<(), String> = (|| {
-        match event.kind.as_str() {
-            "lease_request" => {
-                let id = req(event, "request")?;
-                if state.requests.contains_key(&id) {
-                    violations.push(format!("[{scope}] duplicate request id {id}"));
-                    return Ok(());
-                }
-                state.requests.insert(id, state.lifecycle.requests.len());
-                state.lifecycle.requests.push(RequestRecord {
-                    id,
-                    group: req(event, "group")?,
-                    operator: req(event, "operator")?,
-                    tick: req(event, "tick")?,
-                    cpu: event.f64("cpu").unwrap_or(0.0),
-                    grants: 0,
-                });
+    /// Ends the live lease `key` at `tick` with `cause`; a key that is
+    /// not live is an orphan terminal.
+    fn terminate(&mut self, tick: u64, key: (u64, u64), cause: &str, violations: &mut Vec<String>) {
+        match self.live.remove(&key) {
+            Some(i) => {
+                let lease = &mut self.lifecycle.leases[i];
+                lease.end_tick = Some(tick);
+                lease.end_cause = Some(cause.to_string());
+                self.retired.insert(key, ());
             }
-            "lease_grant" => {
-                let request = req(event, "request")?;
-                let key = (req(event, "center")?, req(event, "lease")?);
-                match state.requests.get(&request) {
-                    Some(&i) => state.lifecycle.requests[i].grants += 1,
-                    None => violations.push(format!(
-                        "[{scope}] grant of lease {:?} names unknown request {request}",
-                        key
-                    )),
-                }
-                if state.live.contains_key(&key) || state.retired.contains_key(&key) {
-                    violations.push(format!("[{scope}] lease key {key:?} granted twice"));
-                    return Ok(());
-                }
-                state.live.insert(key, state.lifecycle.leases.len());
-                state.lifecycle.leases.push(LeaseRecord {
-                    center: key.0,
-                    lease: key.1,
-                    operator: req(event, "operator")?,
-                    request,
-                    granted_tick: req(event, "tick")?,
-                    matured_tick: None,
-                    end_tick: None,
-                    end_cause: None,
-                    cpu: event.f64("cpu").unwrap_or(0.0),
-                });
-            }
-            "lease_mature" => {
-                let key = (req(event, "center")?, req(event, "lease")?);
-                match state.live.get(&key) {
-                    Some(&i) => {
-                        let lease = &mut state.lifecycle.leases[i];
-                        if lease.matured_tick.is_none() {
-                            lease.matured_tick = Some(req(event, "tick")?);
-                            state.lifecycle.matured += 1;
-                        }
-                    }
-                    None => {
-                        violations.push(format!("[{scope}] maturity of non-live lease {key:?}"))
-                    }
-                }
-            }
-            "lease_release" | "lease_revoked" => {
-                let key = (req(event, "center")?, req(event, "lease")?);
-                let cause = if event.kind == "lease_revoked" {
-                    "revoked".to_string()
-                } else {
-                    event.str("cause").unwrap_or("unknown").to_string()
-                };
-                match state.live.remove(&key) {
-                    Some(i) => {
-                        let lease = &mut state.lifecycle.leases[i];
-                        lease.end_tick = Some(req(event, "tick")?);
-                        lease.end_cause = Some(cause);
-                        state.retired.insert(key, ());
-                    }
-                    None => violations.push(format!(
-                        "[{scope}] orphan terminal ({cause}) for lease {key:?}"
-                    )),
-                }
-            }
-            _ => {}
+            None => violations.push(format!(
+                "[{}] orphan terminal ({cause}) for lease {key:?}",
+                self.lifecycle.scope
+            )),
         }
-        Ok(())
-    })();
-    if let Err(e) = result {
-        violations.push(format!("[{scope}] {e}"));
+    }
+}
+
+fn apply(state: &mut ScopeState, event: &Event<'_>, violations: &mut Vec<String>) {
+    let scope = &state.lifecycle.scope;
+    match *event {
+        Event::RunStart { .. } => state.close_segment(violations),
+        Event::LeaseRequest {
+            tick,
+            request,
+            group,
+            operator,
+            cpu,
+        } => {
+            if state.requests.contains_key(&request) {
+                violations.push(format!("[{scope}] duplicate request id {request}"));
+                return;
+            }
+            state
+                .requests
+                .insert(request, state.lifecycle.requests.len());
+            state.lifecycle.requests.push(RequestRecord {
+                id: request,
+                group,
+                operator,
+                tick,
+                cpu,
+                grants: 0,
+            });
+        }
+        Event::LeaseGrant {
+            tick,
+            request,
+            center,
+            lease,
+            operator,
+            cpu,
+        } => {
+            let key = (center, lease);
+            match state.requests.get(&request) {
+                Some(&i) => state.lifecycle.requests[i].grants += 1,
+                None => violations.push(format!(
+                    "[{scope}] grant of lease {key:?} names unknown request {request}"
+                )),
+            }
+            if state.live.contains_key(&key) || state.retired.contains_key(&key) {
+                violations.push(format!("[{scope}] lease key {key:?} granted twice"));
+                return;
+            }
+            state.live.insert(key, state.lifecycle.leases.len());
+            state.lifecycle.leases.push(LeaseRecord {
+                center,
+                lease,
+                operator,
+                request,
+                granted_tick: tick,
+                matured_tick: None,
+                end_tick: None,
+                end_cause: None,
+                cpu,
+            });
+        }
+        Event::LeaseMature {
+            tick,
+            center,
+            lease,
+            ..
+        } => match state.live.get(&(center, lease)) {
+            Some(&i) => {
+                let lease = &mut state.lifecycle.leases[i];
+                if lease.matured_tick.is_none() {
+                    lease.matured_tick = Some(tick);
+                    state.lifecycle.matured += 1;
+                }
+            }
+            None => violations.push(format!(
+                "[{scope}] maturity of non-live lease {:?}",
+                (center, lease)
+            )),
+        },
+        Event::LeaseRelease {
+            tick,
+            center,
+            lease,
+            cause,
+            ..
+        } => state.terminate(tick, (center, lease), cause, violations),
+        Event::LeaseRevoked {
+            tick,
+            center,
+            lease,
+            ..
+        } => state.terminate(tick, (center, lease), "revoked", violations),
+        _ => {}
     }
 }
 
@@ -323,17 +335,16 @@ pub fn analyze_lifecycle(text: &str) -> Result<LifecycleReport, String> {
         .kind("lease_revoked");
     let mut report = LifecycleReport::default();
     let mut states: Vec<ScopeState> = Vec::new();
-    for event in read_trace(text, &query) {
-        let event = event?;
-        let state = match states.iter_mut().find(|s| s.lifecycle.scope == event.scope) {
-            Some(state) => state,
+    read_trace(text, &query, |line| {
+        let state = match states.iter().position(|s| s.lifecycle.scope == line.scope) {
+            Some(i) => &mut states[i],
             None => {
-                states.push(ScopeState::new(&event.scope));
+                states.push(ScopeState::new(line.scope));
                 states.last_mut().expect("just pushed")
             }
         };
-        apply(state, &event, &mut report.violations);
-    }
+        apply(state, &line.event, &mut report.violations);
+    })?;
     for mut state in states {
         state.close_segment(&mut report.violations);
         report.scopes.push(state.lifecycle);

@@ -7,8 +7,7 @@
 //! here is wall-clock data — the rendered report belongs in the
 //! `timing` half of the world and is never byte-compared.
 
-use mmog_obs::json::Value;
-use mmog_obs::SpanSnapshot;
+use mmog_obs::{SpanSnapshot, Summary};
 
 /// One node of the reconstructed span hierarchy.
 #[derive(Debug, Clone, Default)]
@@ -99,37 +98,9 @@ pub fn profile_from_spans(spans: &[(String, SpanSnapshot)]) -> Vec<ProfileNode> 
 /// document (`timing.spans`).
 ///
 /// # Errors
-/// Returns a message when the document doesn't parse or the spans
-/// array is malformed.
+/// Returns a message when the document doesn't parse as a summary.
 pub fn profile_from_summary(text: &str) -> Result<Vec<ProfileNode>, String> {
-    let doc = mmog_obs::json::parse(text)?;
-    let spans = doc
-        .get("timing")
-        .and_then(|t| t.get("spans"))
-        .and_then(Value::as_arr)
-        .ok_or("missing timing.spans array")?;
-    let mut flat = Vec::with_capacity(spans.len());
-    for span in spans {
-        let path = span
-            .get("path")
-            .and_then(Value::as_str)
-            .ok_or("span without path")?
-            .to_string();
-        let get = |field: &str| -> Result<u64, String> {
-            span.get(field)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("span {path}: missing {field}"))
-        };
-        flat.push((
-            path.clone(),
-            SpanSnapshot {
-                calls: get("calls")?,
-                total_ns: get("total_ns")?,
-                max_ns: get("max_ns")?,
-            },
-        ));
-    }
-    Ok(profile_from_spans(&flat))
+    Ok(profile_from_spans(&Summary::parse(text)?.spans))
 }
 
 fn render_node(out: &mut String, node: &ProfileNode, parent_total: u64, depth: usize) {
@@ -207,12 +178,23 @@ mod tests {
 
     #[test]
     fn summary_round_trip() {
-        let summary = r#"{"schema":"mmog-obs/v1","semantic":{"counters":{},"gauges":{},"histograms":{}},"timing":{"counters":{},"gauges":{},"histograms":{},"spans":[{"path":"a/b","calls":2,"total_ns":1000,"max_ns":600},{"path":"a","calls":1,"total_ns":2000,"max_ns":2000}]}}"#;
-        let roots = profile_from_summary(summary).unwrap();
+        let summary = Summary {
+            spans: vec![
+                ("a/b".to_string(), snap(2, 1000)),
+                ("a".to_string(), snap(1, 2000)),
+            ],
+            ..Summary::default()
+        };
+        let roots = profile_from_summary(&summary.to_json()).unwrap();
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].name, "a");
         assert_eq!(roots[0].total_ns, 2000);
         assert_eq!(roots[0].self_ns(), 1000);
         assert!(profile_from_summary("{}").is_err());
+        // A schema-less document is rejected, exactly as `obs_check`
+        // rejects it.
+        let schemaless = summary.to_json().replace("\"schema\"", "\"format\"");
+        let err = profile_from_summary(&schemaless).unwrap_err();
+        assert!(err.contains("missing schema"), "{err}");
     }
 }

@@ -1,51 +1,25 @@
 //! Streaming, validating reader over the JSONL trace.
 //!
 //! [`read_trace`] walks the trace text line by line without ever
-//! materialising the whole file as parsed values; each yielded
-//! [`TraceEvent`] has already passed [`mmog_obs::Event::parse`] — kind
-//! known, field set exact, field order exact, types right — so
-//! downstream analytics can index fields without re-checking.
+//! materialising the whole file as parsed values, and hands each line
+//! to its caller as a [`TraceEvent`]: the envelope plus the typed
+//! [`Event`] that [`mmog_obs::parse_trace_line`] read back — kind
+//! known, field set exact, field order exact, types right. Analytics
+//! match on the event's variants, so a schema change is a compile error
+//! here, not a silently missing field.
 
-use mmog_obs::json::Value;
 use mmog_obs::{parse_trace_line, Event};
+use std::ops::RangeInclusive;
 
-/// One validated trace event.
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
+/// One validated trace line, borrowed from its parsed JSON.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceEvent<'a> {
     /// Global flush-time sequence number.
     pub seq: u64,
     /// The deterministic chunk label the emitting run submitted under.
-    pub scope: String,
-    /// Event kind (one of [`Event::KINDS`]).
-    pub kind: String,
-    /// The full parsed line, envelope included.
-    pub value: Value,
-}
-
-impl TraceEvent {
-    /// An unsigned-integer field of the event.
-    #[must_use]
-    pub fn u64(&self, field: &str) -> Option<u64> {
-        self.value.get(field).and_then(Value::as_u64)
-    }
-
-    /// A numeric field of the event.
-    #[must_use]
-    pub fn f64(&self, field: &str) -> Option<f64> {
-        self.value.get(field).and_then(Value::as_f64)
-    }
-
-    /// A string field of the event.
-    #[must_use]
-    pub fn str(&self, field: &str) -> Option<&str> {
-        self.value.get(field).and_then(Value::as_str)
-    }
-
-    /// The event's `tick` field, when the kind carries one.
-    #[must_use]
-    pub fn tick(&self) -> Option<u64> {
-        self.u64("tick")
-    }
+    pub scope: &'a str,
+    /// The typed event.
+    pub event: Event<'a>,
 }
 
 /// A composable event filter. Every constraint left unset matches
@@ -54,10 +28,7 @@ impl TraceEvent {
 pub struct Query {
     kinds: Vec<String>,
     scope_contains: Option<String>,
-    tick_min: Option<u64>,
-    tick_max: Option<u64>,
-    group: Option<u64>,
-    center: Option<u64>,
+    ticks: Option<RangeInclusive<u64>>,
 }
 
 impl Query {
@@ -80,89 +51,47 @@ impl Query {
     /// tick-constrained query.
     #[must_use]
     pub fn tick_range(mut self, min: u64, max: u64) -> Self {
-        self.tick_min = Some(min);
-        self.tick_max = Some(max);
-        self
-    }
-
-    /// Restricts to events carrying `group == g`.
-    #[must_use]
-    pub fn group(mut self, g: u64) -> Self {
-        self.group = Some(g);
-        self
-    }
-
-    /// Restricts to events carrying `center == c`.
-    #[must_use]
-    pub fn center(mut self, c: u64) -> Self {
-        self.center = Some(c);
+        self.ticks = Some(min..=max);
         self
     }
 
     /// Whether `event` satisfies every constraint.
     #[must_use]
-    pub fn matches(&self, event: &TraceEvent) -> bool {
-        if !self.kinds.is_empty() && !self.kinds.contains(&event.kind) {
-            return false;
-        }
-        if let Some(needle) = &self.scope_contains {
-            if !event.scope.contains(needle.as_str()) {
-                return false;
-            }
-        }
-        if self.tick_min.is_some() || self.tick_max.is_some() {
-            let Some(tick) = event.tick() else {
-                return false;
-            };
-            if self.tick_min.is_some_and(|min| tick < min)
-                || self.tick_max.is_some_and(|max| tick > max)
-            {
-                return false;
-            }
-        }
-        if let Some(g) = self.group {
-            if event.u64("group") != Some(g) {
-                return false;
-            }
-        }
-        if let Some(c) = self.center {
-            if event.u64("center") != Some(c) {
-                return false;
-            }
-        }
-        true
+    pub fn matches(&self, event: &TraceEvent<'_>) -> bool {
+        let kind = event.event.kind();
+        (self.kinds.is_empty() || self.kinds.iter().any(|k| k == kind))
+            && (self.scope_contains.as_ref()).is_none_or(|n| event.scope.contains(n.as_str()))
+            && (self.ticks.as_ref())
+                .is_none_or(|ticks| event.event.tick().is_some_and(|t| ticks.contains(&t)))
     }
 }
 
-/// Streams validated events out of trace text, one per non-empty line.
-/// Errors carry the 1-based line number; iteration continues past a bad
-/// line so callers can choose between fail-fast (`collect::<Result<…>>`)
-/// and salvage.
-pub fn read_trace<'a>(
-    text: &'a str,
-    query: &'a Query,
-) -> impl Iterator<Item = Result<TraceEvent, String>> + 'a {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .filter_map(move |(idx, line)| {
-            let no = idx + 1;
-            match parse_event(line) {
-                Ok(event) => query.matches(&event).then_some(Ok(event)),
-                Err(e) => Some(Err(format!("line {no}: {e}"))),
-            }
-        })
-}
-
-fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    let (seq, scope, kind, value) = parse_trace_line(line)?;
-    Event::parse(&value)?;
-    Ok(TraceEvent {
-        seq,
-        scope,
-        kind,
-        value,
-    })
+/// Feeds every event of the trace `text` that `query` matches to `f`,
+/// in line order. Each line is JSON-parsed once and validated before
+/// the filter sees it, so a malformed line fails even when the query
+/// would have skipped it.
+///
+/// # Errors
+/// Returns the first malformed line (parse failure, envelope or schema
+/// violation) with its 1-based line number.
+pub fn read_trace(
+    text: &str,
+    query: &Query,
+    mut f: impl FnMut(&TraceEvent<'_>),
+) -> Result<(), String> {
+    for (idx, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let value = mmog_obs::json::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let (seq, scope, event) =
+            parse_trace_line(&value).map_err(|e| format!("line {}: {e}", idx + 1))?;
+        let event = TraceEvent { seq, scope, event };
+        if query.matches(&event) {
+            f(&event);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -178,37 +107,39 @@ mod tests {
         "\n",
     );
 
+    /// The events of `text` that `query` matches, or the read error.
+    fn read(text: &str, query: &Query) -> Result<Vec<String>, String> {
+        let mut seen = Vec::new();
+        read_trace(text, query, |e| seen.push(format!("{:?}", e.event)))?;
+        Ok(seen)
+    }
+
     #[test]
     fn reader_validates_and_filters() {
         // Third line has a field-name skew (`shortfall_cpu` where
-        // `free_cpu` belongs) — the reader must surface it as an error.
-        let all: Vec<_> = read_trace(TRACE, &Query::default()).collect();
-        assert_eq!(all.len(), 3);
-        assert!(all[0].is_ok());
-        assert!(all[1].is_ok());
-        let err = all[2].as_ref().unwrap_err();
-        assert!(err.starts_with("line 3:"), "{err}");
-        assert!(err.contains("free_cpu"), "{err}");
+        // `free_cpu` belongs) — the reader must surface it as an error,
+        // whatever the filter.
+        for query in [Query::default(), Query::default().kind("tick")] {
+            let err = read(TRACE, &query).unwrap_err();
+            assert!(err.starts_with("line 3:"), "{err}");
+            assert!(err.contains("free_cpu"), "{err}");
+        }
+        let valid: String = TRACE.lines().take(2).collect::<Vec<_>>().join("\n");
+        assert_eq!(read(&valid, &Query::default()).unwrap().len(), 2);
 
-        // Errors surface regardless of the filter; matching events are
-        // the ok items.
-        let ticks: Vec<_> = read_trace(TRACE, &Query::default().kind("tick"))
-            .filter_map(Result::ok)
-            .collect();
-        assert_eq!(ticks.len(), 1);
-        assert_eq!(ticks[0].f64("alloc_cpu"), Some(2.0));
+        // Matching events arrive typed.
+        let mut ticks = Vec::new();
+        read_trace(&valid, &Query::default().kind("tick"), |e| {
+            if let Event::Tick { alloc_cpu, .. } = e.event {
+                ticks.push((e.seq, e.scope.to_string(), alloc_cpu));
+            }
+        })
+        .unwrap();
+        assert_eq!(ticks, vec![(1, "a".to_string(), 2.0)]);
 
-        assert_eq!(
-            read_trace(TRACE, &Query::default().kind("tick").tick_range(5, 9))
-                .filter_map(Result::ok)
-                .count(),
-            0
-        );
-        assert_eq!(
-            read_trace(TRACE, &Query::default().scope_contains("b"))
-                .filter_map(Result::ok)
-                .count(),
-            0
-        );
+        let in_window = Query::default().kind("tick").tick_range(5, 9);
+        assert!(read(&valid, &in_window).unwrap().is_empty());
+        let scoped = Query::default().scope_contains("b");
+        assert!(read(&valid, &scoped).unwrap().is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! kinds of the event schema, and `latency_report` fails on an artifact
 //! without latency.
 
-use mmog_obs::Event;
+use mmog_obs::{Event, Summary};
 use std::process::Command;
 
 const TRACE: &str = concat!(
@@ -66,8 +66,8 @@ fn latency_report(summary: &str, name: &str) -> std::process::Output {
 
 #[test]
 fn latency_report_fails_without_latency_and_renders_with_it() {
-    let bare = r#"{"schema":"mmog-obs/v1","timing":{"spans":[]}}"#;
-    let out = latency_report(bare, "bare");
+    let bare = Summary::default();
+    let out = latency_report(&bare.to_json(), "bare");
     assert!(
         !out.status.success(),
         "an artifact without latency must fail"
@@ -77,10 +77,11 @@ fn latency_report_fails_without_latency_and_renders_with_it() {
 
     let h = mmog_obs::LatencyHisto::new();
     h.record(1_500);
-    let with = format!(
-        r#"{{"schema":"mmog-obs/v1","timing":{{"latency":{{"sim/run/tick":{}}}}}}}"#,
-        h.snapshot().to_value().render()
-    );
+    let with = Summary {
+        latency: [("sim/run/tick".to_string(), h.snapshot())].into(),
+        ..Summary::default()
+    }
+    .to_json();
     let out = latency_report(&with, "with");
     assert!(
         out.status.success(),
@@ -88,4 +89,12 @@ fn latency_report_fails_without_latency_and_renders_with_it() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("sim/run/tick"));
+
+    // A schema-less document is rejected, exactly as `obs_check`
+    // rejects it.
+    let schemaless = with.replace("\"schema\"", "\"format\"");
+    let out = latency_report(&schemaless, "schemaless");
+    assert!(!out.status.success(), "a schema-less artifact must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("missing schema"), "{stderr}");
 }

@@ -473,14 +473,14 @@ pub(crate) fn render_trace(chunks: &mut [(String, String)]) -> String {
     out
 }
 
-/// Parses one trace line back into `(seq, scope, kind, fields)` — the
-/// read half of the event-log round-trip.
+/// Reads a parsed trace or flight-dump line back into its flush-time
+/// envelope and its typed event: `(seq, scope, event)`. The scope and
+/// the event's string fields borrow from `value`.
 ///
 /// # Errors
-/// Returns a message when the line is not a JSON object or misses one
-/// of the three envelope fields.
-pub fn parse_trace_line(line: &str) -> Result<(u64, String, String, Value), String> {
-    let value = json::parse(line)?;
+/// Returns a message when the envelope misses `seq` or `scope`, or when
+/// [`Event::parse`] rejects the event.
+pub fn parse_trace_line(value: &Value) -> Result<(u64, &str, Event<'_>), String> {
     let seq = value
         .get("seq")
         .and_then(Value::as_u64)
@@ -488,14 +488,8 @@ pub fn parse_trace_line(line: &str) -> Result<(u64, String, String, Value), Stri
     let scope = value
         .get("scope")
         .and_then(Value::as_str)
-        .ok_or("missing scope")?
-        .to_string();
-    let kind = value
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or("missing kind")?
-        .to_string();
-    Ok((seq, scope, kind, value))
+        .ok_or("missing scope")?;
+    Ok((seq, scope, Event::parse(value)?))
 }
 
 #[cfg(test)]

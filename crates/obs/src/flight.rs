@@ -55,6 +55,16 @@ pub enum FlightTrigger {
 }
 
 impl FlightTrigger {
+    /// Every trigger, in declaration order.
+    pub const ALL: [Self; 6] = [
+        Self::Fault,
+        Self::Partition,
+        Self::Migration,
+        Self::DeadlineOverrun,
+        Self::GateBreach,
+        Self::Explicit,
+    ];
+
     /// Stable label used in `flight_meta` and file reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -480,10 +490,10 @@ mod tests {
         let lines: Vec<&str> = body.lines().collect();
         assert_eq!(lines.len(), 1 + 4 * 8, "meta line + 4 ticks x 8 records");
         for (i, line) in lines.iter().enumerate() {
-            let (seq, scope, _, value) = parse_trace_line(line).expect("parseable");
+            let value = crate::json::parse(line).expect("parseable");
+            let (seq, scope, event) = parse_trace_line(&value).expect("schema reuse");
             assert_eq!(seq, i as u64, "seq must be contiguous");
             assert_eq!(scope, "unit/flight run");
-            let event = Event::parse(&value).expect("schema reuse");
             if i == 0 {
                 assert_eq!(
                     event,

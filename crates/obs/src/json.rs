@@ -15,6 +15,7 @@
 //!   bit patterns always render to identical bytes.
 //! - Non-finite floats render as `null` (JSON has no NaN/∞).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON document node.
@@ -471,6 +472,130 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
         .ok_or_else(|| "truncated \\u escape".to_string())?;
     let text = std::str::from_utf8(slice).map_err(|_| "invalid \\u escape".to_string())?;
     u32::from_str_radix(text, 16).map_err(|_| "invalid \\u escape".to_string())
+}
+
+/// A type an obs document stores as one JSON node. Its writer and its
+/// parser are the same impl, so a member cannot be written as one type
+/// and read back as another. [`object_node!`](crate::object_node)
+/// derives it for structs.
+pub trait Node: Sized {
+    /// The node this value renders as.
+    fn to_value(&self) -> Value;
+    /// Reads the value back out of `node`.
+    ///
+    /// # Errors
+    /// Returns a message naming the first mistyped or inconsistent
+    /// member.
+    fn from_value(node: &Value) -> Result<Self, String>;
+}
+
+fn mistyped(node: &Value, what: &str) -> String {
+    format!("{} is not {what}", node.render())
+}
+
+macro_rules! scalar_nodes {
+    ($($ty:ty => $variant:ident, $read:ident, $what:literal;)*) => {$(
+        impl Node for $ty {
+            fn to_value(&self) -> Value {
+                Value::$variant(*self)
+            }
+            fn from_value(node: &Value) -> Result<Self, String> {
+                node.$read().ok_or_else(|| mistyped(node, $what))
+            }
+        }
+    )*};
+}
+
+scalar_nodes! {
+    u64 => UInt, as_u64, "a u64";
+    i64 => Int, as_i64, "an i64";
+    f64 => Num, as_f64, "a number";
+}
+
+impl Node for String {
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
+    }
+    fn from_value(node: &Value) -> Result<Self, String> {
+        let s = node.as_str().ok_or_else(|| mistyped(node, "a string"))?;
+        Ok(s.to_string())
+    }
+}
+
+/// `null` stands for `None`.
+impl<T: Node> Node for Option<T> {
+    fn to_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_value)
+    }
+    fn from_value(node: &Value) -> Result<Self, String> {
+        match node {
+            Value::Null => Ok(None),
+            node => T::from_value(node).map(Some),
+        }
+    }
+}
+
+impl<T: Node> Node for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_value).collect())
+    }
+    fn from_value(node: &Value) -> Result<Self, String> {
+        let items = node.as_arr().ok_or_else(|| mistyped(node, "an array"))?;
+        let item = |(i, v)| T::from_value(v).map_err(|e| format!("[{i}]: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// A JSON object keyed by name, in key order.
+impl<T: Node> Node for BTreeMap<String, T> {
+    fn to_value(&self) -> Value {
+        Value::Obj(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
+    }
+    fn from_value(node: &Value) -> Result<Self, String> {
+        let members = node.as_obj().ok_or_else(|| mistyped(node, "an object"))?;
+        let entry = |(k, v): &(String, Value)| {
+            let parsed = T::from_value(v).map_err(|e| format!("`{k}`: {e}"))?;
+            Ok((k.clone(), parsed))
+        };
+        members.iter().map(entry).collect()
+    }
+}
+
+/// Reads member `name` of the object `obj`.
+///
+/// # Errors
+/// Returns a message naming the member when it is missing or mistyped.
+pub fn member<T: Node>(obj: &Value, name: &str) -> Result<T, String> {
+    let node = obj.get(name).ok_or_else(|| format!("missing `{name}`"))?;
+    T::from_value(node).map_err(|e| format!("`{name}`: {e}"))
+}
+
+/// Implements [`Node`](crate::json::Node) for a struct as a JSON object
+/// holding one member per listed field, named after the field, in list
+/// order. An optional `check` function vets the parsed value.
+#[macro_export]
+macro_rules! object_node {
+    ($ty:ty { $($field:ident),* $(,)? } $(, check = $check:path)?) => {
+        impl $crate::json::Node for $ty {
+            fn to_value(&self) -> $crate::json::Value {
+                $crate::json::Value::Obj(vec![$((
+                    stringify!($field).to_string(),
+                    $crate::json::Node::to_value(&self.$field),
+                ),)*])
+            }
+            fn from_value(node: &$crate::json::Value) -> Result<Self, String> {
+                let parsed = Self {
+                    $($field: $crate::json::member(node, stringify!($field))?,)*
+                };
+                $($check(&parsed)?;)?
+                Ok(parsed)
+            }
+        }
+    };
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::json::Value;
+use crate::json::{member, Node, Value};
 
 /// Number of buckets: 64 octaves × 2 sub-buckets.
 pub const LATENCY_BUCKETS: usize = 128;
@@ -281,13 +281,13 @@ impl LatencySnapshot {
     pub fn mean_ns(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum_ns as f64 / self.count as f64)
     }
+}
 
-    /// Renders the snapshot as the JSON object embedded in the
-    /// summary's `timing.latency` section: counts, percentile
-    /// estimates, extremes and the sparse non-zero `[index, count]`
-    /// bucket list.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
+/// The JSON object embedded in the summary's `timing.latency` section:
+/// counts, percentile estimates, extremes and the sparse non-zero
+/// `[index, count]` bucket list.
+impl Node for LatencySnapshot {
+    fn to_value(&self) -> Value {
         let pct = |q: Option<u64>| q.map_or(Value::Null, Value::UInt);
         let buckets: Vec<Value> = self
             .counts
@@ -316,33 +316,19 @@ impl LatencySnapshot {
     /// (analyzers reconstruct distributions from artifacts). Percentile
     /// fields are re-derived from the bucket list, so a hand-edited
     /// artifact cannot smuggle in inconsistent estimates.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let obj = v.as_obj().ok_or("latency entry must be an object")?;
-        let field = |name: &str| {
-            obj.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("latency entry missing {name:?}"))
-        };
-        let count = field("count")?
-            .as_u64()
-            .ok_or("latency count must be a u64")?;
-        let pairs = field("buckets")?
-            .as_arr()
-            .ok_or("latency buckets must be an array")?;
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let count: u64 = member(v, "count")?;
         let mut counts = vec![0u64; LATENCY_BUCKETS];
         let mut from_buckets = 0u64;
-        for pair in pairs {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or("latency bucket entries must be [index, count] pairs")?;
-            let idx = pair[0].as_u64().ok_or("bucket index must be a u64")? as usize;
-            let c = pair[1].as_u64().ok_or("bucket count must be a u64")?;
-            if idx >= LATENCY_BUCKETS {
-                return Err(format!("bucket index {idx} out of range"));
-            }
-            counts[idx] = counts[idx].saturating_add(c);
+        for pair in member::<Vec<Vec<u64>>>(v, "buckets")? {
+            let [idx, c] = pair[..] else {
+                return Err("latency bucket entries must be [index, count] pairs".to_string());
+            };
+            let slot = usize::try_from(idx)
+                .ok()
+                .and_then(|i| counts.get_mut(i))
+                .ok_or_else(|| format!("bucket index {idx} out of range"))?;
+            *slot = slot.saturating_add(c);
             from_buckets = from_buckets.saturating_add(c);
         }
         if from_buckets != count {
@@ -350,26 +336,16 @@ impl LatencySnapshot {
                 "latency bucket counts sum to {from_buckets}, count says {count}"
             ));
         }
-        let opt = |name: &str| -> Result<Option<u64>, String> {
-            Ok(match field(name)? {
-                Value::Null => None,
-                v => Some(v.as_u64().ok_or_else(|| format!("{name} must be a u64"))?),
-            })
-        };
-        let mean = field("mean_ns")?;
-        let sum_ns = match mean {
-            Value::Null => 0,
-            v => {
-                let m = v.as_f64().ok_or("mean_ns must be numeric")?;
-                (m * count as f64).round().min(u64::MAX as f64).max(0.0) as u64
-            }
-        };
+        let mean: Option<f64> = member(v, "mean_ns")?;
+        let sum_ns = mean.map_or(0, |m| {
+            (m * count as f64).round().min(u64::MAX as f64).max(0.0) as u64
+        });
         Ok(Self {
             counts,
             count,
             sum_ns,
-            min_ns: opt("min_ns")?,
-            max_ns: opt("max_ns")?,
+            min_ns: member(v, "min_ns")?,
+            max_ns: member(v, "max_ns")?,
         })
     }
 }

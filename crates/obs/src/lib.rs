@@ -33,8 +33,8 @@
 //! - [`sinks`] — the per-run [`Sinks`] value naming which of the trace,
 //!   time-series, flight and live outputs a run feeds. Sinks travel with
 //!   the run's configuration; none of them is process-global.
-//! - [`export`] — the `OBS_summary.json` document plus a human-readable
-//!   table, and the schema validator CI runs against it.
+//! - [`export`] — the `OBS_summary.json` document as one [`Summary`]
+//!   type (its only writer and only parser) plus a human-readable table.
 //! - [`json`] — the dependency-free JSON layer underneath (the
 //!   workspace's serde is an offline no-op shim).
 //!
@@ -69,8 +69,7 @@ pub mod timeseries;
 
 pub use event::{parse_trace_line, Event, EventSink};
 pub use export::{
-    note_run, render_summary_table, semantic_section, summary_json, summary_value,
-    validate_summary, SUMMARY_SCHEMA,
+    note_run, render_summary_table, summary_json, Metrics, ObsSelf, Summary, SUMMARY_SCHEMA,
 };
 pub use flight::{sanitize_label, FlightConfig, FlightDumpInfo, FlightRecorder, FlightTrigger};
 pub use latency::{

@@ -241,11 +241,48 @@ pub struct HistogramSnapshot {
     pub max_micros: Option<i64>,
 }
 
+crate::object_node!(
+    HistogramSnapshot {
+        bounds,
+        counts,
+        count,
+        sum_micros,
+        min_micros,
+        max_micros,
+    },
+    check = HistogramSnapshot::check
+);
+
 impl HistogramSnapshot {
     /// Mean observation value (in the original unit), `None` when empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum_micros as f64 / 1e6 / self.count as f64)
+    }
+
+    /// The invariants [`Histogram::snapshot`] keeps, checked on parse:
+    /// strictly ascending bounds, one more bucket than bounds, and a
+    /// `count` equal to the bucket sum.
+    fn check(&self) -> Result<(), String> {
+        if !self.bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err("bounds must be strictly ascending".to_string());
+        }
+        if self.counts.len() != self.bounds.len() + 1 {
+            return Err(format!(
+                "counts must have bounds+1 entries ({} vs {})",
+                self.counts.len(),
+                self.bounds.len()
+            ));
+        }
+        let sum = self
+            .counts
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c));
+        match sum {
+            Some(sum) if sum == self.count => Ok(()),
+            Some(sum) => Err(format!("count {} != bucket sum {sum}", self.count)),
+            None => Err("bucket counts overflow u64".to_string()),
+        }
     }
 }
 

@@ -90,27 +90,28 @@ fn trace_round_trips_through_a_collector() {
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 3);
     for (i, line) in lines.iter().enumerate() {
-        let (seq, scope, kind, value) = parse_trace_line(line).expect("line parses");
+        let value = mmog_obs::json::parse(line).expect("line parses");
+        let (seq, scope, event) = parse_trace_line(&value).expect("line reads back");
         assert_eq!(seq, i as u64, "sequence numbers are contiguous");
         // "run A" sorts before "run B" regardless of submission order.
         let expected_scope = if i < 2 { "run A" } else { "run B" };
         assert_eq!(scope, expected_scope);
         match i {
-            0 => {
-                assert_eq!(kind, "run_start");
-                assert_eq!(value.get("groups").and_then(|v| v.as_u64()), Some(10));
-            }
-            1 => {
-                assert_eq!(kind, "match_reject");
-                assert_eq!(
-                    value.get("reason").and_then(|v| v.as_str()),
-                    Some("distance")
-                );
-            }
-            _ => {
-                assert_eq!(kind, "tick");
-                assert_eq!(value.get("demand_cpu").and_then(|v| v.as_f64()), Some(2.5));
-            }
+            0 => assert!(matches!(event, Event::RunStart { groups: 10, .. })),
+            1 => assert!(matches!(
+                event,
+                Event::MatchReject {
+                    reason: "distance",
+                    ..
+                }
+            )),
+            _ => assert!(matches!(
+                event,
+                Event::Tick {
+                    demand_cpu: 2.5,
+                    ..
+                }
+            )),
         }
     }
     // Flush cleared the buffer but kept the destination: a second flush

@@ -8,6 +8,7 @@
 //! sub-octave step of over-report — and `merge(a, b)` is
 //! indistinguishable from having recorded the union into one histogram.
 
+use mmog_obs::json::Node;
 use mmog_obs::latency::{bucket_index, bucket_lower, bucket_upper, LatencyHisto, LATENCY_BUCKETS};
 use proptest::prelude::*;
 

@@ -7,11 +7,11 @@
 //! - [`par_map`] — an order-preserving parallel map over a slice. The
 //!   output vector is always in input order, so reductions over it are
 //!   bit-identical to the serial fold regardless of thread scheduling.
-//! - [`par_for_each_mut`] — disjoint mutable fan-out: every element is
-//!   claimed by exactly one worker through an atomic cursor.
 //! - [`Pool`] — a persistent worker pool with a generation barrier, for
 //!   hot loops (the per-tick engine fan-out) where spawning scoped
-//!   threads each iteration would dominate the work itself.
+//!   threads each iteration would dominate the work itself. Its one
+//!   fan-out, [`Pool::for_each_mut2`], hands every index of two paired
+//!   slices to exactly one thread through an atomic cursor.
 //!
 //! # Determinism contract
 //!
@@ -195,51 +195,6 @@ struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-/// Disjoint mutable fan-out: runs `f(i, &mut items[i])` for every index,
-/// each claimed by exactly one worker. Serial under the same conditions
-/// as [`par_map`].
-///
-/// # Panics
-/// Propagates the first panic raised by `f`.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let workers = jobs().min(n);
-    if workers <= 1 || in_parallel() {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let base = SendPtr(items.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    let base = &base;
-    let next = &next;
-    let f = &f;
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            // Capture the SendPtr wrapper by reference, not its raw
-            // field (2021 disjoint capture would otherwise move the
-            // bare `*mut T`, which is not Send).
-            s.spawn(move || {
-                enter_parallel(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // SAFETY: `i` is claimed exactly once via the atomic
-                    // cursor, so this is the only live reference to
-                    // items[i]; the scope keeps the slice borrow alive.
-                    f(i, unsafe { &mut *base.0.add(i) });
-                })
-            });
-        }
-    });
-}
-
 /// A unit of pool work: a trampoline plus its type-erased context.
 #[derive(Clone, Copy)]
 struct Job {
@@ -316,87 +271,6 @@ impl Pool {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.workers.len() + 1
-    }
-
-    /// Disjoint mutable fan-out across the pool: `f(i, &mut items[i])`
-    /// for every index, caller participating. Serial when the pool has
-    /// no parked workers.
-    ///
-    /// # Panics
-    /// Propagates panics raised by `f` (the pool stays usable).
-    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let n = items.len();
-        if self.workers.is_empty() || n <= 1 {
-            for (i, item) in items.iter_mut().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-        obs_hooks::record_dispatch(self.threads(), n);
-
-        struct Ctx<T, F> {
-            base: SendPtr<T>,
-            len: usize,
-            next: AtomicUsize,
-            f: F,
-        }
-
-        /// Claims indices until the cursor passes the end.
-        unsafe fn trampoline<T, F: Fn(usize, &mut T) + Sync>(p: *const ()) {
-            // SAFETY: the dispatcher keeps the Ctx alive until every
-            // worker has decremented `active`, which happens only after
-            // this function returns.
-            let ctx = unsafe { &*(p.cast::<Ctx<T, F>>()) };
-            loop {
-                let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-                if i >= ctx.len {
-                    break;
-                }
-                // SAFETY: each index is claimed exactly once, so this is
-                // the only live reference to items[i].
-                (ctx.f)(i, unsafe { &mut *ctx.base.0.add(i) });
-            }
-        }
-
-        let ctx = Ctx {
-            base: SendPtr(items.as_mut_ptr()),
-            len: n,
-            next: AtomicUsize::new(0),
-            f,
-        };
-        let job = Job {
-            run: trampoline::<T, F>,
-            ctx: std::ptr::from_ref(&ctx).cast(),
-        };
-        {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            st.job = Some(job);
-            st.epoch += 1;
-            st.active = self.workers.len();
-            st.panicked = false;
-            self.shared.work.notify_all();
-        }
-        // The caller is one of the compute threads.
-        let caller_result = catch_unwind(AssertUnwindSafe(|| {
-            enter_parallel(|| unsafe { (job.run)(job.ctx) });
-        }));
-        // Wait for every worker before ctx leaves scope.
-        let panicked = {
-            let mut st = self.shared.state.lock().expect("pool lock");
-            while st.active > 0 {
-                st = self.shared.done.wait(st).expect("pool wait");
-            }
-            st.job = None;
-            st.panicked
-        };
-        if let Err(payload) = caller_result {
-            std::panic::resume_unwind(payload);
-        }
-        assert!(!panicked, "pool worker panicked during fan-out");
     }
 
     /// Disjoint mutable fan-out over two equally long slices:
@@ -568,18 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_mut_touches_every_element_once() {
-        let _guard = jobs_guard();
-        let mut items = vec![0u32; 300];
-        set_jobs(4);
-        par_for_each_mut(&mut items, |i, v| *v += i as u32 + 1);
-        set_jobs(0);
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i as u32 + 1);
-        }
-    }
-
-    #[test]
     fn nested_regions_run_serially() {
         let _guard = jobs_guard();
         set_jobs(4);
@@ -602,11 +464,16 @@ mod tests {
         let pool = Pool::new(4);
         assert_eq!(pool.threads(), 4);
         let mut items = vec![0u64; 1000];
+        let mut visits = vec![0u8; 1000];
         for round in 1..=3u64 {
-            pool.for_each_mut(&mut items, |i, v| *v += i as u64 * round);
+            pool.for_each_mut2(&mut items, &mut visits, |i, v, n| {
+                *v += i as u64 * round;
+                *n += 1;
+            });
         }
         let expected: Vec<u64> = (0..1000).map(|i| i * (1 + 2 + 3)).collect();
         assert_eq!(items, expected);
+        assert!(visits.iter().all(|&n| n == 3), "each index once per round");
     }
 
     #[test]
@@ -641,21 +508,35 @@ mod tests {
         let pool = Pool::new(1);
         assert_eq!(pool.threads(), 1);
         let mut items = vec![1u8; 17];
-        pool.for_each_mut(&mut items, |_, v| *v *= 2);
+        let mut visit_order = vec![0usize; 17];
+        let next = AtomicUsize::new(0);
+        pool.for_each_mut2(&mut items, &mut visit_order, |_, v, nth| {
+            *v *= 2;
+            *nth = next.fetch_add(1, Ordering::Relaxed);
+        });
         assert!(items.iter().all(|&v| v == 2));
+        assert!(
+            visit_order.iter().enumerate().all(|(i, &nth)| nth == i),
+            "the plain serial loop"
+        );
     }
 
     #[test]
     fn pool_survives_worker_panics() {
         let pool = Pool::new(3);
         let mut items = vec![0i32; 64];
+        let mut other = vec![0i32; 64];
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each_mut(&mut items, |i, _| assert!(i != 40, "boom"));
+            pool.for_each_mut2(&mut items, &mut other, |i, _, _| assert!(i != 40, "boom"));
         }));
         assert!(result.is_err());
         // The pool remains usable after the panic.
-        pool.for_each_mut(&mut items, |_, v| *v = 7);
+        pool.for_each_mut2(&mut items, &mut other, |_, v, w| {
+            *v = 7;
+            *w = 8;
+        });
         assert!(items.iter().all(|&v| v == 7));
+        assert!(other.iter().all(|&w| w == 8));
     }
 
     #[test]

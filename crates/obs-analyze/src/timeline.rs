@@ -19,65 +19,75 @@ use std::collections::BTreeMap;
 /// Schema identifier of the `TIMELINE_<run>.json` artifact.
 pub const TIMELINE_SCHEMA: &str = "mmog-obs-timeline/v1";
 
-/// One platform-wide tick sample (from `tick` events).
-#[derive(Debug, Clone, Copy)]
-pub struct TickRow {
-    /// Tick index.
-    pub tick: u64,
-    /// Total CPU demand across groups.
-    pub demand_cpu: f64,
-    /// Total CPU allocated across groups.
-    pub alloc_cpu: f64,
-    /// Unmet CPU demand.
-    pub shortfall_cpu: f64,
-    /// CPU allocated beyond demand this tick (never negative).
-    pub over_cpu: f64,
+mmog_obs::object_node! {
+    /// One platform-wide tick sample (from `tick` events).
+    #[derive(Debug, Clone, Copy)]
+    pub struct TickRow {
+        /// Tick index.
+        pub tick: u64,
+        /// Total CPU demand across groups.
+        pub demand_cpu: f64,
+        /// Total CPU allocated across groups.
+        pub alloc_cpu: f64,
+        /// Unmet CPU demand.
+        pub shortfall_cpu: f64,
+        /// CPU allocated beyond demand this tick (never negative).
+        pub over_cpu: f64,
+    }
 }
 
-/// One sampled per-center snapshot (from `center_tick` events).
-#[derive(Debug, Clone, Copy)]
-pub struct CenterSample {
-    /// Tick index of the sample.
-    pub tick: u64,
-    /// CPU leased out of this center at the sample.
-    pub alloc_cpu: f64,
-    /// CPU free in this center at the sample.
-    pub free_cpu: f64,
+mmog_obs::object_node! {
+    /// One sampled per-center snapshot (from `center_tick` events).
+    #[derive(Debug, Clone, Copy)]
+    pub struct CenterSample {
+        /// Tick index of the sample.
+        pub tick: u64,
+        /// CPU leased out of this center at the sample.
+        pub alloc_cpu: f64,
+        /// CPU free in this center at the sample.
+        pub free_cpu: f64,
+    }
 }
 
-/// The sampled allocation series of one data center.
-#[derive(Debug, Clone)]
-pub struct CenterSeries {
-    /// Platform index of the center.
-    pub center: u64,
-    /// Samples in tick order.
-    pub samples: Vec<CenterSample>,
+mmog_obs::object_node! {
+    /// The sampled allocation series of one data center.
+    #[derive(Debug, Clone)]
+    pub struct CenterSeries {
+        /// Platform index of the center.
+        pub center: u64,
+        /// Samples in tick order.
+        pub samples: Vec<CenterSample>,
+    }
 }
 
-/// One group's prediction-error report (from `prediction_group`).
-#[derive(Debug, Clone)]
-pub struct PredictionRow {
-    /// Group index.
-    pub group: u64,
-    /// Owning operator.
-    pub operator: u64,
-    /// Game name.
-    pub game: String,
-    /// Mean absolute prediction error, percent.
-    pub error_pct: f64,
+mmog_obs::object_node! {
+    /// One group's prediction-error report (from `prediction_group`).
+    #[derive(Debug, Clone)]
+    pub struct PredictionRow {
+        /// Group index.
+        pub group: u64,
+        /// Owning operator.
+        pub operator: u64,
+        /// Game name.
+        pub game: String,
+        /// Mean absolute prediction error, percent.
+        pub error_pct: f64,
+    }
 }
 
-/// One center's integrated usage attribution (from `center_usage`).
-#[derive(Debug, Clone)]
-pub struct UsageRow {
-    /// Center name.
-    pub name: String,
-    /// CPU capacity of the center.
-    pub capacity_cpu: f64,
-    /// Allocated CPU integrated over post-warmup ticks.
-    pub cpu_unit_ticks: f64,
-    /// Free CPU integrated over post-warmup ticks.
-    pub cpu_free_unit_ticks: f64,
+mmog_obs::object_node! {
+    /// One center's integrated usage attribution (from `center_usage`).
+    #[derive(Debug, Clone)]
+    pub struct UsageRow {
+        /// Center name.
+        pub name: String,
+        /// CPU capacity of the center.
+        pub capacity_cpu: f64,
+        /// Allocated CPU integrated over post-warmup ticks.
+        pub cpu_unit_ticks: f64,
+        /// Free CPU integrated over post-warmup ticks.
+        pub cpu_free_unit_ticks: f64,
+    }
 }
 
 /// Everything the analytics layer derives from one run's events.
@@ -315,32 +325,6 @@ pub fn render_timelines(runs: &[RunTimeline]) -> String {
     }
     out
 }
-
-mmog_obs::object_node!(TickRow {
-    tick,
-    demand_cpu,
-    alloc_cpu,
-    shortfall_cpu,
-    over_cpu,
-});
-mmog_obs::object_node!(CenterSample {
-    tick,
-    alloc_cpu,
-    free_cpu,
-});
-mmog_obs::object_node!(CenterSeries { center, samples });
-mmog_obs::object_node!(PredictionRow {
-    group,
-    operator,
-    game,
-    error_pct,
-});
-mmog_obs::object_node!(UsageRow {
-    name,
-    capacity_cpu,
-    cpu_unit_ticks,
-    cpu_free_unit_ticks,
-});
 
 /// Builds the `TIMELINE_<run>.json` document for a timeline set.
 #[must_use]

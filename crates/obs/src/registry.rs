@@ -224,34 +224,25 @@ impl Histogram {
     }
 }
 
-/// Point-in-time copy of one histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds (ascending; the last bucket is unbounded).
-    pub bounds: Vec<f64>,
-    /// Per-bucket observation counts (`bounds.len() + 1` entries).
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations in micro-units.
-    pub sum_micros: i64,
-    /// Smallest observation in micro-units (`None` when empty).
-    pub min_micros: Option<i64>,
-    /// Largest observation in micro-units (`None` when empty).
-    pub max_micros: Option<i64>,
-}
-
-crate::object_node!(
-    HistogramSnapshot {
-        bounds,
-        counts,
-        count,
-        sum_micros,
-        min_micros,
-        max_micros,
-    },
+crate::object_node! {
+    /// Point-in-time copy of one histogram.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HistogramSnapshot {
+        /// Bucket upper bounds (ascending; the last bucket is unbounded).
+        pub bounds: Vec<f64>,
+        /// Per-bucket observation counts (`bounds.len() + 1` entries).
+        pub counts: Vec<u64>,
+        /// Total observations.
+        pub count: u64,
+        /// Sum of observations in micro-units.
+        pub sum_micros: i64,
+        /// Smallest observation in micro-units (`None` when empty).
+        pub min_micros: Option<i64>,
+        /// Largest observation in micro-units (`None` when empty).
+        pub max_micros: Option<i64>,
+    }
     check = HistogramSnapshot::check
-);
+}
 
 impl HistogramSnapshot {
     /// Mean observation value (in the original unit), `None` when empty.

@@ -123,9 +123,8 @@ pub struct PointResult {
     /// One summary per world, in world order.
     pub worlds: Vec<WorldSummary>,
     /// Settle calls the match memo replayed across every world of this
-    /// point. Timing-domain, like the `sim.match.skips` counter it
-    /// mirrors: reported in the progress line, never in the semantic
-    /// section.
+    /// point: this point's share of the semantic `sim.match.skips`
+    /// counter, reported in the progress line.
     pub match_skips: u64,
     /// Settle calls that ran the full candidate walk.
     pub match_full: u64,
@@ -218,8 +217,8 @@ pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64, sinks: &Sin
     let worlds: Vec<usize> = (0..point.worlds).collect();
     // Counters are process-global and cumulative: deltas around the
     // point isolate this point's skip activity.
-    let c_skips = mmog_obs::counter("sim.match.skips", mmog_obs::Domain::Timing);
-    let c_full = mmog_obs::counter("sim.match.full", mmog_obs::Domain::Timing);
+    let c_skips = mmog_obs::counter("sim.match.skips", mmog_obs::Domain::Semantic);
+    let c_full = mmog_obs::counter("sim.match.full", mmog_obs::Domain::Semantic);
     let skips_before = c_skips.get();
     let full_before = c_full.get();
     let start = std::time::Instant::now();

@@ -219,6 +219,25 @@ impl RunOpts {
         }
     }
 
+    /// The tail of a standalone figure binary: prints `report`, writes
+    /// it to `results/<name>.txt`, flushes the sinks and, under
+    /// `--metrics`, writes `results/OBS_summary.json`.
+    pub fn write_report(&self, name: &str, report: &str) {
+        print!("{report}");
+        let out_dir = std::path::Path::new("results");
+        std::fs::create_dir_all(out_dir).expect("cannot create results/");
+        let path = out_dir.join(format!("{name}.txt"));
+        std::fs::write(&path, report).expect("cannot write report");
+        println!("== {name} -> {}", path.display());
+        self.flush_sinks();
+        if self.metrics {
+            let summary_path = out_dir.join("OBS_summary.json");
+            std::fs::write(&summary_path, mmog_obs::summary_json())
+                .expect("cannot write OBS summary");
+            println!("== metrics summary -> {}", summary_path.display());
+        }
+    }
+
     /// Installs this run's `--jobs` value as the process-wide worker
     /// count consulted by every parallel sweep and simulation.
     pub fn apply_jobs(&self) {

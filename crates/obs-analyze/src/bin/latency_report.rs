@@ -9,7 +9,7 @@
 //! Exits non-zero when no given artifact carries a latency snapshot, so
 //! a run whose latency instrumentation went missing fails loudly.
 
-use mmog_obs::Summary;
+use mmog_obs::{Document, Summary};
 use mmog_obs_analyze::render_report;
 use std::process::ExitCode;
 

@@ -7,7 +7,7 @@
 //! here is wall-clock data — the rendered report belongs in the
 //! `timing` half of the world and is never byte-compared.
 
-use mmog_obs::{SpanSnapshot, Summary};
+use mmog_obs::{Document, SpanSnapshot, Summary};
 
 /// One node of the reconstructed span hierarchy.
 #[derive(Debug, Clone, Default)]

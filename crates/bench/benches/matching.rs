@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmog_datacenter::locations::table3_hp12;
 use mmog_datacenter::matching::{
-    match_request, match_request_indexed, CandidateIndex, MatchOutcome,
+    match_request, match_request_indexed, CandidateIndex, MatchOutcome, MatchStats,
 };
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
@@ -41,7 +41,7 @@ fn bench_match(c: &mut Criterion) {
 
 fn bench_match_indexed(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_request_indexed");
-    let topo = Topology::new(table3_hp12().len());
+    let (topo, stats) = (Topology::new(table3_hp12().len()), MatchStats::current());
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
             let origin = GeoPoint::new(52.37, 4.90);
@@ -65,6 +65,7 @@ fn bench_match_indexed(c: &mut Criterion) {
                         &req,
                         SimTime::ZERO,
                         &mut out,
+                        &stats,
                     );
                     black_box(out.grants.len())
                 },
@@ -129,7 +130,7 @@ fn bench_memo_adjust(c: &mut Criterion) {
     use mmog_sim::provision::GroupProvisioner;
     use mmog_world::update::UpdateModel;
 
-    let topo = Topology::new(table3_hp12().len());
+    let (topo, stats) = (Topology::new(table3_hp12().len()), MatchStats::current());
     let setup = |memo: bool| {
         let mut centers = table3_hp12();
         let mut p = GroupProvisioner::new(
@@ -145,7 +146,7 @@ fn bench_memo_adjust(c: &mut Criterion) {
         // first tick grants, the rest are no-ops.
         for t in 0..4u64 {
             let target = p.observe_and_target(1500.0);
-            p.adjust(&topo, &target, &mut centers, SimTime(t));
+            p.adjust(&topo, &stats, &target, &mut centers, SimTime(t));
         }
         let target = p.observe_and_target(1500.0);
         (p, centers, target)
@@ -154,17 +155,21 @@ fn bench_memo_adjust(c: &mut Criterion) {
     let mut group = c.benchmark_group("steady_state_adjust");
     let (mut p, mut centers, target) = setup(true);
     group.bench_function("memo_hit", |b| {
-        b.iter(|| black_box(p.adjust(&topo, black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&topo, &stats, black_box(&target), &mut centers, SimTime(4))))
     });
     assert!(
-        p.adjust(&topo, &target, &mut centers, SimTime(4)).replayed,
+        p.adjust(&topo, &stats, &target, &mut centers, SimTime(4))
+            .replayed,
         "memo bench must measure the replay path"
     );
     let (mut p, mut centers, target) = setup(false);
     group.bench_function("full_walk", |b| {
-        b.iter(|| black_box(p.adjust(&topo, black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&topo, &stats, black_box(&target), &mut centers, SimTime(4))))
     });
-    assert!(!p.adjust(&topo, &target, &mut centers, SimTime(4)).replayed);
+    assert!(
+        !p.adjust(&topo, &stats, &target, &mut centers, SimTime(4))
+            .replayed
+    );
     group.finish();
 }
 

@@ -215,7 +215,8 @@ fn peak_rss_kb() -> Option<u64> {
 #[must_use]
 pub fn run_point(point: &SweepPoint, ticks: usize, master_seed: u64, sinks: &Sinks) -> PointResult {
     let worlds: Vec<usize> = (0..point.worlds).collect();
-    // Counters are process-global and cumulative: deltas around the
+    // Counters accumulate over the caller's whole scope (`scale_bench`
+    // records every point into the process default): deltas around the
     // point isolate this point's skip activity.
     let c_skips = mmog_obs::counter("sim.match.skips", mmog_obs::Domain::Semantic);
     let c_full = mmog_obs::counter("sim.match.full", mmog_obs::Domain::Semantic);
@@ -359,16 +360,29 @@ mod tests {
             worlds: 2,
             groups_per_world: 2,
         };
-        let results = run_sweep(&[p], 30, 7, &Sinks::default());
+        // The sweep records into a scope of its own, so the summary
+        // holds exactly this sweep.
+        let (results, summary) = mmog_par::scoped(1, &mmog_obs::Registry::new(), || {
+            let results = run_sweep(&[p], 30, 7, &Sinks::default());
+            mmog_obs::note_run(results[0].seconds, 1, 1);
+            (results, mmog_obs::summary_json())
+        });
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].worlds.len(), 2);
         assert!(results[0].worlds.iter().all(|w| w.samples == 30));
+        use mmog_obs::Document as _;
+        let semantic = mmog_obs::Summary::parse(&summary)
+            .unwrap()
+            .semantic
+            .counters;
+        let (skips, full) = (results[0].match_skips, results[0].match_full);
+        assert_eq!(semantic["sim.runs"], 2);
+        assert_eq!(semantic["sim.match.skips"], skips);
+        assert_eq!(semantic["sim.match.full"], full);
+        assert_eq!(skips + full, 2 * 2 * 30, "one settle step per group-tick");
         // The summary `scale_bench --metrics` writes must build a timing
         // baseline, and an identical summary must pass the gate against
-        // it. Other tests share the process-global registries, so only
-        // the sweep's own paths are asserted, never exact counts.
-        mmog_obs::note_run(results[0].seconds, 1, 1);
-        let summary = mmog_obs::summary_json();
+        // it.
         let gate = mmog_obs_analyze::gate::TimingThresholds {
             strict_paths: true,
             ..Default::default()

@@ -224,6 +224,7 @@ fn memoized_match_replay_is_allocation_free() {
 
     let mut centers = table3_hp12();
     let topo = mmog_datacenter::topology::Topology::new(centers.len());
+    let stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
         GeoPoint::new(52.37, 4.90),
@@ -235,11 +236,11 @@ fn memoized_match_replay_is_allocation_free() {
     let target = p.observe_and_target(1500.0);
     // Warm-up: grant, then run the full no-op walk once to arm the memo.
     for i in 0..4u64 {
-        let _ = p.adjust(&topo, &target, &mut centers, SimTime(i));
+        let _ = p.adjust(&topo, &stats, &target, &mut centers, SimTime(i));
     }
     let n = count_allocs(|| {
         for _ in 0..512 {
-            let out = p.adjust(&topo, &target, &mut centers, SimTime(4));
+            let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime(4));
             assert!(out.replayed, "steady state must hit the memo");
         }
     });
@@ -275,6 +276,7 @@ fn full_adjust_walk_is_allocation_free() {
         policy: HostingPolicy::hp(3),
     })];
     let topo = mmog_datacenter::topology::Topology::new(centers.len());
+    let stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
         origin,
@@ -288,7 +290,7 @@ fn full_adjust_walk_is_allocation_free() {
     let leases = 64u32;
     for k in 1..=leases {
         let target = ResourceVector::new(0.22 * f64::from(k) - 0.01, 0.0, 0.0, 0.0);
-        let out = p.adjust(&topo, &target, &mut centers, SimTime(u64::from(k)));
+        let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime(u64::from(k)));
         assert_eq!(out.granted, 1, "tick {k} grants one lease");
     }
     assert_eq!(p.lease_count(), leases as usize);
@@ -297,7 +299,7 @@ fn full_adjust_walk_is_allocation_free() {
     let now = SimTime(u64::from(leases) + 1);
     let n = count_allocs(|| {
         for _ in 0..64 {
-            let out = p.adjust(&topo, &target, &mut centers, now);
+            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
             assert!(!out.replayed && out.released == 0 && out.granted == 0);
         }
     });
@@ -448,7 +450,9 @@ fn soa_tick_loop_allocations_are_bounded() {
 
 fn indexed_match_allocations_are_bounded() {
     use mmog_datacenter::locations::table3_hp12;
-    use mmog_datacenter::matching::{match_request_indexed, CandidateIndex, MatchOutcome};
+    use mmog_datacenter::matching::{
+        match_request_indexed, CandidateIndex, MatchOutcome, MatchStats,
+    };
     use mmog_datacenter::request::{OperatorId, ResourceRequest};
     use mmog_datacenter::resource::ResourceVector;
     use mmog_datacenter::topology::Topology;
@@ -457,7 +461,7 @@ fn indexed_match_allocations_are_bounded() {
 
     let mut centers = table3_hp12();
     let origin = GeoPoint::new(52.37, 4.90);
-    let topo = Topology::new(centers.len());
+    let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
     let mut index = CandidateIndex::new(origin, DistanceClass::VeryFar);
     let mut out = MatchOutcome::default();
     let req = ResourceRequest::new(
@@ -468,13 +472,21 @@ fn indexed_match_allocations_are_bounded() {
     );
     // Warm-up builds the index and grows the lease ledgers.
     for i in 0..16u64 {
-        match_request_indexed(&topo, &mut index, &mut centers, &req, SimTime(i), &mut out);
+        match_request_indexed(
+            &topo,
+            &mut index,
+            &mut centers,
+            &req,
+            SimTime(i),
+            &mut out,
+            &stats,
+        );
     }
     let calls = 128u64;
     let n = count_allocs(|| {
         for i in 0..calls {
             let now = SimTime(16 + i);
-            match_request_indexed(&topo, &mut index, &mut centers, &req, now, &mut out);
+            match_request_indexed(&topo, &mut index, &mut centers, &req, now, &mut out, &stats);
         }
     });
     // Each call refills one caller-owned MatchOutcome (grants + copied

@@ -4,13 +4,16 @@
 //! applied and emitted only from the engine's serial sections, so the
 //! fan-out width can never reorder or drop them.
 //!
-//! The jobs setting is process-global, so the fault and scenario suites
-//! serialize on one shared mutex instead of racing under the parallel
-//! test harness. Each run traces into its own collector.
+//! Each pass runs in its own scope (`common::pass`) with its own jobs
+//! value and traces into its own collector, so the passes run side by
+//! side and the tests run under the parallel harness like any other.
 //!
 //! Mismatches route through `mmog-obs-analyze`'s first-divergence
 //! helpers, so a failure names the first diverging event or line.
 
+mod common;
+
+use common::passes;
 use mmog_faults::{
     FaultEvent, FaultKind, FaultSchedule, FaultSpec, ScenarioEvent, ScenarioEventKind,
     ScenarioParams, ScenarioSpec, ScenarioTimeline,
@@ -23,11 +26,6 @@ use mmog_sim::engine::{AllocationMode, Simulation, SimulationConfig};
 use mmog_sim::scenario::{self, ScenarioOpts};
 use std::fs;
 use std::path::Path;
-use std::sync::Mutex;
-
-/// Guards the process-global jobs setting shared by every test in this
-/// file.
-static PROCESS_GLOBALS: Mutex<()> = Mutex::new(());
 
 fn tiny() -> ScenarioOpts {
     ScenarioOpts {
@@ -57,16 +55,8 @@ fn faulted_pass() -> (String, String) {
 
 #[test]
 fn faulted_runs_identical_across_jobs_and_repeats() {
-    let _guard = PROCESS_GLOBALS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let baseline_jobs = mmog_par::jobs();
-    mmog_par::set_jobs(1);
-    let (report_serial, trace_serial) = faulted_pass();
-    mmog_par::set_jobs(4);
-    let (report_parallel, trace_parallel) = faulted_pass();
-    let (report_again, trace_again) = faulted_pass();
-    mmog_par::set_jobs(baseline_jobs);
+    let [(report_serial, trace_serial), (report_parallel, trace_parallel), (report_again, trace_again)] =
+        passes([1, 4, 4], faulted_pass);
 
     if let Some(d) = first_text_divergence(&report_serial, &report_parallel) {
         panic!(
@@ -153,16 +143,8 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn scenario_determinism() {
-    let _guard = PROCESS_GLOBALS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let baseline_jobs = mmog_par::jobs();
-    mmog_par::set_jobs(1);
-    let (report_serial, trace_serial) = scenario_pass();
-    mmog_par::set_jobs(4);
-    let (report_parallel, trace_parallel) = scenario_pass();
-    let (report_again, trace_again) = scenario_pass();
-    mmog_par::set_jobs(baseline_jobs);
+    let [(report_serial, trace_serial), (report_parallel, trace_parallel), (report_again, trace_again)] =
+        passes([1, 4, 4], scenario_pass);
 
     if let Some(d) = first_text_divergence(&report_serial, &report_parallel) {
         panic!(

@@ -6,15 +6,18 @@
 //! deterministic downsampling makes `TS_<run>.json` documents
 //! byte-identical across job counts.
 //!
-//! One test function: the jobs setting and the metric registry are
-//! process-global, so separate `#[test]`s would race under the parallel
-//! test harness. Each pass traces and exports into its own collectors.
+//! The two passes run side by side, each in its own scope
+//! (`common::pass`) with its own jobs value, tracing and exporting into
+//! its own collectors.
 //!
 //! The mini-suite is chosen to exercise every terminal cause family:
 //! fig08 drives plain dynamic provisioning (surplus/reshape/run_end
 //! releases), fig_faults adds fault-plane revocations and center-down
 //! drops, fig_scenarios adds migration and failover releases.
 
+mod common;
+
+use common::passes;
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
 use mmog_obs::json::Node;
@@ -41,7 +44,6 @@ fn mini_suite(opts: &RunOpts) -> Vec<String> {
 /// Runs the mini-suite traced and exporting time series into fresh
 /// collectors, returning `(trace bytes, ts docs in write order)`.
 fn traced_pass(opts: &RunOpts) -> (String, Vec<String>) {
-    mmog_obs::reset();
     let (trace, ts) = (
         Collector::trace("unused.jsonl"),
         Collector::time_series("unused"),
@@ -62,18 +64,11 @@ fn traced_pass(opts: &RunOpts) -> (String, Vec<String>) {
 
 #[test]
 fn lease_lifecycles_reconstruct_fully_across_jobs() {
-    let baseline_jobs = mmog_par::jobs();
     let opts = tiny();
-
-    // Warm the process-wide workload/emulator caches so cache-build
-    // effects don't differ between the compared passes.
-    mmog_par::set_jobs(1);
-    let _ = mini_suite(&opts);
-
-    let (trace_serial, ts_serial) = traced_pass(&opts);
-    mmog_par::set_jobs(4);
-    let (trace_parallel, ts_parallel) = traced_pass(&opts);
-    mmog_par::set_jobs(baseline_jobs);
+    // No cache warm-up: the traces and time series hold no cache-build
+    // counts, so the passes must agree however the caches start.
+    let [(trace_serial, ts_serial), (trace_parallel, ts_parallel)] =
+        passes([1, 4], || traced_pass(&opts));
 
     // The event logs (lifecycle events included) are byte-identical.
     if let Some(d) = trace_diff(&trace_serial, &trace_parallel) {

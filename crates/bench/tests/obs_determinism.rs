@@ -3,9 +3,10 @@
 //! summary are byte-identical between `--jobs 1` and `--jobs 4`, while
 //! wall-clock data stays quarantined in the `timing` section.
 //!
-//! One test function: the jobs setting and the metric registry are
-//! process-global, so separate `#[test]`s would race under the parallel
-//! test harness. Each pass traces into its own collector.
+//! The two passes run side by side, each in its own scope
+//! (`common::pass`): a fresh registry, so each summary holds exactly its
+//! own pass, and its own jobs value. Each pass traces into its own
+//! collector.
 //!
 //! Trace mismatches route through `mmog_obs_analyze::trace_diff`, so a
 //! failure names the first diverging event (kind, tick, field) instead
@@ -13,6 +14,9 @@
 //! also validated against the per-kind field schemas and folded into
 //! timelines by the analytics reader.
 
+mod common;
+
+use common::passes;
 use mmog_bench::experiments as exp;
 use mmog_bench::RunOpts;
 use mmog_obs::json::Node;
@@ -40,9 +44,8 @@ fn mini_suite(opts: &RunOpts) -> Vec<String> {
 }
 
 /// Runs the mini-suite traced into a fresh collector and returns
-/// `(summary json, trace bytes)`.
+/// `(summary json of the current scope, trace bytes)`.
 fn traced_pass(opts: &RunOpts) -> (String, String) {
-    mmog_obs::reset();
     let trace = Collector::trace("unused.jsonl");
     let mut opts = opts.clone();
     opts.sinks.trace = Some(trace.clone());
@@ -52,19 +55,19 @@ fn traced_pass(opts: &RunOpts) -> (String, String) {
 
 #[test]
 fn semantic_outputs_identical_across_jobs() {
-    let baseline_jobs = mmog_par::jobs();
     let opts = tiny();
 
-    // Warm the process-wide workload/emulator caches so cache-build
-    // counters (e.g. `world.emulator.runs`) don't differ between the
-    // compared passes.
-    mmog_par::set_jobs(1);
-    let _ = mini_suite(&opts);
+    // The emulator cache is process-wide, and `world.emulator.runs` and
+    // `world.emulator.ticks` count the builds of its entries in whichever
+    // scope builds them. Warm it first (fig06's eight emulated series;
+    // fig08 reads only the uncounted workload cache) in a throwaway
+    // scope, so neither compared pass builds an entry.
+    mmog_par::scoped(0, &mmog_obs::Registry::new(), || {
+        exp::fig06_prediction_time(&opts)
+    });
 
-    let (summary_serial, trace_serial) = traced_pass(&opts);
-    mmog_par::set_jobs(4);
-    let (summary_parallel, trace_parallel) = traced_pass(&opts);
-    mmog_par::set_jobs(baseline_jobs);
+    let [(summary_serial, trace_serial), (summary_parallel, trace_parallel)] =
+        passes([1, 4], || traced_pass(&opts));
 
     // Both summaries parse back through the type that wrote them, and
     // their semantic sections — counters, gauges, histograms — are

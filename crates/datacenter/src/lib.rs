@@ -41,7 +41,9 @@ pub mod topology;
 
 pub use center::{Availability, DataCenter, DataCenterId, DataCenterSpec, Lease, LeaseId};
 pub use locations::table3_centers;
-pub use matching::{match_request, MatchOutcome, RejectReason, Rejection, RejectionTotals};
+pub use matching::{
+    match_request, MatchOutcome, MatchStats, RejectReason, Rejection, RejectionTotals,
+};
 pub use policy::HostingPolicy;
 pub use request::{OperatorId, ResourceRequest};
 pub use resource::{ResourceType, ResourceVector};

@@ -301,13 +301,15 @@ proptest! {
         // pure function, so replaying a recorded outcome instead of
         // re-walking can never be observed — grant for grant, ledger
         // for ledger. Random demand/fault sequences drive the pair.
-        use mmog_datacenter::matching::{match_request_indexed, CandidateIndex, MatchOutcome};
+        use mmog_datacenter::matching::{
+            match_request_indexed, CandidateIndex, MatchOutcome, MatchStats,
+        };
         let origin = GeoPoint::new(50.0, 10.0);
         let mut live = vec![center(machines, policy.clone())];
         let mut replay = live.clone();
         let mut live_index = CandidateIndex::new(origin, DistanceClass::VeryFar);
         let mut replay_index = live_index.clone();
-        let topo = Topology::new(live.len());
+        let (topo, stats) = (Topology::new(live.len()), MatchStats::current());
         let (mut out, mut replayed) = (MatchOutcome::default(), MatchOutcome::default());
         for (i, (amounts, fault)) in demands.iter().enumerate() {
             match fault {
@@ -328,8 +330,8 @@ proptest! {
                 DistanceClass::VeryFar,
             );
             let now = SimTime(i as u64);
-            match_request_indexed(&topo, &mut live_index, &mut live, &req, now, &mut out);
-            match_request_indexed(&topo, &mut replay_index, &mut replay, &req, now, &mut replayed);
+            match_request_indexed(&topo, &mut live_index, &mut live, &req, now, &mut out, &stats);
+            match_request_indexed(&topo, &mut replay_index, &mut replay, &req, now, &mut replayed, &stats);
             prop_assert_eq!(&out, &replayed, "walk diverged on identical inputs");
             prop_assert_eq!(
                 format!("{:?}", live[0].leases()),

@@ -119,8 +119,8 @@ impl Node for Summary {
 }
 
 impl Summary {
-    /// Snapshots the live registries, span tree and latency histograms,
-    /// and measures the plane's own cost.
+    /// Snapshots the current registry (its metrics, span tree and
+    /// latency histograms) and measures the plane's own cost.
     #[must_use]
     pub fn capture() -> Self {
         let metrics = snapshot_metrics();
@@ -141,7 +141,7 @@ impl Summary {
 /// snapshots are internally consistent.
 impl Document for Summary {}
 
-/// Renders the live registries as the summary document text.
+/// Renders the current registry as the summary document text.
 #[must_use]
 pub fn summary_json() -> String {
     Summary::capture().to_json()
@@ -284,7 +284,7 @@ fn push_rows(out: &mut String, title: &str, rows: &[(String, String)]) {
     }
 }
 
-/// Renders the live registry and span tree as a human-readable table
+/// Renders the current registry and span tree as a human-readable table
 /// (the `--metrics` console output). The timing half is wrapped in the
 /// standard masking markers.
 #[must_use]
@@ -332,17 +332,17 @@ pub fn render_summary_table() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+    use crate::registry::{self, Registry};
 
     #[test]
     fn summary_validates_against_own_schema() {
-        let c = registry::counter("test.export.counter", Domain::Semantic);
-        c.add(3);
-        let h = registry::histogram("test.export.hist", Domain::Semantic, &[1.0, 2.0]);
-        h.record(0.5);
-        let _g = registry::gauge("test.export.gauge", Domain::Timing);
-        let _span = crate::span::timer("test.export/span");
-        let text = summary_json();
+        let text = Registry::new().scope(|| {
+            registry::counter("test.export.counter", Domain::Semantic).add(3);
+            registry::histogram("test.export.hist", Domain::Semantic, &[1.0, 2.0]).record(0.5);
+            let _g = registry::gauge("test.export.gauge", Domain::Timing);
+            let _span = crate::span::timer("test.export/span");
+            summary_json()
+        });
         let parsed = Summary::parse(&text).expect("self-produced summary must parse");
         assert_eq!(parsed.to_json(), text);
     }
@@ -405,26 +405,30 @@ mod tests {
 
     #[test]
     fn summary_reports_latency_and_self_overhead() {
-        let h = crate::latency::latency("test.export.latency");
-        for v in [100u64, 200, 50_000] {
-            h.record(v);
-        }
-        note_run(1.5, 1, 1);
-        let summary = Summary::parse(&summary_json()).expect("extended summary must parse");
+        let text = Registry::new().scope(|| {
+            let h = crate::latency::latency("test.export.latency");
+            for v in [100u64, 200, 50_000] {
+                h.record(v);
+            }
+            note_run(1.5, 1, 1);
+            summary_json()
+        });
+        let summary = Summary::parse(&text).expect("extended summary must parse");
         let lat = &summary.latency["test.export.latency"];
-        assert!(lat.count >= 3);
+        assert_eq!(lat.count, 3);
         let own = &summary.obs_self;
-        assert!(own.latency_records >= 3);
+        assert_eq!(own.latency_records, 3);
         assert!(own.per_record_ns > 0.0);
         assert!(own.overhead_pct.is_some());
     }
 
     #[test]
     fn table_masks_timing_half() {
-        let c = registry::counter("test.export.table", Domain::Semantic);
-        c.incr();
-        let _ = crate::span::span("test.export.table/span");
-        let table = render_summary_table();
+        let table = Registry::new().scope(|| {
+            registry::counter("test.export.table", Domain::Semantic).incr();
+            let _ = crate::span::span("test.export.table/span");
+            render_summary_table()
+        });
         let masked = crate::mask_timing(&table).expect("table timing block is well-formed");
         assert!(masked.contains("test.export.table"));
         assert!(!masked.contains("Span tree"));

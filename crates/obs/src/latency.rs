@@ -39,11 +39,11 @@
 //! the bucket a sample lands in never is — nothing from this module may
 //! feed a semantic export.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::json::{member, Node, Value};
+use crate::registry::{intern, with_tables};
 
 /// Number of buckets: 64 octaves × 2 sub-buckets.
 pub const LATENCY_BUCKETS: usize = 128;
@@ -159,15 +159,6 @@ impl LatencyHisto {
             min_ns: (count > 0).then(|| self.min_ns.load(Ordering::Relaxed)),
             max_ns: (count > 0).then(|| self.max_ns.load(Ordering::Relaxed)),
         }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum_ns.store(0, Ordering::Relaxed);
-        self.min_ns.store(u64::MAX, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
     }
 }
 
@@ -350,49 +341,31 @@ impl Node for LatencySnapshot {
     }
 }
 
-fn registry() -> &'static Mutex<BTreeMap<String, Arc<LatencyHisto>>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, Arc<LatencyHisto>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn lock() -> std::sync::MutexGuard<'static, BTreeMap<String, Arc<LatencyHisto>>> {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Interns a latency histogram by path. Hot call sites cache the `Arc`
-/// handle; all interned histograms export under the summary's `timing`
-/// section (latency is wall-clock by definition).
+/// Interns a latency histogram by path in the current registry. Hot call
+/// sites fetch the `Arc` handle once per owner; every histogram exports
+/// under the summary's `timing` section (latency is wall-clock by
+/// definition).
 #[must_use]
 pub fn latency(path: &str) -> Arc<LatencyHisto> {
-    Arc::clone(
-        lock()
-            .entry(path.to_string())
-            .or_insert_with(|| Arc::new(LatencyHisto::new())),
-    )
+    with_tables(|t| intern(&mut t.latency, path, Arc::default))
 }
 
-/// Snapshots every interned latency histogram, sorted by path.
+/// Snapshots every latency histogram of the current registry, sorted by
+/// path.
 #[must_use]
 pub fn snapshot_latency() -> Vec<(String, LatencySnapshot)> {
-    lock()
-        .iter()
-        .map(|(path, h)| (path.clone(), h.snapshot()))
-        .collect()
-}
-
-/// Zeroes every interned latency histogram; paths and cached handles
-/// stay valid.
-pub fn reset_latency() {
-    for h in lock().values() {
-        h.reset();
-    }
+    with_tables(|t| {
+        t.latency
+            .iter()
+            .map(|(p, h)| (p.clone(), h.snapshot()))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn bucket_index_bounds_are_consistent() {
@@ -507,13 +480,15 @@ mod tests {
 
     #[test]
     fn registry_interns_and_resets() {
-        let a = latency("test.latency.interns");
-        let b = latency("test.latency.interns");
-        a.record(42);
-        assert_eq!(b.snapshot().count, 1, "same path must be the same histo");
-        reset_latency();
-        assert_eq!(a.snapshot().count, 0);
-        a.record(7);
-        assert_eq!(b.snapshot().count, 1, "handles stay usable after reset");
+        let reg = Registry::new();
+        reg.scope(|| {
+            let a = latency("test.latency.interns");
+            let b = latency("test.latency.interns");
+            a.record(42);
+            assert_eq!(b.snapshot().count, 1, "same path must be the same histo");
+        });
+        // A fresh registry is the reset; the first keeps its samples.
+        assert!(Registry::new().scope(snapshot_latency).is_empty());
+        assert_eq!(reg.scope(snapshot_latency)[0].1.count, 1);
     }
 }

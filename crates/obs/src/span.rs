@@ -14,9 +14,9 @@
 //! derived from spans must be wrapped in [`crate::timing_block`] so
 //! determinism tests can mask it.
 
-use std::collections::BTreeMap;
+use crate::registry::{intern, with_tables};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Accumulated timing for one span path.
@@ -44,12 +44,6 @@ impl SpanStat {
             max_ns: self.max_ns.load(Ordering::Relaxed),
         }
     }
-
-    fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Point-in-time copy of one span's accumulators.
@@ -75,27 +69,12 @@ impl SpanSnapshot {
     }
 }
 
-fn tree() -> &'static Mutex<BTreeMap<String, Arc<SpanStat>>> {
-    static TREE: OnceLock<Mutex<BTreeMap<String, Arc<SpanStat>>>> = OnceLock::new();
-    TREE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn lock() -> std::sync::MutexGuard<'static, BTreeMap<String, Arc<SpanStat>>> {
-    tree()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Interns a span path and returns its accumulator. Hot call sites
-/// should cache the handle in a `OnceLock` and time through
-/// [`SpanStat::record_ns`] or [`time_stat`].
+/// Interns a span path in the current registry and returns its
+/// accumulator. Hot call sites fetch the handle once when their owner is
+/// built and time through [`SpanStat::record_ns`] or [`time_stat`].
 #[must_use]
 pub fn timer(path: &str) -> Arc<SpanStat> {
-    Arc::clone(
-        lock()
-            .entry(path.to_string())
-            .or_insert_with(|| Arc::new(SpanStat::default())),
-    )
+    with_tables(|t| intern(&mut t.spans, path, Arc::default))
 }
 
 /// Starts a span on `path`; the elapsed time records when the returned
@@ -134,38 +113,32 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Snapshots the whole timing tree, sorted by path (parents precede
-/// children because a path is a prefix of its descendants).
+/// Snapshots the current registry's timing tree, sorted by path
+/// (parents precede children because a path is a prefix of its
+/// descendants).
 #[must_use]
 pub fn snapshot_spans() -> Vec<(String, SpanSnapshot)> {
-    lock()
-        .iter()
-        .map(|(path, stat)| (path.clone(), stat.snapshot()))
-        .collect()
-}
-
-/// Zeroes every span accumulator; interned paths and cached handles
-/// stay valid.
-pub fn reset_spans() {
-    for stat in lock().values() {
-        stat.reset();
-    }
+    with_tables(|t| {
+        t.spans
+            .iter()
+            .map(|(p, s)| (p.clone(), s.snapshot()))
+            .collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn guard_records_on_drop() {
-        let stat = timer("test.span.guard");
-        let before = stat.snapshot().calls;
-        {
+        let reg = Registry::new();
+        reg.scope(|| {
             let _g = span("test.span.guard");
             std::hint::black_box(42);
-        }
-        let after = stat.snapshot();
-        assert_eq!(after.calls, before + 1);
+        });
+        assert_eq!(reg.scope(snapshot_spans)[0].1.calls, 1);
     }
 
     #[test]
@@ -183,15 +156,14 @@ mod tests {
 
     #[test]
     fn snapshot_sorted_parents_before_children() {
-        let _ = timer("test.tree/a/b");
-        let _ = timer("test.tree/a");
-        let _ = timer("test.tree");
-        let snap = snapshot_spans();
-        let paths: Vec<&str> = snap
-            .iter()
-            .map(|(p, _)| p.as_str())
-            .filter(|p| p.starts_with("test.tree"))
-            .collect();
+        let reg = Registry::new();
+        reg.scope(|| {
+            let _ = timer("test.tree/a/b");
+            let _ = timer("test.tree/a");
+            let _ = timer("test.tree");
+        });
+        let snap = reg.scope(snapshot_spans);
+        let paths: Vec<&str> = snap.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, vec!["test.tree", "test.tree/a", "test.tree/a/b"]);
     }
 

@@ -10,7 +10,7 @@
 use crate::demand::DemandModel;
 use mmog_datacenter::center::{availability_epoch, DataCenter, Lease, LeaseId};
 use mmog_datacenter::matching::{
-    match_request_indexed, CandidateIndex, MatchMemo, MatchOutcome, RejectionTotals,
+    match_request_indexed, CandidateIndex, MatchMemo, MatchOutcome, MatchStats, RejectionTotals,
 };
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
@@ -445,10 +445,12 @@ impl GroupProvisioner {
     /// wholly contained in the surplus, then requests any deficit,
     /// matched through `topology` (partitioned centers are unreachable
     /// and degraded links inflate effective distances; the nominal
-    /// [`Topology::new`] leaves every distance as measured).
+    /// [`Topology::new`] leaves every distance as measured) and recorded
+    /// in the run's shared `stats`.
     pub fn adjust(
         &mut self,
         topology: &Topology,
+        stats: &MatchStats,
         target: &ResourceVector,
         centers: &mut [DataCenter],
         now: SimTime,
@@ -628,6 +630,7 @@ impl GroupProvisioner {
                 &request,
                 now,
                 &mut matched,
+                stats,
             );
             for grant in &matched.grants {
                 let lease = *centers[grant.center_index]
@@ -838,10 +841,10 @@ mod tests {
     #[test]
     fn requests_cover_target() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        let out = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
         assert!(out.granted > 0);
         assert!(!out.unmet);
         assert!(
@@ -853,20 +856,20 @@ mod tests {
     #[test]
     fn surplus_released_after_time_bulk() {
         let mut centers = one_center(HostingPolicy::hp(5)); // 180-min bulk
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let high = p.demand_model.demand(2000.0);
-        p.adjust(&topo, &high, &mut centers, SimTime::ZERO);
+        p.adjust(&topo, &stats, &high, &mut centers, SimTime::ZERO);
         let held_at_peak = p.allocated();
         // Demand collapses; before the bulk matures nothing can go.
         let low = p.demand_model.demand(200.0);
         let early = SimTime::from_minutes(60);
-        let out = p.adjust(&topo, &low, &mut centers, early);
+        let out = p.adjust(&topo, &stats, &low, &mut centers, early);
         assert_eq!(out.released, 0);
         assert_eq!(p.allocated(), held_at_peak);
         // After maturity the surplus leases drop.
         let late = SimTime::from_minutes(200);
-        let out = p.adjust(&topo, &low, &mut centers, late);
+        let out = p.adjust(&topo, &stats, &low, &mut centers, late);
         assert!(out.released > 0);
         assert!(p.allocated().cpu < held_at_peak.cpu);
         // Still covering the low target.
@@ -876,11 +879,11 @@ mod tests {
     #[test]
     fn unmet_reported_when_platform_full() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         centers[0].spec.machines = 1; // 1.2 CPU units total
         let mut p = provisioner();
         let target = p.demand_model.demand(4000.0); // 4 CPU units
-        let out = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
         assert!(out.unmet);
         assert!(p.allocated().cpu < target.cpu);
     }
@@ -914,15 +917,15 @@ mod tests {
     #[test]
     fn repeated_adjust_converges_to_stable_leases() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&topo, &target, &mut centers, now);
+        p.adjust(&topo, &stats, &target, &mut centers, now);
         let after_first = p.lease_count();
         for _ in 0..10 {
             now += SimDuration::TICK;
-            let out = p.adjust(&topo, &target, &mut centers, now);
+            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
             assert_eq!(out.granted, 0, "stable target must not re-request");
             assert_eq!(out.released, 0);
         }
@@ -986,10 +989,10 @@ mod tests {
     #[test]
     fn dropped_leases_accumulate_lost_capacity() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
+        p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
         let held = p.allocated();
         assert!(held.cpu > 0.0);
         let dropped = p.drop_leases_at_center(0);
@@ -1050,40 +1053,40 @@ mod tests {
     #[test]
     fn backoff_defers_doomed_requests() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         centers[0].spec.machines = 0; // nothing can ever be granted
         let mut p = provisioner();
         p.retry = Some(RetryPolicy::default());
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         // First attempt fails and arms a 1-tick backoff.
-        let out = p.adjust(&topo, &target, &mut centers, now);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
         assert!(out.unmet && !out.deferred);
         assert!(out.rejections.total() > 0);
         // Next tick is within the backoff window → deferred, no matcher
         // call (no new rejections).
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &target, &mut centers, now);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
         assert!(out.deferred && !out.unmet);
         assert_eq!(out.rejections.total(), 0);
         // Consecutive failures stretch the window exponentially: after
         // the second real failure the wait is 2 ticks.
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &target, &mut centers, now);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
         assert!(out.unmet && !out.deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&topo, &target, &mut centers, now).deferred);
+        assert!(p.adjust(&topo, &stats, &target, &mut centers, now).deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&topo, &target, &mut centers, now).deferred);
+        assert!(p.adjust(&topo, &stats, &target, &mut centers, now).deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&topo, &target, &mut centers, now).unmet);
+        assert!(p.adjust(&topo, &stats, &target, &mut centers, now).unmet);
         // Capacity returns → request succeeds and the backoff resets.
         centers[0].spec.machines = 20;
         now += SimDuration(RetryPolicy::default().max_backoff_ticks);
-        let out = p.adjust(&topo, &target, &mut centers, now);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
         assert!(out.granted > 0 && !out.unmet);
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &target, &mut centers, now);
+        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
         assert!(!out.deferred, "met request resets the backoff");
     }
 
@@ -1104,38 +1107,40 @@ mod tests {
         // — the mechanism behind Table V's inflated ExtNet[in]
         // over-allocation.
         let mut centers = one_center(HostingPolicy::hp(1));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
+        p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
         // Demand halves; even after the time bulk, inbound stays at 6
         // because releasing the bundle would drop CPU below target.
         let lower = p.demand_model.demand(1200.0);
         let later = SimTime::from_hours(7);
-        p.adjust(&topo, &lower, &mut centers, later);
+        p.adjust(&topo, &stats, &lower, &mut centers, later);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn memo_replays_stable_noop_ticks() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
-        let first = p.adjust(&topo, &target, &mut centers, SimTime::ZERO);
+        let first = p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
         assert!(!first.replayed, "a granting step cannot be a replay");
         // The granting walk itself proves phases 1/1b inert (no matured
         // leases, sorted ledger), so post-mutation arming lets every
         // later stable tick replay without a walk.
         let second = p.adjust(
             &topo,
+            &stats,
             &target,
             &mut centers,
             SimTime::ZERO + SimDuration::TICK,
         );
         let third = p.adjust(
             &topo,
+            &stats,
             &target,
             &mut centers,
             SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
@@ -1152,13 +1157,13 @@ mod tests {
     #[test]
     fn memo_disabled_always_runs_the_full_walk() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         p.memo_enabled = false;
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
-            let out = p.adjust(&topo, &target, &mut centers, now);
+            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
             assert!(!out.replayed);
             now += SimDuration::TICK;
         }
@@ -1167,19 +1172,19 @@ mod tests {
     #[test]
     fn memo_drops_on_real_demand_growth() {
         let mut centers = one_center(HostingPolicy::hp(5));
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&topo, &target, &mut centers, now);
+        p.adjust(&topo, &stats, &target, &mut centers, now);
         now += SimDuration::TICK;
-        p.adjust(&topo, &target, &mut centers, now);
+        p.adjust(&topo, &stats, &target, &mut centers, now);
         // A genuinely larger target has a non-negligible deficit: the
         // fast path must step aside and the full walk must grant.
         let gen = p.lease_generation();
         let bigger = p.demand_model.demand(4000.0);
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &bigger, &mut centers, now);
+        let out = p.adjust(&topo, &stats, &bigger, &mut centers, now);
         assert!(!out.replayed);
         assert!(out.granted > 0);
         assert_ne!(p.lease_generation(), gen, "grants bump the ledger gen");

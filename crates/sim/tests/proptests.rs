@@ -1,6 +1,7 @@
 //! Property-based tests for the provisioning simulator.
 
 use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec, Lease, LeaseId};
+use mmog_datacenter::matching::MatchStats;
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::OperatorId;
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
@@ -63,12 +64,12 @@ proptest! {
         hp in 1usize..12,
     ) {
         let mut centers = one_center(50, hp);
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner(UpdateModel::Quadratic);
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            p.adjust(&topo, &target, &mut centers, now);
+            p.adjust(&topo, &stats, &target, &mut centers, now);
             // The center's ledger for this operator must equal the
             // provisioner's own bookkeeping.
             let held = centers[0].held_by(OperatorId(1));
@@ -91,12 +92,12 @@ proptest! {
         // 100 machines >> 1 group's worst-case demand: every target must
         // be fully covered right after adjustment.
         let mut centers = one_center(100, 5);
-        let topo = Topology::new(centers.len());
+        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         let mut p = provisioner(UpdateModel::Quadratic);
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            let out = p.adjust(&topo, &target, &mut centers, now);
+            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
             prop_assert!(!out.unmet);
             prop_assert!(
                 target.fits_within(&p.allocated(), 1e-6),
@@ -118,7 +119,7 @@ proptest! {
         // observable must agree exactly: outcomes grant-for-grant, the
         // allocation vector bitwise, and the lease ledgers structurally.
         let mut centers_on = one_center(50, hp);
-        let topo = Topology::new(centers_on.len());
+        let (topo, stats) = (Topology::new(centers_on.len()), MatchStats::current());
         let mut centers_off = one_center(50, hp);
         let mut p_on = provisioner(UpdateModel::Quadratic);
         let mut p_off = provisioner(UpdateModel::Quadratic);
@@ -151,8 +152,8 @@ proptest! {
             let t_on = p_on.observe_and_target(players);
             let t_off = p_off.observe_and_target(players);
             prop_assert_eq!(format!("{t_on:?}"), format!("{t_off:?}"));
-            let o_on = p_on.adjust(&topo, &t_on, &mut centers_on, now);
-            let o_off = p_off.adjust(&topo, &t_off, &mut centers_off, now);
+            let o_on = p_on.adjust(&topo, &stats, &t_on, &mut centers_on, now);
+            let o_off = p_off.adjust(&topo, &stats, &t_off, &mut centers_off, now);
             prop_assert!(!o_off.replayed, "memo disabled yet replayed");
             replays += u32::from(o_on.replayed);
             // Same outcome, modulo the diagnostic replay flag.

@@ -14,7 +14,6 @@ use crate::request::OperatorId;
 use crate::resource::ResourceVector;
 use mmog_util::geo::GeoPoint;
 use mmog_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -33,15 +32,15 @@ pub fn availability_epoch(centers: &[DataCenter]) -> u64 {
 }
 
 /// Identifier of a data center (hoster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataCenterId(pub u32);
 
 /// Identifier of a lease within one data center.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LeaseId(pub u64);
 
 /// Static description of one data center.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCenterSpec {
     /// Identifier.
     pub id: DataCenterId,
@@ -104,7 +103,7 @@ impl Hasher for LeaseIdHasher {
 }
 
 /// A granted lease.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lease {
     /// Lease identifier (unique within the center).
     pub id: LeaseId,
@@ -124,7 +123,7 @@ pub struct Lease {
 /// arithmetic.
 ///
 /// [`Up`]: Availability::Up
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Availability {
     /// Fully operational at nominal capacity.
     #[default]
@@ -142,7 +141,7 @@ pub enum Availability {
 }
 
 /// A data center with live allocation state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DataCenter {
     /// Static description.
     pub spec: DataCenterSpec,

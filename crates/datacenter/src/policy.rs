@@ -13,10 +13,9 @@
 
 use crate::resource::{ResourceType, ResourceVector};
 use mmog_util::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A data center's space-time renting policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostingPolicy {
     /// Policy name ("HP-1" … "HP-11" or custom).
     pub name: String,

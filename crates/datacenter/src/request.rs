@@ -2,17 +2,16 @@
 
 use crate::resource::ResourceVector;
 use mmog_util::geo::{DistanceClass, GeoPoint};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a game operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OperatorId(pub u32);
 
 /// A request for resources, carrying the demand origin and the game's
 /// latency tolerance (Sec. II-C: "depending on the game latency
 /// tolerance, the matching mechanism locates the resources closest to
 /// the request").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceRequest {
     /// The requesting operator.
     pub operator: OperatorId,

@@ -11,12 +11,11 @@
 //! of a fully loaded RuneScape game server (e.g. one external outward
 //! network unit is equivalent to a real bandwidth value of 3 MB/s)".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// The four resource types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceType {
     /// CPU time from data-center machines.
     Cpu,
@@ -51,7 +50,7 @@ impl fmt::Display for ResourceType {
 }
 
 /// A dense vector of the four resource quantities, in units.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceVector {
     /// CPU units.
     pub cpu: f64,

@@ -34,11 +34,9 @@
 //!   ordering is stale and must be rebuilt (availability-only changes
 //!   keep using the cheaper refresh path).
 
-use serde::{Deserialize, Serialize};
-
 /// Mutable network topology over `n` data centers: partition components
 /// plus a symmetric link-quality (distance multiplier) matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Partition component label per center; equal labels ⇒ reachable.
     component: Vec<u32>,

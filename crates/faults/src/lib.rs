@@ -29,7 +29,6 @@ pub use scenario::{
 
 use mmog_util::rng::Rng64;
 use mmog_util::time::{TICKS_PER_DAY, TICK_MINUTES};
-use serde::{Deserialize, Serialize};
 use std::fmt::{Debug, Display};
 use std::str::FromStr;
 
@@ -44,7 +43,7 @@ pub trait TimelineEvent: Copy {
 /// A deterministic, pre-materialised event list in canonical
 /// ([`TimelineEvent::sort_key`]) order, with the label its runs trace
 /// under and the timeline-wide parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline<E: TimelineEvent> {
     events: Vec<E>,
     label: String,
@@ -197,7 +196,7 @@ fn per_tick_draws<E>(
 }
 
 /// What a single fault event does when the engine applies it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Full outage: the center goes `Down` and every lease it holds is
     /// revoked (Sec. II-B leases are center-local, so they cannot
@@ -222,7 +221,7 @@ pub enum FaultKind {
 }
 
 /// One timed fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Tick at which the event strikes (applied before the tick's
     /// scoring, so its impact is visible the same tick).
@@ -271,7 +270,7 @@ impl TimelineEvent for FaultEvent {
 /// | `dmins`   | mean degradation duration, minutes                   |
 /// | `revoke`  | expected spontaneous lease revocations per center/day|
 /// | `dropout` | probability a tick is a global predictor dropout     |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Master seed of the fault streams (independent of the
     /// simulation's `master_seed`, so the same workload can be replayed

@@ -32,10 +32,9 @@ use crate::{
     TimelineEvent,
 };
 use mmog_util::rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// What a single scenario event does when the engine applies it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScenarioEventKind {
     /// All partitions heal: every center rejoins one component.
     Heal,
@@ -93,7 +92,7 @@ pub enum ScenarioEventKind {
 }
 
 /// One timed scenario event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioEvent {
     /// Tick at which the event strikes (applied before the tick's
     /// scoring, so its impact is visible the same tick).
@@ -165,7 +164,7 @@ impl Default for ScenarioParams {
 /// | `link`     | expected link-degradation episodes per day            |
 /// | `lfactor`  | distance multiplier while a link is degraded          |
 /// | `lmins`    | mean link-degradation duration, minutes               |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Master seed of the scenario streams (independent of both the
     /// simulation's `master_seed` and the fault spec's seed).

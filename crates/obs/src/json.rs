@@ -1,11 +1,10 @@
 //! A minimal, dependency-free JSON value, writer and parser.
 //!
-//! The workspace's `serde` is an offline no-op shim (the derives mark
-//! types but serialise nothing), so the observability plane carries its
-//! own JSON layer: [`Value`] for building documents, [`Value::render`]
-//! / [`Value::render_pretty`] for deterministic output, and [`parse`]
-//! for reading documents back (the event-log round-trip and the
-//! `OBS_summary.json` schema checker).
+//! The workspace has no serialisation dependency, so the observability
+//! plane carries its own JSON layer: [`Value`] for building documents,
+//! [`Value::render`] / [`Value::render_pretty`] for deterministic
+//! output, and [`parse`] for reading documents back (the event-log
+//! round-trip and the `OBS_summary.json` schema checker).
 //!
 //! Determinism rules:
 //! - Object member order is preserved exactly as inserted (a `Vec`, not

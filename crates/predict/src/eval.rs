@@ -15,7 +15,6 @@ use crate::simple::{
     SlidingWindowMedian,
 };
 use crate::traits::Predictor;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The paper's data-set prediction error, in percent. `skip` initial
@@ -41,7 +40,7 @@ pub fn prediction_error(actual: &[f64], predicted: &[f64], skip: usize) -> f64 {
 }
 
 /// Identifies one of the evaluated prediction algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// The neural predictor of Sec. IV-C.
     Neural,
@@ -149,7 +148,7 @@ impl PredictorKind {
 }
 
 /// One row of the Figure 5 comparison.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccuracyResult {
     /// Algorithm label.
     pub name: String,
@@ -193,7 +192,7 @@ pub fn evaluate_accuracy(
 
 /// Latency sample set for one algorithm (Figure 6): nanoseconds per
 /// `predict()` call, measured in batches to defeat timer resolution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyResult {
     /// Algorithm label.
     pub name: String,

@@ -18,10 +18,9 @@
 //! downstream report are bit-identical.
 
 use mmog_util::rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// Activation applied to a layer's outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Hyperbolic tangent (hidden layers).
     Tanh,
@@ -167,7 +166,7 @@ impl FeatureMatrix {
 /// Weights live in one flat row-major array covering all layers; layer
 /// `l` maps `shape[l]` inputs to `shape[l+1]` outputs through rows of
 /// `shape[l] + 1` weights (bias last), starting at `w_off[l]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     /// Layer sizes, e.g. `[6, 3, 1]`.
     shape: Vec<usize>,

@@ -17,12 +17,11 @@ use crate::mlp::{self, Mlp};
 use crate::preprocess::{poly_extrapolate, poly_smooth_into, Normalizer, PolyScratch};
 use crate::traits::Predictor;
 use mmog_util::rng::Rng64;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Hyper-parameters of the neural predictor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NeuralConfig {
     /// Input window length (6 in the paper).
     pub window: usize,
@@ -68,7 +67,7 @@ impl Default for NeuralConfig {
 }
 
 /// Outcome of the offline training phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingReport {
     /// Eras actually run before convergence (or the cap).
     pub eras: usize,

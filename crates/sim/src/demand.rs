@@ -11,10 +11,9 @@
 
 use mmog_datacenter::resource::ResourceVector;
 use mmog_world::update::UpdateModel;
-use serde::{Deserialize, Serialize};
 
 /// Converts a server group's player count into resource demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandModel {
     /// Players of a fully loaded game server (2 000 for RuneScape).
     pub reference_players: f64,

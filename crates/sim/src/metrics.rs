@@ -23,14 +23,13 @@ use mmog_datacenter::resource::{ResourceType, ResourceVector};
 use mmog_util::series::TimeSeries;
 use mmog_util::stats::OnlineStats;
 use mmog_util::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Threshold beyond which an under-allocation sample counts as a
 /// significant event (|Υ| > 1 %).
 pub const EVENT_THRESHOLD_PCT: f64 = 1.0;
 
 /// Per-resource metric accumulators plus the recorded CPU time series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsCollector {
     /// Ω − 100 per resource type (indexed in `ResourceType::ALL` order).
     over: [OnlineStats; 4],

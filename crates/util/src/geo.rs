@@ -8,13 +8,11 @@
 //! locations as WGS-84 latitude/longitude pairs and measure great-circle
 //! distance with the haversine formula.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometres.
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A point on the Earth's surface (degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat: f64,
@@ -43,7 +41,7 @@ impl GeoPoint {
 
 /// The five latency-tolerance classes of Section V-E, expressed as the
 /// maximal allowed player-to-server distance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DistanceClass {
     /// "users must be handled by resources at the same location" (d ≈ 0 km).
     SameLocation,

@@ -8,10 +8,9 @@
 
 use crate::stats;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A time series sampled once per simulation tick, starting at tick 0.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     values: Vec<f64>,
 }

@@ -5,8 +5,6 @@
 //! functions and empirical CDFs. This module provides those primitives
 //! (plus online accumulators used by the simulator's metric collection).
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; `None` for an empty slice.
 #[must_use]
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -110,7 +108,7 @@ pub fn autocorrelation(xs: &[f64], max_lag: usize) -> Vec<f64> {
 ///
 /// Figure 4 of the paper plots the ECDF of packet lengths and packet
 /// inter-arrival times for nine session traces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -181,7 +179,7 @@ impl Ecdf {
 }
 
 /// A fixed-width histogram over `[lo, hi)` with saturating edge bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -245,7 +243,7 @@ impl Histogram {
 /// The simulation engine records Ω(t) and Υ(t) at every 2-minute step of
 /// a 2-week run — more than 10 000 samples per metric — so metric
 /// summaries are accumulated online instead of buffered.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -343,7 +341,7 @@ impl OnlineStats {
 }
 
 /// A five-number-plus summary of a batch of samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,

@@ -7,7 +7,6 @@
 //! monotone tick counter at [`TICK_MINUTES`]-minute resolution, with thin
 //! wrappers that keep instants and durations from being mixed up.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -23,15 +22,11 @@ pub const TICKS_PER_DAY: u64 = 24 * TICKS_PER_HOUR;
 
 /// An instant on the simulation clock, counted in ticks since the start
 /// of the simulated period.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulation time, counted in ticks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

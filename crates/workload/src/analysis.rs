@@ -11,11 +11,10 @@ use crate::trace::RegionTrace;
 use mmog_util::series::TimeSeries;
 use mmog_util::stats;
 use mmog_util::time::TICKS_PER_DAY;
-use serde::{Deserialize, Serialize};
 
 /// Min/median/max envelope of a region's per-group loads over time
 /// (top sub-plot of Figure 3).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoadEnvelope {
     /// Minimum group load at each tick.
     pub min: TimeSeries,
@@ -129,7 +128,7 @@ pub fn weekend_effect(series: &TimeSeries) -> Option<f64> {
 }
 
 /// Summary row of a region: the numbers a Figure 3-style report prints.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionSummary {
     /// Region name.
     pub name: String,

@@ -18,10 +18,9 @@
 //! factors compose across events.
 
 use mmog_util::time::{SimTime, TICKS_PER_DAY};
-use serde::{Deserialize, Serialize};
 
 /// A population-level shock applied multiplicatively to a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PopulationEvent {
     /// Mass account cancellation after an unpopular change.
     UnpopularDecision {

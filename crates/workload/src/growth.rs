@@ -8,10 +8,8 @@
 //! exponential decline after its peak era, calibrated to the well-known
 //! subscription histories.
 
-use serde::{Deserialize, Serialize};
-
 /// One MMOG title's subscription model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GameTitle {
     /// Title name.
     pub name: &'static str,

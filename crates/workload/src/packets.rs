@@ -17,10 +17,8 @@
 //! We encode those orderings as parametric distributions (log-normal
 //! packet lengths, shifted-exponential IATs) and regenerate the CDFs.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mmog_util::rng::Rng64;
 use mmog_util::stats::Ecdf;
-use serde::{Deserialize, Serialize};
 
 /// Minimum wire size of a game packet (headers), bytes.
 pub const MIN_PACKET: f64 = 40.0;
@@ -28,7 +26,7 @@ pub const MIN_PACKET: f64 = 40.0;
 pub const MAX_PACKET: f64 = 1500.0;
 
 /// Parameters of one emulated game session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionSpec {
     /// Trace name ("Trace 0" … "Trace 7", "Trace 5a/5b").
     pub name: &'static str,
@@ -122,7 +120,7 @@ pub const SESSION_SPECS: [SessionSpec; 9] = [
 ];
 
 /// One captured packet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Packet {
     /// Arrival timestamp in milliseconds since session start.
     pub at_ms: f64,
@@ -131,7 +129,7 @@ pub struct Packet {
 }
 
 /// A generated session trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PacketTrace {
     /// Trace name.
     pub name: String,
@@ -193,49 +191,6 @@ impl PacketTrace {
             }
             _ => 0.0,
         }
-    }
-
-    /// Serialises to a compact binary format (u32 count, then per packet
-    /// an f64 timestamp and u32 length, all big-endian).
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(8 + self.packets.len() * 12);
-        buf.put_u32(self.packets.len() as u32);
-        for p in &self.packets {
-            buf.put_f64(p.at_ms);
-            buf.put_u32(p.len);
-        }
-        buf.freeze()
-    }
-
-    /// Decodes the format produced by [`Self::encode`]. Name and label
-    /// are not part of the wire format and must be supplied.
-    ///
-    /// # Errors
-    /// Returns a message when the buffer is truncated.
-    pub fn decode(name: &str, label: &str, mut buf: Bytes) -> Result<Self, String> {
-        if buf.remaining() < 4 {
-            return Err("buffer too short for header".into());
-        }
-        let n = buf.get_u32() as usize;
-        if buf.remaining() < n * 12 {
-            return Err(format!(
-                "buffer holds {} bytes, need {} for {n} packets",
-                buf.remaining(),
-                n * 12
-            ));
-        }
-        let mut packets = Vec::with_capacity(n);
-        for _ in 0..n {
-            let at_ms = buf.get_f64();
-            let len = buf.get_u32();
-            packets.push(Packet { at_ms, len });
-        }
-        Ok(Self {
-            name: name.to_string(),
-            label: label.to_string(),
-            packets,
-        })
     }
 }
 
@@ -368,27 +323,6 @@ mod tests {
             packets: vec![],
         };
         assert_eq!(empty.mean_bandwidth_bps(), 0.0);
-    }
-
-    #[test]
-    fn encode_decode_round_trip() {
-        let t = gen("Trace 3", 19);
-        let bytes = t.encode();
-        let back = PacketTrace::decode(&t.name, &t.label, bytes).unwrap();
-        assert_eq!(back.packets.len(), t.packets.len());
-        for (a, b) in t.packets.iter().zip(&back.packets) {
-            assert_eq!(a.len, b.len);
-            assert!((a.at_ms - b.at_ms).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_truncated_buffers() {
-        let t = gen("Trace 0", 23);
-        let bytes = t.encode();
-        let short = bytes.slice(0..bytes.len() - 4);
-        assert!(PacketTrace::decode("x", "y", short).is_err());
-        assert!(PacketTrace::decode("x", "y", Bytes::from_static(&[0, 0])).is_err());
     }
 
     #[test]

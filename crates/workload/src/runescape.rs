@@ -22,10 +22,9 @@ use crate::trace::{GameTrace, RegionId, RegionTrace, ServerGroupId, ServerGroupT
 use mmog_util::rng::Rng64;
 use mmog_util::series::TimeSeries;
 use mmog_util::time::{SimTime, TICKS_PER_DAY};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one geographical region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionSpec {
     /// Region name (for reports).
     pub name: String,
@@ -40,7 +39,7 @@ pub struct RegionSpec {
 }
 
 /// Full generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RuneScapeConfig {
     /// Regions to generate.
     pub regions: Vec<RegionSpec>,

@@ -7,19 +7,18 @@
 //! holds [`RegionTrace`]s, which hold per-group [`ServerGroupTrace`]s.
 
 use mmog_util::series::TimeSeries;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A geographical region (the paper's "region 0" is Europe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u8);
 
 /// A server group within a region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerGroupId(pub u32);
 
 /// The player-count trace of a single server group.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerGroupTrace {
     /// Region this group belongs to.
     pub region: RegionId,
@@ -30,7 +29,7 @@ pub struct ServerGroupTrace {
 }
 
 /// All server groups of one region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionTrace {
     /// Region identifier.
     pub region: RegionId,
@@ -75,7 +74,7 @@ impl RegionTrace {
 }
 
 /// A complete multi-region game trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GameTrace {
     /// All regions, indexed by `RegionId` order.
     pub regions: Vec<RegionTrace>,

@@ -78,18 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn packet_traces_round_trip_binary(seed in any::<u64>(), n in 1usize..500, which in 0usize..9) {
-        let mut rng = Rng64::seed_from(seed);
-        let t = PacketTrace::generate(&SESSION_SPECS[which], n, &mut rng);
-        let decoded = PacketTrace::decode(&t.name, &t.label, t.encode()).unwrap();
-        prop_assert_eq!(decoded.packets.len(), n);
-        for (a, b) in t.packets.iter().zip(&decoded.packets) {
-            prop_assert_eq!(a.len, b.len);
-            prop_assert!((a.at_ms - b.at_ms).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn packet_iat_respects_floor(seed in any::<u64>(), which in 0usize..9) {
         let spec = SESSION_SPECS[which];
         let mut rng = Rng64::seed_from(seed);

@@ -10,10 +10,9 @@
 //! what we encode here.
 
 use crate::profile::{ProfileMix, ProfileSwitching};
-use serde::{Deserialize, Serialize};
 
 /// Qualitative dynamics level (drives speed / relocation / noise knobs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DynamicsLevel {
     /// Stable signal (MMORPG-like).
     Low,
@@ -69,7 +68,7 @@ impl DynamicsLevel {
 }
 
 /// The three signal types of Sec. IV-D.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalType {
     /// High instantaneous, medium overall dynamics (sets 2, 3, 4).
     TypeI,
@@ -80,7 +79,7 @@ pub enum SignalType {
 }
 
 /// Full parameter set for one emulator run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulatorConfig {
     /// World edge length in world units.
     pub world_size: f64,
@@ -163,7 +162,7 @@ impl EmulatorConfig {
 }
 
 /// The eight emulated trace data sets of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceSet {
     /// 80/10/0/10, no peak hours — Type III.
     Set1,

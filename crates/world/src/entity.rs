@@ -7,14 +7,13 @@
 //! interacted with (mobiles), and immutable entities (decor)".
 
 use crate::profile::AiProfile;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of an entity within one emulated game world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntityId(pub u64);
 
 /// The entity taxonomy of Sec. II-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntityKind {
     /// In-game representation of a human player.
     Avatar,
@@ -44,7 +43,7 @@ impl EntityKind {
 
 /// A 2-D position in world coordinates (the world is a `size × size`
 /// square; see [`crate::zone::ZoneGrid`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// Horizontal coordinate in `[0, world_size)`.
     pub x: f64,
@@ -106,7 +105,7 @@ impl Position {
 }
 
 /// A live entity in the emulated world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Entity {
     /// Stable identifier.
     pub id: EntityId,

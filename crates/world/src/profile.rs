@@ -13,10 +13,9 @@
 //! in MMOGs: the achiever, the explorer, the socializer, and the killer".
 
 use mmog_util::rng::Rng64;
-use serde::{Deserialize, Serialize};
 
 /// One of the four behaviour profiles driving an emulated player.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AiProfile {
     /// Seeks and interacts with opponents (Bartle's *killer*): steers
     /// toward interaction hotspots, producing dense clusters.
@@ -80,7 +79,7 @@ impl AiProfile {
 }
 
 /// A probability mix over the four profiles — one row of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileMix {
     /// Weights in Table I column order (Aggr., Scout, Team, Camp.).
     /// They need not sum to 1; sampling normalises.
@@ -126,7 +125,7 @@ impl ProfileMix {
 /// Governs the "mixed behavior encountered in deployed MMOGs": each tick
 /// an entity may temporarily switch away from its preferred profile, and
 /// switched entities revert with a fixed probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSwitching {
     /// Per-tick probability that an entity playing its preferred profile
     /// temporarily adopts a random other profile.

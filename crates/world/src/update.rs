@@ -13,11 +13,10 @@
 //! provisioning simulator normalises it against a reference server
 //! capacity to obtain resource units.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five update models evaluated in Sections V-C and V-F.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UpdateModel {
     /// `O(n)` — mostly-solitary players.
     Linear,

@@ -11,14 +11,13 @@
 //! interaction counters need (cell lookup, neighbourhoods, bucketing).
 
 use crate::entity::Position;
-use serde::{Deserialize, Serialize};
 
 /// Index of a sub-zone in row-major order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubZoneId(pub u32);
 
 /// A square world partitioned into a regular grid of sub-zones.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZoneGrid {
     /// World edge length in world units.
     world_size: f64,

@@ -135,6 +135,7 @@ fn bench_memo_adjust(c: &mut Criterion) {
         let mut centers = table3_hp12();
         let mut p = GroupProvisioner::new(
             OperatorId(1),
+            0,
             GeoPoint::new(52.37, 4.90),
             DistanceClass::VeryFar,
             DemandModel::paper(UpdateModel::Quadratic),

@@ -227,6 +227,7 @@ fn memoized_match_replay_is_allocation_free() {
     let stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
+        0,
         GeoPoint::new(52.37, 4.90),
         DistanceClass::VeryFar,
         DemandModel::paper(UpdateModel::Quadratic),
@@ -279,6 +280,7 @@ fn full_adjust_walk_is_allocation_free() {
     let stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
+        0,
         origin,
         DistanceClass::VeryFar,
         DemandModel::paper(UpdateModel::Quadratic),

@@ -9,7 +9,7 @@
 
 use crate::demand::DemandModel;
 use crate::metrics::MetricsCollector;
-use crate::provision::{AdjustOutcome, GroupProvisioner, ReleaseCause, RetryPolicy};
+use crate::provision::{AdjustOutcome, GroupProvisioner, ReleaseCause};
 use mmog_datacenter::center::{DataCenter, Lease};
 use mmog_datacenter::matching::{MatchStats, RejectionTotals};
 use mmog_datacenter::request::OperatorId;
@@ -586,8 +586,8 @@ impl RunState {
             return;
         }
         sink.emit(&provision);
-        if let (true, Some(matched)) = (out.unmet, provisioner.last_match()) {
-            for r in &matched.rejections {
+        if out.unmet {
+            for r in &provisioner.last_match().rejections {
                 sink.emit(&Event::MatchReject {
                     tick,
                     operator: u64::from(op),
@@ -664,7 +664,7 @@ pub struct Simulation {
     /// The two effect planes, merged by [`start`](Self::start).
     faults: Option<FaultSchedule>,
     scenario: Option<ScenarioTimeline>,
-    /// Either plane is present: the run installs the retry policy,
+    /// Either plane is present: the run turns on retry backoff,
     /// re-buys lost static capacity and accounts unserved players.
     disturbed: bool,
     /// Each group's region id (regions are enumerated in configuration
@@ -695,7 +695,9 @@ impl Simulation {
             /// The predictor's training history: a slice of the
             /// configured trace, or a streaming game's generated prefix.
             history: Cow<'a, [f64]>,
-            seed: u64,
+            /// The group's index: its causal-group id and the stream
+            /// its predictor is seeded from.
+            index: u64,
         }
         let mut specs: Vec<GroupSpec<'_>> = Vec::new();
         // Each game's per-tick player-count source, contiguous over
@@ -732,7 +734,7 @@ impl Simulation {
                                 operator,
                                 origin,
                                 history: Cow::Borrowed(&group.series.values()[..train_end]),
-                                seed: stream_seed(cfg.master_seed, specs.len() as u64),
+                                index: specs.len() as u64,
                             });
                             series.push(group.series.clone());
                         }
@@ -757,7 +759,7 @@ impl Simulation {
                                 operator,
                                 origin,
                                 history: Cow::Owned(Vec::with_capacity(train_end)),
-                                seed: stream_seed(cfg.master_seed, specs.len() as u64),
+                                index: specs.len() as u64,
                             });
                         }
                     }
@@ -794,13 +796,14 @@ impl Simulation {
         // scenario injection; the undisturbed baseline keeps its
         // request-every-tick behaviour bit-for-bit.
         let disturbed = cfg.faults.is_some() || cfg.scenario.is_some();
-        let retry = disturbed.then(RetryPolicy::default);
-        let mut groups: Vec<GroupRuntime> = mmog_par::par_map(&specs, |spec| {
+        let groups: Vec<GroupRuntime> = mmog_par::par_map(&specs, |spec| {
             let game = &cfg.games[spec.game];
             let demand_model = DemandModel::paper(game.update_model);
-            let predictor = game.predictor.build_seeded(&spec.history, spec.seed);
+            let seed = stream_seed(cfg.master_seed, spec.index);
+            let predictor = game.predictor.build_seeded(&spec.history, seed);
             let mut provisioner = GroupProvisioner::new(
                 spec.operator,
+                spec.index,
                 spec.origin,
                 game.tolerance,
                 demand_model,
@@ -808,7 +811,7 @@ impl Simulation {
                 predictor,
             );
             provisioner.record_matches = record_matches;
-            provisioner.retry = retry;
+            provisioner.retry = disturbed;
             GroupRuntime {
                 provisioner,
                 demand_model,
@@ -818,13 +821,6 @@ impl Simulation {
         drop(train_span);
         drop(specs); // the streaming training prefixes are spent
 
-        // Causal-group ids: the group index names each group's request-id
-        // stream (`request = group << 32 | seq`), so it is assigned in
-        // configuration order by a post-pass (`par_map` is
-        // order-preserving but its closure never sees the index).
-        for (gi, group) in groups.iter_mut().enumerate() {
-            group.provisioner.set_causal_group(gi as u64);
-        }
         // Every group starts out targeting its static peak allocation,
         // which static mode keeps for the whole run.
         let hot = groups
@@ -900,8 +896,8 @@ impl Simulation {
         label
     }
 
-    /// Runs the simulation to completion: run-level set-up, one
-    /// [`step`](Self::step) per tick, then teardown into the report.
+    /// Runs the simulation to completion: run-level set-up, one step
+    /// per tick, then teardown into the report.
     #[must_use]
     pub fn run(mut self) -> SimReport {
         let _run_span = mmog_obs::span("sim/run");
@@ -2092,7 +2088,7 @@ mod tests {
     #[test]
     fn empty_fault_schedule_matches_baseline_report() {
         // Faults = Some(empty) exercises the fault plumbing (retry
-        // policy installed, accounting live) without any event — the
+        // backoff on, accounting live) without any event — the
         // scored metrics must equal the unfaulted run's exactly.
         let baseline = Simulation::new(base_config(
             AllocationMode::Dynamic,
@@ -2139,7 +2135,7 @@ mod tests {
     #[test]
     fn empty_scenario_timeline_matches_baseline_report() {
         // Scenario = Some(empty) exercises the scenario plumbing (retry
-        // policy installed, nominal topology threaded through every
+        // backoff on, nominal topology threaded through every
         // matcher call) without any event — the scored metrics must
         // equal the scenario-free run's exactly.
         use mmog_faults::ScenarioTimeline;

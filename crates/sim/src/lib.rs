@@ -39,5 +39,4 @@ pub mod scenario;
 pub use demand::DemandModel;
 pub use engine::{AllocationMode, GameSpec, GameWorkload, SimReport, Simulation, SimulationConfig};
 pub use metrics::MetricsCollector;
-pub use provision::RetryPolicy;
 pub use scenario::region_origin;

@@ -68,9 +68,8 @@ impl ReleaseCause {
 }
 
 /// Per-lease causal detail of the most recent adjustment step, retained
-/// only while [`GroupProvisioner::record_matches`] is set (the same
-/// gate as [`GroupProvisioner::last_match`]): with tracing off the
-/// vectors stay empty and the adjust path never touches them.
+/// only while [`GroupProvisioner::record_matches`] is set: with tracing
+/// off the vectors stay empty and the adjust path never touches them.
 #[derive(Debug, Clone, Default)]
 pub struct LifecycleDetail {
     /// The causal id and requested CPU of the step's matcher request,
@@ -113,7 +112,7 @@ pub struct AdjustOutcome {
     pub unmet: bool,
     /// Whether a deficit existed but the request was skipped because the
     /// group is backing off after consecutive failures (see
-    /// [`RetryPolicy`]).
+    /// [`GroupProvisioner::retry`]).
     pub deferred: bool,
     /// Per-reason rejection counts from this step's matcher call.
     pub rejections: RejectionTotals,
@@ -123,47 +122,21 @@ pub struct AdjustOutcome {
     pub replayed: bool,
 }
 
-/// Bounded retry with exponential backoff for re-requesting capacity
-/// after a fault (Sec. II-B's self-healing re-provisioning).
-///
-/// After each consecutive step in which the matcher leaves part of the
-/// request unmet, the group sits out `base_ticks << (failures - 1)`
-/// ticks (exponent capped at [`max_exponent`], skip capped at
-/// [`max_backoff_ticks`]) before asking again, so a platform-wide
-/// outage is not hammered with doomed requests every tick.
-///
-/// [`max_exponent`]: Self::max_exponent
-/// [`max_backoff_ticks`]: Self::max_backoff_ticks
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Backoff after the first consecutive failure, in ticks.
-    pub base_ticks: u64,
-    /// Cap on the doubling exponent.
-    pub max_exponent: u32,
-    /// Hard cap on the backoff, in ticks.
-    pub max_backoff_ticks: u64,
-}
+/// Backoff after the first consecutive unmet request, in ticks.
+const BACKOFF_BASE_TICKS: u64 = 1;
+/// Cap on the backoff's doubling exponent.
+const BACKOFF_MAX_EXPONENT: u32 = 5;
+/// Hard cap on the backoff, in ticks.
+const MAX_BACKOFF_TICKS: u64 = 32;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            base_ticks: 1,
-            max_exponent: 5,
-            max_backoff_ticks: 32,
-        }
+/// Ticks to sit out after `failures` consecutive unmet requests:
+/// `BACKOFF_BASE_TICKS << (failures - 1)`, exponent and result capped.
+fn backoff_ticks(failures: u32) -> u64 {
+    if failures == 0 {
+        return 0;
     }
-}
-
-impl RetryPolicy {
-    /// Ticks to sit out after `failures` consecutive unmet requests.
-    #[must_use]
-    pub fn backoff_ticks(&self, failures: u32) -> u64 {
-        if failures == 0 {
-            return 0;
-        }
-        let exp = (failures - 1).min(self.max_exponent);
-        (self.base_ticks << exp).min(self.max_backoff_ticks)
-    }
+    let exp = (failures - 1).min(BACKOFF_MAX_EXPONENT);
+    (BACKOFF_BASE_TICKS << exp).min(MAX_BACKOFF_TICKS)
 }
 
 /// Provisioning state for one server group.
@@ -182,23 +155,27 @@ pub struct GroupProvisioner {
     /// under-allocations cannot be tolerated). 1.0 = allocate exactly
     /// the prediction.
     pub headroom: f64,
-    /// When set, [`adjust`] keeps each step's matcher outcome so the
-    /// engine can emit match accept/reject trace events. Off by default:
-    /// the clone is pure overhead when tracing is disabled.
+    /// When set, [`adjust`] records each step's per-lease causal
+    /// detail ([`lifecycle_detail`]) for the engine's trace. Off by
+    /// default: the bookkeeping is pure overhead when tracing is
+    /// disabled.
     ///
     /// [`adjust`]: Self::adjust
+    /// [`lifecycle_detail`]: Self::lifecycle_detail
     pub record_matches: bool,
     /// When set, [`adjust`] applies bounded retry with exponential
-    /// backoff to unmet requests. Only installed by fault-injection
-    /// runs: an unfaulted simulation keeps the request-every-tick
-    /// behaviour of the baseline model.
+    /// backoff to unmet requests: after each consecutive unmet step the
+    /// group sits out 1, 2, 4, … ticks (capped at 32) before asking
+    /// again, so a platform-wide outage is not hammered with doomed
+    /// requests every tick. Only set by fault-injection runs: an
+    /// unfaulted simulation keeps the request-every-tick behaviour of
+    /// the baseline model.
     ///
     /// [`adjust`]: Self::adjust
-    pub retry: Option<RetryPolicy>,
+    pub retry: bool,
     predictor: Box<dyn Predictor + Send>,
     leases: Vec<HeldLease>,
     allocated: ResourceVector,
-    last_match: Option<MatchOutcome>,
     last_prediction: f64,
     consecutive_unmet: u32,
     backoff_until: SimTime,
@@ -225,10 +202,13 @@ pub struct GroupProvisioner {
     /// from "changed and changed back".
     lease_gen: u64,
     /// Reusable matcher outcome: phase 2 writes into these buffers
-    /// every step instead of allocating fresh vectors per request.
+    /// every step instead of allocating fresh vectors per request (and
+    /// [`last_match`] reads it back).
+    ///
+    /// [`last_match`]: Self::last_match
     match_scratch: MatchOutcome,
-    /// Stable causal group id baked into request ids (the engine sets
-    /// it to the group's index at construction).
+    /// Stable causal group id baked into request ids (the engine uses
+    /// the group's index).
     causal_group: u64,
     /// Per-group request sequence number; bumped on every matcher
     /// request regardless of tracing so causal ids are identical
@@ -252,10 +232,12 @@ pub struct GroupProvisioner {
 }
 
 impl GroupProvisioner {
-    /// Creates a provisioner with the given predictor.
+    /// Creates a provisioner with the given predictor. `causal_group`
+    /// names the group's request-id stream (`group << 32 | seq`).
     #[must_use]
     pub fn new(
         operator: OperatorId,
+        causal_group: u64,
         origin: GeoPoint,
         tolerance: DistanceClass,
         demand_model: DemandModel,
@@ -269,11 +251,10 @@ impl GroupProvisioner {
             demand_model,
             headroom,
             record_matches: false,
-            retry: None,
+            retry: false,
             predictor,
             leases: Vec::new(),
             allocated: ResourceVector::ZERO,
-            last_match: None,
             last_prediction: f64::NAN,
             consecutive_unmet: 0,
             backoff_until: SimTime::ZERO,
@@ -284,18 +265,11 @@ impl GroupProvisioner {
             memo: MatchMemo::new(),
             lease_gen: 0,
             match_scratch: MatchOutcome::default(),
-            causal_group: 0,
+            causal_group,
             request_seq: 0,
             detail: LifecycleDetail::default(),
             next_maturity: None,
         }
-    }
-
-    /// Installs the stable causal group id baked into this group's
-    /// request ids (`group << 32 | seq`). The engine sets it to the
-    /// group's index right after construction.
-    pub fn set_causal_group(&mut self, group: u64) {
-        self.causal_group = group;
     }
 
     /// The per-lease causal detail of the most recent [`adjust`] step
@@ -368,14 +342,14 @@ impl GroupProvisioner {
         self.last_prediction
     }
 
-    /// The matcher outcome of the most recent [`adjust`] step that
-    /// issued a request — only retained while [`record_matches`] is set.
+    /// The matcher outcome of the most recent request. It belongs to
+    /// the latest [`adjust`] step only when that step issued a request,
+    /// which an [`AdjustOutcome::unmet`] step always did.
     ///
     /// [`adjust`]: Self::adjust
-    /// [`record_matches`]: Self::record_matches
     #[must_use]
-    pub fn last_match(&self) -> Option<&MatchOutcome> {
-        self.last_match.as_ref()
+    pub fn last_match(&self) -> &MatchOutcome {
+        &self.match_scratch
     }
 
     /// The demand target for a fixed player count (static provisioning).
@@ -603,10 +577,9 @@ impl GroupProvisioner {
         }
 
         // Phase 2: request the deficit.
-        self.last_match = None;
         let deficit = (*target - self.allocated).clamp_non_negative();
         if !deficit.is_negligible(1e-6) {
-            if self.retry.is_some() && now < self.backoff_until {
+            if self.retry && now < self.backoff_until {
                 // Backing off after consecutive failures: skip the
                 // doomed request and report the deferral.
                 outcome.deferred = true;
@@ -654,23 +627,20 @@ impl GroupProvisioner {
                 outcome.rejections.add(rejection.reason);
             }
             outcome.unmet = !matched.fully_met();
-            if self.record_matches {
-                self.last_match = Some(matched.clone());
-            }
             self.match_scratch = matched;
-            if let Some(retry) = self.retry {
+            if self.retry {
                 if outcome.unmet {
                     self.consecutive_unmet = self.consecutive_unmet.saturating_add(1);
                     // Sitting out N ticks: the next attempt happens at
                     // now + N + 1 (the first tick past the skipped ones).
                     self.backoff_until =
-                        now + SimDuration(retry.backoff_ticks(self.consecutive_unmet) + 1);
+                        now + SimDuration(backoff_ticks(self.consecutive_unmet) + 1);
                 } else {
                     self.consecutive_unmet = 0;
                     self.backoff_until = now;
                 }
             }
-        } else if self.retry.is_some() {
+        } else if self.retry {
             // No deficit: the group is whole again, reset the backoff.
             self.consecutive_unmet = 0;
             self.backoff_until = now;
@@ -830,6 +800,7 @@ mod tests {
     fn provisioner() -> GroupProvisioner {
         GroupProvisioner::new(
             OperatorId(1),
+            0,
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
             DemandModel::paper(UpdateModel::Quadratic),
@@ -948,6 +919,7 @@ mod tests {
     fn provisioner_with(predictor: Box<dyn Predictor + Send>) -> GroupProvisioner {
         GroupProvisioner::new(
             OperatorId(1),
+            0,
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
             DemandModel::paper(UpdateModel::Quadratic),
@@ -1056,7 +1028,7 @@ mod tests {
         let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
         centers[0].spec.machines = 0; // nothing can ever be granted
         let mut p = provisioner();
-        p.retry = Some(RetryPolicy::default());
+        p.retry = true;
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         // First attempt fails and arms a 1-tick backoff.
@@ -1082,7 +1054,7 @@ mod tests {
         assert!(p.adjust(&topo, &stats, &target, &mut centers, now).unmet);
         // Capacity returns → request succeeds and the backoff resets.
         centers[0].spec.machines = 20;
-        now += SimDuration(RetryPolicy::default().max_backoff_ticks);
+        now += SimDuration(MAX_BACKOFF_TICKS);
         let out = p.adjust(&topo, &stats, &target, &mut centers, now);
         assert!(out.granted > 0 && !out.unmet);
         now += SimDuration::TICK;
@@ -1092,12 +1064,11 @@ mod tests {
 
     #[test]
     fn backoff_caps_at_policy_maximum() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.backoff_ticks(0), 0);
-        assert_eq!(policy.backoff_ticks(1), 1);
-        assert_eq!(policy.backoff_ticks(2), 2);
-        assert_eq!(policy.backoff_ticks(6), 32);
-        assert_eq!(policy.backoff_ticks(60), 32, "capped at max_backoff_ticks");
+        assert_eq!(backoff_ticks(0), 0);
+        assert_eq!(backoff_ticks(1), 1);
+        assert_eq!(backoff_ticks(2), 2);
+        assert_eq!(backoff_ticks(6), 32);
+        assert_eq!(backoff_ticks(60), 32, "capped at MAX_BACKOFF_TICKS");
     }
 
     #[test]

@@ -31,6 +31,7 @@ fn one_center(machines: u32, hp: usize) -> Vec<DataCenter> {
 fn provisioner(model: UpdateModel) -> GroupProvisioner {
     GroupProvisioner::new(
         OperatorId(1),
+        0,
         GeoPoint::new(50.0, 10.0),
         DistanceClass::VeryFar,
         DemandModel::paper(model),

@@ -6,8 +6,8 @@
 //! resources desired, and the duration for which the resources are
 //! needed."
 //!
-//! - [`resource`] — the four resource types (CPU, memory, ExtNet[in],
-//!   ExtNet[out]) and dense resource vectors measured in the paper's
+//! - [`resource`] — the four resource types (CPU, memory, ExtNet\[in\],
+//!   ExtNet\[out\]) and dense resource vectors measured in the paper's
 //!   abstract "units" (one unit = the requirement of a fully loaded
 //!   RuneScape game server).
 //! - [`policy`] — hosting policies: the resource bulk ("the minimum

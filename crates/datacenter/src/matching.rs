@@ -15,7 +15,7 @@
 //! time bulk, then distance, and (c) fills the request greedily across
 //! the ranked list, quantising each grant to the center's bulks. The
 //! effect seen in Sec. V-E — "the resources of the data centers with
-//! unsuitable hosting policies [are] unused when suitable alternatives
+//! unsuitable hosting policies \[are\] unused when suitable alternatives
 //! exist" — emerges from this ranking.
 
 use crate::center::{availability_epoch, Availability, DataCenter, LeaseId};
@@ -330,7 +330,8 @@ fn home_center(centers: &[DataCenter], origin: &GeoPoint) -> usize {
 /// lease ledgers. See the module docs for the criteria ordering.
 ///
 /// Candidates on the far side of a `topology` partition (relative to
-/// the request's [`home_center`]) are rejected as
+/// the request's home center, the center nearest its origin) are
+/// rejected as
 /// [`RejectReason::Partitioned`], and distances are inflated by the
 /// per-link factor before the tolerance check and the preference
 /// ranking ([`Grant::distance_km`] then carries the effective

@@ -3,8 +3,8 @@
 //! Sec. II-B: "The resources considered in this work can be of one of
 //! the following four types: CPU time from data center machines (CPU),
 //! memory from data center machines (memory), input from the external
-//! network of a data center (ExtNet[in]), and output to the external
-//! network of a data center (ExtNet[out])."
+//! network of a data center (ExtNet\[in\]), and output to the external
+//! network of a data center (ExtNet\[out\])."
 //!
 //! Quantities are measured in the paper's abstract **units**: "a generic
 //! 'unit' which represents the requirement for the respective resource

@@ -14,9 +14,9 @@
 //!   worker pool, and the [`Registry`] that holds them together with
 //!   the span tree and the latency histograms: one process default, or
 //!   the caller's scope.
-//! - [`span`] — a hierarchical wall-clock timing tree for the
+//! - [`span`](mod@span) — a hierarchical wall-clock timing tree for the
 //!   predict → demand → request → match → settle pipeline stages.
-//! - [`latency`] — log-bucketed (HDR-style) latency histograms with
+//! - [`latency`](mod@latency) — log-bucketed (HDR-style) latency histograms with
 //!   0-alloc recording and p50/p90/p99/p999 estimation, the tail-latency
 //!   layer span totals cannot provide.
 //! - [`flight`] — a bounded ring-buffer flight recorder that dumps the

@@ -2,8 +2,8 @@
 //!
 //! Sec. IV-D.2 defines the score: "we define the un-normalized sample
 //! prediction error as the absolute value of the difference between the
-//! sample and the prediction made by [the] algorithm for that sample…
-//! the prediction error for an input trace data set [is] the ratio
+//! sample and the prediction made by \[the\] algorithm for that sample…
+//! the prediction error for an input trace data set \[is\] the ratio
 //! between the sum of un-normalized sample prediction errors for all
 //! samples and the sum of all samples in the trace data set, expressed
 //! as a percentage."

@@ -8,7 +8,7 @@
 //! noise from the processed signal.
 //!
 //! Two off-line phases are required before deploying: the **data set
-//! collection phase** … and the **training phase** [which] uses most of
+//! collection phase** … and the **training phase** \[which\] uses most of
 //! the previously collected samples as training sets, and the remaining
 //! samples as test sets. The training phase runs for a number of
 //! training eras, until a convergence criterion is fulfilled."

@@ -10,27 +10,26 @@ use mmog_datacenter::matching::{
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::ResourceVector;
-use mmog_datacenter::topology::Topology;
+use mmog_datacenter::Federation;
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::SimTime;
 use std::hint::black_box;
 
 fn bench_match(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_request");
-    let topo = Topology::new(table3_hp12().len());
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
             // Fresh platform per iteration batch: grants mutate state.
             b.iter_batched(
-                table3_hp12,
-                |mut centers| {
+                || Federation::new(table3_hp12()),
+                |mut fed| {
                     let req = ResourceRequest::new(
                         OperatorId(1),
                         ResourceVector::new(1.0, 1.0, 1.0, 1.0),
                         GeoPoint::new(52.37, 4.90),
                         tolerance,
                     );
-                    black_box(match_request(&topo, &mut centers, &req, SimTime::ZERO))
+                    black_box(match_request(&mut fed, &req, SimTime::ZERO))
                 },
                 criterion::BatchSize::SmallInput,
             )
@@ -41,7 +40,7 @@ fn bench_match(c: &mut Criterion) {
 
 fn bench_match_indexed(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_request_indexed");
-    let (topo, stats) = (Topology::new(table3_hp12().len()), MatchStats::current());
+    let stats = MatchStats::current();
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
             let origin = GeoPoint::new(52.37, 4.90);
@@ -50,8 +49,8 @@ fn bench_match_indexed(c: &mut Criterion) {
             let mut index = CandidateIndex::new(origin, tolerance);
             let mut out = MatchOutcome::default();
             b.iter_batched(
-                table3_hp12,
-                |mut centers| {
+                || Federation::new(table3_hp12()),
+                |mut fed| {
                     let req = ResourceRequest::new(
                         OperatorId(1),
                         ResourceVector::new(1.0, 1.0, 1.0, 1.0),
@@ -59,9 +58,8 @@ fn bench_match_indexed(c: &mut Criterion) {
                         tolerance,
                     );
                     match_request_indexed(
-                        &topo,
+                        &mut fed,
                         &mut index,
-                        &mut centers,
                         &req,
                         SimTime::ZERO,
                         &mut out,
@@ -130,9 +128,9 @@ fn bench_memo_adjust(c: &mut Criterion) {
     use mmog_sim::provision::GroupProvisioner;
     use mmog_world::update::UpdateModel;
 
-    let (topo, stats) = (Topology::new(table3_hp12().len()), MatchStats::current());
+    let stats = MatchStats::current();
     let setup = |memo: bool| {
-        let mut centers = table3_hp12();
+        let mut fed = Federation::new(table3_hp12());
         let mut p = GroupProvisioner::new(
             OperatorId(1),
             0,
@@ -147,30 +145,26 @@ fn bench_memo_adjust(c: &mut Criterion) {
         // first tick grants, the rest are no-ops.
         for t in 0..4u64 {
             let target = p.observe_and_target(1500.0);
-            p.adjust(&topo, &stats, &target, &mut centers, SimTime(t));
+            p.adjust(&mut fed, &stats, &target, SimTime(t));
         }
         let target = p.observe_and_target(1500.0);
-        (p, centers, target)
+        (p, fed, target)
     };
 
     let mut group = c.benchmark_group("steady_state_adjust");
-    let (mut p, mut centers, target) = setup(true);
+    let (mut p, mut fed, target) = setup(true);
     group.bench_function("memo_hit", |b| {
-        b.iter(|| black_box(p.adjust(&topo, &stats, black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&mut fed, &stats, black_box(&target), SimTime(4))))
     });
     assert!(
-        p.adjust(&topo, &stats, &target, &mut centers, SimTime(4))
-            .replayed,
+        p.adjust(&mut fed, &stats, &target, SimTime(4)).replayed,
         "memo bench must measure the replay path"
     );
-    let (mut p, mut centers, target) = setup(false);
+    let (mut p, mut fed, target) = setup(false);
     group.bench_function("full_walk", |b| {
-        b.iter(|| black_box(p.adjust(&topo, &stats, black_box(&target), &mut centers, SimTime(4))))
+        b.iter(|| black_box(p.adjust(&mut fed, &stats, black_box(&target), SimTime(4))))
     });
-    assert!(
-        !p.adjust(&topo, &stats, &target, &mut centers, SimTime(4))
-            .replayed
-    );
+    assert!(!p.adjust(&mut fed, &stats, &target, SimTime(4)).replayed);
     group.finish();
 }
 

@@ -222,8 +222,7 @@ fn memoized_match_replay_is_allocation_free() {
     use mmog_util::time::SimTime;
     use mmog_world::update::UpdateModel;
 
-    let mut centers = table3_hp12();
-    let topo = mmog_datacenter::topology::Topology::new(centers.len());
+    let mut fed = mmog_datacenter::Federation::new(table3_hp12());
     let stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
@@ -237,11 +236,11 @@ fn memoized_match_replay_is_allocation_free() {
     let target = p.observe_and_target(1500.0);
     // Warm-up: grant, then run the full no-op walk once to arm the memo.
     for i in 0..4u64 {
-        let _ = p.adjust(&topo, &stats, &target, &mut centers, SimTime(i));
+        let _ = p.adjust(&mut fed, &stats, &target, SimTime(i));
     }
     let n = count_allocs(|| {
         for _ in 0..512 {
-            let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime(4));
+            let out = p.adjust(&mut fed, &stats, &target, SimTime(4));
             assert!(out.replayed, "steady state must hit the memo");
         }
     });
@@ -266,7 +265,7 @@ fn full_adjust_walk_is_allocation_free() {
 
     let origin = GeoPoint::new(52.37, 4.90);
     // HP-3: 0.22 CPU bulk, 90-tick time bulk.
-    let mut centers = vec![DataCenter::new(DataCenterSpec {
+    let mut fed = mmog_datacenter::Federation::new(vec![DataCenter::new(DataCenterSpec {
         id: DataCenterId(0),
         name: "dc".into(),
         country: "NL".into(),
@@ -275,8 +274,7 @@ fn full_adjust_walk_is_allocation_free() {
         machines: 20,
         machine_capacity: DataCenterSpec::default_machine_capacity(),
         policy: HostingPolicy::hp(3),
-    })];
-    let topo = mmog_datacenter::topology::Topology::new(centers.len());
+    })]);
     let stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
@@ -292,7 +290,7 @@ fn full_adjust_walk_is_allocation_free() {
     let leases = 64u32;
     for k in 1..=leases {
         let target = ResourceVector::new(0.22 * f64::from(k) - 0.01, 0.0, 0.0, 0.0);
-        let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime(u64::from(k)));
+        let out = p.adjust(&mut fed, &stats, &target, SimTime(u64::from(k)));
         assert_eq!(out.granted, 1, "tick {k} grants one lease");
     }
     assert_eq!(p.lease_count(), leases as usize);
@@ -301,7 +299,7 @@ fn full_adjust_walk_is_allocation_free() {
     let now = SimTime(u64::from(leases) + 1);
     let n = count_allocs(|| {
         for _ in 0..64 {
-            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+            let out = p.adjust(&mut fed, &stats, &target, now);
             assert!(!out.replayed && out.released == 0 && out.granted == 0);
         }
     });
@@ -457,13 +455,13 @@ fn indexed_match_allocations_are_bounded() {
     };
     use mmog_datacenter::request::{OperatorId, ResourceRequest};
     use mmog_datacenter::resource::ResourceVector;
-    use mmog_datacenter::topology::Topology;
+    use mmog_datacenter::Federation;
     use mmog_util::geo::{DistanceClass, GeoPoint};
     use mmog_util::time::SimTime;
 
-    let mut centers = table3_hp12();
+    let mut fed = Federation::new(table3_hp12());
     let origin = GeoPoint::new(52.37, 4.90);
-    let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+    let stats = MatchStats::current();
     let mut index = CandidateIndex::new(origin, DistanceClass::VeryFar);
     let mut out = MatchOutcome::default();
     let req = ResourceRequest::new(
@@ -474,21 +472,13 @@ fn indexed_match_allocations_are_bounded() {
     );
     // Warm-up builds the index and grows the lease ledgers.
     for i in 0..16u64 {
-        match_request_indexed(
-            &topo,
-            &mut index,
-            &mut centers,
-            &req,
-            SimTime(i),
-            &mut out,
-            &stats,
-        );
+        match_request_indexed(&mut fed, &mut index, &req, SimTime(i), &mut out, &stats);
     }
     let calls = 128u64;
     let n = count_allocs(|| {
         for i in 0..calls {
             let now = SimTime(16 + i);
-            match_request_indexed(&topo, &mut index, &mut centers, &req, now, &mut out, &stats);
+            match_request_indexed(&mut fed, &mut index, &req, now, &mut out, &stats);
         }
     });
     // Each call refills one caller-owned MatchOutcome (grants + copied

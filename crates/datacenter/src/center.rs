@@ -17,20 +17,6 @@ use mmog_util::time::SimTime;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// The availability epoch of a center set: the sum of each center's
-/// availability generation, which [`DataCenter::fail`],
-/// [`DataCenter::repair`] and [`DataCenter::degrade`] bump by one. Every
-/// change adds exactly one, so for a fixed center set the epoch is
-/// strictly monotone, and cached matcher views
-/// ([`crate::matching::CandidateIndex`]) and the provisioner's no-op
-/// memo know their availability-dependent state is stale when it moves.
-/// It reads only the given centers, so one run's faults never
-/// invalidate another run's caches.
-#[must_use]
-pub fn availability_epoch(centers: &[DataCenter]) -> u64 {
-    centers.iter().map(|c| c.avail_gen).sum()
-}
-
 /// Identifier of a data center (hoster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataCenterId(pub u32);
@@ -158,8 +144,6 @@ pub struct DataCenter {
     slots: HashMap<u64, u32, BuildHasherDefault<LeaseIdHasher>>,
     next_lease: u64,
     availability: Availability,
-    /// Availability changes so far (see [`availability_epoch`]).
-    avail_gen: u64,
 }
 
 impl DataCenter {
@@ -174,7 +158,6 @@ impl DataCenter {
             slots: HashMap::default(),
             next_lease: 0,
             availability: Availability::Up,
-            avail_gen: 0,
         }
     }
 
@@ -223,10 +206,9 @@ impl DataCenter {
     /// of a failed cluster). Returns the revoked leases so callers can
     /// notify their holders; the ids are retired and will never be
     /// reissued or release-able again.
-    pub fn fail(&mut self) -> Vec<Lease> {
+    pub(crate) fn fail(&mut self) -> Vec<Lease> {
         self.availability = Availability::Down;
         self.allocated = ResourceVector::ZERO;
-        self.avail_gen += 1;
         self.lease_cpu.clear();
         self.slots.clear();
         std::mem::take(&mut self.leases)
@@ -236,18 +218,16 @@ impl DataCenter {
     /// capacity. Leases revoked by a prior [`fail`] stay revoked.
     ///
     /// [`fail`]: Self::fail
-    pub fn repair(&mut self) {
+    pub(crate) fn repair(&mut self) {
         self.availability = Availability::Up;
-        self.avail_gen += 1;
     }
 
     /// Partial degradation to `fraction` of nominal capacity (clamped
     /// to `[0, 1]`). Existing leases keep running.
-    pub fn degrade(&mut self, fraction: f64) {
+    pub(crate) fn degrade(&mut self, fraction: f64) {
         self.availability = Availability::Degraded {
             fraction: fraction.clamp(0.0, 1.0),
         };
-        self.avail_gen += 1;
     }
 
     /// Force-revokes one lease regardless of its earliest-release time
@@ -514,21 +494,6 @@ mod tests {
         // The clamp keeps pathological fractions inside [0, 1].
         c.degrade(7.0);
         assert_eq!(c.availability(), Availability::Degraded { fraction: 1.0 });
-    }
-
-    #[test]
-    fn availability_epoch_counts_only_its_own_centers() {
-        let mut set = vec![dc(), dc()];
-        let mut other_set = vec![dc()];
-        assert_eq!(availability_epoch(&set), 0);
-        other_set[0].fail();
-        assert_eq!(availability_epoch(&set), 0, "another set's outage");
-        // Every availability change moves the epoch by exactly one.
-        set[0].fail();
-        set[1].degrade(0.5);
-        set[0].repair();
-        assert_eq!(availability_epoch(&set), 3);
-        assert_eq!(availability_epoch(&other_set), 1);
     }
 
     #[test]

@@ -27,11 +27,14 @@
 //! - [`topology`] — the scenario engine's mutable network view:
 //!   center↔center partitions and per-link distance inflation layered
 //!   on top of the static geometry (PR 8).
+//! - [`federation`] — the hosting platform as one object: the centers,
+//!   their topology and one version that every change to either moves.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod center;
+pub mod federation;
 pub mod locations;
 pub mod matching;
 pub mod policy;
@@ -40,6 +43,7 @@ pub mod resource;
 pub mod topology;
 
 pub use center::{Availability, DataCenter, DataCenterId, DataCenterSpec, Lease, LeaseId};
+pub use federation::Federation;
 pub use locations::table3_centers;
 pub use matching::{
     match_request, MatchOutcome, MatchStats, RejectReason, Rejection, RejectionTotals,

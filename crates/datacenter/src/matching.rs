@@ -18,10 +18,10 @@
 //! unsuitable hosting policies \[are\] unused when suitable alternatives
 //! exist" — emerges from this ranking.
 
-use crate::center::{availability_epoch, Availability, DataCenter, LeaseId};
+use crate::center::{Availability, DataCenter, LeaseId};
+use crate::federation::Federation;
 use crate::request::ResourceRequest;
 use crate::resource::ResourceVector;
-use crate::topology::Topology;
 use mmog_obs::{counter, histogram, Counter, Domain, Histogram, Registry, SpanStat};
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::SimTime;
@@ -30,8 +30,7 @@ use std::sync::{Arc, OnceLock};
 /// One grant resulting from a match.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Grant {
-    /// Index of the data center in the slice passed to
-    /// [`match_request`].
+    /// Index of the data center in the [`Federation`].
     pub center_index: usize,
     /// The lease created.
     pub lease: LeaseId,
@@ -121,8 +120,7 @@ impl RejectionTotals {
 /// One center that was considered but granted nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rejection {
-    /// Index of the data center in the slice passed to
-    /// [`match_request`].
+    /// Index of the data center in the [`Federation`].
     pub center_index: usize,
     /// Why it contributed nothing.
     pub reason: RejectReason,
@@ -326,18 +324,15 @@ fn home_center(centers: &[DataCenter], origin: &GeoPoint) -> usize {
     best
 }
 
-/// Matches one request against a set of data centers, mutating their
+/// Matches one request against the federation, mutating its centers'
 /// lease ledgers. See the module docs for the criteria ordering.
 ///
-/// Candidates on the far side of a `topology` partition (relative to
-/// the request's home center, the center nearest its origin) are
-/// rejected as
+/// Candidates across a partition from the request's home center (the
+/// center nearest its origin) are rejected as
 /// [`RejectReason::Partitioned`], and distances are inflated by the
-/// per-link factor before the tolerance check and the preference
-/// ranking ([`Grant::distance_km`] then carries the effective
-/// distance). Under the nominal [`Topology::new`] every center is
-/// reachable and every factor is 1.0, so distances stay exactly as
-/// measured.
+/// per-link factor before the tolerance check and the ranking
+/// ([`Grant::distance_km`] carries the effective distance). Under the
+/// nominal topology distances stay exactly as measured.
 ///
 /// This is the one-shot reference: it re-ranks the whole platform on
 /// every call, and looks its [`MatchStats`] up in the current registry
@@ -346,8 +341,7 @@ fn home_center(centers: &[DataCenter], origin: &GeoPoint) -> usize {
 /// [`match_request_indexed`] instead — same result, without the
 /// per-request rescan.
 pub fn match_request(
-    topology: &Topology,
-    centers: &mut [DataCenter],
+    platform: &mut Federation,
     request: &ResourceRequest,
     now: SimTime,
 ) -> MatchOutcome {
@@ -355,6 +349,7 @@ pub fn match_request(
     mmog_obs::time_stat(stats.timer(), || {
         // Rank admissible centers: finer granularity, shorter time bulk,
         // then closest (the Sec. II-C criteria, operator-favouring order).
+        let (centers, topology) = (platform.centers(), platform.topology());
         let mut rejections = Vec::new();
         let home = home_center(centers, &request.origin);
         let mut ranked: Vec<(usize, f64)> = centers
@@ -380,51 +375,43 @@ pub fn match_request(
             rejections,
             ..MatchOutcome::default()
         };
-        fill_ranked(centers, &ranked, request, now, &mut out, &stats);
+        fill_ranked(
+            platform.centers_mut(),
+            &ranked,
+            request,
+            now,
+            &mut out,
+            &stats,
+        );
         out
     })
 }
 
-/// A per-requester view of the platform that caches everything about
-/// candidate ranking that does not change between requests.
+/// A per-requester view of the platform that caches the Sec. II-C
+/// candidate ranking between requests.
 ///
-/// The Sec. II-C ranking depends on three ingredients: center geometry
-/// (static), hosting policies (static), and availability (changed only
-/// by the fault plane). The index therefore pre-computes the distances
-/// and the full offer-preference order once, and re-derives the
-/// availability-dependent admissible list and phase-1 rejections only
-/// when the centers' [`availability_epoch`] moves. In an unfaulted run
-/// every request after the first skips straight to the fill loop.
-///
-/// An index is bound to one `(origin, tolerance)` pair — one per server
-/// group — and to one center set: it rebuilds itself if the center
-/// count changes, but callers must not reorder centers, mutate their
-/// locations/policies, or switch to a different [`Topology`] behind its
-/// back (the simulation never does).
+/// The static geometry — the requester's home center and the raw
+/// distance to every center — is computed once, at the first match.
+/// Whenever the federation's [`version`](Federation::version) has moved
+/// since, the index re-applies link factors and reachability, re-sorts
+/// the admissible candidates and re-derives the phase-1 rejections; in
+/// an undisturbed run every later request goes straight to the fill
+/// loop. An index serves one `(origin, tolerance)` requester — one per
+/// server group — on one federation.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     origin: GeoPoint,
     tolerance: DistanceClass,
-    built: bool,
-    n_centers: usize,
-    epoch: u64,
-    /// Topology version the tables were built against. A scenario
-    /// topology mutation changes effective distances, so a version
-    /// mismatch forces a full rebuild, not just a refresh.
-    topo_version: u64,
-    /// Per center, in center-index order: effective distance from the
-    /// origin, and why the center is inadmissible whatever its
-    /// availability (partition-unreachable from the requester's home
-    /// center, or outside the tolerance class). Static once built.
-    by_center: Vec<(f64, Option<RejectReason>)>,
-    /// Every center in offer-preference order. Static once built:
-    /// availability only filters this list, it never reorders it.
-    preference: Vec<(usize, f64)>,
-    /// Phase-1 rejections (availability/distance, center-index order)
-    /// for the current availability epoch.
+    /// Federation version the tables below reflect (`None` before the
+    /// first match).
+    version: Option<u64>,
+    /// Home center and raw origin→center distances, by center index.
+    home: usize,
+    raw_km: Vec<f64>,
+    /// Phase-1 rejections (availability/partition/distance,
+    /// center-index order) at `version`.
     rejections: Vec<Rejection>,
-    /// Admissible candidates in preference order for the current
-    /// availability epoch.
+    /// Admissible candidates in preference order at `version`.
     ranked: Vec<(usize, f64)>,
 }
 
@@ -436,67 +423,46 @@ impl CandidateIndex {
         Self {
             origin,
             tolerance,
-            built: false,
-            n_centers: 0,
-            epoch: 0,
-            topo_version: 0,
-            by_center: Vec::new(),
-            preference: Vec::new(),
+            version: None,
+            home: 0,
+            raw_km: Vec::new(),
             rejections: Vec::new(),
             ranked: Vec::new(),
         }
     }
 
-    /// Computes the static part: distances, admissibility, preference
-    /// order over all centers. Distances are the effective
-    /// (link-factor-inflated) distances from the requester's home
-    /// center, and partition-unreachable centers are flagged.
-    fn build(&mut self, centers: &[DataCenter], topology: &Topology) {
-        self.n_centers = centers.len();
-        let home = home_center(centers, &self.origin);
-        self.by_center.clear();
-        self.by_center
-            .extend(centers.iter().enumerate().map(|(i, c)| {
-                let d = topology.effective_distance(home, i, c.distance_km(&self.origin));
-                let cut = if !topology.reachable(home, i) {
-                    Some(RejectReason::Partitioned)
-                } else {
-                    (!self.tolerance.admits(d)).then_some(RejectReason::Distance)
-                };
-                (d, cut)
-            }));
-        self.preference.clear();
-        self.preference
-            .extend(self.by_center.iter().enumerate().map(|(i, &(d, _))| (i, d)));
-        // Stable sort over the full center list: filtering a stable
-        // sort to a subset gives the same relative order as stably
-        // sorting the subset, so the fill order matches the one-shot
-        // matcher's exactly.
-        self.preference
-            .sort_by(|&a, &b| preference_order(centers, a, b));
-        self.built = true;
-    }
-
-    /// Re-derives the availability-dependent part (phase-1 rejections,
-    /// admissible ranked list) from the cached static tables — no
-    /// distance math, no sorting.
-    fn refresh(&mut self, centers: &[DataCenter]) {
+    /// Re-derives the phase-1 rejections and the ranked admissible list
+    /// at the federation's current version (geometry first, on the
+    /// first match).
+    fn refresh(&mut self, platform: &Federation) {
+        let (centers, topology) = (platform.centers(), platform.topology());
+        if self.version.is_none() {
+            self.home = home_center(centers, &self.origin);
+            self.raw_km
+                .extend(centers.iter().map(|c| c.distance_km(&self.origin)));
+        }
         self.rejections.clear();
         self.ranked.clear();
         for (i, c) in centers.iter().enumerate() {
-            let down = c.availability() == Availability::Down;
-            let cut = down
-                .then_some(RejectReason::Unavailable)
-                .or(self.by_center[i].1);
-            if let Some(reason) = cut {
-                self.rejections.push(Rejection::new(i, reason));
-            }
-        }
-        for &(i, d) in &self.preference {
-            if self.by_center[i].1.is_none() && centers[i].availability() != Availability::Down {
+            let d = topology.effective_distance(self.home, i, self.raw_km[i]);
+            let reason = if c.availability() == Availability::Down {
+                RejectReason::Unavailable
+            } else if !topology.reachable(self.home, i) {
+                RejectReason::Partitioned
+            } else if !self.tolerance.admits(d) {
+                RejectReason::Distance
+            } else {
                 self.ranked.push((i, d));
-            }
+                continue;
+            };
+            self.rejections.push(Rejection::new(i, reason));
         }
+        // Stable, from center-index order every time, so the ranking
+        // depends on the current platform alone, not on the order a
+        // previous version left.
+        self.ranked
+            .sort_by(|&a, &b| preference_order(centers, a, b));
+        self.version = Some(platform.version());
     }
 }
 
@@ -522,9 +488,9 @@ impl CandidateIndex {
 ///   every deficit-negligible target — sound only while the ledger
 ///   holds *no matured lease*, because then there are no release or
 ///   reshape candidates at all, whatever the surplus;
-/// - the centers' **availability epoch** ([`availability_epoch`]): any
-///   fault-plane change (outage, repair, degradation) invalidates;
-/// - the **topology version**: any scenario-plane mutation invalidates;
+/// - the federation's **version** ([`Federation::version`]): any
+///   fault-plane change (outage, repair, degradation) or scenario-plane
+///   topology mutation invalidates;
 /// - the caller's **lease-ledger generation**, a counter the caller
 ///   bumps on every grant, release, or revocation-driven drop;
 /// - optionally a **validity horizon** (`valid_until`): maturation is
@@ -542,8 +508,7 @@ impl CandidateIndex {
 pub struct MatchMemo {
     armed: bool,
     target: ResourceVector,
-    epoch: u64,
-    topo_version: u64,
+    version: u64,
     lease_gen: u64,
     any_target: bool,
     valid_until: Option<SimTime>,
@@ -568,7 +533,8 @@ impl MatchMemo {
     }
 
     /// Arms the memo after a full step proved itself a no-op at
-    /// `target` under the given epoch/topology/ledger keys.
+    /// `target` under the given federation version and ledger
+    /// generation.
     ///
     /// `any_target` asserts the ledger held no matured lease (so the
     /// proof covers every deficit-negligible target) *and* the ledger
@@ -578,8 +544,7 @@ impl MatchMemo {
     pub fn arm(
         &mut self,
         target: ResourceVector,
-        epoch: u64,
-        topo_version: u64,
+        version: u64,
         lease_gen: u64,
         any_target: bool,
         valid_until: Option<SimTime>,
@@ -587,8 +552,7 @@ impl MatchMemo {
         *self = Self {
             armed: true,
             target,
-            epoch,
-            topo_version,
+            version,
             lease_gen,
             any_target,
             valid_until,
@@ -603,15 +567,13 @@ impl MatchMemo {
     pub fn covers(
         &self,
         target: &ResourceVector,
-        epoch: u64,
-        topo_version: u64,
+        version: u64,
         lease_gen: u64,
         now: SimTime,
     ) -> bool {
         self.armed
             && self.lease_gen == lease_gen
-            && self.epoch == epoch
-            && self.topo_version == topo_version
+            && self.version == version
             && self.valid_until.is_none_or(|t| now < t)
             && (self.any_target || self.target.fits_within(target, 0.0))
     }
@@ -620,16 +582,13 @@ impl MatchMemo {
 /// [`match_request`] through a [`CandidateIndex`], writing into a
 /// caller-owned outcome: byte-identical grants, rejection order and
 /// unmet amounts, but the enumerate-filter-sort phase runs only when
-/// the platform's availability or the topology actually changed, and
-/// the outcome's vectors are reused across calls, so a steady-state
-/// requester pays no allocation for the match itself. A topology
-/// mutation (version bump) invalidates the cached distance tables and
-/// forces a full rebuild; availability-only changes keep using the
-/// cheap refresh path. `stats` is the run's shared [`MatchStats`].
+/// the federation's version moved (an availability or topology
+/// change), and the outcome's vectors are reused across calls, so a
+/// steady-state requester pays no allocation for the match itself.
+/// `stats` is the run's shared [`MatchStats`].
 pub fn match_request_indexed(
-    topology: &Topology,
+    platform: &mut Federation,
     index: &mut CandidateIndex,
-    centers: &mut [DataCenter],
     request: &ResourceRequest,
     now: SimTime,
     out: &mut MatchOutcome,
@@ -640,20 +599,19 @@ pub fn match_request_indexed(
         "a CandidateIndex serves one (origin, tolerance) requester"
     );
     mmog_obs::time_stat(stats.timer(), || {
-        let epoch = availability_epoch(centers);
-        let topo_version = topology.version();
-        if !index.built || index.n_centers != centers.len() || index.topo_version != topo_version {
-            index.build(centers, topology);
-            index.refresh(centers);
-            index.epoch = epoch;
-            index.topo_version = topo_version;
-        } else if index.epoch != epoch {
-            index.refresh(centers);
-            index.epoch = epoch;
+        if index.version != Some(platform.version()) {
+            index.refresh(platform);
         }
         out.rejections.clear();
         out.rejections.extend_from_slice(&index.rejections);
-        fill_ranked(centers, &index.ranked, request, now, out, stats);
+        fill_ranked(
+            platform.centers_mut(),
+            &index.ranked,
+            request,
+            now,
+            out,
+            stats,
+        );
     });
 }
 
@@ -678,10 +636,6 @@ mod tests {
         })
     }
 
-    fn nominal(centers: &[DataCenter]) -> Topology {
-        Topology::new(centers.len())
-    }
-
     fn cpu_req(amount: f64, tolerance: DistanceClass) -> ResourceRequest {
         ResourceRequest::new(
             OperatorId(1),
@@ -695,10 +649,9 @@ mod tests {
     fn grants_at_least_the_requested_amount() {
         // Criterion 1: "the offer includes at least the requested
         // amounts" — bulk rounding grants upward.
-        let mut centers = vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))];
+        let mut fed = Federation::new(vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -711,10 +664,9 @@ mod tests {
     #[test]
     fn distance_filter_respects_tolerance() {
         // One center far away: SameLocation tolerance finds nothing.
-        let mut centers = vec![center(0, 0.0, 0.0, 10, HostingPolicy::hp(5))];
+        let mut fed = Federation::new(vec![center(0, 0.0, 0.0, 10, HostingPolicy::hp(5))]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(1.0, DistanceClass::SameLocation),
             SimTime::ZERO,
         );
@@ -722,8 +674,7 @@ mod tests {
         assert!((out.unmet.cpu - 1.0).abs() < 1e-9);
         // VeryFar admits it.
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -735,13 +686,12 @@ mod tests {
         // Near center with coarse CPU bulk vs far center with fine bulk:
         // the matcher must pick the fine one first (Sec. V-E's East-coast
         // penalty).
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 10.0, 10, HostingPolicy::hp(7)), // near, coarse (1.11)
             center(1, 50.0, 40.0, 10, HostingPolicy::hp(3)), // ~2100km, fine (0.22)
-        ];
+        ]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(0.4, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -754,13 +704,12 @@ mod tests {
 
     #[test]
     fn shorter_time_bulk_breaks_granularity_ties() {
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 10.0, 10, HostingPolicy::hp(9)), // 0.37 / 720 min
             center(1, 50.0, 10.5, 10, HostingPolicy::hp(5)), // 0.37 / 180 min
-        ];
+        ]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(0.3, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -769,13 +718,12 @@ mod tests {
 
     #[test]
     fn closest_breaks_full_ties() {
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 20.0, 10, HostingPolicy::hp(5)), // ~700 km
             center(1, 50.0, 10.1, 10, HostingPolicy::hp(5)), // ~7 km
-        ];
+        ]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(0.3, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -785,13 +733,12 @@ mod tests {
     #[test]
     fn spills_across_centers_when_first_is_full() {
         // First-ranked center too small: remainder goes to the next.
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 10.0, 1, HostingPolicy::hp(3)), // fine but tiny (1.2 CPU)
             center(1, 50.0, 11.0, 10, HostingPolicy::hp(5)),
-        ];
+        ]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(3.0, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -809,10 +756,9 @@ mod tests {
 
     #[test]
     fn reports_unmet_when_everything_is_full() {
-        let mut centers = vec![center(0, 50.0, 10.0, 1, HostingPolicy::hp(5))];
+        let mut fed = Federation::new(vec![center(0, 50.0, 10.0, 1, HostingPolicy::hp(5))]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(100.0, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -822,10 +768,9 @@ mod tests {
 
     #[test]
     fn zero_request_matches_nothing() {
-        let mut centers = vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))];
+        let mut fed = Federation::new(vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))]);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(0.0, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -835,14 +780,14 @@ mod tests {
 
     #[test]
     fn multi_resource_request_quantised_per_type() {
-        let mut centers = vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(1))];
+        let mut fed = Federation::new(vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(1))]);
         let req = ResourceRequest::new(
             OperatorId(1),
             ResourceVector::new(0.3, 1.0, 1.0, 0.1),
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&nominal(&centers), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&mut fed, &req, SimTime::ZERO);
         assert!(out.fully_met());
         let g = out.granted();
         assert!((g.cpu - 0.5).abs() < 1e-9); // 2 × 0.25
@@ -853,14 +798,13 @@ mod tests {
 
     #[test]
     fn down_center_skipped_with_unavailable_rejection() {
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 10.0, 10, HostingPolicy::hp(3)), // finest, but down
             center(1, 50.0, 11.0, 10, HostingPolicy::hp(5)),
-        ];
-        let _ = centers[0].fail();
+        ]);
+        let _ = fed.fail(0);
         let out = match_request(
-            &nominal(&centers),
-            &mut centers,
+            &mut fed,
             &cpu_req(1.0, DistanceClass::VeryFar),
             SimTime::ZERO,
         );
@@ -879,31 +823,28 @@ mod tests {
     }
 
     /// Runs the same request sequence through the one-shot matcher and
-    /// the indexed matcher on cloned platforms, while `mutate` rewires
-    /// the topology and availability between steps, and asserts
+    /// the indexed matcher on cloned federations, while `mutate` rewires
+    /// the topology and availability of both between steps, and asserts
     /// identical outcomes (grants, rejection order, unmet) and
     /// identical end states.
     fn assert_indexed_matches_oneshot(
-        mut centers: Vec<DataCenter>,
+        centers: Vec<DataCenter>,
         requests: &[ResourceRequest],
-        mut topo: Topology,
-        mutate: impl Fn(&mut Topology, &mut [DataCenter], usize),
+        mutate: impl Fn(&mut Federation, usize),
     ) {
-        let mut indexed = centers.clone();
+        let mut oneshot = Federation::new(centers);
+        let mut indexed = oneshot.clone();
         let mut index = CandidateIndex::new(requests[0].origin, requests[0].tolerance);
         let mut b = MatchOutcome::default();
         let stats = MatchStats::current();
         for (step, req) in requests.iter().enumerate() {
-            mutate(&mut topo, &mut centers, step);
-            // Replay availability mutations on the indexed clone with a
-            // throwaway topology so both platforms stay in lock-step.
-            let mut shadow = topo.clone();
-            mutate(&mut shadow, &mut indexed, step);
+            mutate(&mut oneshot, step);
+            mutate(&mut indexed, step);
             let now = SimTime::from_minutes(step as u64);
-            let a = match_request(&topo, &mut centers, req, now);
-            match_request_indexed(&topo, &mut index, &mut indexed, req, now, &mut b, &stats);
+            let a = match_request(&mut oneshot, req, now);
+            match_request_indexed(&mut indexed, &mut index, req, now, &mut b, &stats);
             assert_eq!(a, b, "outcomes diverge at step {step}");
-            for (x, y) in centers.iter().zip(&indexed) {
+            for (x, y) in oneshot.centers().iter().zip(indexed.centers()) {
                 assert_eq!(x.allocated(), y.allocated(), "ledgers diverge at {step}");
                 assert_eq!(x.leases(), y.leases());
             }
@@ -922,7 +863,7 @@ mod tests {
             .iter()
             .map(|&amt| cpu_req(amt, DistanceClass::Far))
             .collect();
-        assert_indexed_matches_oneshot(centers, &requests, Topology::new(4), |_, _, _| {});
+        assert_indexed_matches_oneshot(centers, &requests, |_, _| {});
     }
 
     #[test]
@@ -937,56 +878,24 @@ mod tests {
             .collect();
         // Fault plane: fail the best center mid-sequence, degrade
         // another, then repair — the index must follow every change.
-        let topo = Topology::new(3);
-        assert_indexed_matches_oneshot(centers, &requests, topo, |_, cs, step| match step {
+        assert_indexed_matches_oneshot(centers, &requests, |f, step| match step {
             2 => {
-                let _ = cs[0].fail();
+                let _ = f.fail(0);
             }
-            3 => cs[1].degrade(0.1),
+            3 => f.degrade(1, 0.1),
             4 => {
-                cs[0].repair();
-                cs[1].repair();
+                f.repair(0);
+                f.repair(1);
             }
             _ => {}
         });
     }
 
     #[test]
-    fn indexed_rebuilds_when_center_count_changes() {
-        let mut centers = vec![center(0, 50.0, 10.0, 4, HostingPolicy::hp(5))];
-        let req = cpu_req(0.3, DistanceClass::VeryFar);
-        let mut index = CandidateIndex::new(req.origin, req.tolerance);
-        let mut out = MatchOutcome::default();
-        let (now, stats) = (SimTime::ZERO, MatchStats::current());
-        match_request_indexed(
-            &nominal(&centers),
-            &mut index,
-            &mut centers,
-            &req,
-            now,
-            &mut out,
-            &stats,
-        );
-        assert!(out.fully_met());
-        // A finer-grained center appears: the index must re-rank.
-        centers.push(center(1, 50.0, 10.0, 4, HostingPolicy::hp(3)));
-        match_request_indexed(
-            &nominal(&centers),
-            &mut index,
-            &mut centers,
-            &req,
-            now,
-            &mut out,
-            &stats,
-        );
-        assert_eq!(out.grants[0].center_index, 1, "new finest center wins");
-    }
-
-    #[test]
     fn stats_register_each_instrument_on_first_use() {
         let registry = Registry::new();
         let stats = registry.scope(MatchStats::current);
-        let mut centers = vec![center(0, 0.0, 0.0, 10, HostingPolicy::hp(5))];
+        let mut fed = Federation::new(vec![center(0, 0.0, 0.0, 10, HostingPolicy::hp(5))]);
         let counters = || -> Vec<(String, u64)> {
             let snap = registry.scope(mmog_obs::snapshot_metrics);
             snap.counters.into_iter().map(|(n, _, v)| (n, v)).collect()
@@ -998,17 +907,8 @@ mod tests {
         let req = cpu_req(1.0, DistanceClass::SameLocation);
         let mut index = CandidateIndex::new(req.origin, req.tolerance);
         let mut out = MatchOutcome::default();
-        let topo = nominal(&centers);
         for _ in 0..2 {
-            match_request_indexed(
-                &topo,
-                &mut index,
-                &mut centers,
-                &req,
-                SimTime::ZERO,
-                &mut out,
-                &stats,
-            );
+            match_request_indexed(&mut fed, &mut index, &req, SimTime::ZERO, &mut out, &stats);
         }
         let expected = [
             ("match.grants", 0),
@@ -1029,14 +929,13 @@ mod tests {
     #[test]
     fn partitioned_centers_rejected_until_heal() {
         // Origin sits on center 0; center 1 is cut off by a partition.
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 10.0, 1, HostingPolicy::hp(5)), // home, tiny
             center(1, 50.0, 11.0, 10, HostingPolicy::hp(3)), // finest, far side
-        ];
-        let mut topo = Topology::new(2);
-        topo.partition(0b10); // {0} | {1}
+        ]);
+        fed.partition(0b10); // {0} | {1}
         let req = cpu_req(5.0, DistanceClass::VeryFar);
-        let out = match_request(&topo, &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&mut fed, &req, SimTime::ZERO);
         assert!(out.grants.iter().all(|g| g.center_index == 0));
         assert!(!out.fully_met(), "home center alone cannot cover 5 CPU");
         assert!(out
@@ -1050,8 +949,8 @@ mod tests {
         assert_eq!(totals.partitioned, 1);
         assert_eq!(totals.total(), out.rejections.len() as u64);
         // Heal: the far side becomes reachable and covers the request.
-        topo.heal();
-        let out = match_request(&topo, &mut centers, &req, SimTime::ZERO);
+        fed.heal();
+        let out = match_request(&mut fed, &req, SimTime::ZERO);
         assert!(out.fully_met());
         assert!(out.grants.iter().any(|g| g.center_index == 1));
     }
@@ -1060,20 +959,18 @@ mod tests {
     fn link_degradation_inflates_effective_distance() {
         // Both centers inside Close (<2000 km) nominally; a 4× link
         // factor pushes center 1 beyond the tolerance.
-        let mut centers = vec![
+        let mut fed = Federation::new(vec![
             center(0, 50.0, 10.0, 10, HostingPolicy::hp(5)), // home
             center(1, 50.0, 20.0, 10, HostingPolicy::hp(3)), // ~714 km, finest
-        ];
-        let nominal = Topology::new(2);
+        ]);
         let req = cpu_req(0.4, DistanceClass::Close);
-        let out = match_request(&nominal, &mut centers.clone(), &req, SimTime::ZERO);
+        let out = match_request(&mut fed.clone(), &req, SimTime::ZERO);
         assert_eq!(
             out.grants[0].center_index, 1,
             "finest center wins nominally"
         );
-        let mut topo = Topology::new(2);
-        topo.set_link_factor(0, 1, 4.0); // 714 km → ~2857 km effective
-        let out = match_request(&topo, &mut centers, &req, SimTime::ZERO);
+        fed.set_link_factor(0, 1, 4.0); // 714 km → ~2857 km effective
+        let out = match_request(&mut fed, &req, SimTime::ZERO);
         assert!(out.grants.iter().all(|g| g.center_index == 0));
         assert!(out
             .rejections
@@ -1092,35 +989,32 @@ mod tests {
             .map(|_| cpu_req(0.5, DistanceClass::VeryFar))
             .collect();
         // Partition, degrade a link, fail a center, heal, restore — the
-        // index must rebuild on every topology version bump and refresh
-        // on the availability change.
-        assert_indexed_matches_oneshot(centers, &requests, Topology::new(3), |topo, cs, step| {
-            match step {
-                1 => topo.partition(0b001),
-                2 => topo.set_link_factor(0, 1, 8.0),
-                3 => {
-                    let _ = cs[2].fail();
-                }
-                4 => topo.heal(),
-                5 => {
-                    cs[2].repair();
-                    topo.set_link_factor(0, 1, 1.0);
-                }
-                _ => {}
+        // index must re-rank on every version bump.
+        assert_indexed_matches_oneshot(centers, &requests, |f, step| match step {
+            1 => f.partition(0b001),
+            2 => f.set_link_factor(0, 1, 8.0),
+            3 => {
+                let _ = f.fail(2);
             }
+            4 => f.heal(),
+            5 => {
+                f.repair(2);
+                f.set_link_factor(0, 1, 1.0);
+            }
+            _ => {}
         });
     }
 
     #[test]
     fn negative_amounts_treated_as_zero() {
-        let mut centers = vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))];
+        let mut fed = Federation::new(vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))]);
         let req = ResourceRequest::new(
             OperatorId(1),
             ResourceVector::new(-5.0, 0.0, 0.0, 0.0),
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&nominal(&centers), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&mut fed, &req, SimTime::ZERO);
         assert!(out.grants.is_empty());
         assert!(out.fully_met());
     }
@@ -1130,22 +1024,21 @@ mod tests {
         let mut memo = MatchMemo::new();
         let t = ResourceVector::new(1.0, 2.0, 0.5, 0.5);
         let now = SimTime(10);
-        assert!(!memo.covers(&t, 3, 0, 7, now), "disarmed covers nothing");
-        memo.arm(t, 3, 0, 7, false, None);
+        assert!(!memo.covers(&t, 3, 7, now), "disarmed covers nothing");
+        memo.arm(t, 3, 7, false, None);
         assert!(memo.is_armed());
         // Exactly the armed target, and any target at or above it.
-        assert!(memo.covers(&t, 3, 0, 7, now));
+        assert!(memo.covers(&t, 3, 7, now));
         let above = ResourceVector::new(1.5, 2.0, 0.5, 0.5);
-        assert!(memo.covers(&above, 3, 0, 7, now));
+        assert!(memo.covers(&above, 3, 7, now));
         // Below on any component leaves the monotone band.
         let below = ResourceVector::new(1.0, 1.9, 0.5, 0.5);
-        assert!(!memo.covers(&below, 3, 0, 7, now));
-        // Any key mismatch invalidates: epoch, topology, ledger.
-        assert!(!memo.covers(&t, 4, 0, 7, now), "epoch moved");
-        assert!(!memo.covers(&t, 3, 1, 7, now), "topology moved");
-        assert!(!memo.covers(&t, 3, 0, 8, now), "ledger moved");
+        assert!(!memo.covers(&below, 3, 7, now));
+        // Any key mismatch invalidates: federation version, ledger.
+        assert!(!memo.covers(&t, 4, 7, now), "federation version moved");
+        assert!(!memo.covers(&t, 3, 8, now), "ledger moved");
         memo.invalidate();
-        assert!(!memo.covers(&t, 3, 0, 7, now));
+        assert!(!memo.covers(&t, 3, 7, now));
     }
 
     #[test]
@@ -1154,16 +1047,16 @@ mod tests {
         let t = ResourceVector::new(1.0, 1.0, 1.0, 1.0);
         // No matured leases: the band widens to any target, but only
         // until the first maturation instant.
-        memo.arm(t, 0, 2, 1, true, Some(SimTime(20)));
+        memo.arm(t, 2, 1, true, Some(SimTime(20)));
         let below = ResourceVector::new(0.1, 0.0, 0.0, 0.0);
-        assert!(memo.covers(&below, 0, 2, 1, SimTime(19)));
+        assert!(memo.covers(&below, 2, 1, SimTime(19)));
         assert!(
-            !memo.covers(&below, 0, 2, 1, SimTime(20)),
+            !memo.covers(&below, 2, 1, SimTime(20)),
             "a lease matures at t=20: the proof expires"
         );
         // The horizon also bounds the monotone band.
-        memo.arm(t, 0, 2, 1, false, Some(SimTime(20)));
-        assert!(memo.covers(&t, 0, 2, 1, SimTime(19)));
-        assert!(!memo.covers(&t, 0, 2, 1, SimTime(25)));
+        memo.arm(t, 2, 1, false, Some(SimTime(20)));
+        assert!(memo.covers(&t, 2, 1, SimTime(19)));
+        assert!(!memo.covers(&t, 2, 1, SimTime(25)));
     }
 }

@@ -8,31 +8,29 @@
 //! whole subsets of the federation unreachable from a player's home
 //! region until a `heal` event.
 //!
-//! A [`Topology`] is **per-simulation** state, like the availability
-//! epoch of the simulation's own centers: two concurrent simulations
-//! may hold disjoint topologies. Every simulation carries one; runs without a
-//! scenario keep the nominal [`Topology::new`], under which
-//! [`crate::matching`] sees every center reachable and every distance
-//! exactly as measured (`raw_km × 1.0`).
+//! A [`Topology`] belongs to one [`Federation`], which builds it
+//! nominal — every center reachable, every distance exactly as measured
+//! (`raw_km × 1.0`) — and is the only caller of its mutators, so every
+//! partition, heal or link change moves the federation's version and
+//! cached matcher views ([`crate::matching::CandidateIndex`]) know when
+//! their ranking is stale. Runs without a scenario never mutate it.
 //!
 //! # Model
 //!
 //! - **Partitions** are modelled as component refinement. Every center
 //!   carries a component label; `partition(mask)` splits each existing
 //!   component into its `mask`-bit-set and `mask`-bit-clear halves, so
-//!   arbitrary partition sequences compose. [`Topology::heal`] resets
-//!   every label to zero, which makes "heal restores full
-//!   reachability" structurally true (see the property test in the
-//!   crate's test suite).
+//!   arbitrary partition sequences compose. `heal` resets every label
+//!   to zero, which makes "heal restores full reachability"
+//!   structurally true (see the property test in the crate's test
+//!   suite).
 //! - **Link quality** is a symmetric per-pair distance multiplier
 //!   (default `1.0`). The effective distance used for admission is
 //!   `raw great-circle distance × factor(home, candidate)`, where
 //!   `home` is the center nearest the request origin — the player's
 //!   ingress point into the backbone.
-//! - Every mutation bumps a `version` counter so cached matcher views
-//!   ([`crate::matching::CandidateIndex`]) know when their distance
-//!   ordering is stale and must be rebuilt (availability-only changes
-//!   keep using the cheaper refresh path).
+//!
+//! [`Federation`]: crate::Federation
 
 /// Mutable network topology over `n` data centers: partition components
 /// plus a symmetric link-quality (distance multiplier) matrix.
@@ -42,51 +40,29 @@ pub struct Topology {
     component: Vec<u32>,
     /// Symmetric `n × n` distance multipliers, row-major, default 1.0.
     factor: Vec<f64>,
-    /// Bumped on every mutation; cached matcher views compare it.
-    version: u64,
 }
 
 impl Topology {
     /// A fully-connected topology over `n` centers with nominal links.
     #[must_use]
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             component: vec![0; n],
             factor: vec![1.0; n * n],
-            version: 0,
         }
-    }
-
-    /// Number of centers the topology spans.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.component.len()
-    }
-
-    /// Whether the topology spans zero centers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.component.is_empty()
-    }
-
-    /// Current mutation version (monotonically increasing).
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Splits the federation along `mask`: centers whose index bit is
     /// set in `mask` are cut off from centers (of the same current
     /// component) whose bit is clear. Composes with earlier partitions
     /// by refinement; centers at index ≥ 64 land on the clear side.
-    pub fn partition(&mut self, mask: u64) {
+    pub(crate) fn partition(&mut self, mask: u64) {
         for (i, label) in self.component.iter_mut().enumerate() {
             let side = if i < 64 { (mask >> i) & 1 } else { 0 };
             // Refine: each old component splits into two new labels.
             *label = label.wrapping_mul(2).wrapping_add(side as u32);
         }
         self.normalize_components();
-        self.version += 1;
     }
 
     /// Heals every partition: all centers rejoin component 0. Link
@@ -94,9 +70,8 @@ impl Topology {
     /// [`set_link_factor`]).
     ///
     /// [`set_link_factor`]: Self::set_link_factor
-    pub fn heal(&mut self) {
+    pub(crate) fn heal(&mut self) {
         self.component.iter_mut().for_each(|c| *c = 0);
-        self.version += 1;
     }
 
     /// Whether `a` and `b` are in the same partition component.
@@ -127,11 +102,12 @@ impl Topology {
 
     /// Sets the symmetric distance multiplier of link `a`↔`b` (clamped
     /// to be ≥ 1.0: a degraded link can only look farther, never
-    /// closer). Self-links and out-of-range indices are ignored.
-    pub fn set_link_factor(&mut self, a: usize, b: usize, factor: f64) {
-        let n = self.len();
+    /// closer). Self-links and out-of-range indices are ignored; returns
+    /// whether the link was set.
+    pub(crate) fn set_link_factor(&mut self, a: usize, b: usize, factor: f64) -> bool {
+        let n = self.component.len();
         if a == b || a >= n || b >= n {
-            return;
+            return false;
         }
         let f = if factor.is_finite() {
             factor.max(1.0)
@@ -140,14 +116,14 @@ impl Topology {
         };
         self.factor[a * n + b] = f;
         self.factor[b * n + a] = f;
-        self.version += 1;
+        true
     }
 
     /// The distance multiplier of link `a`↔`b` (1.0 for self-links and
     /// out-of-range indices).
     #[must_use]
     pub fn link_factor(&self, a: usize, b: usize) -> f64 {
-        let n = self.len();
+        let n = self.component.len();
         if a == b || a >= n || b >= n {
             return 1.0;
         }
@@ -185,7 +161,6 @@ mod tests {
     #[test]
     fn fresh_topology_is_fully_connected_with_nominal_links() {
         let t = Topology::new(4);
-        assert_eq!(t.len(), 4);
         assert!(t.fully_connected());
         assert_eq!(t.components(), 1);
         for a in 0..4 {
@@ -194,7 +169,6 @@ mod tests {
                 assert!((t.link_factor(a, b) - 1.0).abs() < 1e-12);
             }
         }
-        assert_eq!(t.version(), 0);
     }
 
     #[test]
@@ -206,11 +180,9 @@ mod tests {
         assert!(t.reachable(2, 3));
         assert!(!t.reachable(0, 2));
         assert!(!t.reachable(1, 3));
-        assert_eq!(t.version(), 1);
         t.heal();
         assert!(t.fully_connected());
         assert!(t.reachable(0, 3));
-        assert_eq!(t.version(), 2);
     }
 
     #[test]
@@ -239,7 +211,6 @@ mod tests {
         assert!(t.fully_connected());
         t.partition(0b0111); // everyone on the set side
         assert!(t.fully_connected());
-        assert_eq!(t.version(), 2, "even no-op cuts bump the version");
     }
 
     #[test]
@@ -271,15 +242,5 @@ mod tests {
             t.reachable(7, 7),
             "an index is always reachable from itself"
         );
-    }
-
-    #[test]
-    fn every_mutation_bumps_the_version() {
-        let mut t = Topology::new(3);
-        let v0 = t.version();
-        t.partition(0b001);
-        t.heal();
-        t.set_link_factor(0, 1, 2.0);
-        assert_eq!(t.version(), v0 + 3);
     }
 }

@@ -5,7 +5,7 @@ use mmog_datacenter::matching::match_request;
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
-use mmog_datacenter::topology::Topology;
+use mmog_datacenter::Federation;
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -131,14 +131,14 @@ proptest! {
         machines in 1u32..30,
         amounts in any_amounts(),
     ) {
-        let mut centers = vec![center(machines, policy)];
+        let mut fed = Federation::new(vec![center(machines, policy)]);
         let req = ResourceRequest::new(
             OperatorId(1),
             amounts,
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&Topology::new(centers.len()), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&mut fed, &req, SimTime::ZERO);
         let granted = out.granted();
         for r in ResourceType::ALL {
             // granted + unmet >= requested (the offer covers at least the
@@ -151,7 +151,7 @@ proptest! {
                 amounts.get(r)
             );
             // And the grant never exceeds the center's capacity.
-            prop_assert!(granted.get(r) <= centers[0].spec.capacity().get(r) + 1e-6);
+            prop_assert!(granted.get(r) <= fed.centers()[0].spec.capacity().get(r) + 1e-6);
         }
     }
 
@@ -169,12 +169,19 @@ proptest! {
         machines in 1u32..20,
         ops in prop::collection::vec((0u8..6, any_amounts(), 0.05f64..1.2), 1..40),
     ) {
-        let mut c = center(machines, policy);
-        let nominal = c.spec.capacity();
+        let mut fed = Federation::new(vec![center(machines, policy)]);
+        let nominal = fed.centers()[0].spec.capacity();
         let mut retired: Vec<mmog_datacenter::center::LeaseId> = Vec::new();
         let mut seen: Vec<mmog_datacenter::center::LeaseId> = Vec::new();
         let far_future = SimTime::from_days(100);
         for (i, &(code, amounts, fraction)) in ops.iter().enumerate() {
+            match code {
+                1 => retired.extend(fed.fail(0).iter().map(|l| l.id)),
+                2 => fed.repair(0),
+                3 => fed.degrade(0, fraction),
+                _ => {}
+            }
+            let c = &mut fed.centers_mut()[0];
             match code {
                 0 => {
                     let down =
@@ -188,9 +195,7 @@ proptest! {
                         seen.push(id);
                     }
                 }
-                1 => retired.extend(c.fail().iter().map(|l| l.id)),
-                2 => c.repair(),
-                3 => c.degrade(fraction),
+                1..=3 => {}
                 4 => {
                     if let Some(l) = c.revoke_oldest() {
                         retired.push(l.id);
@@ -238,19 +243,22 @@ proptest! {
         masks in prop::collection::vec(0u64..4096, 1..16),
         links in prop::collection::vec((0usize..12, 0usize..12, 0.25f64..8.0), 0..8),
     ) {
-        use mmog_datacenter::topology::Topology;
-        let mut topo = Topology::new(n);
+        let mut fed = Federation::new(
+            (0..n).map(|_| center(1, HostingPolicy::hp(5))).collect(),
+        );
         for &mask in &masks {
-            topo.partition(mask);
+            fed.partition(mask);
         }
         for &(a, b, f) in &links {
-            topo.set_link_factor(a, b, f);
+            fed.set_link_factor(a, b, f);
         }
+        let topo = fed.topology();
         let components_before = topo.components();
         prop_assert!(components_before >= 1 && components_before <= n);
-        let version_before = topo.version();
-        topo.heal();
-        prop_assert!(topo.version() > version_before);
+        let version_before = fed.version();
+        fed.heal();
+        prop_assert_eq!(fed.version(), version_before + 1);
+        let topo = fed.topology();
         prop_assert!(topo.fully_connected());
         prop_assert_eq!(topo.components(), 1);
         for a in 0..n {
@@ -284,7 +292,7 @@ proptest! {
             GeoPoint::new(50.0, 10.0),
             DistanceClass::VeryFar,
         );
-        let out = match_request(&Topology::new(centers.len()), &mut centers, &req, SimTime::ZERO);
+        let out = match_request(&mut Federation::new(centers), &req, SimTime::ZERO);
         prop_assert!(!out.grants.is_empty());
         prop_assert_eq!(out.grants[0].center_index, 1);
     }
@@ -296,8 +304,8 @@ proptest! {
         demands in prop::collection::vec((any_amounts(), 0u8..4), 1..24),
     ) {
         // The memo's exactness claim, replayed at the matching layer:
-        // on byte-identical inputs (same ledger, same availability
-        // epoch, same index state) the full CandidateIndex walk is a
+        // on byte-identical inputs (same ledger, same federation
+        // version, same index state) the full CandidateIndex walk is a
         // pure function, so replaying a recorded outcome instead of
         // re-walking can never be observed — grant for grant, ledger
         // for ledger. Random demand/fault sequences drive the pair.
@@ -305,21 +313,21 @@ proptest! {
             match_request_indexed, CandidateIndex, MatchOutcome, MatchStats,
         };
         let origin = GeoPoint::new(50.0, 10.0);
-        let mut live = vec![center(machines, policy.clone())];
+        let mut live = Federation::new(vec![center(machines, policy.clone())]);
         let mut replay = live.clone();
         let mut live_index = CandidateIndex::new(origin, DistanceClass::VeryFar);
         let mut replay_index = live_index.clone();
-        let (topo, stats) = (Topology::new(live.len()), MatchStats::current());
+        let stats = MatchStats::current();
         let (mut out, mut replayed) = (MatchOutcome::default(), MatchOutcome::default());
         for (i, (amounts, fault)) in demands.iter().enumerate() {
             match fault {
                 1 => {
-                    let _ = live[0].fail();
-                    let _ = replay[0].fail();
+                    let _ = live.fail(0);
+                    let _ = replay.fail(0);
                 }
                 2 => {
-                    live[0].repair();
-                    replay[0].repair();
+                    live.repair(0);
+                    replay.repair(0);
                 }
                 _ => {}
             }
@@ -330,12 +338,12 @@ proptest! {
                 DistanceClass::VeryFar,
             );
             let now = SimTime(i as u64);
-            match_request_indexed(&topo, &mut live_index, &mut live, &req, now, &mut out, &stats);
-            match_request_indexed(&topo, &mut replay_index, &mut replay, &req, now, &mut replayed, &stats);
+            match_request_indexed(&mut live, &mut live_index, &req, now, &mut out, &stats);
+            match_request_indexed(&mut replay, &mut replay_index, &req, now, &mut replayed, &stats);
             prop_assert_eq!(&out, &replayed, "walk diverged on identical inputs");
             prop_assert_eq!(
-                format!("{:?}", live[0].leases()),
-                format!("{:?}", replay[0].leases()),
+                format!("{:?}", live.centers()[0].leases()),
+                format!("{:?}", replay.centers()[0].leases()),
                 "ledgers diverged structurally"
             );
         }
@@ -345,12 +353,10 @@ proptest! {
     fn match_memo_key_discipline_under_random_sequences(
         t_memo in any_amounts(),
         t_query in any_amounts(),
-        epoch in 0u64..4,
-        d_epoch in 0u64..3,
+        version in 0u64..4,
+        d_version in 0u64..3,
         lease_gen in 0u64..4,
         d_gen in 0u64..3,
-        topo in 0u64..3,
-        d_topo in 0u64..3,
         any_target in any::<bool>(),
         horizon in prop::option::of(1u64..50),
         now in 0u64..60,
@@ -360,26 +366,18 @@ proptest! {
         // any-target) the queried target sits inside the monotone band.
         use mmog_datacenter::matching::MatchMemo;
         let mut memo = MatchMemo::new();
-        prop_assert!(!memo.covers(&t_query, epoch, topo, lease_gen, SimTime(now)));
-        memo.arm(
-            t_memo,
-            epoch,
-            topo,
-            lease_gen,
-            any_target,
-            horizon.map(SimTime),
-        );
-        let q_epoch = epoch + d_epoch;
+        prop_assert!(!memo.covers(&t_query, version, lease_gen, SimTime(now)));
+        memo.arm(t_memo, version, lease_gen, any_target, horizon.map(SimTime));
+        let q_version = version + d_version;
         let q_gen = lease_gen + d_gen;
-        let q_topo = d_topo;
-        let covered = memo.covers(&t_query, q_epoch, q_topo, q_gen, SimTime(now));
-        let keys_match = q_epoch == epoch && q_gen == lease_gen && q_topo == topo;
+        let covered = memo.covers(&t_query, q_version, q_gen, SimTime(now));
+        let keys_match = q_version == version && q_gen == lease_gen;
         let in_horizon = horizon.is_none_or(|h| now < h);
         let in_band = any_target || t_memo.fits_within(&t_query, 0.0);
         prop_assert_eq!(covered, keys_match && in_horizon && in_band);
         // Any invalidation is final until the next arm.
         memo.invalidate();
-        prop_assert!(!memo.covers(&t_query, epoch, topo, lease_gen, SimTime(now)));
+        prop_assert!(!memo.covers(&t_query, version, lease_gen, SimTime(now)));
     }
 }
 
@@ -475,9 +473,9 @@ proptest! {
     ) {
         let policy = HostingPolicy::hp(3);
         let time_bulk = policy.time_bulk;
-        let mut c = center(machines, policy);
+        let mut fed = Federation::new(vec![center(machines, policy)]);
         let mut model = LedgerModel {
-            capacity: c.spec.capacity(),
+            capacity: fed.centers()[0].spec.capacity(),
             down: false,
             allocated: ResourceVector::ZERO,
             leases: Vec::new(),
@@ -489,6 +487,15 @@ proptest! {
             // Ids up to two past the newest: live, retired and never issued.
             let id = LeaseId(pick % (model.next + 2));
             match code {
+                7 => prop_assert_eq!(fed.fail(0), model.fail()),
+                8 => {
+                    fed.repair(0);
+                    model.down = false;
+                }
+                _ => {}
+            }
+            let c = &mut fed.centers_mut()[0];
+            match code {
                 0..=2 => {
                     let amounts = ResourceVector::new(cpu, mem, 0.0, 0.0);
                     let op = OperatorId((pick % 7) as u32);
@@ -497,11 +504,7 @@ proptest! {
                 3 | 4 => prop_assert_eq!(c.release(id, now), model.release(id, now)),
                 5 => prop_assert_eq!(c.revoke(id), model.revoke(id)),
                 6 => prop_assert_eq!(c.revoke_oldest(), model.revoke_oldest()),
-                7 => prop_assert_eq!(c.fail(), model.fail()),
-                _ => {
-                    c.repair();
-                    model.down = false;
-                }
+                _ => {}
             }
             prop_assert_eq!(c.leases(), model.leases.as_slice());
             let mirror: Vec<(u32, f64)> =

@@ -14,7 +14,7 @@ use mmog_datacenter::center::{DataCenter, Lease};
 use mmog_datacenter::matching::{MatchStats, RejectionTotals};
 use mmog_datacenter::request::OperatorId;
 use mmog_datacenter::resource::ResourceVector;
-use mmog_datacenter::topology::Topology;
+use mmog_datacenter::Federation;
 use mmog_faults::{FaultKind, FaultSchedule, ScenarioEventKind, ScenarioTimeline};
 use mmog_obs::{
     Counter, Document, Domain, Event, EventSink, FlightRecorder, FlightTrigger, LatencyHisto,
@@ -409,11 +409,6 @@ struct RunState {
     /// only; `None` (no flight sink) costs one branch per push site and
     /// changes nothing else.
     flight: Option<FlightRecorder>,
-    /// The matcher's view of the network. Scenario-free runs keep the
-    /// nominal `Topology::new(n)` — every center reachable, every link
-    /// factor 1.0 — under which effective distances equal raw ones bit
-    /// for bit, so matching is exactly the topology-free matching.
-    topology: Topology,
     /// Both planes' events as `(tick, effect)`, merged by tick with
     /// faults first, each plane in its own canonical order.
     effects: Vec<(u64, Effect)>,
@@ -641,7 +636,9 @@ impl RunState {
 
 /// The simulation itself.
 pub struct Simulation {
-    centers: Vec<DataCenter>,
+    /// Scenario-free runs keep the platform's nominal topology, under
+    /// which effective distances equal raw ones bit for bit.
+    platform: Federation,
     groups: Vec<GroupRuntime>,
     /// Hot per-group state, one contiguous array (SoA split of the
     /// group runtimes); indexed like `groups`.
@@ -844,7 +841,7 @@ impl Simulation {
         order.sort_by_key(|&gi| cfg.games[groups[gi].game].priority);
         let trace_label = Self::trace_label(&cfg, ticks);
         Self {
-            centers: cfg.centers,
+            platform: Federation::new(cfg.centers),
             hot,
             players_scratch: vec![0.0; players_scratch_len],
             sources,
@@ -952,7 +949,6 @@ impl Simulation {
             },
             sink: self.sinks.trace.is_some().then(EventSink::new),
             flight: self.sinks.flight.clone().map(FlightRecorder::new),
-            topology: Topology::new(self.centers.len()),
             effects,
             effect_cursor: 0,
             region_flash: vec![1.0; self.region_group_counts.len().max(1)],
@@ -962,7 +958,7 @@ impl Simulation {
             per_game: vec![Default::default(); game_count],
             leases_granted: 0,
             leases_released: 0,
-            usage: vec![(vec![0.0; ops], vec![false; ops], 0.0); self.centers.len()],
+            usage: vec![(vec![0.0; ops], vec![false; ops], 0.0); self.platform.centers().len()],
             pool: (mmog_par::jobs() > 1
                 && !mmog_par::in_parallel()
                 && self.groups.len() >= PARALLEL_GROUP_THRESHOLD)
@@ -995,7 +991,7 @@ impl Simulation {
         run.trace(&Event::RunStart {
             mode: self.mode.label(),
             groups: self.groups.len() as u64,
-            centers: self.centers.len() as u64,
+            centers: self.platform.centers().len() as u64,
             ticks: self.ticks as u64,
             warmup: self.warmup as u64,
         });
@@ -1061,8 +1057,9 @@ impl Simulation {
         // Every group sits in a region and a run has groups, so there
         // is always a region for a flash crowd to pick.
         let n_regions = self.region_group_counts.len() as u64;
+        let n_centers = self.platform.centers().len();
         while let Some(effect) = run.next_effect() {
-            if effect.center().is_some_and(|c| c >= self.centers.len()) {
+            if effect.center().is_some_and(|c| c >= n_centers) {
                 continue;
             }
             if let Effect::Fault(..) = effect {
@@ -1073,7 +1070,7 @@ impl Simulation {
             }
             match effect {
                 Effect::Fault(center, F::CenterDown) => {
-                    let lost = self.centers[center].fail();
+                    let lost = self.platform.fail(center);
                     run.report.leases_revoked += lost.len() as u64;
                     // Terminal lifecycle events for the outage's
                     // victims: groups are walked in index order, so the
@@ -1087,20 +1084,20 @@ impl Simulation {
                     run.trace(&Event::CenterDown {
                         tick,
                         center: center as u64,
-                        name: &self.centers[center].spec.name,
+                        name: &self.platform.centers()[center].spec.name,
                         leases_lost: lost.len() as u64,
                     });
                 }
                 Effect::Fault(center, F::CenterUp) => {
-                    self.centers[center].repair();
+                    self.platform.repair(center);
                     run.trace(&Event::CenterUp {
                         tick,
                         center: center as u64,
-                        name: &self.centers[center].spec.name,
+                        name: &self.platform.centers()[center].spec.name,
                     });
                 }
                 Effect::Fault(center, F::CenterDegraded { fraction }) => {
-                    self.centers[center].degrade(fraction);
+                    self.platform.degrade(center, fraction);
                     run.trace(&Event::CenterDegraded {
                         tick,
                         center: center as u64,
@@ -1108,7 +1105,7 @@ impl Simulation {
                     });
                 }
                 Effect::Fault(center, F::LeaseRevoked) => {
-                    if let Some(lease) = self.centers[center].revoke_oldest() {
+                    if let Some(lease) = self.platform.centers_mut()[center].revoke_oldest() {
                         for group in &mut self.groups {
                             if group.provisioner.drop_lease(center, lease.id).is_some() {
                                 break;
@@ -1129,9 +1126,9 @@ impl Simulation {
                     run.trace(&Event::PredictorDropout { tick });
                 }
                 Effect::Scenario(S::Partition { mask }) => {
-                    run.topology.partition(mask);
+                    self.platform.partition(mask);
                     run.tick.trigger.get_or_insert(FlightTrigger::Partition);
-                    let components = run.topology.components() as u64;
+                    let components = self.platform.topology().components() as u64;
                     run.record(Event::Partition {
                         tick,
                         mask,
@@ -1139,8 +1136,8 @@ impl Simulation {
                     });
                 }
                 Effect::Scenario(S::Heal) => {
-                    run.topology.heal();
-                    let components = run.topology.components() as u64;
+                    self.platform.heal();
+                    let components = self.platform.topology().components() as u64;
                     run.record(Event::Heal { tick, components });
                 }
                 Effect::Scenario(
@@ -1150,7 +1147,8 @@ impl Simulation {
                         S::LinkDegrade { factor, .. } => factor,
                         _ => 1.0,
                     };
-                    run.topology.set_link_factor(a as usize, b as usize, factor);
+                    self.platform
+                        .set_link_factor(a as usize, b as usize, factor);
                     run.record(Event::TopologyChange {
                         tick,
                         a: u64::from(a),
@@ -1186,7 +1184,7 @@ impl Simulation {
                     // that held the most CPU.
                     let mut total_dropped = 0usize;
                     let mut principal: Option<(usize, f64)> = None;
-                    for c in 0..self.centers.len() {
+                    for c in 0..n_centers {
                         let (dropped, cpu) = self.drain(run, gi, c, ReleaseCause::Migration);
                         total_dropped += dropped;
                         if dropped > 0 && principal.is_none_or(|(_, best)| cpu > best) {
@@ -1232,7 +1230,7 @@ impl Simulation {
         let provisioner = &mut self.groups[gi].provisioner;
         let dropped = provisioner.drop_leases_at_center(center);
         for lease in &dropped {
-            self.centers[center].revoke(lease.id);
+            self.platform.centers_mut()[center].revoke(lease.id);
         }
         if let Some(sink) = run.sink.as_mut() {
             let op = provisioner.operator.0;
@@ -1350,7 +1348,7 @@ impl Simulation {
             }
             run.report.demand_cpu_series.push(total_demand.cpu);
             run.report.alloc_cpu_series.push(total_alloc.cpu);
-            for (center, acc) in self.centers.iter().zip(run.usage.iter_mut()) {
+            for (center, acc) in self.platform.centers().iter().zip(run.usage.iter_mut()) {
                 for &(op, cpu) in center.lease_cpu() {
                     acc.0[op as usize] += cpu;
                     acc.1[op as usize] = true;
@@ -1372,7 +1370,7 @@ impl Simulation {
             // derived from the configuration so it is jobs-independent.
             let center_tick_stride = (self.ticks / 96).max(1);
             if t.is_multiple_of(center_tick_stride) || t + 1 == self.ticks {
-                for (ci, center) in self.centers.iter().enumerate() {
+                for (ci, center) in self.platform.centers().iter().enumerate() {
                     sink.emit(&Event::CenterTick {
                         tick: t as u64,
                         center: ci as u64,
@@ -1436,8 +1434,7 @@ impl Simulation {
             }
             let target = self.hot[idx].target;
             let provisioner = &mut self.groups[idx].provisioner;
-            let (topology, stats) = (&run.topology, &run.match_stats);
-            let out = provisioner.adjust(topology, stats, &target, &mut self.centers, now);
+            let out = provisioner.adjust(&mut self.platform, &run.match_stats, &target, now);
             run.tick.skips += u64::from(out.replayed);
             run.tick.full += u64::from(!out.replayed);
             run.leases_granted += out.granted as u64;
@@ -1552,9 +1549,15 @@ impl Simulation {
                             .sum(),
                         fault_events: run.report.fault_events,
                         scenario_events: run.report.scenario_events,
-                        centers_down: self.centers.iter().filter(|c| c.is_down()).count() as u64,
+                        centers_down: self
+                            .platform
+                            .centers()
+                            .iter()
+                            .filter(|c| c.is_down())
+                            .count() as u64,
                         centers: self
-                            .centers
+                            .platform
+                            .centers()
                             .iter()
                             .map(|c| mmog_obs::LiveCenter {
                                 name: c.spec.name.clone(),
@@ -1617,7 +1620,8 @@ impl Simulation {
     /// events, the observability plane submissions, and the report.
     fn finish(self, mut run: RunState) -> SimReport {
         run.report.center_usage = self
-            .centers
+            .platform
+            .centers()
             .iter()
             .zip(std::mem::take(&mut run.usage))
             .map(|(c, (sums, touched, free))| {
@@ -2135,7 +2139,7 @@ mod tests {
     #[test]
     fn empty_scenario_timeline_matches_baseline_report() {
         // Scenario = Some(empty) exercises the scenario plumbing (retry
-        // backoff on, nominal topology threaded through every
+        // backoff on, the federation's nominal topology under every
         // matcher call) without any event — the scored metrics must
         // equal the scenario-free run's exactly.
         use mmog_faults::ScenarioTimeline;
@@ -2332,7 +2336,7 @@ mod tests {
         let mut run = sim.start();
         for t in 0..sim.ticks {
             sim.step(&mut run, t);
-            for (ci, center) in sim.centers.iter().enumerate() {
+            for (ci, center) in sim.platform.centers().iter().enumerate() {
                 let mut ledger: Vec<u64> = center.leases().iter().map(|l| l.id.0).collect();
                 let mut held: Vec<u64> = sim
                     .groups

@@ -8,13 +8,13 @@
 //! the group once, at peak capacity, and never adjusts.
 
 use crate::demand::DemandModel;
-use mmog_datacenter::center::{availability_epoch, DataCenter, Lease, LeaseId};
+use mmog_datacenter::center::{Lease, LeaseId};
 use mmog_datacenter::matching::{
     match_request_indexed, CandidateIndex, MatchMemo, MatchOutcome, MatchStats, RejectionTotals,
 };
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
-use mmog_datacenter::resource::{ResourceType, ResourceVector};
-use mmog_datacenter::topology::Topology;
+use mmog_datacenter::resource::ResourceVector;
+use mmog_datacenter::Federation;
 use mmog_predict::traits::Predictor;
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::{SimDuration, SimTime};
@@ -184,10 +184,6 @@ pub struct GroupProvisioner {
     /// candidate ranking survives across ticks instead of being redone
     /// per request.
     index: CandidateIndex,
-    /// Cached finest per-resource bulk across the platform (phase 1b),
-    /// keyed on the center count. Policies are static for a run, so
-    /// this is computed at most once per platform.
-    finest_bulks: Option<(usize, [Option<f64>; 4])>,
     /// When set (the default), [`adjust`] replays memoized no-op
     /// steps instead of re-running the full pipeline. Tests flip this
     /// off to compare the memoized path against the full walk.
@@ -260,7 +256,6 @@ impl GroupProvisioner {
             backoff_until: SimTime::ZERO,
             lost: ResourceVector::ZERO,
             index: CandidateIndex::new(origin, tolerance),
-            finest_bulks: None,
             memo_enabled: true,
             memo: MatchMemo::new(),
             lease_gen: 0,
@@ -416,17 +411,16 @@ impl GroupProvisioner {
     }
 
     /// Adjusts held leases towards `target`: releases matured leases
-    /// wholly contained in the surplus, then requests any deficit,
-    /// matched through `topology` (partitioned centers are unreachable
-    /// and degraded links inflate effective distances; the nominal
-    /// [`Topology::new`] leaves every distance as measured) and recorded
-    /// in the run's shared `stats`.
+    /// wholly contained in the surplus, then requests any deficit from
+    /// `platform` (partitioned centers are unreachable and degraded
+    /// links inflate effective distances; the nominal topology leaves
+    /// every distance as measured), recorded in the run's shared
+    /// `stats`.
     pub fn adjust(
         &mut self,
-        topology: &Topology,
+        platform: &mut Federation,
         stats: &MatchStats,
         target: &ResourceVector,
-        centers: &mut [DataCenter],
         now: SimTime,
     ) -> AdjustOutcome {
         if self.record_matches {
@@ -458,18 +452,15 @@ impl GroupProvisioner {
         }
         // Fast path: replay a memoized no-op. The memo's keys prove
         // nothing that feeds this step changed since the last full run
-        // (ledger generation, fault epoch, topology version, target
-        // band, maturation horizon), and the deficit check below is the
+        // (ledger generation, federation version, target band,
+        // maturation horizon), and the deficit check below is the
         // only step-local input left — so returning the empty outcome
         // is byte-for-byte what the full pipeline would do, including
         // every side effect it would not have (no sort, no release, no
         // matcher call, no event).
-        let epoch = availability_epoch(centers);
-        let topo_version = topology.version();
+        let version = platform.version();
         if self.memo_enabled
-            && self
-                .memo
-                .covers(target, epoch, topo_version, self.lease_gen, now)
+            && self.memo.covers(target, version, self.lease_gen, now)
             && (*target - self.allocated)
                 .clamp_non_negative()
                 .is_negligible(1e-6)
@@ -493,7 +484,7 @@ impl GroupProvisioner {
                 let held = self.leases[i];
                 let releasable = now >= held.lease.earliest_release
                     && held.lease.amounts.fits_within(&surplus, 1e-9);
-                if releasable && centers[held.center].release(held.lease.id, now) {
+                if releasable && platform.centers_mut()[held.center].release(held.lease.id, now) {
                     surplus = (surplus - held.lease.amounts).clamp_non_negative();
                     self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
                     self.leases.swap_remove(i);
@@ -520,24 +511,7 @@ impl GroupProvisioner {
         // because its own center would re-round to the same size. One
         // reshape per step bounds the lease turnover.
         if !surplus.is_negligible(1e-6) {
-            // Finest per-resource bulk across the platform (None = some
-            // center grants this resource exactly). Policies are static,
-            // so the scan runs once per platform and is cached after.
-            let finest: [Option<f64>; 4] = match self.finest_bulks {
-                Some((n, cached)) if n == centers.len() => cached,
-                _ => {
-                    let out = ResourceType::ALL.map(|r| {
-                        centers
-                            .iter()
-                            .try_fold(f64::INFINITY, |min, c| {
-                                c.spec.policy.bulk(r).map(|b| min.min(b))
-                            })
-                            .filter(|b| b.is_finite())
-                    });
-                    self.finest_bulks = Some((centers.len(), out));
-                    out
-                }
-            };
+            let finest = platform.finest_bulks();
             // `ALL` lists the types in declaration order, so a type's
             // discriminant is its index there.
             let finest_round = |v: &ResourceVector| {
@@ -562,7 +536,7 @@ impl GroupProvisioner {
             }
             if let Some((i, _)) = best {
                 let held = self.leases[i];
-                if centers[held.center].release(held.lease.id, now) {
+                if platform.centers_mut()[held.center].release(held.lease.id, now) {
                     self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
                     self.leases.swap_remove(i);
                     self.lease_gen = self.lease_gen.wrapping_add(1);
@@ -595,18 +569,10 @@ impl GroupProvisioner {
                 self.detail.request = Some((request_id, deficit.cpu));
             }
             let request = ResourceRequest::new(self.operator, deficit, self.origin, self.tolerance);
-            let mut matched = std::mem::take(&mut self.match_scratch);
-            match_request_indexed(
-                topology,
-                &mut self.index,
-                centers,
-                &request,
-                now,
-                &mut matched,
-                stats,
-            );
+            let matched = &mut self.match_scratch;
+            match_request_indexed(platform, &mut self.index, &request, now, matched, stats);
             for grant in &matched.grants {
-                let lease = *centers[grant.center_index]
+                let lease = *platform.centers()[grant.center_index]
                     .lease(grant.lease)
                     .expect("grant refers to a live lease");
                 self.allocated += grant.amounts;
@@ -627,7 +593,6 @@ impl GroupProvisioner {
                 outcome.rejections.add(rejection.reason);
             }
             outcome.unmet = !matched.fully_met();
-            self.match_scratch = matched;
             if self.retry {
                 if outcome.unmet {
                     self.consecutive_unmet = self.consecutive_unmet.saturating_add(1);
@@ -645,7 +610,7 @@ impl GroupProvisioner {
             self.consecutive_unmet = 0;
             self.backoff_until = now;
         }
-        self.rearm_memo(&outcome, target, epoch, topo_version, now);
+        self.rearm_memo(&outcome, target, version, now);
         outcome
     }
 
@@ -670,8 +635,7 @@ impl GroupProvisioner {
         &mut self,
         outcome: &AdjustOutcome,
         target: &ResourceVector,
-        epoch: u64,
-        topo_version: u64,
+        version: u64,
         now: SimTime,
     ) {
         // A step arms the memo when it left the group whole: fully
@@ -717,14 +681,8 @@ impl GroupProvisioner {
             }
         }
         let any_target = !any_matured && sorted;
-        self.memo.arm(
-            *target,
-            epoch,
-            topo_version,
-            self.lease_gen,
-            any_target,
-            valid_until,
-        );
+        self.memo
+            .arm(*target, version, self.lease_gen, any_target, valid_until);
     }
 
     /// Whether the memo currently holds a replayable no-op proof
@@ -778,14 +736,14 @@ impl std::fmt::Debug for GroupProvisioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmog_datacenter::center::{DataCenterId, DataCenterSpec};
+    use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
     use mmog_datacenter::policy::HostingPolicy;
     use mmog_predict::simple::LastValue;
     use mmog_util::time::SimDuration;
     use mmog_world::update::UpdateModel;
 
-    fn one_center(policy: HostingPolicy) -> Vec<DataCenter> {
-        vec![DataCenter::new(DataCenterSpec {
+    fn one_center(policy: HostingPolicy) -> Federation {
+        Federation::new(vec![DataCenter::new(DataCenterSpec {
             id: DataCenterId(0),
             name: "dc".into(),
             country: "X".into(),
@@ -794,7 +752,7 @@ mod tests {
             machines: 20,
             machine_capacity: DataCenterSpec::default_machine_capacity(),
             policy,
-        })]
+        })])
     }
 
     fn provisioner() -> GroupProvisioner {
@@ -811,11 +769,11 @@ mod tests {
 
     #[test]
     fn requests_cover_target() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&mut fed, &stats, &target, SimTime::ZERO);
         assert!(out.granted > 0);
         assert!(!out.unmet);
         assert!(
@@ -826,21 +784,21 @@ mod tests {
 
     #[test]
     fn surplus_released_after_time_bulk() {
-        let mut centers = one_center(HostingPolicy::hp(5)); // 180-min bulk
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5)); // 180-min bulk
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let high = p.demand_model.demand(2000.0);
-        p.adjust(&topo, &stats, &high, &mut centers, SimTime::ZERO);
+        p.adjust(&mut fed, &stats, &high, SimTime::ZERO);
         let held_at_peak = p.allocated();
         // Demand collapses; before the bulk matures nothing can go.
         let low = p.demand_model.demand(200.0);
         let early = SimTime::from_minutes(60);
-        let out = p.adjust(&topo, &stats, &low, &mut centers, early);
+        let out = p.adjust(&mut fed, &stats, &low, early);
         assert_eq!(out.released, 0);
         assert_eq!(p.allocated(), held_at_peak);
         // After maturity the surplus leases drop.
         let late = SimTime::from_minutes(200);
-        let out = p.adjust(&topo, &stats, &low, &mut centers, late);
+        let out = p.adjust(&mut fed, &stats, &low, late);
         assert!(out.released > 0);
         assert!(p.allocated().cpu < held_at_peak.cpu);
         // Still covering the low target.
@@ -849,12 +807,12 @@ mod tests {
 
     #[test]
     fn unmet_reported_when_platform_full() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
-        centers[0].spec.machines = 1; // 1.2 CPU units total
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
+        fed.centers_mut()[0].spec.machines = 1; // 1.2 CPU units total
         let mut p = provisioner();
         let target = p.demand_model.demand(4000.0); // 4 CPU units
-        let out = p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
+        let out = p.adjust(&mut fed, &stats, &target, SimTime::ZERO);
         assert!(out.unmet);
         assert!(p.allocated().cpu < target.cpu);
     }
@@ -887,16 +845,16 @@ mod tests {
 
     #[test]
     fn repeated_adjust_converges_to_stable_leases() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&topo, &stats, &target, &mut centers, now);
+        p.adjust(&mut fed, &stats, &target, now);
         let after_first = p.lease_count();
         for _ in 0..10 {
             now += SimDuration::TICK;
-            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+            let out = p.adjust(&mut fed, &stats, &target, now);
             assert_eq!(out.granted, 0, "stable target must not re-request");
             assert_eq!(out.released, 0);
         }
@@ -960,11 +918,11 @@ mod tests {
 
     #[test]
     fn dropped_leases_accumulate_lost_capacity() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
+        p.adjust(&mut fed, &stats, &target, SimTime::ZERO);
         let held = p.allocated();
         assert!(held.cpu > 0.0);
         let dropped = p.drop_leases_at_center(0);
@@ -1024,41 +982,41 @@ mod tests {
 
     #[test]
     fn backoff_defers_doomed_requests() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
-        centers[0].spec.machines = 0; // nothing can ever be granted
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
+        fed.centers_mut()[0].spec.machines = 0; // nothing can ever be granted
         let mut p = provisioner();
         p.retry = true;
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         // First attempt fails and arms a 1-tick backoff.
-        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+        let out = p.adjust(&mut fed, &stats, &target, now);
         assert!(out.unmet && !out.deferred);
         assert!(out.rejections.total() > 0);
         // Next tick is within the backoff window → deferred, no matcher
         // call (no new rejections).
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+        let out = p.adjust(&mut fed, &stats, &target, now);
         assert!(out.deferred && !out.unmet);
         assert_eq!(out.rejections.total(), 0);
         // Consecutive failures stretch the window exponentially: after
         // the second real failure the wait is 2 ticks.
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+        let out = p.adjust(&mut fed, &stats, &target, now);
         assert!(out.unmet && !out.deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&topo, &stats, &target, &mut centers, now).deferred);
+        assert!(p.adjust(&mut fed, &stats, &target, now).deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&topo, &stats, &target, &mut centers, now).deferred);
+        assert!(p.adjust(&mut fed, &stats, &target, now).deferred);
         now += SimDuration::TICK;
-        assert!(p.adjust(&topo, &stats, &target, &mut centers, now).unmet);
+        assert!(p.adjust(&mut fed, &stats, &target, now).unmet);
         // Capacity returns → request succeeds and the backoff resets.
-        centers[0].spec.machines = 20;
+        fed.centers_mut()[0].spec.machines = 20;
         now += SimDuration(MAX_BACKOFF_TICKS);
-        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+        let out = p.adjust(&mut fed, &stats, &target, now);
         assert!(out.granted > 0 && !out.unmet);
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+        let out = p.adjust(&mut fed, &stats, &target, now);
         assert!(!out.deferred, "met request resets the backoff");
     }
 
@@ -1077,43 +1035,36 @@ mod tests {
         // 6-unit inbound grant which a small demand drop cannot release
         // — the mechanism behind Table V's inflated ExtNet[in]
         // over-allocation.
-        let mut centers = one_center(HostingPolicy::hp(1));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(1));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let target = p.demand_model.demand(1500.0);
-        p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
+        p.adjust(&mut fed, &stats, &target, SimTime::ZERO);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
         // Demand halves; even after the time bulk, inbound stays at 6
         // because releasing the bundle would drop CPU below target.
         let lower = p.demand_model.demand(1200.0);
         let later = SimTime::from_hours(7);
-        p.adjust(&topo, &stats, &lower, &mut centers, later);
+        p.adjust(&mut fed, &stats, &lower, later);
         assert!((p.allocated().ext_net_in - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn memo_replays_stable_noop_ticks() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
-        let first = p.adjust(&topo, &stats, &target, &mut centers, SimTime::ZERO);
+        let first = p.adjust(&mut fed, &stats, &target, SimTime::ZERO);
         assert!(!first.replayed, "a granting step cannot be a replay");
         // The granting walk itself proves phases 1/1b inert (no matured
         // leases, sorted ledger), so post-mutation arming lets every
         // later stable tick replay without a walk.
-        let second = p.adjust(
-            &topo,
-            &stats,
-            &target,
-            &mut centers,
-            SimTime::ZERO + SimDuration::TICK,
-        );
+        let second = p.adjust(&mut fed, &stats, &target, SimTime::ZERO + SimDuration::TICK);
         let third = p.adjust(
-            &topo,
+            &mut fed,
             &stats,
             &target,
-            &mut centers,
             SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
         );
         assert!(p.memo_armed());
@@ -1127,14 +1078,14 @@ mod tests {
 
     #[test]
     fn memo_disabled_always_runs_the_full_walk() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         p.memo_enabled = false;
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
-            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+            let out = p.adjust(&mut fed, &stats, &target, now);
             assert!(!out.replayed);
             now += SimDuration::TICK;
         }
@@ -1142,20 +1093,20 @@ mod tests {
 
     #[test]
     fn memo_drops_on_real_demand_growth() {
-        let mut centers = one_center(HostingPolicy::hp(5));
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(HostingPolicy::hp(5));
+        let stats = MatchStats::current();
         let mut p = provisioner();
         let target = p.demand_model.demand(1000.0);
         let mut now = SimTime::ZERO;
-        p.adjust(&topo, &stats, &target, &mut centers, now);
+        p.adjust(&mut fed, &stats, &target, now);
         now += SimDuration::TICK;
-        p.adjust(&topo, &stats, &target, &mut centers, now);
+        p.adjust(&mut fed, &stats, &target, now);
         // A genuinely larger target has a non-negligible deficit: the
         // fast path must step aside and the full walk must grant.
         let gen = p.lease_generation();
         let bigger = p.demand_model.demand(4000.0);
         now += SimDuration::TICK;
-        let out = p.adjust(&topo, &stats, &bigger, &mut centers, now);
+        let out = p.adjust(&mut fed, &stats, &bigger, now);
         assert!(!out.replayed);
         assert!(out.granted > 0);
         assert_ne!(p.lease_generation(), gen, "grants bump the ledger gen");

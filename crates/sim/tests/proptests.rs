@@ -5,7 +5,7 @@ use mmog_datacenter::matching::MatchStats;
 use mmog_datacenter::policy::HostingPolicy;
 use mmog_datacenter::request::OperatorId;
 use mmog_datacenter::resource::{ResourceType, ResourceVector};
-use mmog_datacenter::topology::Topology;
+use mmog_datacenter::Federation;
 use mmog_predict::simple::LastValue;
 use mmog_sim::demand::DemandModel;
 use mmog_sim::metrics::MetricsCollector;
@@ -15,8 +15,8 @@ use mmog_util::time::{SimDuration, SimTime};
 use mmog_world::update::UpdateModel;
 use proptest::prelude::*;
 
-fn one_center(machines: u32, hp: usize) -> Vec<DataCenter> {
-    vec![DataCenter::new(DataCenterSpec {
+fn one_center(machines: u32, hp: usize) -> Federation {
+    Federation::new(vec![DataCenter::new(DataCenterSpec {
         id: DataCenterId(0),
         name: "dc".into(),
         country: "X".into(),
@@ -25,7 +25,7 @@ fn one_center(machines: u32, hp: usize) -> Vec<DataCenter> {
         machines,
         machine_capacity: DataCenterSpec::default_machine_capacity(),
         policy: HostingPolicy::hp(hp),
-    })]
+    })])
 }
 
 fn provisioner(model: UpdateModel) -> GroupProvisioner {
@@ -64,16 +64,16 @@ proptest! {
         loads in prop::collection::vec(0.0f64..2200.0, 1..60),
         hp in 1usize..12,
     ) {
-        let mut centers = one_center(50, hp);
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(50, hp);
+        let stats = MatchStats::current();
         let mut p = provisioner(UpdateModel::Quadratic);
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            p.adjust(&topo, &stats, &target, &mut centers, now);
+            p.adjust(&mut fed, &stats, &target, now);
             // The center's ledger for this operator must equal the
             // provisioner's own bookkeeping.
-            let held = centers[0].held_by(OperatorId(1));
+            let held = fed.centers()[0].held_by(OperatorId(1));
             for r in ResourceType::ALL {
                 prop_assert!(
                     (held.get(r) - p.allocated().get(r)).abs() < 1e-6,
@@ -92,13 +92,13 @@ proptest! {
     ) {
         // 100 machines >> 1 group's worst-case demand: every target must
         // be fully covered right after adjustment.
-        let mut centers = one_center(100, 5);
-        let (topo, stats) = (Topology::new(centers.len()), MatchStats::current());
+        let mut fed = one_center(100, 5);
+        let stats = MatchStats::current();
         let mut p = provisioner(UpdateModel::Quadratic);
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            let out = p.adjust(&topo, &stats, &target, &mut centers, now);
+            let out = p.adjust(&mut fed, &stats, &target, now);
             prop_assert!(!out.unmet);
             prop_assert!(
                 target.fits_within(&p.allocated(), 1e-6),
@@ -119,9 +119,9 @@ proptest! {
         // through an identical random demand/fault sequence. Every
         // observable must agree exactly: outcomes grant-for-grant, the
         // allocation vector bitwise, and the lease ledgers structurally.
-        let mut centers_on = one_center(50, hp);
-        let (topo, stats) = (Topology::new(centers_on.len()), MatchStats::current());
-        let mut centers_off = one_center(50, hp);
+        let mut fed_on = one_center(50, hp);
+        let stats = MatchStats::current();
+        let mut fed_off = one_center(50, hp);
         let mut p_on = provisioner(UpdateModel::Quadratic);
         let mut p_off = provisioner(UpdateModel::Quadratic);
         p_off.memo_enabled = false;
@@ -134,27 +134,27 @@ proptest! {
                 6 => {
                     // Center outage: leases revoked on both sides, the
                     // way the engine's fault plane does it.
-                    let _ = centers_on[0].fail();
-                    let _ = centers_off[0].fail();
+                    let _ = fed_on.fail(0);
+                    let _ = fed_off.fail(0);
                     let _ = p_on.drop_leases_at_center(0);
                     let _ = p_off.drop_leases_at_center(0);
                 }
                 7 => {
-                    centers_on[0].repair();
-                    centers_off[0].repair();
+                    fed_on.repair(0);
+                    fed_off.repair(0);
                 }
                 8 => {
                     let frac = (value / 2200.0).clamp(0.05, 1.0);
-                    centers_on[0].degrade(frac);
-                    centers_off[0].degrade(frac);
+                    fed_on.degrade(0, frac);
+                    fed_off.degrade(0, frac);
                 }
                 _ => {} // hold demand: the memo's bread and butter
             }
             let t_on = p_on.observe_and_target(players);
             let t_off = p_off.observe_and_target(players);
             prop_assert_eq!(format!("{t_on:?}"), format!("{t_off:?}"));
-            let o_on = p_on.adjust(&topo, &stats, &t_on, &mut centers_on, now);
-            let o_off = p_off.adjust(&topo, &stats, &t_off, &mut centers_off, now);
+            let o_on = p_on.adjust(&mut fed_on, &stats, &t_on, now);
+            let o_off = p_off.adjust(&mut fed_off, &stats, &t_off, now);
             prop_assert!(!o_off.replayed, "memo disabled yet replayed");
             replays += u32::from(o_on.replayed);
             // Same outcome, modulo the diagnostic replay flag.
@@ -168,8 +168,8 @@ proptest! {
                 format!("{:?}", p_off.allocated())
             );
             prop_assert_eq!(
-                format!("{:?}", centers_on[0].leases()),
-                format!("{:?}", centers_off[0].leases())
+                format!("{:?}", fed_on.centers()[0].leases()),
+                format!("{:?}", fed_off.centers()[0].leases())
             );
             now += SimDuration::TICK;
         }

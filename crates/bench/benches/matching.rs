@@ -121,7 +121,9 @@ fn bench_center_release(c: &mut Criterion) {
 /// The incremental-skip payoff: a steady-state no-op settle with the
 /// match memo armed (replay) versus the same tick forced down the full
 /// candidate walk. Both paths leave the world untouched, so one
-/// long-lived provisioner per variant is enough.
+/// long-lived provisioner per variant is enough. `churn_walk` is the
+/// step the memo cannot skip: a `fine_churn`-shaped ledger (76 held,
+/// 6–7 matured) that releases one lease and is granted one per step.
 fn bench_memo_adjust(c: &mut Criterion) {
     use mmog_predict::simple::LastValue;
     use mmog_sim::demand::DemandModel;
@@ -165,6 +167,14 @@ fn bench_memo_adjust(c: &mut Criterion) {
         b.iter(|| black_box(p.adjust(&mut fed, &stats, black_box(&target), SimTime(4))))
     });
     assert!(!p.adjust(&mut fed, &stats, &target, SimTime(4)).replayed);
+    let mut rig = mmog_bench::fixtures::ChurnRig::new();
+    group.bench_function("churn_walk", |b| b.iter(|| black_box(rig.step())));
+    let out = rig.step();
+    assert_eq!(
+        (out.released, out.granted),
+        (1, 1),
+        "churn bench must churn"
+    );
     group.finish();
 }
 

@@ -7,6 +7,7 @@
 
 pub mod cli;
 pub mod experiments;
+pub mod fixtures;
 pub mod scale;
 
 pub use cli::RunOpts;

@@ -63,6 +63,7 @@ fn hot_kernels_stay_allocation_free_in_steady_state() {
     neural_observe_predict_is_allocation_free();
     memoized_match_replay_is_allocation_free();
     full_adjust_walk_is_allocation_free();
+    churning_adjust_is_allocation_free();
     emulator_step_allocations_are_bounded();
     indexed_match_allocations_are_bounded();
     streaming_trace_tick_is_allocation_free();
@@ -248,9 +249,10 @@ fn memoized_match_replay_is_allocation_free() {
 }
 
 /// A long ledger with a surplus nothing can release yet: every step
-/// with the memo off walks phase 1 (the start re-sort over every held
-/// lease), phase 1b and the no-deficit phase 2. Past ~51 leases std's
-/// stable sort would heap-allocate its scratch on every walk.
+/// with the memo off runs phase 1 (the start re-sort, then a walk that
+/// the maturity index ends at once), phase 1b and the no-deficit
+/// phase 2. Past ~51 leases std's stable sort would heap-allocate its
+/// scratch on every walk.
 fn full_adjust_walk_is_allocation_free() {
     use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
     use mmog_datacenter::policy::HostingPolicy;
@@ -304,6 +306,25 @@ fn full_adjust_walk_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "full adjust walk must not allocate, got {n}");
+}
+
+/// Past maturity: every step releases one matured lease and is
+/// granted one new one, so the maturity index takes an insert and a
+/// removal, the bounded re-sort rotates, phase 1 records the matured
+/// leases it keeps, and the center's ledger churns too.
+fn churning_adjust_is_allocation_free() {
+    let mut rig = mmog_bench::fixtures::ChurnRig::new();
+    // Warm every buffer through a few full turns of the ledger.
+    for _ in 0..256 {
+        rig.step();
+    }
+    let n = count_allocs(|| {
+        for _ in 0..64 {
+            let out = rig.step();
+            assert_eq!((out.released, out.granted), (1, 1));
+        }
+    });
+    assert_eq!(n, 0, "churning adjust must not allocate, got {n}");
 }
 
 fn neural_observe_predict_is_allocation_free() {

@@ -788,7 +788,7 @@ impl Simulation {
         // training is self-contained (own history slice, own seed), so
         // the fan-out is embarrassingly parallel and order-preserving.
         let train_span = mmog_obs::span("sim/build/train");
-        let record_matches = cfg.sinks.trace.is_some();
+        let record_lifecycle = cfg.sinks.trace.is_some();
         // Self-healing re-provisioning only backs off under fault or
         // scenario injection; the undisturbed baseline keeps its
         // request-every-tick behaviour bit-for-bit.
@@ -807,7 +807,7 @@ impl Simulation {
                 game.headroom,
                 predictor,
             );
-            provisioner.record_matches = record_matches;
+            provisioner.record_lifecycle = record_lifecycle;
             provisioner.retry = disturbed;
             GroupRuntime {
                 provisioner,

@@ -28,7 +28,7 @@ pub struct HeldLease {
     pub lease: Lease,
     /// Whether the lifecycle plane already observed this lease passing
     /// its earliest-release tick (only maintained while
-    /// [`GroupProvisioner::record_matches`] is set).
+    /// [`GroupProvisioner::record_lifecycle`] is set).
     pub matured: bool,
 }
 
@@ -68,7 +68,7 @@ impl ReleaseCause {
 }
 
 /// Per-lease causal detail of the most recent adjustment step, retained
-/// only while [`GroupProvisioner::record_matches`] is set: with tracing
+/// only while [`GroupProvisioner::record_lifecycle`] is set: with tracing
 /// off the vectors stay empty and the adjust path never touches them.
 #[derive(Debug, Clone, Default)]
 pub struct LifecycleDetail {
@@ -162,7 +162,7 @@ pub struct GroupProvisioner {
     ///
     /// [`adjust`]: Self::adjust
     /// [`lifecycle_detail`]: Self::lifecycle_detail
-    pub record_matches: bool,
+    pub record_lifecycle: bool,
     /// When set, [`adjust`] applies bounded retry with exponential
     /// backoff to unmet requests: after each consecutive unmet step the
     /// group sits out 1, 2, 4, … ticks (capped at 32) before asking
@@ -174,7 +174,10 @@ pub struct GroupProvisioner {
     /// [`adjust`]: Self::adjust
     pub retry: bool,
     predictor: Box<dyn Predictor + Send>,
-    leases: Vec<HeldLease>,
+    ledger: HeldLedger,
+    /// Ledger positions of the matured leases phase 1 kept, in ledger
+    /// order: phase 1b's candidates. Reused across steps.
+    kept_matured: Vec<usize>,
     allocated: ResourceVector,
     last_prediction: f64,
     consecutive_unmet: u32,
@@ -211,20 +214,10 @@ pub struct GroupProvisioner {
     /// whether or not a trace is being written.
     request_seq: u64,
     /// Per-lease causal detail of the most recent step (gated by
-    /// [`record_matches`]).
+    /// [`record_lifecycle`]).
     ///
-    /// [`record_matches`]: Self::record_matches
+    /// [`record_lifecycle`]: Self::record_lifecycle
     detail: LifecycleDetail,
-    /// Earliest `earliest_release` across held leases not yet flagged
-    /// `matured` — the watermark that lets [`adjust`] skip the
-    /// per-step maturity scan until something can actually mature.
-    /// May be stale after a release/revocation (the removed lease's
-    /// time survives here), which only costs one harmless empty scan.
-    /// Only maintained while [`record_matches`] is set.
-    ///
-    /// [`adjust`]: Self::adjust
-    /// [`record_matches`]: Self::record_matches
-    next_maturity: Option<SimTime>,
 }
 
 impl GroupProvisioner {
@@ -246,10 +239,11 @@ impl GroupProvisioner {
             tolerance,
             demand_model,
             headroom,
-            record_matches: false,
+            record_lifecycle: false,
             retry: false,
             predictor,
-            leases: Vec::new(),
+            ledger: HeldLedger::default(),
+            kept_matured: Vec::new(),
             allocated: ResourceVector::ZERO,
             last_prediction: f64::NAN,
             consecutive_unmet: 0,
@@ -263,15 +257,14 @@ impl GroupProvisioner {
             causal_group,
             request_seq: 0,
             detail: LifecycleDetail::default(),
-            next_maturity: None,
         }
     }
 
     /// The per-lease causal detail of the most recent [`adjust`] step
-    /// (empty unless [`record_matches`] is set).
+    /// (empty unless [`record_lifecycle`] is set).
     ///
     /// [`adjust`]: Self::adjust
-    /// [`record_matches`]: Self::record_matches
+    /// [`record_lifecycle`]: Self::record_lifecycle
     #[must_use]
     pub fn lifecycle_detail(&self) -> &LifecycleDetail {
         &self.detail
@@ -281,7 +274,7 @@ impl GroupProvisioner {
     /// this to emit `run_end`-cause release events).
     #[must_use]
     pub fn held_leases(&self) -> &[HeldLease] {
-        &self.leases
+        &self.ledger
     }
 
     /// Currently held amounts.
@@ -293,7 +286,7 @@ impl GroupProvisioner {
     /// Number of live leases.
     #[must_use]
     pub fn lease_count(&self) -> usize {
-        self.leases.len()
+        self.ledger.len()
     }
 
     /// Feeds the observed player count and returns the demand target
@@ -365,8 +358,8 @@ impl GroupProvisioner {
         // is examined in place before the scan moves on.
         let mut dropped = Vec::new();
         let mut i = 0;
-        while i < self.leases.len() {
-            if self.leases[i].center == center {
+        while i < self.ledger.len() {
+            if self.ledger[i].center == center {
                 dropped.push(self.forget(i));
             } else {
                 i += 1;
@@ -379,7 +372,7 @@ impl GroupProvisioner {
     /// center). Returns it if this group held it.
     pub fn drop_lease(&mut self, center: usize, id: LeaseId) -> Option<Lease> {
         let i = self
-            .leases
+            .ledger
             .iter()
             .position(|h| h.center == center && h.lease.id == id)?;
         Some(self.forget(i))
@@ -388,7 +381,7 @@ impl GroupProvisioner {
     /// Removes held lease `i` after its center revoked it, moving its
     /// amounts from the allocation into the lost-capacity accumulator.
     fn forget(&mut self, i: usize) -> Lease {
-        let held = self.leases.swap_remove(i);
+        let held = self.ledger.swap_remove(i);
         self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
         self.lost += held.lease.amounts;
         self.lease_gen = self.lease_gen.wrapping_add(1);
@@ -423,32 +416,13 @@ impl GroupProvisioner {
         target: &ResourceVector,
         now: SimTime,
     ) -> AdjustOutcome {
-        if self.record_matches {
+        if self.record_lifecycle {
             // Lifecycle plane: observe newly-matured leases before any
             // step can release them (and before the memo fast path,
             // which skips the rest of the walk). Ledger order is
-            // deterministic, so the emission order is too. The
-            // `next_maturity` watermark keeps this O(1) on the steps
-            // where nothing can mature — a lease matures on the same
-            // step either way, because the watermark is a lower bound
-            // on every unmatured lease's `earliest_release`.
+            // deterministic, so the emission order is too.
             self.detail.clear();
-            if self.next_maturity.is_some_and(|at| now >= at) {
-                let mut next: Option<SimTime> = None;
-                for held in &mut self.leases {
-                    if held.matured {
-                        continue;
-                    }
-                    if now >= held.lease.earliest_release {
-                        held.matured = true;
-                        self.detail.matured.push((held.center, held.lease.id));
-                    } else {
-                        let at = held.lease.earliest_release;
-                        next = Some(next.map_or(at, |n| n.min(at)));
-                    }
-                }
-                self.next_maturity = next;
-            }
+            self.ledger.observe_matured(now, &mut self.detail.matured);
         }
         // Fast path: replay a memoized no-op. The memo's keys prove
         // nothing that feeds this step changed since the last full run
@@ -476,26 +450,40 @@ impl GroupProvisioner {
         // time bulk has matured AND dropping it cannot cause a deficit
         // on any resource type.
         let mut surplus = (self.allocated - *target).clamp_non_negative();
+        self.kept_matured.clear();
         if !surplus.is_negligible(1e-9) {
             // Oldest first: long-held leases matured first.
-            sort_held_by_start(&mut self.leases);
+            self.ledger.sort_by_start();
+            // The walk visits every lease exactly once (a `swap_remove`
+            // pulls the unvisited last lease into the cursor's slot),
+            // so once the index's matured count has been visited only
+            // immature leases remain, and those are never released.
+            // Positions below the cursor never move, so `kept_matured`
+            // comes out in ledger order.
+            let mut matured_left = self.ledger.matured_count(now);
             let mut i = 0;
-            while i < self.leases.len() {
-                let held = self.leases[i];
-                let releasable = now >= held.lease.earliest_release
-                    && held.lease.amounts.fits_within(&surplus, 1e-9);
-                if releasable && platform.centers_mut()[held.center].release(held.lease.id, now) {
+            while matured_left > 0 {
+                let held = self.ledger[i];
+                if now < held.lease.earliest_release {
+                    i += 1;
+                    continue;
+                }
+                matured_left -= 1;
+                if held.lease.amounts.fits_within(&surplus, 1e-9)
+                    && platform.centers_mut()[held.center].release(held.lease.id, now)
+                {
                     surplus = (surplus - held.lease.amounts).clamp_non_negative();
                     self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
-                    self.leases.swap_remove(i);
+                    self.ledger.swap_remove(i);
                     self.lease_gen = self.lease_gen.wrapping_add(1);
                     outcome.released += 1;
-                    if self.record_matches {
+                    if self.record_lifecycle {
                         self.detail
                             .releases
                             .push((held.center, held.lease, ReleaseCause::Surplus));
                     }
                 } else {
+                    self.kept_matured.push(i);
                     i += 1;
                 }
             }
@@ -509,7 +497,9 @@ impl GroupProvisioner {
         // the finest bulk available anywhere on the platform: a coarse
         // 12-hour lease taken during a spill-over must not survive just
         // because its own center would re-round to the same size. One
-        // reshape per step bounds the lease turnover.
+        // reshape per step bounds the lease turnover. Only matured
+        // leases qualify, and a surplus this large means phase 1 ran and
+        // recorded every one it kept.
         if !surplus.is_negligible(1e-6) {
             let finest = platform.finest_bulks();
             // `ALL` lists the types in declaration order, so a type's
@@ -522,10 +512,8 @@ impl GroupProvisioner {
                 })
             };
             let mut best: Option<(usize, f64)> = None;
-            for (i, held) in self.leases.iter().enumerate() {
-                if now < held.lease.earliest_release {
-                    continue;
-                }
+            for &i in &self.kept_matured {
+                let held = &self.ledger[i];
                 let after_release = (self.allocated - held.lease.amounts).clamp_non_negative();
                 let deficit = (*target - after_release).clamp_non_negative();
                 let regrant = finest_round(&deficit);
@@ -535,13 +523,13 @@ impl GroupProvisioner {
                 }
             }
             if let Some((i, _)) = best {
-                let held = self.leases[i];
+                let held = self.ledger[i];
                 if platform.centers_mut()[held.center].release(held.lease.id, now) {
                     self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
-                    self.leases.swap_remove(i);
+                    self.ledger.swap_remove(i);
                     self.lease_gen = self.lease_gen.wrapping_add(1);
                     outcome.released += 1;
-                    if self.record_matches {
+                    if self.record_lifecycle {
                         self.detail
                             .releases
                             .push((held.center, held.lease, ReleaseCause::Reshape));
@@ -565,7 +553,7 @@ impl GroupProvisioner {
             // the ids are identical whether or not a trace is written.
             self.request_seq = self.request_seq.wrapping_add(1);
             let request_id = (self.causal_group << 32) | (self.request_seq & 0xffff_ffff);
-            if self.record_matches {
+            if self.record_lifecycle {
                 self.detail.request = Some((request_id, deficit.cpu));
             }
             let request = ResourceRequest::new(self.operator, deficit, self.origin, self.tolerance);
@@ -576,17 +564,15 @@ impl GroupProvisioner {
                     .lease(grant.lease)
                     .expect("grant refers to a live lease");
                 self.allocated += grant.amounts;
-                self.leases.push(HeldLease {
+                self.ledger.push(HeldLease {
                     center: grant.center_index,
                     lease,
                     matured: false,
                 });
                 self.lease_gen = self.lease_gen.wrapping_add(1);
                 outcome.granted += 1;
-                if self.record_matches {
+                if self.record_lifecycle {
                     self.detail.grants.push((grant.center_index, lease));
-                    let at = lease.earliest_release;
-                    self.next_maturity = Some(self.next_maturity.map_or(at, |n| n.min(at)));
                 }
             }
             for rejection in &matched.rejections {
@@ -654,20 +640,9 @@ impl GroupProvisioner {
             self.memo.invalidate();
             return;
         }
-        let mut valid_until: Option<SimTime> = None;
-        let mut any_matured = false;
-        let mut sorted = true;
-        let mut prev_start = SimTime::ZERO;
-        for held in &self.leases {
-            let release_at = held.lease.earliest_release;
-            if now < release_at {
-                valid_until = Some(valid_until.map_or(release_at, |t| t.min(release_at)));
-            } else {
-                any_matured = true;
-            }
-            sorted &= prev_start <= held.lease.start;
-            prev_start = held.lease.start;
-        }
+        let valid_until = self.ledger.next_release(now);
+        let any_matured = self.ledger.matured_count(now) > 0;
+        let sorted = self.ledger.is_start_sorted();
         if outcome.granted > 0 || outcome.released > 0 {
             // A mutating step only proved phases 1/1b inert for the
             // ledger it *walked*, not the one it produced: a grant can
@@ -711,7 +686,9 @@ impl GroupProvisioner {
 /// the suffix is already sorted; each out-of-place lease moves right
 /// past every strictly earlier start in one `rotate_left`, landing in
 /// front of its equals — which is what stability demands, since it
-/// preceded them.
+/// preceded them. [`HeldLedger::sort_by_start`] runs the same rotations
+/// over the part of the ledger that can hold a descent; this full pass
+/// is the reference it is tested against.
 pub fn sort_held_by_start(leases: &mut [HeldLease]) {
     for i in (0..leases.len().saturating_sub(1)).rev() {
         let start = leases[i].lease.start;
@@ -723,12 +700,203 @@ pub fn sort_held_by_start(leases: &mut [HeldLease]) {
     }
 }
 
+/// A group's held leases in their physical order, with a maturity
+/// index kept in step with it.
+///
+/// The order is the one [`GroupProvisioner::adjust`] has always
+/// produced: grants append, and every removal is a `swap_remove`. Next
+/// to it the ledger keeps
+///
+/// - the held leases' `earliest_release` times as a sorted multiset, so
+///   "how many leases have matured" and "when does the next one
+///   mature" are binary searches instead of ledger scans;
+/// - the exact number of *descents* (adjacent pairs whose grant times
+///   are out of order) and an upper bound on the highest one, so the
+///   re-sort runs only over the pairs a `swap_remove` or a grant can
+///   have disturbed;
+/// - the number of leases flagged [`HeldLease::matured`].
+///
+/// [`push`](Self::push) and [`swap_remove`](Self::swap_remove) are the
+/// only mutators and keep all three exact; debug builds recount them
+/// after every mutation. The ledger derefs to a read-only slice.
+#[derive(Debug, Default)]
+pub struct HeldLedger {
+    leases: Vec<HeldLease>,
+    /// `earliest_release` of every held lease, ascending.
+    releases: Vec<SimTime>,
+    /// Pairs `k` with `leases[k].start > leases[k + 1].start`.
+    descents: usize,
+    /// No descent sits at a pair above this index.
+    descent_hi: usize,
+    /// Leases with the `matured` flag set.
+    flagged: usize,
+}
+
+impl std::ops::Deref for HeldLedger {
+    type Target = [HeldLease];
+
+    fn deref(&self) -> &[HeldLease] {
+        &self.leases
+    }
+}
+
+impl HeldLedger {
+    /// Appends a lease.
+    pub fn push(&mut self, held: HeldLease) {
+        let release_at = held.lease.earliest_release;
+        let at = self.releases.partition_point(|&t| t <= release_at);
+        self.releases.insert(at, release_at);
+        self.flagged += usize::from(held.matured);
+        self.leases.push(held);
+        let pair = self.leases.len().wrapping_sub(2);
+        if self.descent_at(pair) {
+            self.descents += 1;
+            self.descent_hi = self.descent_hi.max(pair);
+        }
+        self.debug_check();
+    }
+
+    /// Removes lease `i`, moving the last lease into its slot.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    pub fn swap_remove(&mut self, i: usize) -> HeldLease {
+        let last = self.leases.len() - 1;
+        // Only the pairs around `i` and the vanishing last pair change.
+        let mut before = self.descents_around(i);
+        if i + 1 < last {
+            before += usize::from(self.descent_at(last - 1));
+        }
+        let held = self.leases.swap_remove(i);
+        let after = self.descents_around(i);
+        self.descents = self.descents + after - before;
+        if after > 0 {
+            self.descent_hi = self.descent_hi.max(i);
+        }
+        let release_at = held.lease.earliest_release;
+        let at = self.releases.partition_point(|&t| t < release_at);
+        self.releases.remove(at);
+        self.flagged -= usize::from(held.matured);
+        self.debug_check();
+        held
+    }
+
+    /// Leases whose time bulk has matured by `now`.
+    #[must_use]
+    pub fn matured_count(&self, now: SimTime) -> usize {
+        self.releases.partition_point(|&t| t <= now)
+    }
+
+    /// The earliest `earliest_release` still ahead of `now`.
+    #[must_use]
+    pub fn next_release(&self, now: SimTime) -> Option<SimTime> {
+        self.releases.get(self.matured_count(now)).copied()
+    }
+
+    /// Whether the leases are in grant-time order.
+    #[must_use]
+    pub fn is_start_sorted(&self) -> bool {
+        self.descents == 0
+    }
+
+    /// Sorts the leases by grant time, stably: the result equals
+    /// [`sort_held_by_start`] (and so `sort_by_key`) element for
+    /// element. It runs the same back-to-front rotations, but starts at
+    /// the highest pair that can hold a descent and stops once none is
+    /// left, so a sorted ledger costs nothing.
+    pub fn sort_by_start(&mut self) {
+        if self.descents == 0 {
+            return;
+        }
+        let hi = self.descent_hi.min(self.leases.len() - 2);
+        let leases = &mut self.leases;
+        for i in (0..=hi).rev() {
+            let start = leases[i].lease.start;
+            if start <= leases[i + 1].lease.start {
+                continue;
+            }
+            let end = i + 1 + leases[i + 1..].partition_point(|h| h.lease.start < start);
+            // The rotation clears the descent at `i` and can change
+            // only the pair above it; the block it shifts stays sorted.
+            let above_before = i > 0 && leases[i - 1].lease.start > start;
+            leases[i..end].rotate_left(1);
+            let above_after = i > 0 && leases[i - 1].lease.start > leases[i].lease.start;
+            self.descents =
+                self.descents + usize::from(above_after) - 1 - usize::from(above_before);
+            if self.descents == 0 {
+                break;
+            }
+        }
+        self.descent_hi = 0;
+        self.debug_check();
+    }
+
+    /// Flags every lease matured by `now` that is not flagged yet and
+    /// reports it in ledger order. Scans only when the index shows such
+    /// a lease exists (`now` never decreases between calls, so every
+    /// flagged lease counts among the matured ones).
+    fn observe_matured(&mut self, now: SimTime, out: &mut Vec<(usize, LeaseId)>) {
+        if self.matured_count(now) == self.flagged {
+            return;
+        }
+        for held in &mut self.leases {
+            if !held.matured && now >= held.lease.earliest_release {
+                held.matured = true;
+                self.flagged += 1;
+                out.push((held.center, held.lease.id));
+            }
+        }
+        self.debug_check();
+    }
+
+    /// Whether pair `k` (`leases[k]`, `leases[k + 1]`) exists and is a
+    /// descent. `k` may be `usize::MAX` (the pair above index 0).
+    fn descent_at(&self, k: usize) -> bool {
+        match (self.leases.get(k), self.leases.get(k.wrapping_add(1))) {
+            (Some(a), Some(b)) => a.lease.start > b.lease.start,
+            _ => false,
+        }
+    }
+
+    /// Descents at the two pairs that touch index `i`.
+    fn descents_around(&self, i: usize) -> usize {
+        usize::from(self.descent_at(i.wrapping_sub(1))) + usize::from(self.descent_at(i))
+    }
+
+    /// Recounts the index, the descents and the flags (debug builds
+    /// only; allocation-free so the allocation smoke test can run on a
+    /// debug build).
+    fn debug_check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let starts = |w: &[HeldLease]| w[0].lease.start > w[1].lease.start;
+        let descents = self.leases.windows(2).filter(|w| starts(w)).count();
+        debug_assert_eq!(self.descents, descents, "descent count");
+        if let Some(top) = self.leases.windows(2).rposition(starts) {
+            debug_assert!(top <= self.descent_hi, "descent above the bound");
+        }
+        let flagged = self.leases.iter().filter(|h| h.matured).count();
+        debug_assert_eq!(self.flagged, flagged, "matured flags");
+        debug_assert_eq!(self.releases.len(), self.leases.len(), "index size");
+        debug_assert!(self.releases.is_sorted(), "index order");
+        for run in self.releases.chunk_by(|a, b| a == b) {
+            let held = self
+                .leases
+                .iter()
+                .filter(|h| h.lease.earliest_release == run[0])
+                .count();
+            debug_assert_eq!(held, run.len(), "index entries at {:?}", run[0]);
+        }
+    }
+}
+
 impl std::fmt::Debug for GroupProvisioner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupProvisioner")
             .field("operator", &self.operator)
             .field("allocated", &self.allocated)
-            .field("leases", &self.leases.len())
+            .field("leases", &self.ledger.len())
             .finish()
     }
 }
@@ -968,7 +1136,9 @@ mod tests {
                 expected_dropped.push(expected.swap_remove(i).lease.id);
             }
             let mut p = provisioner();
-            p.leases.clone_from(&ledger);
+            for &h in &ledger {
+                p.ledger.push(h);
+            }
             let dropped: Vec<LeaseId> = p
                 .drop_leases_at_center(center)
                 .iter()
@@ -976,7 +1146,7 @@ mod tests {
                 .collect();
             assert_eq!(dropped, expected_dropped, "center {center} drop order");
             let ids = |v: &[HeldLease]| v.iter().map(|h| h.lease.id).collect::<Vec<_>>();
-            assert_eq!(ids(&p.leases), ids(&expected), "center {center} ledger");
+            assert_eq!(ids(&p.ledger), ids(&expected), "center {center} ledger");
         }
     }
 

@@ -9,11 +9,14 @@ use mmog_datacenter::Federation;
 use mmog_predict::simple::LastValue;
 use mmog_sim::demand::DemandModel;
 use mmog_sim::metrics::MetricsCollector;
-use mmog_sim::provision::{sort_held_by_start, GroupProvisioner, HeldLease};
+use mmog_sim::provision::{
+    sort_held_by_start, AdjustOutcome, GroupProvisioner, HeldLease, HeldLedger, ReleaseCause,
+};
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::{SimDuration, SimTime};
 use mmog_world::update::UpdateModel;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn one_center(machines: u32, hp: usize) -> Federation {
     Federation::new(vec![DataCenter::new(DataCenterSpec {
@@ -40,8 +43,252 @@ fn provisioner(model: UpdateModel) -> GroupProvisioner {
     )
 }
 
+/// Three co-located eight-machine centers with different time bulks:
+/// HP-3 (180 min), HP-1 (360 min) and HP-9 (720 min). Requests spill
+/// across them, so a group's ledger mixes maturities.
+fn mixed_bulk_federation() -> Federation {
+    Federation::new(
+        [3, 1, 9]
+            .iter()
+            .enumerate()
+            .map(|(i, &hp)| {
+                DataCenter::new(DataCenterSpec {
+                    id: DataCenterId(i as u32),
+                    name: format!("dc{i}"),
+                    country: "X".into(),
+                    continent: "Y".into(),
+                    location: GeoPoint::new(50.0, 10.0),
+                    machines: 8,
+                    machine_capacity: DataCenterSpec::default_machine_capacity(),
+                    policy: HostingPolicy::hp(hp),
+                })
+            })
+            .collect(),
+    )
+}
+
+/// What the whole-ledger walk decided in one step.
+struct OracleStep {
+    /// Phase-1 releases, in order.
+    surplus: Vec<LeaseId>,
+    /// Phase 1b's release, if any.
+    reshape: Option<LeaseId>,
+    /// The ledger after phases 1 and 1b.
+    ledger: Vec<HeldLease>,
+}
+
+/// The whole-ledger phase 1 (re-sort, then release matured leases that
+/// fit the surplus) and phase 1b (release the matured lease whose
+/// finer re-grant gains most, first maximum in ledger order) as
+/// `GroupProvisioner::adjust` ran them before the maturity index.
+/// `platform` is a replica of the step's federation.
+fn oracle_release_phases(
+    ledger: &[HeldLease],
+    platform: &mut Federation,
+    mut allocated: ResourceVector,
+    target: &ResourceVector,
+    now: SimTime,
+) -> OracleStep {
+    let mut leases = ledger.to_vec();
+    let mut step = OracleStep {
+        surplus: Vec::new(),
+        reshape: None,
+        ledger: Vec::new(),
+    };
+    let mut surplus = (allocated - *target).clamp_non_negative();
+    if !surplus.is_negligible(1e-9) {
+        sort_held_by_start(&mut leases);
+        let mut i = 0;
+        while i < leases.len() {
+            let held = leases[i];
+            let releasable = now >= held.lease.earliest_release
+                && held.lease.amounts.fits_within(&surplus, 1e-9);
+            if releasable && platform.centers_mut()[held.center].release(held.lease.id, now) {
+                surplus = (surplus - held.lease.amounts).clamp_non_negative();
+                allocated = (allocated - held.lease.amounts).clamp_non_negative();
+                leases.swap_remove(i);
+                step.surplus.push(held.lease.id);
+            } else {
+                i += 1;
+            }
+        }
+    }
+    if !surplus.is_negligible(1e-6) {
+        let finest = platform.finest_bulks();
+        let finest_round = |v: &ResourceVector| {
+            v.map(|r, amount| match finest[r as usize] {
+                _ if amount <= 0.0 => 0.0,
+                None => amount,
+                Some(b) => (amount / b).ceil() * b,
+            })
+        };
+        let mut best: Option<(usize, f64)> = None;
+        for (i, held) in leases.iter().enumerate() {
+            if now < held.lease.earliest_release {
+                continue;
+            }
+            let after_release = (allocated - held.lease.amounts).clamp_non_negative();
+            let deficit = (*target - after_release).clamp_non_negative();
+            let gain = held.lease.amounts.total() - finest_round(&deficit).total();
+            if gain > 1e-6 && best.is_none_or(|(_, g)| gain > g) {
+                best = Some((i, gain));
+            }
+        }
+        if let Some((i, _)) = best {
+            let held = leases[i];
+            if platform.centers_mut()[held.center].release(held.lease.id, now) {
+                leases.swap_remove(i);
+                step.reshape = Some(held.lease.id);
+            }
+        }
+    }
+    step.ledger = leases;
+    step
+}
+
+/// The whole-ledger `rearm_memo` decision: whether a step that ended
+/// with `ledger` arms the memo.
+fn oracle_memo_armed(
+    ledger: &[HeldLease],
+    outcome: &AdjustOutcome,
+    allocated: ResourceVector,
+    target: &ResourceVector,
+    now: SimTime,
+) -> bool {
+    let whole = !outcome.unmet
+        && !outcome.deferred
+        && outcome.rejections.total() == 0
+        && (*target - allocated)
+            .clamp_non_negative()
+            .is_negligible(1e-6);
+    if !whole {
+        return false;
+    }
+    let any_matured = ledger.iter().any(|h| now >= h.lease.earliest_release);
+    let sorted = ledger
+        .windows(2)
+        .all(|w| w[0].lease.start <= w[1].lease.start);
+    let mutated = outcome.granted > 0 || outcome.released > 0;
+    !(mutated && (any_matured || !sorted))
+}
+
+fn ledger_ids(leases: &[HeldLease]) -> Vec<LeaseId> {
+    leases.iter().map(|h| h.lease.id).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The maturity-index walk against the whole-ledger walk it
+    /// replaced, step for step, over ledgers that mix three time bulks,
+    /// hold equal-start ties (several grants in one tick, several steps
+    /// in one tick) and lose leases to revocations between steps.
+    #[test]
+    fn indexed_walk_equals_whole_ledger_walk(
+        ops in prop::collection::vec((0u8..12, 0.0f64..3000.0, 0usize..1000), 1..150),
+    ) {
+        let stats = MatchStats::current();
+        let mut fed = mixed_bulk_federation();
+        let mut p = provisioner(UpdateModel::Quadratic);
+        p.memo_enabled = false;
+        p.record_lifecycle = true;
+        // A memoized replica: every replay must equal the full step, so
+        // the index-derived memo horizon and "any target" flag are
+        // exercised too.
+        let mut fed_memo = mixed_bulk_federation();
+        let mut p_memo = provisioner(UpdateModel::Quadratic);
+        let mut seen_matured: BTreeSet<(usize, LeaseId)> = BTreeSet::new();
+        let mut now = SimTime::ZERO;
+        for (k, &(code, value, pick)) in ops.iter().enumerate() {
+            // CPU units the group asks for: a noisy diurnal swing, whose
+            // rising half grows a long ledger of small grants, with the
+            // odd spike. Memory rides along at a quarter.
+            let level = match code {
+                0 => value / 150.0,
+                _ => 10.0 + 8.0 * (k as f64 / 10.0).sin() + value / 3000.0 - 0.5,
+            };
+            match code {
+                5 if p.lease_count() > 0 => {
+                    // Spontaneous revocation of one held lease.
+                    let held = p.held_leases()[pick % p.lease_count()];
+                    let (c, id) = (held.center, held.lease.id);
+                    prop_assert!(fed.centers_mut()[c].revoke(id).is_some());
+                    prop_assert!(fed_memo.centers_mut()[c].revoke(id).is_some());
+                    prop_assert!(p.drop_lease(c, id).is_some());
+                    prop_assert!(p_memo.drop_lease(c, id).is_some());
+                }
+                6 => {
+                    let c = pick % 3;
+                    let _ = fed.fail(c);
+                    let _ = fed_memo.fail(c);
+                    let _ = p.drop_leases_at_center(c);
+                    let _ = p_memo.drop_leases_at_center(c);
+                }
+                7 => {
+                    for c in 0..3 {
+                        fed.repair(c);
+                        fed_memo.repair(c);
+                    }
+                }
+                // Jump ahead so leases of every bulk mature.
+                8 => now += SimDuration(1 + pick as u64 % 200),
+                _ => {}
+            }
+            let target = ResourceVector::new(level, level / 4.0, 0.0, 0.0);
+            let before = p.held_leases().to_vec();
+            let gen_before = p.lease_generation();
+            let expected_matured: Vec<(usize, LeaseId)> = before
+                .iter()
+                .filter(|h| now >= h.lease.earliest_release)
+                .map(|h| (h.center, h.lease.id))
+                .filter(|key| !seen_matured.contains(key))
+                .collect();
+            seen_matured.extend(expected_matured.iter().copied());
+            let mut replica = fed.clone();
+            let oracle = oracle_release_phases(&before, &mut replica, p.allocated(), &target, now);
+
+            let out = p.adjust(&mut fed, &stats, &target, now);
+            let detail = p.lifecycle_detail();
+            prop_assert_eq!(&detail.matured, &expected_matured);
+            let surplus: Vec<LeaseId> = detail
+                .releases
+                .iter()
+                .filter(|r| r.2 == ReleaseCause::Surplus)
+                .map(|r| r.1.id)
+                .collect();
+            let reshape: Vec<LeaseId> = detail
+                .releases
+                .iter()
+                .filter(|r| r.2 == ReleaseCause::Reshape)
+                .map(|r| r.1.id)
+                .collect();
+            prop_assert_eq!(&surplus, &oracle.surplus, "phase-1 releases");
+            prop_assert_eq!(reshape, oracle.reshape.into_iter().collect::<Vec<_>>(), "reshape pick");
+            let mut expected_ledger = ledger_ids(&oracle.ledger);
+            expected_ledger.extend(detail.grants.iter().map(|g| g.1.id));
+            prop_assert_eq!(ledger_ids(p.held_leases()), expected_ledger, "ledger order");
+            prop_assert_eq!(
+                p.lease_generation(),
+                gen_before + (out.released + out.granted) as u64
+            );
+            let armed = oracle_memo_armed(p.held_leases(), &out, p.allocated(), &target, now);
+            prop_assert_eq!(p.memo_armed(), armed, "memo arming");
+
+            let out_memo = p_memo.adjust(&mut fed_memo, &stats, &target, now);
+            let normalized = AdjustOutcome {
+                replayed: false,
+                ..out_memo
+            };
+            prop_assert_eq!(format!("{normalized:?}"), format!("{out:?}"));
+            prop_assert_eq!(ledger_ids(p_memo.held_leases()), ledger_ids(p.held_leases()));
+
+            // A few ticks per step; code 9 keeps the tick, so the next
+            // step's grants tie with this one's.
+            if code != 9 {
+                now += SimDuration(1 + pick as u64 % 8);
+            }
+        }
+    }
 
     #[test]
     fn demand_components_non_negative_and_monotone(
@@ -181,40 +428,77 @@ proptest! {
         }
     }
 
-    /// The allocation-free phase-1 re-sort equals std's stable
-    /// `sort_by_key` exactly, ties included. Ledgers are built the way
-    /// phase 1 shapes them: grants in time order with many equal
-    /// starts, `swap_remove`s that move newer leases into earlier
-    /// holes, and fresh grants appended after the holes.
+    /// The allocation-free phase-1 re-sorts — the full pass
+    /// `sort_held_by_start` and the bounded `HeldLedger::sort_by_start`
+    /// — equal std's stable `sort_by_key` exactly, ties included.
+    /// Ledgers are built the way phase 1 shapes them: grants in time
+    /// order with many equal starts, `swap_remove`s that move newer
+    /// leases into earlier holes, fresh grants appended after the
+    /// holes, and re-sorts in between. The ledger's maturity index is
+    /// checked against a scan after every operation.
     #[test]
     fn held_lease_resort_equals_stable_sort(
-        ops in prop::collection::vec((0u8..3, 0u64..6, 0usize..1000), 1..120),
+        ops in prop::collection::vec((0u8..4, 0u64..6, 0usize..1000), 1..120),
     ) {
-        let mut ledger: Vec<HeldLease> = Vec::new();
+        let mut plain: Vec<HeldLease> = Vec::new();
+        let mut ledger = HeldLedger::default();
         let mut clock = 0u64;
         for (id, &(code, step, pick)) in ops.iter().enumerate() {
-            if code == 0 && !ledger.is_empty() {
-                ledger.swap_remove(pick % ledger.len());
-                continue;
+            match code {
+                0 if !plain.is_empty() => {
+                    let i = pick % plain.len();
+                    let removed = ledger.swap_remove(i);
+                    prop_assert_eq!(removed.lease.id, plain.swap_remove(i).lease.id);
+                }
+                1 => {
+                    let mut expected = plain.clone();
+                    expected.sort_by_key(|h| h.lease.start);
+                    sort_held_by_start(&mut plain);
+                    ledger.sort_by_start();
+                    prop_assert_eq!(format!("{plain:?}"), format!("{expected:?}"));
+                }
+                _ => {
+                    // Mostly zero steps: long runs of equal starts.
+                    clock += step.saturating_sub(3);
+                    let held = HeldLease {
+                        center: pick % 3,
+                        lease: Lease {
+                            id: LeaseId(id as u64),
+                            operator: OperatorId(1),
+                            amounts: ResourceVector::new(0.22, 0.0, 0.0, 0.0),
+                            start: SimTime(clock),
+                            // Mixed time bulks: maturity order differs
+                            // from grant order.
+                            earliest_release: SimTime(clock + [90, 180, 360][pick % 3]),
+                        },
+                        matured: false,
+                    };
+                    plain.push(held);
+                    ledger.push(held);
+                }
             }
-            // Mostly zero steps: long runs of equal starts.
-            clock += step.saturating_sub(3);
-            ledger.push(HeldLease {
-                center: pick % 3,
-                lease: Lease {
-                    id: LeaseId(id as u64),
-                    operator: OperatorId(1),
-                    amounts: ResourceVector::new(0.22, 0.0, 0.0, 0.0),
-                    start: SimTime(clock),
-                    earliest_release: SimTime(clock + 90),
-                },
-                matured: false,
-            });
+            prop_assert_eq!(format!("{:?}", &*ledger), format!("{plain:?}"));
+            prop_assert_eq!(
+                ledger.is_start_sorted(),
+                plain.windows(2).all(|w| w[0].lease.start <= w[1].lease.start)
+            );
+            let now = SimTime(clock.saturating_sub(pick as u64 % 400));
+            let matured = plain.iter().filter(|h| now >= h.lease.earliest_release).count();
+            prop_assert_eq!(ledger.matured_count(now), matured);
+            let next = plain
+                .iter()
+                .map(|h| h.lease.earliest_release)
+                .filter(|&t| now < t)
+                .min();
+            prop_assert_eq!(ledger.next_release(now), next);
         }
-        let mut expected = ledger.clone();
+        let mut expected = plain.clone();
         expected.sort_by_key(|h| h.lease.start);
-        sort_held_by_start(&mut ledger);
-        prop_assert_eq!(format!("{ledger:?}"), format!("{expected:?}"));
+        sort_held_by_start(&mut plain);
+        ledger.sort_by_start();
+        prop_assert_eq!(format!("{plain:?}"), format!("{expected:?}"));
+        prop_assert_eq!(format!("{:?}", &*ledger), format!("{expected:?}"));
+        prop_assert!(ledger.is_start_sorted());
     }
 
     #[test]

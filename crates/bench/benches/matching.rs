@@ -40,7 +40,7 @@ fn bench_match(c: &mut Criterion) {
 
 fn bench_match_indexed(c: &mut Criterion) {
     let mut group = c.benchmark_group("match_request_indexed");
-    let stats = MatchStats::current();
+    let mut stats = MatchStats::current();
     for tolerance in [DistanceClass::VeryClose, DistanceClass::VeryFar] {
         group.bench_function(BenchmarkId::from_parameter(tolerance.label()), |b| {
             let origin = GeoPoint::new(52.37, 4.90);
@@ -63,7 +63,7 @@ fn bench_match_indexed(c: &mut Criterion) {
                         &req,
                         SimTime::ZERO,
                         &mut out,
-                        &stats,
+                        &mut stats,
                     );
                     black_box(out.grants.len())
                 },
@@ -130,8 +130,8 @@ fn bench_memo_adjust(c: &mut Criterion) {
     use mmog_sim::provision::GroupProvisioner;
     use mmog_world::update::UpdateModel;
 
-    let stats = MatchStats::current();
-    let setup = |memo: bool| {
+    let mut stats = MatchStats::current();
+    let setup = |memo: bool, stats: &mut MatchStats| {
         let mut fed = Federation::new(table3_hp12());
         let mut p = GroupProvisioner::new(
             OperatorId(1),
@@ -147,26 +147,26 @@ fn bench_memo_adjust(c: &mut Criterion) {
         // first tick grants, the rest are no-ops.
         for t in 0..4u64 {
             let target = p.observe_and_target(1500.0);
-            p.adjust(&mut fed, &stats, &target, SimTime(t));
+            p.adjust(&mut fed, stats, &target, SimTime(t));
         }
         let target = p.observe_and_target(1500.0);
         (p, fed, target)
     };
 
     let mut group = c.benchmark_group("steady_state_adjust");
-    let (mut p, mut fed, target) = setup(true);
+    let (mut p, mut fed, target) = setup(true, &mut stats);
     group.bench_function("memo_hit", |b| {
-        b.iter(|| black_box(p.adjust(&mut fed, &stats, black_box(&target), SimTime(4))))
+        b.iter(|| black_box(p.adjust(&mut fed, &mut stats, black_box(&target), SimTime(4))))
     });
     assert!(
-        p.adjust(&mut fed, &stats, &target, SimTime(4)).replayed,
+        p.adjust(&mut fed, &mut stats, &target, SimTime(4)).replayed,
         "memo bench must measure the replay path"
     );
-    let (mut p, mut fed, target) = setup(false);
+    let (mut p, mut fed, target) = setup(false, &mut stats);
     group.bench_function("full_walk", |b| {
-        b.iter(|| black_box(p.adjust(&mut fed, &stats, black_box(&target), SimTime(4))))
+        b.iter(|| black_box(p.adjust(&mut fed, &mut stats, black_box(&target), SimTime(4))))
     });
-    assert!(!p.adjust(&mut fed, &stats, &target, SimTime(4)).replayed);
+    assert!(!p.adjust(&mut fed, &mut stats, &target, SimTime(4)).replayed);
     let mut rig = mmog_bench::fixtures::ChurnRig::new();
     group.bench_function("churn_walk", |b| b.iter(|| black_box(rig.step())));
     let out = rig.step();
@@ -178,12 +178,42 @@ fn bench_memo_adjust(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `reduce` stage's per-center usage attribution over a
+/// `fine_churn`-sized mirror (988 leases of 13 operators): `long_runs`
+/// holds each operator's leases together, as a center's ledger does
+/// when groups lease in turn; `interleaved` alternates operators on
+/// every lease, the worst case for carrying a run's sum in a register.
+fn bench_usage_walk(c: &mut Criterion) {
+    use criterion::Throughput;
+    use mmog_sim::engine::attribute_usage;
+
+    let (ops, per_op) = (13u32, 76u32);
+    let cpu = |op: u32, k: u32| 0.22 * f64::from(1 + (op + k) % 3);
+    let long_runs: Vec<(u32, f64)> = (0..ops)
+        .flat_map(|op| (0..per_op).map(move |k| (op, cpu(op, k))))
+        .collect();
+    let interleaved: Vec<(u32, f64)> = (0..per_op)
+        .flat_map(|k| (0..ops).map(move |op| (op, cpu(op, k))))
+        .collect();
+    let mut group = c.benchmark_group("usage_walk");
+    group.throughput(Throughput::Elements(long_runs.len() as u64));
+    for (name, mirror) in [("long_runs", &long_runs), ("interleaved", &interleaved)] {
+        let (mut sums, mut touched) = (vec![0.0; ops as usize], vec![false; ops as usize]);
+        group.bench_function(name, |b| {
+            b.iter(|| attribute_usage(black_box(mirror), &mut sums, &mut touched))
+        });
+        black_box(&sums);
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_match,
     bench_match_indexed,
     bench_rounding,
     bench_center_release,
-    bench_memo_adjust
+    bench_memo_adjust,
+    bench_usage_walk
 );
 criterion_main!(benches);

@@ -102,10 +102,16 @@ impl ChurnRig {
         self.adjust(&target)
     }
 
+    /// Publishes the matcher tallies, as the engine does at the end of
+    /// every settle stage.
+    pub fn flush_stats(&mut self) {
+        self.stats.flush();
+    }
+
     fn adjust(&mut self, target: &ResourceVector) -> AdjustOutcome {
         let out = self
             .group
-            .adjust(&mut self.platform, &self.stats, target, self.now);
+            .adjust(&mut self.platform, &mut self.stats, target, self.now);
         self.now += SimDuration::TICK;
         out
     }

@@ -64,6 +64,7 @@ fn hot_kernels_stay_allocation_free_in_steady_state() {
     memoized_match_replay_is_allocation_free();
     full_adjust_walk_is_allocation_free();
     churning_adjust_is_allocation_free();
+    settle_step_and_flush_is_allocation_free();
     emulator_step_allocations_are_bounded();
     indexed_match_allocations_are_bounded();
     streaming_trace_tick_is_allocation_free();
@@ -224,7 +225,7 @@ fn memoized_match_replay_is_allocation_free() {
     use mmog_world::update::UpdateModel;
 
     let mut fed = mmog_datacenter::Federation::new(table3_hp12());
-    let stats = mmog_datacenter::MatchStats::current();
+    let mut stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
         0,
@@ -237,11 +238,11 @@ fn memoized_match_replay_is_allocation_free() {
     let target = p.observe_and_target(1500.0);
     // Warm-up: grant, then run the full no-op walk once to arm the memo.
     for i in 0..4u64 {
-        let _ = p.adjust(&mut fed, &stats, &target, SimTime(i));
+        let _ = p.adjust(&mut fed, &mut stats, &target, SimTime(i));
     }
     let n = count_allocs(|| {
         for _ in 0..512 {
-            let out = p.adjust(&mut fed, &stats, &target, SimTime(4));
+            let out = p.adjust(&mut fed, &mut stats, &target, SimTime(4));
             assert!(out.replayed, "steady state must hit the memo");
         }
     });
@@ -277,7 +278,7 @@ fn full_adjust_walk_is_allocation_free() {
         machine_capacity: DataCenterSpec::default_machine_capacity(),
         policy: HostingPolicy::hp(3),
     })]);
-    let stats = mmog_datacenter::MatchStats::current();
+    let mut stats = mmog_datacenter::MatchStats::current();
     let mut p = GroupProvisioner::new(
         OperatorId(1),
         0,
@@ -292,7 +293,7 @@ fn full_adjust_walk_is_allocation_free() {
     let leases = 64u32;
     for k in 1..=leases {
         let target = ResourceVector::new(0.22 * f64::from(k) - 0.01, 0.0, 0.0, 0.0);
-        let out = p.adjust(&mut fed, &stats, &target, SimTime(u64::from(k)));
+        let out = p.adjust(&mut fed, &mut stats, &target, SimTime(u64::from(k)));
         assert_eq!(out.granted, 1, "tick {k} grants one lease");
     }
     assert_eq!(p.lease_count(), leases as usize);
@@ -301,7 +302,7 @@ fn full_adjust_walk_is_allocation_free() {
     let now = SimTime(u64::from(leases) + 1);
     let n = count_allocs(|| {
         for _ in 0..64 {
-            let out = p.adjust(&mut fed, &stats, &target, now);
+            let out = p.adjust(&mut fed, &mut stats, &target, now);
             assert!(!out.replayed && out.released == 0 && out.granted == 0);
         }
     });
@@ -325,6 +326,25 @@ fn churning_adjust_is_allocation_free() {
         }
     });
     assert_eq!(n, 0, "churning adjust must not allocate, got {n}");
+}
+
+/// A warmed settle stage: the churning step, then the stage-end
+/// publication of the matcher tallies into instruments that are
+/// already registered.
+fn settle_step_and_flush_is_allocation_free() {
+    let mut rig = mmog_bench::fixtures::ChurnRig::new();
+    for _ in 0..256 {
+        rig.step();
+    }
+    rig.flush_stats();
+    let n = count_allocs(|| {
+        for _ in 0..64 {
+            let out = rig.step();
+            assert_eq!((out.released, out.granted), (1, 1));
+            rig.flush_stats();
+        }
+    });
+    assert_eq!(n, 0, "settle step and flush must not allocate, got {n}");
 }
 
 fn neural_observe_predict_is_allocation_free() {
@@ -482,7 +502,7 @@ fn indexed_match_allocations_are_bounded() {
 
     let mut fed = Federation::new(table3_hp12());
     let origin = GeoPoint::new(52.37, 4.90);
-    let stats = MatchStats::current();
+    let mut stats = MatchStats::current();
     let mut index = CandidateIndex::new(origin, DistanceClass::VeryFar);
     let mut out = MatchOutcome::default();
     let req = ResourceRequest::new(
@@ -493,13 +513,13 @@ fn indexed_match_allocations_are_bounded() {
     );
     // Warm-up builds the index and grows the lease ledgers.
     for i in 0..16u64 {
-        match_request_indexed(&mut fed, &mut index, &req, SimTime(i), &mut out, &stats);
+        match_request_indexed(&mut fed, &mut index, &req, SimTime(i), &mut out, &mut stats);
     }
     let calls = 128u64;
     let n = count_allocs(|| {
         for i in 0..calls {
             let now = SimTime(16 + i);
-            match_request_indexed(&mut fed, &mut index, &req, now, &mut out, &stats);
+            match_request_indexed(&mut fed, &mut index, &req, now, &mut out, &mut stats);
         }
     });
     // Each call refills one caller-owned MatchOutcome (grants + copied

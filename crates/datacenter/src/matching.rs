@@ -25,7 +25,8 @@ use crate::resource::ResourceVector;
 use mmog_obs::{counter, histogram, Counter, Domain, Histogram, Registry, SpanStat};
 use mmog_util::geo::{DistanceClass, GeoPoint};
 use mmog_util::time::SimTime;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// One grant resulting from a match.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,23 +164,39 @@ impl MatchOutcome {
     }
 }
 
-/// The matcher's instruments for one run — semantic counters, a
-/// grants-per-request histogram and the `datacenter/match` timer — bound
-/// to the registry current when the value is built. Each instrument
-/// registers on its first use (a `match.rejections.<reason>` counter
-/// appears only once that reason occurs); after that, recording is an
-/// atomic update with no name lookup, so a run builds one value and
-/// shares it across its provisioners' [`match_request_indexed`] calls.
-/// Every update is commutative, so recording is deterministic under any
-/// threading.
+/// The matcher's tallies for one run, published into the registry
+/// current when the value is built: the semantic counters, a
+/// grants-per-request histogram and the `datacenter/match` timer.
+///
+/// Recording a request or a call bumps plain `u64` tallies — matching
+/// is serial, so nothing contends for them, and a per-request atomic
+/// update and histogram record would cost more than the bookkeeping is
+/// worth. [`flush`](Self::flush) publishes the tallies and zeroes them;
+/// the engine flushes at the end of every settle stage, and dropping
+/// the value flushes too (which covers the one-shot [`match_request`]).
+/// Nothing is visible in the registry before a flush.
+///
+/// A flush registers exactly the instruments per-request recording
+/// would have: `match.requests`, `match.grants` and the histogram once
+/// any request was matched, `match.unmet_requests` and each
+/// `match.rejections.<reason>` only once it occurred, and the timer
+/// once any call was timed. Every grant count is kept exactly, so the
+/// histogram's counts, sum, min and max equal per-request recording.
 #[derive(Debug)]
 pub struct MatchStats {
     registry: Registry,
-    timer: OnceLock<Arc<SpanStat>>,
+    timer: Option<Arc<SpanStat>>,
     /// `match.requests`, `match.grants`, `match.unmet_requests`, then
     /// one `match.rejections.<reason>` per [`RejectReason`] in order.
-    counters: [OnceLock<Arc<Counter>>; 8],
-    per_request: OnceLock<Arc<Histogram>>,
+    counters: [Option<Arc<Counter>>; 8],
+    per_request: Option<Arc<Histogram>>,
+    /// Unpublished tallies, in `counters` order.
+    counts: [u64; 8],
+    /// Unpublished requests by number of grants: `grants[g]` requests
+    /// received `g` grants.
+    grants: Vec<u64>,
+    /// Unpublished timed calls: count, total and longest nanoseconds.
+    calls: (u64, u64, u64),
 }
 
 impl MatchStats {
@@ -188,42 +205,94 @@ impl MatchStats {
     pub fn current() -> Self {
         Self {
             registry: Registry::current(),
-            timer: OnceLock::new(),
+            timer: None,
             counters: Default::default(),
-            per_request: OnceLock::new(),
+            per_request: None,
+            counts: [0; 8],
+            grants: Vec::new(),
+            calls: (0, 0, 0),
         }
     }
 
-    fn timer(&self) -> &SpanStat {
-        let timer = || self.registry.scope(|| mmog_obs::timer("datacenter/match"));
-        self.timer.get_or_init(timer)
-    }
-
-    fn add(&self, slot: usize, name: impl FnOnce() -> String, n: u64) {
-        let counter = || self.registry.scope(|| counter(&name(), Domain::Semantic));
-        self.counters[slot].get_or_init(counter).add(n);
-    }
-
-    fn record(&self, grants: usize, unmet: bool, rejections: &[Rejection]) {
-        self.add(0, || "match.requests".into(), 1);
-        self.add(1, || "match.grants".into(), grants as u64);
-        if unmet {
-            self.add(2, || "match.unmet_requests".into(), 1);
-        }
+    fn record(&mut self, grants: usize, unmet: bool, rejections: &[Rejection]) {
+        self.counts[0] += 1;
+        self.counts[1] += grants as u64;
+        self.counts[2] += u64::from(unmet);
         for r in rejections {
-            let name = || format!("match.rejections.{}", r.reason.label());
-            self.add(3 + r.reason as usize, name, 1);
+            self.counts[3 + r.reason as usize] += 1;
         }
-        let bounds = [0.5, 1.5, 2.5, 4.5, 8.5];
-        let name = "match.grants_per_request";
-        let histogram = || {
-            self.registry
-                .scope(|| histogram(name, Domain::Semantic, &bounds))
-        };
-        self.per_request
-            .get_or_init(histogram)
-            .record(grants as f64);
+        if grants >= self.grants.len() {
+            self.grants.resize(grants + 1, 0);
+        }
+        self.grants[grants] += 1;
     }
+
+    fn record_call(&mut self, ns: u64) {
+        let (calls, total, max) = &mut self.calls;
+        *calls += 1;
+        *total = total.wrapping_add(ns);
+        *max = (*max).max(ns);
+    }
+
+    /// Publishes the tallies recorded since the last flush into the
+    /// registry and zeroes them.
+    pub fn flush(&mut self) {
+        let registry = &self.registry;
+        if self.counts[0] > 0 {
+            for (slot, n) in self.counts.iter_mut().enumerate() {
+                // Requests and grants register with the first request;
+                // the rest only once they occur.
+                if *n == 0 && slot > 1 {
+                    continue;
+                }
+                let counter = || {
+                    let name = match slot {
+                        0 => "match.requests".to_string(),
+                        1 => "match.grants".to_string(),
+                        2 => "match.unmet_requests".to_string(),
+                        _ => format!("match.rejections.{}", REASONS[slot - 3].label()),
+                    };
+                    registry.scope(|| counter(&name, Domain::Semantic))
+                };
+                self.counters[slot].get_or_insert_with(counter).add(*n);
+                *n = 0;
+            }
+            let bounds = [0.5, 1.5, 2.5, 4.5, 8.5];
+            let name = "match.grants_per_request";
+            let histogram = || registry.scope(|| histogram(name, Domain::Semantic, &bounds));
+            let histogram = self.per_request.get_or_insert_with(histogram);
+            for (grants, n) in self.grants.iter_mut().enumerate() {
+                histogram.record_n(grants as f64, *n);
+                *n = 0;
+            }
+        }
+        let (calls, total, max) = std::mem::take(&mut self.calls);
+        if calls > 0 {
+            let timer = || registry.scope(|| mmog_obs::timer("datacenter/match"));
+            self.timer
+                .get_or_insert_with(timer)
+                .record_batch(calls, total, max);
+        }
+    }
+}
+
+impl Drop for MatchStats {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// Every [`RejectReason`], in discriminant order.
+const REASONS: [RejectReason; 5] = [
+    RejectReason::Distance,
+    RejectReason::Exhausted,
+    RejectReason::GrantFailed,
+    RejectReason::Unavailable,
+    RejectReason::Partitioned,
+];
+
+fn ns_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The offer-preference comparator of Sec. II-C: finer policy
@@ -257,7 +326,7 @@ fn fill_ranked(
     request: &ResourceRequest,
     now: SimTime,
     out: &mut MatchOutcome,
-    stats: &MatchStats,
+    stats: &mut MatchStats,
 ) {
     let mut remaining = request.amounts.clamp_non_negative();
     out.grants.clear();
@@ -335,56 +404,56 @@ fn home_center(centers: &[DataCenter], origin: &GeoPoint) -> usize {
 /// nominal topology distances stay exactly as measured.
 ///
 /// This is the one-shot reference: it re-ranks the whole platform on
-/// every call, and looks its [`MatchStats`] up in the current registry
-/// every call too. A provisioner issuing many requests with a fixed origin
-/// and tolerance should hold a [`CandidateIndex`] and call
-/// [`match_request_indexed`] instead — same result, without the
-/// per-request rescan.
+/// every call, and builds a [`MatchStats`] on the current registry
+/// every call too, published when the call returns. A provisioner
+/// issuing many requests with a fixed origin and tolerance should hold
+/// a [`CandidateIndex`] and call [`match_request_indexed`] instead —
+/// same result, without the per-request rescan.
 pub fn match_request(
     platform: &mut Federation,
     request: &ResourceRequest,
     now: SimTime,
 ) -> MatchOutcome {
-    let stats = MatchStats::current();
-    mmog_obs::time_stat(stats.timer(), || {
-        // Rank admissible centers: finer granularity, shorter time bulk,
-        // then closest (the Sec. II-C criteria, operator-favouring order).
-        let (centers, topology) = (platform.centers(), platform.topology());
-        let mut rejections = Vec::new();
-        let home = home_center(centers, &request.origin);
-        let mut ranked: Vec<(usize, f64)> = centers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| {
-                let d = topology.effective_distance(home, i, c.distance_km(&request.origin));
-                let reason = if c.availability() == Availability::Down {
-                    RejectReason::Unavailable
-                } else if !topology.reachable(home, i) {
-                    RejectReason::Partitioned
-                } else if !request.tolerance.admits(d) {
-                    RejectReason::Distance
-                } else {
-                    return Some((i, d));
-                };
-                rejections.push(Rejection::new(i, reason));
-                None
-            })
-            .collect();
-        ranked.sort_by(|&a, &b| preference_order(centers, a, b));
-        let mut out = MatchOutcome {
-            rejections,
-            ..MatchOutcome::default()
-        };
-        fill_ranked(
-            platform.centers_mut(),
-            &ranked,
-            request,
-            now,
-            &mut out,
-            &stats,
-        );
-        out
-    })
+    let mut stats = MatchStats::current();
+    let start = Instant::now();
+    // Rank admissible centers: finer granularity, shorter time bulk,
+    // then closest (the Sec. II-C criteria, operator-favouring order).
+    let (centers, topology) = (platform.centers(), platform.topology());
+    let mut rejections = Vec::new();
+    let home = home_center(centers, &request.origin);
+    let mut ranked: Vec<(usize, f64)> = centers
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| {
+            let d = topology.effective_distance(home, i, c.distance_km(&request.origin));
+            let reason = if c.availability() == Availability::Down {
+                RejectReason::Unavailable
+            } else if !topology.reachable(home, i) {
+                RejectReason::Partitioned
+            } else if !request.tolerance.admits(d) {
+                RejectReason::Distance
+            } else {
+                return Some((i, d));
+            };
+            rejections.push(Rejection::new(i, reason));
+            None
+        })
+        .collect();
+    ranked.sort_by(|&a, &b| preference_order(centers, a, b));
+    let mut out = MatchOutcome {
+        rejections,
+        ..MatchOutcome::default()
+    };
+    fill_ranked(
+        platform.centers_mut(),
+        &ranked,
+        request,
+        now,
+        &mut out,
+        &mut stats,
+    );
+    stats.record_call(ns_since(start));
+    out
 }
 
 /// A per-requester view of the platform that caches the Sec. II-C
@@ -585,34 +654,34 @@ impl MatchMemo {
 /// the federation's version moved (an availability or topology
 /// change), and the outcome's vectors are reused across calls, so a
 /// steady-state requester pays no allocation for the match itself.
-/// `stats` is the run's shared [`MatchStats`].
+/// The call is tallied in `stats`, the run's [`MatchStats`].
 pub fn match_request_indexed(
     platform: &mut Federation,
     index: &mut CandidateIndex,
     request: &ResourceRequest,
     now: SimTime,
     out: &mut MatchOutcome,
-    stats: &MatchStats,
+    stats: &mut MatchStats,
 ) {
     debug_assert!(
         request.origin == index.origin && request.tolerance == index.tolerance,
         "a CandidateIndex serves one (origin, tolerance) requester"
     );
-    mmog_obs::time_stat(stats.timer(), || {
-        if index.version != Some(platform.version()) {
-            index.refresh(platform);
-        }
-        out.rejections.clear();
-        out.rejections.extend_from_slice(&index.rejections);
-        fill_ranked(
-            platform.centers_mut(),
-            &index.ranked,
-            request,
-            now,
-            out,
-            stats,
-        );
-    });
+    let start = Instant::now();
+    if index.version != Some(platform.version()) {
+        index.refresh(platform);
+    }
+    out.rejections.clear();
+    out.rejections.extend_from_slice(&index.rejections);
+    fill_ranked(
+        platform.centers_mut(),
+        &index.ranked,
+        request,
+        now,
+        out,
+        stats,
+    );
+    stats.record_call(ns_since(start));
 }
 
 #[cfg(test)]
@@ -836,13 +905,13 @@ mod tests {
         let mut indexed = oneshot.clone();
         let mut index = CandidateIndex::new(requests[0].origin, requests[0].tolerance);
         let mut b = MatchOutcome::default();
-        let stats = MatchStats::current();
+        let mut stats = MatchStats::current();
         for (step, req) in requests.iter().enumerate() {
             mutate(&mut oneshot, step);
             mutate(&mut indexed, step);
             let now = SimTime::from_minutes(step as u64);
             let a = match_request(&mut oneshot, req, now);
-            match_request_indexed(&mut indexed, &mut index, req, now, &mut b, &stats);
+            match_request_indexed(&mut indexed, &mut index, req, now, &mut b, &mut stats);
             assert_eq!(a, b, "outcomes diverge at step {step}");
             for (x, y) in oneshot.centers().iter().zip(indexed.centers()) {
                 assert_eq!(x.allocated(), y.allocated(), "ledgers diverge at {step}");
@@ -894,7 +963,7 @@ mod tests {
     #[test]
     fn stats_register_each_instrument_on_first_use() {
         let registry = Registry::new();
-        let stats = registry.scope(MatchStats::current);
+        let mut stats = registry.scope(MatchStats::current);
         let mut fed = Federation::new(vec![center(0, 0.0, 0.0, 10, HostingPolicy::hp(5))]);
         let counters = || -> Vec<(String, u64)> {
             let snap = registry.scope(mmog_obs::snapshot_metrics);
@@ -908,8 +977,16 @@ mod tests {
         let mut index = CandidateIndex::new(req.origin, req.tolerance);
         let mut out = MatchOutcome::default();
         for _ in 0..2 {
-            match_request_indexed(&mut fed, &mut index, &req, SimTime::ZERO, &mut out, &stats);
+            match_request_indexed(
+                &mut fed,
+                &mut index,
+                &req,
+                SimTime::ZERO,
+                &mut out,
+                &mut stats,
+            );
         }
+        stats.flush();
         let expected = [
             ("match.grants", 0),
             ("match.rejections.distance", 2),
@@ -924,6 +1001,118 @@ mod tests {
             "only the reasons that occurred register"
         );
         assert_eq!(registry.scope(mmog_obs::snapshot_spans)[0].1.calls, 2);
+    }
+
+    /// The per-request recording the tallies replaced: every instrument
+    /// updated on every call, each registered on its first use.
+    fn record_per_request(registry: &Registry, out: &MatchOutcome) {
+        registry.scope(|| {
+            let add = |name: &str, n: u64| counter(name, Domain::Semantic).add(n);
+            add("match.requests", 1);
+            add("match.grants", out.grants.len() as u64);
+            if !out.fully_met() {
+                add("match.unmet_requests", 1);
+            }
+            for r in &out.rejections {
+                add(&format!("match.rejections.{}", r.reason.label()), 1);
+            }
+            let bounds = [0.5, 1.5, 2.5, 4.5, 8.5];
+            histogram("match.grants_per_request", Domain::Semantic, &bounds)
+                .record(out.grants.len() as f64);
+        });
+    }
+
+    type Published = (
+        Vec<(String, Domain, u64)>,
+        Vec<(String, Domain, mmog_obs::HistogramSnapshot)>,
+    );
+
+    fn published(registry: &Registry) -> Published {
+        let snap = registry.scope(mmog_obs::snapshot_metrics);
+        (snap.counters, snap.histograms)
+    }
+
+    #[test]
+    fn tallies_publish_on_flush_equal_to_per_request_recording() {
+        let (registry, reference) = (Registry::new(), Registry::new());
+        let mut stats = registry.scope(MatchStats::current);
+        // Ten one-machine centers around the origin, one far away: big
+        // requests spread over many centers (more grants than the
+        // histogram's last bound), others exhaust the platform.
+        let mut centers: Vec<DataCenter> = (0..10)
+            .map(|i| center(i, 50.0, 10.0 + 0.1 * f64::from(i), 1, HostingPolicy::hp(3)))
+            .collect();
+        centers.push(center(10, 0.0, 0.0, 10, HostingPolicy::hp(5)));
+        let mut fed = Federation::new(centers);
+        let origin = cpu_req(0.0, DistanceClass::Far).origin;
+        let mut index = CandidateIndex::new(origin, DistanceClass::Far);
+        let mut out = MatchOutcome::default();
+        let amounts = [0.4, 11.0, 0.0, 1.3, 0.1, 2.0, 0.7, 5.0, 0.2];
+        for (round, chunk) in amounts.chunks(5).enumerate() {
+            for (k, &amount) in chunk.iter().enumerate() {
+                let now = SimTime((round * 5 + k) as u64);
+                let req = cpu_req(amount, DistanceClass::Far);
+                match_request_indexed(&mut fed, &mut index, &req, now, &mut out, &mut stats);
+                record_per_request(&reference, &out);
+            }
+            if round == 0 {
+                let (counters, histograms) = published(&registry);
+                assert!(counters.is_empty() && histograms.is_empty());
+                assert!(registry.scope(mmog_obs::snapshot_spans).is_empty());
+            }
+            stats.flush();
+            assert_eq!(published(&registry), published(&reference), "round {round}");
+            let spans = registry.scope(mmog_obs::snapshot_spans);
+            assert_eq!(spans.len(), 1);
+            assert_eq!(spans[0].0, "datacenter/match");
+            let calls = amounts[..(round * 5 + chunk.len())].len() as u64;
+            assert_eq!(spans[0].1.calls, calls);
+        }
+        let (counters, histograms) = published(&reference);
+        let names: Vec<&str> = counters.iter().map(|c| c.0.as_str()).collect();
+        assert!(names.contains(&"match.rejections.distance"));
+        assert!(names.contains(&"match.rejections.exhausted"));
+        assert!(names.contains(&"match.unmet_requests"));
+        let grants = &histograms[0].2;
+        assert!(grants.max_micros > Some(9_000_000), "{grants:?}");
+        assert_eq!(grants.min_micros, Some(0));
+    }
+
+    #[test]
+    fn flush_folds_timed_calls_like_per_call_records() {
+        let registry = Registry::new();
+        let mut stats = registry.scope(MatchStats::current);
+        let reference = SpanStat::default();
+        for ns in [120, 40, 900, 3] {
+            stats.record_call(ns);
+            reference.record_ns(ns);
+        }
+        assert!(registry.scope(mmog_obs::snapshot_spans).is_empty());
+        stats.flush();
+        stats.flush();
+        let spans = registry.scope(mmog_obs::snapshot_spans);
+        assert_eq!(
+            spans,
+            vec![("datacenter/match".to_string(), reference.snapshot())]
+        );
+        assert!(published(&registry).0.is_empty(), "no request, no counter");
+    }
+
+    #[test]
+    fn one_shot_match_publishes_on_drop() {
+        let registry = Registry::new();
+        let mut fed = Federation::new(vec![center(0, 50.0, 10.0, 10, HostingPolicy::hp(5))]);
+        let out = registry.scope(|| {
+            match_request(
+                &mut fed,
+                &cpu_req(1.0, DistanceClass::VeryFar),
+                SimTime::ZERO,
+            )
+        });
+        let reference = Registry::new();
+        record_per_request(&reference, &out);
+        assert_eq!(published(&registry), published(&reference));
+        assert_eq!(registry.scope(mmog_obs::snapshot_spans)[0].1.calls, 1);
     }
 
     #[test]

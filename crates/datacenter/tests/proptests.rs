@@ -317,7 +317,7 @@ proptest! {
         let mut replay = live.clone();
         let mut live_index = CandidateIndex::new(origin, DistanceClass::VeryFar);
         let mut replay_index = live_index.clone();
-        let stats = MatchStats::current();
+        let mut stats = MatchStats::current();
         let (mut out, mut replayed) = (MatchOutcome::default(), MatchOutcome::default());
         for (i, (amounts, fault)) in demands.iter().enumerate() {
             match fault {
@@ -338,8 +338,8 @@ proptest! {
                 DistanceClass::VeryFar,
             );
             let now = SimTime(i as u64);
-            match_request_indexed(&mut live, &mut live_index, &req, now, &mut out, &stats);
-            match_request_indexed(&mut replay, &mut replay_index, &req, now, &mut replayed, &stats);
+            match_request_indexed(&mut live, &mut live_index, &req, now, &mut out, &mut stats);
+            match_request_indexed(&mut replay, &mut replay_index, &req, now, &mut replayed, &mut stats);
             prop_assert_eq!(&out, &replayed, "walk diverged on identical inputs");
             prop_assert_eq!(
                 format!("{:?}", live.centers()[0].leases()),

@@ -171,10 +171,23 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&self, v: f64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of `v` at once, leaving exactly the
+    /// state `n` calls of [`record`](Self::record) would (the sum wraps
+    /// the same way). `n == 0` records nothing.
+    pub fn record_n(&self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
         let m = to_micros(v);
-        self.sum_micros.fetch_add(m, Ordering::Relaxed);
+        // Two's-complement wrapping: `n` adds of `m` equal one add of
+        // `m × n`, whatever the signs.
+        self.sum_micros
+            .fetch_add(m.wrapping_mul(n as i64), Ordering::Relaxed);
         self.min_micros.fetch_min(m, Ordering::Relaxed);
         self.max_micros.fetch_max(m, Ordering::Relaxed);
     }
@@ -458,6 +471,22 @@ mod tests {
         // 0.1 + 0.2 + 0.3 is not 0.6 in f64, but it is in micro-units.
         assert_eq!(h.snapshot().sum_micros, 600_000);
         assert!((h.snapshot().mean().unwrap() - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let (one, batch) = (Histogram::new(&[1.0, 2.0]), Histogram::new(&[1.0, 2.0]));
+        // Includes a negative value and a sum that wraps.
+        let values = [(0.0, 3), (1.5, 0), (2.0, 2), (-0.25, 5), (9.2e12, 4)];
+        for &(v, n) in &values {
+            for _ in 0..n {
+                one.record(v);
+            }
+            batch.record_n(v, n);
+        }
+        assert_eq!(batch.snapshot(), one.snapshot());
+        batch.record_n(7.0, 0);
+        assert_eq!(batch.snapshot(), one.snapshot(), "n = 0 records nothing");
     }
 
     #[test]

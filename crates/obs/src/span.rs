@@ -30,9 +30,20 @@ pub struct SpanStat {
 impl SpanStat {
     /// Folds one measured duration into the accumulator.
     pub fn record_ns(&self, ns: u64) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.record_batch(1, ns, ns);
+    }
+
+    /// Folds `calls` durations measured elsewhere, totalling `total_ns`
+    /// with the longest `max_ns`, into the accumulator: the state the
+    /// same calls through [`record_ns`](Self::record_ns) would leave.
+    /// `calls == 0` records nothing.
+    pub fn record_batch(&self, calls: u64, total_ns: u64, max_ns: u64) {
+        if calls == 0 {
+            return;
+        }
+        self.calls.fetch_add(calls, Ordering::Relaxed);
+        self.total_ns.fetch_add(total_ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(max_ns, Ordering::Relaxed);
     }
 
     /// Point-in-time copy.
@@ -165,6 +176,18 @@ mod tests {
         let snap = reg.scope(snapshot_spans);
         let paths: Vec<&str> = snap.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, vec!["test.tree", "test.tree/a", "test.tree/a/b"]);
+    }
+
+    #[test]
+    fn record_batch_equals_per_call_records() {
+        let (one, batch) = (SpanStat::default(), SpanStat::default());
+        for ns in [10, 30, 20] {
+            one.record_ns(ns);
+        }
+        batch.record_batch(2, 40, 30);
+        batch.record_batch(0, 0, 99);
+        batch.record_batch(1, 20, 20);
+        assert_eq!(batch.snapshot(), one.snapshot());
     }
 
     #[test]

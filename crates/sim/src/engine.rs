@@ -333,6 +333,40 @@ fn ns_since(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Adds one tick of a center's leased CPU into its per-operator usage
+/// accumulators: `sums[op]` gains the CPU of every `(op, cpu)` entry of
+/// `mirror` (a center's `lease_cpu` mirror), in mirror order, and
+/// `touched[op]` is set for every operator that appears.
+///
+/// A ledger holds long runs of one operator, so the running sum of the
+/// current run stays in a local and is written back only when the
+/// operator changes; an accumulator-per-lease loop would make every add
+/// wait on the store of the previous one. Each `sums[op]` still
+/// receives the same additions in the same order, so the result is
+/// bit-identical to that loop.
+///
+/// # Panics
+/// Panics if an operator id is out of range of `sums` or `touched`.
+pub fn attribute_usage(mirror: &[(u32, f64)], sums: &mut [f64], touched: &mut [bool]) {
+    let Some(&(first, _)) = mirror.first() else {
+        return;
+    };
+    let mut op = first as usize;
+    let mut run = sums[op];
+    touched[op] = true;
+    for &(next, cpu) in mirror {
+        let next = next as usize;
+        if next != op {
+            sums[op] = run;
+            op = next;
+            run = sums[op];
+            touched[op] = true;
+        }
+        run += cpu;
+    }
+    sums[op] = run;
+}
+
 /// The `lease_release` lifecycle event. Every release cause —
 /// settle-step surplus and reshape, outages, migrations, failovers and
 /// the run-end closure — builds its event here.
@@ -428,7 +462,7 @@ struct RunState {
     /// Center usage accumulators, indexed directly by operator id: per
     /// center, (per-operator cpu sum, per-operator touched flag,
     /// free-cpu sum). The operator set is fixed at construction, so the
-    /// per-tick attribution loop indexes a flat array instead of paying
+    /// per-tick attribution ([`attribute_usage`]) indexes a flat array instead of paying
     /// a map lookup per lease. Ids are small dense integers, so the
     /// tables stay tiny, and they ascend with the index, so the final
     /// per-operator maps render identically to the old `BTreeMap`
@@ -465,7 +499,8 @@ struct RunState {
     /// split is a function of the run's inputs at any `--jobs`.
     memo_skips: Arc<Counter>,
     memo_full: Arc<Counter>,
-    /// The matcher's instruments, shared by every group's provisioner.
+    /// The matcher's tallies, shared by every group's provisioner and
+    /// published at the end of every settle stage.
     match_stats: MatchStats,
     /// Time-series plane: fixed-memory ring series per metric, sampled
     /// once per tick from the serial tail. Downsampling is a pure
@@ -1349,10 +1384,7 @@ impl Simulation {
             run.report.demand_cpu_series.push(total_demand.cpu);
             run.report.alloc_cpu_series.push(total_alloc.cpu);
             for (center, acc) in self.platform.centers().iter().zip(run.usage.iter_mut()) {
-                for &(op, cpu) in center.lease_cpu() {
-                    acc.0[op as usize] += cpu;
-                    acc.1[op as usize] = true;
-                }
+                attribute_usage(center.lease_cpu(), &mut acc.0, &mut acc.1);
                 acc.2 += center.free().cpu;
             }
         }
@@ -1434,7 +1466,7 @@ impl Simulation {
             }
             let target = self.hot[idx].target;
             let provisioner = &mut self.groups[idx].provisioner;
-            let out = provisioner.adjust(&mut self.platform, &run.match_stats, &target, now);
+            let out = provisioner.adjust(&mut self.platform, &mut run.match_stats, &target, now);
             run.tick.skips += u64::from(out.replayed);
             run.tick.full += u64::from(!out.replayed);
             run.leases_granted += out.granted as u64;
@@ -1461,6 +1493,9 @@ impl Simulation {
             }
             run.emit_adjust(provisioner, &target, &out);
         }
+        // Publish the stage's matcher tallies before anything downstream
+        // of the settle stage can read the registry.
+        run.match_stats.flush();
     }
 
     /// Unserved player-ticks: each group's players scaled by the
@@ -2351,7 +2386,7 @@ mod tests {
             }
             for (gi, group) in sim.groups.iter().enumerate() {
                 let held = group.provisioner.held_leases();
-                let sum: f64 = held.iter().map(|h| h.lease.amounts.cpu).sum();
+                let sum: f64 = held.map(|h| h.lease.amounts.cpu).sum();
                 let alloc = group.provisioner.allocated().cpu;
                 assert!(
                     (alloc - sum).abs() <= 1e-6 * alloc.abs().max(sum.abs()),

@@ -8,6 +8,7 @@ use mmog_datacenter::resource::{ResourceType, ResourceVector};
 use mmog_datacenter::Federation;
 use mmog_predict::simple::LastValue;
 use mmog_sim::demand::DemandModel;
+use mmog_sim::engine::attribute_usage;
 use mmog_sim::metrics::MetricsCollector;
 use mmog_sim::provision::{
     sort_held_by_start, AdjustOutcome, GroupProvisioner, HeldLease, HeldLedger, ReleaseCause,
@@ -172,8 +173,8 @@ fn oracle_memo_armed(
     !(mutated && (any_matured || !sorted))
 }
 
-fn ledger_ids(leases: &[HeldLease]) -> Vec<LeaseId> {
-    leases.iter().map(|h| h.lease.id).collect()
+fn ledger_ids<'a>(leases: impl IntoIterator<Item = &'a HeldLease>) -> Vec<LeaseId> {
+    leases.into_iter().map(|h| h.lease.id).collect()
 }
 
 proptest! {
@@ -187,7 +188,7 @@ proptest! {
     fn indexed_walk_equals_whole_ledger_walk(
         ops in prop::collection::vec((0u8..12, 0.0f64..3000.0, 0usize..1000), 1..150),
     ) {
-        let stats = MatchStats::current();
+        let mut stats = MatchStats::current();
         let mut fed = mixed_bulk_federation();
         let mut p = provisioner(UpdateModel::Quadratic);
         p.memo_enabled = false;
@@ -210,7 +211,10 @@ proptest! {
             match code {
                 5 if p.lease_count() > 0 => {
                     // Spontaneous revocation of one held lease.
-                    let held = p.held_leases()[pick % p.lease_count()];
+                    let held = *p
+                        .held_leases()
+                        .nth(pick % p.lease_count())
+                        .expect("a held lease");
                     let (c, id) = (held.center, held.lease.id);
                     prop_assert!(fed.centers_mut()[c].revoke(id).is_some());
                     prop_assert!(fed_memo.centers_mut()[c].revoke(id).is_some());
@@ -235,7 +239,7 @@ proptest! {
                 _ => {}
             }
             let target = ResourceVector::new(level, level / 4.0, 0.0, 0.0);
-            let before = p.held_leases().to_vec();
+            let before: Vec<HeldLease> = p.held_leases().copied().collect();
             let gen_before = p.lease_generation();
             let expected_matured: Vec<(usize, LeaseId)> = before
                 .iter()
@@ -247,7 +251,7 @@ proptest! {
             let mut replica = fed.clone();
             let oracle = oracle_release_phases(&before, &mut replica, p.allocated(), &target, now);
 
-            let out = p.adjust(&mut fed, &stats, &target, now);
+            let out = p.adjust(&mut fed, &mut stats, &target, now);
             let detail = p.lifecycle_detail();
             prop_assert_eq!(&detail.matured, &expected_matured);
             let surplus: Vec<LeaseId> = detail
@@ -271,10 +275,11 @@ proptest! {
                 p.lease_generation(),
                 gen_before + (out.released + out.granted) as u64
             );
-            let armed = oracle_memo_armed(p.held_leases(), &out, p.allocated(), &target, now);
+            let after: Vec<HeldLease> = p.held_leases().copied().collect();
+            let armed = oracle_memo_armed(&after, &out, p.allocated(), &target, now);
             prop_assert_eq!(p.memo_armed(), armed, "memo arming");
 
-            let out_memo = p_memo.adjust(&mut fed_memo, &stats, &target, now);
+            let out_memo = p_memo.adjust(&mut fed_memo, &mut stats, &target, now);
             let normalized = AdjustOutcome {
                 replayed: false,
                 ..out_memo
@@ -312,12 +317,12 @@ proptest! {
         hp in 1usize..12,
     ) {
         let mut fed = one_center(50, hp);
-        let stats = MatchStats::current();
+        let mut stats = MatchStats::current();
         let mut p = provisioner(UpdateModel::Quadratic);
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            p.adjust(&mut fed, &stats, &target, now);
+            p.adjust(&mut fed, &mut stats, &target, now);
             // The center's ledger for this operator must equal the
             // provisioner's own bookkeeping.
             let held = fed.centers()[0].held_by(OperatorId(1));
@@ -340,12 +345,12 @@ proptest! {
         // 100 machines >> 1 group's worst-case demand: every target must
         // be fully covered right after adjustment.
         let mut fed = one_center(100, 5);
-        let stats = MatchStats::current();
+        let mut stats = MatchStats::current();
         let mut p = provisioner(UpdateModel::Quadratic);
         let mut now = SimTime::ZERO;
         for &players in &loads {
             let target = p.observe_and_target(players);
-            let out = p.adjust(&mut fed, &stats, &target, now);
+            let out = p.adjust(&mut fed, &mut stats, &target, now);
             prop_assert!(!out.unmet);
             prop_assert!(
                 target.fits_within(&p.allocated(), 1e-6),
@@ -367,7 +372,7 @@ proptest! {
         // observable must agree exactly: outcomes grant-for-grant, the
         // allocation vector bitwise, and the lease ledgers structurally.
         let mut fed_on = one_center(50, hp);
-        let stats = MatchStats::current();
+        let mut stats = MatchStats::current();
         let mut fed_off = one_center(50, hp);
         let mut p_on = provisioner(UpdateModel::Quadratic);
         let mut p_off = provisioner(UpdateModel::Quadratic);
@@ -400,8 +405,8 @@ proptest! {
             let t_on = p_on.observe_and_target(players);
             let t_off = p_off.observe_and_target(players);
             prop_assert_eq!(format!("{t_on:?}"), format!("{t_off:?}"));
-            let o_on = p_on.adjust(&mut fed_on, &stats, &t_on, now);
-            let o_off = p_off.adjust(&mut fed_off, &stats, &t_off, now);
+            let o_on = p_on.adjust(&mut fed_on, &mut stats, &t_on, now);
+            let o_off = p_off.adjust(&mut fed_off, &mut stats, &t_off, now);
             prop_assert!(!o_off.replayed, "memo disabled yet replayed");
             replays += u32::from(o_on.replayed);
             // Same outcome, modulo the diagnostic replay flag.
@@ -430,20 +435,25 @@ proptest! {
 
     /// The allocation-free phase-1 re-sorts — the full pass
     /// `sort_held_by_start` and the bounded `HeldLedger::sort_by_start`
-    /// — equal std's stable `sort_by_key` exactly, ties included.
-    /// Ledgers are built the way phase 1 shapes them: grants in time
-    /// order with many equal starts, `swap_remove`s that move newer
-    /// leases into earlier holes, fresh grants appended after the
-    /// holes, and re-sorts in between. The ledger's maturity index is
-    /// checked against a scan after every operation.
+    /// over the ledger's keys — equal std's stable `sort_by_key`
+    /// exactly, ties included. Ledgers are built the way phase 1 shapes
+    /// them: grants in time order with many equal starts, `swap_remove`s
+    /// that move newer leases into earlier holes, fresh grants appended
+    /// after the holes, and re-sorts in between. The maturity horizon
+    /// advances at non-decreasing times, sometimes past the grants, so
+    /// pushes land matured or out of time order and removals hit both
+    /// sides of the cursor. The maturity index is checked against a
+    /// scan after every operation, at the horizon and at an arbitrary
+    /// time.
     #[test]
     fn held_lease_resort_equals_stable_sort(
-        ops in prop::collection::vec((0u8..4, 0u64..6, 0usize..1000), 1..120),
+        ops in prop::collection::vec((0u8..4, 0u64..6, 0usize..1000, 0u64..400), 1..120),
     ) {
         let mut plain: Vec<HeldLease> = Vec::new();
         let mut ledger = HeldLedger::default();
         let mut clock = 0u64;
-        for (id, &(code, step, pick)) in ops.iter().enumerate() {
+        let mut horizon = SimTime::ZERO;
+        for (id, &(code, step, pick, lead)) in ops.iter().enumerate() {
             match code {
                 0 if !plain.is_empty() => {
                     let i = pick % plain.len();
@@ -477,28 +487,67 @@ proptest! {
                     ledger.push(held);
                 }
             }
-            prop_assert_eq!(format!("{:?}", &*ledger), format!("{plain:?}"));
+            // Within 200 ticks either side of the grant clock.
+            horizon = horizon.max(SimTime((clock + lead).saturating_sub(200)));
+            ledger.advance(horizon);
+            let ledger_order: Vec<&HeldLease> = ledger.iter().collect();
+            prop_assert_eq!(format!("{ledger_order:?}"), format!("{plain:?}"));
+            prop_assert_eq!(ledger.len(), plain.len());
             prop_assert_eq!(
                 ledger.is_start_sorted(),
                 plain.windows(2).all(|w| w[0].lease.start <= w[1].lease.start)
             );
-            let now = SimTime(clock.saturating_sub(pick as u64 % 400));
-            let matured = plain.iter().filter(|h| now >= h.lease.earliest_release).count();
-            prop_assert_eq!(ledger.matured_count(now), matured);
-            let next = plain
-                .iter()
-                .map(|h| h.lease.earliest_release)
-                .filter(|&t| now < t)
-                .min();
-            prop_assert_eq!(ledger.next_release(now), next);
+            for now in [horizon, SimTime(clock.saturating_sub(pick as u64 % 400))] {
+                let matured = plain.iter().filter(|h| now >= h.lease.earliest_release).count();
+                prop_assert_eq!(ledger.matured_count(now), matured);
+                let next = plain
+                    .iter()
+                    .map(|h| h.lease.earliest_release)
+                    .filter(|&t| now < t)
+                    .min();
+                prop_assert_eq!(ledger.next_release(now), next);
+            }
         }
         let mut expected = plain.clone();
         expected.sort_by_key(|h| h.lease.start);
         sort_held_by_start(&mut plain);
         ledger.sort_by_start();
         prop_assert_eq!(format!("{plain:?}"), format!("{expected:?}"));
-        prop_assert_eq!(format!("{:?}", &*ledger), format!("{expected:?}"));
+        let ledger_order: Vec<&HeldLease> = ledger.iter().collect();
+        prop_assert_eq!(format!("{ledger_order:?}"), format!("{expected:?}"));
         prop_assert!(ledger.is_start_sorted());
+    }
+
+    /// The register-carried usage walk against the per-lease loop it
+    /// replaced, over several ticks into the same accumulators. A
+    /// center's mirror is a sequence of operator runs: long runs of one
+    /// operator, single-lease runs that interleave operators, and empty
+    /// ledgers. Every sum must match to the bit and every touched flag
+    /// exactly.
+    #[test]
+    fn usage_walk_equals_per_lease_loop(
+        ticks in prop::collection::vec(
+            prop::collection::vec((0u32..6, 1usize..40, 0.0f64..3.0), 0..10),
+            1..5,
+        ),
+    ) {
+        let ops = 6;
+        let (mut sums, mut touched) = (vec![0.0f64; ops], vec![false; ops]);
+        let (mut ref_sums, mut ref_touched) = (vec![0.0f64; ops], vec![false; ops]);
+        for runs in &ticks {
+            let mirror: Vec<(u32, f64)> = runs
+                .iter()
+                .flat_map(|&(op, len, cpu)| (0..len).map(move |j| (op, cpu + 0.013 * j as f64)))
+                .collect();
+            attribute_usage(&mirror, &mut sums, &mut touched);
+            for &(op, cpu) in &mirror {
+                ref_sums[op as usize] += cpu;
+                ref_touched[op as usize] = true;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&sums), bits(&ref_sums));
+            prop_assert_eq!(&touched, &ref_touched);
+        }
     }
 
     #[test]

@@ -118,55 +118,48 @@ fn bench_center_release(c: &mut Criterion) {
     assert_eq!(center.leases().len(), 4096);
 }
 
-/// The incremental-skip payoff: a steady-state no-op settle with the
-/// match memo armed (replay) versus the same tick forced down the full
-/// candidate walk. Both paths leave the world untouched, so one
-/// long-lived provisioner per variant is enough. `churn_walk` is the
-/// step the memo cannot skip: a `fine_churn`-shaped ledger (76 held,
-/// 6–7 matured) that releases one lease and is granted one per step.
-fn bench_memo_adjust(c: &mut Criterion) {
+/// The idle exit's payoff: a steady-state settle step that takes the
+/// exit (`noop_exit`) versus one that walks a `fine_churn`-shaped
+/// ledger (76 held, 7 matured) and changes nothing (`full_walk`). Both
+/// leave the world untouched, so one long-lived provisioner per variant
+/// is enough. `churn_walk` is the step that releases one lease and is
+/// granted one.
+fn bench_steady_state_adjust(c: &mut Criterion) {
     use mmog_predict::simple::LastValue;
     use mmog_sim::demand::DemandModel;
     use mmog_sim::provision::GroupProvisioner;
     use mmog_world::update::UpdateModel;
 
     let mut stats = MatchStats::current();
-    let setup = |memo: bool, stats: &mut MatchStats| {
-        let mut fed = Federation::new(table3_hp12());
-        let mut p = GroupProvisioner::new(
-            OperatorId(1),
-            0,
-            GeoPoint::new(52.37, 4.90),
-            DistanceClass::VeryFar,
-            DemandModel::paper(UpdateModel::Quadratic),
-            1.0,
-            Box::new(LastValue::new()),
-        );
-        p.memo_enabled = memo;
-        // Warm into the steady state: demand flat at 1500 players, the
-        // first tick grants, the rest are no-ops.
-        for t in 0..4u64 {
-            let target = p.observe_and_target(1500.0);
-            p.adjust(&mut fed, stats, &target, SimTime(t));
-        }
+    let mut fed = Federation::new(table3_hp12());
+    let mut p = GroupProvisioner::new(
+        OperatorId(1),
+        0,
+        GeoPoint::new(52.37, 4.90),
+        DistanceClass::VeryFar,
+        DemandModel::paper(UpdateModel::Quadratic),
+        1.0,
+        Box::new(LastValue::new()),
+    );
+    // Warm into the steady state: demand flat at 1500 players, the
+    // first tick grants, the rest are idle.
+    for t in 0..4u64 {
         let target = p.observe_and_target(1500.0);
-        (p, fed, target)
-    };
+        p.adjust(&mut fed, &mut stats, &target, SimTime(t));
+    }
+    let target = p.observe_and_target(1500.0);
 
     let mut group = c.benchmark_group("steady_state_adjust");
-    let (mut p, mut fed, target) = setup(true, &mut stats);
-    group.bench_function("memo_hit", |b| {
+    group.bench_function("noop_exit", |b| {
         b.iter(|| black_box(p.adjust(&mut fed, &mut stats, black_box(&target), SimTime(4))))
     });
     assert!(
-        p.adjust(&mut fed, &mut stats, &target, SimTime(4)).replayed,
-        "memo bench must measure the replay path"
+        p.adjust(&mut fed, &mut stats, &target, SimTime(4)).skipped,
+        "noop_exit must measure the exit"
     );
-    let (mut p, mut fed, target) = setup(false, &mut stats);
-    group.bench_function("full_walk", |b| {
-        b.iter(|| black_box(p.adjust(&mut fed, &mut stats, black_box(&target), SimTime(4))))
-    });
-    assert!(!p.adjust(&mut fed, &mut stats, &target, SimTime(4)).replayed);
+    let mut rig = mmog_bench::fixtures::ChurnRig::new();
+    group.bench_function("full_walk", |b| b.iter(|| black_box(rig.idle())));
+    assert!(!rig.idle().skipped, "full_walk must measure the walk");
     let mut rig = mmog_bench::fixtures::ChurnRig::new();
     group.bench_function("churn_walk", |b| b.iter(|| black_box(rig.step())));
     let out = rig.step();
@@ -213,7 +206,7 @@ criterion_group!(
     bench_match_indexed,
     bench_rounding,
     bench_center_release,
-    bench_memo_adjust,
+    bench_steady_state_adjust,
     bench_usage_walk
 );
 criterion_main!(benches);

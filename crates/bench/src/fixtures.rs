@@ -34,7 +34,8 @@ const TIME_BULK: u64 = 70;
 /// reverse, so each step's surplus releases the oldest matured lease of
 /// one kind while its deficit is granted as a lease of the other. The
 /// CPU-dropping step leaves a sliver of surplus, so phase 1b scans the
-/// matured leases phase 1 kept.
+/// matured leases phase 1 kept. [`idle`](Self::idle) is the step that
+/// walks the same ledger and changes nothing.
 pub struct ChurnRig {
     platform: Federation,
     stats: MatchStats,
@@ -100,6 +101,17 @@ impl ChurnRig {
             held(PER_KIND, PER_KIND)
         };
         self.adjust(&target)
+    }
+
+    /// A step that walks the ledger and changes nothing, at the clock
+    /// of the next [`step`](Self::step), which it does not advance.
+    /// Meant right after [`new`](Self::new): the target sits half a CPU
+    /// lease under the held amounts, so none of the 7 matured leases
+    /// fits the surplus and none would be re-granted smaller.
+    pub fn idle(&mut self) -> AdjustOutcome {
+        let target = held(PER_KIND, PER_KIND) - ResourceVector::new(CPU_LEASE / 2.0, 0.0, 0.0, 0.0);
+        self.group
+            .adjust(&mut self.platform, &mut self.stats, &target, self.now)
     }
 
     /// Publishes the matcher tallies, as the engine does at the end of

@@ -122,11 +122,11 @@ pub struct PointResult {
     pub peak_rss_kb: Option<u64>,
     /// One summary per world, in world order.
     pub worlds: Vec<WorldSummary>,
-    /// Settle calls the match memo replayed across every world of this
-    /// point: this point's share of the semantic `sim.match.skips`
-    /// counter, reported in the progress line.
+    /// Settle calls that took the provisioner's idle exit across every
+    /// world of this point: this point's share of the semantic
+    /// `sim.match.skips` counter, reported in the progress line.
     pub match_skips: u64,
-    /// Settle calls that ran the full candidate walk.
+    /// Settle calls that ran the release/reshape/request walk.
     pub match_full: u64,
 }
 
@@ -153,8 +153,8 @@ impl PointResult {
         }
     }
 
-    /// Fraction of group-settle calls the match memo replayed instead
-    /// of walking candidates, in [0, 1]. Zero when nothing settled.
+    /// Fraction of group-settle calls that took the idle exit instead
+    /// of walking the ledger, in [0, 1]. Zero when nothing settled.
     #[must_use]
     pub fn match_skip_rate(&self) -> f64 {
         let total = self.match_skips + self.match_full;

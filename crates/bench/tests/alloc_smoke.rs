@@ -61,7 +61,7 @@ fn hot_kernels_stay_allocation_free_in_steady_state() {
     mlp_train_step_is_allocation_free();
     mlp_forward_batch_is_allocation_free();
     neural_observe_predict_is_allocation_free();
-    memoized_match_replay_is_allocation_free();
+    idle_exit_is_allocation_free();
     full_adjust_walk_is_allocation_free();
     churning_adjust_is_allocation_free();
     settle_step_and_flush_is_allocation_free();
@@ -214,7 +214,7 @@ fn mlp_forward_batch_is_allocation_free() {
     assert_eq!(n, 0, "warmed batched forward must not allocate, got {n}");
 }
 
-fn memoized_match_replay_is_allocation_free() {
+fn idle_exit_is_allocation_free() {
     use mmog_datacenter::locations::table3_hp12;
     use mmog_datacenter::request::OperatorId;
     use mmog_predict::simple::LastValue;
@@ -236,74 +236,31 @@ fn memoized_match_replay_is_allocation_free() {
         Box::new(LastValue::new()),
     );
     let target = p.observe_and_target(1500.0);
-    // Warm-up: grant, then run the full no-op walk once to arm the memo.
+    // Warm-up: the first step grants, the rest are idle.
     for i in 0..4u64 {
         let _ = p.adjust(&mut fed, &mut stats, &target, SimTime(i));
     }
     let n = count_allocs(|| {
         for _ in 0..512 {
             let out = p.adjust(&mut fed, &mut stats, &target, SimTime(4));
-            assert!(out.replayed, "steady state must hit the memo");
+            assert!(out.skipped, "steady state must take the idle exit");
         }
     });
-    assert_eq!(n, 0, "memoized match replay must not allocate, got {n}");
+    assert_eq!(n, 0, "the idle exit must not allocate, got {n}");
 }
 
-/// A long ledger with a surplus nothing can release yet: every step
-/// with the memo off runs phase 1 (the start re-sort, then a walk that
-/// the maturity index ends at once), phase 1b and the no-deficit
-/// phase 2. Past ~51 leases std's stable sort would heap-allocate its
-/// scratch on every walk.
+/// A `fine_churn`-shaped ledger at a target no matured lease fits:
+/// every step runs phase 1 (the start re-sort, then a walk that the
+/// maturity index ends after the matured leases), phase 1b pricing the
+/// leases phase 1 kept, and the no-deficit phase 2, and changes
+/// nothing.
 fn full_adjust_walk_is_allocation_free() {
-    use mmog_datacenter::center::{DataCenter, DataCenterId, DataCenterSpec};
-    use mmog_datacenter::policy::HostingPolicy;
-    use mmog_datacenter::request::OperatorId;
-    use mmog_datacenter::resource::ResourceVector;
-    use mmog_predict::simple::LastValue;
-    use mmog_sim::demand::DemandModel;
-    use mmog_sim::provision::GroupProvisioner;
-    use mmog_util::geo::{DistanceClass, GeoPoint};
-    use mmog_util::time::SimTime;
-    use mmog_world::update::UpdateModel;
-
-    let origin = GeoPoint::new(52.37, 4.90);
-    // HP-3: 0.22 CPU bulk, 90-tick time bulk.
-    let mut fed = mmog_datacenter::Federation::new(vec![DataCenter::new(DataCenterSpec {
-        id: DataCenterId(0),
-        name: "dc".into(),
-        country: "NL".into(),
-        continent: "Europe".into(),
-        location: origin,
-        machines: 20,
-        machine_capacity: DataCenterSpec::default_machine_capacity(),
-        policy: HostingPolicy::hp(3),
-    })]);
-    let mut stats = mmog_datacenter::MatchStats::current();
-    let mut p = GroupProvisioner::new(
-        OperatorId(1),
-        0,
-        origin,
-        DistanceClass::VeryFar,
-        DemandModel::paper(UpdateModel::Quadratic),
-        1.0,
-        Box::new(LastValue::new()),
-    );
-    p.memo_enabled = false;
-    // One 0.22-CPU lease per tick for 64 ticks.
-    let leases = 64u32;
-    for k in 1..=leases {
-        let target = ResourceVector::new(0.22 * f64::from(k) - 0.01, 0.0, 0.0, 0.0);
-        let out = p.adjust(&mut fed, &mut stats, &target, SimTime(u64::from(k)));
-        assert_eq!(out.granted, 1, "tick {k} grants one lease");
-    }
-    assert_eq!(p.lease_count(), leases as usize);
-    // Demand drops by two leases' worth before any lease matures.
-    let target = ResourceVector::new(0.22 * f64::from(leases - 2), 0.0, 0.0, 0.0);
-    let now = SimTime(u64::from(leases) + 1);
+    let mut rig = mmog_bench::fixtures::ChurnRig::new();
+    let _ = rig.idle();
     let n = count_allocs(|| {
         for _ in 0..64 {
-            let out = p.adjust(&mut fed, &mut stats, &target, now);
-            assert!(!out.replayed && out.released == 0 && out.granted == 0);
+            let out = rig.idle();
+            assert!(!out.skipped && out.released == 0 && out.granted == 0);
         }
     });
     assert_eq!(n, 0, "full adjust walk must not allocate, got {n}");

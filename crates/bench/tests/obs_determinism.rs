@@ -57,15 +57,6 @@ fn traced_pass(opts: &RunOpts) -> (String, String) {
 fn semantic_outputs_identical_across_jobs() {
     let opts = tiny();
 
-    // The emulator cache is process-wide, and `world.emulator.runs` and
-    // `world.emulator.ticks` count the builds of its entries in whichever
-    // scope builds them. Warm it first (fig06's eight emulated series;
-    // fig08 reads only the uncounted workload cache) in a throwaway
-    // scope, so neither compared pass builds an entry.
-    mmog_par::scoped(0, &mmog_obs::Registry::new(), || {
-        exp::fig06_prediction_time(&opts)
-    });
-
     let [(summary_serial, trace_serial), (summary_parallel, trace_parallel)] =
         passes([1, 4], || traced_pass(&opts));
 
@@ -84,7 +75,7 @@ fn semantic_outputs_identical_across_jobs() {
             d.message()
         );
     }
-    // The memo skip accounting is part of the compared section.
+    // The settle skip accounting is part of the compared section.
     for counter in ["sim.runs", "sim.match.skips", "sim.match.full"] {
         assert!(
             sem_serial.contains(counter),

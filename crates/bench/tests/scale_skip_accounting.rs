@@ -1,4 +1,4 @@
-//! Memo skip accounting is semantic whoever registers it first. A
+//! Settle skip accounting is semantic whoever registers it first. A
 //! counter's first registration fixes its domain, and
 //! `scale::run_point` registers `sim.match.skips` and `sim.match.full`
 //! itself, so a scale point run first in a fresh scope must find both

@@ -4,9 +4,8 @@
 //! A [`Federation`] owns a run's centers, their [`Topology`] and one
 //! version. Only it changes a center's availability or the topology,
 //! and every such change bumps the version by exactly one, so a cached
-//! view of the platform ([`crate::matching::CandidateIndex`], the
-//! provisioner's [`crate::matching::MatchMemo`]) is stale exactly when
-//! its stored version differs. Ledger operations (grant, release,
+//! view of the platform ([`crate::matching::CandidateIndex`]) is stale
+//! exactly when its stored version differs. Ledger operations (grant, release,
 //! revoke) go to the centers through [`Federation::centers_mut`] and
 //! leave the version alone; callers must not change a center's location
 //! or policy there.

@@ -535,119 +535,6 @@ impl CandidateIndex {
     }
 }
 
-/// Memo of a provably no-op adjustment step for one requester group.
-///
-/// In steady state almost every per-tick adjustment is a no-op: no
-/// lease matured into the surplus, no reshape gain cleared its
-/// threshold, and the deficit stayed negligible — yet the provisioner
-/// still walks its whole release/reshape/request pipeline to find that
-/// out. The memo captures the *proof* that a step was a no-op together
-/// with every input the proof depended on, so later steps can replay
-/// the empty outcome without touching the [`CandidateIndex`] — exactly,
-/// not approximately.
-///
-/// A memo is keyed on:
-///
-/// - the **demand block**: the target the no-op was proven at. A new
-///   target at or above it component-wise only shrinks the surplus, and
-///   a no-op proof is monotone under a shrinking surplus (a lease that
-///   did not fit the old surplus cannot fit a smaller one; a reshape
-///   whose gain was below threshold only loses gain as the re-grant
-///   estimate grows). Arming with `any_target` widens the block to
-///   every deficit-negligible target — sound only while the ledger
-///   holds *no matured lease*, because then there are no release or
-///   reshape candidates at all, whatever the surplus;
-/// - the federation's **version** ([`Federation::version`]): any
-///   fault-plane change (outage, repair, degradation) or scenario-plane
-///   topology mutation invalidates;
-/// - the caller's **lease-ledger generation**, a counter the caller
-///   bumps on every grant, release, or revocation-driven drop;
-/// - optionally a **validity horizon** (`valid_until`): maturation is
-///   the only time-driven input, so the memo expires the instant the
-///   first not-yet-matured lease would become a release candidate.
-///
-/// The memo itself never decides to skip — it only answers whether its
-/// keys still cover the current inputs via [`covers`]; the caller owns
-/// the remaining step-local checks (deficit negligibility) and the
-/// obligations listed at each [`arm`] site.
-///
-/// [`covers`]: MatchMemo::covers
-/// [`arm`]: MatchMemo::arm
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatchMemo {
-    armed: bool,
-    target: ResourceVector,
-    version: u64,
-    lease_gen: u64,
-    any_target: bool,
-    valid_until: Option<SimTime>,
-}
-
-impl MatchMemo {
-    /// A disarmed memo.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the memo currently holds a no-op proof.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Disarms the memo (the next step must run the full pipeline).
-    pub fn invalidate(&mut self) {
-        self.armed = false;
-    }
-
-    /// Arms the memo after a full step proved itself a no-op at
-    /// `target` under the given federation version and ledger
-    /// generation.
-    ///
-    /// `any_target` asserts the ledger held no matured lease (so the
-    /// proof covers every deficit-negligible target) *and* the ledger
-    /// was already start-sorted (so a replayed step skipping phase 1's
-    /// sort cannot be observed later). `valid_until` is the earliest
-    /// future lease maturation (`None` when nothing can mature).
-    pub fn arm(
-        &mut self,
-        target: ResourceVector,
-        version: u64,
-        lease_gen: u64,
-        any_target: bool,
-        valid_until: Option<SimTime>,
-    ) {
-        *self = Self {
-            armed: true,
-            target,
-            version,
-            lease_gen,
-            any_target,
-            valid_until,
-        };
-    }
-
-    /// Whether the memoized no-op proof covers an adjustment at
-    /// `target` now, under the given keys. The caller must additionally
-    /// check that the deficit against its current allocation is
-    /// negligible before replaying.
-    #[must_use]
-    pub fn covers(
-        &self,
-        target: &ResourceVector,
-        version: u64,
-        lease_gen: u64,
-        now: SimTime,
-    ) -> bool {
-        self.armed
-            && self.lease_gen == lease_gen
-            && self.version == version
-            && self.valid_until.is_none_or(|t| now < t)
-            && (self.any_target || self.target.fits_within(target, 0.0))
-    }
-}
-
 /// [`match_request`] through a [`CandidateIndex`], writing into a
 /// caller-owned outcome: byte-identical grants, rejection order and
 /// unmet amounts, but the enumerate-filter-sort phase runs only when
@@ -1206,46 +1093,5 @@ mod tests {
         let out = match_request(&mut fed, &req, SimTime::ZERO);
         assert!(out.grants.is_empty());
         assert!(out.fully_met());
-    }
-
-    #[test]
-    fn memo_covers_only_inside_its_band_and_keys() {
-        let mut memo = MatchMemo::new();
-        let t = ResourceVector::new(1.0, 2.0, 0.5, 0.5);
-        let now = SimTime(10);
-        assert!(!memo.covers(&t, 3, 7, now), "disarmed covers nothing");
-        memo.arm(t, 3, 7, false, None);
-        assert!(memo.is_armed());
-        // Exactly the armed target, and any target at or above it.
-        assert!(memo.covers(&t, 3, 7, now));
-        let above = ResourceVector::new(1.5, 2.0, 0.5, 0.5);
-        assert!(memo.covers(&above, 3, 7, now));
-        // Below on any component leaves the monotone band.
-        let below = ResourceVector::new(1.0, 1.9, 0.5, 0.5);
-        assert!(!memo.covers(&below, 3, 7, now));
-        // Any key mismatch invalidates: federation version, ledger.
-        assert!(!memo.covers(&t, 4, 7, now), "federation version moved");
-        assert!(!memo.covers(&t, 3, 8, now), "ledger moved");
-        memo.invalidate();
-        assert!(!memo.covers(&t, 3, 7, now));
-    }
-
-    #[test]
-    fn memo_any_target_band_and_validity_horizon() {
-        let mut memo = MatchMemo::new();
-        let t = ResourceVector::new(1.0, 1.0, 1.0, 1.0);
-        // No matured leases: the band widens to any target, but only
-        // until the first maturation instant.
-        memo.arm(t, 2, 1, true, Some(SimTime(20)));
-        let below = ResourceVector::new(0.1, 0.0, 0.0, 0.0);
-        assert!(memo.covers(&below, 2, 1, SimTime(19)));
-        assert!(
-            !memo.covers(&below, 2, 1, SimTime(20)),
-            "a lease matures at t=20: the proof expires"
-        );
-        // The horizon also bounds the monotone band.
-        memo.arm(t, 2, 1, false, Some(SimTime(20)));
-        assert!(memo.covers(&t, 2, 1, SimTime(19)));
-        assert!(!memo.covers(&t, 2, 1, SimTime(25)));
     }
 }

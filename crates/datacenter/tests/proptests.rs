@@ -303,12 +303,11 @@ proptest! {
         machines in 5u32..40,
         demands in prop::collection::vec((any_amounts(), 0u8..4), 1..24),
     ) {
-        // The memo's exactness claim, replayed at the matching layer:
-        // on byte-identical inputs (same ledger, same federation
-        // version, same index state) the full CandidateIndex walk is a
-        // pure function, so replaying a recorded outcome instead of
-        // re-walking can never be observed — grant for grant, ledger
-        // for ledger. Random demand/fault sequences drive the pair.
+        // The indexed walk is a pure function of its inputs: two
+        // replicas with byte-identical ledgers, federation versions and
+        // index states, driven through the same random demand/fault
+        // sequence, produce the same outcomes grant for grant and the
+        // same center ledgers lease for lease.
         use mmog_datacenter::matching::{
             match_request_indexed, CandidateIndex, MatchOutcome, MatchStats,
         };
@@ -347,37 +346,6 @@ proptest! {
                 "ledgers diverged structurally"
             );
         }
-    }
-
-    #[test]
-    fn match_memo_key_discipline_under_random_sequences(
-        t_memo in any_amounts(),
-        t_query in any_amounts(),
-        version in 0u64..4,
-        d_version in 0u64..3,
-        lease_gen in 0u64..4,
-        d_gen in 0u64..3,
-        any_target in any::<bool>(),
-        horizon in prop::option::of(1u64..50),
-        now in 0u64..60,
-    ) {
-        // covers() may say yes ONLY when every key matches, the clock
-        // is inside the validity horizon, and (unless the memo is
-        // any-target) the queried target sits inside the monotone band.
-        use mmog_datacenter::matching::MatchMemo;
-        let mut memo = MatchMemo::new();
-        prop_assert!(!memo.covers(&t_query, version, lease_gen, SimTime(now)));
-        memo.arm(t_memo, version, lease_gen, any_target, horizon.map(SimTime));
-        let q_version = version + d_version;
-        let q_gen = lease_gen + d_gen;
-        let covered = memo.covers(&t_query, q_version, q_gen, SimTime(now));
-        let keys_match = q_version == version && q_gen == lease_gen;
-        let in_horizon = horizon.is_none_or(|h| now < h);
-        let in_band = any_target || t_memo.fits_within(&t_query, 0.0);
-        prop_assert_eq!(covered, keys_match && in_horizon && in_band);
-        // Any invalidation is final until the next arm.
-        memo.invalidate();
-        prop_assert!(!memo.covers(&t_query, version, lease_gen, SimTime(now)));
     }
 }
 

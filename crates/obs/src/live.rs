@@ -13,7 +13,7 @@
 //! path.
 //!
 //! The document (schema [`LIVE_SCHEMA`]) keeps the crate's
-//! semantic/timing split: allocation state, shortfall, the memo skip
+//! semantic/timing split: allocation state, shortfall, the settle skip
 //! rate and per-center utilization are semantic; tick rate and stage
 //! p99s are execution-dependent and live in the `timing` section that
 //! determinism comparisons drop.
@@ -83,7 +83,8 @@ crate::object_node! {
         pub alloc_cpu: f64,
         /// Unmet CPU demand this tick.
         pub shortfall_cpu: f64,
-        /// Fraction of settle steps the match memo replayed this tick.
+        /// Fraction of settle steps that took the provisioner's idle
+        /// exit this tick.
         pub match_skip_rate: f64,
         /// Leases currently held across all groups.
         pub leases_held: u64,

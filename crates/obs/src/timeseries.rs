@@ -14,7 +14,7 @@
 //! A run's export document (`TS_<run>.json`, schema [`TS_SCHEMA`]) is
 //! one [`TsDocument`]: the engine's eight per-tick series as named
 //! fields, split into the crate's semantic/timing domains. Semantic
-//! series (demand, allocation, shortfall, the memo skip rate) must be
+//! series (demand, allocation, shortfall, the settle skip rate) must be
 //! byte-identical across runs; timing series (per-stage durations) are
 //! execution-dependent and excluded from determinism comparison. The
 //! engine records into a `TsDocument<RingSeries>` and exports a
@@ -178,7 +178,7 @@ sections! {
         alloc_cpu,
         /// Unmet CPU demand.
         shortfall_cpu,
-        /// Fraction of settle steps the match memo replayed.
+        /// Fraction of settle steps that took the provisioner's idle exit.
         match_skip_rate,
     }
     /// The timing series: wall-clock, dropped by determinism comparisons.

@@ -488,17 +488,17 @@ struct RunState {
     l_predict: Arc<LatencyHisto>,
     l_reduce: Arc<LatencyHisto>,
     l_settle: Arc<LatencyHisto>,
-    /// Ticks where every group replayed its no-op memo: the settle
-    /// stage's fast-path distribution, recorded alongside (not instead
-    /// of) match_settle so the slow path's tail stays comparable
-    /// against old baselines.
+    /// Ticks where every group took the idle exit of
+    /// [`GroupProvisioner::adjust`]: the settle stage's fast-path
+    /// distribution, recorded alongside (not instead of) match_settle
+    /// so the slow path's tail stays comparable against old baselines.
     l_skip: Arc<LatencyHisto>,
     l_tick: Arc<LatencyHisto>,
-    /// Memo hit accounting, semantic: the memo keys only on this run's
-    /// state (its own centers' availability epoch included), so the
-    /// split is a function of the run's inputs at any `--jobs`.
-    memo_skips: Arc<Counter>,
-    memo_full: Arc<Counter>,
+    /// Idle-exit accounting, semantic: the exit reads only the group's
+    /// own ledger and target, so the split is a function of the run's
+    /// inputs at any `--jobs`.
+    match_skips: Arc<Counter>,
+    match_full: Arc<Counter>,
     /// The matcher's tallies, shared by every group's provisioner and
     /// published at the end of every settle stage.
     match_stats: MatchStats,
@@ -537,7 +537,7 @@ struct TickState {
     reduce_ns: u64,
     /// Zero when no settle stage ran this tick.
     settle_ns: u64,
-    /// Settle steps that replayed the memo, and that ran the full walk.
+    /// Settle steps that took the idle exit, and that ran the walk.
     skips: u64,
     full: u64,
     tick_ns: u64,
@@ -1006,8 +1006,8 @@ impl Simulation {
             l_settle: mmog_obs::latency("sim/run/match_settle"),
             l_skip: mmog_obs::latency("sim/run/match_skip"),
             l_tick: mmog_obs::latency("sim/run/tick"),
-            memo_skips: mmog_obs::counter("sim.match.skips", Domain::Semantic),
-            memo_full: mmog_obs::counter("sim.match.full", Domain::Semantic),
+            match_skips: mmog_obs::counter("sim.match.skips", Domain::Semantic),
+            match_full: mmog_obs::counter("sim.match.full", Domain::Semantic),
             match_stats: MatchStats::current(),
             ts: self.sinks.ts.is_some().then(|| {
                 let ticks = self.ticks as u64;
@@ -1437,11 +1437,11 @@ impl Simulation {
         run.tick.settle_ns = ns;
         run.t_settle.record_ns(ns);
         run.l_settle.record(ns);
-        run.memo_skips.add(run.tick.skips);
-        run.memo_full.add(run.tick.full);
+        run.match_skips.add(run.tick.skips);
+        run.match_full.add(run.tick.full);
         if run.tick.full == 0 && run.tick.skips > 0 {
-            // A pure fast-path tick: the whole settle stage was memo
-            // replays, so its duration belongs to the skip distribution
+            // A pure fast-path tick: every group took the idle exit, so
+            // the stage's duration belongs to the skip distribution
             // too.
             run.l_skip.record(ns);
         }
@@ -1467,8 +1467,8 @@ impl Simulation {
             let target = self.hot[idx].target;
             let provisioner = &mut self.groups[idx].provisioner;
             let out = provisioner.adjust(&mut self.platform, &mut run.match_stats, &target, now);
-            run.tick.skips += u64::from(out.replayed);
-            run.tick.full += u64::from(!out.replayed);
+            run.tick.skips += u64::from(out.skipped);
+            run.tick.full += u64::from(!out.skipped);
             run.leases_granted += out.granted as u64;
             run.leases_released += out.released as u64;
             run.report.rejections.merge(&out.rejections);
@@ -1541,7 +1541,7 @@ impl Simulation {
         let tick = run.tick;
         let t = tick.t;
         run.l_tick.record(tick.tick_ns);
-        // The skip rate is this tick's memo-replay fraction; with no
+        // The skip rate is this tick's idle-exit fraction; with no
         // settle stage this tick it is zero. It is semantic, like the
         // `sim.match.skips` counter.
         let skip_rate = tick.skips as f64 / (tick.skips + tick.full).max(1) as f64;
@@ -2360,6 +2360,25 @@ mod tests {
         assert_eq!(report.fault_events, 2);
         assert_eq!(report.scenario_events, 2);
         assert_eq!(report.unrecovered_outages, 0, "both planes heal");
+    }
+
+    #[test]
+    fn every_dynamic_group_tick_is_skipped_or_walked() {
+        // Every group settles exactly once per tick, so the semantic
+        // skip and walk counters split groups × ticks between them,
+        // on a quiet platform and through outages and partitions.
+        let quiet = base_config(AllocationMode::Dynamic, PredictorKind::LastValue);
+        for cfg in [quiet, faulted_scenario_config()] {
+            let groups = cfg.games[0].workload.group_count() as u64;
+            let (ticks, summary) = mmog_par::scoped(1, &mmog_obs::Registry::new(), || {
+                let ticks = Simulation::new(cfg).run().ticks as u64;
+                (ticks, mmog_obs::Summary::capture())
+            });
+            let counter = |name| summary.semantic.counters.get(name).copied();
+            let (skips, full) = (counter("sim.match.skips"), counter("sim.match.full"));
+            assert!(skips > Some(0) && full > Some(0), "{skips:?} {full:?}");
+            assert_eq!(skips.zip(full).map(|(s, f)| s + f), Some(groups * ticks));
+        }
     }
 
     /// Steps `cfg` one tick at a time and checks lease conservation

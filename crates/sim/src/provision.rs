@@ -10,7 +10,7 @@
 use crate::demand::DemandModel;
 use mmog_datacenter::center::{Lease, LeaseId};
 use mmog_datacenter::matching::{
-    match_request_indexed, CandidateIndex, MatchMemo, MatchOutcome, MatchStats, RejectionTotals,
+    match_request_indexed, CandidateIndex, MatchOutcome, MatchStats, RejectionTotals,
 };
 use mmog_datacenter::request::{OperatorId, ResourceRequest};
 use mmog_datacenter::resource::ResourceVector;
@@ -117,10 +117,11 @@ pub struct AdjustOutcome {
     pub deferred: bool,
     /// Per-reason rejection counts from this step's matcher call.
     pub rejections: RejectionTotals,
-    /// Whether this step replayed a memoized no-op instead of running
-    /// the full release/reshape/request pipeline (see [`MatchMemo`]).
-    /// A replayed outcome is otherwise all-zero by construction.
-    pub replayed: bool,
+    /// Whether this step took the idle exit of
+    /// [`GroupProvisioner::adjust`] instead of running the
+    /// release/reshape/request pipeline. A skipped outcome is otherwise
+    /// all-zero by construction.
+    pub skipped: bool,
 }
 
 /// Backoff after the first consecutive unmet request, in ticks.
@@ -188,19 +189,6 @@ pub struct GroupProvisioner {
     /// candidate ranking survives across ticks instead of being redone
     /// per request.
     index: CandidateIndex,
-    /// When set (the default), [`adjust`] replays memoized no-op
-    /// steps instead of re-running the full pipeline. Tests flip this
-    /// off to compare the memoized path against the full walk.
-    ///
-    /// [`adjust`]: Self::adjust
-    pub memo_enabled: bool,
-    /// Memoized proof that the previous step was a no-op, and the keys
-    /// it depends on.
-    memo: MatchMemo,
-    /// Lease-ledger generation: bumped on every grant, release, or
-    /// revocation-driven drop, so the memo can tell "nothing changed"
-    /// from "changed and changed back".
-    lease_gen: u64,
     /// Reusable matcher outcome: phase 2 writes into these buffers
     /// every step instead of allocating fresh vectors per request (and
     /// [`last_match`] reads it back).
@@ -251,9 +239,6 @@ impl GroupProvisioner {
             backoff_until: SimTime::ZERO,
             lost: ResourceVector::ZERO,
             index: CandidateIndex::new(origin, tolerance),
-            memo_enabled: true,
-            memo: MatchMemo::new(),
-            lease_gen: 0,
             match_scratch: MatchOutcome::default(),
             causal_group,
             request_seq: 0,
@@ -384,7 +369,6 @@ impl GroupProvisioner {
         let held = self.ledger.swap_remove(i);
         self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
         self.lost += held.lease.amounts;
-        self.lease_gen = self.lease_gen.wrapping_add(1);
         held.lease
     }
 
@@ -407,7 +391,9 @@ impl GroupProvisioner {
     /// wholly contained in the surplus, then requests any deficit from
     /// `platform` (partitioned centers are unreachable and degraded
     /// links inflate effective distances; the nominal topology leaves
-    /// every distance as measured), tallied in the run's `stats`.
+    /// every distance as measured), tallied in the run's `stats`. A
+    /// step that provably has nothing to do returns early
+    /// ([`AdjustOutcome::skipped`]).
     pub fn adjust(
         &mut self,
         platform: &mut Federation,
@@ -419,29 +405,31 @@ impl GroupProvisioner {
         self.ledger.advance(now);
         if self.record_lifecycle {
             // Lifecycle plane: observe newly-matured leases before any
-            // step can release them (and before the memo fast path,
-            // which skips the rest of the walk). Ledger order is
+            // step can release them (and before the idle exit, which
+            // skips the rest of the walk). Ledger order is
             // deterministic, so the emission order is too.
             self.detail.clear();
             self.ledger.observe_matured(now, &mut self.detail.matured);
         }
-        // Fast path: replay a memoized no-op. The memo's keys prove
-        // nothing that feeds this step changed since the last full run
-        // (ledger generation, federation version, target band,
-        // maturation horizon), and the deficit check below is the
-        // only step-local input left — so returning the empty outcome
-        // is byte-for-byte what the full pipeline would do, including
-        // every side effect it would not have (no sort, no release, no
-        // matcher call, no event).
-        let version = platform.version();
-        if self.memo_enabled
-            && self.memo.covers(target, version, self.lease_gen, now)
+        // Idle exit. With no matured lease, phase 1 visits nothing and
+        // keeps no candidate for phase 1b; on a start-sorted ledger its
+        // re-sort is a no-op; and with a negligible deficit phase 2
+        // sends no request and only resets the backoff. The walk would
+        // release, reshape, request and reorder nothing, so the backoff
+        // reset is all it would do. Nothing here depends on an earlier
+        // step.
+        if self.ledger.matured_count(now) == 0
+            && self.ledger.is_start_sorted()
             && (*target - self.allocated)
                 .clamp_non_negative()
                 .is_negligible(1e-6)
         {
+            if self.retry {
+                self.consecutive_unmet = 0;
+                self.backoff_until = now;
+            }
             return AdjustOutcome {
-                replayed: true,
+                skipped: true,
                 ..AdjustOutcome::default()
             };
         }
@@ -476,7 +464,6 @@ impl GroupProvisioner {
                     surplus = (surplus - held.lease.amounts).clamp_non_negative();
                     self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
                     self.ledger.swap_remove(i);
-                    self.lease_gen = self.lease_gen.wrapping_add(1);
                     outcome.released += 1;
                     if self.record_lifecycle {
                         self.detail
@@ -528,7 +515,6 @@ impl GroupProvisioner {
                 if platform.centers_mut()[held.center].release(held.lease.id, now) {
                     self.allocated = (self.allocated - held.lease.amounts).clamp_non_negative();
                     self.ledger.swap_remove(i);
-                    self.lease_gen = self.lease_gen.wrapping_add(1);
                     outcome.released += 1;
                     if self.record_lifecycle {
                         self.detail
@@ -546,7 +532,6 @@ impl GroupProvisioner {
                 // Backing off after consecutive failures: skip the
                 // doomed request and report the deferral.
                 outcome.deferred = true;
-                self.memo.invalidate();
                 return outcome;
             }
             // Causal request id: group in the high 32 bits, a per-group
@@ -570,7 +555,6 @@ impl GroupProvisioner {
                     lease,
                     matured: false,
                 });
-                self.lease_gen = self.lease_gen.wrapping_add(1);
                 outcome.granted += 1;
                 if self.record_lifecycle {
                     self.detail.grants.push((grant.center_index, lease));
@@ -597,83 +581,7 @@ impl GroupProvisioner {
             self.consecutive_unmet = 0;
             self.backoff_until = now;
         }
-        self.rearm_memo(&outcome, target, version, now);
         outcome
-    }
-
-    /// Re-arms (or disarms) the no-op memo after a full adjustment
-    /// step. A step is memoizable only when it provably did nothing:
-    ///
-    /// - the outcome is all-zero (nothing released, granted, unmet,
-    ///   deferred, or rejected) and the remaining deficit is below the
-    ///   phase-2 threshold, so a replay's empty outcome is exact;
-    /// - the proof stays exact for any *larger* target (the monotone
-    ///   band): a shrinking surplus can only keep blocking phase 1's
-    ///   fit test, and a growing re-grant estimate can only keep
-    ///   phase 1b's gain below threshold. Maturation is the one
-    ///   time-driven input, so the memo expires at the first future
-    ///   `earliest_release`; until then the candidate sets are frozen;
-    /// - with *no matured lease at all* there are no candidates,
-    ///   whatever the surplus, so the proof covers every
-    ///   deficit-negligible target — provided the ledger is already
-    ///   start-sorted, because a replayed step must also be allowed to
-    ///   skip phase 1's sort without that ever becoming observable.
-    fn rearm_memo(
-        &mut self,
-        outcome: &AdjustOutcome,
-        target: &ResourceVector,
-        version: u64,
-        now: SimTime,
-    ) {
-        // A step arms the memo when it left the group whole: fully
-        // covered, nothing pending, nothing rejected. The step itself
-        // need not have been a no-op — a clean grant or release settles
-        // the ledger just as firmly, provided the post-step ledger is
-        // inert (checked below), and arming here saves the one full
-        // no-op walk per mutation the memo would otherwise need.
-        let whole = !outcome.unmet
-            && !outcome.deferred
-            && outcome.rejections.total() == 0
-            && (*target - self.allocated)
-                .clamp_non_negative()
-                .is_negligible(1e-6);
-        if !whole {
-            self.memo.invalidate();
-            return;
-        }
-        let valid_until = self.ledger.next_release(now);
-        let any_matured = self.ledger.matured_count(now) > 0;
-        let sorted = self.ledger.is_start_sorted();
-        if outcome.granted > 0 || outcome.released > 0 {
-            // A mutating step only proved phases 1/1b inert for the
-            // ledger it *walked*, not the one it produced: a grant can
-            // overshoot (bulk rounding) and enlarge the surplus, so a
-            // held matured lease may have become releasable after the
-            // fact, and a replay may only skip phase 1's sort when the
-            // ledger already sits in sorted order. Demand both.
-            if any_matured || !sorted {
-                self.memo.invalidate();
-                return;
-            }
-        }
-        let any_target = !any_matured && sorted;
-        self.memo
-            .arm(*target, version, self.lease_gen, any_target, valid_until);
-    }
-
-    /// Whether the memo currently holds a replayable no-op proof
-    /// (observability and tests; the engine reads per-step skips from
-    /// [`AdjustOutcome::replayed`]).
-    #[must_use]
-    pub fn memo_armed(&self) -> bool {
-        self.memo.is_armed()
-    }
-
-    /// The current lease-ledger generation (bumped on every grant,
-    /// release, or drop).
-    #[must_use]
-    pub fn lease_generation(&self) -> u64 {
-        self.lease_gen
     }
 }
 
@@ -714,9 +622,9 @@ pub fn sort_held_by_start(leases: &mut [HeldLease]) {
 ///
 /// - the held leases' `earliest_release` times as a sorted multiset
 ///   with a cursor at the horizon of the last [`advance`](Self::advance):
-///   at the horizon, "how many leases have matured" and "when does the
-///   next one mature" are O(1) reads, and a matured lease's removal
-///   only shifts the short matured prefix. Grants append, since their
+///   at the horizon, "how many leases have matured" is an O(1) read,
+///   and a matured lease's removal only shifts the short matured
+///   prefix. Grants append, since their
 ///   maturity is almost always the latest; an out-of-order time bulk
 ///   falls back to a sorted insert;
 /// - the exact number of *descents* (adjacent keys whose grant times
@@ -866,12 +774,6 @@ impl HeldLedger {
         } else {
             self.releases.partition_point(|&t| t <= now)
         }
-    }
-
-    /// The earliest `earliest_release` still ahead of `now`.
-    #[must_use]
-    pub fn next_release(&self, now: SimTime) -> Option<SimTime> {
-        self.releases.get(self.matured_count(now)).copied()
     }
 
     /// Whether the leases are in grant-time order.
@@ -1330,54 +1232,40 @@ mod tests {
     }
 
     #[test]
-    fn memo_replays_stable_noop_ticks() {
-        let mut fed = one_center(HostingPolicy::hp(5));
+    fn idle_exit_skips_stable_ticks_until_a_lease_matures() {
+        let mut fed = one_center(HostingPolicy::hp(5)); // 180-min bulk
         let mut stats = MatchStats::current();
         let mut p = provisioner();
+        p.retry = true;
         let target = p.demand_model.demand(1000.0);
         let first = p.adjust(&mut fed, &mut stats, &target, SimTime::ZERO);
-        assert!(!first.replayed, "a granting step cannot be a replay");
-        // The granting walk itself proves phases 1/1b inert (no matured
-        // leases, sorted ledger), so post-mutation arming lets every
-        // later stable tick replay without a walk.
-        let second = p.adjust(
-            &mut fed,
-            &mut stats,
-            &target,
-            SimTime::ZERO + SimDuration::TICK,
-        );
-        let third = p.adjust(
-            &mut fed,
-            &mut stats,
-            &target,
-            SimTime::ZERO + SimDuration::TICK + SimDuration::TICK,
-        );
-        assert!(p.memo_armed());
-        assert!(second.replayed, "first stable tick after the grant replays");
-        assert!(third.replayed, "stable tick must replay the memo");
-        assert_eq!(
-            (third.granted, third.released, third.unmet, third.deferred),
-            (0, 0, false, false)
-        );
-    }
-
-    #[test]
-    fn memo_disabled_always_runs_the_full_walk() {
-        let mut fed = one_center(HostingPolicy::hp(5));
-        let mut stats = MatchStats::current();
-        let mut p = provisioner();
-        p.memo_enabled = false;
-        let target = p.demand_model.demand(1000.0);
+        assert!(first.granted > 0 && !first.skipped, "a granting step walks");
+        // Covered, nothing matured, ledger sorted: every stable tick
+        // takes the exit with an all-zero outcome.
         let mut now = SimTime::ZERO;
-        for _ in 0..5 {
-            let out = p.adjust(&mut fed, &mut stats, &target, now);
-            assert!(!out.replayed);
+        for _ in 0..3 {
             now += SimDuration::TICK;
+            let out = p.adjust(&mut fed, &mut stats, &target, now);
+            assert_eq!(
+                out,
+                AdjustOutcome {
+                    skipped: true,
+                    ..AdjustOutcome::default()
+                }
+            );
         }
+        assert_eq!(p.backoff_until, now, "the exit resets the backoff");
+        // Once a lease has matured, phase 1 has a candidate to look at:
+        // the step walks, even though it releases nothing.
+        let held = p.lease_count();
+        let late = SimTime::from_minutes(200);
+        let out = p.adjust(&mut fed, &mut stats, &target, late);
+        assert!(!out.skipped && out.released == 0 && out.granted == 0);
+        assert_eq!(p.lease_count(), held);
     }
 
     #[test]
-    fn memo_drops_on_real_demand_growth() {
+    fn idle_exit_steps_aside_on_demand_growth() {
         let mut fed = one_center(HostingPolicy::hp(5));
         let mut stats = MatchStats::current();
         let mut p = provisioner();
@@ -1385,15 +1273,13 @@ mod tests {
         let mut now = SimTime::ZERO;
         p.adjust(&mut fed, &mut stats, &target, now);
         now += SimDuration::TICK;
-        p.adjust(&mut fed, &mut stats, &target, now);
+        assert!(p.adjust(&mut fed, &mut stats, &target, now).skipped);
         // A genuinely larger target has a non-negligible deficit: the
-        // fast path must step aside and the full walk must grant.
-        let gen = p.lease_generation();
+        // exit must step aside and the walk must grant.
         let bigger = p.demand_model.demand(4000.0);
         now += SimDuration::TICK;
         let out = p.adjust(&mut fed, &mut stats, &bigger, now);
-        assert!(!out.replayed);
+        assert!(!out.skipped);
         assert!(out.granted > 0);
-        assert_ne!(p.lease_generation(), gen, "grants bump the ledger gen");
     }
 }

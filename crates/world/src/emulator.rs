@@ -448,9 +448,20 @@ impl GameEmulator {
     /// Runs `ticks` steps from a fresh world, collecting every snapshot.
     #[must_use]
     pub fn run(cfg: EmulatorConfig, seed: u64, ticks: usize) -> EmulatorOutput {
-        let _span = mmog_obs::span("world/emulator/run");
+        Self::count_run(ticks);
+        Self::simulate(cfg, seed, ticks)
+    }
+
+    /// Records one requested run in the semantic `world.emulator.runs`
+    /// and `world.emulator.ticks` counters.
+    fn count_run(ticks: usize) {
         mmog_obs::counter("world.emulator.runs", mmog_obs::Domain::Semantic).incr();
         mmog_obs::counter("world.emulator.ticks", mmog_obs::Domain::Semantic).add(ticks as u64);
+    }
+
+    /// [`run`](Self::run) without the counters.
+    fn simulate(cfg: EmulatorConfig, seed: u64, ticks: usize) -> EmulatorOutput {
+        let _span = mmog_obs::span("world/emulator/run");
         let mut emu = Self::new(cfg, seed);
         let mut snapshots = Vec::with_capacity(ticks);
         for _ in 0..ticks {
@@ -465,18 +476,21 @@ impl GameEmulator {
     /// Like [`run`], but memoised process-wide: the eight Table I data
     /// sets feed several experiments each, and a run is a pure function
     /// of `(cfg, seed, ticks)`, so later requests share the first
-    /// result instead of re-simulating the world.
+    /// result instead of re-simulating the world. Every request counts
+    /// as a run, hit or miss, so the counters do not depend on what
+    /// the process ran before.
     ///
     /// [`run`]: Self::run
     #[must_use]
     pub fn run_cached(cfg: EmulatorConfig, seed: u64, ticks: usize) -> Arc<EmulatorOutput> {
         static RUNS: Memo<EmulatorOutput> = Memo::new();
+        Self::count_run(ticks);
         // The key carries the generation mode (this path materialises
         // every snapshot): a hit can never hand a materialized run to a
         // caller expecting streamed output, or vice versa, even if a
         // streaming emulator entry point shares this memo later.
         RUNS.get_or_build(&format!("materialized|{seed}|{ticks}|{cfg:?}"), || {
-            Self::run(cfg, seed, ticks)
+            Self::simulate(cfg, seed, ticks)
         })
     }
 }

@@ -5,6 +5,8 @@
 //! observe→predict path must be exactly allocation-free; the emulator
 //! tick and the indexed matcher must stay under a small constant bound
 //! (their outputs are owned values, so one clone per call is inherent).
+//! The allocator also counts bytes, which bounds what building a
+//! simulation on a cached trace may copy.
 //!
 //! Everything runs inside ONE `#[test]` so the counter is never
 //! polluted by a concurrently running sibling test.
@@ -15,10 +17,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by allocations; a `realloc` counts its whole new
+/// size.
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn record(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -27,12 +37,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -45,12 +55,21 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// (progress reporting) while the test thread runs, and the minimum
 /// filters that unrelated noise out — any unpolluted repeat reveals the
 /// kernel's true count.
-fn count_allocs(mut f: impl FnMut()) -> u64 {
+fn count_allocs(f: impl FnMut()) -> u64 {
+    min_delta(&ALLOCS, f)
+}
+
+/// Bytes allocated by `f`, the minimum over the same repeats.
+fn count_bytes(f: impl FnMut()) -> u64 {
+    min_delta(&BYTES, f)
+}
+
+fn min_delta(counter: &AtomicU64, mut f: impl FnMut()) -> u64 {
     (0..4)
         .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
+            let before = counter.load(Ordering::Relaxed);
             f();
-            ALLOCS.load(Ordering::Relaxed) - before
+            counter.load(Ordering::Relaxed) - before
         })
         .min()
         .expect("at least one repeat")
@@ -70,6 +89,7 @@ fn hot_kernels_stay_allocation_free_in_steady_state() {
     streaming_trace_tick_is_allocation_free();
     streaming_memory_is_constant_in_trace_length();
     soa_tick_loop_allocations_are_bounded();
+    building_on_a_cached_trace_copies_no_series();
     latency_record_is_allocation_free();
     flight_push_is_allocation_free();
     flight_dump_allocations_are_bounded();
@@ -443,6 +463,44 @@ fn soa_tick_loop_allocations_are_bounded() {
         "SoA tick loop allocates too much: {per_group_tick:.1} per group-tick \
          ({short} allocs at {base_ticks} ticks, {long} at {})",
         2 * base_ticks
+    );
+}
+
+/// A configuration built on an already-cached trace, and the
+/// simulation built from it, read the cached copy: together they
+/// allocate a small fraction of the trace's bytes. A copy of the trace
+/// in the configuration or of its series in the engine would allocate
+/// the trace's size once each.
+fn building_on_a_cached_trace_copies_no_series() {
+    use mmog_datacenter::policy::HostingPolicy;
+    use mmog_predict::eval::PredictorKind;
+    use mmog_sim::engine::Simulation;
+    use mmog_sim::scenario::{policy_impact, standard_trace, ScenarioOpts};
+    // Two weeks over a few groups: the series dwarf the per-group
+    // state, as they do at paper scale.
+    let opts = ScenarioOpts {
+        days: 14,
+        seed: 2008,
+        group_cap: Some(2),
+    };
+    let trace = standard_trace(&opts);
+    let trace_bytes: usize = trace
+        .regions
+        .iter()
+        .flat_map(|r| &r.groups)
+        .map(|g| std::mem::size_of_val(g.series.values()))
+        .sum();
+    let bytes = count_bytes(|| {
+        let mut cfg = policy_impact(HostingPolicy::hp(3), &opts);
+        for game in &mut cfg.games {
+            game.predictor = PredictorKind::LastValue;
+        }
+        cfg.train_ticks = 0;
+        std::hint::black_box(Simulation::new(cfg));
+    });
+    assert!(
+        bytes < trace_bytes as u64 / 4,
+        "building on a cached trace allocated {bytes} bytes, the trace holds {trace_bytes}"
     );
 }
 

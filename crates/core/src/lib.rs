@@ -29,9 +29,10 @@ use mmog_datacenter::center::DataCenter;
 use mmog_datacenter::locations::table3_hp12;
 use mmog_faults::{FaultSchedule, ScenarioTimeline};
 use mmog_predict::eval::PredictorKind;
-use mmog_sim::engine::{AllocationMode, GameSpec, SimReport, Simulation, SimulationConfig};
+use mmog_sim::engine::{
+    AllocationMode, GameSpec, GameWorkload, SimReport, Simulation, SimulationConfig,
+};
 use mmog_util::geo::DistanceClass;
-use mmog_workload::trace::GameTrace;
 use mmog_world::update::UpdateModel;
 
 /// Commonly used items across the workspace, for glob import.
@@ -49,7 +50,9 @@ pub mod prelude {
     pub use mmog_predict::neural::{NeuralConfig, NeuralPredictor};
     pub use mmog_predict::traits::Predictor;
     pub use mmog_sim::demand::DemandModel;
-    pub use mmog_sim::engine::{AllocationMode, GameSpec, SimReport, Simulation, SimulationConfig};
+    pub use mmog_sim::engine::{
+        AllocationMode, GameSpec, GameWorkload, SimReport, Simulation, SimulationConfig,
+    };
     pub use mmog_sim::scenario::{standard_trace, ScenarioOpts};
     pub use mmog_util::geo::DistanceClass;
     pub use mmog_util::time::{SimDuration, SimTime};
@@ -70,8 +73,13 @@ impl Ecosystem {
 
     /// A game spec with the paper's defaults: O(n²) interactions, no
     /// latency constraint, neural prediction, no headroom.
+    ///
+    /// `workload` is an owned [`GameTrace`](mmog_workload::trace::GameTrace),
+    /// a shared `Arc<GameTrace>` or a streaming generator configuration.
+    /// [`standard_trace`](mmog_sim::scenario::standard_trace) returns the
+    /// shared form: games and runs built from one handle read one copy.
     #[must_use]
-    pub fn default_game(trace: GameTrace) -> GameSpec {
+    pub fn default_game(workload: impl Into<GameWorkload>) -> GameSpec {
         GameSpec {
             name: "game".into(),
             operator_base: 0,
@@ -79,7 +87,7 @@ impl Ecosystem {
             tolerance: DistanceClass::VeryFar,
             headroom: 1.0,
             predictor: PredictorKind::Neural,
-            workload: trace.into(),
+            workload: workload.into(),
             static_peak_players: 2100.0, // capacity x the 1.05 overfull clamp
             priority: 0,
         }
@@ -231,8 +239,10 @@ impl EcosystemBuilder {
 mod tests {
     use super::*;
     use mmog_sim::scenario::{standard_trace, ScenarioOpts};
+    use mmog_workload::trace::GameTrace;
+    use std::sync::Arc;
 
-    fn tiny_trace() -> GameTrace {
+    fn tiny_trace() -> Arc<GameTrace> {
         standard_trace(&ScenarioOpts {
             days: 1,
             seed: 1,

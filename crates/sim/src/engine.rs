@@ -62,8 +62,11 @@ impl AllocationMode {
 /// makes thousand-group / million-player runs representable at all.
 #[derive(Debug, Clone)]
 pub enum GameWorkload {
-    /// Materialized per-group series (the paper-scale default).
-    Trace(GameTrace),
+    /// Materialized per-group series (the paper-scale default), shared:
+    /// configurations built on the same cached trace (see
+    /// [`mmog_workload::cache`]) and the simulations they build all read
+    /// one resident copy, and cloning the workload clones the handle.
+    Trace(Arc<GameTrace>),
     /// Streamed from the RuneScape-like generator during the run; no
     /// full-length series is ever held in memory.
     Streaming(RuneScapeConfig),
@@ -83,6 +86,12 @@ impl GameWorkload {
 
 impl From<GameTrace> for GameWorkload {
     fn from(trace: GameTrace) -> Self {
+        Self::Trace(Arc::new(trace))
+    }
+}
+
+impl From<Arc<GameTrace>> for GameWorkload {
+    fn from(trace: Arc<GameTrace>) -> Self {
         Self::Trace(trace)
     }
 }
@@ -303,11 +312,9 @@ struct GroupRuntime {
 /// covers a contiguous range of global group indices starting at
 /// `start` (games are enumerated in configuration order).
 enum WorkloadSource {
-    /// Materialized series, one per group, indexed by tick.
-    Materialized {
-        start: usize,
-        series: Vec<TimeSeries>,
-    },
+    /// The configuration's shared trace, read in place: its groups in
+    /// region order, each series indexed by tick.
+    Materialized { start: usize, trace: Arc<GameTrace> },
     /// Lazily generated; `next_tick` yields each tick's counts in O(1)
     /// memory per group.
     Streaming {
@@ -733,8 +740,8 @@ impl Simulation {
         }
         let mut specs: Vec<GroupSpec<'_>> = Vec::new();
         // Each game's per-tick player-count source, contiguous over
-        // group indices: the materialized series (cloned once) or a
-        // fresh stream that replays from tick 0.
+        // group indices: the shared materialized trace or a fresh
+        // stream that replays from tick 0.
         let mut sources = Vec::with_capacity(cfg.games.len());
         let mut players_scratch_len = 0usize;
         let mut operator_origins = BTreeMap::new();
@@ -749,7 +756,6 @@ impl Simulation {
             let start = specs.len();
             match &game.workload {
                 GameWorkload::Trace(trace) => {
-                    let mut series = Vec::with_capacity(trace.total_groups());
                     for region in &trace.regions {
                         let operator = OperatorId(game.operator_base + u32::from(region.region.0));
                         let origin = crate::scenario::region_origin(&region.name);
@@ -768,10 +774,10 @@ impl Simulation {
                                 history: Cow::Borrowed(&group.series.values()[..train_end]),
                                 index: specs.len() as u64,
                             });
-                            series.push(group.series.clone());
                         }
                     }
-                    sources.push(WorkloadSource::Materialized { start, series });
+                    let trace = Arc::clone(trace);
+                    sources.push(WorkloadSource::Materialized { start, trace });
                 }
                 GameWorkload::Streaming(rs) => {
                     let ticks = (rs.days * TICKS_PER_DAY) as usize;
@@ -1056,14 +1062,15 @@ impl Simulation {
 
     /// Fills this tick's player counts into the hot array from each
     /// game's source (serial: streaming sources advance stateful
-    /// generators; the materialized copy is a gather).
+    /// generators; a materialized trace is a gather over its groups).
     fn fill_players(&mut self, t: usize) {
         let hot = &mut self.hot;
         for src in &mut self.sources {
             match src {
-                WorkloadSource::Materialized { start, series } => {
-                    for (j, s) in series.iter().enumerate() {
-                        hot[*start + j].players = s.values()[t];
+                WorkloadSource::Materialized { start, trace } => {
+                    let groups = trace.regions.iter().flat_map(|r| &r.groups);
+                    for (slot, group) in hot[*start..].iter_mut().zip(groups) {
+                        slot.players = group.series.values()[t];
                     }
                 }
                 WorkloadSource::Streaming { start, stream } => {

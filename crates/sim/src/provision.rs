@@ -635,8 +635,9 @@ pub fn sort_held_by_start(leases: &mut [HeldLease]) {
 ///
 /// [`push`](Self::push) and [`swap_remove`](Self::swap_remove) are the
 /// only mutators and keep all of it exact; debug builds recount it
-/// after every mutation. Leases are read by position (`ledger[i]`) or
-/// through [`iter`](Self::iter).
+/// after every mutation, in a few passes over the ledger (for which
+/// each slot keeps a back-pointer to its key). Leases are read by
+/// position (`ledger[i]`) or through [`iter`](Self::iter).
 #[derive(Debug, Default)]
 pub struct HeldLedger {
     /// The physical order: grant time and slab slot of each lease.
@@ -656,7 +657,19 @@ pub struct HeldLedger {
     descent_hi: usize,
     /// Leases with the `matured` flag set.
     flagged: usize,
+    /// Debug builds only: each slot's key position in `order`, or
+    /// [`FREE_SLOT`] while the slot is on `free`.
+    #[cfg(debug_assertions)]
+    debug_pos: Vec<u32>,
+    /// Debug builds only: the recount's per-entry tally of `releases`,
+    /// as long as the slab so that the recount never allocates.
+    #[cfg(debug_assertions)]
+    debug_tally: Vec<u32>,
 }
+
+/// [`HeldLedger`]'s debug back-pointer of a slot on the free list.
+#[cfg(debug_assertions)]
+const FREE_SLOT: u32 = u32::MAX;
 
 impl std::ops::Index<usize> for HeldLedger {
     type Output = HeldLease;
@@ -705,9 +718,16 @@ impl HeldLedger {
             slot
         } else {
             self.slab.push(held);
+            #[cfg(debug_assertions)]
+            {
+                self.debug_pos.push(FREE_SLOT);
+                self.debug_tally.push(0);
+            }
             u32::try_from(self.slab.len() - 1).expect("at most u32::MAX held leases")
         };
         self.order.push((held.lease.start, slot));
+        #[cfg(debug_assertions)]
+        self.debug_repoint(self.order.len() - 1..self.order.len());
         let pair = self.order.len().wrapping_sub(2);
         if self.descent_at(pair) {
             self.descents += 1;
@@ -728,6 +748,12 @@ impl HeldLedger {
             before += usize::from(self.descent_at(last - 1));
         }
         let (_, slot) = self.order.swap_remove(i);
+        #[cfg(debug_assertions)]
+        {
+            self.debug_pos[slot as usize] = FREE_SLOT;
+            // The last key, if another, now sits at `i`.
+            self.debug_repoint(i..self.order.len().min(i + 1));
+        }
         let after = self.descents_around(i);
         self.descents = self.descents + after - before;
         if after > 0 {
@@ -792,8 +818,8 @@ impl HeldLedger {
             return;
         }
         let hi = self.descent_hi.min(self.order.len() - 2);
-        let order = &mut self.order;
         for i in (0..=hi).rev() {
+            let order = &mut self.order;
             let start = order[i].0;
             if start <= order[i + 1].0 {
                 continue;
@@ -804,6 +830,8 @@ impl HeldLedger {
             let above_before = i > 0 && order[i - 1].0 > start;
             order[i..end].rotate_left(1);
             let above_after = i > 0 && order[i - 1].0 > order[i].0;
+            #[cfg(debug_assertions)]
+            self.debug_repoint(i..end);
             self.descents =
                 self.descents + usize::from(above_after) - 1 - usize::from(above_before);
             if self.descents == 0 {
@@ -861,43 +889,92 @@ impl HeldLedger {
         usize::from(self.descent_at(i.wrapping_sub(1))) + usize::from(self.descent_at(i))
     }
 
+    /// Points the debug back-pointers of the keys at `range` to their
+    /// positions.
+    #[cfg(debug_assertions)]
+    fn debug_repoint(&mut self, range: std::ops::Range<usize>) {
+        for k in range {
+            self.debug_pos[self.order[k].1 as usize] = k as u32;
+        }
+    }
+
+    /// Release builds keep no recount state and check nothing.
+    #[cfg(not(debug_assertions))]
+    fn debug_check(&mut self) {}
+
     /// Recounts the keys, the index, the descents and the flags (debug
     /// builds only; allocation-free so the allocation smoke test can
-    /// run on a debug build).
-    fn debug_check(&self) {
-        if !cfg!(debug_assertions) {
-            return;
+    /// run on a debug build). It makes two passes over the index and one
+    /// over the keys; only the index lookup of each lease is a binary
+    /// search. The loops are plain and index slices, because this runs
+    /// unoptimized after every mutation.
+    #[cfg(debug_assertions)]
+    fn debug_check(&mut self) {
+        let (order, slab, pos) = (&self.order[..], &self.slab[..], &self.debug_pos[..]);
+        let n = order.len();
+        debug_assert_eq!(n + self.free.len(), slab.len(), "slots");
+        debug_assert_eq!(self.releases.len(), n, "index size");
+        // The index as one slice: this moves the ring's two halves
+        // together when it wraps, without allocating or changing its
+        // contents.
+        let releases = self.releases.make_contiguous();
+        let horizon = self.horizon.0;
+        let mut matured = 0;
+        for k in 0..n {
+            let t = releases[k].0;
+            debug_assert!(k + 1 == n || t <= releases[k + 1].0, "index order");
+            matured += usize::from(t <= horizon);
         }
-        debug_assert_eq!(self.order.len() + self.free.len(), self.slab.len(), "slots");
-        for (k, &(start, slot)) in self.order.iter().enumerate() {
-            debug_assert_eq!(self.slab[slot as usize].lease.start, start, "key {k}");
-            debug_assert!(!self.order[..k].iter().any(|o| o.1 == slot), "slot {slot}");
-            debug_assert!(!self.free.contains(&slot), "live slot {slot} is free");
+        debug_assert_eq!(self.cursor, matured, "cursor at {horizon}");
+        // Each key's slot points back at that key, so no slot is held
+        // twice. Each lease is tallied at the first index entry of its
+        // time.
+        let tally = &mut self.debug_tally[..n];
+        tally.fill(0);
+        let (mut descents, mut top, mut flagged) = (0, 0, 0);
+        for k in 0..n {
+            let (start, slot) = order[k];
+            let held = &slab[slot as usize];
+            debug_assert_eq!(held.lease.start, start, "key {k}");
+            debug_assert_eq!(pos[slot as usize], k as u32, "slot {slot}");
+            if k + 1 < n && start.0 > order[k + 1].0 .0 {
+                descents += 1;
+                top = k;
+            }
+            flagged += usize::from(held.matured);
+            let t = held.lease.earliest_release.0;
+            let (mut lo, mut hi) = (0, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if releases[mid].0 < t {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            debug_assert!(lo < n && releases[lo].0 == t, "no index entry at {t}");
+            tally[lo] += 1;
         }
-        let starts = |w: &[(SimTime, u32)]| w[0].0 > w[1].0;
-        let descents = self.order.windows(2).filter(|w| starts(w)).count();
+        for &slot in &self.free {
+            debug_assert_eq!(pos[slot as usize], FREE_SLOT, "live slot {slot} is free");
+        }
         debug_assert_eq!(self.descents, descents, "descent count");
-        if let Some(top) = self.order.windows(2).rposition(starts) {
-            debug_assert!(top <= self.descent_hi, "descent above the bound");
-        }
-        let flagged = self.iter().filter(|h| h.matured).count();
+        debug_assert!(
+            descents == 0 || top <= self.descent_hi,
+            "descent above the bound"
+        );
         debug_assert_eq!(self.flagged, flagged, "matured flags");
-        debug_assert_eq!(self.releases.len(), self.order.len(), "index size");
-        let mut pairs = self.releases.iter().zip(self.releases.iter().skip(1));
-        debug_assert!(pairs.all(|(a, b)| a <= b), "index order");
-        let horizon = self.horizon;
-        let matured = self.releases.iter().filter(|&&t| t <= horizon).count();
-        debug_assert_eq!(self.cursor, matured, "cursor at {horizon:?}");
+        // Index entries per release time: each run of equal times holds
+        // as many entries as leases were tallied at its first.
         let mut k = 0;
-        while k < self.releases.len() {
-            let t = self.releases[k];
-            let run = self.releases.range(k..).take_while(|&&u| u == t).count();
-            let held = self
-                .iter()
-                .filter(|h| h.lease.earliest_release == t)
-                .count();
-            debug_assert_eq!(held, run, "index entries at {t:?}");
-            k += run;
+        while k < n {
+            let t = releases[k].0;
+            let mut end = k + 1;
+            while end < n && releases[end].0 == t {
+                end += 1;
+            }
+            debug_assert_eq!(tally[k] as usize, end - k, "index entries at {t}");
+            k = end;
         }
     }
 }

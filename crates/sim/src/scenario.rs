@@ -17,6 +17,7 @@ use mmog_util::time::SimDuration;
 use mmog_workload::runescape::{RegionSpec, RuneScapeConfig};
 use mmog_workload::trace::GameTrace;
 use mmog_world::update::UpdateModel;
+use std::sync::Arc;
 
 /// Scale knobs shared by all scenarios (full paper scale by default;
 /// smoke tests shrink it).
@@ -71,21 +72,21 @@ pub fn region_origin(name: &str) -> GeoPoint {
 
 /// Generates the standard RuneScape-like workload at the given scale.
 /// Served from the process-wide workload cache: sweeps re-requesting
-/// the same scale share one generated trace (the returned value is a
-/// cheap clone of the cached copy).
+/// the same scale share one generated trace, and the returned handle
+/// is the cached copy itself, not a copy of it.
 #[must_use]
-pub fn standard_trace(opts: &ScenarioOpts) -> GameTrace {
+pub fn standard_trace(opts: &ScenarioOpts) -> Arc<GameTrace> {
     let mut cfg = RuneScapeConfig::paper_default(opts.days, opts.seed);
     if let Some(cap) = opts.group_cap {
         for r in &mut cfg.regions {
             r.groups = r.groups.min(cap);
         }
     }
-    (*mmog_workload::cache::runescape_trace(&cfg)).clone()
+    mmog_workload::cache::runescape_trace(&cfg)
 }
 
 fn base_game(
-    trace: GameTrace,
+    trace: Arc<GameTrace>,
     predictor: PredictorKind,
     update_model: UpdateModel,
     tolerance: DistanceClass,
@@ -215,8 +216,10 @@ pub fn policy_impact(policy: HostingPolicy, opts: &ScenarioOpts) -> SimulationCo
 
 /// The North American workload for Sec. V-E: one region per NA data
 /// center location, groups sized to keep the system busy at peak.
+/// Served from the workload cache like [`standard_trace`]: the returned
+/// handle is the shared cached copy.
 #[must_use]
-pub fn north_american_trace(opts: &ScenarioOpts) -> GameTrace {
+pub fn north_american_trace(opts: &ScenarioOpts) -> Arc<GameTrace> {
     let region = |name: &str, groups: u32, offset: f64| RegionSpec {
         name: name.into(),
         groups: opts.group_cap.map_or(groups, |cap| groups.min(cap)),
@@ -241,7 +244,7 @@ pub fn north_american_trace(opts: &ScenarioOpts) -> GameTrace {
         flash_prob_per_tick: 0.004,
         regional_flash_prob_per_tick: 0.01,
     };
-    (*mmog_workload::cache::runescape_trace(&cfg)).clone()
+    mmog_workload::cache::runescape_trace(&cfg)
 }
 
 /// Sec. V-E — the latency-tolerance experiment: NA centers only, with
@@ -432,7 +435,7 @@ pub fn multi_mmog_prioritized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulation;
+    use crate::engine::{GameWorkload, Simulation};
 
     #[test]
     fn region_origins_are_distinct() {
@@ -471,6 +474,29 @@ mod tests {
             group_cap: None,
         });
         assert_eq!(full.total_groups(), 130);
+    }
+
+    #[test]
+    fn configs_share_the_cached_trace() {
+        let opts = ScenarioOpts {
+            days: 1,
+            seed: 21,
+            group_cap: Some(2),
+        };
+        let mut rs = RuneScapeConfig::paper_default(opts.days, opts.seed);
+        for r in &mut rs.regions {
+            r.groups = r.groups.min(2);
+        }
+        let cached = mmog_workload::cache::runescape_trace(&rs);
+        for cfg in [
+            policy_impact(HostingPolicy::hp(3), &opts),
+            prediction_impact(PredictorKind::LastValue, AllocationMode::Dynamic, &opts),
+        ] {
+            let GameWorkload::Trace(trace) = &cfg.games[0].workload else {
+                panic!("the standard scenarios materialize their trace");
+            };
+            assert!(Arc::ptr_eq(trace, &cached), "a copy of the cached trace");
+        }
     }
 
     #[test]

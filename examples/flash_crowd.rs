@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example flash_crowd`
 
 use mmog_dc::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // 28 days: decision on day 9, first release on day 17.
@@ -16,11 +17,11 @@ fn main() {
     for region in &mut cfg.regions {
         region.groups = region.groups.min(6); // keep the example quick
     }
-    let trace = generate(&cfg);
+    let trace = Arc::new(generate(&cfg));
 
     let report = Ecosystem::builder()
         .table3_platform()
-        .game(Ecosystem::default_game(trace.clone()))
+        .game(Ecosystem::default_game(Arc::clone(&trace)))
         .run();
 
     // Daily aggregates: players vs. allocated vs. demanded CPU.

@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use mmog_dc::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // A 3-day workload with 8 server groups per region — big enough to
@@ -16,6 +17,8 @@ fn main() {
         seed: 42,
         group_cap: Some(8),
     };
+    // A shared handle on the cached trace: both runs below read this
+    // one copy.
     let trace = standard_trace(&opts);
     println!(
         "Workload: {} server groups, {} two-minute samples, global peak {:.0} players\n",
@@ -27,7 +30,7 @@ fn main() {
     // Dynamic provisioning: predict every 2 minutes, lease what's needed.
     let dynamic = Ecosystem::builder()
         .table3_platform()
-        .game(Ecosystem::default_game(trace.clone()))
+        .game(Ecosystem::default_game(Arc::clone(&trace)))
         .run();
 
     // The industry baseline: size every group for peak load, once.

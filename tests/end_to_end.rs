@@ -3,6 +3,7 @@
 
 use mmog_dc::prelude::*;
 use mmog_dc::sim::scenario;
+use std::sync::Arc;
 
 fn tiny_opts(seed: u64) -> ScenarioOpts {
     ScenarioOpts {
@@ -12,10 +13,10 @@ fn tiny_opts(seed: u64) -> ScenarioOpts {
     }
 }
 
-fn fast_game(trace: GameTrace) -> GameSpec {
+fn fast_game(workload: impl Into<GameWorkload>) -> GameSpec {
     GameSpec {
         predictor: PredictorKind::LastValue,
-        ..Ecosystem::default_game(trace)
+        ..Ecosystem::default_game(workload)
     }
 }
 
@@ -40,7 +41,7 @@ fn dynamic_beats_static_on_over_allocation() {
     let trace = standard_trace(&tiny_opts(3));
     let dynamic = Ecosystem::builder()
         .table3_platform()
-        .game(fast_game(trace.clone()))
+        .game(fast_game(Arc::clone(&trace)))
         .train_ticks(0)
         .run();
     let static_ = Ecosystem::builder()
@@ -166,15 +167,15 @@ fn trace_survives_csv_round_trip_into_simulation() {
     let parsed = GameTrace::from_csv(&trace.to_csv()).expect("round trip");
     // Region names are not preserved by CSV (documented); the engine
     // still runs and produces identical aggregate demand.
-    let run = |t: GameTrace| {
+    let run = |t: GameWorkload| {
         Ecosystem::builder()
             .table3_platform()
             .game(fast_game(t))
             .train_ticks(0)
             .run()
     };
-    let a = run(trace);
-    let b = run(parsed);
+    let a = run(trace.into());
+    let b = run(parsed.into());
     assert_eq!(a.demand_cpu_series.values(), b.demand_cpu_series.values());
 }
 

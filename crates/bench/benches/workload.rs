@@ -1,4 +1,5 @@
-//! Workload-substrate benchmarks: trace synthesis throughput and the
+//! Workload-substrate benchmarks: trace synthesis throughput (one region,
+//! the paper layout, and Figure 2's event window) and the
 //! Figure 3 analyses (envelope, IQR, autocorrelation) that post-process
 //! every generated region.
 
@@ -20,6 +21,20 @@ fn bench_generate(c: &mut Criterion) {
             b.iter(|| black_box(generate(&cfg).total_groups()))
         });
     }
+    // The paper layout (5 regions, 130 groups) over the 14-day window
+    // the engine's experiments and perfbench's `fine_churn` generate.
+    let paper = RuneScapeConfig::paper_default(14, 9);
+    group.throughput(Throughput::Elements(14 * 720 * 130));
+    group.bench_function("paper_130groups_14days", |b| {
+        b.iter(|| black_box(generate(&paper).total_groups()))
+    });
+    // Figure 2's 60-day window with its three population events, whose
+    // multiplier costs up to three `exp` calls per tick.
+    let figure2 = RuneScapeConfig::with_figure2_events(60, 9, 9);
+    group.throughput(Throughput::Elements(60 * 720 * 130));
+    group.bench_function("figure2_130groups_60days", |b| {
+        b.iter(|| black_box(generate(&figure2).total_groups()))
+    });
     group.finish();
 }
 

@@ -451,12 +451,19 @@ impl EventSink {
     }
 }
 
-/// Renders a trace body: chunks sorted by `(label, content)`, each line
-/// prefixed with its global sequence number and scope label.
-pub(crate) fn render_trace(chunks: &mut [(String, String)]) -> String {
+/// Writes a trace body to `out`: chunks sorted by `(label, content)`,
+/// each line prefixed with its global sequence number and scope label.
+/// Lines go out one at a time, so a buffered file writer holds at most
+/// its buffer of the body, never the whole file.
+///
+/// # Errors
+/// Propagates the first write error.
+pub(crate) fn write_trace(
+    chunks: &mut [(String, String)],
+    out: &mut impl std::io::Write,
+) -> std::io::Result<()> {
     chunks.sort();
-    let total: usize = chunks.iter().map(|(_, lines)| lines.len()).sum();
-    let mut out = String::with_capacity(total + total / 2);
+    let mut envelope = String::new();
     let mut seq = 0u64;
     for (label, lines) in chunks.iter() {
         let scope = Value::Str(label.clone()).render();
@@ -464,13 +471,15 @@ pub(crate) fn render_trace(chunks: &mut [(String, String)]) -> String {
             // Buffered lines are complete objects `{"kind":...}`; splice
             // the flush-time fields in front of the first member.
             let body = line.strip_prefix('{').expect("buffered line is an object");
-            write_envelope(&mut out, seq, &scope);
-            out.push_str(body);
-            out.push('\n');
+            envelope.clear();
+            write_envelope(&mut envelope, seq, &scope);
+            out.write_all(envelope.as_bytes())?;
+            out.write_all(body.as_bytes())?;
+            out.write_all(b"\n")?;
             seq += 1;
         }
     }
-    out
+    Ok(())
 }
 
 /// Reads a parsed trace or flight-dump line back into its flush-time

@@ -15,6 +15,8 @@
 
 use crate::flight::FlightConfig;
 use crate::live::LiveConfig;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -91,39 +93,62 @@ impl Collector {
         self.lock().push((label.to_string(), chunk));
     }
 
-    fn files(&self, chunks: &mut [(String, String)]) -> Vec<(PathBuf, String)> {
-        match self.layout {
-            Layout::Trace => vec![(self.dest.clone(), crate::event::render_trace(chunks))],
-            Layout::TimeSeries => crate::timeseries::ts_files(&self.dest, chunks),
-        }
-    }
-
     /// The files [`flush`](Self::flush) would write, as `(path, body)`
     /// in write order. A trace always renders its one file, empty or
     /// not; a time-series collector renders one file per document.
     #[must_use]
     pub fn render(&self) -> Vec<(PathBuf, String)> {
-        self.files(&mut self.lock())
+        let mut chunks = self.lock();
+        match self.layout {
+            Layout::Trace => {
+                let mut body = Vec::new();
+                crate::event::write_trace(&mut chunks, &mut body)
+                    .expect("writing to a Vec cannot fail");
+                let body = String::from_utf8(body).expect("the trace lines are UTF-8");
+                vec![(self.dest.clone(), body)]
+            }
+            Layout::TimeSeries => crate::timeseries::ts_files(&self.dest, &mut chunks),
+        }
     }
 
     /// Writes the rendered files, creating missing parent directories,
     /// and clears the chunk list (the destination stays). Returns the
-    /// paths written.
+    /// paths written. The trace is streamed through a buffered writer
+    /// rather than rendered first, so flushing it needs no second copy
+    /// of the file in memory; the bytes equal [`render`](Self::render)'s.
     ///
     /// # Errors
     /// Propagates the first write error, leaving the chunks intact.
     pub fn flush(&self) -> std::io::Result<Vec<PathBuf>> {
         let mut chunks = self.lock();
-        let mut written = Vec::new();
-        for (path, body) in self.files(&mut chunks) {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
+        let written = match self.layout {
+            Layout::Trace => {
+                create_parent(&self.dest)?;
+                let mut out = BufWriter::with_capacity(1 << 20, File::create(&self.dest)?);
+                crate::event::write_trace(&mut chunks, &mut out)?;
+                out.flush()?;
+                vec![self.dest.clone()]
             }
-            std::fs::write(&path, body)?;
-            written.push(path);
-        }
+            Layout::TimeSeries => {
+                let mut written = Vec::new();
+                for (path, body) in crate::timeseries::ts_files(&self.dest, &mut chunks) {
+                    create_parent(&path)?;
+                    std::fs::write(&path, body)?;
+                    written.push(path);
+                }
+                written
+            }
+        };
         chunks.clear();
         Ok(written)
+    }
+}
+
+/// Creates the missing parent directories of `path`.
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        Some(parent) => std::fs::create_dir_all(parent),
+        None => Ok(()),
     }
 }
 
@@ -143,5 +168,30 @@ mod tests {
         assert_eq!(b.render(), a.render());
         assert!(b.render()[0].1.contains("\"scope\":\"x\""));
         assert_eq!(other.render()[0].1, "", "a separate collector sees nothing");
+    }
+
+    #[test]
+    fn trace_flush_streams_the_rendered_bytes() {
+        let dir = std::env::temp_dir().join(format!("mmog-trace-test-{}", std::process::id()));
+        let path = dir.join("nested").join("trace.jsonl");
+        let sink = Collector::trace(&path);
+        sink.submit(
+            "b",
+            "{\"kind\":\"heal\",\"tick\":2,\"components\":1}\n".into(),
+        );
+        sink.submit(
+            "a",
+            "{\"kind\":\"heal\",\"tick\":1,\"components\":1}\n\
+             {\"kind\":\"heal\",\"tick\":3,\"components\":2}\n"
+                .into(),
+        );
+        let rendered = sink.render();
+        assert_eq!(sink.flush().unwrap(), vec![path.clone()]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), rendered[0].1);
+        assert!(rendered[0].1.starts_with("{\"seq\":0,\"scope\":\"a\","));
+        // Flushing cleared the chunks; the trace file is still rewritten.
+        assert_eq!(sink.flush().unwrap(), vec![path.clone()]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

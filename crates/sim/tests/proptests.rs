@@ -347,9 +347,11 @@ proptest! {
     /// after the holes, and re-sorts in between. The maturity horizon
     /// advances at non-decreasing times, sometimes past the grants, so
     /// pushes land matured or out of time order and removals hit both
-    /// sides of the cursor. The maturity index is checked against a
-    /// scan after every operation, at the horizon and at an arbitrary
-    /// time.
+    /// sides of the cursor. One push in eight carries a start a few
+    /// ticks before the grant clock, so it can land below the last key
+    /// and open a descent at the back of the ledger. The maturity index
+    /// is checked against a scan after every operation, at the horizon
+    /// and at an arbitrary time.
     #[test]
     fn held_lease_resort_equals_stable_sort(
         ops in prop::collection::vec((0u8..4, 0u64..6, 0usize..1000, 0u64..400), 1..120),
@@ -375,16 +377,21 @@ proptest! {
                 _ => {
                     // Mostly zero steps: long runs of equal starts.
                     clock += step.saturating_sub(3);
+                    let start = if pick % 8 == 0 {
+                        clock.saturating_sub(1 + lead % 4)
+                    } else {
+                        clock
+                    };
                     let held = HeldLease {
                         center: pick % 3,
                         lease: Lease {
                             id: LeaseId(id as u64),
                             operator: OperatorId(1),
                             amounts: ResourceVector::new(0.22, 0.0, 0.0, 0.0),
-                            start: SimTime(clock),
+                            start: SimTime(start),
                             // Mixed time bulks: maturity order differs
                             // from grant order.
-                            earliest_release: SimTime(clock + [90, 180, 360][pick % 3]),
+                            earliest_release: SimTime(start + [90, 180, 360][pick % 3]),
                         },
                         matured: false,
                     };

@@ -16,6 +16,20 @@
 //!   "This behavior is typical for one third of our traces");
 //! - optional global population events (Figure 2's mass-quit and
 //!   content-release shocks) via [`PopulationEvent`].
+//!
+//! # Periodic factors
+//!
+//! [`generate`] evaluates each deterministic factor once per distinct
+//! input rather than once per value. The diurnal curve of a group and
+//! the surge-start odds of a region depend on the tick only through
+//! [`SimTime::hour_of_day`], which reads `tick % TICKS_PER_DAY`; each is
+//! tabulated over the 720 phases of one day with the per-tick expression
+//! and read back at `tick % 720`, so every value is bit-identical to
+//! evaluating it per tick. The population-event multiplier is the same
+//! for every group and is computed once per tick (not at all without
+//! events, where it is exactly 1.0). The streaming
+//! generator ([`crate::stream`]) keeps the per-tick formulas and is the
+//! independent reference the two are checked against.
 
 use crate::events::{combined_multiplier, PopulationEvent};
 use crate::trace::{GameTrace, RegionId, RegionTrace, ServerGroupId, ServerGroupTrace};
@@ -143,6 +157,15 @@ struct GroupProfile {
     phase_jitter: f64,
 }
 
+/// Ticks in one day: the period of every diurnal factor.
+const DAY: usize = TICKS_PER_DAY as usize;
+
+/// The diurnal shape in `[0, 1]` at local hour `h`: 0 at 07:00, 1 at
+/// 19:00.
+fn diurnal(h: f64) -> f64 {
+    0.5 * (1.0 - (2.0 * std::f64::consts::PI * (h - 7.0) / 24.0).cos())
+}
+
 /// Builds a boost-multiplier series out of ramped episodes: with
 /// per-tick start probability `prob(t)` an episode starts, ramping to a
 /// magnitude in ±`[lo, hi]` over 1–4 ticks, holding, then ramping back.
@@ -186,6 +209,17 @@ fn episode_series(
 pub fn generate(cfg: &RuneScapeConfig) -> GameTrace {
     let mut rng = Rng64::seed_from(cfg.seed);
     let ticks = (cfg.days * TICKS_PER_DAY) as usize;
+    // The events act on every group alike: one multiplier per tick, or
+    // none when there are no events (the empty product is 1.0).
+    let event_mult: Option<Vec<f64>> = (!cfg.events.is_empty()).then(|| {
+        (0..ticks)
+            .map(|t| combined_multiplier(&cfg.events, SimTime(t as u64)))
+            .collect()
+    });
+    // One day of a periodic factor, indexed by the tick's phase of day,
+    // refilled for each region's surge odds and each group's diurnal
+    // curve (module docs, "Periodic factors").
+    let mut day_table = [0.0f64; DAY];
     let mut regions = Vec::with_capacity(cfg.regions.len());
     for (ri, spec) in cfg.regions.iter().enumerate() {
         // Region-wide surges shared by all the region's groups.
@@ -197,17 +231,12 @@ pub fn generate(cfg: &RuneScapeConfig) -> GameTrace {
         // resource shortfall there (the Figure 10 separation).
         let offset = spec.utc_offset_hours;
         let base_prob = cfg.regional_flash_prob_per_tick;
-        let region_boost = episode_series(
-            ticks,
-            |t| {
-                let h = SimTime(t as u64).hour_of_day() + offset;
-                let diurnal = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * (h - 7.0) / 24.0).cos());
-                base_prob * 2.0 * diurnal * diurnal
-            },
-            0.04,
-            0.13,
-            &mut region_rng,
-        );
+        for (phase, p) in day_table.iter_mut().enumerate() {
+            let d = diurnal(SimTime(phase as u64).hour_of_day() + offset);
+            *p = base_prob * 2.0 * d * d;
+        }
+        let region_boost =
+            episode_series(ticks, |t| day_table[t % DAY], 0.04, 0.13, &mut region_rng);
         let mut groups = Vec::with_capacity(spec.groups as usize);
         for gi in 0..spec.groups {
             let mut group_rng = rng.split();
@@ -217,7 +246,25 @@ pub fn generate(cfg: &RuneScapeConfig) -> GameTrace {
                 weekend: group_rng.chance(cfg.weekend_fraction),
                 phase_jitter: group_rng.range_f64(-1.0, 1.0),
             };
-            let series = generate_group(cfg, spec, &profile, ticks, &region_boost, &mut group_rng);
+            if !profile.always_full {
+                let amplitude = cfg.diurnal_amplitude;
+                for (phase, d) in day_table.iter_mut().enumerate() {
+                    // Peak at 19:00 local, trough at 07:00 local.
+                    let local_hour = SimTime(phase as u64).hour_of_day()
+                        + spec.utc_offset_hours
+                        + profile.phase_jitter;
+                    *d = (1.0 - amplitude) + amplitude * diurnal(local_hour);
+                }
+            }
+            let series = generate_group(
+                cfg,
+                spec,
+                &profile,
+                &day_table,
+                event_mult.as_deref(),
+                &region_boost,
+                &mut group_rng,
+            );
             groups.push(ServerGroupTrace {
                 region: RegionId(ri as u8),
                 group: ServerGroupId(gi),
@@ -233,16 +280,20 @@ pub fn generate(cfg: &RuneScapeConfig) -> GameTrace {
     GameTrace { regions }
 }
 
-/// Generates one server group's series.
+/// Generates one server group's series. `daily` holds the group's
+/// diurnal factor by phase of day (unread for an always-full group);
+/// `event_mult` (absent without events) and `region_boost` hold one
+/// value per tick.
 fn generate_group(
     cfg: &RuneScapeConfig,
     spec: &RegionSpec,
     profile: &GroupProfile,
-    ticks: usize,
+    daily: &[f64],
+    event_mult: Option<&[f64]>,
     region_boost: &[f64],
     rng: &mut Rng64,
 ) -> TimeSeries {
-    let mut series = TimeSeries::with_capacity(ticks);
+    let mut series = TimeSeries::with_capacity(region_boost.len());
     // AR(1) multiplicative noise: keeps the 2-minute signal smooth but
     // wandering, like real login churn.
     let (rho, sigma) = (0.98, 0.015);
@@ -254,7 +305,7 @@ fn generate_group(
     let mut flash_boost = 0.0f64;
     let mut flash_plan: Vec<f64> = Vec::new(); // per-tick boost deltas, reversed
 
-    debug_assert_eq!(region_boost.len(), ticks);
+    debug_assert!(event_mult.is_none_or(|m| m.len() == region_boost.len()));
     for (tick, &regional) in region_boost.iter().enumerate() {
         let t = SimTime(tick as u64);
         // Outages hit all groups, including the always-full ones
@@ -291,15 +342,11 @@ fn generate_group(
             }
         }
 
-        let event_mult = combined_multiplier(&cfg.events, t);
+        let event_mult = event_mult.map_or(1.0, |m| m[tick]);
         let load = if profile.always_full {
             0.95 * spec.peak_players * event_mult.min(1.05)
         } else {
-            let local_hour = t.hour_of_day() + spec.utc_offset_hours + profile.phase_jitter;
-            // Peak at 19:00 local, trough at 07:00 local.
-            let diurnal =
-                0.5 * (1.0 - (2.0 * std::f64::consts::PI * (local_hour - 7.0) / 24.0).cos());
-            let daily = (1.0 - cfg.diurnal_amplitude) + cfg.diurnal_amplitude * diurnal;
+            let daily = daily[tick % DAY];
             let weekend = if profile.weekend && t.is_weekend() {
                 1.2
             } else {

@@ -1,12 +1,13 @@
 //! Workload-substrate benchmarks: trace synthesis throughput (one region,
-//! the paper layout, and Figure 2's event window) and the
-//! Figure 3 analyses (envelope, IQR, autocorrelation) that post-process
-//! every generated region.
+//! the paper layout in both drain orders, and Figure 2's event window)
+//! and the Figure 3 analyses (envelope, IQR, autocorrelation) that
+//! post-process every generated region.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmog_util::stats;
 use mmog_workload::analysis;
 use mmog_workload::runescape::{generate, RuneScapeConfig};
+use mmog_workload::stream::StreamingTrace;
 use std::hint::black_box;
 
 fn bench_generate(c: &mut Criterion) {
@@ -27,6 +28,19 @@ fn bench_generate(c: &mut Criterion) {
     group.throughput(Throughput::Elements(14 * 720 * 130));
     group.bench_function("paper_130groups_14days", |b| {
         b.iter(|| black_box(generate(&paper).total_groups()))
+    });
+    // The same trace drained tick by tick, as the engine's streaming
+    // worlds do: per-tick formulas into one reused row.
+    group.bench_function("stream_paper_130groups_14days", |b| {
+        b.iter(|| {
+            let mut stream = StreamingTrace::new(&paper);
+            let mut row = vec![0.0f64; stream.group_count()];
+            let mut sum = 0.0;
+            while stream.next_tick(&mut row) {
+                sum += row[0];
+            }
+            black_box(sum)
+        })
     });
     // Figure 2's 60-day window with its three population events, whose
     // multiplier costs up to three `exp` calls per tick.

@@ -90,6 +90,7 @@ fn hot_kernels_stay_allocation_free_in_steady_state() {
     streaming_memory_is_constant_in_trace_length();
     soa_tick_loop_allocations_are_bounded();
     building_on_a_cached_trace_copies_no_series();
+    generating_a_trace_allocates_little_beyond_its_series();
     latency_record_is_allocation_free();
     flight_push_is_allocation_free();
     flight_dump_allocations_are_bounded();
@@ -501,6 +502,27 @@ fn building_on_a_cached_trace_copies_no_series() {
     assert!(
         bytes < trace_bytes as u64 / 4,
         "building on a cached trace allocated {bytes} bytes, the trace holds {trace_bytes}"
+    );
+}
+
+/// Generating the paper trace allocates its series and little else: no
+/// per-episode buffers, no per-tick side vectors, no per-group tables.
+fn generating_a_trace_allocates_little_beyond_its_series() {
+    use mmog_workload::runescape::{generate, RuneScapeConfig};
+    let cfg = RuneScapeConfig::paper_default(14, 2008);
+    let series_bytes: usize = generate(&cfg)
+        .regions
+        .iter()
+        .flat_map(|r| &r.groups)
+        .map(|g| std::mem::size_of_val(g.series.values()))
+        .sum();
+    let bytes = count_bytes(|| {
+        std::hint::black_box(generate(&cfg));
+    });
+    let ratio = bytes as f64 / series_bytes as f64;
+    assert!(
+        ratio <= 1.05,
+        "generate allocated {bytes} bytes, {ratio:.4}x its {series_bytes} series bytes"
     );
 }
 

@@ -26,9 +26,9 @@
 //!   session traces T0–T7/T5a/T5b, with a generator and ECDF extraction.
 //! - [`growth`] — the Figure 1 market model: logistic subscription
 //!   curves for the 1997–2008 MMORPG market.
-//! - [`stream`] — the same generator as a lazy per-tick source: O(1)
-//!   memory per group in the trace length, byte-identical to the
-//!   materialized path, for thousand-group / million-player scale-out.
+//! - [`stream`] — the generator's one implementation, drained tick by
+//!   tick (O(1) memory per group, for thousand-group / million-player
+//!   scale-out) or group by group into a trace (what `generate` does).
 //! - [`cache`] — process-wide sharing of generated traces, so sweeps
 //!   that re-request the same workload build it once.
 

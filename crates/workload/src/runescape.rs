@@ -17,25 +17,18 @@
 //! - optional global population events (Figure 2's mass-quit and
 //!   content-release shocks) via [`PopulationEvent`].
 //!
-//! # Periodic factors
+//! # One protocol, two drain orders
 //!
-//! [`generate`] evaluates each deterministic factor once per distinct
-//! input rather than once per value. The diurnal curve of a group and
-//! the surge-start odds of a region depend on the tick only through
-//! [`SimTime::hour_of_day`], which reads `tick % TICKS_PER_DAY`; each is
-//! tabulated over the 720 phases of one day with the per-tick expression
-//! and read back at `tick % 720`, so every value is bit-identical to
-//! evaluating it per tick. The population-event multiplier is the same
-//! for every group and is computed once per tick (not at all without
-//! events, where it is exactly 1.0). The streaming
-//! generator ([`crate::stream`]) keeps the per-tick formulas and is the
-//! independent reference the two are checked against.
+//! The random protocol itself lives in [`crate::stream`]:
+//! [`generate`] is [`StreamingTrace::into_trace`], the group-major drain
+//! that tabulates each periodic factor over one day, and the engine's
+//! streaming worlds drain the same [`StreamingTrace`] tick by tick. Both
+//! orders yield bit-identical values (the stream module's "Byte-identity
+//! contract" and "Periodic factors").
 
-use crate::events::{combined_multiplier, PopulationEvent};
-use crate::trace::{GameTrace, RegionId, RegionTrace, ServerGroupId, ServerGroupTrace};
-use mmog_util::rng::Rng64;
-use mmog_util::series::TimeSeries;
-use mmog_util::time::{SimTime, TICKS_PER_DAY};
+use crate::events::PopulationEvent;
+use crate::stream::StreamingTrace;
+use crate::trace::GameTrace;
 
 /// Parameters of one geographical region.
 #[derive(Debug, Clone)]
@@ -144,233 +137,17 @@ impl RuneScapeConfig {
     }
 }
 
-/// Per-group latent state sampled once at generation start.
-struct GroupProfile {
-    /// Relative popularity in (0, 1]; spreads the peak-hour loads so the
-    /// cross-group median sits ~50 % above the minimum.
-    popularity: f64,
-    /// Pinned at 95 % load?
-    always_full: bool,
-    /// Shows the weekend effect?
-    weekend: bool,
-    /// Small per-group phase shift of the diurnal peak (hours).
-    phase_jitter: f64,
-}
-
-/// Ticks in one day: the period of every diurnal factor.
-const DAY: usize = TICKS_PER_DAY as usize;
-
-/// The diurnal shape in `[0, 1]` at local hour `h`: 0 at 07:00, 1 at
-/// 19:00.
-fn diurnal(h: f64) -> f64 {
-    0.5 * (1.0 - (2.0 * std::f64::consts::PI * (h - 7.0) / 24.0).cos())
-}
-
-/// Builds a boost-multiplier series out of ramped episodes: with
-/// per-tick start probability `prob(t)` an episode starts, ramping to a
-/// magnitude in ±`[lo, hi]` over 1–4 ticks, holding, then ramping back.
-fn episode_series(
-    ticks: usize,
-    prob: impl Fn(usize) -> f64,
-    lo: f64,
-    hi: f64,
-    rng: &mut Rng64,
-) -> Vec<f64> {
-    let mut boost = vec![0.0f64; ticks];
-    let mut t = 0usize;
-    while t < ticks {
-        if rng.chance(prob(t)) {
-            let magnitude = rng.range_f64(lo, hi) * if rng.chance(0.6) { 1.0 } else { -1.0 };
-            let ramp = rng.range_u64(1, 5) as usize;
-            let hold = rng.range_u64(10, 61) as usize;
-            let mut level = 0.0;
-            let step = magnitude / ramp as f64;
-            for phase in 0..(2 * ramp + hold) {
-                if t + phase >= ticks {
-                    break;
-                }
-                if phase < ramp {
-                    level += step;
-                } else if phase >= ramp + hold {
-                    level -= step;
-                }
-                boost[t + phase] = level;
-            }
-            t += 2 * ramp + hold;
-        } else {
-            t += 1;
-        }
-    }
-    boost
-}
-
 /// Generates a full multi-region trace.
 #[must_use]
 pub fn generate(cfg: &RuneScapeConfig) -> GameTrace {
-    let mut rng = Rng64::seed_from(cfg.seed);
-    let ticks = (cfg.days * TICKS_PER_DAY) as usize;
-    // The events act on every group alike: one multiplier per tick, or
-    // none when there are no events (the empty product is 1.0).
-    let event_mult: Option<Vec<f64>> = (!cfg.events.is_empty()).then(|| {
-        (0..ticks)
-            .map(|t| combined_multiplier(&cfg.events, SimTime(t as u64)))
-            .collect()
-    });
-    // One day of a periodic factor, indexed by the tick's phase of day,
-    // refilled for each region's surge odds and each group's diurnal
-    // curve (module docs, "Periodic factors").
-    let mut day_table = [0.0f64; DAY];
-    let mut regions = Vec::with_capacity(cfg.regions.len());
-    for (ri, spec) in cfg.regions.iter().enumerate() {
-        // Region-wide surges shared by all the region's groups.
-        let mut region_rng = rng.split();
-        // Magnitudes sit near the |Υ| = 1% event threshold on purpose,
-        // and episodes cluster at the region's peak hours (scheduled
-        // in-game events run when players are online): super-linear
-        // update models amplify the same player surge into a larger
-        // resource shortfall there (the Figure 10 separation).
-        let offset = spec.utc_offset_hours;
-        let base_prob = cfg.regional_flash_prob_per_tick;
-        for (phase, p) in day_table.iter_mut().enumerate() {
-            let d = diurnal(SimTime(phase as u64).hour_of_day() + offset);
-            *p = base_prob * 2.0 * d * d;
-        }
-        let region_boost =
-            episode_series(ticks, |t| day_table[t % DAY], 0.04, 0.13, &mut region_rng);
-        let mut groups = Vec::with_capacity(spec.groups as usize);
-        for gi in 0..spec.groups {
-            let mut group_rng = rng.split();
-            let profile = GroupProfile {
-                popularity: group_rng.triangular(0.55, 1.0, 0.85),
-                always_full: group_rng.chance(cfg.always_full_fraction),
-                weekend: group_rng.chance(cfg.weekend_fraction),
-                phase_jitter: group_rng.range_f64(-1.0, 1.0),
-            };
-            if !profile.always_full {
-                let amplitude = cfg.diurnal_amplitude;
-                for (phase, d) in day_table.iter_mut().enumerate() {
-                    // Peak at 19:00 local, trough at 07:00 local.
-                    let local_hour = SimTime(phase as u64).hour_of_day()
-                        + spec.utc_offset_hours
-                        + profile.phase_jitter;
-                    *d = (1.0 - amplitude) + amplitude * diurnal(local_hour);
-                }
-            }
-            let series = generate_group(
-                cfg,
-                spec,
-                &profile,
-                &day_table,
-                event_mult.as_deref(),
-                &region_boost,
-                &mut group_rng,
-            );
-            groups.push(ServerGroupTrace {
-                region: RegionId(ri as u8),
-                group: ServerGroupId(gi),
-                series,
-            });
-        }
-        regions.push(RegionTrace {
-            region: RegionId(ri as u8),
-            name: spec.name.clone(),
-            groups,
-        });
-    }
-    GameTrace { regions }
-}
-
-/// Generates one server group's series. `daily` holds the group's
-/// diurnal factor by phase of day (unread for an always-full group);
-/// `event_mult` (absent without events) and `region_boost` hold one
-/// value per tick.
-fn generate_group(
-    cfg: &RuneScapeConfig,
-    spec: &RegionSpec,
-    profile: &GroupProfile,
-    daily: &[f64],
-    event_mult: Option<&[f64]>,
-    region_boost: &[f64],
-    rng: &mut Rng64,
-) -> TimeSeries {
-    let mut series = TimeSeries::with_capacity(region_boost.len());
-    // AR(1) multiplicative noise: keeps the 2-minute signal smooth but
-    // wandering, like real login churn.
-    let (rho, sigma) = (0.98, 0.015);
-    let mut noise = 0.0;
-    // Outage state: remaining outage ticks.
-    let mut outage_left = 0u32;
-    let outage_prob_per_tick = cfg.outage_prob_per_day / TICKS_PER_DAY as f64;
-    // Flash-episode state: current boost and the ramp step sequence.
-    let mut flash_boost = 0.0f64;
-    let mut flash_plan: Vec<f64> = Vec::new(); // per-tick boost deltas, reversed
-
-    debug_assert!(event_mult.is_none_or(|m| m.len() == region_boost.len()));
-    for (tick, &regional) in region_boost.iter().enumerate() {
-        let t = SimTime(tick as u64);
-        // Outages hit all groups, including the always-full ones
-        // ("always 95%, except for outages").
-        if outage_left > 0 {
-            outage_left -= 1;
-            series.push(0.0);
-            continue;
-        }
-        if rng.chance(outage_prob_per_tick) {
-            // 10–60 minutes: "few and short-lived".
-            outage_left = rng.range_u64(5, 31) as u32;
-            series.push(0.0);
-            continue;
-        }
-
-        // Flash episodes: ramp up over 3-8 ticks, hold 10-60, ramp down.
-        if flash_plan.is_empty() && flash_boost == 0.0 && rng.chance(cfg.flash_prob_per_tick) {
-            let magnitude = rng.range_f64(0.10, 0.25) * if rng.chance(0.6) { 1.0 } else { -1.0 };
-            let ramp = rng.range_u64(3, 9) as usize;
-            let hold = rng.range_u64(10, 61) as usize;
-            // Build the reversed delta plan: ramp down, hold, ramp up.
-            let step = magnitude / ramp as f64;
-            let mut plan = Vec::with_capacity(2 * ramp + hold);
-            plan.extend(std::iter::repeat_n(-step, ramp));
-            plan.extend(std::iter::repeat_n(0.0, hold));
-            plan.extend(std::iter::repeat_n(step, ramp));
-            flash_plan = plan;
-        }
-        if let Some(delta) = flash_plan.pop() {
-            flash_boost += delta;
-            if flash_plan.is_empty() {
-                flash_boost = 0.0; // cancel rounding drift
-            }
-        }
-
-        let event_mult = event_mult.map_or(1.0, |m| m[tick]);
-        let load = if profile.always_full {
-            0.95 * spec.peak_players * event_mult.min(1.05)
-        } else {
-            let daily = daily[tick % DAY];
-            let weekend = if profile.weekend && t.is_weekend() {
-                1.2
-            } else {
-                1.0
-            };
-            noise = rho * noise + sigma * rng.normal();
-            spec.peak_players
-                * profile.popularity
-                * daily
-                * weekend
-                * event_mult
-                * (1.0 + noise)
-                * (1.0 + flash_boost)
-                * (1.0 + regional)
-        };
-        series.push(load.clamp(0.0, spec.peak_players * 1.05).round());
-    }
-    series
+    StreamingTrace::new(cfg).into_trace()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmog_util::stats;
+    use mmog_util::time::TICKS_PER_DAY;
 
     fn small_cfg() -> RuneScapeConfig {
         let mut cfg = RuneScapeConfig::paper_default(4, 99);

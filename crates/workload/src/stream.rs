@@ -1,39 +1,49 @@
-//! Streaming trace generation: the materialized generator, one tick at
-//! a time.
+//! The RuneScape-like trace protocol, with two drain orders.
 //!
-//! [`crate::runescape::generate`] materialises every server group's full
-//! series before anything can consume it — fine for the paper's ~130
-//! groups × two weeks (≈10 MB), fatal at thousands of groups / millions
-//! of synthetic players. [`StreamingTrace`] replays the *same* random
-//! protocol lazily: construction performs exactly the seed-expansion
-//! splits of the materialized path (one region stream, then one group
-//! stream per group, in enumeration order), and [`StreamingTrace::next_tick`]
-//! advances every group by one tick using O(1) state per group —
-//! the AR(1) noise register, the outage countdown, and two small
-//! fixed-capacity episode buffers whose maximum size is set by the
-//! generator's own ramp/hold bounds, not by the trace length.
+//! [`StreamingTrace`] is the one implementation of the random protocol
+//! behind the Sec. III workload ([`crate::runescape`] says what it
+//! models). Construction splits one stream per region, then one per
+//! group, in enumeration order, and samples each group's profile. Each
+//! region and group then advances on its own stream with O(1) state:
+//! the AR(1) noise register, the outage countdown, and fixed-capacity
+//! episode buffers sized by the protocol's ramp/hold bounds.
+//!
+//! - [`StreamingTrace::next_tick`] drains tick-major: every group by one
+//!   tick into the caller's row, with no allocation (asserted by
+//!   `crates/bench/tests/alloc_smoke.rs`). The engine's streaming worlds
+//!   use it, so their memory does not grow with the trace.
+//! - [`StreamingTrace::into_trace`] drains group-major: per region, the
+//!   surge episode over every tick, then each group over every tick,
+//!   into a [`GameTrace`]. [`crate::runescape::generate`] is this drain.
 //!
 //! # Byte-identity contract
 //!
-//! For every configuration, the stream of values produced group by
-//! group, tick by tick, is **bit-identical** to the materialized
-//! series: the per-tick RNG draws happen in the same order on the same
-//! per-group streams, episode levels are computed with the same float
-//! operations, and episode-start probabilities are evaluated at the
-//! same tick indices (a chance draw happens exactly when the episode
-//! buffer is empty, which mirrors the materialized `while` loop that
-//! jumps `t` past each episode). `tests::streaming_matches_materialized`
-//! and the bench crate's paper-scale determinism test pin this down.
+//! Both orders yield bit-identical values. Every region and group draws
+//! from its own split stream, so the order in which they advance cannot
+//! change a draw, and each factor has one formula (below). The digests
+//! in `crates/workload/tests/trace_digest.rs` pin both drains;
+//! `tests::tick_drain_matches_group_drain` and the bench crate's
+//! paper-scale determinism test compare them value by value.
 //!
-//! # Steady-state allocation
+//! # Periodic factors
 //!
-//! All buffers are sized at construction; `next_tick` performs no
-//! allocation (asserted by `crates/bench/tests/alloc_smoke.rs`).
+//! A group's diurnal factor and a region's surge-start odds depend on
+//! the tick only through [`SimTime::hour_of_day`], i.e. on
+//! `tick % TICKS_PER_DAY`. The group-major drain evaluates each over the
+//! 720 phases of a day into a reused day buffer and reads it at
+//! `tick % 720`; the tick-major drain passes an empty buffer and runs
+//! the same expression per tick, so it keeps no tables. The
+//! population-event multiplier is computed once per tick (the
+//! group-major drain skips it without events: the empty product is 1.0).
 
-use crate::events::{combined_multiplier, PopulationEvent};
+use crate::events::combined_multiplier;
 use crate::runescape::{RegionSpec, RuneScapeConfig};
+use crate::trace::{GameTrace, RegionId, RegionTrace, ServerGroupId, ServerGroupTrace};
 use mmog_util::rng::Rng64;
 use mmog_util::time::{SimTime, TICKS_PER_DAY};
+
+/// Ticks in one day: the period of every periodic factor.
+const DAY: usize = TICKS_PER_DAY as usize;
 
 /// Maximum length of a regional surge episode: ramp ≤ 4 (`range_u64(1,
 /// 5)`), hold ≤ 60 (`range_u64(10, 61)`), so `2·ramp + hold ≤ 68`.
@@ -43,9 +53,39 @@ const REGION_EPISODE_CAP: usize = 2 * 4 + 60;
 /// 9)`), hold ≤ 60, so `2·ramp + hold ≤ 76`.
 const FLASH_EPISODE_CAP: usize = 2 * 8 + 60;
 
-/// Streaming counterpart of `runescape::episode_series`: the same RNG
-/// draws on the same stream, but the episode's level sequence is staged
-/// in a fixed-capacity buffer instead of a trace-length vector.
+/// The diurnal shape in `[0, 1]` at local hour `h`: 0 at 07:00, 1 at
+/// 19:00.
+fn diurnal(h: f64) -> f64 {
+    0.5 * (1.0 - (2.0 * std::f64::consts::PI * (h - 7.0) / 24.0).cos())
+}
+
+/// A group's diurnal load factor at `tick`: peak at 19:00 local, trough
+/// at 07:00 local.
+fn daily_factor(cfg: &RuneScapeConfig, spec: &RegionSpec, phase_jitter: f64, tick: usize) -> f64 {
+    let local_hour = SimTime(tick as u64).hour_of_day() + spec.utc_offset_hours + phase_jitter;
+    (1.0 - cfg.diurnal_amplitude) + cfg.diurnal_amplitude * diurnal(local_hour)
+}
+
+/// A region's surge-start odds at `tick`, clustered at its peak hours
+/// (scheduled in-game events run when players are online).
+fn surge_odds(cfg: &RuneScapeConfig, spec: &RegionSpec, tick: usize) -> f64 {
+    let d = diurnal(SimTime(tick as u64).hour_of_day() + spec.utc_offset_hours);
+    cfg.regional_flash_prob_per_tick * 2.0 * d * d
+}
+
+/// `day[tick % DAY]`, or `formula(tick)` when `day` is empty.
+fn periodic(day: &[f64], tick: usize, formula: impl FnOnce(usize) -> f64) -> f64 {
+    if day.is_empty() {
+        formula(tick)
+    } else {
+        day[tick % DAY]
+    }
+}
+
+/// Ramped boost episodes: with per-tick start probability `prob` an
+/// episode starts, ramping to a magnitude in ±`[lo, hi]` over 1–4
+/// ticks, holding, then ramping back. The level sequence is staged in a
+/// fixed-capacity buffer.
 #[derive(Debug, Clone)]
 struct EpisodeStream {
     rng: Rng64,
@@ -76,8 +116,8 @@ impl EpisodeStream {
             self.cursor += 1;
             return v;
         }
-        // Outside an episode: the materialized loop draws `chance` at
-        // exactly these tick indices (it jumps `t` past each episode).
+        // Outside an episode: a start is drawn only here, never while
+        // an episode plays out.
         if self.rng.chance(prob) {
             let magnitude = self.rng.range_f64(self.lo, self.hi)
                 * if self.rng.chance(0.6) { 1.0 } else { -1.0 };
@@ -104,24 +144,28 @@ impl EpisodeStream {
     }
 }
 
-/// Per-group latent profile, sampled at construction exactly like the
-/// materialized generator's `GroupProfile`.
+/// Per-group latent state, sampled once at construction.
 #[derive(Debug, Clone)]
 struct GroupProfile {
+    /// Relative popularity in (0, 1]; spreads the peak-hour loads so the
+    /// cross-group median sits ~50 % above the minimum.
     popularity: f64,
+    /// Pinned at 95 % load?
     always_full: bool,
+    /// Shows the weekend effect?
     weekend: bool,
+    /// Small per-group phase shift of the diurnal peak (hours).
     phase_jitter: f64,
 }
 
-/// Streaming counterpart of one `generate_group` call: the per-tick
-/// loop body of the materialized generator, with the loop state kept
-/// between calls.
+/// One server group's stream: the profile plus the loop state carried
+/// from tick to tick.
 #[derive(Debug, Clone)]
 struct GroupStream {
     rng: Rng64,
     profile: GroupProfile,
-    /// AR(1) noise register.
+    /// AR(1) multiplicative noise: keeps the 2-minute signal smooth but
+    /// wandering, like real login churn.
     noise: f64,
     /// Remaining outage ticks.
     outage_left: u32,
@@ -132,7 +176,6 @@ struct GroupStream {
 
 impl GroupStream {
     fn new(mut rng: Rng64, cfg: &RuneScapeConfig) -> Self {
-        // Identical draw order to the materialized GroupProfile sampling.
         let profile = GroupProfile {
             popularity: rng.triangular(0.55, 1.0, 0.85),
             always_full: rng.chance(cfg.always_full_fraction),
@@ -149,27 +192,37 @@ impl GroupStream {
         }
     }
 
-    /// One tick of the materialized `generate_group` loop body.
+    /// The group's load at `tick` (calls must be made for consecutive
+    /// ticks). `regional` is the region's surge level and `event_mult`
+    /// the population-event multiplier at `tick`; `daily` is this
+    /// group's diurnal factor by phase of day, or empty to evaluate it
+    /// per tick (module docs, "Periodic factors"). Inlined into both
+    /// drains: as an outlined call, `next_tick` ran ≈ 13% slower.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn next(
         &mut self,
         tick: usize,
         regional: f64,
+        event_mult: f64,
+        daily: &[f64],
         spec: &RegionSpec,
-        events: &[PopulationEvent],
         cfg: &RuneScapeConfig,
         outage_prob_per_tick: f64,
     ) -> f64 {
-        let t = SimTime(tick as u64);
+        // Outages hit all groups, including the always-full ones
+        // ("always 95%, except for outages").
         if self.outage_left > 0 {
             self.outage_left -= 1;
             return 0.0;
         }
         if self.rng.chance(outage_prob_per_tick) {
+            // 10–60 minutes: "few and short-lived".
             self.outage_left = self.rng.range_u64(5, 31) as u32;
             return 0.0;
         }
 
+        // Flash episodes: ramp up over 3-8 ticks, hold 10-60, ramp down.
         if self.flash_plan.is_empty()
             && self.flash_boost == 0.0
             && self.rng.chance(cfg.flash_prob_per_tick)
@@ -179,9 +232,8 @@ impl GroupStream {
             let ramp = self.rng.range_u64(3, 9) as usize;
             let hold = self.rng.range_u64(10, 61) as usize;
             let step = magnitude / ramp as f64;
-            // Reversed delta plan (consumed back to front), exactly as
-            // the materialized generator builds it — but into the
-            // pre-sized buffer, so no steady-state allocation.
+            // Reversed delta plan (consumed back to front): ramp down,
+            // hold, ramp up, into the pre-sized buffer.
             self.flash_plan.clear();
             self.flash_plan.extend(std::iter::repeat_n(-step, ramp));
             self.flash_plan.extend(std::iter::repeat_n(0.0, hold));
@@ -194,15 +246,12 @@ impl GroupStream {
             }
         }
 
-        let event_mult = combined_multiplier(events, t);
         let load = if self.profile.always_full {
             0.95 * spec.peak_players * event_mult.min(1.05)
         } else {
-            let local_hour = t.hour_of_day() + spec.utc_offset_hours + self.profile.phase_jitter;
-            let diurnal =
-                0.5 * (1.0 - (2.0 * std::f64::consts::PI * (local_hour - 7.0) / 24.0).cos());
-            let daily = (1.0 - cfg.diurnal_amplitude) + cfg.diurnal_amplitude * diurnal;
-            let weekend = if self.profile.weekend && t.is_weekend() {
+            let phase_jitter = self.profile.phase_jitter;
+            let daily = periodic(daily, tick, |t| daily_factor(cfg, spec, phase_jitter, t));
+            let weekend = if self.profile.weekend && SimTime(tick as u64).is_weekend() {
                 1.2
             } else {
                 1.0
@@ -230,12 +279,21 @@ struct RegionStream {
     groups: Vec<GroupStream>,
 }
 
+impl RegionStream {
+    /// The region's surge level at `tick` (calls must be made for
+    /// consecutive ticks); `odds` holds the surge-start odds by phase of
+    /// day, or is empty to evaluate them per tick.
+    fn surge(&mut self, tick: usize, odds: &[f64], cfg: &RuneScapeConfig) -> f64 {
+        let prob = periodic(odds, tick, |t| surge_odds(cfg, &self.spec, t));
+        self.episodes.next(prob)
+    }
+}
+
 /// The whole configuration as a lazy tick source.
 ///
 /// Group order is region-major (region 0's groups, then region 1's, …)
-/// — the same global order in which the materialized
-/// [`crate::trace::GameTrace`] enumerates its groups, and the order the
-/// simulation engine assigns group indices.
+/// — the same global order in which a [`GameTrace`] enumerates its
+/// groups, and the order the simulation engine assigns group indices.
 #[derive(Debug, Clone)]
 pub struct StreamingTrace {
     cfg: RuneScapeConfig,
@@ -247,8 +305,8 @@ pub struct StreamingTrace {
 }
 
 impl StreamingTrace {
-    /// Builds the per-region / per-group streams, performing exactly the
-    /// seed-expansion splits of [`crate::runescape::generate`].
+    /// Builds the per-region / per-group streams: one split for each
+    /// region's surges, then one for each of its groups, in order.
     #[must_use]
     pub fn new(cfg: &RuneScapeConfig) -> Self {
         let mut rng = Rng64::seed_from(cfg.seed);
@@ -257,6 +315,9 @@ impl StreamingTrace {
         let mut group_count = 0usize;
         for spec in &cfg.regions {
             let region_rng = rng.split();
+            // Surge magnitudes sit near the |Υ| = 1% event threshold on
+            // purpose: super-linear update models amplify the same surge
+            // into a larger resource shortfall (the Figure 10 separation).
             let episodes = EpisodeStream::new(region_rng, 0.04, 0.13, REGION_EPISODE_CAP);
             let mut groups = Vec::with_capacity(spec.groups as usize);
             for _ in 0..spec.groups {
@@ -324,47 +385,83 @@ impl StreamingTrace {
             self.group_count
         );
         let t = self.t;
-        let mut gi = 0usize;
+        let event_mult = combined_multiplier(&self.cfg.events, SimTime(t as u64));
+        let mut out = out.iter_mut();
         for region in &mut self.regions {
-            // Regional surge level first (shared by the region's groups),
-            // with the episode-start probability clustered at the
-            // region's peak hours — identical to the materialized
-            // closure passed to `episode_series`.
-            let offset = region.spec.utc_offset_hours;
-            let h = SimTime(t as u64).hour_of_day() + offset;
-            let diurnal = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * (h - 7.0) / 24.0).cos());
-            let prob = self.cfg.regional_flash_prob_per_tick * 2.0 * diurnal * diurnal;
-            let regional = region.episodes.next(prob);
-            for group in &mut region.groups {
-                out[gi] = group.next(
-                    t,
-                    regional,
-                    &region.spec,
-                    &self.cfg.events,
-                    &self.cfg,
-                    self.outage_prob_per_tick,
-                );
-                gi += 1;
+            // The surge level first: it is shared by the region's groups.
+            let regional = region.surge(t, &[], &self.cfg);
+            let (spec, p_out) = (&region.spec, self.outage_prob_per_tick);
+            for (group, load) in region.groups.iter_mut().zip(&mut out) {
+                *load = group.next(t, regional, event_mult, &[], spec, &self.cfg, p_out);
             }
         }
         self.t += 1;
         true
+    }
+
+    /// Drains the remaining ticks group by group into a materialized
+    /// trace: per region, the surge episode over every tick into one
+    /// buffer, then each group over every tick into its series, with the
+    /// periodic factors read from a day buffer (module docs).
+    #[must_use]
+    pub fn into_trace(mut self) -> GameTrace {
+        let (cfg, p_out, first) = (&self.cfg, self.outage_prob_per_tick, self.t);
+        let ticks = first..self.ticks;
+        let events: Option<Vec<f64>> = (!cfg.events.is_empty()).then(|| {
+            let mult = |t: usize| combined_multiplier(&cfg.events, SimTime(t as u64));
+            ticks.clone().map(mult).collect()
+        });
+        let event_mult = |t: usize| events.as_ref().map_or(1.0, |m| m[t - first]);
+        let mut surge = vec![0.0f64; ticks.len()];
+        let mut day = [0.0f64; DAY];
+        let mut regions = Vec::with_capacity(self.regions.len());
+        for (ri, region) in self.regions.iter_mut().enumerate() {
+            for (phase, odds) in day.iter_mut().enumerate() {
+                *odds = surge_odds(cfg, &region.spec, phase);
+            }
+            for (t, level) in ticks.clone().zip(&mut surge) {
+                *level = region.surge(t, &day, cfg);
+            }
+            let (spec, region_id) = (&region.spec, RegionId(ri as u8));
+            let mut groups = Vec::with_capacity(region.groups.len());
+            for (group, gi) in region.groups.iter_mut().zip(0u32..) {
+                // An always-full group never reads its diurnal factor.
+                if !group.profile.always_full {
+                    let jitter = group.profile.phase_jitter;
+                    for (phase, daily) in day.iter_mut().enumerate() {
+                        *daily = daily_factor(cfg, spec, jitter, phase);
+                    }
+                }
+                let series = ticks.clone().zip(&surge).map(|(t, &regional)| {
+                    group.next(t, regional, event_mult(t), &day, spec, cfg, p_out)
+                });
+                groups.push(ServerGroupTrace {
+                    region: region_id,
+                    group: ServerGroupId(gi),
+                    series: series.collect(),
+                });
+            }
+            regions.push(RegionTrace {
+                region: region_id,
+                name: spec.name.clone(),
+                groups,
+            });
+        }
+        GameTrace { regions }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runescape::generate;
 
-    fn check_matches(cfg: &RuneScapeConfig) {
-        let materialized = generate(cfg);
+    /// The tick-major drain (per-tick formulas) against the group-major
+    /// drain (day buffers), value by value.
+    fn check_drains_agree(cfg: &RuneScapeConfig) {
+        let trace = StreamingTrace::new(cfg).into_trace();
         let mut stream = StreamingTrace::new(cfg);
-        let groups: Vec<&crate::trace::ServerGroupTrace> = materialized
-            .regions
-            .iter()
-            .flat_map(|r| &r.groups)
-            .collect();
+        let groups: Vec<&crate::trace::ServerGroupTrace> =
+            trace.regions.iter().flat_map(|r| &r.groups).collect();
         assert_eq!(stream.group_count(), groups.len());
         let mut out = vec![0.0f64; stream.group_count()];
         for t in 0..stream.ticks() {
@@ -374,7 +471,7 @@ mod tests {
                 let got = out[gi];
                 assert!(
                     expect.to_bits() == got.to_bits(),
-                    "tick {t} group {gi}: stream {got} != materialized {expect}"
+                    "tick {t} group {gi}: tick drain {got} != group drain {expect}"
                 );
             }
         }
@@ -382,31 +479,53 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_materialized() {
+    fn tick_drain_matches_group_drain() {
         let mut cfg = RuneScapeConfig::paper_default(2, 99);
         cfg.regions.truncate(2);
         cfg.regions[0].groups = 6;
         cfg.regions[1].groups = 3;
-        check_matches(&cfg);
+        check_drains_agree(&cfg);
     }
 
     #[test]
-    fn streaming_matches_with_outages_and_events() {
+    fn tick_drain_matches_group_drain_with_outages_and_events() {
         let mut cfg = RuneScapeConfig::with_figure2_events(3, 41, 1);
         cfg.regions.truncate(2);
         cfg.regions[0].groups = 4;
         cfg.regions[1].groups = 4;
         cfg.outage_prob_per_day = 2.0; // force outage branches
-        check_matches(&cfg);
+        check_drains_agree(&cfg);
     }
 
     #[test]
-    fn streaming_matches_always_full() {
+    fn tick_drain_matches_group_drain_always_full() {
         let mut cfg = RuneScapeConfig::paper_default(1, 7);
         cfg.regions.truncate(1);
         cfg.regions[0].groups = 3;
         cfg.always_full_fraction = 1.0;
-        check_matches(&cfg);
+        check_drains_agree(&cfg);
+    }
+
+    #[test]
+    fn group_drain_takes_the_remaining_ticks() {
+        let mut cfg = RuneScapeConfig::paper_default(2, 5);
+        cfg.regions.truncate(2);
+        cfg.regions[0].groups = 3;
+        cfg.regions[1].groups = 2;
+        let whole = StreamingTrace::new(&cfg).into_trace();
+        let mut stream = StreamingTrace::new(&cfg);
+        let mut row = vec![0.0f64; stream.group_count()];
+        for _ in 0..100 {
+            assert!(stream.next_tick(&mut row));
+        }
+        let rest = stream.into_trace();
+        for (w, r) in whole.regions.iter().zip(&rest.regions) {
+            assert_eq!(w.name, r.name);
+            for (wg, rg) in w.groups.iter().zip(&r.groups) {
+                assert_eq!(wg.group, rg.group);
+                assert_eq!(&wg.series.values()[100..], rg.series.values());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! End-to-end engine benchmarks: a full (small) provisioning simulation
-//! and the per-tick group fan-out, serial vs parallel, at 10/50/200
-//! server groups.
+//! End-to-end engine benchmark: a full (small) provisioning simulation
+//! of one day at 10 and 40 server groups.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mmog_predict::eval::PredictorKind;
@@ -34,48 +33,5 @@ fn bench_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole comparison: one simulated day with the per-tick
-/// predict→demand→request stage run serially (`jobs = 1`) versus fanned
-/// out across all logical CPUs, at 10, 50, and 200 server groups
-/// (5 regions x group cap 2/10/40). On a single-core host the two
-/// paths should be within noise of each other; the parallel path's
-/// advantage appears with the core count.
-fn bench_group_fanout(c: &mut Criterion) {
-    let baseline_jobs = mmog_par::jobs();
-    let all = mmog_par::available_jobs();
-    let mut group = c.benchmark_group("tick_fanout_one_day");
-    group.sample_size(10);
-    for (groups, cap) in [(10u32, 2u32), (50, 10), (200, 40)] {
-        let opts = ScenarioOpts {
-            days: 1,
-            seed: 5,
-            group_cap: Some(cap),
-        };
-        for (label, jobs) in [("serial", 1usize), ("parallel", all)] {
-            group.throughput(Throughput::Elements(720));
-            group.bench_function(BenchmarkId::new(format!("{groups}_groups"), label), |b| {
-                b.iter_batched(
-                    || {
-                        let mut cfg = prediction_impact(
-                            PredictorKind::LastValue,
-                            AllocationMode::Dynamic,
-                            &opts,
-                        );
-                        cfg.train_ticks = 0;
-                        cfg
-                    },
-                    |cfg| {
-                        mmog_par::set_jobs(jobs);
-                        black_box(Simulation::new(cfg).run().ticks)
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            });
-        }
-    }
-    group.finish();
-    mmog_par::set_jobs(baseline_jobs);
-}
-
-criterion_group!(benches, bench_simulation, bench_group_fanout);
+criterion_group!(benches, bench_simulation);
 criterion_main!(benches);

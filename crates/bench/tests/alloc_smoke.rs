@@ -26,6 +26,7 @@ fn record(bytes: usize) {
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(layout.size());

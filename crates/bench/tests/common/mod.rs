@@ -15,13 +15,13 @@ pub fn pass<R>(jobs: usize, f: impl FnOnce() -> R) -> R {
     let fan_outs: u64 = metrics
         .counters
         .iter()
-        .filter(|(name, _, _)| matches!(name.as_str(), "par.pool.created" | "par.map.regions"))
+        .filter(|(name, _, _)| name == "par.map.regions")
         .map(|(_, _, n)| n)
         .sum();
     assert_eq!(
         fan_outs > 0,
         jobs > 1,
-        "a --jobs {jobs} pass recorded {fan_outs} pools/parallel regions"
+        "a --jobs {jobs} pass recorded {fan_outs} parallel regions"
     );
     out
 }

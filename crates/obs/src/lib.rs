@@ -10,8 +10,8 @@
 //! external dependency:
 //!
 //! - [`registry`] — counters, gauges and fixed-bucket histograms with
-//!   cheap atomic recording, safe to hit from inside the `mmog-par`
-//!   worker pool, and the [`Registry`] that holds them together with
+//!   cheap atomic recording, safe to hit from inside `mmog-par`
+//!   workers, and the [`Registry`] that holds them together with
 //!   the span tree and the latency histograms: one process default, or
 //!   the caller's scope.
 //! - [`span`](mod@span) — a hierarchical wall-clock timing tree for the

@@ -1,8 +1,8 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms.
 //!
 //! Recording is lock-free after the first lookup (plain atomic
-//! read-modify-writes), so instruments can be hit from inside the
-//! `mmog-par` worker pool without serialising the fan-out. Hot call
+//! read-modify-writes), so instruments can be hit from inside
+//! `mmog-par` workers without serialising the fan-out. Hot call
 //! sites fetch the `Arc` handle once when their owner is built, so the
 //! name lookup happens once per owner, not once per record. Which
 //! [`Registry`] a lookup lands in is the caller's scope (see there).

@@ -1,5 +1,5 @@
 //! Cross-thread contracts of the observability plane: recording from
-//! inside the `mmog-par` pool must produce the same totals as serial
+//! inside `mmog-par` workers must produce the same totals as serial
 //! recording, concurrent scopes must keep their numbers and jobs values
 //! apart, and the JSONL event log must round-trip through the parser
 //! byte-for-byte.

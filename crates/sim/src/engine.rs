@@ -277,14 +277,13 @@ pub struct FlightDumpReport {
 /// A group's hot per-tick state, split struct-of-arrays style out of
 /// [`GroupRuntime`]: every field here is read or written by every tick,
 /// so the engine keeps one contiguous `Vec<GroupHot>` that the
-/// fan-out writes and the ordered reduction scans — a linear walk over
-/// packed 80-byte records instead of chasing provisioner-sized structs.
-/// Folding happens serially in group-index order, which keeps aggregates
-/// bit-identical for any thread count.
+/// predict stage writes and the ordered reduction scans — a linear walk
+/// over packed 80-byte records instead of chasing provisioner-sized
+/// structs. Both run serially in group-index order.
 #[derive(Debug, Clone, Copy, Default)]
 struct GroupHot {
     /// This tick's observed player count, filled from the group's
-    /// workload source before the fan-out.
+    /// workload source before the predict stage.
     players: f64,
     demand: ResourceVector,
     alloc: ResourceVector,
@@ -322,10 +321,6 @@ enum WorkloadSource {
         stream: StreamingTrace,
     },
 }
-
-/// Below this many server groups a per-tick fan-out costs more in
-/// barrier traffic than it saves; the engine stays serial.
-const PARALLEL_GROUP_THRESHOLD: usize = 8;
 
 /// Minimum wall-clock gap between live-tap writes. On top of the tick
 /// interval, writes are wall-clock throttled: a dashboard cannot use
@@ -438,9 +433,8 @@ impl Effect {
 /// What one [`Simulation::run`] threads through its tick stages: the
 /// report under construction, the effect timeline, the observability
 /// planes, and the current tick's intermediate results.
-/// Event emission happens only from the serial stages (the fan-out
-/// emits nothing), so within-run order is program order — the event-log
-/// determinism contract.
+/// Every stage runs serially on the calling thread, so within-run
+/// event order is program order — the event-log determinism contract.
 struct RunState {
     /// Stages add to the report's counters and series directly;
     /// `finish` fills in the rest.
@@ -476,14 +470,6 @@ struct RunState {
     /// accumulation (same per-lease addition order, same iteration
     /// order).
     usage: Vec<(Vec<f64>, Vec<bool>, f64)>,
-    /// Per-tick fan-out pool: scoring and observe→predict→target are
-    /// independent per group, so they fan out across a persistent pool
-    /// (spawning scoped threads every two-minute tick would cost more
-    /// than the work). Request–offer matching afterwards mutates the
-    /// shared data centers and stays serial. Nested parallel regions
-    /// (e.g. a sweep already running experiments in parallel) fall
-    /// back to serial automatically.
-    pool: Option<mmog_par::Pool>,
     /// Per-stage timers, fetched once per run: the pipeline's timing
     /// tree.
     t_predict: Arc<SpanStat>,
@@ -1000,10 +986,6 @@ impl Simulation {
             leases_granted: 0,
             leases_released: 0,
             usage: vec![(vec![0.0; ops], vec![false; ops], 0.0); self.platform.centers().len()],
-            pool: (mmog_par::jobs() > 1
-                && !mmog_par::in_parallel()
-                && self.groups.len() >= PARALLEL_GROUP_THRESHOLD)
-                .then(|| mmog_par::Pool::new(mmog_par::jobs())),
             t_predict: mmog_obs::timer("sim/run/predict_score"),
             t_reduce: mmog_obs::timer("sim/run/reduce"),
             t_settle: mmog_obs::timer("sim/run/match_settle"),
@@ -1087,7 +1069,7 @@ impl Simulation {
 
     /// Effect application: serial, after the fill (so migration costs
     /// are charged against this tick's player counts) and before the
-    /// fan-out (so revoked capacity, dropped leases and flash-crowd
+    /// predict stage (so revoked capacity, dropped leases and flash-crowd
     /// demand are visible the same tick, and events land in program
     /// order). An effect that names a center the platform does not have
     /// is skipped: it is not applied, counted or traced and raises no
@@ -1309,18 +1291,18 @@ impl Simulation {
         });
     }
 
-    /// Fan-out: score the allocation in force against the actual demand
-    /// and (in dynamic mode) compute each group's next demand target.
-    /// Each group touches only its own cold state and its slot in the
-    /// contiguous hot array.
+    /// Per-group stage: score the allocation in force against the actual
+    /// demand and (in dynamic mode) compute each group's next demand
+    /// target. One serial loop in group-index order; each group touches
+    /// only its own cold state and its slot in the contiguous hot array.
     fn predict(&mut self, run: &mut RunState) {
         let dynamic = self.mode == AllocationMode::Dynamic;
         let dropout = run.tick.dropout;
-        let step = |_i: usize, group: &mut GroupRuntime, hot: &mut GroupHot| {
+        let start = Instant::now();
+        for (group, hot) in self.groups.iter_mut().zip(self.hot.iter_mut()) {
             let players = hot.players;
-            // Score the prediction made last tick against this
-            // tick's observation. Per-group accumulators keep the
-            // sums deterministic under the fan-out.
+            // Score the prediction made last tick against this tick's
+            // observation, in the group's own accumulators.
             let prev = group.provisioner.last_prediction();
             if dynamic && prev.is_finite() {
                 hot.abs_err_sum += (prev - players).abs();
@@ -1338,16 +1320,6 @@ impl Simulation {
                     group.provisioner.observe_and_target(players)
                 };
             }
-        };
-        let start = Instant::now();
-        match &run.pool {
-            Some(pool) => pool.for_each_mut2(&mut self.groups, &mut self.hot, step),
-            None => {
-                for (i, (group, hot)) in self.groups.iter_mut().zip(self.hot.iter_mut()).enumerate()
-                {
-                    step(i, group, hot);
-                }
-            }
         }
         run.tick.predict_ns = ns_since(start);
         run.t_predict.record_ns(run.tick.predict_ns);
@@ -1356,9 +1328,9 @@ impl Simulation {
 
     /// Ordered reduction (Eq. 2's min is per server group so one group's
     /// surplus never hides another's deficit): fold the hot array in
-    /// group-index order — float sums come out bit-identical to the
-    /// serial engine for any thread count. Scored ticks also feed the
-    /// metrics, the report series and the per-center usage integration.
+    /// group-index order, so float sums are fixed by the group order.
+    /// Scored ticks also feed the metrics, the report series and the
+    /// per-center usage integration.
     fn reduce(&mut self, run: &mut RunState) {
         let start = Instant::now();
         let t = run.tick.t;

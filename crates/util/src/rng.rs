@@ -10,8 +10,8 @@
 //! - **Xoshiro256++** as the core generator — fast, 256-bit state,
 //!   excellent statistical quality for simulation workloads,
 //! - the handful of distributions the emulator and the trace generator
-//!   need (uniform, Bernoulli, normal, exponential, Poisson, Zipf, Pareto,
-//!   triangular) plus Fisher–Yates shuffling and weighted choice.
+//!   need (uniform, Bernoulli, normal, exponential, triangular) plus
+//!   Fisher–Yates shuffling and weighted choice.
 //!
 //! The generator intentionally does **not** implement `rand`'s traits:
 //! hot simulation loops stay free of external API churn. `rand` remains
@@ -191,55 +191,11 @@ impl Rng64 {
         r * theta.cos()
     }
 
-    /// Normal variate with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
-    }
-
     /// Exponential variate with rate `lambda` (> 0).
     pub fn exponential(&mut self, lambda: f64) -> f64 {
         debug_assert!(lambda > 0.0, "exponential rate must be positive");
         let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
         -u.ln() / lambda
-    }
-
-    /// Poisson variate with mean `lambda`. Uses Knuth's product method for
-    /// small means and a normal approximation above 30 (adequate for the
-    /// arrival processes in the emulator).
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        if lambda <= 0.0 {
-            return 0;
-        }
-        if lambda > 30.0 {
-            let z = self.normal_with(lambda, lambda.sqrt());
-            return z.max(0.0).round() as u64;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
-    /// Pareto variate with scale `x_m` and shape `alpha` (both > 0);
-    /// heavy-tailed session lengths and packet bursts use this.
-    pub fn pareto(&mut self, x_m: f64, alpha: f64) -> f64 {
-        debug_assert!(x_m > 0.0 && alpha > 0.0);
-        let u = (1.0 - self.f64()).max(f64::MIN_POSITIVE);
-        x_m / u.powf(1.0 / alpha)
-    }
-
-    /// Zipf-distributed rank in `[1, n]` with exponent `s`, via inverse
-    /// transform on the precomputable harmonic weights. O(n) per call —
-    /// fine for the small `n` used here; use [`ZipfTable`] for hot loops.
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        ZipfTable::new(n, s).sample(self)
     }
 
     /// Triangular variate on `[lo, hi]` with the given mode.
@@ -286,39 +242,6 @@ impl Rng64 {
         }
         // Floating-point slack: fall back to the last positive weight.
         weights.iter().rposition(|&w| w > 0.0)
-    }
-}
-
-/// Precomputed cumulative weights for repeated Zipf sampling.
-#[derive(Debug, Clone)]
-pub struct ZipfTable {
-    cumulative: Vec<f64>,
-}
-
-impl ZipfTable {
-    /// Builds the table for ranks `1..=n` with exponent `s`.
-    #[must_use]
-    pub fn new(n: u64, s: f64) -> Self {
-        let n = n.max(1) as usize;
-        let mut cumulative = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cumulative.push(acc);
-        }
-        Self { cumulative }
-    }
-
-    /// Samples a rank in `[1, n]`.
-    pub fn sample(&self, rng: &mut Rng64) -> u64 {
-        let total = *self.cumulative.last().expect("table is never empty");
-        let target = rng.f64() * total;
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&target).expect("weights are finite"))
-        {
-            Ok(i) | Err(i) => (i.min(self.cumulative.len() - 1) + 1) as u64,
-        }
     }
 }
 
@@ -409,36 +332,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_small_and_large_means() {
-        let mut rng = Rng64::seed_from(19);
-        let n = 50_000;
-        let m_small: f64 = (0..n).map(|_| rng.poisson(3.0) as f64).sum::<f64>() / n as f64;
-        assert!((m_small - 3.0).abs() < 0.1, "small mean {m_small}");
-        let m_large: f64 = (0..n).map(|_| rng.poisson(100.0) as f64).sum::<f64>() / n as f64;
-        assert!((m_large - 100.0).abs() < 1.0, "large mean {m_large}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = Rng64::seed_from(23);
-        for _ in 0..10_000 {
-            assert!(rng.pareto(1.5, 2.0) >= 1.5);
-        }
-    }
-
-    #[test]
-    fn zipf_rank_one_dominates() {
-        let mut rng = Rng64::seed_from(29);
-        let table = ZipfTable::new(10, 1.2);
-        let mut counts = [0u32; 10];
-        for _ in 0..20_000 {
-            counts[(table.sample(&mut rng) - 1) as usize] += 1;
-        }
-        assert!(counts[0] > counts[4], "rank 1 should beat rank 5");
-        assert!(counts[4] > counts[9], "rank 5 should beat rank 10");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! plotting; numbers print to stdout in a stable format.
 //!
 //! Set `CRITERION_SAMPLE_MS` to change the per-benchmark time budget
-//! (milliseconds, default 200).
+//! (milliseconds, default 200). The first command-line argument that
+//! does not start with `-` filters by name: only benchmarks whose
+//! `group/id` contains it run (`cargo bench --bench workload -- paper`),
+//! and a skipped benchmark's body, setup included, never runs.
 
 use std::time::{Duration, Instant};
 
@@ -168,15 +171,25 @@ fn default_budget() -> Duration {
     Duration::from_millis(ms)
 }
 
+/// Whether the benchmark `name` (`group/id`) runs under `filter`: no
+/// filter runs everything, a filter runs the names that contain it.
+fn selected(filter: Option<&str>, name: &str) -> bool {
+    filter.is_none_or(|f| name.contains(f))
+}
+
 /// The benchmark harness entry point.
 pub struct Criterion {
     budget: Duration,
+    /// The name filter from the command line (see the crate docs).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
         Self {
             budget: default_budget(),
+            // cargo bench also passes harness flags such as `--bench`.
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -184,37 +197,33 @@ impl Default for Criterion {
 impl Criterion {
     /// Runs one standalone benchmark.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, self.budget, None, f);
+        self.run_one(name, None, f);
         self
     }
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
-            _parent: self,
+            parent: self,
             name: name.into(),
-            budget: default_budget(),
             throughput: None,
         }
     }
-}
 
-fn run_one(
-    name: &str,
-    budget: Duration,
-    throughput: Option<Throughput>,
-    mut f: impl FnMut(&mut Bencher),
-) {
-    let mut b = Bencher::new(budget);
-    f(&mut b);
-    report(name, &mut b.samples, throughput);
+    fn run_one(&self, name: &str, throughput: Option<Throughput>, f: impl FnOnce(&mut Bencher)) {
+        if !selected(self.filter.as_deref(), name) {
+            return;
+        }
+        let mut b = Bencher::new(self.budget);
+        f(&mut b);
+        report(name, &mut b.samples, throughput);
+    }
 }
 
 /// A group of related benchmarks sharing a name prefix.
 pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
+    parent: &'a mut Criterion,
     name: String,
-    budget: Duration,
     throughput: Option<Throughput>,
 }
 
@@ -238,7 +247,7 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let name = format!("{}/{id}", self.name);
-        run_one(&name, self.budget, self.throughput, f);
+        self.parent.run_one(&name, self.throughput, f);
         self
     }
 
@@ -250,7 +259,7 @@ impl BenchmarkGroup<'_> {
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
         let name = format!("{}/{id}", self.name);
-        run_one(&name, self.budget, self.throughput, |b| f(b, input));
+        self.parent.run_one(&name, self.throughput, |b| f(b, input));
         self
     }
 
@@ -274,9 +283,26 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            // cargo bench passes harness flags (e.g. --bench); this
-            // shim runs everything unconditionally.
             $( $group(); )+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::selected;
+
+    #[test]
+    fn filter_is_a_substring_of_group_and_id() {
+        let name = "trace_generate/paper_130groups_14days";
+        assert!(selected(None, name), "no filter runs everything");
+        assert!(selected(Some("paper"), name));
+        assert!(
+            selected(Some("trace_generate/paper"), name),
+            "across the slash"
+        );
+        assert!(selected(Some(name), name));
+        assert!(!selected(Some("figure2"), name));
+        assert!(!selected(Some("Paper"), name), "case-sensitive");
+    }
 }

@@ -232,7 +232,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmog_obs::{FlightConfig, FlightRecorder};
+    use mmog_obs::{FlightConfig, FlightRecorder, TickRecord};
 
     fn dump_text(retain: u64, push_ticks: std::ops::Range<u64>) -> String {
         let dir = std::env::temp_dir().join(format!("obs_check_flight_{retain}"));
@@ -240,20 +240,18 @@ mod tests {
         cfg.dump_dir.clone_from(&dir);
         let mut rec = FlightRecorder::new(cfg);
         for t in push_ticks {
-            rec.begin_tick(t);
-            rec.push(Event::Tick {
+            let record = TickRecord {
                 tick: t,
                 demand_cpu: 1.0,
                 alloc_cpu: 2.0,
-                shortfall_cpu: 0.0,
-            });
-            rec.push(Event::TickLatency {
-                tick: t,
                 predict_ns: 10,
                 reduce_ns: 5,
-                settle_ns: 0,
                 tick_ns: 20,
-            });
+                ..TickRecord::default()
+            };
+            rec.begin_tick(t);
+            rec.push(record.tick_event());
+            rec.push(record.latency_event());
         }
         let path = rec
             .trigger(FlightTrigger::Explicit, 99, "check-test")

@@ -112,12 +112,17 @@ fn latency_record_is_allocation_free() {
     std::hint::black_box(snap.count);
 }
 
-fn flight_tick(t: u64) -> mmog_obs::Event<'static> {
-    mmog_obs::Event::Tick {
+fn flight_tick(t: u64) -> mmog_obs::TickRecord {
+    mmog_obs::TickRecord {
         tick: t,
         demand_cpu: 1.0,
         alloc_cpu: 2.0,
         shortfall_cpu: 0.5,
+        predict_ns: 10,
+        reduce_ns: 5,
+        settle_ns: 3,
+        tick_ns: 20,
+        ..mmog_obs::TickRecord::default()
     }
 }
 
@@ -125,20 +130,14 @@ fn flight_push_is_allocation_free() {
     use mmog_obs::{FlightConfig, FlightRecorder};
     let mut rec = FlightRecorder::new(FlightConfig::new(16));
     rec.begin_tick(0);
-    rec.push(flight_tick(0));
+    rec.push(flight_tick(0).tick_event());
     let n = count_allocs(|| {
         // Far past the ring capacity: steady state includes age
         // eviction in begin_tick and wraparound eviction in push.
         for t in 1..2048u64 {
             rec.begin_tick(t);
-            rec.push(flight_tick(t));
-            rec.push(mmog_obs::Event::TickLatency {
-                tick: t,
-                predict_ns: 10,
-                reduce_ns: 5,
-                settle_ns: 3,
-                tick_ns: 20,
-            });
+            rec.push(flight_tick(t).tick_event());
+            rec.push(flight_tick(t).latency_event());
         }
     });
     assert_eq!(n, 0, "flight begin_tick+push must not allocate, got {n}");
@@ -154,7 +153,7 @@ fn flight_dump_allocations_are_bounded() {
         let mut rec = FlightRecorder::new(cfg);
         for t in 0..ticks {
             rec.begin_tick(t);
-            rec.push(flight_tick(t));
+            rec.push(flight_tick(t).tick_event());
         }
         rec
     };

@@ -299,26 +299,24 @@ mod tests {
     /// retained full-detail window (same envelope as the trace, so
     /// `trace_diff` localizes divergences in dumps too).
     fn flight_dump() -> String {
-        use mmog_obs::{Event, FlightConfig, FlightRecorder, FlightTrigger};
+        use mmog_obs::{FlightConfig, FlightRecorder, FlightTrigger, TickRecord};
         let dir = std::env::temp_dir().join("obs_analyze_diff_flight");
         let mut cfg = FlightConfig::new(4);
         cfg.dump_dir.clone_from(&dir);
         let mut rec = FlightRecorder::new(cfg);
         for t in 0..12 {
-            rec.begin_tick(t);
-            rec.push(Event::Tick {
+            let record = TickRecord {
                 tick: t,
                 demand_cpu: 10.0,
                 alloc_cpu: 12.5,
-                shortfall_cpu: 0.0,
-            });
-            rec.push(Event::TickLatency {
-                tick: t,
                 predict_ns: 10,
                 reduce_ns: 5,
-                settle_ns: 0,
                 tick_ns: 20,
-            });
+                ..TickRecord::default()
+            };
+            rec.begin_tick(t);
+            rec.push(record.tick_event());
+            rec.push(record.latency_event());
         }
         let path = rec
             .trigger(FlightTrigger::Explicit, 11, "diff-test")

@@ -359,6 +359,7 @@ pub fn sanitize_label(label: &str) -> String {
 mod tests {
     use super::*;
     use crate::event::parse_trace_line;
+    use crate::tick::TickRecord;
     use std::path::Path;
 
     fn test_cfg(retain: u64, cap: usize, dir: &Path) -> FlightConfig {
@@ -371,27 +372,40 @@ mod tests {
         }
     }
 
-    fn tick(t: u64) -> Event<'static> {
-        Event::Tick {
+    fn record(t: u64) -> TickRecord {
+        TickRecord {
             tick: t,
             demand_cpu: 1.0,
             alloc_cpu: 2.0,
-            shortfall_cpu: 0.0,
-        }
-    }
-
-    fn latency(t: u64) -> Event<'static> {
-        Event::TickLatency {
-            tick: t,
             predict_ns: 5,
             reduce_ns: 6,
             settle_ns: 7,
             tick_ns: 20,
+            ..TickRecord::default()
         }
+    }
+
+    fn tick(t: u64) -> Event<'static> {
+        record(t).tick_event()
+    }
+
+    fn latency(t: u64) -> Event<'static> {
+        record(t).latency_event()
     }
 
     /// One event of every tick-first kind the engine records, at `t`.
     fn engine_kinds(t: u64) -> [Event<'static>; 8] {
+        let engine_tick = TickRecord {
+            tick: t,
+            demand_cpu: 3.0,
+            alloc_cpu: 2.5,
+            shortfall_cpu: -0.5,
+            predict_ns: 100,
+            reduce_ns: 200,
+            settle_ns: 300,
+            tick_ns: 700,
+            ..TickRecord::default()
+        };
         [
             Event::Provision {
                 tick: t,
@@ -430,19 +444,8 @@ mod tests {
                 leases: 3,
                 cost: 84.5,
             },
-            Event::Tick {
-                tick: t,
-                demand_cpu: 3.0,
-                alloc_cpu: 2.5,
-                shortfall_cpu: -0.5,
-            },
-            Event::TickLatency {
-                tick: t,
-                predict_ns: 100,
-                reduce_ns: 200,
-                settle_ns: 300,
-                tick_ns: 700,
-            },
+            engine_tick.tick_event(),
+            engine_tick.latency_event(),
         ]
     }
 

@@ -27,6 +27,8 @@
 //!   match accept/reject with reason, prediction error per group, bulk
 //!   waste per center, and the causal lease lifecycle chain
 //!   request → grant → mature → release), gated behind `--trace`.
+//! - [`tick`] — the per-tick [`TickRecord`] the engine fills once and
+//!   every plane reads, and the [`StageInstruments`] it records into.
 //! - [`timeseries`] — fixed-memory, deterministically-downsampled ring
 //!   series, exported as `TS_<run>.json` through one [`TsDocument`] type.
 //! - [`live`] — the live telemetry tap: an atomically-rewritten
@@ -67,6 +69,7 @@ pub mod live;
 pub mod registry;
 pub mod sinks;
 pub mod span;
+pub mod tick;
 pub mod timeseries;
 
 pub use event::{parse_trace_line, Event, EventSink};
@@ -86,6 +89,7 @@ pub use registry::{
 };
 pub use sinks::{Collector, Sinks};
 pub use span::{snapshot_spans, span, time_stat, timer, SpanGuard, SpanSnapshot, SpanStat};
+pub use tick::{StageInstruments, TickRecord};
 pub use timeseries::{
     RingSeries, Series, TsDocument, TsSemantic, TsTiming, TS_DEFAULT_CAPACITY, TS_SCHEMA,
 };

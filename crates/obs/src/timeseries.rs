@@ -12,8 +12,8 @@
 //! `--jobs` values.
 //!
 //! A run's export document (`TS_<run>.json`, schema [`TS_SCHEMA`]) is
-//! one [`TsDocument`]: the engine's eight per-tick series as named
-//! fields, split into the crate's semantic/timing domains. Semantic
+//! one [`TsDocument`]: the eight per-tick series of a [`TickRecord`] as
+//! named fields, split into the crate's semantic/timing domains. Semantic
 //! series (demand, allocation, shortfall, the settle skip rate) must be
 //! byte-identical across runs; timing series (per-stage durations) are
 //! execution-dependent and excluded from determinism comparison. The
@@ -28,6 +28,7 @@
 
 use crate::flight::sanitize_label;
 use crate::json::{Document, Node};
+use crate::tick::TickRecord;
 use std::path::{Path, PathBuf};
 
 /// Schema identifier stamped into every exported time-series document.
@@ -233,6 +234,19 @@ impl TsDocument<RingSeries> {
             semantic: TsSemantic::rings(capacity),
             timing: TsTiming::rings(capacity),
         }
+    }
+
+    /// Appends one tick's sample to every series.
+    pub fn push(&mut self, rec: &TickRecord) {
+        let (s, t) = (&mut self.semantic, &mut self.timing);
+        s.demand_cpu.push(rec.demand_cpu);
+        s.alloc_cpu.push(rec.alloc_cpu);
+        s.shortfall_cpu.push(rec.shortfall_cpu);
+        s.match_skip_rate.push(rec.skip_rate());
+        t.predict_ns.push(rec.predict_ns as f64);
+        t.reduce_ns.push(rec.reduce_ns as f64);
+        t.settle_ns.push(rec.settle_ns as f64);
+        t.tick_ns.push(rec.tick_ns as f64);
     }
 
     /// The document as exported.

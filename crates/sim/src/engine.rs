@@ -17,8 +17,8 @@ use mmog_datacenter::resource::ResourceVector;
 use mmog_datacenter::Federation;
 use mmog_faults::{FaultKind, FaultSchedule, ScenarioEventKind, ScenarioTimeline};
 use mmog_obs::{
-    Counter, Document, Domain, Event, EventSink, FlightRecorder, FlightTrigger, LatencyHisto,
-    Sinks, SpanStat,
+    Document, Domain, Event, EventSink, FlightRecorder, FlightTrigger, Sinks, StageInstruments,
+    TickRecord,
 };
 use mmog_predict::eval::PredictorKind;
 use mmog_util::geo::{DistanceClass, GeoPoint};
@@ -470,28 +470,9 @@ struct RunState {
     /// accumulation (same per-lease addition order, same iteration
     /// order).
     usage: Vec<(Vec<f64>, Vec<bool>, f64)>,
-    /// Per-stage timers, fetched once per run: the pipeline's timing
-    /// tree.
-    t_predict: Arc<SpanStat>,
-    t_reduce: Arc<SpanStat>,
-    t_settle: Arc<SpanStat>,
-    /// Per-stage latency distributions (log-bucketed): span totals give
-    /// means, these give the tail. Same paths as the timers so reports
-    /// line up. All of it is timing-domain data.
-    l_predict: Arc<LatencyHisto>,
-    l_reduce: Arc<LatencyHisto>,
-    l_settle: Arc<LatencyHisto>,
-    /// Ticks where every group took the idle exit of
-    /// [`GroupProvisioner::adjust`]: the settle stage's fast-path
-    /// distribution, recorded alongside (not instead of) match_settle
-    /// so the slow path's tail stays comparable against old baselines.
-    l_skip: Arc<LatencyHisto>,
-    l_tick: Arc<LatencyHisto>,
-    /// Idle-exit accounting, semantic: the exit reads only the group's
-    /// own ledger and target, so the split is a function of the run's
-    /// inputs at any `--jobs`.
-    match_skips: Arc<Counter>,
-    match_full: Arc<Counter>,
+    /// The tick stages' timers, latency histograms and idle-exit
+    /// counters, fetched once per run and fed each finished tick.
+    stages: StageInstruments,
     /// The matcher's tallies, shared by every group's provisioner and
     /// published at the end of every settle stage.
     match_stats: MatchStats,
@@ -506,15 +487,10 @@ struct RunState {
     live_writes: u64,
     live_write_ns: u64,
     run_start_wall: Instant,
-    /// The current tick's intermediate results.
-    tick: TickState,
-}
-
-/// What one tick's stages hand each other; reset at the top of every
-/// tick.
-#[derive(Debug, Clone, Copy, Default)]
-struct TickState {
-    t: usize,
+    /// The current tick's outcome, filled stage by stage and read by
+    /// every observability plane. It, `dropout` and `trigger` are reset
+    /// at the top of every tick.
+    record: TickRecord,
     /// The fault schedule dropped the predictor this tick.
     dropout: bool,
     /// The flight-recorder trigger this tick's applied effects raised.
@@ -522,18 +498,6 @@ struct TickState {
     /// faults apply before scenario events, and partitions sort before
     /// migrations and failovers.
     trigger: Option<FlightTrigger>,
-    /// The ordered reduction's totals.
-    demand: ResourceVector,
-    alloc: ResourceVector,
-    shortfall: ResourceVector,
-    predict_ns: u64,
-    reduce_ns: u64,
-    /// Zero when no settle stage ran this tick.
-    settle_ns: u64,
-    /// Settle steps that took the idle exit, and that ran the walk.
-    skips: u64,
-    full: u64,
-    tick_ns: u64,
 }
 
 impl RunState {
@@ -555,7 +519,7 @@ impl RunState {
         target: &ResourceVector,
         out: &AdjustOutcome,
     ) {
-        let tick = self.tick.t as u64;
+        let tick = self.record.tick;
         let detail = provisioner.lifecycle_detail();
         let changed = out.granted > 0 || out.released > 0 || out.unmet;
         if !changed && detail.is_empty() {
@@ -639,7 +603,7 @@ impl RunState {
 
     /// Scenario events go to both planes: the flight ring, so a
     /// triggered dump shows what changed, and the trace.
-    fn record(&mut self, event: Event<'static>) {
+    fn record_event(&mut self, event: Event<'static>) {
         self.flight_push(event);
         self.trace(&event);
     }
@@ -647,7 +611,7 @@ impl RunState {
     /// Opens an outage episode at `center` now, unless one is open.
     fn open_outage(&mut self, center: usize) {
         if !self.open_outages.iter().any(|(c, _)| *c == center) {
-            self.open_outages.push((center, self.tick.t as u64));
+            self.open_outages.push((center, self.record.tick));
         }
     }
 
@@ -656,7 +620,7 @@ impl RunState {
         let (_, effect) = *self
             .effects
             .get(self.effect_cursor)
-            .filter(|(tick, _)| *tick == self.tick.t as u64)?;
+            .filter(|(tick, _)| *tick == self.record.tick)?;
         self.effect_cursor += 1;
         Some(effect)
     }
@@ -986,16 +950,7 @@ impl Simulation {
             leases_granted: 0,
             leases_released: 0,
             usage: vec![(vec![0.0; ops], vec![false; ops], 0.0); self.platform.centers().len()],
-            t_predict: mmog_obs::timer("sim/run/predict_score"),
-            t_reduce: mmog_obs::timer("sim/run/reduce"),
-            t_settle: mmog_obs::timer("sim/run/match_settle"),
-            l_predict: mmog_obs::latency("sim/run/predict_score"),
-            l_reduce: mmog_obs::latency("sim/run/reduce"),
-            l_settle: mmog_obs::latency("sim/run/match_settle"),
-            l_skip: mmog_obs::latency("sim/run/match_skip"),
-            l_tick: mmog_obs::latency("sim/run/tick"),
-            match_skips: mmog_obs::counter("sim.match.skips", Domain::Semantic),
-            match_full: mmog_obs::counter("sim.match.full", Domain::Semantic),
+            stages: StageInstruments::current(),
             match_stats: MatchStats::current(),
             ts: self.sinks.ts.is_some().then(|| {
                 let ticks = self.ticks as u64;
@@ -1009,7 +964,9 @@ impl Simulation {
             live_writes: 0,
             live_write_ns: 0,
             run_start_wall: Instant::now(),
-            tick: TickState::default(),
+            record: TickRecord::default(),
+            dropout: false,
+            trigger: None,
         };
         run.trace(&Event::RunStart {
             mode: self.mode.label(),
@@ -1030,15 +987,19 @@ impl Simulation {
         if let Some(rec) = run.flight.as_mut() {
             rec.begin_tick(t as u64);
         }
-        run.tick = TickState::default();
-        run.tick.t = t;
+        run.record = TickRecord {
+            tick: t as u64,
+            ..TickRecord::default()
+        };
+        (run.dropout, run.trigger) = (false, None);
         self.fill_players(t);
         self.apply_effects(run);
         self.predict(run);
         self.reduce(run);
         self.settle_stage(run);
         self.account(run);
-        run.tick.tick_ns = ns_since(tick_start);
+        run.record.tick_ns = ns_since(tick_start);
+        run.stages.record(&run.record);
         self.publish(run);
     }
 
@@ -1077,7 +1038,7 @@ impl Simulation {
     fn apply_effects(&mut self, run: &mut RunState) {
         use FaultKind as F;
         use ScenarioEventKind as S;
-        let tick = run.tick.t as u64;
+        let tick = run.record.tick;
         // Every group sits in a region and a run has groups, so there
         // is always a region for a flash crowd to pick.
         let n_regions = self.region_group_counts.len() as u64;
@@ -1088,7 +1049,7 @@ impl Simulation {
             }
             if let Effect::Fault(..) = effect {
                 run.report.fault_events += 1;
-                run.tick.trigger.get_or_insert(FlightTrigger::Fault);
+                run.trigger.get_or_insert(FlightTrigger::Fault);
             } else {
                 run.report.scenario_events += 1;
             }
@@ -1146,14 +1107,14 @@ impl Simulation {
                     }
                 }
                 Effect::Fault(_, F::PredictorDropout) => {
-                    run.tick.dropout = true;
+                    run.dropout = true;
                     run.trace(&Event::PredictorDropout { tick });
                 }
                 Effect::Scenario(S::Partition { mask }) => {
                     self.platform.partition(mask);
-                    run.tick.trigger.get_or_insert(FlightTrigger::Partition);
+                    run.trigger.get_or_insert(FlightTrigger::Partition);
                     let components = self.platform.topology().components() as u64;
-                    run.record(Event::Partition {
+                    run.record_event(Event::Partition {
                         tick,
                         mask,
                         components,
@@ -1162,7 +1123,7 @@ impl Simulation {
                 Effect::Scenario(S::Heal) => {
                     self.platform.heal();
                     let components = self.platform.topology().components() as u64;
-                    run.record(Event::Heal { tick, components });
+                    run.record_event(Event::Heal { tick, components });
                 }
                 Effect::Scenario(
                     kind @ (S::LinkDegrade { a, b, .. } | S::LinkRestore { a, b }),
@@ -1173,7 +1134,7 @@ impl Simulation {
                     };
                     self.platform
                         .set_link_factor(a as usize, b as usize, factor);
-                    run.record(Event::TopologyChange {
+                    run.record_event(Event::TopologyChange {
                         tick,
                         a: u64::from(a),
                         b: u64::from(b),
@@ -1193,7 +1154,7 @@ impl Simulation {
                     };
                     let region = (pick % n_regions) as usize;
                     run.region_flash[region] = factor;
-                    run.record(Event::FlashCrowd {
+                    run.record_event(Event::FlashCrowd {
                         tick,
                         region: region as u64,
                         factor,
@@ -1259,7 +1220,7 @@ impl Simulation {
         if let Some(sink) = run.sink.as_mut() {
             let op = provisioner.operator.0;
             for lease in &dropped {
-                sink.emit(&lease_release(run.tick.t as u64, center, lease, op, cause));
+                sink.emit(&lease_release(run.record.tick, center, lease, op, cause));
             }
         }
         (dropped.len(), dropped.iter().map(|l| l.amounts.cpu).sum())
@@ -1280,10 +1241,10 @@ impl Simulation {
         run.report.migration_player_ticks += cost;
         run.report.unserved_player_ticks += cost;
         run.report.migrations += 1;
-        run.tick.trigger.get_or_insert(FlightTrigger::Migration);
+        run.trigger.get_or_insert(FlightTrigger::Migration);
         run.open_outage(center);
-        run.record(Event::Migration {
-            tick: run.tick.t as u64,
+        run.record_event(Event::Migration {
+            tick: run.record.tick,
             group: gi as u64,
             center: center as u64,
             leases: leases as u64,
@@ -1297,7 +1258,7 @@ impl Simulation {
     /// only its own cold state and its slot in the contiguous hot array.
     fn predict(&mut self, run: &mut RunState) {
         let dynamic = self.mode == AllocationMode::Dynamic;
-        let dropout = run.tick.dropout;
+        let dropout = run.dropout;
         let start = Instant::now();
         for (group, hot) in self.groups.iter_mut().zip(self.hot.iter_mut()) {
             let players = hot.players;
@@ -1321,9 +1282,7 @@ impl Simulation {
                 };
             }
         }
-        run.tick.predict_ns = ns_since(start);
-        run.t_predict.record_ns(run.tick.predict_ns);
-        run.l_predict.record(run.tick.predict_ns);
+        run.record.predict_ns = ns_since(start);
     }
 
     /// Ordered reduction (Eq. 2's min is per server group so one group's
@@ -1333,7 +1292,7 @@ impl Simulation {
     /// per-center usage integration.
     fn reduce(&mut self, run: &mut RunState) {
         let start = Instant::now();
-        let t = run.tick.t;
+        let t = run.record.tick as usize;
         let mut total_demand = ResourceVector::ZERO;
         let mut total_alloc = ResourceVector::ZERO;
         let mut shortfall = ResourceVector::ZERO;
@@ -1367,13 +1326,12 @@ impl Simulation {
                 acc.2 += center.free().cpu;
             }
         }
+        let record = &mut run.record;
+        record.demand_cpu = total_demand.cpu;
+        record.alloc_cpu = total_alloc.cpu;
+        record.shortfall_cpu = shortfall.cpu;
         if let Some(sink) = run.sink.as_mut() {
-            sink.emit(&Event::Tick {
-                tick: t as u64,
-                demand_cpu: total_demand.cpu,
-                alloc_cpu: total_alloc.cpu,
-                shortfall_cpu: shortfall.cpu,
-            });
+            sink.emit(&record.tick_event());
             // Per-center allocation snapshots for the analytics
             // timelines, sampled on a tick-count-derived stride (plus
             // the final tick) so suite-scale traces stay bounded: at
@@ -1391,12 +1349,7 @@ impl Simulation {
                 }
             }
         }
-        run.tick.demand = total_demand;
-        run.tick.alloc = total_alloc;
-        run.tick.shortfall = shortfall;
-        run.tick.reduce_ns = ns_since(start);
-        run.t_reduce.record_ns(run.tick.reduce_ns);
-        run.l_reduce.record(run.tick.reduce_ns);
+        run.record.reduce_ns = ns_since(start);
     }
 
     /// Serial stage: adjust allocations for the next tick. Dynamic mode
@@ -1412,18 +1365,8 @@ impl Simulation {
         };
         let start = Instant::now();
         self.settle(run, pass);
-        let ns = ns_since(start);
-        run.tick.settle_ns = ns;
-        run.t_settle.record_ns(ns);
-        run.l_settle.record(ns);
-        run.match_skips.add(run.tick.skips);
-        run.match_full.add(run.tick.full);
-        if run.tick.full == 0 && run.tick.skips > 0 {
-            // A pure fast-path tick: every group took the idle exit, so
-            // the stage's duration belongs to the skip distribution
-            // too.
-            run.l_skip.record(ns);
-        }
+        run.record.settle_ns = ns_since(start);
+        run.record.settled = true;
     }
 
     /// The one settle loop behind every [`Settle`] pass. Groups go in
@@ -1431,8 +1374,8 @@ impl Simulation {
     /// first. Matching contends on the shared centers, so this ordering
     /// IS the semantics and cannot fan out.
     fn settle(&mut self, run: &mut RunState, pass: Settle) {
-        let t = run.tick.t;
-        let now = SimTime(t as u64);
+        let t = run.record.tick;
+        let now = SimTime(t);
         let by_priority = pass != Settle::Initial;
         for k in 0..self.groups.len() {
             let idx = if by_priority { self.order[k] } else { k };
@@ -1446,8 +1389,8 @@ impl Simulation {
             let target = self.hot[idx].target;
             let provisioner = &mut self.groups[idx].provisioner;
             let out = provisioner.adjust(&mut self.platform, &mut run.match_stats, &target, now);
-            run.tick.skips += u64::from(out.skipped);
-            run.tick.full += u64::from(!out.skipped);
+            run.record.skips += u64::from(out.skipped);
+            run.record.walks += u64::from(!out.skipped);
             run.leases_granted += out.granted as u64;
             run.leases_released += out.released as u64;
             run.report.rejections.merge(&out.rejections);
@@ -1458,7 +1401,7 @@ impl Simulation {
                 if out.granted > 0 {
                     run.report.reprovisions += out.granted as u64;
                     run.trace(&Event::Reprovision {
-                        tick: t as u64,
+                        tick: t,
                         operator: u64::from(provisioner.operator.0),
                         granted: out.granted as u64,
                         lost_cpu: lost.cpu,
@@ -1486,7 +1429,7 @@ impl Simulation {
         if !self.disturbed {
             return;
         }
-        let t = run.tick.t;
+        let t = run.record.tick;
         let mut tick_unserved = 0.0f64;
         for (gi, group) in self.groups.iter().enumerate() {
             let target = self.hot[gi].target;
@@ -1503,10 +1446,10 @@ impl Simulation {
         run.report.unserved_player_ticks += tick_unserved;
         if !run.open_outages.is_empty() && tick_unserved <= 1e-9 {
             for (center, start) in std::mem::take(&mut run.open_outages) {
-                let down_ticks = t as u64 - start;
+                let down_ticks = t - start;
                 run.report.recovery_ticks.push(down_ticks);
                 run.trace(&Event::FaultRecovery {
-                    tick: t as u64,
+                    tick: t,
                     center: center as u64,
                     down_ticks,
                 });
@@ -1517,45 +1460,29 @@ impl Simulation {
     /// Time-series, live tap and flight recorder, fed from the serial
     /// tail of the tick.
     fn publish(&mut self, run: &mut RunState) {
-        let tick = run.tick;
-        let t = tick.t;
-        run.l_tick.record(tick.tick_ns);
-        // The skip rate is this tick's idle-exit fraction; with no
-        // settle stage this tick it is zero. It is semantic, like the
-        // `sim.match.skips` counter.
-        let skip_rate = tick.skips as f64 / (tick.skips + tick.full).max(1) as f64;
+        let (record, trigger) = (run.record, run.trigger);
+        let t = record.tick;
         if let Some(ts) = run.ts.as_mut() {
-            let (semantic, timing) = (&mut ts.semantic, &mut ts.timing);
-            semantic.demand_cpu.push(tick.demand.cpu);
-            semantic.alloc_cpu.push(tick.alloc.cpu);
-            semantic.shortfall_cpu.push(tick.shortfall.cpu);
-            semantic.match_skip_rate.push(skip_rate);
-            timing.predict_ns.push(tick.predict_ns as f64);
-            timing.reduce_ns.push(tick.reduce_ns as f64);
-            timing.settle_ns.push(tick.settle_ns as f64);
-            timing.tick_ns.push(tick.tick_ns as f64);
+            ts.push(&record);
         }
         if let Some(cfg) = self.sinks.live.as_ref() {
-            let done = t + 1 == self.ticks;
-            let due = (t as u64).is_multiple_of(cfg.interval()) || done;
+            let done = t + 1 == self.ticks as u64;
+            let due = t.is_multiple_of(cfg.interval()) || done;
             let throttled = !done
                 && run
                     .last_live_write
                     .is_some_and(|at| at.elapsed() < MIN_LIVE_WRITE_GAP);
             if due && !throttled {
-                let p99_us = |l: &mmog_obs::LatencyHisto| {
-                    l.snapshot().p99().map_or(0.0, |ns| ns as f64 / 1000.0)
-                };
                 let snap = mmog_obs::LiveSnapshot {
                     run: self.trace_label.clone(),
-                    tick: t as u64,
+                    tick: t,
                     ticks_total: self.ticks as u64,
                     done,
                     semantic: mmog_obs::LiveSemantic {
-                        demand_cpu: tick.demand.cpu,
-                        alloc_cpu: tick.alloc.cpu,
-                        shortfall_cpu: tick.shortfall.cpu,
-                        match_skip_rate: skip_rate,
+                        demand_cpu: record.demand_cpu,
+                        alloc_cpu: record.alloc_cpu,
+                        shortfall_cpu: record.shortfall_cpu,
+                        match_skip_rate: record.skip_rate(),
                         leases_held: self
                             .groups
                             .iter()
@@ -1583,12 +1510,7 @@ impl Simulation {
                     timing: mmog_obs::LiveTiming {
                         tick_rate: (t + 1) as f64
                             / run.run_start_wall.elapsed().as_secs_f64().max(1e-9),
-                        stage_p99_us: mmog_obs::StageP99 {
-                            predict_score: p99_us(&run.l_predict),
-                            reduce: p99_us(&run.l_reduce),
-                            match_settle: p99_us(&run.l_settle),
-                            tick: p99_us(&run.l_tick),
-                        },
+                        stage_p99_us: run.stages.p99_us(),
                     },
                 };
                 let write_start = Instant::now();
@@ -1600,31 +1522,20 @@ impl Simulation {
                 run.last_live_write = Some(Instant::now());
             }
         }
-        run.flight_push(Event::Tick {
-            tick: t as u64,
-            demand_cpu: tick.demand.cpu,
-            alloc_cpu: tick.alloc.cpu,
-            shortfall_cpu: tick.shortfall.cpu,
-        });
         // Stage latencies travel with the window so a dump shows both
         // what the engine decided and how long it took.
-        run.flight_push(Event::TickLatency {
-            tick: t as u64,
-            predict_ns: tick.predict_ns,
-            reduce_ns: tick.reduce_ns,
-            settle_ns: tick.settle_ns,
-            tick_ns: tick.tick_ns,
-        });
+        run.flight_push(record.tick_event());
+        run.flight_push(record.latency_event());
         if let Some(rec) = run.flight.as_mut() {
             // Trigger decisions, in fixed priority order: faults are
             // semantic (deterministic for a fixed schedule), the
             // deadline is wall-clock (opt-in via the config).
-            let trigger = tick.trigger.or_else(|| {
+            let trigger = trigger.or_else(|| {
                 rec.deadline_ns()
-                    .is_some_and(|d| tick.tick_ns > d)
+                    .is_some_and(|d| record.tick_ns > d)
                     .then_some(FlightTrigger::DeadlineOverrun)
             });
-            if let Some(Err(err)) = trigger.map(|tr| rec.trigger(tr, t as u64, &self.trace_label)) {
+            if let Some(Err(err)) = trigger.map(|tr| rec.trigger(tr, t, &self.trace_label)) {
                 eprintln!("warning: flight dump failed: {err}");
             }
         }
@@ -2484,7 +2395,7 @@ mod tests {
             run.sink = Some(EventSink::new());
             for t in 0..sim.ticks {
                 sim.step(&mut run, t);
-                assert_eq!(run.tick.trigger, None, "tick {t}");
+                assert_eq!(run.trigger, None, "tick {t}");
             }
             let sink = run.sink.expect("sink attached above");
             (

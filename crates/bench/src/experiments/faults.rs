@@ -22,42 +22,8 @@ use std::fmt::Write as _;
 /// the base spec, and a 4× storm.
 pub const FAULT_MULTIPLIERS: [f64; 3] = [0.0, 1.0, 4.0];
 
-fn mode_label(mode: AllocationMode) -> &'static str {
-    match mode {
-        AllocationMode::Dynamic => "dynamic",
-        AllocationMode::Static => "static",
-    }
-}
-
-fn fault_row(label: &str, report: &SimReport) -> Vec<String> {
-    let recovered = report.recovery_ticks.len();
-    let mean_recovery = if recovered == 0 {
-        "-".to_string()
-    } else {
-        let sum: u64 = report.recovery_ticks.iter().sum();
-        format!("{:.1}", sum as f64 / recovered as f64)
-    };
-    vec![
-        label.to_string(),
-        report.fault_events.to_string(),
-        report.leases_revoked.to_string(),
-        report.reprovisions.to_string(),
-        format!("{:.0}", report.unserved_player_ticks),
-        recovered.to_string(),
-        mean_recovery,
-        report.unrecovered_outages.to_string(),
-        report.rejections.total().to_string(),
-        format!("{:.2}", report.metrics.avg_over(ResourceType::Cpu)),
-        format!("{:.2}", report.metrics.avg_under(ResourceType::Cpu)),
-    ]
-}
-
-const FAULT_HEADERS: [&str; 11] = [
-    "Setup",
-    "Faults",
-    "Revoked",
-    "Reprov",
-    "Unserved p-t",
+/// The columns the fault and scenario figures both end with.
+pub(crate) const RECOVERY_HEADERS: [&str; 6] = [
     "Healed",
     "Mean heal [ticks]",
     "Unhealed",
@@ -65,6 +31,43 @@ const FAULT_HEADERS: [&str; 11] = [
     "Over CPU [%]",
     "Under CPU [%]",
 ];
+
+/// A report's [`RECOVERY_HEADERS`] cells: the healed outage episodes
+/// and their mean time to heal, the unhealed ones, the matcher's
+/// rejections and the CPU over- and under-allocation averages.
+pub(crate) fn recovery_cells(report: &SimReport) -> [String; 6] {
+    let healed = &report.recovery_ticks;
+    let mean_heal = if healed.is_empty() {
+        "-".to_string()
+    } else {
+        format!(
+            "{:.1}",
+            healed.iter().sum::<u64>() as f64 / healed.len() as f64
+        )
+    };
+    [
+        healed.len().to_string(),
+        mean_heal,
+        report.unrecovered_outages.to_string(),
+        report.rejections.total().to_string(),
+        format!("{:.2}", report.metrics.avg_over(ResourceType::Cpu)),
+        format!("{:.2}", report.metrics.avg_under(ResourceType::Cpu)),
+    ]
+}
+
+fn fault_row(label: &str, report: &SimReport) -> Vec<String> {
+    let mut row = vec![
+        label.to_string(),
+        report.fault_events.to_string(),
+        report.leases_revoked.to_string(),
+        report.reprovisions.to_string(),
+        format!("{:.0}", report.unserved_player_ticks),
+    ];
+    row.extend(recovery_cells(report));
+    row
+}
+
+const FAULT_HEADERS: [&str; 5] = ["Setup", "Faults", "Revoked", "Reprov", "Unserved p-t"];
 
 /// The fault-injection figure: outage intensity × allocation mode.
 /// The base spec comes from `--faults` (default: the paper-default
@@ -86,11 +89,10 @@ pub fn fig_faults(opts: &RunOpts) -> String {
     let rows: Vec<Vec<String>> = cells
         .iter()
         .zip(&reports)
-        .map(|(&(mode, mult), report)| {
-            fault_row(&format!("{} x{mult:.1}", mode_label(mode)), report)
-        })
+        .map(|(&(mode, mult), report)| fault_row(&format!("{} x{mult:.1}", mode.label()), report))
         .collect();
-    out.push_str(&render_table(&FAULT_HEADERS, &rows));
+    let headers = [&FAULT_HEADERS[..], &RECOVERY_HEADERS].concat();
+    out.push_str(&render_table(&headers, &rows));
     out.push_str(
         "\nExpected shape: dynamic allocation re-provisions lost capacity from \
          surviving centers (every outage heals, unserved player-ticks stay \

@@ -12,8 +12,8 @@
 //! mutation; static allocation re-buys its peak block and eats the
 //! migration cost without adapting.
 
+use super::faults::{recovery_cells, RECOVERY_HEADERS};
 use crate::cli::RunOpts;
-use mmog_datacenter::resource::ResourceType;
 use mmog_faults::ScenarioSpec;
 use mmog_sim::engine::{AllocationMode, SimReport};
 use mmog_sim::report::render_table;
@@ -24,50 +24,26 @@ use std::fmt::Write as _;
 /// baseline, the base spec, and a 4× storm.
 pub const SCENARIO_MULTIPLIERS: [f64; 3] = [0.0, 1.0, 4.0];
 
-fn mode_label(mode: AllocationMode) -> &'static str {
-    match mode {
-        AllocationMode::Dynamic => "dynamic",
-        AllocationMode::Static => "static",
-    }
-}
-
 fn scenario_row(label: &str, report: &SimReport) -> Vec<String> {
-    let recovered = report.recovery_ticks.len();
-    let mean_recovery = if recovered == 0 {
-        "-".to_string()
-    } else {
-        let sum: u64 = report.recovery_ticks.iter().sum();
-        format!("{:.1}", sum as f64 / recovered as f64)
-    };
-    vec![
+    let mut row = vec![
         label.to_string(),
         report.scenario_events.to_string(),
         report.migrations.to_string(),
         format!("{:.0}", report.migration_player_ticks),
         format!("{:.0}", report.unserved_player_ticks),
         report.reprovisions.to_string(),
-        recovered.to_string(),
-        mean_recovery,
-        report.unrecovered_outages.to_string(),
-        report.rejections.total().to_string(),
-        format!("{:.2}", report.metrics.avg_over(ResourceType::Cpu)),
-        format!("{:.2}", report.metrics.avg_under(ResourceType::Cpu)),
-    ]
+    ];
+    row.extend(recovery_cells(report));
+    row
 }
 
-const SCENARIO_HEADERS: [&str; 12] = [
+const SCENARIO_HEADERS: [&str; 6] = [
     "Setup",
     "Events",
     "Migrations",
     "Migration p-t",
     "Unserved p-t",
     "Reprov",
-    "Healed",
-    "Mean heal [ticks]",
-    "Unhealed",
-    "Rejections",
-    "Over CPU [%]",
-    "Under CPU [%]",
 ];
 
 /// The scenario figure: topology-mutation intensity × allocation mode.
@@ -99,10 +75,11 @@ pub fn fig_scenarios(opts: &RunOpts) -> String {
         .iter()
         .zip(&reports)
         .map(|(&(mode, mult), report)| {
-            scenario_row(&format!("{} x{mult:.1}", mode_label(mode)), report)
+            scenario_row(&format!("{} x{mult:.1}", mode.label()), report)
         })
         .collect();
-    out.push_str(&render_table(&SCENARIO_HEADERS, &rows));
+    let headers = [&SCENARIO_HEADERS[..], &RECOVERY_HEADERS].concat();
+    out.push_str(&render_table(&headers, &rows));
     out.push_str(
         "\nExpected shape: migrations charge both modes the same player-tick \
          cost, and most episodes re-provision within a few ticks. Partitions \

@@ -30,7 +30,7 @@ fn record_batch() -> (u64, i64, u64, i64) {
 }
 
 #[test]
-fn pool_recording_is_thread_count_independent() {
+fn par_map_recording_is_thread_count_independent() {
     let serial = mmog_par::scoped(1, &Registry::new(), record_batch);
     let parallel = mmog_par::scoped(4, &Registry::new(), record_batch);
     assert_eq!(

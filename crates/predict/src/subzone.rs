@@ -62,15 +62,6 @@ impl SubZoneBank {
         }
     }
 
-    /// Per-sub-zone forecasts for the next step, clamped non-negative.
-    #[must_use]
-    pub fn predict_map(&self) -> Vec<f64> {
-        self.predictors
-            .iter()
-            .map(|p| p.predict().max(0.0))
-            .collect()
-    }
-
     /// The whole-world forecast: sum of the sub-zone predictions.
     #[must_use]
     pub fn predict_total(&self) -> f64 {
@@ -106,7 +97,6 @@ mod tests {
     fn total_is_sum_of_zones() {
         let mut bank = last_value_bank(4);
         bank.observe(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(bank.predict_map(), vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(bank.predict_total(), 10.0);
     }
 
@@ -116,7 +106,7 @@ mod tests {
         let mut b = last_value_bank(3);
         a.observe(&[5.0, 6.0, 7.0]);
         b.observe_u32(&[5, 6, 7]);
-        assert_eq!(a.predict_map(), b.predict_map());
+        assert_eq!(a.predict_total(), b.predict_total());
     }
 
     #[test]
@@ -149,7 +139,6 @@ mod tests {
         }
         let bank = SubZoneBank::new(2, |_| Box::new(AlwaysNegative) as _);
         assert_eq!(bank.predict_total(), 0.0);
-        assert_eq!(bank.predict_map(), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -45,16 +45,6 @@ pub fn pct(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Formats a signed small percentage with two decimals (e.g. `-0.09`).
-#[must_use]
-pub fn signed_pct(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else {
-        format!("{x:.2}")
-    }
-}
-
 /// Downsamples an `(index, value)` series to at most `points` rows for
 /// compact textual "figures".
 #[must_use]
@@ -114,8 +104,6 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(25.904), "25.90");
-        assert_eq!(signed_pct(-0.094), "-0.09");
-        assert_eq!(signed_pct(0.0), "0");
     }
 
     #[test]

@@ -189,15 +189,6 @@ impl TimeSeries {
             values: self.values.iter().map(|v| v * k).collect(),
         }
     }
-
-    /// Clamps every sample to at least `floor` (used to keep synthetic
-    /// player counts non-negative).
-    #[must_use]
-    pub fn clamped_min(&self, floor: f64) -> TimeSeries {
-        TimeSeries {
-            values: self.values.iter().map(|v| v.max(floor)).collect(),
-        }
-    }
 }
 
 impl FromIterator<f64> for TimeSeries {
@@ -304,10 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn scaled_and_clamped() {
+    fn scaled_multiplies_every_sample() {
         let s = TimeSeries::from_values(vec![-1.0, 0.5, 2.0]);
         assert_eq!(s.scaled(2.0).values(), &[-2.0, 1.0, 4.0]);
-        assert_eq!(s.clamped_min(0.0).values(), &[0.0, 0.5, 2.0]);
     }
 
     #[test]

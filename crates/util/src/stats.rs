@@ -22,12 +22,6 @@ pub fn variance(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64)
 }
 
-/// Population standard deviation; `None` for an empty slice.
-#[must_use]
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Quantile by linear interpolation between closest ranks
 /// (the "type 7" estimator used by R and NumPy). `q` is clamped to `[0,1]`.
 /// Returns `None` for an empty slice.
@@ -395,7 +389,6 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), Some(2.5));
         assert!((variance(&xs).unwrap() - 1.25).abs() < 1e-12);
-        assert!((std_dev(&xs).unwrap() - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

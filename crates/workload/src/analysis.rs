@@ -127,43 +127,6 @@ pub fn weekend_effect(series: &TimeSeries) -> Option<f64> {
     Some((we_sum / we_n as f64) / (wd_sum / wd_n as f64))
 }
 
-/// Summary row of a region: the numbers a Figure 3-style report prints.
-#[derive(Debug, Clone)]
-pub struct RegionSummary {
-    /// Region name.
-    pub name: String,
-    /// Number of server groups.
-    pub groups: usize,
-    /// Mean of the median-load series.
-    pub mean_median_load: f64,
-    /// Mean IQR across time.
-    pub mean_iqr: f64,
-    /// Fraction of groups with a clear daily cycle.
-    pub diurnal_fraction: f64,
-    /// Median dominant ACF period over groups, in ticks.
-    pub median_period: Option<f64>,
-}
-
-/// Builds the summary row for a region.
-#[must_use]
-pub fn summarize_region(region: &RegionTrace) -> RegionSummary {
-    let envelope = load_envelope(region);
-    let iqr = iqr_series(region);
-    let lag = TICKS_PER_DAY as usize + 60;
-    let periods: Vec<f64> = acf_per_group(region, lag)
-        .iter()
-        .filter_map(|acf| dominant_period(acf, 120).map(|p| p as f64))
-        .collect();
-    RegionSummary {
-        name: region.name.clone(),
-        groups: region.group_count(),
-        mean_median_load: envelope.median.mean().unwrap_or(0.0),
-        mean_iqr: iqr.mean().unwrap_or(0.0),
-        diurnal_fraction: diurnal_fraction(region, 0.4),
-        median_period: stats::median(&periods),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,17 +225,5 @@ mod tests {
     fn weekend_effect_none_for_short_series() {
         let series: TimeSeries = (0..100).map(|_| 1.0).collect();
         assert_eq!(weekend_effect(&series), None);
-    }
-
-    #[test]
-    fn summary_has_sane_fields() {
-        let r = synthetic_region();
-        let s = summarize_region(&r);
-        assert_eq!(s.groups, 3);
-        assert!((s.mean_median_load - 1000.0).abs() < 5.0);
-        assert!(s.mean_iqr > 0.0);
-        assert!(s.diurnal_fraction > 0.9);
-        let p = s.median_period.unwrap();
-        assert!((p - TICKS_PER_DAY as f64).abs() < 10.0, "period {p}");
     }
 }

@@ -107,18 +107,6 @@ pub fn titles_over(roster: &[GameTitle], year: f64, threshold_millions: f64) -> 
         .collect()
 }
 
-/// Monthly aggregate series over `[from, to]` years: `(year, millions)`.
-#[must_use]
-pub fn aggregate_series(roster: &[GameTitle], from: f64, to: f64) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    let mut year = from;
-    while year <= to + 1e-9 {
-        out.push((year, total_subscribers(roster, year)));
-        year += 1.0 / 12.0;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,13 +180,5 @@ mod tests {
         by_size.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         assert_eq!(by_size[0].0, "World of Warcraft");
         assert_eq!(by_size[1].0, "RuneScape");
-    }
-
-    #[test]
-    fn aggregate_series_is_monthly() {
-        let roster = title_roster();
-        let series = aggregate_series(&roster, 1997.0, 1998.0);
-        assert_eq!(series.len(), 13);
-        assert!((series[1].0 - (1997.0 + 1.0 / 12.0)).abs() < 1e-9);
     }
 }

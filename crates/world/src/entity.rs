@@ -27,12 +27,6 @@ pub enum EntityKind {
 }
 
 impl EntityKind {
-    /// Whether entities of this kind move around the world.
-    #[must_use]
-    pub fn is_mobile(self) -> bool {
-        matches!(self, Self::Avatar | Self::Npc)
-    }
-
     /// Whether entities of this kind participate in interactions (and
     /// thus contribute to the interaction-driven load of Sec. III-D).
     #[must_use]
@@ -328,10 +322,6 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(EntityKind::Avatar.is_mobile());
-        assert!(EntityKind::Npc.is_mobile());
-        assert!(!EntityKind::Mobile.is_mobile());
-        assert!(!EntityKind::Decor.is_mobile());
         assert!(EntityKind::Avatar.interacts());
         assert!(EntityKind::Mobile.interacts());
         assert!(!EntityKind::Decor.interacts());
